@@ -5,35 +5,55 @@ network per core (acceptor) and per slot (offer maker), optionally sharing
 parameters within each group; the aggregated variants fold several decisions
 into one categorical action that is translated back with mixed-radix
 arithmetic. Free-price bundles add one price setter per slot.
+
+A bundle keeps all its parameter sets in one ``ParamStack``. Under the
+distributed variants an agent acts in one batched pass per step: the
+observation of every acting unit (acceptors of the cores it owns, then every
+offer maker) is written into one (units, width) array, one ``forward`` runs
+over all rows with each row's parameter set, and one vectorized inverse-CDF
+step turns one uniform draw per unit, taken from that unit's own sample
+stream, into its action. Price setters follow in a second pass over the
+offers just made, since what they see depends on the offer's target core.
+
+Update-order contract: the pass does exactly what acting one unit at a time
+in row order would. Each unit's bookkeeping runs in row order, and when a
+unit's rollout window fills, its parameter set is updated on the spot; the
+later rows of that set are then evaluated again with the updated weights
+and their same draws. The aggregated variants act one unit at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import mixed_radix_decode
-from .config import EnvConfig
+from .config import EnvConfig, PricingMode
 from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
 from .neural import (
     AdamState,
     NetParams,
+    ParamStack,
     PPOHyper,
     RolloutBuffer,
     forward,
     init_params,
     ppo_update,
     sample,
+    sample_rows,
     save_checkpoint,
     load_checkpoint,
 )
 from .obs import (
     PRICE_OBS_LEN,
     acceptor_obs_len,
-    encode_acceptor_obs,
+    core_block,
+    encode_acceptor_rows,
     encode_offer_obs,
-    encode_price_obs,
+    fill_acceptor_rows,
+    fill_offer_rows,
+    fill_price_rows,
     offer_obs_len,
 )
 from .rng import (
@@ -143,10 +163,11 @@ class ActingUnit:
     step and only commit them once the offer is accepted.
     """
 
-    def __init__(self, spec: UnitSpec, params: NetParams, opt: AdamState,
-                 hyper: PPOHyper, sample_rng: np.random.Generator,
+    def __init__(self, spec: UnitSpec, param_set: int, params: NetParams,
+                 opt: AdamState, hyper: PPOHyper, sample_rng: np.random.Generator,
                  update_rng: np.random.Generator):
         self.spec = spec
+        self.param_set = param_set  # index of params in the bundle's ParamStack
         self.params = params
         self.opt = opt
         self.hyper = hyper
@@ -162,13 +183,20 @@ class ActingUnit:
     def act(self, obs: np.ndarray) -> int:
         logits, value = forward(self.params, obs)
         action, logp = sample(logits, self.sample_rng)
-        if self.open_sample is not None:
-            prev = self.open_sample
-            self.buffer.add(prev[0], prev[1], prev[2], prev[3], prev[4])
-        self.open_sample = [obs, action, logp, value, 0.0]
-        if self.buffer.full:
-            self._update(bootstrap_value=value)
+        self.record(obs, action, logp, value)
         return action
+
+    def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> bool:
+        """Open the sample of this step's decision and close the previous one
+        into the rollout window. When the window fills, update the network
+        with this decision's value as the bootstrap; return whether it did."""
+        if self.open_sample is not None:
+            self.buffer.add(*self.open_sample)
+        self.open_sample = [obs, action, logp, value, 0.0]
+        if not self.buffer.full:
+            return False
+        self._update(bootstrap_value=value)
+        return True
 
     def accumulate(self, reward: float) -> None:
         if self.open_sample is None:
@@ -176,11 +204,10 @@ class ActingUnit:
             return
         self.open_sample[4] += reward
 
-    def act_price(self, obs: np.ndarray, made_at: int) -> int:
-        logits, value = forward(self.params, obs)
-        action, logp = sample(logits, self.sample_rng)
+    def hold_price(self, made_at: int, obs: np.ndarray, action: int, logp: float,
+                   value: float) -> None:
+        """Keep a price decision pending until its offer is resolved."""
         self.pending_prices[made_at] = (obs, action, logp, value)
-        return action
 
     def resolve_price(self, made_at: int, reward: float) -> None:
         pending = self.pending_prices.pop(made_at, None)
@@ -217,21 +244,25 @@ class AgentBundle:
         self.config = config
         self.hyper = hyper
         specs = unit_layout(arch, config)
+        param_sets: dict[str, int] = {}
+        shapes = []
+        for spec in specs:
+            if spec.param_key not in param_sets:
+                param_sets[spec.param_key] = len(shapes)
+                shapes.append((spec.obs_width, spec.hidden_width, spec.action_count))
+        self.stack = ParamStack(shapes)
         self.params: dict[str, NetParams] = {}
         self.opts: dict[str, AdamState] = {}
-        param_index = 0
-        for spec in specs:
-            if spec.param_key not in self.params:
-                rng = derive_rng(seed, STREAM_UNIT_INIT, agent, param_index)
-                self.params[spec.param_key] = init_params(
-                    spec.obs_width, spec.hidden_width, spec.action_count, rng)
-                self.opts[spec.param_key] = AdamState.for_params(
-                    self.params[spec.param_key])
-                param_index += 1
+        for key, index in param_sets.items():
+            rng = derive_rng(seed, STREAM_UNIT_INIT, agent, index)
+            self.params[key] = init_params(*shapes[index], rng,
+                                           out=self.stack.views[index])
+            self.opts[key] = AdamState.for_params(self.params[key])
         self.units: dict[UnitKey, ActingUnit] = {}
         for unit_index, spec in enumerate(specs):
             self.units[spec.key] = ActingUnit(
                 spec,
+                param_sets[spec.param_key],
                 self.params[spec.param_key],
                 self.opts[spec.param_key],
                 hyper,
@@ -247,25 +278,11 @@ class AgentBundle:
         cfg = self.config
         a = self.agent
         if self.arch in _DIST_FAMILY:
-            if cfg.trading_enabled:
-                for m in range(cfg.num_cores):
-                    if env.cores[m].owner == a:
-                        obs = encode_acceptor_obs(env, a, m)
-                        joint.accepts[(a, m)] = self.units[("accept", m)].act(obs)
-            for k in range(cfg.num_slots):
-                obs = encode_offer_obs(env, a, k)
-                choice = self.units[("offer", k)].act(obs)
-                joint.offers[(a, k)] = choice
-                if (self.arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
-                        and choice > 0 and env.slots[a][k] is not None):
-                    price_obs = encode_price_obs(env, a, k, choice - 1)
-                    price = self.units[("price", k)].act_price(price_obs, env.time)
-                    joint.prices[(a, k)] = price
+            self._act_distributed(env, joint)
             return
         if self.arch == ARCH_SEMI:
             if cfg.trading_enabled and any(c.owner == a for c in env.cores):
-                obs = np.concatenate(
-                    [encode_acceptor_obs(env, a, m) for m in range(cfg.num_cores)])
+                obs = encode_acceptor_rows(env, a, range(cfg.num_cores)).ravel()
                 unit = self.units[("accept", 0)]
                 digits = mixed_radix_decode(unit.act(obs), unit.spec.radices)
                 for m in range(cfg.num_cores):
@@ -280,8 +297,8 @@ class AgentBundle:
         # fully aggregated: one action covers every core and every slot
         unit = self.units[("full", 0)]
         obs = np.concatenate(
-            [encode_acceptor_obs(env, a, m) for m in range(cfg.num_cores)]
-            + [encode_offer_obs(env, a, None)])
+            [encode_acceptor_rows(env, a, range(cfg.num_cores)).ravel(),
+             encode_offer_obs(env, a, None)])
         digits = mixed_radix_decode(unit.act(obs), unit.spec.radices)
         if cfg.trading_enabled:
             for m in range(cfg.num_cores):
@@ -289,6 +306,67 @@ class AgentBundle:
                     joint.accepts[(a, m)] = digits[m]
         for k in range(cfg.num_slots):
             joint.offers[(a, k)] = digits[cfg.num_cores + k]
+
+    def _act_distributed(self, env: SchedulingEnv, joint: JointActions) -> None:
+        """The batched pass of the module docstring."""
+        cfg = self.config
+        a = self.agent
+        cores = ([m for m, core in enumerate(env.cores) if core.owner == a]
+                 if cfg.trading_enabled else [])
+        slots = range(cfg.num_slots)
+        units = ([self.units[("accept", m)] for m in cores]
+                 + [self.units[("offer", k)] for k in slots])
+        block = core_block(env, a)
+        obs = np.zeros((len(units), self.stack.in_width))
+        fill_acceptor_rows(env, block, cores, obs)
+        fill_offer_rows(env, a, block, slots, obs[len(cores):])
+        actions = self._act_rows(units, obs)
+        for m, action in zip(cores, actions):
+            joint.accepts[(a, m)] = action
+        offers = actions[len(cores):]
+        for k, choice in zip(slots, offers):
+            joint.offers[(a, k)] = choice
+        if self.arch != ARCH_DIST_PRICE or not cfg.pricing_mode.is_free:
+            return
+        targets = [(k, choice - 1) for k, choice in zip(slots, offers)
+                   if choice > 0 and env.slots[a][k] is not None]
+        if targets:
+            obs = np.zeros((len(targets), self.stack.in_width))
+            fill_price_rows(env, a, targets, obs)
+            prices = self._act_rows([self.units[("price", k)] for k, _ in targets],
+                                    obs, made_at=env.time)
+            for (k, _), price in zip(targets, prices):
+                joint.prices[(a, k)] = price
+
+    def _act_rows(self, units: list[ActingUnit], obs: np.ndarray,
+                  made_at: int | None = None) -> list[int]:
+        """Act for ``units[i]`` on row i of ``obs``: one forward over all rows,
+        one draw per unit, then each unit's bookkeeping in row order. With
+        ``made_at`` the units are price setters and their decisions are held
+        pending instead of recorded."""
+        sets = np.array([unit.param_set for unit in units])
+        u = np.array([unit.sample_rng.random() for unit in units])
+        last = self.stack.last_action[sets]
+        logits, values = forward(self.stack, obs, sets)
+        actions, logps = sample_rows(logits, u, last)
+        actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
+        for r, unit in enumerate(units):
+            row = obs[r, :unit.spec.obs_width]
+            if made_at is not None:
+                unit.hold_price(made_at, row, actions[r], logps[r], values[r])
+                continue
+            if not unit.record(row, actions[r], logps[r], values[r]):
+                continue
+            # the update moved this set's weights: later rows of the set act
+            # on the new weights, with the draws they already took
+            later = [j for j in range(r + 1, len(units)) if sets[j] == sets[r]]
+            if later:
+                logits, fresh = forward(self.stack, obs[later], sets[later])
+                redrawn, relogp = sample_rows(logits, u[later], last[later])
+                for j, action, logp, value in zip(later, redrawn.tolist(),
+                                                  relogp.tolist(), fresh.tolist()):
+                    actions[j], logps[j], values[j] = action, logp, value
+        return actions
 
     # ------------------------------------------------------------------
     # reward routing targets
@@ -369,7 +447,7 @@ def route_rewards(bundle: AgentBundle, result: StepResult) -> list[UnitReward]:
         ))
         price_key = bundle.price_unit(trade.source_slot)
         if free and price_key is not None:
-            if bundle.config.pricing_mode.value == "FREE_COMMERCIAL":
+            if bundle.config.pricing_mode is PricingMode.FREE_COMMERCIAL:
                 price_pay = commercial_price_reward(trade.job_priority, trade.price)
             else:
                 price_pay = noncommercial_price_reward(trade.job_priority, trade.price)
@@ -380,6 +458,20 @@ def route_rewards(bundle: AgentBundle, result: StepResult) -> list[UnitReward]:
                 offer_made_at=trade.made_at,
             ))
     return rewards
+
+
+def deliver_rewards(bundle: AgentBundle, result: StepResult) -> None:
+    """Credit one step's routed rewards to the bundle's units, then drop the
+    pending price decisions whose offers expired unaccepted."""
+    for ur in route_rewards(bundle, result):
+        unit = bundle.units[ur.unit]
+        if ur.offer_made_at is not None:
+            unit.resolve_price(ur.offer_made_at, ur.reward)
+        else:
+            unit.accumulate(ur.reward)
+    for unit in bundle.units.values():
+        if unit.pending_prices:
+            unit.expire_prices(before=result.time)
 
 
 class Trainer:
@@ -396,13 +488,5 @@ class Trainer:
             bundle.act(self.env, joint)
         result = self.env.step(joint)
         for bundle in self.bundles:
-            for ur in route_rewards(bundle, result):
-                unit = bundle.units[ur.unit]
-                if ur.offer_made_at is not None:
-                    unit.resolve_price(ur.offer_made_at, ur.reward)
-                else:
-                    unit.accumulate(ur.reward)
-            for unit in bundle.units.values():
-                if unit.pending_prices:
-                    unit.expire_prices(before=result.time)
+            deliver_rewards(bundle, result)
         return result

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 
@@ -62,11 +63,13 @@ class EnvConfig:
         object.__setattr__(self, "job_types", tuple(self.job_types))
         object.__setattr__(self, "pricing_mode", PricingMode(self.pricing_mode))
 
-    @property
+    # Computed once per instance: the fields are frozen, and the cache lives in
+    # the instance __dict__, outside equality, hashing, repr and to_dict.
+    @cached_property
     def max_prio(self) -> int:
         return max(t.priority for t in self.job_types)
 
-    @property
+    @cached_property
     def max_burst(self) -> int:
         return max(t.burst for t in self.job_types)
 

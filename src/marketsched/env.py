@@ -18,7 +18,7 @@ back to the auctioneer the moment it idles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .config import EnvConfig, PricingMode
 from .rng import STREAM_ENV_SPAWN, derive_rng
@@ -197,6 +197,10 @@ class SchedulingEnv:
             raise IndexError(f"core index {core} out of range")
         keys = sorted(k for k in self._offer_book if k[0] == core)
         return [self._offer_book[k] for k in keys]
+
+    def offers(self) -> Iterable[Offer]:
+        """Every pending offer, in no particular order."""
+        return self._offer_book.values()
 
     def offer_in_grid_cell(self, core: int, cell: int) -> Offer | None:
         """Pending offer at grid cell = source_agent * num_slots + source_slot."""

@@ -3,8 +3,10 @@
 A run record samples, every ``record_every`` steps, the trailing-window mean
 normalized turnaround per job type, the trailing-window mean realized price
 per job type (accepted offers only, auctioneer grants included), the count
-of agent-to-agent trades, and the auctioneer's settlement income. Windows
-with no completions of a type mark the point absent rather than zero.
+of accepted offers (``trade_count``: trades between agents plus self-trades,
+in which an agent preempts its own running job; auctioneer grants are not
+counted), and the auctioneer's settlement income. Windows with no
+completions of a type mark the point absent rather than zero.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ there is no external autodiff or optimizer dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -91,31 +91,82 @@ class NetParams:
         return NetParams(*(t.copy() for _, t in self.tensors()))
 
 
-def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator) -> np.ndarray:
+class ParamStack:
+    """Several networks' weights in stacked, zero-padded arrays.
+
+    ``views[i]`` is network i as a NetParams whose tensors are views into its
+    unpadded block, so an in-place update through a view (the optimizer's
+    ``+=``, a checkpoint load) is what the batched ``forward`` reads next.
+    ``head`` holds one row of hidden weights per output, the policy's
+    actions first and the value last, so one product yields logits and
+    value; ``wp`` is the transpose of its first rows. Zero padding adds
+    nothing to a row's sums; padded logit biases hold -inf, so padded
+    actions get probability 0.
+    """
+
+    def __init__(self, shapes: list[tuple[int, int, int]]):
+        """``shapes`` holds one (in_width, hidden_width, action_count) per network."""
+        count = len(shapes)
+        in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
+        self.w1 = np.zeros((count, in_width, hidden))
+        self.b1 = np.zeros((count, hidden))
+        self.head = np.zeros((count, actions + 1, hidden))
+        self.head_bias = np.full((count, actions + 1), -np.inf)
+        self.head_bias[:, -1] = 0.0
+        self.last_action = np.array([a for _, _, a in shapes]) - 1
+        self.views = []
+        for i, (w, h, a) in enumerate(shapes):
+            self.head_bias[i, :a] = 0.0
+            self.views.append(NetParams(
+                w1=self.w1[i, :w, :h], b1=self.b1[i, :h],
+                wp=self.head[i, :a, :h].T, bp=self.head_bias[i, :a],
+                wv=self.head[i, -1, :h], bv=self.head_bias[i, -1:]))
+
+    @property
+    def in_width(self) -> int:
+        return self.w1.shape[1]
+
+
+def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator,
+                out: np.ndarray) -> None:
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q *= np.sign(np.diag(r))
     if rows < cols:
         q = q.T
-    return gain * q[:rows, :cols]
+    np.multiply(q[:rows, :cols], gain, out=out)
 
 
 def init_params(in_width: int, hidden_width: int, action_count: int,
-                rng: np.random.Generator) -> NetParams:
+                rng: np.random.Generator, out: NetParams | None = None) -> NetParams:
     """Orthogonally scaled weights; the small policy-head gain keeps the
-    initial policy near uniform."""
-    return NetParams(
-        w1=_orthogonal(in_width, hidden_width, np.sqrt(2.0), rng),
-        b1=np.zeros(hidden_width),
-        wp=_orthogonal(hidden_width, action_count, 0.01, rng),
-        bp=np.zeros(action_count),
-        wv=_orthogonal(hidden_width, 1, 1.0, rng)[:, 0],
-        bv=np.zeros(1),
-    )
+    initial policy near uniform. With ``out`` (zero biases, for example a
+    ParamStack view) the weights are written into it."""
+    if out is None:
+        out = NetParams(np.empty((in_width, hidden_width)), np.zeros(hidden_width),
+                        np.empty((hidden_width, action_count)), np.zeros(action_count),
+                        np.empty(hidden_width), np.zeros(1))
+    _orthogonal(in_width, hidden_width, np.sqrt(2.0), rng, out.w1)
+    _orthogonal(hidden_width, action_count, 0.01, rng, out.wp)
+    _orthogonal(hidden_width, 1, 1.0, rng, out.wv[:, None])
+    return out
 
 
-def forward(params: NetParams, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Policy logits and value estimate for a single observation."""
+def forward(params: NetParams | ParamStack, obs: np.ndarray,
+            sets: np.ndarray | None = None):
+    """Policy logits and value estimate.
+
+    With a NetParams and one observation vector: (logits, value). With a
+    ParamStack, one observation per row of ``obs`` and ``sets`` naming each
+    row's network: (logits, values), row by row, with -inf logits on the
+    padded actions of networks narrower than the stack.
+    """
+    if sets is not None:
+        h = np.tanh(np.matmul(obs[:, None, :], params.w1.take(sets, axis=0))[:, 0]
+                    + params.b1.take(sets, axis=0))
+        out = (np.matmul(params.head.take(sets, axis=0), h[:, :, None])[:, :, 0]
+               + params.head_bias.take(sets, axis=0))
+        return out[:, :-1], out[:, -1]
     if obs.shape != (params.in_width,):
         raise ValueError(f"observation shape {obs.shape} does not match input width "
                          f"{params.in_width}")
@@ -138,6 +189,18 @@ def sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
     action = int(np.searchsorted(cumulative, u, side="right"))
     action = min(action, logits.shape[0] - 1)
     return action, float(logp[action])
+
+
+def sample_rows(logits: np.ndarray, u: np.ndarray, last: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``sample`` for every row of ``logits`` at once, given each row's
+    uniform draw ``u`` and last valid action ``last``. It is the same
+    inverse-CDF rule, so a row draws what ``sample`` draws from the same
+    ``u`` up to float rounding."""
+    logp = log_softmax(logits)
+    cumulative = np.cumsum(np.exp(logp), axis=1)
+    actions = np.minimum((cumulative <= u[:, None]).sum(axis=1), last)
+    return actions, logp[np.arange(len(actions)), actions]
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
@@ -168,48 +231,51 @@ class TrainBatch(NamedTuple):
     returns: np.ndarray    # (T,)
 
 
-@dataclass
 class RolloutBuffer:
-    """Per-unit experience window; cleared after each update."""
+    """Per-unit experience window in preallocated arrays; ``add`` copies a
+    row in. Cleared after each update."""
 
-    capacity: int
-    obs: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    logps: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.obs: np.ndarray | None = None  # (capacity, width) from the first add
+        self.actions = np.empty(capacity, dtype=np.intp)
+        self.logps = np.empty(capacity)
+        self.values = np.empty(capacity)
+        self.rewards = np.empty(capacity)
+        self.size = 0
 
     def add(self, obs: np.ndarray, action: int, logp: float, value: float,
             reward: float) -> None:
-        self.obs.append(obs)
-        self.actions.append(action)
-        self.logps.append(logp)
-        self.values.append(value)
-        self.rewards.append(reward)
+        if self.obs is None:
+            self.obs = np.empty((self.capacity, obs.shape[0]))
+        i = self.size
+        self.obs[i] = obs
+        self.actions[i] = action
+        self.logps[i] = logp
+        self.values[i] = value
+        self.rewards[i] = reward
+        self.size = i + 1
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return self.size
 
     @property
     def full(self) -> bool:
-        return len(self) >= self.capacity
+        return self.size >= self.capacity
 
     def clear(self) -> None:
-        self.obs.clear()
-        self.actions.clear()
-        self.logps.clear()
-        self.values.clear()
-        self.rewards.clear()
+        self.size = 0
 
     def to_batch(self, bootstrap_value: float, hyper: PPOHyper) -> TrainBatch:
-        values = np.asarray(self.values)
-        rewards = np.asarray(self.rewards)
-        advantages, returns = gae(rewards, values, bootstrap_value,
+        """The window as a batch of views, valid until the next ``add``."""
+        n = self.size
+        values = self.values[:n]
+        advantages, returns = gae(self.rewards[:n], values, bootstrap_value,
                                   hyper.discount, hyper.gae_lambda)
         return TrainBatch(
-            obs=np.asarray(self.obs),
-            actions=np.asarray(self.actions, dtype=np.intp),
-            logp_old=np.asarray(self.logps),
+            obs=self.obs[:n],
+            actions=self.actions[:n],
+            logp_old=self.logps[:n],
             advantages=advantages,
             returns=returns,
         )
@@ -229,8 +295,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params: NetParams) -> "AdamState":
         return cls(
-            m={name: np.zeros_like(t) for name, t in params.tensors()},
-            v={name: np.zeros_like(t) for name, t in params.tensors()},
+            m={name: np.zeros(t.shape) for name, t in params.tensors()},
+            v={name: np.zeros(t.shape) for name, t in params.tensors()},
         )
 
     def ascend(self, params: NetParams, grads: dict[str, np.ndarray], lr: float) -> None:
