@@ -11,7 +11,7 @@ from .env import (
     StepResult,
     settle_chain,
 )
-from .actions import cardinality, mixed_radix_decode, mixed_radix_encode
+from .actions import mixed_radix_decode, mixed_radix_encode
 from .neural import NonFiniteLossError, PPOHyper
 from .agents import (
     ARCHITECTURES,
@@ -52,7 +52,6 @@ __all__ = [
     "Trainer",
     "aggregate",
     "builtin_scenarios",
-    "cardinality",
     "feasibility_guard",
     "mixed_radix_decode",
     "mixed_radix_encode",

@@ -1,20 +1,11 @@
-"""Action-space arithmetic: mixed-radix translation and cardinalities.
+"""Action-space arithmetic: mixed-radix translation.
 
-Aggregated policies emit a single categorical action which the environment
+Aggregated policies emit a single categorical action which the agent
 translates back into one sub-decision per core or slot. The little-endian
 convention is fixed here: digit i has radix r[i] and weight prod(r[:i]).
 """
 
 from __future__ import annotations
-
-# Acting-unit kinds, one per row of the cardinality table.
-DIST_OFFER = "DIST_OFFER"
-DIST_ACCEPT = "DIST_ACCEPT"
-SEMI_OFFER = "SEMI_OFFER"
-SEMI_ACCEPT = "SEMI_ACCEPT"
-FULL = "FULL"
-
-UNIT_KINDS = (DIST_OFFER, DIST_ACCEPT, SEMI_OFFER, SEMI_ACCEPT, FULL)
 
 
 def space_size(radices: list[int] | tuple[int, ...]) -> int:
@@ -50,26 +41,3 @@ def mixed_radix_encode(digits: list[int] | tuple[int, ...], radices: list[int] |
         weight *= r
     return index
 
-
-def cardinality(unit_kind: str, num_cores: int, num_agents: int, num_slots: int) -> int:
-    """Action-space size of one acting unit.
-
-    An offer decision picks a target core or none; an accept decision picks
-    one of the num_agents * num_slots possible offers or declines.
-    Aggregated units take the product over the cores/slots they cover.
-    """
-    if min(num_cores, num_agents, num_slots) < 1:
-        raise ValueError("num_cores, num_agents and num_slots must be >= 1")
-    offers = num_cores + 1
-    accepts = num_agents * num_slots + 1
-    if unit_kind == DIST_OFFER:
-        return offers
-    if unit_kind == DIST_ACCEPT:
-        return accepts
-    if unit_kind == SEMI_OFFER:
-        return offers**num_slots
-    if unit_kind == SEMI_ACCEPT:
-        return accepts**num_cores
-    if unit_kind == FULL:
-        return offers**num_slots * accepts**num_cores
-    raise ValueError(f"unknown unit kind {unit_kind!r}")

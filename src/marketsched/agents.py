@@ -1,34 +1,42 @@
 """Agent architectures, reward routing, and the per-step training loop.
 
-An agent is a bundle of acting units. The distributed variants keep one tiny
-network per core (acceptor) and per slot (offer maker), optionally sharing
-parameters within each group; the aggregated variants fold several decisions
-into one categorical action that is translated back with mixed-radix
-arithmetic. Free-price bundles add one price setter per slot.
+Every architecture groups the same decisions of an agent: accept an offer on
+core m, offer slot k's job to a core, and under free pricing price slot k's
+offer. ``unit_layout`` lists the positions each acting unit decides, in digit
+order: the distributed variants give each position its own tiny network
+(optionally sharing parameters within each kind), ``SEMI`` folds the accept
+positions into one unit and the offer positions into another, and ``FULL``
+folds them all into one. Mixed-radix arithmetic turns a unit's action into one
+digit per position, so a distributed unit is the one-digit case.
 
-A bundle keeps all its parameter sets in one ``ParamStack``. Under the
-distributed variants an agent acts in one batched pass per step: the
-observation of every acting unit (acceptors of the cores it owns, then every
-offer maker) is written into one (units, width) array, one ``forward`` runs
-over all rows with each row's parameter set, and one vectorized inverse-CDF
-step turns one uniform draw per unit, taken from that unit's own sample
-stream, into its action. Price setters follow in a second pass over the
-offers just made, since what they see depends on the offer's target core.
+A bundle keeps all its parameter sets in one ``ParamStack``, and an agent acts
+in one batched pass per step whatever its architecture. Every unit with a live
+position (accept m when trading is on and the agent owns core m; every offer)
+writes its observation into one row of a (units, width) array, one
+``forward`` runs over all rows with each row's parameter set, and one
+vectorized inverse-CDF step turns one uniform draw per unit, taken from that
+unit's own sample stream, into its action; a pass of one row (``FULL``'s
+always) runs the unit's own network and ``sample``, which draw the same
+action without the batching's set-up. Live positions take their digits, the
+others are dropped. Price setters follow in a second pass over the offers just
+made, since what they see depends on the offer's target core.
 
 Update-order contract: the pass does exactly what acting one unit at a time
 in row order would. Each unit's bookkeeping runs in row order, and when a
 unit's rollout window fills, its parameter set is updated on the spot; the
 later rows of that set are then evaluated again with the updated weights
-and their same draws. The aggregated variants act one unit at a time.
+and their same draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .actions import mixed_radix_decode
+from .actions import space_size
 from .config import EnvConfig, PricingMode
 from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
 from .neural import (
@@ -49,8 +57,6 @@ from .obs import (
     PRICE_OBS_LEN,
     acceptor_obs_len,
     core_block,
-    encode_acceptor_rows,
-    encode_offer_obs,
     fill_acceptor_rows,
     fill_offer_rows,
     fill_price_rows,
@@ -71,9 +77,8 @@ ARCH_DIST_PRICE = "DIST_PRICE"
 
 ARCHITECTURES = (ARCH_FULL, ARCH_SEMI, ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE)
 
-_DIST_FAMILY = (ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE)
-
 UnitKey = tuple[str, int]
+Position = tuple[str, int]  # ("accept", core), ("offer", slot) or ("price", slot)
 
 
 class InfeasibleArchitectureError(RuntimeError):
@@ -99,51 +104,65 @@ def noncommercial_price_reward(priority: int, price: int) -> float:
 
 @dataclass(frozen=True)
 class UnitSpec:
+    """One acting unit: the positions it decides, in digit order, one radix
+    per position, its observation width and its network."""
+
     key: UnitKey
+    positions: tuple[Position, ...]
+    radices: tuple[int, ...]
     obs_width: int
-    action_count: int
     hidden_width: int
     param_key: str
-    radices: tuple[int, ...] | None = None
+
+    @property
+    def action_count(self) -> int:
+        return space_size(self.radices)
+
+    @cached_property
+    def cores(self) -> tuple[int, ...]:
+        """The cores of the unit's accept positions."""
+        return tuple(i for kind, i in self.positions if kind == "accept")
+
+    @cached_property
+    def slots(self) -> tuple[int, ...]:
+        """The slots of the unit's offer positions."""
+        return tuple(i for kind, i in self.positions if kind == "offer")
 
 
 def unit_layout(arch: str, config: EnvConfig) -> list[UnitSpec]:
-    """Acting units of one agent under the given architecture."""
+    """Acting units of one agent under the given architecture.
+
+    Units that decide accept positions come first and units that decide
+    offer positions last, and within each group every unit decides as many
+    positions; the acting pass relies on both.
+    """
     m, n, k = config.num_cores, config.num_agents, config.num_slots
-    accept_space = n * k + 1
-    offer_space = m + 1
-    accept_obs = acceptor_obs_len(n, k)
-    if arch in _DIST_FAMILY:
-        shared = arch in (ARCH_DIST_PS, ARCH_DIST_PRICE)
-        specs = [
-            UnitSpec(("accept", i), accept_obs, accept_space, 16,
-                     "accept" if shared else f"accept_{i}")
-            for i in range(m)
-        ]
-        specs += [
-            UnitSpec(("offer", i), offer_obs_len(m, k, single_slot=True),
-                     offer_space, 16, "offer" if shared else f"offer_{i}")
-            for i in range(k)
-        ]
+    radix = {"accept": n * k + 1, "offer": m + 1, "price": config.max_prio + 1}
+    accepts = [("accept", i) for i in range(m)]
+    offers = [("offer", i) for i in range(k)]
+
+    def unit(key: UnitKey, positions: list[Position], hidden_width: int,
+             param_key: str) -> UnitSpec:
+        kinds = [kind for kind, _ in positions]
+        offers = kinds.count("offer")
+        obs_width = (kinds.count("accept") * acceptor_obs_len(n, k)
+                     + (offer_obs_len(m, offers, single_slot=False) if offers else 0)
+                     + kinds.count("price") * PRICE_OBS_LEN)
+        return UnitSpec(key, tuple(positions), tuple(radix[kind] for kind in kinds),
+                        obs_width, hidden_width, param_key)
+
+    if arch in (ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE):
+        shared = arch != ARCH_DIST
+        specs = [unit(pos, [pos], 16, pos[0] if shared else f"{pos[0]}_{pos[1]}")
+                 for pos in accepts + offers]
         if arch == ARCH_DIST_PRICE:
-            specs += [
-                UnitSpec(("price", i), PRICE_OBS_LEN, config.max_prio + 1, 16, "price")
-                for i in range(k)
-            ]
+            specs += [unit(("price", i), [("price", i)], 16, "price") for i in range(k)]
         return specs
     if arch == ARCH_SEMI:
-        return [
-            UnitSpec(("accept", 0), m * accept_obs, accept_space**m, 32,
-                     "accept", radices=(accept_space,) * m),
-            UnitSpec(("offer", 0), offer_obs_len(m, k, single_slot=False),
-                     offer_space**k, 32, "offer", radices=(offer_space,) * k),
-        ]
+        return [unit(("accept", 0), accepts, 32, "accept"),
+                unit(("offer", 0), offers, 32, "offer")]
     if arch == ARCH_FULL:
-        obs_width = m * accept_obs + offer_obs_len(m, k, single_slot=False)
-        return [
-            UnitSpec(("full", 0), obs_width, accept_space**m * offer_space**k, 64,
-                     "full", radices=(accept_space,) * m + (offer_space,) * k),
-        ]
+        return [unit(("full", 0), accepts + offers, 64, "full")]
     raise ValueError(f"unknown architecture {arch!r}")
 
 
@@ -179,12 +198,6 @@ class ActingUnit:
         self.updates = 0
         self.dropped_rewards = 0.0
         self.last_stats: dict = {}
-
-    def act(self, obs: np.ndarray) -> int:
-        logits, value = forward(self.params, obs)
-        action, logp = sample(logits, self.sample_rng)
-        self.record(obs, action, logp, value)
-        return action
 
     def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> bool:
         """Open the sample of this step's decision and close the previous one
@@ -231,19 +244,30 @@ class ActingUnit:
         self.updates += 1
 
 
+class _Pass(NamedTuple):
+    """One agent's acting pass for one set of owned cores."""
+
+    units: list[ActingUnit]          # the acting units, in row order
+    cores: list[int]                 # the core of each acceptor block, in order
+    acceptor_view: tuple | None      # the part of obs that holds them
+    slots: list[int]                 # the slot of each offer slot state, in order
+    offer_view: tuple                # the part of obs that holds the offer obs
+    digits: list[tuple[int, int, int, Position]]  # (row, weight, radix, live position)
+
+
 class AgentBundle:
     """All acting units of one agent plus their (possibly shared) parameters."""
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
                  seed: int):
-        ok, worst = feasibility_guard(arch, config)
-        if not ok:
+        specs = unit_layout(arch, config)
+        worst = max(spec.action_count for spec in specs)
+        if worst > config.guard_threshold:  # as feasibility_guard, on this layout
             raise InfeasibleArchitectureError(arch, worst, config.guard_threshold)
         self.arch = arch
         self.agent = agent
         self.config = config
         self.hyper = hyper
-        specs = unit_layout(arch, config)
         param_sets: dict[str, int] = {}
         shapes = []
         for spec in specs:
@@ -269,87 +293,103 @@ class AgentBundle:
                 sample_rng=derive_rng(seed, STREAM_UNIT_SAMPLE, agent, unit_index),
                 update_rng=derive_rng(seed, STREAM_UNIT_UPDATE, agent, unit_index),
             )
+        # the position map: which unit decides, and is credited for, each position
+        self.unit_at: dict[Position, UnitKey] = {
+            pos: spec.key for spec in specs for pos in spec.positions}
+        self._price_setters = {i: self.units[key] for (kind, i), key in self.unit_at.items()
+                               if kind == "price"}
+        self._passes: dict[tuple[int, ...], _Pass] = {}  # by set of owned cores
 
     # ------------------------------------------------------------------
     # acting
     # ------------------------------------------------------------------
 
     def act(self, env: SchedulingEnv, joint: JointActions) -> None:
+        """The pass of the module docstring."""
         cfg = self.config
         a = self.agent
-        if self.arch in _DIST_FAMILY:
-            self._act_distributed(env, joint)
-            return
-        if self.arch == ARCH_SEMI:
-            if cfg.trading_enabled and any(c.owner == a for c in env.cores):
-                obs = encode_acceptor_rows(env, a, range(cfg.num_cores)).ravel()
-                unit = self.units[("accept", 0)]
-                digits = mixed_radix_decode(unit.act(obs), unit.spec.radices)
-                for m in range(cfg.num_cores):
-                    if env.cores[m].owner == a:
-                        joint.accepts[(a, m)] = digits[m]
-            unit = self.units[("offer", 0)]
-            obs = encode_offer_obs(env, a, None)
-            digits = mixed_radix_decode(unit.act(obs), unit.spec.radices)
-            for k in range(cfg.num_slots):
-                joint.offers[(a, k)] = digits[k]
-            return
-        # fully aggregated: one action covers every core and every slot
-        unit = self.units[("full", 0)]
-        obs = np.concatenate(
-            [encode_acceptor_rows(env, a, range(cfg.num_cores)).ravel(),
-             encode_offer_obs(env, a, None)])
-        digits = mixed_radix_decode(unit.act(obs), unit.spec.radices)
-        if cfg.trading_enabled:
-            for m in range(cfg.num_cores):
-                if env.cores[m].owner == a:
-                    joint.accepts[(a, m)] = digits[m]
-        for k in range(cfg.num_slots):
-            joint.offers[(a, k)] = digits[cfg.num_cores + k]
-
-    def _act_distributed(self, env: SchedulingEnv, joint: JointActions) -> None:
-        """The batched pass of the module docstring."""
-        cfg = self.config
-        a = self.agent
-        cores = ([m for m, core in enumerate(env.cores) if core.owner == a]
-                 if cfg.trading_enabled else [])
-        slots = range(cfg.num_slots)
-        units = ([self.units[("accept", m)] for m in cores]
-                 + [self.units[("offer", k)] for k in slots])
+        owned = (tuple(m for m, core in enumerate(env.cores) if core.owner == a)
+                 if cfg.trading_enabled else ())
+        plan = self._passes.get(owned) or self._plan(owned)
+        obs = np.zeros((len(plan.units), self.stack.in_width))
         block = core_block(env, a)
-        obs = np.zeros((len(units), self.stack.in_width))
-        fill_acceptor_rows(env, block, cores, obs)
-        fill_offer_rows(env, a, block, slots, obs[len(cores):])
-        actions = self._act_rows(units, obs)
-        for m, action in zip(cores, actions):
-            joint.accepts[(a, m)] = action
-        offers = actions[len(cores):]
-        for k, choice in zip(slots, offers):
-            joint.offers[(a, k)] = choice
-        if self.arch != ARCH_DIST_PRICE or not cfg.pricing_mode.is_free:
+        if plan.cores:
+            fill_acceptor_rows(env, block, plan.cores,
+                               obs[plan.acceptor_view].reshape(len(plan.cores), -1))
+        fill_offer_rows(env, a, block, plan.slots, obs[plan.offer_view])
+        actions = self._act_rows(plan.units, obs)
+        for row, weight, radix, (kind, i) in plan.digits:
+            if kind == "offer":
+                joint.offers[(a, i)] = actions[row] // weight % radix
+            else:
+                joint.accepts[(a, i)] = actions[row] // weight % radix
+        if not self._price_setters or not cfg.pricing_mode.is_free:
             return
-        targets = [(k, choice - 1) for k, choice in zip(slots, offers)
-                   if choice > 0 and env.slots[a][k] is not None]
+        targets = [(k, joint.offers[(a, k)] - 1) for k in self._price_setters
+                   if joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
         if targets:
             obs = np.zeros((len(targets), self.stack.in_width))
             fill_price_rows(env, a, targets, obs)
-            prices = self._act_rows([self.units[("price", k)] for k, _ in targets],
+            prices = self._act_rows([self._price_setters[k] for k, _ in targets],
                                     obs, made_at=env.time)
             for (k, _), price in zip(targets, prices):
                 joint.prices[(a, k)] = price
 
+    def _plan(self, owned: tuple[int, ...]) -> _Pass:
+        """The pass of an agent that owns the cores ``owned``: every unit with
+        a live position acts, and each live position takes its digit."""
+        live = {("accept", m) for m in owned} | {
+            pos for pos in self.unit_at if pos[0] == "offer"}
+        units = [unit for unit in self.units.values()
+                 if not live.isdisjoint(unit.spec.positions)]
+        specs = [unit.spec for unit in units]
+        digits = []
+        for row, spec in enumerate(specs):
+            weight = 1
+            for pos, radix in zip(spec.positions, spec.radices):
+                if pos in live:
+                    digits.append((row, weight, radix, pos))
+                weight *= radix
+        # The units that decide accept positions lead the rows and the units
+        # that decide offer positions trail them, each unit of a group with
+        # as many positions (see unit_layout), so each group's blocks are one
+        # view of the pass's obs array.
+        width = acceptor_obs_len(self.config.num_agents, self.config.num_slots)
+        accepting = [spec for spec in specs if spec.cores]
+        making = [spec for spec in specs if spec.slots]
+        if len(self._passes) == 64:  # every set of up to 6 cores fits
+            self._passes.clear()
+        plan = self._passes[owned] = _Pass(
+            units=units,
+            cores=[m for spec in accepting for m in spec.cores],
+            acceptor_view=(np.s_[:len(accepting), :len(accepting[0].cores) * width]
+                           if accepting else None),
+            slots=[k for spec in making for k in spec.slots],
+            offer_view=np.s_[len(specs) - len(making):, len(making[0].cores) * width:],
+            digits=digits,
+        )
+        return plan
+
     def _act_rows(self, units: list[ActingUnit], obs: np.ndarray,
                   made_at: int | None = None) -> list[int]:
         """Act for ``units[i]`` on row i of ``obs``: one forward over all rows,
-        one draw per unit, then each unit's bookkeeping in row order. With
-        ``made_at`` the units are price setters and their decisions are held
-        pending instead of recorded."""
-        sets = np.array([unit.param_set for unit in units])
-        u = np.array([unit.sample_rng.random() for unit in units])
-        last = self.stack.last_action[sets]
-        logits, values = forward(self.stack, obs, sets)
-        actions, logps = sample_rows(logits, u, last)
-        actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
+        one draw per unit, then each unit's bookkeeping in row order. A
+        single row runs its unit's own network and ``sample``, which draw the
+        same action without the batching's set-up. With ``made_at`` the units
+        are price setters and their decisions are held pending instead of
+        recorded."""
+        if len(units) == 1:
+            unit = units[0]
+            logits, value = forward(unit.params, obs[0, :unit.spec.obs_width])
+            action, logp = sample(logits, unit.sample_rng)
+            actions, logps, values = [action], [logp], [value]
+        else:
+            sets = np.array([unit.param_set for unit in units])
+            u = np.array([unit.sample_rng.random() for unit in units])
+            last = self.stack.last_action[sets]
+            logits, values = forward(self.stack, obs, sets)
+            actions, logps = sample_rows(logits, u, last)
+            actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
         for r, unit in enumerate(units):
             row = obs[r, :unit.spec.obs_width]
             if made_at is not None:
@@ -367,28 +407,6 @@ class AgentBundle:
                                                   relogp.tolist(), fresh.tolist()):
                     actions[j], logps[j], values[j] = action, logp, value
         return actions
-
-    # ------------------------------------------------------------------
-    # reward routing targets
-    # ------------------------------------------------------------------
-
-    def settlement_unit(self, core: int) -> UnitKey:
-        if self.arch in _DIST_FAMILY:
-            return ("accept", core)
-        if self.arch == ARCH_SEMI:
-            return ("accept", 0)
-        return ("full", 0)
-
-    def offer_unit(self, slot: int) -> UnitKey:
-        if self.arch in _DIST_FAMILY:
-            return ("offer", slot)
-        if self.arch == ARCH_SEMI:
-            return ("offer", 0)
-        return ("full", 0)
-
-    def price_unit(self, slot: int) -> UnitKey | None:
-        key = ("price", slot)
-        return key if key in self.units else None
 
     # ------------------------------------------------------------------
     # persistence
@@ -432,7 +450,7 @@ def route_rewards(bundle: AgentBundle, result: StepResult) -> list[UnitReward]:
     for settlement in result.settlements:
         if agent in settlement.payouts:
             rewards.append(UnitReward(
-                unit=bundle.settlement_unit(settlement.core),
+                unit=bundle.unit_at[("accept", settlement.core)],
                 timestep=result.time,
                 reward=float(settlement.payouts[agent]),
             ))
@@ -441,11 +459,11 @@ def route_rewards(bundle: AgentBundle, result: StepResult) -> list[UnitReward]:
         if trade.buyer != agent:
             continue
         rewards.append(UnitReward(
-            unit=bundle.offer_unit(trade.source_slot),
+            unit=bundle.unit_at[("offer", trade.source_slot)],
             timestep=result.time,
             reward=float(trade.job_priority),
         ))
-        price_key = bundle.price_unit(trade.source_slot)
+        price_key = bundle.unit_at.get(("price", trade.source_slot))
         if free and price_key is not None:
             if bundle.config.pricing_mode is PricingMode.FREE_COMMERCIAL:
                 price_pay = commercial_price_reward(trade.job_priority, trade.price)

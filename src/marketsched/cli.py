@@ -13,10 +13,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .actions import UNIT_KINDS, cardinality
-from .agents import ARCHITECTURES, InfeasibleArchitectureError
+from .agents import (
+    ARCH_DIST,
+    ARCH_FULL,
+    ARCH_SEMI,
+    ARCHITECTURES,
+    InfeasibleArchitectureError,
+    unit_layout,
+)
 from .baseline import fcfs_trace, scripted_env_trace
-from .config import ConfigError
+from .config import ConfigError, EnvConfig, JobType
 from .harness import (
     OverrideError,
     Scenario,
@@ -38,6 +44,15 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 _MAX_PRINTABLE = 2**63 - 1
+
+# (label, architecture, unit key): the rows of the cardinality table
+_CARDINALITY_ROWS = (
+    ("DIST_OFFER", ARCH_DIST, ("offer", 0)),
+    ("DIST_ACCEPT", ARCH_DIST, ("accept", 0)),
+    ("SEMI_OFFER", ARCH_SEMI, ("offer", 0)),
+    ("SEMI_ACCEPT", ARCH_SEMI, ("accept", 0)),
+    ("FULL", ARCH_FULL, ("full", 0)),
+)
 
 
 class CliError(Exception):
@@ -123,13 +138,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_cardinality(args: argparse.Namespace) -> int:
+    # the job type only completes the config; no action space depends on it
+    config = EnvConfig(num_agents=args.agents, num_cores=args.cores,
+                       num_slots=args.slots, job_types=(JobType(0, 1, 1, 1.0),))
+    config.validate()
     print(f"action-space cardinalities for cores={args.cores} "
           f"agents={args.agents} slots={args.slots}")
-    width = max(len(k) for k in UNIT_KINDS)
-    for kind in UNIT_KINDS:
-        value = cardinality(kind, args.cores, args.agents, args.slots)
+    width = max(len(label) for label, _, _ in _CARDINALITY_ROWS)
+    for label, arch, key in _CARDINALITY_ROWS:
+        value = next(s for s in unit_layout(arch, config) if s.key == key).action_count
         shown = str(value) if value <= _MAX_PRINTABLE else "infeasible (> 2^63)"
-        print(f"  {kind:<{width}}  {shown}")
+        print(f"  {label:<{width}}  {shown}")
     return EXIT_OK
 
 

@@ -128,6 +128,24 @@ class StepResult:
     voided_acceptances: int
 
 
+def _check_lineage(entries: list[ChainEntry], final_owner: int) -> None:
+    """Raise ChainLineageError unless ``entries`` is empty or a chain of
+    sales from the auctioneer to ``final_owner``, each buyer the next seller."""
+    if not entries:
+        return
+    if entries[0].seller != AUCTIONEER:
+        raise ChainLineageError("chain must start with an auctioneer sale")
+    for prev, nxt in zip(entries, entries[1:]):
+        if prev.buyer != nxt.seller:
+            raise ChainLineageError(
+                f"broken lineage: buyer {prev.buyer} followed by seller {nxt.seller}"
+            )
+    if entries[-1].buyer != final_owner:
+        raise ChainLineageError(
+            f"final owner {final_owner} is not the last buyer {entries[-1].buyer}"
+        )
+
+
 def settle_chain(
     entries: list[ChainEntry], terminal_priority: int, final_owner: int
 ) -> dict[int, int]:
@@ -138,18 +156,7 @@ def settle_chain(
     sum to exactly ``terminal_priority``: chains redistribute reward, they
     never create it.
     """
-    if entries:
-        if entries[0].seller != AUCTIONEER:
-            raise ChainLineageError("chain must start with an auctioneer sale")
-        for prev, nxt in zip(entries, entries[1:]):
-            if prev.buyer != nxt.seller:
-                raise ChainLineageError(
-                    f"broken lineage: buyer {prev.buyer} followed by seller {nxt.seller}"
-                )
-        if entries[-1].buyer != final_owner:
-            raise ChainLineageError(
-                f"final owner {final_owner} is not the last buyer {entries[-1].buyer}"
-            )
+    _check_lineage(entries, final_owner)
     payouts: dict[int, int] = {}
     for e in entries:
         payouts[e.seller] = payouts.get(e.seller, 0) + e.price
@@ -435,14 +442,10 @@ class SchedulingEnv:
                 seen.add(core.job.uid)
                 if core.job.owner_agent != core.owner:
                     raise AssertionError("running job owner differs from core owner")
-            if core.chain:
-                if core.chain[0].seller != AUCTIONEER:
-                    raise AssertionError("chain does not start at the auctioneer")
-                for prev, nxt in zip(core.chain, core.chain[1:]):
-                    if prev.buyer != nxt.seller:
-                        raise AssertionError("chain lineage broken")
-                if core.chain[-1].buyer != core.owner:
-                    raise AssertionError("chain head is not the current owner")
+            try:
+                _check_lineage(core.chain, core.owner)
+            except ChainLineageError as err:
+                raise AssertionError(f"core {core.index}: {err}") from None
         for agent_slots in self.slots:
             for job in agent_slots:
                 if job is None:

@@ -70,25 +70,22 @@ def fill_acceptor_rows(env: SchedulingEnv, block: np.ndarray, cores: list[int],
         row[base + 3] = offer.job_priority / max_prio
 
 
-def fill_slot_state(env: SchedulingEnv, agent: int, slots, out: np.ndarray) -> None:
-    """Row i of the (len(slots), 3) array ``out`` gets [validity, priority,
-    remaining burst] of the agent's slot ``slots[i]``, scaled."""
+def fill_offer_rows(env: SchedulingEnv, agent: int, block: np.ndarray,
+                    slots, out: np.ndarray) -> None:
+    """Every row of ``out`` gets an offer observation: the core block, then
+    [validity, priority, remaining burst] of each slot of its equal share of
+    ``slots``, scaled. With one slot per row each row is a single-slot
+    observation; a single row gets the agent's slots side by side."""
     cfg = env.config
+    width = len(block)
+    out[:, :width] = block
+    states = out[:, width:width + 3 * (len(slots) // len(out))].reshape(len(slots), 3)
     for i, k in enumerate(slots):
         job = env.slots[agent][k]
         if job is not None:
-            out[i, 0] = 1.0
-            out[i, 1] = job.priority / cfg.max_prio
-            out[i, 2] = job.remaining_burst / cfg.max_burst
-
-
-def fill_offer_rows(env: SchedulingEnv, agent: int, block: np.ndarray,
-                    slots, out: np.ndarray) -> None:
-    """Row i of ``out`` gets the single-slot offer observation of
-    ``slots[i]``: the core block, then that slot's state."""
-    width = len(block)
-    out[:len(slots), :width] = block
-    fill_slot_state(env, agent, slots, out[:, width:width + 3])
+            states[i, 0] = 1.0
+            states[i, 1] = job.priority / cfg.max_prio
+            states[i, 2] = job.remaining_burst / cfg.max_burst
 
 
 def fill_price_rows(env: SchedulingEnv, agent: int, targets: list[tuple[int, int]],
@@ -111,18 +108,13 @@ def fill_price_rows(env: SchedulingEnv, agent: int, targets: list[tuple[int, int
             row[3] = running.remaining_burst / max_burst
 
 
-def encode_acceptor_rows(env: SchedulingEnv, agent: int, cores) -> np.ndarray:
-    """One acceptor observation per core in ``cores``, as rows."""
-    cfg = env.config
-    rows = np.zeros((len(cores), acceptor_obs_len(cfg.num_agents, cfg.num_slots)))
-    fill_acceptor_rows(env, core_block(env, agent), cores, rows)
-    return rows
-
-
 def encode_acceptor_obs(env: SchedulingEnv, agent: int, core: int) -> np.ndarray:
     """Core job state, an ownership flag, and the offer grid for this core
     (layout in ``fill_acceptor_rows``)."""
-    return encode_acceptor_rows(env, agent, [core])[0]
+    cfg = env.config
+    vec = np.zeros(acceptor_obs_len(cfg.num_agents, cfg.num_slots))
+    fill_acceptor_rows(env, core_block(env, agent), [core], vec[None])
+    return vec
 
 
 def encode_offer_obs(env: SchedulingEnv, agent: int, slot: int | None) -> np.ndarray:
@@ -135,10 +127,8 @@ def encode_offer_obs(env: SchedulingEnv, agent: int, slot: int | None) -> np.nda
     cfg = env.config
     single = slot is not None
     vec = np.zeros(offer_obs_len(cfg.num_cores, cfg.num_slots, single))
-    block = core_block(env, agent)
-    vec[:len(block)] = block
-    fill_slot_state(env, agent, (slot,) if single else range(cfg.num_slots),
-                    vec[len(block):].reshape(-1, 3))
+    fill_offer_rows(env, agent, core_block(env, agent),
+                    (slot,) if single else range(cfg.num_slots), vec[None])
     return vec
 
 

@@ -1,20 +1,28 @@
-"""Mixed-radix codec and action-space cardinalities."""
+"""Mixed-radix codec and the action-space cardinalities of the unit layouts."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from marketsched.actions import (
-    DIST_ACCEPT,
-    DIST_OFFER,
-    FULL,
-    SEMI_ACCEPT,
-    SEMI_OFFER,
-    cardinality,
-    mixed_radix_decode,
-    mixed_radix_encode,
-    space_size,
-)
+from marketsched.actions import mixed_radix_decode, mixed_radix_encode, space_size
+from marketsched.agents import ARCH_DIST, ARCH_FULL, ARCH_SEMI, unit_layout
+from marketsched.config import EnvConfig, JobType
+
+DIST_OFFER = (ARCH_DIST, ("offer", 0))
+DIST_ACCEPT = (ARCH_DIST, ("accept", 0))
+SEMI_OFFER = (ARCH_SEMI, ("offer", 0))
+SEMI_ACCEPT = (ARCH_SEMI, ("accept", 0))
+FULL = (ARCH_FULL, ("full", 0))
+
+
+def cardinality(unit, num_cores, num_agents, num_slots):
+    """Action count of one unit of ``unit_layout`` at the given sizes."""
+    arch, key = unit
+    config = EnvConfig(num_agents=num_agents, num_cores=num_cores, num_slots=num_slots,
+                       job_types=(JobType(0, 1, 1, 1.0),))
+    config.validate()
+    (spec,) = [s for s in unit_layout(arch, config) if s.key == key]
+    return spec.action_count
 
 
 def test_decode_examples():
@@ -88,4 +96,4 @@ class TestCardinality:
         with pytest.raises(ValueError):
             cardinality(DIST_OFFER, 0, 1, 1)
         with pytest.raises(ValueError):
-            cardinality("NOPE", 1, 1, 1)
+            cardinality(("NOPE", ("full", 0)), 1, 1, 1)

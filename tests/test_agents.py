@@ -7,6 +7,7 @@ import pytest
 
 from marketsched.actions import mixed_radix_decode
 from marketsched.agents import (
+    ARCHITECTURES,
     ARCH_DIST,
     ARCH_DIST_PRICE,
     ARCH_DIST_PS,
@@ -126,6 +127,20 @@ class TestActionWiring:
         product = set(itertools.product(accepts, accepts, offers, offers))
         assert decoded == product
 
+    def test_accepts_only_owned_cores_and_keeps_few_passes(self):
+        cfg = make_config(num_cores=7)  # 128 sets of owned cores
+        env = SchedulingEnv(cfg, seed=4)
+        bundle = AgentBundle(ARCH_DIST, 0, cfg, PPOHyper(), seed=4)
+        for mask in range(2 ** cfg.num_cores):
+            owned = {m for m in range(cfg.num_cores) if mask >> m & 1}
+            for m, core in enumerate(env.cores):
+                core.owner = 0 if m in owned else AUCTIONEER
+            joint = JointActions()
+            bundle.act(env, joint)
+            assert set(joint.accepts) == {(0, m) for m in owned}
+            assert len(joint.offers) == cfg.num_slots
+            assert len(bundle._passes) <= 64
+
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
         env = SchedulingEnv(cfg, seed=3)
@@ -141,12 +156,12 @@ class TestActionWiring:
 
 
 class TestRewardRouting:
-    def trade_fixture(self):
-        """Agent 0 buys core access at 1, then sells it to agent 1 at 4 for a
+    def trade_fixture(self, pricing_mode=PricingMode.FIXED):
+        """Agent 0 buys core access at 1, then sells it to agent 1 at 8 for a
         priority-8 job on core 1."""
         cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 8, 2, 0.0)),
                             num_agents=2, num_cores=2, num_slots=3,
-                            pricing_mode=PricingMode.FIXED)
+                            pricing_mode=pricing_mode)
         env = SchedulingEnv(cfg, 0)
         place_job(env, 0, 0, type_id=0)
         env.step(JointActions(offers={(0, 0): 2}))  # bid core 1
@@ -176,6 +191,32 @@ class TestRewardRouting:
         assert UnitReward(("accept", 1), result.time, 7.0) in routed0
         routed1 = route_rewards(bundles[1], result)
         assert UnitReward(("accept", 1), result.time, 0.0) in routed1
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_each_position_credits_the_unit_that_covers_it(self, arch):
+        cfg, env = self.trade_fixture(PricingMode.FREE_COMMERCIAL)
+        bundles = [AgentBundle(arch, a, cfg, PPOHyper(), seed=5) for a in (0, 1)]
+        accept_1 = {ARCH_SEMI: ("accept", 0),
+                    ARCH_FULL: ("full", 0)}.get(arch, ("accept", 1))
+        offer_0 = ("full", 0) if arch == ARCH_FULL else ("offer", 0)
+        for key, pos in ((accept_1, ("accept", 1)), (offer_0, ("offer", 0))):
+            assert pos in bundles[0].units[key].spec.positions
+
+        cell = 1 * cfg.num_slots + 0
+        result = env.step(JointActions(accepts={(0, 1): cell + 1}))
+        (trade,) = result.trades
+        expected = [UnitReward(offer_0, result.time, 8.0)]
+        if arch == ARCH_DIST_PRICE:  # the matched bid pays 0.5
+            expected.append(UnitReward(("price", 0), result.time, 0.5,
+                                       offer_made_at=trade.made_at))
+        assert route_rewards(bundles[1], result) == expected
+        assert route_rewards(bundles[0], result) == []
+
+        result = env.step(JointActions())
+        result = env.step(JointActions()) if not result.settlements else result
+        assert result.settlements[0].payouts == {AUCTIONEER: 1, 0: 7, 1: 0}
+        assert route_rewards(bundles[0], result) == [UnitReward(accept_1, result.time, 7.0)]
+        assert route_rewards(bundles[1], result) == [UnitReward(accept_1, result.time, 0.0)]
 
     def test_price_reward_routed_with_offer_alignment(self):
         cfg = manual_config(job_types=(JobType(0, 5, 5, 0.0),),

@@ -1,27 +1,38 @@
 """The batched acting pass against acting one unit at a time.
 
-The reference acts the way every distributed unit acted before batching:
-encode one observation vector, one 1-D ``forward``, one ``sample`` from the
-unit's own stream, in row order (acceptors of owned cores, then each offer
-maker followed by its price setter). A rollout length of 4 makes shared
-parameter sets update in the middle of a pass.
+The reference acts the way every unit acted before batching: encode one
+observation vector, one 1-D ``forward``, one ``sample`` from the unit's own
+stream, in unit order (the acceptors, then the offer makers, each offer
+maker followed by its price setter). An aggregated unit's vector is its
+positions' encodings side by side, and ``mixed_radix_decode`` turns its
+action into one digit per position; the digits of cores the agent does not
+own are dropped. A rollout length of 4 makes shared parameter sets update in
+the middle of a pass.
 """
 
 import numpy as np
 import pytest
 
 from marketsched import agents
+from marketsched.actions import mixed_radix_decode
 from marketsched.agents import (
     ARCH_DIST,
     ARCH_DIST_PRICE,
     ARCH_DIST_PS,
+    ARCH_FULL,
+    ARCH_SEMI,
     AgentBundle,
     deliver_rewards,
 )
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
 from marketsched.neural import PPOHyper, forward, sample
-from marketsched.obs import encode_acceptor_obs, encode_offer_obs, encode_price_obs
+from marketsched.obs import (
+    acceptor_obs_len,
+    encode_acceptor_obs,
+    encode_offer_obs,
+    encode_price_obs,
+)
 
 from helpers import make_config
 
@@ -29,24 +40,48 @@ HYPER = PPOHyper(rollout_length=4, minibatch_size=2, epochs=2)
 STEPS = 80
 
 
+def reference_obs(env, agent, spec):
+    """A unit's observation from the encoders (layout in ``unit_layout``)."""
+    parts = [encode_acceptor_obs(env, agent, m) for m in spec.cores]
+    if len(spec.slots) == 1:
+        parts.append(encode_offer_obs(env, agent, spec.slots[0]))
+    elif spec.slots:
+        parts.append(encode_offer_obs(env, agent, None))
+    return np.concatenate(parts)
+
+
 def act_unit_by_unit(bundle, env, joint):
     cfg, a = bundle.config, bundle.agent
-    if cfg.trading_enabled:
-        for m in range(cfg.num_cores):
-            if env.cores[m].owner == a:
-                obs = encode_acceptor_obs(env, a, m)
-                joint.accepts[(a, m)] = bundle.units[("accept", m)].act(obs)
-    for k in range(cfg.num_slots):
-        choice = bundle.units[("offer", k)].act(encode_offer_obs(env, a, k))
-        joint.offers[(a, k)] = choice
-        if (bundle.arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
-                and choice > 0 and env.slots[a][k] is not None):
-            unit = bundle.units[("price", k)]
-            obs = encode_price_obs(env, a, k, choice - 1)
-            logits, value = forward(unit.params, obs)
-            price, logp = sample(logits, unit.sample_rng)
-            unit.hold_price(env.time, obs, price, logp, value)
-            joint.prices[(a, k)] = price
+    owned = {m for m in range(cfg.num_cores)
+             if cfg.trading_enabled and env.cores[m].owner == a}
+    for unit in bundle.units.values():
+        spec = unit.spec
+        if not spec.slots and not owned & set(spec.cores):
+            continue  # price setters, and acceptors of cores the agent does not own
+        obs = reference_obs(env, a, spec)
+        logits, value = forward(unit.params, obs)
+        action, logp = sample(logits, unit.sample_rng)
+        unit.record(obs, action, logp, value)
+        for (kind, i), digit in zip(spec.positions,
+                                    mixed_radix_decode(action, spec.radices)):
+            if kind == "accept" and i in owned:
+                joint.accepts[(a, i)] = digit
+            elif kind == "offer":
+                joint.offers[(a, i)] = digit
+                act_price(bundle, env, joint, i)
+
+
+def act_price(bundle, env, joint, k):
+    cfg, a = bundle.config, bundle.agent
+    choice = joint.offers[(a, k)]
+    if (bundle.arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
+            and choice > 0 and env.slots[a][k] is not None):
+        unit = bundle.units[("price", k)]
+        obs = encode_price_obs(env, a, k, choice - 1)
+        logits, value = forward(unit.params, obs)
+        price, logp = sample(logits, unit.sample_rng)
+        unit.hold_price(env.time, obs, price, logp, value)
+        joint.prices[(a, k)] = price
 
 
 def acceptor_obs_from_sorted_offers(env, agent, core):
@@ -67,23 +102,28 @@ def acceptor_obs_from_sorted_offers(env, agent, core):
 
 
 def assert_rows_match_encoders(bundle, env, joint):
-    """What each unit recorded this step is its encoder's vector."""
+    """What each unit recorded this step is its encoders' vector."""
     a = bundle.agent
-    for (agent, m) in joint.accepts:
+    for unit in bundle.units.values():
+        spec = unit.spec
+        acted = spec.slots or any((a, m) in joint.accepts for m in spec.cores)
+        if not acted:
+            continue
+        recorded = unit.open_sample[0]
+        assert np.array_equal(recorded, reference_obs(env, a, spec))
+        width = acceptor_obs_len(bundle.config.num_agents, bundle.config.num_slots)
+        for i, m in enumerate(spec.cores):
+            block = recorded[i * width:(i + 1) * width]
+            assert np.array_equal(block, acceptor_obs_from_sorted_offers(env, a, m))
+    for (agent, k) in joint.prices:
         if agent == a:
-            recorded = bundle.units[("accept", m)].open_sample[0]
-            assert np.array_equal(recorded, encode_acceptor_obs(env, a, m))
-            assert np.array_equal(recorded, acceptor_obs_from_sorted_offers(env, a, m))
-    for k in range(bundle.config.num_slots):
-        recorded = bundle.units[("offer", k)].open_sample[0]
-        assert np.array_equal(recorded, encode_offer_obs(env, a, k))
-        if (a, k) in joint.prices:
             recorded = bundle.units[("price", k)].pending_prices[env.time][0]
             expected = encode_price_obs(env, a, k, joint.offers[(a, k)] - 1)
             assert np.array_equal(recorded, expected)
 
 
-@pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE])
+@pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE,
+                                  ARCH_SEMI, ARCH_FULL])
 def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL
                       if arch == ARCH_DIST_PRICE else PricingMode.FIXED)
@@ -91,12 +131,11 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     batched = [AgentBundle(arch, a, cfg, HYPER, seed=21) for a in range(cfg.num_agents)]
     reference = [AgentBundle(arch, a, cfg, HYPER, seed=21) for a in range(cfg.num_agents)]
 
-    batched_calls = []
+    forward_calls = []
     real_forward = agents.forward
 
     def counting_forward(params, obs, sets=None):
-        if sets is not None:
-            batched_calls.append(len(obs))
+        forward_calls.append(len(obs) if sets is not None else 1)
         return real_forward(params, obs, sets)
 
     monkeypatch.setattr(agents, "forward", counting_forward)
@@ -120,9 +159,11 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
             for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
                 assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
     assert sum(u.updates for b in batched for u in b.units.values()) > 0
-    if arch != ARCH_DIST:
+    if arch in (ARCH_DIST_PS, ARCH_DIST_PRICE):
         # shared sets updated mid-pass, so later rows were evaluated again
-        assert len(batched_calls) > passes
+        assert len(forward_calls) > passes
+    else:
+        assert len(forward_calls) == passes
 
 
 def test_stack_views_write_through_and_padding_stays_masked():

@@ -107,6 +107,13 @@ class TestCardinality:
         values = [line.split()[1] for line in lines[1:]]
         assert values == ["2", "2", "2", "2", "4"]
 
+    def test_counts_below_one_are_a_usage_error(self, capsys):
+        assert run_cli("cardinality", "--cores", "0", "--agents", "1",
+                       "--slots", "1") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "num_cores" in captured.err
+
     def test_overflow_reported_as_infeasible(self, capsys):
         run_cli("cardinality", "--cores", "99", "--agents", "99", "--slots", "99")
         out = capsys.readouterr().out

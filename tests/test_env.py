@@ -3,7 +3,7 @@
 import pytest
 
 from marketsched.config import ConfigError, EnvConfig, JobType
-from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
+from marketsched.env import AUCTIONEER, ChainEntry, JointActions, SchedulingEnv
 from marketsched.rng import STREAM_FUZZ, derive_rng
 
 from helpers import make_config, manual_config, offer, place_job, random_actions
@@ -164,6 +164,23 @@ class TestTrading:
         assert result.auctioneer_income == 1
         assert env.cores[0].owner == AUCTIONEER
         assert env.cores[0].chain == []
+
+    @pytest.mark.parametrize("index, entry, reason", [
+        (0, ChainEntry(buyer=0, seller=1, price=1),
+         "chain must start with an auctioneer sale"),
+        (1, ChainEntry(buyer=1, seller=1, price=5), "broken lineage"),
+        (1, ChainEntry(buyer=0, seller=0, price=5), "final owner 1 is not the last buyer"),
+    ])
+    def test_doctored_chain_fails_invariants(self, index, entry, reason):
+        env, low, high = self.build_trading_pair()
+        cell = 1 * env.config.num_slots + 0
+        env.step(JointActions(accepts={(0, 0): cell + 1}))
+        core = env.cores[0]
+        assert [(e.seller, e.buyer) for e in core.chain] == [(AUCTIONEER, 0), (0, 1)]
+        env.check_invariants()
+        core.chain[index] = entry
+        with pytest.raises(AssertionError, match=f"core 0: {reason}"):
+            env.check_invariants()
 
     def test_acceptance_voided_without_free_slot(self):
         env, low, high = self.build_trading_pair()

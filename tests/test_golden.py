@@ -32,6 +32,27 @@ GOLDEN = {
                 "fe96f9ad660d9d02d55d2d65555aef0980975f85ba80e4f2465145a5bb56c6ea",
         },
     ),
+    "exp2_arch_2x2_semi": (
+        ["run", "--scenario", "EXP2_ARCH_2X2", "--arch", "SEMI", "--seed", "1",
+         "--trace", "--set", "total_steps=2000"],
+        {
+            "EXP2_ARCH_2X2_seed1_trace.jsonl":
+                "4c42d47cdc5e316a2842f7d1281a3d27fea01575171b291ee5e962ed631651d4",
+            "EXP2_ARCH_2X2_seed1.csv":
+                "6446e7297a5f736ccb66d06d67bd73517bf8e0b5c4334eca2d4e47d07d30f3af",
+        },
+    ),
+    # FULL with trading disabled: every accept digit is dropped
+    "exp1_no_trading_full": (
+        ["run", "--scenario", "EXP1_NO_TRADING", "--arch", "FULL", "--seed", "1",
+         "--trace", "--set", "total_steps=2000"],
+        {
+            "EXP1_NO_TRADING_seed1_trace.jsonl":
+                "91576472e1596e87cb2bce3d9e3e44b6c111593b23a3632685b099ac08d1f0a3",
+            "EXP1_NO_TRADING_seed1.csv":
+                "71c7c9b7ad32ef2cfb23e75806c74e1dcbf10df01b0ea819e902d98a43f31d27",
+        },
+    ),
     "base_duo_baseline": (
         ["baseline", "--scenario", "BASE_DUO", "--seed", "1"],
         {
