@@ -182,12 +182,13 @@ class ActingUnit:
     step and only commit them once the offer is accepted.
     """
 
-    def __init__(self, spec: UnitSpec, param_set: int, params: NetParams,
+    def __init__(self, spec: UnitSpec, stack: ParamStack, param_set: int,
                  opt: AdamState, hyper: PPOHyper, sample_rng: np.random.Generator,
                  update_rng: np.random.Generator):
         self.spec = spec
+        self.stack = stack
         self.param_set = param_set  # index of params in the bundle's ParamStack
-        self.params = params
+        self.params = stack.views[param_set]
         self.opt = opt
         self.hyper = hyper
         self.sample_rng = sample_rng
@@ -238,8 +239,8 @@ class ActingUnit:
 
     def _update(self, bootstrap_value: float) -> None:
         batch = self.buffer.to_batch(bootstrap_value, self.hyper)
-        self.last_stats = ppo_update(self.params, self.opt, batch, self.hyper,
-                                     self.update_rng)
+        self.last_stats = ppo_update(self.stack, self.param_set, self.opt, batch,
+                                     self.hyper, self.update_rng)
         self.buffer.clear()
         self.updates += 1
 
@@ -275,20 +276,19 @@ class AgentBundle:
                 param_sets[spec.param_key] = len(shapes)
                 shapes.append((spec.obs_width, spec.hidden_width, spec.action_count))
         self.stack = ParamStack(shapes)
-        self.params: dict[str, NetParams] = {}
-        self.opts: dict[str, AdamState] = {}
-        for key, index in param_sets.items():
-            rng = derive_rng(seed, STREAM_UNIT_INIT, agent, index)
-            self.params[key] = init_params(*shapes[index], rng,
-                                           out=self.stack.views[index])
-            self.opts[key] = AdamState.for_params(self.params[key])
+        for index, params in enumerate(self.stack.views):
+            init_params(params, derive_rng(seed, STREAM_UNIT_INIT, agent, index))
+        self.params: dict[str, NetParams] = {
+            key: self.stack.views[index] for key, index in param_sets.items()}
+        opts = [AdamState(self.stack.rows.shape[1]) for _ in shapes]
         self.units: dict[UnitKey, ActingUnit] = {}
         for unit_index, spec in enumerate(specs):
+            index = param_sets[spec.param_key]
             self.units[spec.key] = ActingUnit(
                 spec,
-                param_sets[spec.param_key],
-                self.params[spec.param_key],
-                self.opts[spec.param_key],
+                self.stack,
+                index,
+                opts[index],
                 hyper,
                 sample_rng=derive_rng(seed, STREAM_UNIT_SAMPLE, agent, unit_index),
                 update_rng=derive_rng(seed, STREAM_UNIT_UPDATE, agent, unit_index),

@@ -61,6 +61,14 @@ class CliError(Exception):
         self.code = code
 
 
+def _check_counts(args: argparse.Namespace, **lowest: int) -> None:
+    """Reject a count option given below its lowest accepted value."""
+    for name, low in lowest.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise CliError(f"--{name} must be >= {low}, got {value}")
+
+
 def _load_scenario(name_or_path: str, overrides: list[str], arch: str | None) -> Scenario:
     builtins = builtin_scenarios()
     if name_or_path in builtins:
@@ -100,6 +108,7 @@ def _write_manifest(out_dir: Path, scenario: Scenario, seeds: list[int],
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_counts(args, seed=0)
     scenario = _load_scenario(args.scenario, args.set, args.arch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -114,6 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_counts(args, seeds=0, workers=1)
     scenario = _load_scenario(args.scenario, args.set, args.arch)
     seeds = (list(scenario.seeds)[: args.seeds] if args.seeds
              else list(scenario.seeds))
@@ -184,6 +194,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    _check_counts(args, seed=0, steps=0)
     scenario = _load_scenario(args.scenario, args.set, None)
     if scenario.env.trading_enabled:
         raise CliError("baseline requires a scenario with trading disabled")

@@ -100,6 +100,15 @@ class TradeRecord(NamedTuple):
     by_auctioneer: bool
 
 
+def _trade_record(core: Core, offer: Offer, job: Job, seller: int) -> TradeRecord:
+    """The record of ``offer``'s job moving onto ``core``, sold by ``seller``."""
+    return TradeRecord(
+        core=core.index, buyer=offer.agent, seller=seller, price=offer.price,
+        job_uid=job.uid, job_type_id=job.type_id, job_priority=job.priority,
+        source_slot=offer.slot, offer_uid=offer.uid, made_at=offer.made_at,
+        by_auctioneer=seller == AUCTIONEER)
+
+
 class CompletionRecord(NamedTuple):
     job_uid: int
     type_id: int
@@ -214,9 +223,6 @@ class SchedulingEnv:
         agent, slot = divmod(cell, self.config.num_slots)
         return self._offer_book.get((core, agent, slot))
 
-    def slot_job(self, agent: int, slot: int) -> Job | None:
-        return self.slots[agent][slot]
-
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
@@ -267,21 +273,7 @@ class SchedulingEnv:
             core.job = job
             core.owner = offer.agent
             core.chain = [ChainEntry(buyer=offer.agent, seller=AUCTIONEER, price=offer.price)]
-            trades.append(
-                TradeRecord(
-                    core=core.index,
-                    buyer=offer.agent,
-                    seller=AUCTIONEER,
-                    price=offer.price,
-                    job_uid=job.uid,
-                    job_type_id=job.type_id,
-                    job_priority=job.priority,
-                    source_slot=offer.slot,
-                    offer_uid=offer.uid,
-                    made_at=offer.made_at,
-                    by_auctioneer=True,
-                )
-            )
+            trades.append(_trade_record(core, offer, job, AUCTIONEER))
 
         # (3) offer book cleared; unaccepted offers expire
         self._offer_book.clear()
@@ -394,19 +386,7 @@ class SchedulingEnv:
         core.job = job
         core.owner = offer.agent
         core.chain.append(ChainEntry(buyer=offer.agent, seller=owner, price=offer.price))
-        return TradeRecord(
-            core=core.index,
-            buyer=offer.agent,
-            seller=owner,
-            price=offer.price,
-            job_uid=job.uid,
-            job_type_id=job.type_id,
-            job_priority=job.priority,
-            source_slot=offer.slot,
-            offer_uid=offer.uid,
-            made_at=offer.made_at,
-            by_auctioneer=False,
-        )
+        return _trade_record(core, offer, job, owner)
 
     def _fill_empty_slots(self, arrival_time: int) -> None:
         for agent in range(self.config.num_agents):

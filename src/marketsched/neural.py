@@ -2,13 +2,18 @@
 
 One tanh hidden layer feeds a categorical policy head and a scalar value
 head. Gradients are computed by hand (verified against finite differences in
-the test suite) and applied with in-module first/second-moment scaling, so
-there is no external autodiff or optimizer dependency.
+the test suite) and applied by the Adam step written here, so there is no
+external autodiff or optimizer dependency. Each network is one padded row of
+a ``ParamStack``; its gradient and Adam moments are vectors of the same row
+layout, so an Adam step is a fixed handful of whole-row operations. The
+padding stays fixed: its gradient is 0, so its step is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -76,10 +81,6 @@ class NetParams:
         return self.w1.shape[0]
 
     @property
-    def hidden_width(self) -> int:
-        return self.w1.shape[1]
-
-    @property
     def action_count(self) -> int:
         return self.wp.shape[1]
 
@@ -92,43 +93,46 @@ class NetParams:
 
 
 class ParamStack:
-    """Several networks' weights in stacked, zero-padded arrays.
+    """Several networks' weights, one zero-padded row of ``rows`` each.
 
-    ``views[i]`` is network i as a NetParams whose tensors are views into its
-    unpadded block, so an in-place update through a view (the optimizer's
-    ``+=``, a checkpoint load) is what the batched ``forward`` reads next.
-    ``head`` holds one row of hidden weights per output, the policy's
-    actions first and the value last, so one product yields logits and
-    value; ``wp`` is the transpose of its first rows. Zero padding adds
-    nothing to a row's sums; padded logit biases hold -inf, so padded
-    actions get probability 0.
+    Row i is network i's whole parameter vector: its w1 (in, hidden), b1
+    (hidden,), head (actions + 1, hidden) and head_bias (actions + 1,) blocks,
+    each at the stack's widest in_width, hidden width and action count.
+    ``w1``, ``b1``, ``head`` and ``head_bias`` view those blocks of every row,
+    and ``views[i]`` is network i as a NetParams of views into its unpadded
+    part, so an in-place update of a view or row (an Adam step, a checkpoint
+    load) is what the batched ``forward`` reads next. ``grads`` has the same
+    layout, and ``grad_views`` the same views into it. ``head`` holds one row
+    of hidden weights per output, the policy's actions first and the value
+    last, so one product yields logits and value; ``wp`` is the transpose of
+    its first rows. The padding is fixed: weights 0, which add nothing to a
+    sum, and logit biases -inf, which give padded actions probability 0.
     """
 
     def __init__(self, shapes: list[tuple[int, int, int]]):
         """``shapes`` holds one (in_width, hidden_width, action_count) per network."""
-        count = len(shapes)
-        in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
-        self.w1 = np.zeros((count, in_width, hidden))
-        self.b1 = np.zeros((count, hidden))
-        self.head = np.zeros((count, actions + 1, hidden))
-        self.head_bias = np.full((count, actions + 1), -np.inf)
-        self.head_bias[:, -1] = 0.0
+        self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
+        layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden), (actions + 1,))
+        ends = list(accumulate(prod(shape) for shape in layout))
+
+        def blocks_and_views(rows: np.ndarray) -> tuple[list, list[NetParams]]:
+            w1, b1, head, bias = (rows[:, start:end].reshape(-1, *shape)
+                                  for start, end, shape in zip([0] + ends, ends, layout))
+            return [w1, b1, head, bias], [NetParams(
+                w1=w1[i, :w, :h], b1=b1[i, :h], wp=head[i, :a, :h].T, bp=bias[i, :a],
+                wv=head[i, -1, :h], bv=bias[i, -1:]) for i, (w, h, a) in enumerate(shapes)]
+
+        self.rows = np.zeros((len(shapes), ends[-1]))
+        self.grads = np.zeros(self.rows.shape)
+        (self.w1, self.b1, self.head, self.head_bias), self.views = blocks_and_views(self.rows)
+        self.grad_views = blocks_and_views(self.grads)[1]
         self.last_action = np.array([a for _, _, a in shapes]) - 1
-        self.views = []
-        for i, (w, h, a) in enumerate(shapes):
-            self.head_bias[i, :a] = 0.0
-            self.views.append(NetParams(
-                w1=self.w1[i, :w, :h], b1=self.b1[i, :h],
-                wp=self.head[i, :a, :h].T, bp=self.head_bias[i, :a],
-                wv=self.head[i, -1, :h], bv=self.head_bias[i, -1:]))
-
-    @property
-    def in_width(self) -> int:
-        return self.w1.shape[1]
+        self.head_bias[:, :-1] = np.where(
+            np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
 
 
-def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator,
-                out: np.ndarray) -> None:
+def _orthogonal(out: np.ndarray, gain: float, rng: np.random.Generator) -> None:
+    rows, cols = out.shape
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q *= np.sign(np.diag(r))
@@ -137,19 +141,12 @@ def _orthogonal(rows: int, cols: int, gain: float, rng: np.random.Generator,
     np.multiply(q[:rows, :cols], gain, out=out)
 
 
-def init_params(in_width: int, hidden_width: int, action_count: int,
-                rng: np.random.Generator, out: NetParams | None = None) -> NetParams:
-    """Orthogonally scaled weights; the small policy-head gain keeps the
-    initial policy near uniform. With ``out`` (zero biases, for example a
-    ParamStack view) the weights are written into it."""
-    if out is None:
-        out = NetParams(np.empty((in_width, hidden_width)), np.zeros(hidden_width),
-                        np.empty((hidden_width, action_count)), np.zeros(action_count),
-                        np.empty(hidden_width), np.zeros(1))
-    _orthogonal(in_width, hidden_width, np.sqrt(2.0), rng, out.w1)
-    _orthogonal(hidden_width, action_count, 0.01, rng, out.wp)
-    _orthogonal(hidden_width, 1, 1.0, rng, out.wv[:, None])
-    return out
+def init_params(params: NetParams, rng: np.random.Generator) -> None:
+    """Write orthogonally scaled weights into ``params``, for example a fresh
+    ParamStack view; the small policy-head gain keeps the policy near uniform."""
+    _orthogonal(params.w1, np.sqrt(2.0), rng)
+    _orthogonal(params.wp, 0.01, rng)
+    _orthogonal(params.wv[:, None], 1.0, rng)
 
 
 def forward(params: NetParams | ParamStack, obs: np.ndarray,
@@ -281,44 +278,38 @@ class RolloutBuffer:
         )
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per tensor."""
+    """Adam's first and second moments of one parameter row, laid out as the
+    row, and its step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    steps: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    @classmethod
-    def for_params(cls, params: NetParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros(t.shape) for name, t in params.tensors()},
-            v={name: np.zeros(t.shape) for name, t in params.tensors()},
-        )
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.steps = 0
 
-    def ascend(self, params: NetParams, grads: dict[str, np.ndarray], lr: float) -> None:
+    def ascend(self, row: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One Adam ascent step on ``row`` in place, in the operation order
+        m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g; lr*m_hat / (sqrt(v_hat)+eps)."""
         self.steps += 1
-        correction1 = 1.0 - self.beta1**self.steps
-        correction2 = 1.0 - self.beta2**self.steps
-        for name, tensor in params.tensors():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / correction1
-            v_hat = self.v[name] / correction2
-            tensor += lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= self.beta1
+        self.m += grad * (1.0 - self.beta1)
+        self.v *= self.beta2
+        self.v += grad * (1.0 - self.beta2) * grad
+        step = self.m / (1.0 - self.beta1**self.steps)
+        step *= lr
+        step /= np.sqrt(self.v / (1.0 - self.beta2**self.steps)) + self.eps
+        row += step
 
 
-def surrogate_objective(params: NetParams, batch: TrainBatch, hyper: PPOHyper,
-                        indices: np.ndarray) -> tuple[float, dict[str, np.ndarray], dict]:
+def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
+                        hyper: PPOHyper, indices: np.ndarray) -> tuple[float, dict]:
     """Clipped-surrogate objective and its analytic gradient on a minibatch.
 
-    Returns (objective, gradients, stats); gradients point in the ascent
-    direction of objective = policy surrogate - c_v * value loss
-    + c_e * entropy.
+    Returns (objective, stats) and writes into ``grads`` the gradient, which
+    points in the ascent direction of objective = policy surrogate
+    - c_v * value loss + c_e * entropy.
     """
     x = batch.obs[indices]
     acts = batch.actions[indices]
@@ -360,30 +351,31 @@ def surrogate_objective(params: NetParams, batch: TrainBatch, hyper: PPOHyper,
 
     d_h = d_logits @ params.wp.T + d_values[:, None] * params.wv[None, :]
     d_z1 = d_h * (1.0 - h * h)
-    grads = {
-        "w1": x.T @ d_z1,
-        "b1": d_z1.sum(axis=0),
-        "wp": h.T @ d_logits,
-        "bp": d_logits.sum(axis=0),
-        "wv": h.T @ d_values,
-        "bv": np.array([d_values.sum()]),
-    }
+    grads.w1[...] = x.T @ d_z1
+    grads.b1[...] = d_z1.sum(axis=0)
+    grads.wp[...] = h.T @ d_logits
+    grads.bp[...] = d_logits.sum(axis=0)
+    grads.wv[...] = h.T @ d_values
+    grads.bv[...] = d_values.sum()
     stats = {
         "objective": float(objective),
         "value_loss": float((value_err**2).mean()),
         "entropy": float(entropy.mean()),
         "clip_fraction": float((~use_unclipped).mean()),
     }
-    return float(objective), grads, stats
+    return float(objective), stats
 
 
-def ppo_update(params: NetParams, opt: AdamState, batch: TrainBatch,
+def ppo_update(stack: ParamStack, index: int, opt: AdamState, batch: TrainBatch,
                hyper: PPOHyper, rng: np.random.Generator) -> dict:
-    """Run the clipped-surrogate update in place; returns aggregate stats.
+    """Run the clipped-surrogate update of network ``index`` of ``stack`` in
+    place; returns aggregate stats.
 
     Advantages are normalized once per update. A non-finite loss or gradient
     aborts before any parameter is touched by the offending minibatch.
     """
+    params, grads = stack.views[index], stack.grad_views[index]
+    row, grad_row = stack.rows[index], stack.grads[index]
     adv = batch.advantages
     std = adv.std()
     normalized = (adv - adv.mean()) / (std + 1e-8)
@@ -397,15 +389,13 @@ def ppo_update(params: NetParams, opt: AdamState, batch: TrainBatch,
         order = rng.permutation(count)
         for start in range(0, count, hyper.minibatch_size):
             indices = order[start:start + hyper.minibatch_size]
-            objective, grads, stats = surrogate_objective(params, batch, hyper, indices)
-            if not np.isfinite(objective) or any(
-                not np.all(np.isfinite(g)) for g in grads.values()
-            ):
+            objective, stats = surrogate_objective(params, grads, batch, hyper, indices)
+            if not np.isfinite(objective) or not np.isfinite(grad_row).all():
                 raise NonFiniteLossError(
                     f"non-finite update: objective={objective!r}, "
                     f"value_loss={stats['value_loss']!r}, batch size {len(indices)}"
                 )
-            opt.ascend(params, grads, hyper.learning_rate)
+            opt.ascend(row, grad_row, hyper.learning_rate)
             for key in stats_acc:
                 stats_acc[key] += stats[key]
             minibatches += 1

@@ -192,3 +192,19 @@ class TestUsage:
 
     def test_missing_subcommand_is_an_error(self):
         assert run_cli() == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "BASE_SINGLE", "--seed", "-1"],
+        ["baseline", "--scenario", "BASE_DUO", "--seed", "-1"],
+        ["sweep", "--scenario", "BASE_DUO", "--seeds", "-3"],
+        ["baseline", "--scenario", "BASE_DUO", "--steps", "-5"],
+        ["sweep", "--scenario", "BASE_DUO", "--workers", "-4"],
+        ["sweep", "--scenario", "BASE_DUO", "--workers", "0"],
+    ])
+    def test_negative_counts_are_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert argv[-2] in captured.err

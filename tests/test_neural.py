@@ -7,6 +7,7 @@ from marketsched.neural import (
     AdamState,
     NetParams,
     NonFiniteLossError,
+    ParamStack,
     PPOHyper,
     RolloutBuffer,
     TrainBatch,
@@ -23,8 +24,24 @@ from marketsched.neural import (
 from marketsched.rng import derive_rng
 
 
+def small_stack(seed=0, in_width=4, hidden=8, actions=3):
+    """One network, as a stack of one."""
+    stack = ParamStack([(in_width, hidden, actions)])
+    init_params(stack.views[0], derive_rng(seed, 99))
+    return stack
+
+
 def small_net(seed=0, in_width=4, hidden=8, actions=3):
-    return init_params(in_width, hidden, actions, derive_rng(seed, 99))
+    return small_stack(seed, in_width, hidden, actions).views[0]
+
+
+def gradient(params, batch, hyper, indices):
+    """``surrogate_objective`` with its gradient written into a fresh gradient
+    row: (objective, the gradient views by tensor name, stats)."""
+    shape = (params.in_width, params.w1.shape[1], params.action_count)
+    grads = ParamStack([shape]).grad_views[0]
+    objective, stats = surrogate_objective(params, grads, batch, hyper, indices)
+    return objective, dict(grads.tensors()), stats
 
 
 class TestForward:
@@ -133,7 +150,7 @@ class TestGradients:
         batch = make_batch(params, 64)
         hyper = PPOHyper()
         idx = np.arange(64)
-        _, grads, _ = surrogate_objective(params, batch, hyper, idx)
+        _, grads, _ = gradient(params, batch, hyper, idx)
         eps = 1e-6
         worst = 0.0
         for name, tensor in params.tensors():
@@ -142,9 +159,9 @@ class TestGradients:
                 ix = it.multi_index
                 keep = tensor[ix]
                 tensor[ix] = keep + eps
-                up = surrogate_objective(params, batch, hyper, idx)[0]
+                up = gradient(params, batch, hyper, idx)[0]
                 tensor[ix] = keep - eps
-                down = surrogate_objective(params, batch, hyper, idx)[0]
+                down = gradient(params, batch, hyper, idx)[0]
                 tensor[ix] = keep
                 fd = (up - down) / (2 * eps)
                 denom = max(abs(fd), abs(grads[name][ix]), 1e-8)
@@ -165,7 +182,7 @@ class TestGradients:
         batch = TrainBatch(obs, np.asarray(acts, dtype=np.intp),
                            logp_now - 2.0, np.ones(n), np.zeros(n))
         hyper = PPOHyper(entropy_coef=0.0, value_coef=0.0)
-        _, grads, stats = surrogate_objective(params, batch, hyper, np.arange(n))
+        _, grads, stats = gradient(params, batch, hyper, np.arange(n))
         assert stats["clip_fraction"] == 1.0
         for name in ("wp", "bp"):
             assert np.all(grads[name] == 0.0)
@@ -175,7 +192,7 @@ class TestGradients:
         batch = make_batch(params, 32, seed=13, jitter=0.0)
         batch = batch._replace(advantages=np.zeros(32))
         hyper = PPOHyper(entropy_coef=0.0)
-        _, grads, _ = surrogate_objective(params, batch, hyper, np.arange(32))
+        _, grads, _ = gradient(params, batch, hyper, np.arange(32))
         assert np.all(grads["wp"] == 0.0) and np.all(grads["bp"] == 0.0)
         # value loss still trains the trunk and value head
         assert np.any(grads["wv"] != 0.0)
@@ -183,43 +200,114 @@ class TestGradients:
 
 class TestPpoUpdate:
     def test_tiny_learning_rate_barely_moves_parameters(self):
-        params = small_net(seed=14)
+        stack = small_stack(seed=14)
+        params = stack.views[0]
         before = params.copy()
         batch = make_batch(params, 64, seed=14)
         hyper = PPOHyper(learning_rate=1e-6)
-        ppo_update(params, AdamState.for_params(params), batch, hyper,
+        ppo_update(stack, 0, AdamState(stack.rows.shape[1]), batch, hyper,
                    derive_rng(14, 2))
         for (_, now), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.max(np.abs(now - old)) < 1e-3
 
     def test_update_improves_surrogate_on_batch(self):
-        params = small_net(seed=15)
+        stack = small_stack(seed=15)
+        params = stack.views[0]
         batch = make_batch(params, 128, seed=15)
         hyper = PPOHyper(learning_rate=3e-3, epochs=8)
-        before = surrogate_objective(params, batch, hyper, np.arange(128))[0]
-        ppo_update(params, AdamState.for_params(params), batch, hyper,
+        before = gradient(params, batch, hyper, np.arange(128))[0]
+        ppo_update(stack, 0, AdamState(stack.rows.shape[1]), batch, hyper,
                    derive_rng(15, 2))
-        after = surrogate_objective(params, batch, hyper, np.arange(128))[0]
+        after = gradient(params, batch, hyper, np.arange(128))[0]
         assert after > before
 
     def test_parameters_stay_finite_under_fuzz(self):
-        params = small_net(seed=16)
-        opt = AdamState.for_params(params)
+        stack = small_stack(seed=16)
+        params = stack.views[0]
+        opt = AdamState(stack.rows.shape[1])
         rng = derive_rng(16, 3)
         hyper = PPOHyper(learning_rate=1e-2, epochs=1, minibatch_size=32)
         for _ in range(60):
             batch = make_batch(params, 32, seed=int(rng.integers(1 << 30)))
-            ppo_update(params, opt, batch, hyper, rng)
+            ppo_update(stack, 0, opt, batch, hyper, rng)
             for _, tensor in params.tensors():
                 assert np.all(np.isfinite(tensor))
 
     def test_non_finite_loss_aborts(self):
-        params = small_net(seed=17)
+        stack = small_stack(seed=17)
+        params = stack.views[0]
         batch = make_batch(params, 16, seed=17)
         batch = batch._replace(returns=np.full(16, np.nan))
         with pytest.raises(NonFiniteLossError):
-            ppo_update(params, AdamState.for_params(params), batch, PPOHyper(),
+            ppo_update(stack, 0, AdamState(stack.rows.shape[1]), batch, PPOHyper(),
                        derive_rng(17, 2))
+
+    @pytest.mark.parametrize("field", ["returns", "obs"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_minibatch_leaves_the_row_byte_identical(self, field):
+        # an infinite return makes the objective non-finite; one infinite
+        # observation entry saturates its hidden units, so the objective
+        # stays finite and only the w1 gradient (inf * 0) is not
+        stack = small_stack(seed=23)
+        batch = make_batch(stack.views[0], 16, seed=23)
+        bad = getattr(batch, field).copy()
+        bad.flat[3] = np.inf
+        before = stack.rows.tobytes()
+        with pytest.raises(NonFiniteLossError):
+            ppo_update(stack, 0, AdamState(stack.rows.shape[1]),
+                       batch._replace(**{field: bad}), PPOHyper(), derive_rng(23, 2))
+        assert stack.rows.tobytes() == before
+
+
+def two_set_stack():
+    """A stack whose second network is narrower than the first in every width."""
+    stack = ParamStack([(6, 8, 5), (4, 5, 3)])
+    for i, params in enumerate(stack.views):
+        init_params(params, derive_rng(24, i))
+    return stack
+
+
+class TestAdamRow:
+    def test_in_place_step_matches_the_per_tensor_formula(self):
+        stack = two_set_stack()
+        rng = derive_rng(25, 0)
+        b1, b2, eps, lr = AdamState.beta1, AdamState.beta2, AdamState.eps, 1e-2
+        for i in range(2):
+            opt = AdamState(stack.rows.shape[1])
+            ref = {name: t.copy() for name, t in stack.views[i].tensors()}
+            m = {name: np.zeros(t.shape) for name, t in ref.items()}
+            v = {name: np.zeros(t.shape) for name, t in ref.items()}
+            for step in range(1, 21):
+                for _, g in stack.grad_views[i].tensors():
+                    g[...] = rng.standard_normal(g.shape)
+                opt.ascend(stack.rows[i], stack.grads[i], lr)
+                for name, g in stack.grad_views[i].tensors():
+                    m[name] = b1 * m[name] + (1.0 - b1) * g
+                    v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                    m_hat = m[name] / (1.0 - b1**step)
+                    v_hat = v[name] / (1.0 - b2**step)
+                    ref[name] += lr * m_hat / (np.sqrt(v_hat) + eps)
+                for name, tensor in stack.views[i].tensors():
+                    assert np.array_equal(tensor, ref[name]), (i, step, name)
+
+    def test_update_leaves_the_padding_fixed(self):
+        stack = two_set_stack()
+        # the padding of row 1: what a fresh stack holds where row 1's views
+        # do not reach (0 weights, -inf logit biases)
+        probe = ParamStack([(6, 8, 5), (4, 5, 3)])
+        for _, tensor in probe.views[1].tensors():
+            tensor[...] = np.nan
+        padding = ~np.isnan(probe.rows[1])
+        assert np.isneginf(probe.rows[1][padding]).any()
+        wide, narrow = stack.rows[0].copy(), stack.rows[1].copy()
+        opt = AdamState(stack.rows.shape[1])
+        batch = make_batch(stack.views[1], 64, seed=26)
+        ppo_update(stack, 1, opt, batch, PPOHyper(learning_rate=1e-2), derive_rng(26, 2))
+        assert not np.array_equal(stack.rows[1][~padding], narrow[~padding])
+        assert np.array_equal(stack.rows[1][padding], probe.rows[1][padding])
+        assert np.array_equal(stack.rows[0], wide)
+        for padded in (stack.grads[1], opt.m, opt.v):
+            assert np.all(padded[padding] == 0.0)
 
 
 class TestRolloutBuffer:
