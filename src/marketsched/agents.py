@@ -40,7 +40,6 @@ from .actions import space_size
 from .config import EnvConfig, PricingMode
 from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
 from .neural import (
-    AdamState,
     NetParams,
     ParamStack,
     PPOHyper,
@@ -50,8 +49,6 @@ from .neural import (
     ppo_update,
     sample,
     sample_rows,
-    save_checkpoint,
-    load_checkpoint,
 )
 from .obs import (
     PRICE_OBS_LEN,
@@ -183,17 +180,16 @@ class ActingUnit:
     """
 
     def __init__(self, spec: UnitSpec, stack: ParamStack, param_set: int,
-                 opt: AdamState, hyper: PPOHyper, sample_rng: np.random.Generator,
+                 hyper: PPOHyper, sample_rng: np.random.Generator,
                  update_rng: np.random.Generator):
         self.spec = spec
         self.stack = stack
         self.param_set = param_set  # index of params in the bundle's ParamStack
         self.params = stack.views[param_set]
-        self.opt = opt
         self.hyper = hyper
         self.sample_rng = sample_rng
         self.update_rng = update_rng
-        self.buffer = RolloutBuffer(capacity=hyper.rollout_length)
+        self.buffer = RolloutBuffer(hyper.rollout_length, spec.obs_width)
         self.open_sample: list | None = None  # [obs, action, logp, value, reward]
         self.pending_prices: dict[int, tuple] = {}
         self.updates = 0
@@ -239,8 +235,8 @@ class ActingUnit:
 
     def _update(self, bootstrap_value: float) -> None:
         batch = self.buffer.to_batch(bootstrap_value, self.hyper)
-        self.last_stats = ppo_update(self.stack, self.param_set, self.opt, batch,
-                                     self.hyper, self.update_rng)
+        self.last_stats = ppo_update(self.stack, self.param_set, batch, self.hyper,
+                                     self.update_rng)
         self.buffer.clear()
         self.updates += 1
 
@@ -278,17 +274,15 @@ class AgentBundle:
         self.stack = ParamStack(shapes)
         for index, params in enumerate(self.stack.views):
             init_params(params, derive_rng(seed, STREAM_UNIT_INIT, agent, index))
+        # the parameter sets by key, in row order: the names of a checkpoint's rows
         self.params: dict[str, NetParams] = {
             key: self.stack.views[index] for key, index in param_sets.items()}
-        opts = [AdamState(self.stack.rows.shape[1]) for _ in shapes]
         self.units: dict[UnitKey, ActingUnit] = {}
         for unit_index, spec in enumerate(specs):
-            index = param_sets[spec.param_key]
             self.units[spec.key] = ActingUnit(
                 spec,
                 self.stack,
-                index,
-                opts[index],
+                param_sets[spec.param_key],
                 hyper,
                 sample_rng=derive_rng(seed, STREAM_UNIT_SAMPLE, agent, unit_index),
                 update_rng=derive_rng(seed, STREAM_UNIT_UPDATE, agent, unit_index),
@@ -413,20 +407,10 @@ class AgentBundle:
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.params)
+        self.stack.save(path, list(self.params))
 
     def load(self, path) -> None:
-        loaded = load_checkpoint(path)
-        if set(loaded) != set(self.params):
-            raise ValueError(
-                f"checkpoint parameter sets {sorted(loaded)} do not match "
-                f"architecture {self.arch}")
-        for key, params in loaded.items():
-            current = self.params[key]
-            for (name, tensor), (_, new) in zip(current.tensors(), params.tensors()):
-                if tensor.shape != new.shape:
-                    raise ValueError(f"shape mismatch for {key}/{name}")
-                tensor[...] = new
+        self.stack.load(path, list(self.params))
 
 
 @dataclass(frozen=True)

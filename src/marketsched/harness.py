@@ -21,7 +21,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .agents import ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, AgentBundle, Trainer
+from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, AgentBundle,
+                     Trainer)
 from .baseline import scripted_actions
 from .config import ConfigError, EnvConfig, JobType, PricingMode
 from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
@@ -55,6 +56,10 @@ class Scenario:
             raise ConfigError(
                 f"scenario {self.name}: {len(self.arch)} architectures for "
                 f"{self.env.num_agents} agents")
+        unknown = [arch for arch in self.arch if arch not in ARCHITECTURES]
+        if unknown:
+            raise ConfigError(f"scenario {self.name}: unknown architecture {unknown[0]!r}; "
+                              f"choose from {', '.join(ARCHITECTURES)}")
         if not self.total_steps >= self.window >= 1:
             raise ConfigError(
                 f"scenario {self.name}: need total_steps >= window >= 1")
@@ -312,11 +317,9 @@ def _sweep_worker(payload: tuple[dict, int, str]) -> RunRecord:
 
 
 def run_sweep(scenario: Scenario, seeds: Iterable[int] | None = None,
-              workers: int | None = None, policy: str = "learned") -> list[RunRecord]:
+              workers: int = 1, policy: str = "learned") -> list[RunRecord]:
     """Run every seed; seeds are independent, so they may run in parallel."""
     seed_list = list(seeds) if seeds is not None else list(scenario.seeds)
-    if workers is None:
-        workers = int(os.environ.get("MARKETSCHED_WORKERS", "1"))
     workers = max(1, min(workers, len(seed_list)))
     if workers == 1:
         return [run_scenario(scenario, seed, policy=policy) for seed in seed_list]

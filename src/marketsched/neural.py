@@ -4,9 +4,13 @@ One tanh hidden layer feeds a categorical policy head and a scalar value
 head. Gradients are computed by hand (verified against finite differences in
 the test suite) and applied by the Adam step written here, so there is no
 external autodiff or optimizer dependency. Each network is one padded row of
-a ``ParamStack``; its gradient and Adam moments are vectors of the same row
-layout, so an Adam step is a fixed handful of whole-row operations. The
-padding stays fixed: its gradient is 0, so its step is 0.
+a ``ParamStack``, which holds all of its learned state: the weights ``rows``,
+the gradient ``grads`` and Adam's moments ``m`` and ``v``, all of the same row
+layout, plus one Adam step count per row. An Adam step is a fixed handful of
+whole-row operations. The padding stays fixed: its gradient is 0, so its step
+is 0. A checkpoint is one ``.npz`` of that state: a format version, the
+parameter-set names in row order, ``rows``, ``m``, ``v`` and the step counts,
+so a loaded stack continues training exactly as the saved one would.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from math import prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+
+CHECKPOINT_VERSION = 2
 
 
 class NonFiniteLossError(RuntimeError):
@@ -88,9 +95,6 @@ class NetParams:
         yield from (("w1", self.w1), ("b1", self.b1), ("wp", self.wp),
                     ("bp", self.bp), ("wv", self.wv), ("bv", self.bv))
 
-    def copy(self) -> "NetParams":
-        return NetParams(*(t.copy() for _, t in self.tensors()))
-
 
 class ParamStack:
     """Several networks' weights, one zero-padded row of ``rows`` each.
@@ -107,7 +111,14 @@ class ParamStack:
     last, so one product yields logits and value; ``wp`` is the transpose of
     its first rows. The padding is fixed: weights 0, which add nothing to a
     sum, and logit biases -inf, which give padded actions probability 0.
+
+    ``m`` and ``v`` are Adam's first and second moments of each row, in the
+    same layout, and ``steps[i]`` (a Python int) is row i's Adam step count.
+    Their padding stays 0. ``save`` and ``load`` move exactly this state,
+    ``rows``, ``m``, ``v`` and ``steps``, through one ``.npz`` file.
     """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, shapes: list[tuple[int, int, int]]):
         """``shapes`` holds one (in_width, hidden_width, action_count) per network."""
@@ -124,11 +135,53 @@ class ParamStack:
 
         self.rows = np.zeros((len(shapes), ends[-1]))
         self.grads = np.zeros(self.rows.shape)
+        self.m = np.zeros(self.rows.shape)
+        self.v = np.zeros(self.rows.shape)
+        self.steps = [0] * len(shapes)
         (self.w1, self.b1, self.head, self.head_bias), self.views = blocks_and_views(self.rows)
         self.grad_views = blocks_and_views(self.grads)[1]
         self.last_action = np.array([a for _, _, a in shapes]) - 1
         self.head_bias[:, :-1] = np.where(
             np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
+
+    def ascend(self, index: int, lr: float) -> None:
+        """One Adam ascent step of row ``index`` along its gradient, in place,
+        in the operation order m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        row += lr*m_hat / (sqrt(v_hat)+eps)."""
+        grad, m, v = self.grads[index], self.m[index], self.v[index]
+        self.steps[index] = t = self.steps[index] + 1
+        m *= self.beta1
+        m += grad * (1.0 - self.beta1)
+        v *= self.beta2
+        v += grad * (1.0 - self.beta2) * grad
+        step = m / (1.0 - self.beta1**t)
+        step *= lr
+        step /= np.sqrt(v / (1.0 - self.beta2**t)) + self.eps
+        self.rows[index] += step
+
+    def save(self, path, names: list[str]) -> None:
+        """Write the learned state, with ``names`` naming the rows in order,
+        to one ``.npz``; ``load`` restores it bit for bit."""
+        np.savez(path, version=CHECKPOINT_VERSION, names=np.array(names, dtype=str),
+                 rows=self.rows, m=self.m, v=self.v, steps=np.array(self.steps))
+
+    def load(self, path, names: list[str]) -> None:
+        """Restore in place the state ``save`` wrote for rows named ``names``.
+        A file of another format version, other names or another row shape
+        is rejected with ValueError and leaves the stack untouched."""
+        with np.load(path, allow_pickle=False) as data:
+            version = data.get("version")
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            saved = data["names"].tolist()
+            if saved != list(names):
+                raise ValueError(f"checkpoint parameter sets {saved} do not match {list(names)}")
+            rows, m, v, steps = (data[key] for key in ("rows", "m", "v", "steps"))
+            if {rows.shape, m.shape, v.shape} != {self.rows.shape} or len(steps) != len(rows):
+                raise ValueError(f"checkpoint rows of shape {rows.shape} do not match "
+                                 f"the stack's {self.rows.shape}")
+            self.rows[...], self.m[...], self.v[...] = rows, m, v
+            self.steps = steps.tolist()
 
 
 def _orthogonal(out: np.ndarray, gain: float, rng: np.random.Generator) -> None:
@@ -232,9 +285,9 @@ class RolloutBuffer:
     """Per-unit experience window in preallocated arrays; ``add`` copies a
     row in. Cleared after each update."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, width: int):
         self.capacity = capacity
-        self.obs: np.ndarray | None = None  # (capacity, width) from the first add
+        self.obs = np.empty((capacity, width))
         self.actions = np.empty(capacity, dtype=np.intp)
         self.logps = np.empty(capacity)
         self.values = np.empty(capacity)
@@ -243,8 +296,6 @@ class RolloutBuffer:
 
     def add(self, obs: np.ndarray, action: int, logp: float, value: float,
             reward: float) -> None:
-        if self.obs is None:
-            self.obs = np.empty((self.capacity, obs.shape[0]))
         i = self.size
         self.obs[i] = obs
         self.actions[i] = action
@@ -278,31 +329,6 @@ class RolloutBuffer:
         )
 
 
-class AdamState:
-    """Adam's first and second moments of one parameter row, laid out as the
-    row, and its step count."""
-
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    def __init__(self, size: int):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.steps = 0
-
-    def ascend(self, row: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        """One Adam ascent step on ``row`` in place, in the operation order
-        m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g; lr*m_hat / (sqrt(v_hat)+eps)."""
-        self.steps += 1
-        self.m *= self.beta1
-        self.m += grad * (1.0 - self.beta1)
-        self.v *= self.beta2
-        self.v += grad * (1.0 - self.beta2) * grad
-        step = self.m / (1.0 - self.beta1**self.steps)
-        step *= lr
-        step /= np.sqrt(self.v / (1.0 - self.beta2**self.steps)) + self.eps
-        row += step
-
-
 def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
                         hyper: PPOHyper, indices: np.ndarray) -> tuple[float, dict]:
     """Clipped-surrogate objective and its analytic gradient on a minibatch.
@@ -333,10 +359,12 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     surrogate = np.minimum(surr_unclipped, surr_clipped)
     entropy = -(probs * logp_all).sum(axis=1)
     value_err = values - ret
+    value_loss = (value_err**2).mean()
+    mean_entropy = entropy.mean()
 
-    objective = (surrogate.mean()
-                 - hyper.value_coef * (value_err**2).mean()
-                 + hyper.entropy_coef * entropy.mean())
+    objective = float(surrogate.mean()
+                      - hyper.value_coef * value_loss
+                      + hyper.entropy_coef * mean_entropy)
 
     # d objective / d logits. The unclipped branch carries gradient whenever
     # it attains the min; a clipped-and-active branch has zero gradient.
@@ -358,32 +386,28 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     grads.wv[...] = h.T @ d_values
     grads.bv[...] = d_values.sum()
     stats = {
-        "objective": float(objective),
-        "value_loss": float((value_err**2).mean()),
-        "entropy": float(entropy.mean()),
+        "objective": objective,
+        "value_loss": float(value_loss),
+        "entropy": float(mean_entropy),
         "clip_fraction": float((~use_unclipped).mean()),
     }
-    return float(objective), stats
+    return objective, stats
 
 
-def ppo_update(stack: ParamStack, index: int, opt: AdamState, batch: TrainBatch,
-               hyper: PPOHyper, rng: np.random.Generator) -> dict:
+def ppo_update(stack: ParamStack, index: int, batch: TrainBatch, hyper: PPOHyper,
+               rng: np.random.Generator) -> dict:
     """Run the clipped-surrogate update of network ``index`` of ``stack`` in
     place; returns aggregate stats.
 
     Advantages are normalized once per update. A non-finite loss or gradient
     aborts before any parameter is touched by the offending minibatch.
     """
-    params, grads = stack.views[index], stack.grad_views[index]
-    row, grad_row = stack.rows[index], stack.grads[index]
+    params, grads, grad_row = stack.views[index], stack.grad_views[index], stack.grads[index]
     adv = batch.advantages
-    std = adv.std()
-    normalized = (adv - adv.mean()) / (std + 1e-8)
-    batch = batch._replace(advantages=normalized)
+    batch = batch._replace(advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
 
     count = len(batch.actions)
-    stats_acc: dict[str, float] = {"objective": 0.0, "value_loss": 0.0,
-                                   "entropy": 0.0, "clip_fraction": 0.0}
+    totals = dict.fromkeys(("objective", "value_loss", "entropy", "clip_fraction"), 0.0)
     minibatches = 0
     for _ in range(hyper.epochs):
         order = rng.permutation(count)
@@ -395,40 +419,9 @@ def ppo_update(stack: ParamStack, index: int, opt: AdamState, batch: TrainBatch,
                     f"non-finite update: objective={objective!r}, "
                     f"value_loss={stats['value_loss']!r}, batch size {len(indices)}"
                 )
-            opt.ascend(row, grad_row, hyper.learning_rate)
-            for key in stats_acc:
-                stats_acc[key] += stats[key]
+            stack.ascend(index, hyper.learning_rate)
+            for key in totals:
+                totals[key] += stats[key]
             minibatches += 1
-    for key in stats_acc:
-        stats_acc[key] /= max(minibatches, 1)
-    stats_acc["minibatches"] = minibatches
-    return stats_acc
-
-
-# ----------------------------------------------------------------------
-# checkpointing
-# ----------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, named_params: dict[str, NetParams]) -> None:
-    """Dump every tensor of every network to one .npz; bit-exact on reload."""
-    arrays = {"__version__": np.array([CHECKPOINT_VERSION])}
-    for name, params in named_params.items():
-        for tensor_name, tensor in params.tensors():
-            arrays[f"{name}/{tensor_name}"] = tensor
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> dict[str, NetParams]:
-    with np.load(path) as data:
-        version = int(data["__version__"][0])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        names = sorted({key.split("/")[0] for key in data.files if "/" in key})
-        return {
-            name: NetParams(**{t: data[f"{name}/{t}"]
-                               for t in ("w1", "b1", "wp", "bp", "wv", "bv")})
-            for name in names
-        }
+    return {**{key: total / max(minibatches, 1) for key, total in totals.items()},
+            "minibatches": minibatches}

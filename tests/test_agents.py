@@ -25,7 +25,9 @@ from marketsched.agents import (
 )
 from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
-from marketsched.neural import PPOHyper
+from marketsched.harness import builtin_scenarios
+from marketsched.neural import PPOHyper, TrainBatch, ppo_update
+from marketsched.rng import derive_rng
 
 from helpers import make_config, manual_config, place_job
 
@@ -359,3 +361,40 @@ class TestCheckpointing:
         AgentBundle(ARCH_DIST_PS, 0, cfg, PPOHyper(), seed=14).save(tmp_path / "x.npz")
         with pytest.raises(ValueError):
             AgentBundle(ARCH_FULL, 0, cfg, PPOHyper(), seed=14).load(tmp_path / "x.npz")
+
+    def test_loaded_bundle_trains_on_as_the_saved_one(self, tmp_path):
+        # the Adam moments and step counts travel with the weights, so the
+        # next update of a loaded bundle is the saved bundle's next update
+        scenario = builtin_scenarios()["EXP1_TRADING"]
+        saved = AgentBundle(ARCH_DIST_PS, 0, scenario.env, scenario.hyper, seed=3)
+        index = list(saved.params).index("accept")
+        rng = derive_rng(3, 0)
+        size = 64
+        batch = TrainBatch(
+            obs=rng.standard_normal((size, saved.params["accept"].in_width)),
+            actions=rng.integers(0, saved.params["accept"].action_count, size),
+            logp_old=np.full(size, -1.0), advantages=rng.standard_normal(size),
+            returns=rng.standard_normal(size))
+        ppo_update(saved.stack, index, batch, scenario.hyper, derive_rng(3, 1))
+        saved.save(tmp_path / "bundle.npz")
+        loaded = AgentBundle(ARCH_DIST_PS, 0, scenario.env, scenario.hyper, seed=4)
+        loaded.load(tmp_path / "bundle.npz")
+        for name in ("rows", "m", "v"):
+            assert np.array_equal(getattr(saved.stack, name), getattr(loaded.stack, name))
+        assert loaded.stack.steps == saved.stack.steps
+        for bundle in (saved, loaded):
+            ppo_update(bundle.stack, index, batch, scenario.hyper, derive_rng(3, 2))
+        assert saved.stack.rows.tobytes() == loaded.stack.rows.tobytes()
+
+    def test_mismatched_names_or_row_shape_rejected(self, tmp_path):
+        cfg = make_config()
+        bundle = AgentBundle(ARCH_DIST_PS, 0, cfg, PPOHyper(), seed=15)
+        before = bundle.stack.rows.tobytes()
+        bundle.stack.save(tmp_path / "names.npz", ["offer", "accept"])
+        wider = AgentBundle(ARCH_DIST_PS, 0, make_config(num_slots=4), PPOHyper(), seed=15)
+        wider.save(tmp_path / "shape.npz")
+        with pytest.raises(ValueError, match="parameter sets"):
+            bundle.load(tmp_path / "names.npz")
+        with pytest.raises(ValueError, match="checkpoint rows of shape"):
+            bundle.load(tmp_path / "shape.npz")
+        assert bundle.stack.rows.tobytes() == before

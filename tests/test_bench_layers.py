@@ -1,0 +1,49 @@
+"""Layer benches: the market step and the batched acting arithmetic.
+
+Deselected by default; run with ``python -m pytest -m bench``. Both use
+EXP2_ARCH_4X4. ``SchedulingEnv.step`` runs under the scripted policy with
+trading off, so no learner is involved; each round steps the same env on from
+where the last round left it. The acting bench is one batched ``forward`` and
+one ``sample_rows`` over every row of a ``DIST`` agent's stack, one row per
+unit, on fixed observations and draws.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from marketsched.agents import ARCH_DIST, AgentBundle
+from marketsched.baseline import scripted_actions
+from marketsched.env import SchedulingEnv
+from marketsched.harness import builtin_scenarios
+from marketsched.neural import forward, sample_rows
+from marketsched.rng import derive_rng
+
+pytestmark = pytest.mark.bench
+
+
+def test_bench_env_step(benchmark):
+    scenario = builtin_scenarios()["EXP2_ARCH_4X4"]
+    env = SchedulingEnv(replace(scenario.env, trading_enabled=False), seed=1)
+
+    def next_round():
+        return (scripted_actions(env),), {}
+
+    benchmark.pedantic(env.step, setup=next_round, rounds=5000, warmup_rounds=200)
+
+
+def test_bench_forward_and_sample(benchmark):
+    scenario = builtin_scenarios()["EXP2_ARCH_4X4"]
+    stack = AgentBundle(ARCH_DIST, 0, scenario.env, scenario.hyper, seed=1).stack
+    sets = np.arange(len(stack.rows))
+    rng = derive_rng(1, 0)
+    obs = rng.standard_normal((len(sets), stack.in_width))
+    u, last = rng.random(len(sets)), stack.last_action[sets]
+    assert len(sets) == 7
+
+    def act():
+        logits, values = forward(stack, obs, sets)
+        return sample_rows(logits, u, last), values
+
+    benchmark.pedantic(act, rounds=5000, warmup_rounds=200)

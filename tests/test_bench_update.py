@@ -2,10 +2,10 @@
 
 Deselected by default; run with ``python -m pytest -m bench``. Each round
 updates one parameter set of a fresh agent bundle on the same 256-sample
-window, from the same weights and a fresh optimizer: EXP1_TRADING's
-``DIST_PS`` accept set, where per-call overhead dominates, and
-EXP2_ARCH_2X2's ``FULL`` set, whose 1323-action head makes the update
-arithmetic-bound.
+window, from the same weights, with the set's Adam moments and step count
+reset: EXP1_TRADING's ``DIST_PS`` accept set, where per-call overhead
+dominates, and EXP2_ARCH_2X2's ``FULL`` set, whose 1323-action head makes
+the update arithmetic-bound.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from marketsched.agents import ARCH_DIST_PS, ARCH_FULL, AgentBundle
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import AdamState, TrainBatch, forward, ppo_update, sample
+from marketsched.neural import TrainBatch, forward, ppo_update, sample
 from marketsched.rng import derive_rng
 
 pytestmark = pytest.mark.bench
@@ -45,7 +45,8 @@ def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
 
     def fresh_round():
         stack.rows[...] = start
-        return (stack, index, AdamState(stack.rows.shape[1]), batch, hyper,
-                derive_rng(1, 1)), {}
+        stack.m[index] = stack.v[index] = 0.0
+        stack.steps[index] = 0
+        return (stack, index, batch, hyper, derive_rng(1, 1)), {}
 
     benchmark.pedantic(ppo_update, setup=fresh_round, rounds=50, warmup_rounds=3)

@@ -44,6 +44,14 @@ class TestSweep:
                      "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_workers_come_from_the_flag_only(self, tmp_path, monkeypatch):
+        # --workers is the only worker-count setting
+        monkeypatch.setenv("MARKETSCHED_WORKERS", "abc")
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--scenario", "BASE_DUO", "--seeds", "2",
+                       "--out", str(out), *FAST) == EXIT_OK
+        assert len(list(out.glob("BASE_DUO_seed*.csv"))) == 2
+
 
 class TestRun:
     def test_writes_csv_and_manifest(self, tmp_path):
@@ -192,6 +200,25 @@ class TestUsage:
 
     def test_missing_subcommand_is_an_error(self):
         assert run_cli() == EXIT_USAGE
+
+    @pytest.mark.parametrize("form", ["override", "file"])
+    def test_unknown_architecture_is_a_usage_error(self, form, tmp_path, capsys):
+        from marketsched.harness import builtin_scenarios
+
+        if form == "override":
+            argv = ["--scenario", "BASE_DUO", "--set", "arch=BOGUS"]
+        else:
+            data = builtin_scenarios()["BASE_DUO"].to_dict()
+            data["arch"] = ["DIST", "NOPE"]
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(data))
+            argv = ["--scenario", str(path)]
+        out = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert ("'BOGUS'" if form == "override" else "'NOPE'") in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "BASE_SINGLE", "--seed", "-1"],

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from marketsched.neural import (
-    AdamState,
     NetParams,
     NonFiniteLossError,
     ParamStack,
@@ -14,11 +13,9 @@ from marketsched.neural import (
     forward,
     gae,
     init_params,
-    load_checkpoint,
     log_softmax,
     ppo_update,
     sample,
-    save_checkpoint,
     surrogate_objective,
 )
 from marketsched.rng import derive_rng
@@ -202,11 +199,10 @@ class TestPpoUpdate:
     def test_tiny_learning_rate_barely_moves_parameters(self):
         stack = small_stack(seed=14)
         params = stack.views[0]
-        before = params.copy()
+        before = NetParams(*(t.copy() for _, t in params.tensors()))
         batch = make_batch(params, 64, seed=14)
         hyper = PPOHyper(learning_rate=1e-6)
-        ppo_update(stack, 0, AdamState(stack.rows.shape[1]), batch, hyper,
-                   derive_rng(14, 2))
+        ppo_update(stack, 0, batch, hyper, derive_rng(14, 2))
         for (_, now), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.max(np.abs(now - old)) < 1e-3
 
@@ -216,20 +212,18 @@ class TestPpoUpdate:
         batch = make_batch(params, 128, seed=15)
         hyper = PPOHyper(learning_rate=3e-3, epochs=8)
         before = gradient(params, batch, hyper, np.arange(128))[0]
-        ppo_update(stack, 0, AdamState(stack.rows.shape[1]), batch, hyper,
-                   derive_rng(15, 2))
+        ppo_update(stack, 0, batch, hyper, derive_rng(15, 2))
         after = gradient(params, batch, hyper, np.arange(128))[0]
         assert after > before
 
     def test_parameters_stay_finite_under_fuzz(self):
         stack = small_stack(seed=16)
         params = stack.views[0]
-        opt = AdamState(stack.rows.shape[1])
         rng = derive_rng(16, 3)
         hyper = PPOHyper(learning_rate=1e-2, epochs=1, minibatch_size=32)
         for _ in range(60):
             batch = make_batch(params, 32, seed=int(rng.integers(1 << 30)))
-            ppo_update(stack, 0, opt, batch, hyper, rng)
+            ppo_update(stack, 0, batch, hyper, rng)
             for _, tensor in params.tensors():
                 assert np.all(np.isfinite(tensor))
 
@@ -239,8 +233,7 @@ class TestPpoUpdate:
         batch = make_batch(params, 16, seed=17)
         batch = batch._replace(returns=np.full(16, np.nan))
         with pytest.raises(NonFiniteLossError):
-            ppo_update(stack, 0, AdamState(stack.rows.shape[1]), batch, PPOHyper(),
-                       derive_rng(17, 2))
+            ppo_update(stack, 0, batch, PPOHyper(), derive_rng(17, 2))
 
     @pytest.mark.parametrize("field", ["returns", "obs"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -254,8 +247,8 @@ class TestPpoUpdate:
         bad.flat[3] = np.inf
         before = stack.rows.tobytes()
         with pytest.raises(NonFiniteLossError):
-            ppo_update(stack, 0, AdamState(stack.rows.shape[1]),
-                       batch._replace(**{field: bad}), PPOHyper(), derive_rng(23, 2))
+            ppo_update(stack, 0, batch._replace(**{field: bad}), PPOHyper(),
+                       derive_rng(23, 2))
         assert stack.rows.tobytes() == before
 
 
@@ -271,16 +264,15 @@ class TestAdamRow:
     def test_in_place_step_matches_the_per_tensor_formula(self):
         stack = two_set_stack()
         rng = derive_rng(25, 0)
-        b1, b2, eps, lr = AdamState.beta1, AdamState.beta2, AdamState.eps, 1e-2
+        b1, b2, eps, lr = ParamStack.beta1, ParamStack.beta2, ParamStack.eps, 1e-2
         for i in range(2):
-            opt = AdamState(stack.rows.shape[1])
             ref = {name: t.copy() for name, t in stack.views[i].tensors()}
             m = {name: np.zeros(t.shape) for name, t in ref.items()}
             v = {name: np.zeros(t.shape) for name, t in ref.items()}
             for step in range(1, 21):
                 for _, g in stack.grad_views[i].tensors():
                     g[...] = rng.standard_normal(g.shape)
-                opt.ascend(stack.rows[i], stack.grads[i], lr)
+                stack.ascend(i, lr)
                 for name, g in stack.grad_views[i].tensors():
                     m[name] = b1 * m[name] + (1.0 - b1) * g
                     v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -300,19 +292,18 @@ class TestAdamRow:
         padding = ~np.isnan(probe.rows[1])
         assert np.isneginf(probe.rows[1][padding]).any()
         wide, narrow = stack.rows[0].copy(), stack.rows[1].copy()
-        opt = AdamState(stack.rows.shape[1])
         batch = make_batch(stack.views[1], 64, seed=26)
-        ppo_update(stack, 1, opt, batch, PPOHyper(learning_rate=1e-2), derive_rng(26, 2))
+        ppo_update(stack, 1, batch, PPOHyper(learning_rate=1e-2), derive_rng(26, 2))
         assert not np.array_equal(stack.rows[1][~padding], narrow[~padding])
         assert np.array_equal(stack.rows[1][padding], probe.rows[1][padding])
         assert np.array_equal(stack.rows[0], wide)
-        for padded in (stack.grads[1], opt.m, opt.v):
+        for padded in (stack.grads[1], stack.m[1], stack.v[1]):
             assert np.all(padded[padding] == 0.0)
 
 
 class TestRolloutBuffer:
     def test_fill_and_clear(self):
-        buf = RolloutBuffer(capacity=4)
+        buf = RolloutBuffer(capacity=4, width=2)
         for i in range(4):
             buf.add(np.zeros(2), i, -0.1, 0.0, 1.0)
         assert buf.full and len(buf) == 4
@@ -322,23 +313,36 @@ class TestRolloutBuffer:
         assert len(buf) == 0 and not buf.full
 
 
+def alpha_beta_stack(seed):
+    """Two networks of different input widths, with weights from ``seed``."""
+    stack = ParamStack([(4, 8, 3), (6, 8, 3)])
+    for i, params in enumerate(stack.views):
+        init_params(params, derive_rng(seed, i))
+    return stack
+
+
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
-        nets = {"alpha": small_net(seed=18), "beta": small_net(seed=19, in_width=6)}
+        saved = alpha_beta_stack(seed=18)
+        ppo_update(saved, 1, make_batch(saved.views[1], 64, seed=18), PPOHyper(),
+                   derive_rng(18, 2))
         path = tmp_path / "params.npz"
-        save_checkpoint(path, nets)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == {"alpha", "beta"}
-        for name, params in nets.items():
-            for (tname, tensor), (_, restored) in zip(params.tensors(),
-                                                      loaded[name].tensors()):
-                assert np.array_equal(tensor, restored), (name, tname)
+        saved.save(path, ["alpha", "beta"])
+        loaded = alpha_beta_stack(seed=19)
+        loaded.load(path, ["alpha", "beta"])
+        assert loaded.steps == saved.steps == [0, 4]
+        for name, a, b in (("rows", saved.rows, loaded.rows), ("m", saved.m, loaded.m),
+                           ("v", saved.v, loaded.v)):
+            assert a.tobytes() == b.tobytes(), name
+        for name, params, restored in zip(("alpha", "beta"), saved.views, loaded.views):
+            for (tname, tensor), (_, back) in zip(params.tensors(), restored.tensors()):
+                assert np.array_equal(tensor, back), (name, tname)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "params.npz"
-        np.savez(path, **{"__version__": np.array([999]), "x/w1": np.zeros(1)})
+        np.savez(path, **{"version": np.array(999), "names": np.array(["x"])})
         with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+            alpha_beta_stack(seed=20).load(path, ["alpha", "beta"])
 
 
 def test_hyper_validation():
