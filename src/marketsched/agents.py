@@ -10,16 +10,15 @@ folds them all into one. Mixed-radix arithmetic turns a unit's action into one
 digit per position, so a distributed unit is the one-digit case.
 
 A bundle keeps all its parameter sets in one ``ParamStack``, and an agent acts
-in one batched pass per step whatever its architecture. Every unit with a live
-position (accept m when trading is on and the agent owns core m; every offer)
-writes its observation into one row of a (units, width) array, one
-``forward`` runs over all rows with each row's parameter set, and one
-vectorized inverse-CDF step turns one uniform draw per unit, taken from that
-unit's own sample stream, into its action; a pass of one row (``FULL``'s
-always) runs the unit's own network and ``sample``, which draw the same
-action without the batching's set-up. Live positions take their digits, the
-others are dropped. Price setters follow in a second pass over the offers just
-made, since what they see depends on the offer's target core.
+in one batched pass per step whatever its architecture and however many rows
+the pass has (``FULL``'s has one). Every unit with a live position (accept m
+when trading is on and the agent owns core m; every offer) writes its
+observation into one row of a (units, width) array, one ``forward`` runs over
+all rows with each row's parameter set, and one vectorized inverse-CDF step
+turns one uniform draw per unit, taken from that unit's own sample stream,
+into its action. Live positions take their digits, the others are dropped.
+Price setters follow in a second pass over the offers just made, since what
+they see depends on the offer's target core.
 
 Update-order contract: the pass does exactly what acting one unit at a time
 in row order would. Each unit's bookkeeping runs in row order, and when a
@@ -47,7 +46,6 @@ from .neural import (
     forward,
     init_params,
     ppo_update,
-    sample,
     sample_rows,
 )
 from .obs import (
@@ -143,7 +141,7 @@ def unit_layout(arch: str, config: EnvConfig) -> list[UnitSpec]:
         kinds = [kind for kind, _ in positions]
         offers = kinds.count("offer")
         obs_width = (kinds.count("accept") * acceptor_obs_len(n, k)
-                     + (offer_obs_len(m, offers, single_slot=False) if offers else 0)
+                     + (offer_obs_len(m, offers) if offers else 0)
                      + kinds.count("price") * PRICE_OBS_LEN)
         return UnitSpec(key, tuple(positions), tuple(radix[kind] for kind in kinds),
                         obs_width, hidden_width, param_key)
@@ -185,7 +183,6 @@ class ActingUnit:
         self.spec = spec
         self.stack = stack
         self.param_set = param_set  # index of params in the bundle's ParamStack
-        self.params = stack.views[param_set]
         self.hyper = hyper
         self.sample_rng = sample_rng
         self.update_rng = update_rng
@@ -367,23 +364,15 @@ class AgentBundle:
     def _act_rows(self, units: list[ActingUnit], obs: np.ndarray,
                   made_at: int | None = None) -> list[int]:
         """Act for ``units[i]`` on row i of ``obs``: one forward over all rows,
-        one draw per unit, then each unit's bookkeeping in row order. A
-        single row runs its unit's own network and ``sample``, which draw the
-        same action without the batching's set-up. With ``made_at`` the units
-        are price setters and their decisions are held pending instead of
-        recorded."""
-        if len(units) == 1:
-            unit = units[0]
-            logits, value = forward(unit.params, obs[0, :unit.spec.obs_width])
-            action, logp = sample(logits, unit.sample_rng)
-            actions, logps, values = [action], [logp], [value]
-        else:
-            sets = np.array([unit.param_set for unit in units])
-            u = np.array([unit.sample_rng.random() for unit in units])
-            last = self.stack.last_action[sets]
-            logits, values = forward(self.stack, obs, sets)
-            actions, logps = sample_rows(logits, u, last)
-            actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
+        one draw per unit, then each unit's bookkeeping in row order. With
+        ``made_at`` the units are price setters and their decisions are held
+        pending instead of recorded."""
+        sets = np.array([unit.param_set for unit in units])
+        u = np.array([unit.sample_rng.random() for unit in units])
+        last = self.stack.last_action[sets]
+        logits, values = forward(self.stack, obs, sets)
+        actions, logps = sample_rows(logits, u, last)
+        actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
         for r, unit in enumerate(units):
             row = obs[r, :unit.spec.obs_width]
             if made_at is not None:

@@ -12,6 +12,13 @@ class ConfigError(ValueError):
     """Raised when a configuration violates one of its declared constraints."""
 
 
+def whole_number(value: Any, name: str) -> int:
+    """``value`` as an int; a bool, a non-number or a fraction is a ConfigError."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
 class PricingMode(str, Enum):
     FIXED = "FIXED"
     FREE_COMMERCIAL = "FREE_COMMERCIAL"
@@ -105,15 +112,7 @@ class EnvConfig:
             "num_agents": self.num_agents,
             "num_cores": self.num_cores,
             "num_slots": self.num_slots,
-            "job_types": [
-                {
-                    "id": t.id,
-                    "priority": t.priority,
-                    "burst": t.burst,
-                    "spawn_prob": t.spawn_prob,
-                }
-                for t in self.job_types
-            ],
+            "job_types": [dict(vars(t)) for t in self.job_types],
             "pricing_mode": self.pricing_mode.value,
             "trading_enabled": self.trading_enabled,
             "guard_threshold": self.guard_threshold,
@@ -121,22 +120,26 @@ class EnvConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EnvConfig":
+        trading = data.get("trading_enabled", True)
+        if not isinstance(trading, bool):
+            raise ConfigError(f"trading_enabled must be true or false, got {trading!r}")
         cfg = cls(
-            num_agents=int(data["num_agents"]),
-            num_cores=int(data["num_cores"]),
-            num_slots=int(data["num_slots"]),
+            num_agents=whole_number(data["num_agents"], "num_agents"),
+            num_cores=whole_number(data["num_cores"], "num_cores"),
+            num_slots=whole_number(data["num_slots"], "num_slots"),
             job_types=tuple(
                 JobType(
-                    id=int(t["id"]),
-                    priority=int(t["priority"]),
-                    burst=int(t["burst"]),
+                    id=whole_number(t["id"], "job type id"),
+                    priority=whole_number(t["priority"], "job type priority"),
+                    burst=whole_number(t["burst"], "job type burst"),
                     spawn_prob=float(t["spawn_prob"]),
                 )
                 for t in data["job_types"]
             ),
             pricing_mode=PricingMode(data.get("pricing_mode", "FIXED")),
-            trading_enabled=bool(data.get("trading_enabled", True)),
-            guard_threshold=int(data.get("guard_threshold", 1_000_000)),
+            trading_enabled=trading,
+            guard_threshold=whole_number(data.get("guard_threshold", 1_000_000),
+                                         "guard_threshold"),
         )
         cfg.validate()
         return cfg

@@ -24,7 +24,7 @@ import numpy as np
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, AgentBundle,
                      Trainer)
 from .baseline import scripted_actions
-from .config import ConfigError, EnvConfig, JobType, PricingMode
+from .config import ConfigError, EnvConfig, JobType, PricingMode, whole_number
 from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
 from .neural import PPOHyper
 
@@ -86,10 +86,10 @@ class Scenario:
             env=EnvConfig.from_dict(data["env"]),
             arch=tuple(arch) if isinstance(arch, list) else str(arch),
             hyper=PPOHyper.from_dict(data.get("hyper", {})),
-            total_steps=int(data.get("total_steps", 50_000)),
-            window=int(data.get("window", 500)),
-            record_every=int(data.get("record_every", 100)),
-            seeds=tuple(int(s) for s in data.get("seeds", (1, 2, 3, 4, 5))),
+            total_steps=whole_number(data.get("total_steps", 50_000), "total_steps"),
+            window=whole_number(data.get("window", 500), "window"),
+            record_every=whole_number(data.get("record_every", 100), "record_every"),
+            seeds=tuple(whole_number(s, "seed") for s in data.get("seeds", (1, 2, 3, 4, 5))),
         )
         scenario.validate()
         return scenario

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import prod
+from math import isfinite, prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
+
+from .config import whole_number
 
 
 CHECKPOINT_VERSION = 2
@@ -42,7 +44,15 @@ class PPOHyper:
     value_coef: float = 0.5
     rollout_length: int = 256
 
+    integer_fields = ("rollout_length", "minibatch_size", "epochs")
+
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if name in self.integer_fields:
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            elif type(value) not in (int, float) or not isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -51,23 +61,18 @@ class PPOHyper:
             raise ValueError(f"clip must be > 0, got {self.clip}")
         if self.rollout_length < 1 or self.minibatch_size < 1 or self.epochs < 1:
             raise ValueError("rollout_length, minibatch_size and epochs must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.entropy_coef < 0.0 or self.value_coef < 0.0:
+            raise ValueError("entropy_coef and value_coef must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "discount": self.discount,
-            "gae_lambda": self.gae_lambda,
-            "clip": self.clip,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "minibatch_size": self.minibatch_size,
-            "entropy_coef": self.entropy_coef,
-            "value_coef": self.value_coef,
-            "rollout_length": self.rollout_length,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PPOHyper":
-        hyper = cls(**{k: data[k] for k in cls().to_dict() if k in data})
+        hyper = cls(**{k: whole_number(data[k], k) if k in cls.integer_fields else data[k]
+                       for k in cls().to_dict() if k in data})
         hyper.validate()
         return hyper
 
@@ -105,7 +110,7 @@ class ParamStack:
     ``w1``, ``b1``, ``head`` and ``head_bias`` view those blocks of every row,
     and ``views[i]`` is network i as a NetParams of views into its unpadded
     part, so an in-place update of a view or row (an Adam step, a checkpoint
-    load) is what the batched ``forward`` reads next. ``grads`` has the same
+    load) is what ``forward`` reads next. ``grads`` has the same
     layout, and ``grad_views`` the same views into it. ``head`` holds one row
     of hidden weights per output, the policy's actions first and the value
     last, so one product yields logits and value; ``wp`` is the transpose of
@@ -202,28 +207,20 @@ def init_params(params: NetParams, rng: np.random.Generator) -> None:
     _orthogonal(params.wv[:, None], 1.0, rng)
 
 
-def forward(params: NetParams | ParamStack, obs: np.ndarray,
-            sets: np.ndarray | None = None):
-    """Policy logits and value estimate.
-
-    With a NetParams and one observation vector: (logits, value). With a
-    ParamStack, one observation per row of ``obs`` and ``sets`` naming each
-    row's network: (logits, values), row by row, with -inf logits on the
-    padded actions of networks narrower than the stack.
-    """
-    if sets is not None:
-        h = np.tanh(np.matmul(obs[:, None, :], params.w1.take(sets, axis=0))[:, 0]
-                    + params.b1.take(sets, axis=0))
-        out = (np.matmul(params.head.take(sets, axis=0), h[:, :, None])[:, :, 0]
-               + params.head_bias.take(sets, axis=0))
-        return out[:, :-1], out[:, -1]
-    if obs.shape != (params.in_width,):
-        raise ValueError(f"observation shape {obs.shape} does not match input width "
-                         f"{params.in_width}")
-    h = np.tanh(obs @ params.w1 + params.b1)
-    logits = h @ params.wp + params.bp
-    value = float(h @ params.wv + params.bv[0])
-    return logits, value
+def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
+    """Policy logits and value estimates, one observation per row of ``obs``
+    and ``sets`` naming each row's network: (logits, values), row by row,
+    with -inf logits on the padded actions of networks narrower than the
+    stack."""
+    # a stack of one set (FULL's, with the large head) broadcasts its blocks
+    # over the rows instead of copying them for each row: the same products
+    w1, b1, head, head_bias = stack.w1, stack.b1, stack.head, stack.head_bias
+    if len(stack.rows) > 1:
+        w1, b1, head, head_bias = (w1.take(sets, axis=0), b1.take(sets, axis=0),
+                                   head.take(sets, axis=0), head_bias.take(sets, axis=0))
+    h = np.tanh(np.matmul(obs[:, None, :], w1)[:, 0] + b1)
+    out = np.matmul(head, h[:, :, None])[:, :, 0] + head_bias
+    return out[:, :-1], out[:, -1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -231,22 +228,13 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def sample(logits: np.ndarray, rng: np.random.Generator) -> tuple[int, float]:
-    """Draw an action from softmax(logits); reproducible given the stream state."""
-    logp = log_softmax(logits)
-    cumulative = np.cumsum(np.exp(logp))
-    u = rng.random()
-    action = int(np.searchsorted(cumulative, u, side="right"))
-    action = min(action, logits.shape[0] - 1)
-    return action, float(logp[action])
-
-
 def sample_rows(logits: np.ndarray, u: np.ndarray, last: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """``sample`` for every row of ``logits`` at once, given each row's
-    uniform draw ``u`` and last valid action ``last``. It is the same
-    inverse-CDF rule, so a row draws what ``sample`` draws from the same
-    ``u`` up to float rounding."""
+    """Draw one action per row of ``logits`` from its softmax by inverse
+    CDF: row i's action is the number of cumulative probabilities at or
+    below its uniform draw ``u[i]``, capped at its last valid action
+    ``last[i]``. Returns the actions and their log-probabilities; the same
+    draws give the same actions."""
     logp = log_softmax(logits)
     cumulative = np.cumsum(np.exp(logp), axis=1)
     actions = np.minimum((cumulative <= u[:, None]).sum(axis=1), last)

@@ -5,9 +5,8 @@ the maximum burst. Empty positions are zero-filled and carry a validity flag
 of 0, so every layout has a fixed length that depends only on the config.
 
 The ``fill_*`` writers put observations straight into rows of a caller's
-zeroed array, so one agent's acting units can share one (units, width)
-array per step; the ``encode_*`` functions return one vector each and are
-built from the same writers.
+zeroed array, so one agent's acting units share one (units, width) array
+per acting pass, whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ def acceptor_obs_len(num_agents: int, num_slots: int) -> int:
     return 3 + 4 * num_agents * num_slots
 
 
-def offer_obs_len(num_cores: int, num_slots: int, single_slot: bool) -> int:
-    return 3 * num_cores + (3 if single_slot else 3 * num_slots)
+def offer_obs_len(num_cores: int, num_slots: int) -> int:
+    return 3 * num_cores + 3 * num_slots
 
 
 PRICE_OBS_LEN = 4
@@ -106,34 +105,3 @@ def fill_price_rows(env: SchedulingEnv, agent: int, targets: list[tuple[int, int
         if running is not None:
             row[2] = running.priority / max_prio
             row[3] = running.remaining_burst / max_burst
-
-
-def encode_acceptor_obs(env: SchedulingEnv, agent: int, core: int) -> np.ndarray:
-    """Core job state, an ownership flag, and the offer grid for this core
-    (layout in ``fill_acceptor_rows``)."""
-    cfg = env.config
-    vec = np.zeros(acceptor_obs_len(cfg.num_agents, cfg.num_slots))
-    fill_acceptor_rows(env, core_block(env, agent), [core], vec[None])
-    return vec
-
-
-def encode_offer_obs(env: SchedulingEnv, agent: int, slot: int | None) -> np.ndarray:
-    """Per-core job states plus the agent's slot state(s).
-
-    With a slot index the vector covers that single slot (distributed
-    layout); with ``slot=None`` all of the agent's slots are concatenated
-    (aggregated layouts).
-    """
-    cfg = env.config
-    single = slot is not None
-    vec = np.zeros(offer_obs_len(cfg.num_cores, cfg.num_slots, single))
-    fill_offer_rows(env, agent, core_block(env, agent),
-                    (slot,) if single else range(cfg.num_slots), vec[None])
-    return vec
-
-
-def encode_price_obs(env: SchedulingEnv, agent: int, slot: int, target_core: int) -> np.ndarray:
-    """What a price setter sees: its job and the targeted core's job."""
-    vec = np.zeros(PRICE_OBS_LEN)
-    fill_price_rows(env, agent, [(slot, target_core)], vec[None])
-    return vec

@@ -290,7 +290,8 @@ class TestTraining:
         assert bundle.units[("offer", 0)].updates + bundle.units[("offer", 1)].updates > 0
         for kind, count in (("accept", cfg.num_cores), ("offer", cfg.num_slots)):
             tensors = [
-                dict(bundle.units[(kind, i)].params.tensors()) for i in range(count)
+                dict(bundle.stack.views[bundle.units[(kind, i)].param_set].tensors())
+                for i in range(count)
             ]
             for other in tensors[1:]:
                 for name in tensors[0]:
@@ -310,7 +311,7 @@ class TestTraining:
                 result = trainer.step()
                 trace.append((len(result.trades), result.auctioneer_income,
                               tuple(sorted((t.buyer, t.price) for t in result.trades))))
-            params = [dict(b.units[key].params.tensors())
+            params = [dict(b.stack.views[b.units[key].param_set].tensors())
                       for b in bundles for key in b.units]
             return trace, params
 

@@ -26,15 +26,17 @@ from marketsched.agents import (
 )
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
-from marketsched.neural import PPOHyper, forward, sample
-from marketsched.obs import (
-    acceptor_obs_len,
+from marketsched.neural import PPOHyper
+from marketsched.obs import acceptor_obs_len
+
+from helpers import make_config
+from reference import (
     encode_acceptor_obs,
     encode_offer_obs,
     encode_price_obs,
+    forward,
+    sample,
 )
-
-from helpers import make_config
 
 HYPER = PPOHyper(rollout_length=4, minibatch_size=2, epochs=2)
 STEPS = 80
@@ -59,7 +61,7 @@ def act_unit_by_unit(bundle, env, joint):
         if not spec.slots and not owned & set(spec.cores):
             continue  # price setters, and acceptors of cores the agent does not own
         obs = reference_obs(env, a, spec)
-        logits, value = forward(unit.params, obs)
+        logits, value = forward(bundle.stack.views[unit.param_set], obs)
         action, logp = sample(logits, unit.sample_rng)
         unit.record(obs, action, logp, value)
         for (kind, i), digit in zip(spec.positions,
@@ -78,7 +80,7 @@ def act_price(bundle, env, joint, k):
             and choice > 0 and env.slots[a][k] is not None):
         unit = bundle.units[("price", k)]
         obs = encode_price_obs(env, a, k, choice - 1)
-        logits, value = forward(unit.params, obs)
+        logits, value = forward(bundle.stack.views[unit.param_set], obs)
         price, logp = sample(logits, unit.sample_rng)
         unit.hold_price(env.time, obs, price, logp, value)
         joint.prices[(a, k)] = price
@@ -134,9 +136,9 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     forward_calls = []
     real_forward = agents.forward
 
-    def counting_forward(params, obs, sets=None):
-        forward_calls.append(len(obs) if sets is not None else 1)
-        return real_forward(params, obs, sets)
+    def counting_forward(stack, obs, sets):
+        forward_calls.append(len(obs))
+        return real_forward(stack, obs, sets)
 
     monkeypatch.setattr(agents, "forward", counting_forward)
     passes = 0

@@ -13,8 +13,10 @@ import pytest
 
 from marketsched.agents import ARCH_DIST_PS, ARCH_FULL, AgentBundle
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import TrainBatch, forward, ppo_update, sample
+from marketsched.neural import TrainBatch, ppo_update
 from marketsched.rng import derive_rng
+
+from reference import forward, sample
 
 pytestmark = pytest.mark.bench
 
@@ -40,7 +42,7 @@ def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
     bundle = AgentBundle(arch, 0, scenario.env, hyper, seed=1)
     unit = next(u for u in bundle.units.values() if u.spec.param_key == param_key)
     stack, index = bundle.stack, unit.param_set
-    batch = window(unit.params, hyper.rollout_length, derive_rng(1, 0))
+    batch = window(stack.views[index], hyper.rollout_length, derive_rng(1, 0))
     start = stack.rows.copy()
 
     def fresh_round():

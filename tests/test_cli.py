@@ -20,6 +20,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def assert_override_is_a_usage_error(override, tmp_path, capsys):
+    """``run --set override`` exits 2 with one ``error:`` line naming the
+    field, and writes nothing."""
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", "BASE_DUO", *FAST, "--set", override]
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert override.split("=")[0].split(".")[-1] in captured.err
+
+
 class TestSweep:
     def test_artifact_count(self, tmp_path):
         out = tmp_path / "o"
@@ -219,6 +231,21 @@ class TestUsage:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert ("'BOGUS'" if form == "override" else "'NOPE'") in captured.err
+
+    @pytest.mark.parametrize("override", [
+        "env.trading_enabled=False", 'env.trading_enabled="false"', "env.trading_enabled=1",
+        "env.num_slots=2.5", "env.job_types.0.burst=1.5", "env.guard_threshold=true",
+        "total_steps=300.5",
+    ])
+    def test_env_values_are_type_checked(self, override, tmp_path, capsys):
+        assert_override_is_a_usage_error(override, tmp_path, capsys)
+
+    @pytest.mark.parametrize("override", [
+        "hyper.learning_rate=abc", "hyper.epochs=1.5", "hyper.entropy_coef=null",
+        "hyper.learning_rate=-1", "hyper.value_coef=-0.5",
+    ])
+    def test_hyper_values_are_type_checked(self, override, tmp_path, capsys):
+        assert_override_is_a_usage_error(override, tmp_path, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "BASE_SINGLE", "--seed", "-1"],

@@ -112,6 +112,14 @@ class TestRunScenario:
         parallel = run_sweep(scenario, seeds=[1, 2], workers=2, policy="scripted")
         assert serial == parallel
 
+    def test_learned_sweep_workers_agree_with_serial(self):
+        base = builtin_scenarios()["EXP1_TRADING"]
+        scenario = replace(base, total_steps=600, window=100,
+                           hyper=replace(base.hyper, rollout_length=64))
+        serial = run_sweep(scenario, seeds=[1, 2], workers=1)
+        parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
+        assert serial == parallel
+
 
 class TestCsv:
     def test_export_import_roundtrip(self, tmp_path):

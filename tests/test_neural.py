@@ -15,10 +15,12 @@ from marketsched.neural import (
     init_params,
     log_softmax,
     ppo_update,
-    sample,
+    sample_rows,
     surrogate_objective,
 )
 from marketsched.rng import derive_rng
+
+from reference import forward as unit_forward
 
 
 def small_stack(seed=0, in_width=4, hidden=8, actions=3):
@@ -41,60 +43,75 @@ def gradient(params, batch, hyper, indices):
     return objective, dict(grads.tensors()), stats
 
 
+def draw(logits, rng):
+    """One ``sample_rows`` draw from 1-D ``logits``: (action, logp)."""
+    actions, logps = sample_rows(logits[None], np.array([rng.random()]),
+                                 np.array([len(logits) - 1]))
+    return int(actions[0]), float(logps[0])
+
+
 class TestForward:
     def test_zero_weights_give_uniform_policy_and_zero_value(self):
-        params = small_net()
-        for _, tensor in params.tensors():
+        stack = small_stack()
+        for _, tensor in stack.views[0].tensors():
             tensor[...] = 0.0
-        logits, value = forward(params, np.ones(4))
+        logits, value = forward(stack, np.ones((1, 4)), np.array([0]))
         assert np.all(logits == 0.0)
         assert value == 0.0
 
     def test_deterministic(self):
-        params = small_net()
-        obs = derive_rng(1, 0).standard_normal(4)
-        logits_a, value_a = forward(params, obs)
-        logits_b, value_b = forward(params, obs)
+        stack = small_stack()
+        obs = derive_rng(1, 0).standard_normal((1, 4))
+        logits_a, value_a = forward(stack, obs, np.array([0]))
+        logits_b, value_b = forward(stack, obs, np.array([0]))
         assert np.array_equal(logits_a, logits_b) and value_a == value_b
 
     def test_softmax_normalization(self):
-        params = small_net()
-        logits, _ = forward(params, np.ones(4) * 0.3)
+        logits, _ = forward(small_stack(), np.ones((1, 4)) * 0.3, np.array([0]))
         probs = np.exp(log_softmax(logits))
         assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            forward(small_net(), np.ones(5))
+            forward(small_stack(), np.ones((1, 5)), np.array([0]))
+
+    def test_one_set_stack_matches_a_gathered_stack(self):
+        # one set broadcasts its blocks over the rows, two sets gather them
+        # per row: the products, and so the outputs, are the same
+        one = small_stack(seed=3)
+        two = ParamStack([(4, 8, 3), (4, 8, 3)])
+        two.rows[...] = one.rows[0]
+        obs = derive_rng(3, 1).standard_normal((5, 4))
+        for got, want in zip(forward(one, obs, np.zeros(5, dtype=int)),
+                             forward(two, obs, np.array([0, 1, 1, 0, 1]))):
+            assert np.array_equal(got, want)
 
 
 class TestSample:
     def test_near_degenerate_distribution(self):
         rng = derive_rng(2, 0)
         logits = np.array([30.0, -30.0])
-        draws = [sample(logits, rng)[0] for _ in range(10_000)]
+        draws = [draw(logits, rng)[0] for _ in range(10_000)]
         assert np.mean(np.array(draws) == 0) >= 0.999
 
     def test_uniform_frequencies_within_three_sigma(self):
         rng = derive_rng(3, 0)
         n, k = 100_000, 4
-        counts = np.zeros(k)
-        for _ in range(n):
-            action, _ = sample(np.zeros(k), rng)
-            counts[action] += 1
+        actions, _ = sample_rows(np.zeros((n, k)), rng.random(n), np.full(n, k - 1))
+        counts = np.bincount(actions, minlength=k)
         p = 1 / k
         sigma = np.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) <= 3 * sigma)
 
     def test_reproducible_given_stream_state(self):
         logits = np.array([0.3, -0.2, 1.1])
-        a = [sample(logits, derive_rng(4, 0))[0] for _ in range(10)]
-        b = [sample(logits, derive_rng(4, 0))[0] for _ in range(10)]
+        a = [draw(logits, derive_rng(4, 0))[0] for _ in range(10)]
+        b = [draw(logits, derive_rng(4, 0))[0] for _ in range(10)]
         assert a == b
 
     def test_logp_matches_drawn_action(self):
         logits = np.array([0.5, -1.0, 2.0])
-        action, logp = sample(logits, derive_rng(5, 0))
+        action, logp = draw(logits, derive_rng(5, 0))
         assert logp == pytest.approx(log_softmax(logits)[action])
 
 
@@ -134,7 +151,7 @@ def make_batch(params, n, seed=7, jitter=0.05):
     obs = rng.standard_normal((n, params.in_width))
     acts = rng.integers(0, params.action_count, n)
     logp_old = np.array(
-        [log_softmax(forward(params, o)[0])[a] for o, a in zip(obs, acts)])
+        [log_softmax(unit_forward(params, o)[0])[a] for o, a in zip(obs, acts)])
     logp_old += rng.uniform(-jitter, jitter, n)
     adv = rng.standard_normal(n)
     ret = rng.standard_normal(n)
@@ -175,7 +192,7 @@ class TestGradients:
         obs = rng.standard_normal((n, 4))
         acts = rng.integers(0, 3, n)
         logp_now = np.array(
-            [log_softmax(forward(params, o)[0])[a] for o, a in zip(obs, acts)])
+            [log_softmax(unit_forward(params, o)[0])[a] for o, a in zip(obs, acts)])
         batch = TrainBatch(obs, np.asarray(acts, dtype=np.intp),
                            logp_now - 2.0, np.ones(n), np.zeros(n))
         hyper = PPOHyper(entropy_coef=0.0, value_coef=0.0)
@@ -352,4 +369,12 @@ def test_hyper_validation():
         PPOHyper(gae_lambda=1.5).validate()
     with pytest.raises(ValueError):
         PPOHyper(clip=0.0).validate()
+    for bad in (dict(learning_rate="abc"), dict(learning_rate=None),
+                dict(learning_rate=True), dict(discount=float("nan")),
+                dict(clip=float("inf")), dict(value_coef=float("nan")),
+                dict(epochs=1.5), dict(minibatch_size=8.0), dict(rollout_length="64"),
+                dict(entropy_coef=None), dict(learning_rate=-1.0), dict(learning_rate=0.0),
+                dict(entropy_coef=-0.01), dict(value_coef=-0.5)):
+        with pytest.raises(ValueError):
+            PPOHyper(**bad).validate()
     PPOHyper().validate()
