@@ -402,8 +402,7 @@ class AgentBundle:
         self.stack.load(path, list(self.params))
 
 
-@dataclass(frozen=True)
-class UnitReward:
+class UnitReward(NamedTuple):
     unit: UnitKey
     timestep: int
     reward: float

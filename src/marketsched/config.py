@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 from typing import Any
 
 
@@ -17,6 +18,28 @@ def whole_number(value: Any, name: str) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
+def finite_number(value: Any, name: str) -> float:
+    """``value`` as a float; a bool, a non-number, NaN or infinity is a ConfigError."""
+    if type(value) in (int, float) and isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_keys(cls: type, data: Any, where: str, optional: tuple[str, ...] = ()) -> None:
+    """Raise ConfigError unless ``data`` is a dict whose keys all name fields
+    of the dataclass ``cls`` and include each one without a default that
+    ``optional`` does not list."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    declared = cls.__dataclass_fields__
+    unknown = [key for key in data if key not in declared]
+    missing = [name for name, f in declared.items() if f.default is MISSING is f.default_factory
+               and name not in optional and name not in data]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"{where}: {problem} field {keys[0]!r}")
 
 
 class PricingMode(str, Enum):
@@ -120,6 +143,11 @@ class EnvConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EnvConfig":
+        check_keys(cls, data, "env")
+        if not isinstance(data["job_types"], list):
+            raise ConfigError(f"env.job_types must be a list, got {data['job_types']!r}")
+        for i, t in enumerate(data["job_types"]):
+            check_keys(JobType, t, f"env.job_types.{i}")
         trading = data.get("trading_enabled", True)
         if not isinstance(trading, bool):
             raise ConfigError(f"trading_enabled must be true or false, got {trading!r}")
@@ -132,7 +160,7 @@ class EnvConfig:
                     id=whole_number(t["id"], "job type id"),
                     priority=whole_number(t["priority"], "job type priority"),
                     burst=whole_number(t["burst"], "job type burst"),
-                    spawn_prob=float(t["spawn_prob"]),
+                    spawn_prob=finite_number(t["spawn_prob"], "job type spawn_prob"),
                 )
                 for t in data["job_types"]
             ),

@@ -55,15 +55,12 @@ class Core:
     chain: list[ChainEntry] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(NamedTuple):
     """A one-step-valid proposal to run a slot job on a specific core."""
 
-    uid: int
     agent: int
     slot: int
     job_uid: int
-    job_type_id: int
     job_priority: int
     target_core: int
     price: int
@@ -95,18 +92,8 @@ class TradeRecord(NamedTuple):
     job_type_id: int
     job_priority: int
     source_slot: int
-    offer_uid: int
     made_at: int
     by_auctioneer: bool
-
-
-def _trade_record(core: Core, offer: Offer, job: Job, seller: int) -> TradeRecord:
-    """The record of ``offer``'s job moving onto ``core``, sold by ``seller``."""
-    return TradeRecord(
-        core=core.index, buyer=offer.agent, seller=seller, price=offer.price,
-        job_uid=job.uid, job_type_id=job.type_id, job_priority=job.priority,
-        source_slot=offer.slot, offer_uid=offer.uid, made_at=offer.made_at,
-        by_auctioneer=seller == AUCTIONEER)
 
 
 class CompletionRecord(NamedTuple):
@@ -126,13 +113,11 @@ class SettlementRecord(NamedTuple):
     payouts: dict[int, int]
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     time: int
     trades: list[TradeRecord]
     completions: list[CompletionRecord]
     settlements: list[SettlementRecord]
-    registered_offers: list[Offer]
     auctioneer_income: int
     voided_acceptances: int
 
@@ -189,7 +174,6 @@ class SchedulingEnv:
         self.time = 0
         self._spawn_rng = derive_rng(seed, STREAM_ENV_SPAWN)
         self._next_job_uid = 0
-        self._next_offer_uid = 0
         self.cores = [Core(index=m) for m in range(config.num_cores)]
         self.slots: list[list[Job | None]] = [
             [None] * config.num_slots for _ in range(config.num_agents)
@@ -269,11 +253,7 @@ class SchedulingEnv:
             if best is None:
                 continue
             _, offer, job = best
-            self.slots[offer.agent][offer.slot] = None
-            core.job = job
-            core.owner = offer.agent
-            core.chain = [ChainEntry(buyer=offer.agent, seller=AUCTIONEER, price=offer.price)]
-            trades.append(_trade_record(core, offer, job, AUCTIONEER))
+            trades.append(self._move(core, offer, job))
 
         # (3) offer book cleared; unaccepted offers expire
         self._offer_book.clear()
@@ -293,18 +273,10 @@ class SchedulingEnv:
                 continue
             payouts = settle_chain(core.chain, job.priority, core.owner)
             turnaround = self.time - job.arrival_time
-            completions.append(
-                CompletionRecord(
-                    job_uid=job.uid,
-                    type_id=job.type_id,
-                    priority=job.priority,
-                    core=core.index,
-                    arrival_time=job.arrival_time,
-                    completed_at=self.time,
-                    turnaround=turnaround,
-                    normalized_turnaround=turnaround / job.burst,
-                )
-            )
+            completions.append(CompletionRecord(
+                job_uid=job.uid, type_id=job.type_id, priority=job.priority, core=core.index,
+                arrival_time=job.arrival_time, completed_at=self.time, turnaround=turnaround,
+                normalized_turnaround=turnaround / job.burst))
             settlements.append(SettlementRecord(core=core.index, job_uid=job.uid, payouts=payouts))
             income += payouts.get(AUCTIONEER, 0)
             core.job = None
@@ -312,7 +284,6 @@ class SchedulingEnv:
             core.chain = []
 
         # (6) register this step's offers for resolution at t + 1
-        registered: list[Offer] = []
         for agent, slot in sorted(actions.offers):
             choice = actions.offers[(agent, slot)]
             if choice <= 0:
@@ -328,35 +299,18 @@ class SchedulingEnv:
                 price = max(0, min(int(price), self.config.max_prio))
             else:
                 price = job.priority
-            offer = Offer(
-                uid=self._next_offer_uid,
-                agent=agent,
-                slot=slot,
-                job_uid=job.uid,
-                job_type_id=job.type_id,
-                job_priority=job.priority,
-                target_core=target,
-                price=price,
-                time_to_payment=job.remaining_burst,
-                made_at=self.time,
-            )
-            self._next_offer_uid += 1
-            self._offer_book[(target, agent, slot)] = offer
-            registered.append(offer)
+            self._offer_book[(target, agent, slot)] = Offer(
+                agent=agent, slot=slot, job_uid=job.uid, job_priority=job.priority,
+                target_core=target, price=price, time_to_payment=job.remaining_burst,
+                made_at=self.time)
 
         # (7) spawn into empty slots; new jobs are first actionable next step
         self._fill_empty_slots(arrival_time=self.time + 1)
 
         # (8) advance
         result = StepResult(
-            time=self.time,
-            trades=trades,
-            completions=completions,
-            settlements=settlements,
-            registered_offers=registered,
-            auctioneer_income=income,
-            voided_acceptances=voided,
-        )
+            time=self.time, trades=trades, completions=completions, settlements=settlements,
+            auctioneer_income=income, voided_acceptances=voided)
         self.time += 1
         return result
 
@@ -364,29 +318,38 @@ class SchedulingEnv:
     # internals
     # ------------------------------------------------------------------
 
-    def _execute_acceptance(self, core: Core, offer: Offer, job: Job) -> TradeRecord | None:
-        """Move the offered job onto the core; return None if voided.
-
-        The displaced running job goes back to a free slot of its owner. The
-        slot the offered job vacates counts as free, which is what makes
-        self-trades always placeable. With no free slot the acceptance is
-        voided to preserve job conservation.
-        """
-        owner = core.owner
-        displaced = core.job
-        free_slot = None
-        for k in range(self.config.num_slots):
-            if self.slots[owner][k] is None or (owner == offer.agent and k == offer.slot):
-                free_slot = k
-                break
-        if free_slot is None:
-            return None
+    def _move(self, core: Core, offer: Offer, job: Job) -> TradeRecord:
+        """Put ``offer``'s job on ``core``: empty the offering slot, make the
+        buyer the owner and chain the sale from the previous owner (on an idle
+        core, the auctioneer and an empty chain). Returns the trade's record;
+        a displaced job is the caller's to place."""
+        seller = core.owner
         self.slots[offer.agent][offer.slot] = None
-        self.slots[owner][free_slot] = displaced
         core.job = job
         core.owner = offer.agent
-        core.chain.append(ChainEntry(buyer=offer.agent, seller=owner, price=offer.price))
-        return _trade_record(core, offer, job, owner)
+        core.chain.append(ChainEntry(buyer=offer.agent, seller=seller, price=offer.price))
+        return TradeRecord(
+            core=core.index, buyer=offer.agent, seller=seller, price=offer.price,
+            job_uid=job.uid, job_type_id=job.type_id, job_priority=job.priority,
+            source_slot=offer.slot, made_at=offer.made_at,
+            by_auctioneer=seller == AUCTIONEER)
+
+    def _execute_acceptance(self, core: Core, offer: Offer, job: Job) -> TradeRecord | None:
+        """Accept ``offer`` on the busy ``core``; return None if voided.
+
+        The displaced running job goes back to the first free slot of the
+        core's owner, placed after ``_move`` empties the offering slot, which
+        counts as free: that makes self-trades always placeable. With no free
+        slot the acceptance is voided to preserve job conservation.
+        """
+        owner, displaced = core.owner, core.job
+        free_slot = next((k for k, held in enumerate(self.slots[owner])
+                          if held is None or (owner == offer.agent and k == offer.slot)), None)
+        if free_slot is None:
+            return None
+        trade = self._move(core, offer, job)
+        self.slots[owner][free_slot] = displaced
+        return trade
 
     def _fill_empty_slots(self, arrival_time: int) -> None:
         for agent in range(self.config.num_agents):
@@ -397,14 +360,9 @@ class SchedulingEnv:
                 for threshold, jt in self._spawn_cumulative:
                     if u < threshold:
                         self.slots[agent][k] = Job(
-                            uid=self._next_job_uid,
-                            type_id=jt.id,
-                            priority=jt.priority,
-                            burst=jt.burst,
-                            arrival_time=arrival_time,
-                            remaining_burst=jt.burst,
-                            owner_agent=agent,
-                        )
+                            uid=self._next_job_uid, type_id=jt.id, priority=jt.priority,
+                            burst=jt.burst, arrival_time=arrival_time,
+                            remaining_burst=jt.burst, owner_agent=agent)
                         self._next_job_uid += 1
                         break
 

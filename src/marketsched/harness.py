@@ -24,7 +24,7 @@ import numpy as np
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, AgentBundle,
                      Trainer)
 from .baseline import scripted_actions
-from .config import ConfigError, EnvConfig, JobType, PricingMode, whole_number
+from .config import ConfigError, EnvConfig, JobType, PricingMode, check_keys, whole_number
 from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
 from .neural import PPOHyper
 
@@ -65,6 +65,8 @@ class Scenario:
                 f"scenario {self.name}: need total_steps >= window >= 1")
         if self.record_every < 1:
             raise ConfigError(f"scenario {self.name}: record_every must be >= 1")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"scenario {self.name}: seeds must be non-empty and distinct")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -80,7 +82,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
+        check_keys(cls, data, "scenario", optional=("hyper",))
         arch = data["arch"]
+        seeds = data.get("seeds", [1, 2, 3, 4, 5])
+        if not isinstance(seeds, list):
+            raise ConfigError(f"seeds must be a list, got {seeds!r}")
         scenario = cls(
             name=str(data["name"]),
             env=EnvConfig.from_dict(data["env"]),
@@ -89,7 +95,7 @@ class Scenario:
             total_steps=whole_number(data.get("total_steps", 50_000), "total_steps"),
             window=whole_number(data.get("window", 500), "window"),
             record_every=whole_number(data.get("record_every", 100), "record_every"),
-            seeds=tuple(whole_number(s, "seed") for s in data.get("seeds", (1, 2, 3, 4, 5))),
+            seeds=tuple(whole_number(s, "seed") for s in seeds),
         )
         scenario.validate()
         return scenario
@@ -399,7 +405,12 @@ def read_series_csv(path: str | os.PathLike) -> dict[str, CsvSeries]:
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The named experiments plus three learner-free baseline setups."""
+    """The named experiments plus three learner-free baseline setups, built
+    once: every call returns a new dict of the same frozen scenarios."""
+    return dict(_BUILTIN_SCENARIOS)
+
+
+def _build_builtin_scenarios() -> dict[str, Scenario]:
     hyper = PPOHyper()
     # calibrated so that cores stay busy >= 90% of steps without trading
     # while the rarer short jobs pile up behind the long blockers
@@ -465,3 +476,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
                            trading_enabled=False),
                  ARCH_DIST, hyper, total_steps=2_000, window=200))
     return scenarios
+
+
+_BUILTIN_SCENARIOS = _build_builtin_scenarios()

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import isfinite, prod
+from math import prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .config import whole_number
+from .config import check_keys, finite_number, whole_number
 
 
 CHECKPOINT_VERSION = 2
@@ -32,7 +32,7 @@ class NonFiniteLossError(RuntimeError):
     """An update produced a non-finite loss or gradient and was aborted."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PPOHyper:
     discount: float = 0.99
     gae_lambda: float = 0.95
@@ -48,11 +48,9 @@ class PPOHyper:
 
     def validate(self) -> None:
         for name, value in vars(self).items():
-            if name in self.integer_fields:
-                if type(value) is not int:
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-            elif type(value) not in (int, float) or not isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if name in self.integer_fields and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            finite_number(value, name)
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {self.discount}")
         if not 0.0 <= self.gae_lambda <= 1.0:
@@ -71,8 +69,9 @@ class PPOHyper:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PPOHyper":
-        hyper = cls(**{k: whole_number(data[k], k) if k in cls.integer_fields else data[k]
-                       for k in cls().to_dict() if k in data})
+        check_keys(cls, data, "hyper")
+        hyper = cls(**{k: whole_number(v, k) if k in cls.integer_fields else v
+                       for k, v in data.items()})
         hyper.validate()
         return hyper
 

@@ -235,10 +235,40 @@ class TestUsage:
     @pytest.mark.parametrize("override", [
         "env.trading_enabled=False", 'env.trading_enabled="false"', "env.trading_enabled=1",
         "env.num_slots=2.5", "env.job_types.0.burst=1.5", "env.guard_threshold=true",
-        "total_steps=300.5",
+        "total_steps=300.5", "env.job_types.0.spawn_prob=false",
+        'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]",
+        "seeds=5", "env.job_types=3",
     ])
     def test_env_values_are_type_checked(self, override, tmp_path, capsys):
         assert_override_is_a_usage_error(override, tmp_path, capsys)
+
+    @pytest.mark.parametrize("where, key", [
+        ((), "env_x"), (("env",), "trading_enable"),
+        (("env", "job_types", 0), "spawn_probability"), (("hyper",), "learning_rat"),
+        (("env", "job_types", 0), "burst"),
+    ])
+    def test_scenario_file_fields_are_checked(self, where, key, tmp_path, capsys):
+        # a key naming no field is rejected, and so is a missing one: the
+        # job type's burst is deleted rather than added
+        from marketsched.harness import builtin_scenarios
+
+        data = builtin_scenarios()["BASE_DUO"].to_dict()
+        node = data
+        for part in where:
+            node = node[part]
+        problem = "missing" if key in node else "unknown"
+        if problem == "missing":
+            del node[key]
+        else:
+            node[key] = 1
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(path), *FAST, "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{problem} field {key!r}" in captured.err
 
     @pytest.mark.parametrize("override", [
         "hyper.learning_rate=abc", "hyper.epochs=1.5", "hyper.entropy_coef=null",

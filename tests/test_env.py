@@ -2,7 +2,7 @@
 
 import pytest
 
-from marketsched.config import ConfigError, EnvConfig, JobType
+from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, ChainEntry, JointActions, SchedulingEnv
 from marketsched.rng import STREAM_FUZZ, derive_rng
 
@@ -250,6 +250,24 @@ class TestPendingOffers:
         env.step(JointActions(offers={(a, s): 1 for a in range(2) for s in range(3)}))
         assert len(env.pending_offers(0)) == 6
         assert env.pending_offers(1) == []
+
+
+class TestOfferPrices:
+    def test_registered_price_follows_the_pricing_rules(self):
+        types = (JobType(0, 3, 4, 0.0), JobType(1, 8, 4, 0.0))  # max_prio 8
+        fixed = SchedulingEnv(manual_config(job_types=types, num_agents=1, num_slots=1), 0)
+        place_job(fixed, 0, 0)
+        fixed.step(JointActions(offers=offer(0, 0, 0), prices={(0, 0): 7}))
+        assert [o.price for o in fixed.offers()] == [3]  # FIXED ignores the bid
+
+        free = SchedulingEnv(manual_config(job_types=types, num_agents=1, num_slots=4,
+                                           pricing_mode=PricingMode.FREE_COMMERCIAL), 0)
+        for slot in range(4):
+            place_job(free, 0, slot)
+        free.step(JointActions(offers={(0, slot): 1 for slot in range(4)},
+                               prices={(0, 0): 20, (0, 1): -5, (0, 2): 6}))
+        # above max_prio clamps down, negative clamps to 0, no bid is the priority
+        assert {o.slot: o.price for o in free.offers()} == {0: 8, 1: 0, 2: 6, 3: 3}
 
 
 class TestInvariantsUnderFuzz:
