@@ -37,7 +37,7 @@ import numpy as np
 
 from .actions import space_size
 from .config import EnvConfig, PricingMode
-from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
+from .env import JointActions, SchedulingEnv, StepResult
 from .neural import (
     NetParams,
     ParamStack,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .config import EnvConfig, PricingMode
+from .config import EnvConfig
 from .rng import STREAM_ENV_SPAWN, derive_rng
 
 AUCTIONEER = -1
@@ -284,6 +284,7 @@ class SchedulingEnv:
             core.chain = []
 
         # (6) register this step's offers for resolution at t + 1
+        free_pricing = self.config.pricing_mode.is_free
         for agent, slot in sorted(actions.offers):
             choice = actions.offers[(agent, slot)]
             if choice <= 0:
@@ -294,7 +295,7 @@ class SchedulingEnv:
             job = self.slots[agent][slot]
             if job is None:
                 continue
-            if self.config.pricing_mode.is_free:
+            if free_pricing:
                 price = actions.prices.get((agent, slot), job.priority)
                 price = max(0, min(int(price), self.config.max_prio))
             else:

@@ -6,7 +6,9 @@ per job type (accepted offers only, auctioneer grants included), the count
 of accepted offers (``trade_count``: trades between agents plus self-trades,
 in which an agent preempts its own running job; auctioneer grants are not
 counted), and the auctioneer's settlement income. Windows with no
-completions of a type mark the point absent rather than zero.
+completions of a type mark the point absent rather than zero. Every series
+reads one time-ordered window of events (``_MetricWindow``), and a run's CSV
+is the aggregate of its one record.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import json
 import multiprocessing
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -25,7 +28,7 @@ from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, Ag
                      Trainer)
 from .baseline import scripted_actions
 from .config import ConfigError, EnvConfig, JobType, PricingMode, check_keys, whole_number
-from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
+from .env import AUCTIONEER, SchedulingEnv, StepResult
 from .neural import PPOHyper
 
 
@@ -50,6 +53,11 @@ class Scenario:
         object.__setattr__(self, "seeds", tuple(self.seeds))
 
     def validate(self) -> None:
+        # the name becomes part of every artifact's file name
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            raise ConfigError("scenario name must be a non-empty string other than '.' "
+                              f"and '..', with no '/', '\\' or NUL, got {self.name!r}")
         self.env.validate()
         self.hyper.validate()
         if len(self.arch) != self.env.num_agents:
@@ -88,7 +96,7 @@ class Scenario:
         if not isinstance(seeds, list):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
         scenario = cls(
-            name=str(data["name"]),
+            name=data["name"],
             env=EnvConfig.from_dict(data["env"]),
             arch=tuple(arch) if isinstance(arch, list) else str(arch),
             hyper=PPOHyper.from_dict(data.get("hyper", {})),
@@ -168,57 +176,46 @@ class AggregateRecord:
     count: dict[str, list[int]]
 
 
-def series_names(config: EnvConfig) -> list[str]:
-    names = [f"ntat_type_{t.id}" for t in config.job_types]
-    names += [f"price_type_{t.id}" for t in config.job_types]
-    names += ["trade_count", "auctioneer_income"]
-    return names
-
-
 class _MetricWindow:
-    """Trailing-window accumulators over step-stamped events."""
+    """Trailing-window series over one time-ordered deque of ``(env time,
+    series name, value)`` events. A series in ``TOTALS`` is the sum of its
+    window's values (``trade_count`` observes 1 per trade); any other is
+    their mean in observed order, absent when the window has none."""
+
+    TOTALS = ("trade_count", "auctioneer_income")
 
     def __init__(self, config: EnvConfig, window: int):
         self.window = window
-        self.type_ids = [t.id for t in config.job_types]
-        self.ntat: dict[int, deque] = {tid: deque() for tid in self.type_ids}
-        self.price: dict[int, deque] = {tid: deque() for tid in self.type_ids}
-        self.trades: deque = deque()
-        self.income: deque = deque()
+        self.ntat = {t.id: f"ntat_type_{t.id}" for t in config.job_types}
+        self.price = {t.id: f"price_type_{t.id}" for t in config.job_types}
+        self.names = [*self.ntat.values(), *self.price.values(), *self.TOTALS]
+        self.events: deque[tuple[int, str, float]] = deque()
 
     def observe(self, result: StepResult) -> None:
         t = result.time
         for c in result.completions:
-            self.ntat[c.type_id].append((t, c.normalized_turnaround))
+            self.events.append((t, self.ntat[c.type_id], c.normalized_turnaround))
         for trade in result.trades:
-            self.price[trade.job_type_id].append((t, trade.price))
+            self.events.append((t, self.price[trade.job_type_id], trade.price))
             if trade.seller != AUCTIONEER:
-                self.trades.append(t)
+                self.events.append((t, "trade_count", 1))
         if result.auctioneer_income:
-            self.income.append((t, result.auctioneer_income))
-
-    def _trim(self, step: int) -> None:
-        cutoff = step - self.window
-        for dq in list(self.ntat.values()) + list(self.price.values()):
-            while dq and dq[0][0] < cutoff:
-                dq.popleft()
-        while self.trades and self.trades[0] < cutoff:
-            self.trades.popleft()
-        while self.income and self.income[0][0] < cutoff:
-            self.income.popleft()
+            self.events.append((t, "auctioneer_income", result.auctioneer_income))
 
     def snapshot(self, step: int) -> dict[str, float | None]:
         """Window covers env times [step - window, step - 1]."""
-        self._trim(step)
+        cutoff = step - self.window
+        while self.events and self.events[0][0] < cutoff:
+            self.events.popleft()
+        values: dict[str, list] = {name: [] for name in self.names}
+        for _, name, value in self.events:
+            values[name].append(value)
         out: dict[str, float | None] = {}
-        for tid in self.type_ids:
-            values = [v for _, v in self.ntat[tid]]
-            out[f"ntat_type_{tid}"] = float(np.mean(values)) if values else None
-        for tid in self.type_ids:
-            values = [v for _, v in self.price[tid]]
-            out[f"price_type_{tid}"] = float(np.mean(values)) if values else None
-        out["trade_count"] = float(len(self.trades))
-        out["auctioneer_income"] = float(sum(v for _, v in self.income))
+        for name, v in values.items():
+            if name in self.TOTALS:
+                out[name] = float(sum(v))
+            else:
+                out[name] = float(np.mean(v)) if v else None
         return out
 
 
@@ -257,7 +254,7 @@ def run_scenario(scenario: Scenario, seed: int, policy: str = "learned",
 
     metrics = _MetricWindow(scenario.env, scenario.window)
     steps: list[int] = []
-    series: dict[str, list[float | None]] = {name: [] for name in series_names(scenario.env)}
+    series: dict[str, list[float | None]] = {name: [] for name in metrics.names}
     trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         for i in range(scenario.total_steps):
@@ -270,9 +267,8 @@ def run_scenario(scenario: Scenario, seed: int, policy: str = "learned",
                 trace_file.write(_trace_line(result) + "\n")
             step = i + 1
             if step % scenario.record_every == 0 or step == scenario.total_steps:
-                snap = metrics.snapshot(step)
                 steps.append(step)
-                for name, value in snap.items():
+                for name, value in metrics.snapshot(step).items():
                     series[name].append(value)
     finally:
         if trace_file is not None:
@@ -286,8 +282,8 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
     Absent points are excluded pairwise: each point aggregates over the
     seeds that have it.
     """
-    if len(records) < 2:
-        raise ValueError("aggregation needs at least 2 records")
+    if not records:
+        raise ValueError("aggregation needs at least 1 record")
     first = records[0]
     for r in records[1:]:
         if r.steps != first.steps or set(r.series) != set(first.series):
@@ -317,21 +313,16 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
     )
 
 
-def _sweep_worker(payload: tuple[dict, int, str]) -> RunRecord:
-    scenario_dict, seed, policy = payload
-    return run_scenario(Scenario.from_dict(scenario_dict), seed, policy=policy)
-
-
 def run_sweep(scenario: Scenario, seeds: Iterable[int] | None = None,
               workers: int = 1, policy: str = "learned") -> list[RunRecord]:
     """Run every seed; seeds are independent, so they may run in parallel."""
     seed_list = list(seeds) if seeds is not None else list(scenario.seeds)
     workers = max(1, min(workers, len(seed_list)))
+    run_seed = partial(run_scenario, scenario, policy=policy)
     if workers == 1:
-        return [run_scenario(scenario, seed, policy=policy) for seed in seed_list]
-    payloads = [(scenario.to_dict(), seed, policy) for seed in seed_list]
+        return list(map(run_seed, seed_list))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(_sweep_worker, payloads)
+        return pool.map(run_seed, seed_list)
 
 
 # ----------------------------------------------------------------------
@@ -342,14 +333,8 @@ CSV_HEADER = "step,series,value,seed_count,std"
 
 
 def export_run_csv(record: RunRecord, path: str | os.PathLike) -> None:
-    lines = [CSV_HEADER]
-    for i, step in enumerate(record.steps):
-        for name, values in record.series.items():
-            value = values[i]
-            if value is None:
-                continue
-            lines.append(f"{step},{name},{value!r},1,0.0")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """The aggregate of the one record: seed count 1 and std 0.0 on every row."""
+    export_aggregate_csv(aggregate([record]), path)
 
 
 def export_aggregate_csv(agg: AggregateRecord, path: str | os.PathLike) -> None:

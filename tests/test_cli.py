@@ -22,12 +22,12 @@ def run_cli(*argv):
 
 def assert_override_is_a_usage_error(override, tmp_path, capsys):
     """``run --set override`` exits 2 with one ``error:`` line naming the
-    field, and writes nothing."""
+    field, and writes nothing, inside ``--out`` or beside it."""
     out = tmp_path / "o"
     argv = ["run", "--scenario", "BASE_DUO", *FAST, "--set", override]
     assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
+    assert captured.out == "" and not any(tmp_path.iterdir())
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert override.split("=")[0].split(".")[-1] in captured.err
 
@@ -237,7 +237,7 @@ class TestUsage:
         "env.num_slots=2.5", "env.job_types.0.burst=1.5", "env.guard_threshold=true",
         "total_steps=300.5", "env.job_types.0.spawn_prob=false",
         'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]",
-        "seeds=5", "env.job_types=3",
+        "seeds=5", "env.job_types=3", "name=../o5x", "name=[1]", 'name=""',
     ])
     def test_env_values_are_type_checked(self, override, tmp_path, capsys):
         assert_override_is_a_usage_error(override, tmp_path, capsys)

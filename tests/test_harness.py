@@ -2,10 +2,12 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from marketsched.baseline import scripted_env_trace
 from marketsched.config import ConfigError, EnvConfig, JobType
+from marketsched.env import AUCTIONEER, SchedulingEnv
 from marketsched.harness import (
     AggregateRecord,
     OverrideError,
@@ -50,9 +52,16 @@ class TestAggregate:
         agg = aggregate([tiny_record([None]), tiny_record([None], seed=2)])
         assert agg.mean["x"] == [None] and agg.count["x"] == [0]
 
-    def test_needs_two_records(self):
+    def test_needs_a_record(self):
         with pytest.raises(ValueError):
-            aggregate([tiny_record([1.0])])
+            aggregate([])
+
+    def test_one_record_is_its_own_aggregate(self):
+        agg = aggregate([tiny_record([1 / 3, None, 2.5])])
+        assert agg.seed_count == 1
+        assert agg.mean["x"] == [1 / 3, None, 2.5]
+        assert agg.std["x"] == [0.0, None, 0.0]
+        assert agg.count["x"] == [1, 0, 1]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -104,6 +113,49 @@ class TestRunScenario:
         a = run_scenario(scenario, seed=6)
         b = run_scenario(scenario, seed=6)
         assert a == b
+
+    def test_series_match_a_naive_recount_of_every_step(self, monkeypatch):
+        # free pricing, so grants, self-trades and auctioneer income all occur;
+        # 610 is not a multiple of record_every, so the final point is recorded too
+        base = builtin_scenarios()["EXP4_PRICING_COMM"]
+        scenario = replace(base, total_steps=610, window=120, record_every=50,
+                           hyper=replace(base.hyper, rollout_length=64))
+        results = []
+        step = SchedulingEnv.step
+
+        def recording_step(env, actions):
+            result = step(env, actions)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(SchedulingEnv, "step", recording_step)
+        record = run_scenario(scenario, seed=3)
+        trades = [t for r in results for t in r.trades]
+        assert any(t.seller == AUCTIONEER for t in trades)
+        assert any(t.seller == t.buyer for t in trades)
+        assert any(r.auctioneer_income for r in results)
+
+        type_ids = [t.id for t in scenario.env.job_types]
+        names = [f"ntat_type_{tid}" for tid in type_ids]
+        names += [f"price_type_{tid}" for tid in type_ids]
+        expected = {name: [] for name in names + ["trade_count", "auctioneer_income"]}
+        steps = list(range(50, 610, 50)) + [610]
+        for point in steps:
+            inside = [r for r in results if point - scenario.window <= r.time < point]
+            for tid in type_ids:
+                ntat = [c.normalized_turnaround for r in inside for c in r.completions
+                        if c.type_id == tid]
+                price = [t.price for r in inside for t in r.trades if t.job_type_id == tid]
+                expected[f"ntat_type_{tid}"].append(float(np.mean(ntat)) if ntat else None)
+                expected[f"price_type_{tid}"].append(float(np.mean(price)) if price else None)
+            expected["trade_count"].append(float(sum(
+                t.seller != AUCTIONEER for r in inside for t in r.trades)))
+            expected["auctioneer_income"].append(float(sum(
+                r.auctioneer_income for r in inside)))
+        assert len(results) == 610
+        assert record.steps == steps
+        assert list(record.series) == list(expected)
+        assert record.series == expected
 
     def test_sweep_workers_agree_with_serial(self):
         scenario = replace(builtin_scenarios()["BASE_DUO"],
@@ -209,3 +261,6 @@ class TestBuiltinScenarios:
             replace(scenario, total_steps=10, window=100).validate()
         with pytest.raises(ConfigError):
             replace(scenario, arch=("DIST",)).validate()
+        for name in ("../x", "a\\b", "a\0b", "..", "", 7):
+            with pytest.raises(ConfigError, match="name"):
+                replace(scenario, name=name).validate()
