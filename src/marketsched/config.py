@@ -151,6 +151,10 @@ class EnvConfig:
         trading = data.get("trading_enabled", True)
         if not isinstance(trading, bool):
             raise ConfigError(f"trading_enabled must be true or false, got {trading!r}")
+        mode = data.get("pricing_mode", "FIXED")
+        if not isinstance(mode, str) or mode not in PricingMode.__members__:
+            raise ConfigError(f"pricing_mode must be one of "
+                              f"{', '.join(PricingMode.__members__)}, got {mode!r}")
         cfg = cls(
             num_agents=whole_number(data["num_agents"], "num_agents"),
             num_cores=whole_number(data["num_cores"], "num_cores"),
@@ -164,7 +168,7 @@ class EnvConfig:
                 )
                 for t in data["job_types"]
             ),
-            pricing_mode=PricingMode(data.get("pricing_mode", "FIXED")),
+            pricing_mode=PricingMode(mode),
             trading_enabled=trading,
             guard_threshold=whole_number(data.get("guard_threshold", 1_000_000),
                                          "guard_threshold"),

@@ -18,7 +18,7 @@ back to the auctioneer the moment it idles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .config import EnvConfig
 from .rng import STREAM_ENV_SPAWN, derive_rng
@@ -62,7 +62,6 @@ class Offer(NamedTuple):
     slot: int
     job_uid: int
     job_priority: int
-    target_core: int
     price: int
     time_to_payment: int
     made_at: int
@@ -178,8 +177,9 @@ class SchedulingEnv:
         self.slots: list[list[Job | None]] = [
             [None] * config.num_slots for _ in range(config.num_agents)
         ]
-        # offer book: (target_core, source_agent, source_slot) -> Offer
-        self._offer_book: dict[tuple[int, int, int], Offer] = {}
+        # one offer book per target core: grid cell
+        # (source_agent * num_slots + source_slot) -> Offer, in (agent, slot) order
+        self._offer_book: list[dict[int, Offer]] = [{} for _ in self.cores]
         self._spawn_cumulative = []
         acc = 0.0
         for t in config.job_types:
@@ -192,20 +192,16 @@ class SchedulingEnv:
     # ------------------------------------------------------------------
 
     def pending_offers(self, core: int) -> list[Offer]:
-        """Offers awaiting resolution at this core, ordered by (agent, slot)."""
+        """Offers awaiting resolution at this core, ordered by (agent, slot):
+        the core's book in the order step phase 6 filed it."""
         if not 0 <= core < self.config.num_cores:
             raise IndexError(f"core index {core} out of range")
-        keys = sorted(k for k in self._offer_book if k[0] == core)
-        return [self._offer_book[k] for k in keys]
+        return list(self._offer_book[core].values())
 
-    def offers(self) -> Iterable[Offer]:
-        """Every pending offer, in no particular order."""
-        return self._offer_book.values()
-
-    def offer_in_grid_cell(self, core: int, cell: int) -> Offer | None:
-        """Pending offer at grid cell = source_agent * num_slots + source_slot."""
-        agent, slot = divmod(cell, self.config.num_slots)
-        return self._offer_book.get((core, agent, slot))
+    def offers(self) -> Iterator[Offer]:
+        """Every pending offer, core by core."""
+        for book in self._offer_book:
+            yield from book.values()
 
     # ------------------------------------------------------------------
     # stepping
@@ -223,10 +219,7 @@ class SchedulingEnv:
                 choice = actions.accepts.get((core.owner, core.index), 0)
                 if choice <= 0:
                     continue
-                cell = choice - 1
-                if cell >= self.config.num_agents * self.config.num_slots:
-                    continue
-                offer = self.offer_in_grid_cell(core.index, cell)
+                offer = self._offer_book[core.index].get(choice - 1)
                 if offer is None:
                     continue
                 job = self.slots[offer.agent][offer.slot]
@@ -243,7 +236,7 @@ class SchedulingEnv:
             if core.owner != AUCTIONEER:
                 continue
             best: tuple | None = None
-            for offer in self.pending_offers(core.index):
+            for offer in self._offer_book[core.index].values():
                 job = self.slots[offer.agent][offer.slot]
                 if job is None or job.uid != offer.job_uid:
                     continue
@@ -255,8 +248,9 @@ class SchedulingEnv:
             _, offer, job = best
             trades.append(self._move(core, offer, job))
 
-        # (3) offer book cleared; unaccepted offers expire
-        self._offer_book.clear()
+        # (3) offer books cleared; unaccepted offers expire
+        for book in self._offer_book:
+            book.clear()
 
         # (4) compute
         for core in self.cores:
@@ -300,10 +294,9 @@ class SchedulingEnv:
                 price = max(0, min(int(price), self.config.max_prio))
             else:
                 price = job.priority
-            self._offer_book[(target, agent, slot)] = Offer(
+            self._offer_book[target][agent * self.config.num_slots + slot] = Offer(
                 agent=agent, slot=slot, job_uid=job.uid, job_priority=job.priority,
-                target_core=target, price=price, time_to_payment=job.remaining_burst,
-                made_at=self.time)
+                price=price, time_to_payment=job.remaining_burst, made_at=self.time)
 
         # (7) spawn into empty slots; new jobs are first actionable next step
         self._fill_empty_slots(arrival_time=self.time + 1)

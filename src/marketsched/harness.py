@@ -1,4 +1,8 @@
-"""Scenario definitions, multi-seed execution, windowed metrics, CSV export.
+"""Scenario definitions, multi-seed training runs, windowed metrics, CSV export.
+
+Every run trains: each agent acts through its architecture's ``AgentBundle``
+and one ``Trainer`` steps them all. The scripted policy has its own entry
+point, ``baseline.scripted_env_trace``.
 
 A run record samples, every ``record_every`` steps, the trailing-window mean
 normalized turnaround per job type, the trailing-window mean realized price
@@ -26,7 +30,6 @@ import numpy as np
 
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, AgentBundle,
                      Trainer)
-from .baseline import scripted_actions
 from .config import ConfigError, EnvConfig, JobType, PricingMode, check_keys, whole_number
 from .env import AUCTIONEER, SchedulingEnv, StepResult
 from .neural import PPOHyper
@@ -233,24 +236,19 @@ def _trace_line(result: StepResult) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def run_scenario(scenario: Scenario, seed: int, policy: str = "learned",
+def run_scenario(scenario: Scenario, seed: int,
                  trace_path: str | os.PathLike | None = None) -> RunRecord:
-    """Train (or script) one seed for the scenario's horizon.
+    """Train one seed for the scenario's horizon.
 
     Deterministic in (scenario, seed): repeated calls produce identical
     records and trace files.
     """
     scenario.validate()
     env = SchedulingEnv(scenario.env, seed)
-    trainer = None
-    if policy == "learned":
-        bundles = [
-            AgentBundle(scenario.arch[agent], agent, scenario.env, scenario.hyper, seed)
-            for agent in range(scenario.env.num_agents)
-        ]
-        trainer = Trainer(env, bundles)
-    elif policy != "scripted":
-        raise ValueError(f"unknown policy {policy!r}")
+    trainer = Trainer(env, [
+        AgentBundle(scenario.arch[agent], agent, scenario.env, scenario.hyper, seed)
+        for agent in range(scenario.env.num_agents)
+    ])
 
     metrics = _MetricWindow(scenario.env, scenario.window)
     steps: list[int] = []
@@ -258,10 +256,7 @@ def run_scenario(scenario: Scenario, seed: int, policy: str = "learned",
     trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
     try:
         for i in range(scenario.total_steps):
-            if trainer is not None:
-                result = trainer.step()
-            else:
-                result = env.step(scripted_actions(env))
+            result = trainer.step()
             metrics.observe(result)
             if trace_file is not None:
                 trace_file.write(_trace_line(result) + "\n")
@@ -314,11 +309,11 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
 
 
 def run_sweep(scenario: Scenario, seeds: Iterable[int] | None = None,
-              workers: int = 1, policy: str = "learned") -> list[RunRecord]:
-    """Run every seed; seeds are independent, so they may run in parallel."""
+              workers: int = 1) -> list[RunRecord]:
+    """Train every seed; seeds are independent, so they may run in parallel."""
     seed_list = list(seeds) if seeds is not None else list(scenario.seeds)
     workers = max(1, min(workers, len(seed_list)))
-    run_seed = partial(run_scenario, scenario, policy=policy)
+    run_seed = partial(run_scenario, scenario)
     if workers == 1:
         return list(map(run_seed, seed_list))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -390,8 +385,10 @@ def read_series_csv(path: str | os.PathLike) -> dict[str, CsvSeries]:
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The named experiments plus three learner-free baseline setups, built
-    once: every call returns a new dict of the same frozen scenarios."""
+    """The named experiments plus three small setups with trading off, which
+    ``baseline`` checks against the FCFS oracle and ``run`` trains like any
+    other; built once: every call returns a new dict of the same frozen
+    scenarios."""
     return dict(_BUILTIN_SCENARIOS)
 
 

@@ -171,19 +171,27 @@ class ParamStack:
 
     def load(self, path, names: list[str]) -> None:
         """Restore in place the state ``save`` wrote for rows named ``names``.
-        A file of another format version, other names or another row shape
-        is rejected with ValueError and leaves the stack untouched."""
+        A file of another format version, with a key missing, other names,
+        another row shape or anything but one non-negative integer step count
+        per row is rejected with ValueError and leaves the stack untouched."""
         with np.load(path, allow_pickle=False) as data:
             version = data.get("version")
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
+            missing = [key for key in ("names", "rows", "m", "v", "steps") if key not in data]
+            if missing:
+                raise ValueError(f"checkpoint has no {', '.join(missing)}")
             saved = data["names"].tolist()
             if saved != list(names):
                 raise ValueError(f"checkpoint parameter sets {saved} do not match {list(names)}")
             rows, m, v, steps = (data[key] for key in ("rows", "m", "v", "steps"))
-            if {rows.shape, m.shape, v.shape} != {self.rows.shape} or len(steps) != len(rows):
+            if {rows.shape, m.shape, v.shape} != {self.rows.shape}:
                 raise ValueError(f"checkpoint rows of shape {rows.shape} do not match "
                                  f"the stack's {self.rows.shape}")
+            if (steps.shape != (len(rows),) or steps.dtype.kind not in "iu"
+                    or (steps < 0).any()):
+                raise ValueError("checkpoint steps must be one non-negative integer per row, "
+                                 f"got {steps.tolist()}")
             self.rows[...], self.m[...], self.v[...] = rows, m, v
             self.steps = steps.tolist()
 

@@ -49,24 +49,18 @@ def fill_acceptor_rows(env: SchedulingEnv, block: np.ndarray, cores: list[int],
 
     Layout: the core's entry of ``block`` (see ``core_block``), then one
     [validity, price, time to payment, offered priority] block per (source
-    agent, source slot) grid cell, filled from one pass over the offer book.
+    agent, source slot) grid cell, filled from that core's pending offers.
     """
     cfg = env.config
     max_prio, max_burst, num_slots = cfg.max_prio, cfg.max_burst, cfg.num_slots
-    row_of = {}
-    for i, m in enumerate(cores):
-        out[i, :3] = block[3 * m:3 * m + 3]
-        row_of[m] = i
-    for offer in env.offers():
-        i = row_of.get(offer.target_core)
-        if i is None:
-            continue
-        row = out[i]
-        base = 3 + 4 * (offer.agent * num_slots + offer.slot)
-        row[base] = 1.0
-        row[base + 1] = offer.price / max_prio
-        row[base + 2] = offer.time_to_payment / max_burst
-        row[base + 3] = offer.job_priority / max_prio
+    for row, m in zip(out, cores):
+        row[:3] = block[3 * m:3 * m + 3]
+        for offer in env.pending_offers(m):
+            base = 3 + 4 * (offer.agent * num_slots + offer.slot)
+            row[base] = 1.0
+            row[base + 1] = offer.price / max_prio
+            row[base + 2] = offer.time_to_payment / max_burst
+            row[base + 3] = offer.job_priority / max_prio
 
 
 def fill_offer_rows(env: SchedulingEnv, agent: int, block: np.ndarray,

@@ -238,6 +238,7 @@ class TestUsage:
         "total_steps=300.5", "env.job_types.0.spawn_prob=false",
         'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]",
         "seeds=5", "env.job_types=3", "name=../o5x", "name=[1]", 'name=""',
+        "env.pricing_mode=BOGUS", "env.pricing_mode=5", 'env.pricing_mode=["FIXED"]',
     ])
     def test_env_values_are_type_checked(self, override, tmp_path, capsys):
         assert_override_is_a_usage_error(override, tmp_path, capsys)

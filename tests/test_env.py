@@ -218,6 +218,24 @@ class TestTrading:
         assert result.trades == [] and result.voided_acceptances == 0
         assert env.cores[0].job.uid == low.uid
 
+    def test_offer_is_acceptable_only_on_its_target_core(self):
+        cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 5, 2, 0.0)),
+                            num_agents=2, num_cores=2, num_slots=2)
+        env = SchedulingEnv(cfg, 0)
+        low = place_job(env, 0, 0, type_id=0)
+        env.step(JointActions(offers=offer(0, 0, 0)))
+        env.step(JointActions())  # low job granted to agent 0 on core 0
+        high = place_job(env, 1, 0, type_id=1)
+        env.step(JointActions(offers=offer(1, 0, 1)))  # high job offered to core 1
+        assert env.cores[1].owner == AUCTIONEER
+        # agent 0 names agent 1's slot-0 cell on core 0, where nothing is offered
+        cell = 1 * cfg.num_slots + 0
+        result = env.step(JointActions(accepts={(0, 0): cell + 1}))
+        assert result.voided_acceptances == 0
+        assert [(t.core, t.buyer, t.seller) for t in result.trades] == [(1, 1, AUCTIONEER)]
+        assert env.cores[0].job.uid == low.uid
+        assert env.cores[1].job.uid == high.uid
+
     def test_trading_disabled_ignores_accepts(self):
         cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 5, 2, 0.0)),
                             num_agents=2, num_cores=1, num_slots=2,
@@ -318,7 +336,7 @@ def test_golden_trace_is_deterministic(tmp_path):
     paths = []
     for name in ("a.jsonl", "b.jsonl"):
         path = tmp_path / name
-        run_scenario(scenario, seed=13, policy="scripted", trace_path=path)
+        run_scenario(scenario, seed=13, trace_path=path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
     assert paths[0].count(b"\n") == 300

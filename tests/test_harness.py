@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketsched.baseline import scripted_env_trace
 from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
 from marketsched.harness import (
@@ -76,29 +75,43 @@ class TestAggregate:
         assert forward_agg.std == reverse_agg.std
 
 
+def captured_steps(monkeypatch):
+    """The list every later ``SchedulingEnv.step`` appends its result to."""
+    results = []
+    step = SchedulingEnv.step
+
+    def recording_step(env, actions):
+        result = step(env, actions)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(SchedulingEnv, "step", recording_step)
+    return results
+
+
 class TestRunScenario:
-    def scripted_scenario(self, **kwargs):
+    def single_scenario(self, **kwargs):
         base = builtin_scenarios()["BASE_SINGLE"]
         return replace(base, **kwargs)
 
-    def test_window_one_equals_per_step_mean(self):
-        scenario = self.scripted_scenario(total_steps=300, window=1, record_every=1)
-        record = run_scenario(scenario, seed=4, policy="scripted")
-        events = scripted_env_trace(scenario.env, 4, 300)
-        by_time = {}
-        for e in events:
-            by_time.setdefault(e.time, []).append(e.normalized_turnaround)
-        for step, value in zip(record.steps, record.series["ntat_type_0"]):
+    def test_window_one_equals_per_step_mean(self, monkeypatch):
+        scenario = self.single_scenario(total_steps=300, window=1, record_every=1)
+        results = captured_steps(monkeypatch)
+        record = run_scenario(scenario, seed=4)
+        assert any(r.completions for r in results)
+        assert record.steps == list(range(1, 301))
+        for point, value in zip(record.steps, record.series["ntat_type_0"]):
             # the window at record point s covers env time s - 1
-            done = by_time.get(step - 1)
-            if done is None:
-                assert value is None
-            else:
+            done = [c.normalized_turnaround for c in results[point - 1].completions]
+            assert results[point - 1].time == point - 1
+            if done:
                 assert value == pytest.approx(sum(done) / len(done))
+            else:
+                assert value is None
 
     def test_empty_window_is_absent_not_zero(self):
-        scenario = self.scripted_scenario(total_steps=3, window=1, record_every=1)
-        record = run_scenario(scenario, seed=4, policy="scripted")
+        scenario = self.single_scenario(total_steps=3, window=1, record_every=1)
+        record = run_scenario(scenario, seed=4)
         assert record.series["ntat_type_0"][0] is None
 
     def test_no_trading_scenario_never_trades(self):
@@ -120,15 +133,7 @@ class TestRunScenario:
         base = builtin_scenarios()["EXP4_PRICING_COMM"]
         scenario = replace(base, total_steps=610, window=120, record_every=50,
                            hyper=replace(base.hyper, rollout_length=64))
-        results = []
-        step = SchedulingEnv.step
-
-        def recording_step(env, actions):
-            result = step(env, actions)
-            results.append(result)
-            return result
-
-        monkeypatch.setattr(SchedulingEnv, "step", recording_step)
+        results = captured_steps(monkeypatch)
         record = run_scenario(scenario, seed=3)
         trades = [t for r in results for t in r.trades]
         assert any(t.seller == AUCTIONEER for t in trades)
@@ -158,10 +163,11 @@ class TestRunScenario:
         assert record.series == expected
 
     def test_sweep_workers_agree_with_serial(self):
-        scenario = replace(builtin_scenarios()["BASE_DUO"],
-                           total_steps=200, window=100, record_every=50)
-        serial = run_sweep(scenario, seeds=[1, 2], workers=1, policy="scripted")
-        parallel = run_sweep(scenario, seeds=[1, 2], workers=2, policy="scripted")
+        base = builtin_scenarios()["BASE_DUO"]
+        scenario = replace(base, total_steps=200, window=100, record_every=50,
+                           hyper=replace(base.hyper, rollout_length=64))
+        serial = run_sweep(scenario, seeds=[1, 2], workers=1)
+        parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
         assert serial == parallel
 
     def test_learned_sweep_workers_agree_with_serial(self):

@@ -361,6 +361,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             alpha_beta_stack(seed=20).load(path, ["alpha", "beta"])
 
+    @pytest.mark.parametrize("key, value", [
+        ("names", None),
+        ("rows", None),
+        ("steps", np.array([0.5, 1.0])),
+        ("steps", np.array([-3, 1])),
+        ("steps", np.array([[0, 4]])),
+    ], ids=["no-names", "no-rows", "fractional-steps", "negative-steps", "2d-steps"])
+    def test_malformed_file_is_rejected_untouched(self, tmp_path, key, value):
+        path = tmp_path / "params.npz"
+        alpha_beta_stack(seed=21).save(path, ["alpha", "beta"])
+        with np.load(path) as data:
+            arrays = dict(data)
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+        np.savez(path, **arrays)
+        stack = alpha_beta_stack(seed=22)
+        ppo_update(stack, 1, make_batch(stack.views[1], 64, seed=22), PPOHyper(),
+                   derive_rng(22, 2))
+        before = [stack.rows.copy(), stack.m.copy(), stack.v.copy(), list(stack.steps)]
+        with pytest.raises(ValueError, match=key):
+            stack.load(path, ["alpha", "beta"])
+        assert stack.rows.tobytes() == before[0].tobytes()
+        assert stack.m.tobytes() == before[1].tobytes()
+        assert stack.v.tobytes() == before[2].tobytes()
+        assert stack.steps == before[3] == [0, 4]
+
 
 def test_hyper_validation():
     with pytest.raises(ValueError):
