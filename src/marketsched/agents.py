@@ -171,10 +171,11 @@ def feasibility_guard(arch: str, config: EnvConfig) -> tuple[bool, int]:
 class ActingUnit:
     """One policy head: its network, rollout window, and reward bookkeeping.
 
-    Rewards routed between two decisions accumulate on the most recent open
-    sample, so a payout that lands steps after the causing action still
-    credits it. Price setters instead keep pending samples keyed by the offer
-    step and only commit them once the offer is accepted.
+    Rewards routed between two decisions accumulate on the newest row of the
+    rollout window, the latest decision, so a payout that lands steps after
+    the causing action still credits it. Price setters instead keep pending
+    samples keyed by the offer step and only commit them once the offer is
+    accepted.
     """
 
     def __init__(self, spec: UnitSpec, stack: ParamStack, param_set: int,
@@ -187,29 +188,27 @@ class ActingUnit:
         self.sample_rng = sample_rng
         self.update_rng = update_rng
         self.buffer = RolloutBuffer(hyper.rollout_length, spec.obs_width)
-        self.open_sample: list | None = None  # [obs, action, logp, value, reward]
         self.pending_prices: dict[int, tuple] = {}
         self.updates = 0
         self.dropped_rewards = 0.0
         self.last_stats: dict = {}
 
     def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> bool:
-        """Open the sample of this step's decision and close the previous one
-        into the rollout window. When the window fills, update the network
-        with this decision's value as the bootstrap; return whether it did."""
-        if self.open_sample is not None:
-            self.buffer.add(*self.open_sample)
-        self.open_sample = [obs, action, logp, value, 0.0]
-        if not self.buffer.full:
-            return False
-        self._update(bootstrap_value=value)
-        return True
+        """Write this step's decision as the window's newest row, with reward
+        0.0. If the window is already full, its last row closes here: first
+        update the network with this decision's value as the bootstrap.
+        Return whether it updated."""
+        full = self.buffer.full
+        if full:
+            self._update(bootstrap_value=value)
+        self.buffer.add(obs, action, logp, value, 0.0)
+        return full
 
     def accumulate(self, reward: float) -> None:
-        if self.open_sample is None:
+        if not self.buffer.size:  # before the first decision
             self.dropped_rewards += reward
             return
-        self.open_sample[4] += reward
+        self.buffer.rewards[self.buffer.size - 1] += reward
 
     def hold_price(self, made_at: int, obs: np.ndarray, action: int, logp: float,
                    value: float) -> None:

@@ -147,7 +147,6 @@ def _cmd_cardinality(args: argparse.Namespace) -> int:
     # the job type only completes the config; no action space depends on it
     config = EnvConfig(num_agents=args.agents, num_cores=args.cores,
                        num_slots=args.slots, job_types=(JobType(0, 1, 1, 1.0),))
-    config.validate()
     print(f"action-space cardinalities for cores={args.cores} "
           f"agents={args.agents} slots={args.slots}")
     width = max(len(label) for label, _, _ in _CARDINALITY_ROWS)

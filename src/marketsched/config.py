@@ -1,4 +1,4 @@
-"""Environment configuration: job types, pricing modes, validation."""
+"""Environment configuration: job types and pricing modes, checked when built."""
 
 from __future__ import annotations
 
@@ -27,16 +27,15 @@ def finite_number(value: Any, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-def check_keys(cls: type, data: Any, where: str, optional: tuple[str, ...] = ()) -> None:
+def check_keys(cls: type, data: Any, where: str) -> None:
     """Raise ConfigError unless ``data`` is a dict whose keys all name fields
-    of the dataclass ``cls`` and include each one without a default that
-    ``optional`` does not list."""
+    of the dataclass ``cls`` and include every field without a default."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object, got {data!r}")
     declared = cls.__dataclass_fields__
     unknown = [key for key in data if key not in declared]
-    missing = [name for name, f in declared.items() if f.default is MISSING is f.default_factory
-               and name not in optional and name not in data]
+    missing = [name for name, f in declared.items()
+               if f.default is MISSING is f.default_factory and name not in data]
     for problem, keys in (("unknown", unknown), ("missing", missing)):
         if keys:
             raise ConfigError(f"{where}: {problem} field {keys[0]!r}")
@@ -61,7 +60,7 @@ class JobType:
     burst: int
     spawn_prob: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.priority < 1:
             raise ConfigError(f"job type {self.id}: priority must be >= 1, got {self.priority}")
         if self.burst < 1:
@@ -92,6 +91,24 @@ class EnvConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "job_types", tuple(self.job_types))
         object.__setattr__(self, "pricing_mode", PricingMode(self.pricing_mode))
+        if self.num_agents < 1:
+            raise ConfigError(f"num_agents must be >= 1, got {self.num_agents}")
+        if self.num_cores < 1:
+            raise ConfigError(f"num_cores must be >= 1, got {self.num_cores}")
+        if self.num_slots < 1:
+            raise ConfigError(f"num_slots must be >= 1, got {self.num_slots}")
+        if not self.job_types:
+            raise ConfigError("at least one job type is required")
+        seen: set[int] = set()
+        for t in self.job_types:
+            if t.id in seen:
+                raise ConfigError(f"duplicate job type id {t.id}")
+            seen.add(t.id)
+        total = sum(t.spawn_prob for t in self.job_types)
+        if total > 1.0 + 1e-9:
+            raise ConfigError(f"sum of spawn probabilities must be <= 1, got {total}")
+        if self.guard_threshold < 1:
+            raise ConfigError(f"guard_threshold must be >= 1, got {self.guard_threshold}")
 
     # Computed once per instance: the fields are frozen, and the cache lives in
     # the instance __dict__, outside equality, hashing, repr and to_dict.
@@ -108,27 +125,6 @@ class EnvConfig:
             if t.id == type_id:
                 return t
         raise KeyError(type_id)
-
-    def validate(self) -> None:
-        if self.num_agents < 1:
-            raise ConfigError(f"num_agents must be >= 1, got {self.num_agents}")
-        if self.num_cores < 1:
-            raise ConfigError(f"num_cores must be >= 1, got {self.num_cores}")
-        if self.num_slots < 1:
-            raise ConfigError(f"num_slots must be >= 1, got {self.num_slots}")
-        if not self.job_types:
-            raise ConfigError("at least one job type is required")
-        seen: set[int] = set()
-        for t in self.job_types:
-            t.validate()
-            if t.id in seen:
-                raise ConfigError(f"duplicate job type id {t.id}")
-            seen.add(t.id)
-        total = sum(t.spawn_prob for t in self.job_types)
-        if total > 1.0 + 1e-9:
-            raise ConfigError(f"sum of spawn probabilities must be <= 1, got {total}")
-        if self.guard_threshold < 1:
-            raise ConfigError(f"guard_threshold must be >= 1, got {self.guard_threshold}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -148,14 +144,14 @@ class EnvConfig:
             raise ConfigError(f"env.job_types must be a list, got {data['job_types']!r}")
         for i, t in enumerate(data["job_types"]):
             check_keys(JobType, t, f"env.job_types.{i}")
-        trading = data.get("trading_enabled", True)
+        trading = data.get("trading_enabled", cls.trading_enabled)
         if not isinstance(trading, bool):
             raise ConfigError(f"trading_enabled must be true or false, got {trading!r}")
-        mode = data.get("pricing_mode", "FIXED")
+        mode = data.get("pricing_mode", cls.pricing_mode.value)
         if not isinstance(mode, str) or mode not in PricingMode.__members__:
             raise ConfigError(f"pricing_mode must be one of "
                               f"{', '.join(PricingMode.__members__)}, got {mode!r}")
-        cfg = cls(
+        return cls(
             num_agents=whole_number(data["num_agents"], "num_agents"),
             num_cores=whole_number(data["num_cores"], "num_cores"),
             num_slots=whole_number(data["num_slots"], "num_slots"),
@@ -170,8 +166,6 @@ class EnvConfig:
             ),
             pricing_mode=PricingMode(mode),
             trading_enabled=trading,
-            guard_threshold=whole_number(data.get("guard_threshold", 1_000_000),
+            guard_threshold=whole_number(data.get("guard_threshold", cls.guard_threshold),
                                          "guard_threshold"),
         )
-        cfg.validate()
-        return cfg

@@ -167,7 +167,6 @@ class SchedulingEnv:
     """
 
     def __init__(self, config: EnvConfig, seed: int):
-        config.validate()
         self.config = config
         self.seed = seed
         self.time = 0

@@ -30,7 +30,8 @@ import numpy as np
 
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, AgentBundle,
                      Trainer)
-from .config import ConfigError, EnvConfig, JobType, PricingMode, check_keys, whole_number
+from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_keys, finite_number,
+                     whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
 from .neural import PPOHyper
 
@@ -42,7 +43,7 @@ class Scenario:
     name: str
     env: EnvConfig
     arch: tuple[str, ...]
-    hyper: PPOHyper
+    hyper: PPOHyper = PPOHyper()  # frozen, so one shared default is safe
     total_steps: int = 50_000
     window: int = 500
     record_every: int = 100
@@ -54,15 +55,11 @@ class Scenario:
             arch = (arch,) * self.env.num_agents
         object.__setattr__(self, "arch", tuple(arch))
         object.__setattr__(self, "seeds", tuple(self.seeds))
-
-    def validate(self) -> None:
         # the name becomes part of every artifact's file name
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or any(c in self.name for c in "/\\\0")):
             raise ConfigError("scenario name must be a non-empty string other than '.' "
                               f"and '..', with no '/', '\\' or NUL, got {self.name!r}")
-        self.env.validate()
-        self.hyper.validate()
         if len(self.arch) != self.env.num_agents:
             raise ConfigError(
                 f"scenario {self.name}: {len(self.arch)} architectures for "
@@ -78,6 +75,8 @@ class Scenario:
             raise ConfigError(f"scenario {self.name}: record_every must be >= 1")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"scenario {self.name}: seeds must be non-empty and distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"scenario {self.name}: seeds must be >= 0, got {min(self.seeds)}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -93,23 +92,22 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        check_keys(cls, data, "scenario", optional=("hyper",))
+        check_keys(cls, data, "scenario")
         arch = data["arch"]
-        seeds = data.get("seeds", [1, 2, 3, 4, 5])
+        seeds = data.get("seeds", list(cls.seeds))
         if not isinstance(seeds, list):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
-        scenario = cls(
+        return cls(
             name=data["name"],
             env=EnvConfig.from_dict(data["env"]),
             arch=tuple(arch) if isinstance(arch, list) else str(arch),
             hyper=PPOHyper.from_dict(data.get("hyper", {})),
-            total_steps=whole_number(data.get("total_steps", 50_000), "total_steps"),
-            window=whole_number(data.get("window", 500), "window"),
-            record_every=whole_number(data.get("record_every", 100), "record_every"),
+            total_steps=whole_number(data.get("total_steps", cls.total_steps), "total_steps"),
+            window=whole_number(data.get("window", cls.window), "window"),
+            record_every=whole_number(data.get("record_every", cls.record_every),
+                                      "record_every"),
             seeds=tuple(whole_number(s, "seed") for s in seeds),
         )
-        scenario.validate()
-        return scenario
 
 
 class OverrideError(ValueError):
@@ -131,28 +129,21 @@ def apply_overrides(data: dict[str, Any], overrides: Iterable[str]) -> dict[str,
         except json.JSONDecodeError:
             value = raw
         node: Any = data
-        parts = dotted.split(".")
-        for i, part in enumerate(parts):
-            last = i == len(parts) - 1
+        for part in dotted.split("."):  # one part at least, so parent and key get set
             if isinstance(node, list):
                 try:
-                    index = int(part)
-                    node[index]
+                    key = int(part)
+                    node[key]
                 except (ValueError, IndexError):
                     raise OverrideError(f"override {dotted!r}: bad list index {part!r}")
-                if last:
-                    node[index] = value
-                else:
-                    node = node[index]
             elif isinstance(node, dict):
                 if part not in node:
                     raise OverrideError(f"override {dotted!r}: unknown field {part!r}")
-                if last:
-                    node[part] = value
-                else:
-                    node = node[part]
+                key = part
             else:
                 raise OverrideError(f"override {dotted!r}: {part!r} is not addressable")
+            parent, node = node, node[key]
+        parent[key] = value
     return data
 
 
@@ -243,7 +234,6 @@ def run_scenario(scenario: Scenario, seed: int,
     Deterministic in (scenario, seed): repeated calls produce identical
     records and trace files.
     """
-    scenario.validate()
     env = SchedulingEnv(scenario.env, seed)
     trainer = Trainer(env, [
         AgentBundle(scenario.arch[agent], agent, scenario.env, scenario.hyper, seed)
@@ -291,7 +281,10 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
         for i in range(len(first.steps)):
             values = [r.series[name][i] for r in records if r.series[name][i] is not None]
             count[name].append(len(values))
-            if values:
+            if len(values) == 1:  # numpy's bytes, without its cost; its mean of -0.0 is 0.0
+                mean[name].append(float(values[0]) + 0.0)
+                std[name].append(0.0)
+            elif values:
                 arr = np.asarray(values)
                 mean[name].append(float(arr.mean()))
                 std[name].append(float(arr.std()))
@@ -368,8 +361,8 @@ def read_series_csv(path: str | os.PathLike) -> dict[str, CsvSeries]:
                 raise ValueError(f"{path}: line {lineno}: expected 5 columns")
             try:
                 step = int(parts[0])
-                value = float(parts[2])
-                std = float(parts[4])
+                value = finite_number(float(parts[2]), "value")
+                std = finite_number(float(parts[4]), "std")
             except ValueError as err:
                 raise ValueError(f"{path}: line {lineno}: {err}") from None
             series = out.setdefault(parts[1], CsvSeries(parts[1], [], [], []))
@@ -393,7 +386,6 @@ def builtin_scenarios() -> dict[str, Scenario]:
 
 
 def _build_builtin_scenarios() -> dict[str, Scenario]:
-    hyper = PPOHyper()
     # calibrated so that cores stay busy >= 90% of steps without trading
     # while the rarer short jobs pile up behind the long blockers
     low = JobType(id=0, priority=1, burst=15, spawn_prob=0.85)
@@ -405,17 +397,14 @@ def _build_builtin_scenarios() -> dict[str, Scenario]:
     def add(s: Scenario) -> None:
         scenarios[s.name] = s
 
-    add(Scenario("EXP1_TRADING", EnvConfig(job_types=(low, high), **duo),
-                 ARCH_DIST_PS, hyper))
+    add(Scenario("EXP1_TRADING", EnvConfig(job_types=(low, high), **duo), ARCH_DIST_PS))
     add(Scenario("EXP1_NO_TRADING",
                  EnvConfig(job_types=(low, high), trading_enabled=False, **duo),
-                 ARCH_DIST_PS, hyper))
-    add(Scenario("EXP2_ARCH_2X2", EnvConfig(job_types=(low, high), **duo),
-                 ARCH_DIST, hyper))
+                 ARCH_DIST_PS))
+    add(Scenario("EXP2_ARCH_2X2", EnvConfig(job_types=(low, high), **duo), ARCH_DIST))
     add(Scenario("EXP2_ARCH_4X4",
-                 EnvConfig(num_agents=4, num_cores=4, num_slots=3,
-                           job_types=(low, high)),
-                 ARCH_DIST, hyper))
+                 EnvConfig(num_agents=4, num_cores=4, num_slots=3, job_types=(low, high)),
+                 ARCH_DIST))
 
     scarce = JobType(id=0, priority=5, burst=5, spawn_prob=1.0)
     for cores in (2, 4):
@@ -425,7 +414,7 @@ def _build_builtin_scenarios() -> dict[str, Scenario]:
                 f"EXP3_SCARCITY_{cores}C_{tag}",
                 EnvConfig(num_agents=2, num_cores=cores, num_slots=3,
                           job_types=(scarce,), pricing_mode=mode),
-                ARCH_DIST_PRICE, hyper))
+                ARCH_DIST_PRICE))
 
     graded = (
         JobType(id=0, priority=2, burst=5, spawn_prob=0.33),
@@ -438,16 +427,16 @@ def _build_builtin_scenarios() -> dict[str, Scenario]:
             f"EXP4_PRICING_{tag}",
             EnvConfig(num_agents=2, num_cores=2, num_slots=3,
                       job_types=graded, pricing_mode=mode),
-            ARCH_DIST_PRICE, hyper))
+            ARCH_DIST_PRICE))
 
     add(Scenario("BASE_SINGLE",
                  EnvConfig(num_agents=1, num_cores=1, num_slots=1,
                            job_types=(JobType(id=0, priority=3, burst=4, spawn_prob=0.7),),
                            trading_enabled=False),
-                 ARCH_DIST, hyper, total_steps=2_000, window=200))
+                 ARCH_DIST, total_steps=2_000, window=200))
     add(Scenario("BASE_DUO",
                  EnvConfig(job_types=(low, high), trading_enabled=False, **duo),
-                 ARCH_DIST, hyper, total_steps=2_000, window=200))
+                 ARCH_DIST, total_steps=2_000, window=200))
     add(Scenario("BASE_TRIO",
                  EnvConfig(num_agents=3, num_cores=2, num_slots=2,
                            job_types=(
@@ -456,7 +445,7 @@ def _build_builtin_scenarios() -> dict[str, Scenario]:
                                JobType(id=2, priority=2, burst=2, spawn_prob=0.1),
                            ),
                            trading_enabled=False),
-                 ARCH_DIST, hyper, total_steps=2_000, window=200))
+                 ARCH_DIST, total_steps=2_000, window=200))
     return scenarios
 
 

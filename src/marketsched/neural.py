@@ -46,7 +46,7 @@ class PPOHyper:
 
     integer_fields = ("rollout_length", "minibatch_size", "epochs")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in vars(self).items():
             if name in self.integer_fields and type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -70,10 +70,8 @@ class PPOHyper:
     @classmethod
     def from_dict(cls, data: dict) -> "PPOHyper":
         check_keys(cls, data, "hyper")
-        hyper = cls(**{k: whole_number(v, k) if k in cls.integer_fields else v
-                       for k, v in data.items()})
-        hyper.validate()
-        return hyper
+        return cls(**{k: whole_number(v, k) if k in cls.integer_fields else v
+                      for k, v in data.items()})
 
 
 @dataclass
@@ -324,13 +322,22 @@ class RolloutBuffer:
         )
 
 
+def surrogate_work(params: NetParams, rows: int) -> np.ndarray:
+    """``surrogate_objective``'s scratch: four (``rows`` or hidden) x actions rows."""
+    return np.empty((4, max(rows, params.wp.shape[0]) * params.action_count))
+
+
 def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
-                        hyper: PPOHyper, indices: np.ndarray) -> tuple[float, dict]:
+                        hyper: PPOHyper, indices: np.ndarray,
+                        work: np.ndarray | None = None) -> tuple[float, dict]:
     """Clipped-surrogate objective and its analytic gradient on a minibatch.
 
     Returns (objective, stats) and writes into ``grads`` the gradient, which
     points in the ascent direction of objective = policy surrogate
-    - c_v * value loss + c_e * entropy.
+    - c_v * value loss + c_e * entropy. Every (rows x actions) array lives
+    in ``work`` (``surrogate_work``), which an update's minibatches share:
+    freed after each minibatch, such arrays' pages may go back to the OS and
+    be faulted in again on the next one, depending on the heap's layout.
     """
     x = batch.obs[indices]
     acts = batch.actions[indices]
@@ -338,21 +345,27 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     ret = batch.returns[indices]
     logp_old = batch.logp_old[indices]
     n = len(indices)
+    hidden, actions = params.wp.shape
+    work = surrogate_work(params, n) if work is None else work
+    lp, pr, dl = (w[:n * actions].reshape(n, actions) for w in work[:3])
 
     z1 = x @ params.w1 + params.b1
     h = np.tanh(z1)
-    logits = h @ params.wp + params.bp
+    logits = np.matmul(h, params.wp, out=lp)
+    logits += params.bp
     values = h @ params.wv + params.bv[0]
 
-    logp_all = log_softmax(logits)
-    probs = np.exp(logp_all)
+    # log_softmax in place: logits, z and logp_all all live in lp
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=lp)
+    logp_all = np.subtract(z, np.log(np.exp(z, out=pr).sum(axis=-1, keepdims=True)), out=lp)
+    probs = np.exp(logp_all, out=pr)
     logp_act = logp_all[np.arange(n), acts]
     ratio = np.exp(logp_act - logp_old)
     clipped = np.clip(ratio, 1.0 - hyper.clip, 1.0 + hyper.clip)
     surr_unclipped = ratio * adv
     surr_clipped = clipped * adv
     surrogate = np.minimum(surr_unclipped, surr_clipped)
-    entropy = -(probs * logp_all).sum(axis=1)
+    entropy = -np.multiply(probs, logp_all, out=dl).sum(axis=1)
     value_err = values - ret
     value_loss = (value_err**2).mean()
     mean_entropy = entropy.mean()
@@ -365,10 +378,13 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     # it attains the min; a clipped-and-active branch has zero gradient.
     use_unclipped = surr_unclipped <= surr_clipped
     coef = np.where(use_unclipped, ratio * adv, 0.0) / n
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), acts] = 1.0
-    d_logits = coef[:, None] * (one_hot - probs)
-    d_logits += hyper.entropy_coef * (-probs * (logp_all + entropy[:, None])) / n
+    dl.fill(0.0)  # one_hot, then d_logits
+    dl[np.arange(n), acts] = 1.0
+    d_logits = np.multiply(coef[:, None], np.subtract(dl, probs, out=dl), out=dl)
+    # += c_e * (-probs * (logp_all + entropy)) / n; probs and logp_all are done
+    term = np.multiply(np.negative(probs, out=pr),
+                       np.add(logp_all, entropy[:, None], out=lp), out=pr)
+    d_logits += np.divide(np.multiply(hyper.entropy_coef, term, out=pr), n, out=pr)
 
     d_values = -2.0 * hyper.value_coef * value_err / n
 
@@ -376,7 +392,8 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     d_z1 = d_h * (1.0 - h * h)
     grads.w1[...] = x.T @ d_z1
     grads.b1[...] = d_z1.sum(axis=0)
-    grads.wp[...] = h.T @ d_logits
+    dw = work[3, :hidden * actions].reshape(hidden, actions)
+    grads.wp[...] = np.matmul(h.T, d_logits, out=dw)
     grads.bp[...] = d_logits.sum(axis=0)
     grads.wv[...] = h.T @ d_values
     grads.bv[...] = d_values.sum()
@@ -404,11 +421,13 @@ def ppo_update(stack: ParamStack, index: int, batch: TrainBatch, hyper: PPOHyper
     count = len(batch.actions)
     totals = dict.fromkeys(("objective", "value_loss", "entropy", "clip_fraction"), 0.0)
     minibatches = 0
+    work = surrogate_work(params, min(count, hyper.minibatch_size))
     for _ in range(hyper.epochs):
         order = rng.permutation(count)
         for start in range(0, count, hyper.minibatch_size):
             indices = order[start:start + hyper.minibatch_size]
-            objective, stats = surrogate_objective(params, grads, batch, hyper, indices)
+            objective, stats = surrogate_objective(params, grads, batch, hyper, indices,
+                                                   work)
             if not np.isfinite(objective) or not np.isfinite(grad_row).all():
                 raise NonFiniteLossError(
                     f"non-finite update: objective={objective!r}, "

@@ -20,7 +20,6 @@ def cardinality(unit, num_cores, num_agents, num_slots):
     arch, key = unit
     config = EnvConfig(num_agents=num_agents, num_cores=num_cores, num_slots=num_slots,
                        job_types=(JobType(0, 1, 1, 1.0),))
-    config.validate()
     (spec,) = [s for s in unit_layout(arch, config) if s.key == key]
     return spec.action_count
 

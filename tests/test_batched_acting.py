@@ -111,7 +111,7 @@ def assert_rows_match_encoders(bundle, env, joint):
         acted = spec.slots or any((a, m) in joint.accepts for m in spec.cores)
         if not acted:
             continue
-        recorded = unit.open_sample[0]
+        recorded = unit.buffer.obs[len(unit.buffer) - 1]
         assert np.array_equal(recorded, reference_obs(env, a, spec))
         width = acceptor_obs_len(bundle.config.num_agents, bundle.config.num_slots)
         for i, m in enumerate(spec.cores):

@@ -176,6 +176,17 @@ class TestPlot:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("row", [f"1,x,{bad},1,0.0" for bad in ("nan", "inf", "-inf")]
+                             + [f"1,x,1.0,1,{bad}" for bad in ("nan", "inf", "-inf")])
+    def test_non_finite_value_is_rejected(self, row, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        self.write_csv(csv, ["0,x,1.0,1,0.0", row])
+        out = tmp_path / "o.svg"
+        assert run_cli("plot", str(csv), "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: line 3: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("step,series,value,seed_count,std\n5,x,nope,1,0\n")
@@ -236,7 +247,7 @@ class TestUsage:
         "env.trading_enabled=False", 'env.trading_enabled="false"', "env.trading_enabled=1",
         "env.num_slots=2.5", "env.job_types.0.burst=1.5", "env.guard_threshold=true",
         "total_steps=300.5", "env.job_types.0.spawn_prob=false",
-        'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]",
+        'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]", "seeds=[-1]",
         "seeds=5", "env.job_types=3", "name=../o5x", "name=[1]", 'name=""',
         "env.pricing_mode=BOGUS", "env.pricing_mode=5", 'env.pricing_mode=["FIXED"]',
     ])

@@ -38,9 +38,9 @@ class TestNewEnv:
 
     def test_invalid_config_reports_constraint(self):
         with pytest.raises(ConfigError, match="num_cores"):
-            EnvConfig(1, 0, 1, (JobType(0, 1, 1, 0.5),)).validate()
+            EnvConfig(1, 0, 1, (JobType(0, 1, 1, 0.5),))
         with pytest.raises(ConfigError, match="spawn"):
-            EnvConfig(1, 1, 1, (JobType(0, 1, 1, 0.7), JobType(1, 1, 1, 0.7))).validate()
+            EnvConfig(1, 1, 1, (JobType(0, 1, 1, 0.7), JobType(1, 1, 1, 0.7)))
 
 
 class TestStepTiming:

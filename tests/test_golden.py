@@ -20,6 +20,8 @@ GOLDEN = {
                 "378ba684e3fcabfca08197a5596ff9c471ab665b7ab0cca9078d4db08bd6f2d6",
             "EXP1_TRADING_seed1.csv":
                 "590ac7ddd892fc5f2c24a80151b979288723875a5752e7fdbfe49d2611862fce",
+            "manifest.json":
+                "237281851692cd63c6f34400780e546a5121cdcb4e5d09b464414ddb2cfa6009",
         },
     ),
     "exp3_scarcity_2c_comm": (
@@ -30,6 +32,8 @@ GOLDEN = {
                 "6ed805ff306ca1db9115f1e1d8b95e42b198f53a5aae426a7291b7ea3ae271f3",
             "EXP3_SCARCITY_2C_COMM_seed1.csv":
                 "fe96f9ad660d9d02d55d2d65555aef0980975f85ba80e4f2465145a5bb56c6ea",
+            "manifest.json":
+                "a70564ed1948ea2a56a3e961d7b1775fa892464cfaaf0e9b5c40a27f7a59c1c9",
         },
     ),
     "exp2_arch_2x2_semi": (

@@ -62,6 +62,17 @@ class TestAggregate:
         assert agg.std["x"] == [0.0, None, 0.0]
         assert agg.count["x"] == [1, 0, 1]
 
+    def test_one_value_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        values = [*rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+                  0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0, 3, -7, 2**53 + 1,
+                  2**60 + 1, -(2**60 + 1)]
+        agg = aggregate([tiny_record(values)])
+        expected_mean = [repr(float(np.asarray([v]).mean())) for v in values]
+        expected_std = [repr(float(np.asarray([v]).std())) for v in values]
+        assert [repr(m) for m in agg.mean["x"]] == expected_mean
+        assert [repr(s) for s in agg.std["x"]] == expected_std
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             aggregate([tiny_record([1.0]), tiny_record([1.0, 2.0], seed=2)])
@@ -234,6 +245,26 @@ class TestOverrides:
         with pytest.raises(OverrideError):
             apply_overrides(data, ["env.job_types.9.burst=2"])
 
+    @pytest.mark.parametrize("override, message", [
+        ("env.num_cores.x=1", "override 'env.num_cores.x': 'x' is not addressable"),
+        ("env.job_types.x.burst=2", "override 'env.job_types.x.burst': bad list index 'x'"),
+        ("env.bogus.x=1", "override 'env.bogus.x': unknown field 'bogus'"),
+    ])
+    def test_rejection_names_the_failing_part(self, override, message):
+        data = builtin_scenarios()["EXP1_TRADING"].to_dict()
+        before = builtin_scenarios()["EXP1_TRADING"].to_dict()
+        with pytest.raises(OverrideError) as err:
+            apply_overrides(data, [override])
+        assert str(err.value) == message
+        assert data == before
+
+    def test_list_element_is_assigned(self):
+        data = builtin_scenarios()["EXP1_TRADING"].to_dict()
+        apply_overrides(data, ["seeds.0=9", "arch.1=SEMI"])
+        assert data["seeds"] == [9, 2, 3, 4, 5]
+        assert data["arch"] == ["DIST_PS", "SEMI"]
+        assert Scenario.from_dict(data).seeds == (9, 2, 3, 4, 5)
+
 
 class TestBuiltinScenarios:
     def test_exp3_single_type(self):
@@ -257,16 +288,24 @@ class TestBuiltinScenarios:
 
     def test_every_scenario_validates(self):
         for scenario in builtin_scenarios().values():
-            scenario.validate()
             roundtrip = Scenario.from_dict(scenario.to_dict())
             assert roundtrip == scenario
+
+    def test_omitted_fields_take_the_dataclass_defaults(self):
+        job = {"id": 0, "priority": 1, "burst": 2, "spawn_prob": 0.5}
+        data = {"name": "X", "arch": "DIST",
+                "env": {"num_agents": 1, "num_cores": 1, "num_slots": 1, "job_types": [job]}}
+        built = Scenario("X", EnvConfig(1, 1, 1, (JobType(0, 1, 2, 0.5),)), "DIST",
+                         PPOHyper())
+        assert Scenario.from_dict(data) == built
+        assert PPOHyper.from_dict({}) == PPOHyper()
 
     def test_scenario_consistency_checks(self):
         scenario = builtin_scenarios()["EXP1_TRADING"]
         with pytest.raises(ConfigError):
-            replace(scenario, total_steps=10, window=100).validate()
+            replace(scenario, total_steps=10, window=100)
         with pytest.raises(ConfigError):
-            replace(scenario, arch=("DIST",)).validate()
+            replace(scenario, arch=("DIST",))
         for name in ("../x", "a\\b", "a\0b", "..", "", 7):
             with pytest.raises(ConfigError, match="name"):
-                replace(scenario, name=name).validate()
+                replace(scenario, name=name)

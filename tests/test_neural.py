@@ -17,6 +17,7 @@ from marketsched.neural import (
     ppo_update,
     sample_rows,
     surrogate_objective,
+    surrogate_work,
 )
 from marketsched.rng import derive_rng
 
@@ -200,6 +201,22 @@ class TestGradients:
         assert stats["clip_fraction"] == 1.0
         for name in ("wp", "bp"):
             assert np.all(grads[name] == 0.0)
+
+    def test_shared_work_gives_the_same_bits(self):
+        # one scratch serves an update's minibatches of every size: what an
+        # earlier one left in it must not reach the next
+        params = small_net(seed=14)
+        batch = make_batch(params, 48, seed=14)
+        hyper = PPOHyper()
+        shape = (params.in_width, params.w1.shape[1], params.action_count)
+        work = np.full(surrogate_work(params, 32).shape, np.nan)
+        for idx in (np.arange(32), np.arange(32, 48), np.arange(0, 48, 3)):
+            fresh_objective, fresh_grads, fresh_stats = gradient(params, batch, hyper, idx)
+            grads = ParamStack([shape]).grad_views[0]
+            objective, stats = surrogate_objective(params, grads, batch, hyper, idx, work)
+            assert objective == fresh_objective and stats == fresh_stats
+            for name, tensor in grads.tensors():
+                assert tensor.tobytes() == fresh_grads[name].tobytes()
 
     def test_zero_advantages_give_zero_policy_gradient(self):
         params = small_net(seed=13)
@@ -392,11 +409,11 @@ class TestCheckpoint:
 
 def test_hyper_validation():
     with pytest.raises(ValueError):
-        PPOHyper(discount=0.0).validate()
+        PPOHyper(discount=0.0)
     with pytest.raises(ValueError):
-        PPOHyper(gae_lambda=1.5).validate()
+        PPOHyper(gae_lambda=1.5)
     with pytest.raises(ValueError):
-        PPOHyper(clip=0.0).validate()
+        PPOHyper(clip=0.0)
     for bad in (dict(learning_rate="abc"), dict(learning_rate=None),
                 dict(learning_rate=True), dict(discount=float("nan")),
                 dict(clip=float("inf")), dict(value_coef=float("nan")),
@@ -404,5 +421,5 @@ def test_hyper_validation():
                 dict(entropy_coef=None), dict(learning_rate=-1.0), dict(learning_rate=0.0),
                 dict(entropy_coef=-0.01), dict(value_coef=-0.5)):
         with pytest.raises(ValueError):
-            PPOHyper(**bad).validate()
-    PPOHyper().validate()
+            PPOHyper(**bad)
+    PPOHyper()
