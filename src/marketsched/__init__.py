@@ -11,7 +11,6 @@ from .env import (
     StepResult,
     settle_chain,
 )
-from .actions import mixed_radix_decode, mixed_radix_encode
 from .neural import NonFiniteLossError, PPOHyper
 from .agents import (
     ARCHITECTURES,
@@ -53,8 +52,6 @@ __all__ = [
     "aggregate",
     "builtin_scenarios",
     "feasibility_guard",
-    "mixed_radix_decode",
-    "mixed_radix_encode",
     "route_rewards",
     "run_scenario",
     "run_sweep",

@@ -9,26 +9,31 @@ positions into one unit and the offer positions into another, and ``FULL``
 folds them all into one. Mixed-radix arithmetic turns a unit's action into one
 digit per position, so a distributed unit is the one-digit case.
 
-A bundle keeps all its parameter sets in one ``ParamStack``, and an agent acts
-in one batched pass per step whatever its architecture and however many rows
-the pass has (``FULL``'s has one). Every unit with a live position (accept m
-when trading is on and the agent owns core m; every offer) writes its
-observation into one row of a (units, width) array, one ``forward`` runs over
-all rows with each row's parameter set, and one vectorized inverse-CDF step
-turns one uniform draw per unit, taken from that unit's own sample stream,
-into its action. Live positions take their digits, the others are dropped.
-Price setters follow in a second pass over the offers just made, since what
-they see depends on the offer's target core.
+A bundle keeps all its parameter sets in one ``ParamStack``. The bundles
+that ``build_bundles`` makes for one run keep the weights of all bundles
+whose stacks share a padded layout (widest in-width, hidden width and action
+count) in one home ``ParamRows``, each bundle's rows a contiguous range of
+it, and the ``Trainer`` acts for all of them in one batched pass per step and
+home, whatever the architectures and however many rows the pass has.
+Every unit with a live position (accept m when trading is on and its agent
+owns core m; every offer) writes its observation into one row of a
+(units, width) array, one ``forward`` runs over all rows with each row's
+parameter set, and one vectorized inverse-CDF step turns one uniform draw
+per unit, taken from that unit's own sample stream, into its action. Live
+positions take their digits, the others are dropped. Price setters follow in
+a second pass over the offers just made, since what they see depends on the
+offer's target core. ``AgentBundle.act`` is the same pass for one bundle.
 
 Update-order contract: the pass does exactly what acting one unit at a time
 in row order would. Each unit's bookkeeping runs in row order, and when a
 unit's rollout window fills, its parameter set is updated on the spot; the
-later rows of that set are then evaluated again with the updated weights
-and their same draws.
+later rows of that set, all of the same agent, are then evaluated again with
+the updated weights and their same draws.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -37,9 +42,10 @@ import numpy as np
 
 from .actions import space_size
 from .config import EnvConfig, PricingMode
-from .env import JointActions, SchedulingEnv, StepResult
+from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
 from .neural import (
     NetParams,
+    ParamRows,
     ParamStack,
     PPOHyper,
     RolloutBuffer,
@@ -164,8 +170,30 @@ def unit_layout(arch: str, config: EnvConfig) -> list[UnitSpec]:
 def feasibility_guard(arch: str, config: EnvConfig) -> tuple[bool, int]:
     """(ok, largest unit action space). Construction is rejected when any
     unit's space exceeds the configured guard threshold."""
-    worst = max(spec.action_count for spec in unit_layout(arch, config))
+    return _feasible(unit_layout(arch, config), config)
+
+
+def _feasible(specs: list[UnitSpec], config: EnvConfig) -> tuple[bool, int]:
+    worst = max(spec.action_count for spec in specs)
     return worst <= config.guard_threshold, worst
+
+
+def _parameter_sets(arch: str, config: EnvConfig
+                    ) -> tuple[list[UnitSpec], dict[str, int], list[tuple[int, int, int]]]:
+    """The units of ``unit_layout``, the row of each parameter set by key, in
+    order of first use, and each set's (in_width, hidden_width, action_count).
+    An architecture that ``feasibility_guard`` rejects raises."""
+    specs = unit_layout(arch, config)
+    ok, worst = _feasible(specs, config)
+    if not ok:
+        raise InfeasibleArchitectureError(arch, worst, config.guard_threshold)
+    rows: dict[str, int] = {}
+    shapes = []
+    for spec in specs:
+        if spec.param_key not in rows:
+            rows[spec.param_key] = len(shapes)
+            shapes.append((spec.obs_width, spec.hidden_width, spec.action_count))
+    return specs, rows, shapes
 
 
 class ActingUnit:
@@ -238,9 +266,10 @@ class ActingUnit:
 
 
 class _Pass(NamedTuple):
-    """One agent's acting pass for one set of owned cores."""
+    """One agent's rows of an acting pass, for one set of owned cores."""
 
     units: list[ActingUnit]          # the acting units, in row order
+    sets: np.ndarray                 # each unit's parameter set in its bundle's stack
     cores: list[int]                 # the core of each acceptor block, in order
     acceptor_view: tuple | None      # the part of obs that holds them
     slots: list[int]                 # the slot of each offer slot state, in order
@@ -252,22 +281,15 @@ class AgentBundle:
     """All acting units of one agent plus their (possibly shared) parameters."""
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
-                 seed: int):
-        specs = unit_layout(arch, config)
-        worst = max(spec.action_count for spec in specs)
-        if worst > config.guard_threshold:  # as feasibility_guard, on this layout
-            raise InfeasibleArchitectureError(arch, worst, config.guard_threshold)
+                 seed: int, home: ParamRows | None = None, first: int = 0):
+        """With ``home`` the weights are its rows ``first``, ``first + 1``, ...
+        (see ``build_bundles``); else a new array's."""
+        specs, param_sets, shapes = _parameter_sets(arch, config)
         self.arch = arch
         self.agent = agent
         self.config = config
         self.hyper = hyper
-        param_sets: dict[str, int] = {}
-        shapes = []
-        for spec in specs:
-            if spec.param_key not in param_sets:
-                param_sets[spec.param_key] = len(shapes)
-                shapes.append((spec.obs_width, spec.hidden_width, spec.action_count))
-        self.stack = ParamStack(shapes)
+        self.stack = ParamStack(shapes, home, first)
         for index, params in enumerate(self.stack.views):
             init_params(params, derive_rng(seed, STREAM_UNIT_INIT, agent, index))
         # the parameter sets by key, in row order: the names of a checkpoint's rows
@@ -295,39 +317,16 @@ class AgentBundle:
     # ------------------------------------------------------------------
 
     def act(self, env: SchedulingEnv, joint: JointActions) -> None:
-        """The pass of the module docstring."""
-        cfg = self.config
-        a = self.agent
-        owned = (tuple(m for m, core in enumerate(env.cores) if core.owner == a)
-                 if cfg.trading_enabled else ())
-        plan = self._passes.get(owned) or self._plan(owned)
-        obs = np.zeros((len(plan.units), self.stack.in_width))
-        block = core_block(env, a)
-        if plan.cores:
-            fill_acceptor_rows(env, block, plan.cores,
-                               obs[plan.acceptor_view].reshape(len(plan.cores), -1))
-        fill_offer_rows(env, a, block, plan.slots, obs[plan.offer_view])
-        actions = self._act_rows(plan.units, obs)
-        for row, weight, radix, (kind, i) in plan.digits:
-            if kind == "offer":
-                joint.offers[(a, i)] = actions[row] // weight % radix
-            else:
-                joint.accepts[(a, i)] = actions[row] // weight % radix
-        if not self._price_setters or not cfg.pricing_mode.is_free:
-            return
-        targets = [(k, joint.offers[(a, k)] - 1) for k in self._price_setters
-                   if joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
-        if targets:
-            obs = np.zeros((len(targets), self.stack.in_width))
-            fill_price_rows(env, a, targets, obs)
-            prices = self._act_rows([self._price_setters[k] for k, _ in targets],
-                                    obs, made_at=env.time)
-            for (k, _), price in zip(targets, prices):
-                joint.prices[(a, k)] = price
+        """The pass of the module docstring, for this bundle alone."""
+        _act([self], env, joint, core_block(env, self.agent))
 
     def _plan(self, owned: tuple[int, ...]) -> _Pass:
-        """The pass of an agent that owns the cores ``owned``: every unit with
-        a live position acts, and each live position takes its digit."""
+        """This agent's rows of a pass when it owns the cores ``owned``, kept
+        for the next such pass: every unit with a live position acts, and
+        each live position takes its digit."""
+        plan = self._passes.get(owned)
+        if plan is not None:
+            return plan
         live = {("accept", m) for m in owned} | {
             pos for pos in self.unit_at if pos[0] == "offer"}
         units = [unit for unit in self.units.values()
@@ -351,6 +350,7 @@ class AgentBundle:
             self._passes.clear()
         plan = self._passes[owned] = _Pass(
             units=units,
+            sets=np.array([unit.param_set for unit in units]),
             cores=[m for spec in accepting for m in spec.cores],
             acceptor_view=(np.s_[:len(accepting), :len(accepting[0].cores) * width]
                            if accepting else None),
@@ -359,36 +359,6 @@ class AgentBundle:
             digits=digits,
         )
         return plan
-
-    def _act_rows(self, units: list[ActingUnit], obs: np.ndarray,
-                  made_at: int | None = None) -> list[int]:
-        """Act for ``units[i]`` on row i of ``obs``: one forward over all rows,
-        one draw per unit, then each unit's bookkeeping in row order. With
-        ``made_at`` the units are price setters and their decisions are held
-        pending instead of recorded."""
-        sets = np.array([unit.param_set for unit in units])
-        u = np.array([unit.sample_rng.random() for unit in units])
-        last = self.stack.last_action[sets]
-        logits, values = forward(self.stack, obs, sets)
-        actions, logps = sample_rows(logits, u, last)
-        actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
-        for r, unit in enumerate(units):
-            row = obs[r, :unit.spec.obs_width]
-            if made_at is not None:
-                unit.hold_price(made_at, row, actions[r], logps[r], values[r])
-                continue
-            if not unit.record(row, actions[r], logps[r], values[r]):
-                continue
-            # the update moved this set's weights: later rows of the set act
-            # on the new weights, with the draws they already took
-            later = [j for j in range(r + 1, len(units)) if sets[j] == sets[r]]
-            if later:
-                logits, fresh = forward(self.stack, obs[later], sets[later])
-                redrawn, relogp = sample_rows(logits, u[later], last[later])
-                for j, action, logp, value in zip(later, redrawn.tolist(),
-                                                  relogp.tolist(), fresh.tolist()):
-                    actions[j], logps[j], values[j] = action, logp, value
-        return actions
 
     # ------------------------------------------------------------------
     # persistence
@@ -399,6 +369,84 @@ class AgentBundle:
 
     def load(self, path) -> None:
         self.stack.load(path, list(self.params))
+
+
+def _act(bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
+         block: np.ndarray) -> None:
+    """The pass of the module docstring over ``bundles``, whose stacks share
+    one home. ``block`` is the step's ``core_block``, whose owned-by-agent
+    column each agent's rows overwrite."""
+    stack = bundles[0].stack.home
+    trading = env.config.trading_enabled
+    plans, units, sets = [], [], []
+    for bundle in bundles:
+        mine = [core.owner == bundle.agent for core in env.cores]
+        plan = bundle._plan(tuple(m for m, own in enumerate(mine) if own) if trading else ())
+        plans.append((bundle, plan, len(units), mine))
+        units += plan.units
+        sets.append(plan.sets + bundle.stack.first)
+    obs = np.zeros((len(units), stack.in_width))
+    for bundle, plan, start, mine in plans:
+        rows = obs[start:start + len(plan.units)]
+        block[2::3] = mine
+        if plan.cores:
+            fill_acceptor_rows(env, block, plan.cores,
+                               rows[plan.acceptor_view].reshape(len(plan.cores), -1))
+        fill_offer_rows(env, bundle.agent, block, plan.slots, rows[plan.offer_view])
+    actions = _act_rows(stack, units, np.concatenate(sets), obs)
+    for bundle, plan, start, _ in plans:
+        a = bundle.agent
+        for row, weight, radix, (kind, i) in plan.digits:
+            digit = actions[start + row] // weight % radix
+            if kind == "offer":
+                joint.offers[(a, i)] = digit
+            else:
+                joint.accepts[(a, i)] = digit
+    if not env.config.pricing_mode.is_free:
+        return
+    # the price setters' pass over the offers just made
+    priced = [(bundle.agent, k, unit, bundle.stack.first + unit.param_set)
+              for bundle in bundles for k, unit in bundle._price_setters.items()
+              if joint.offers[(bundle.agent, k)] > 0 and env.slots[bundle.agent][k] is not None]
+    if not priced:
+        return
+    obs = np.zeros((len(priced), stack.in_width))
+    for row, (a, k, _, _) in zip(obs, priced):
+        fill_price_rows(env, a, [(k, joint.offers[(a, k)] - 1)], row[None])
+    prices = _act_rows(stack, [unit for _, _, unit, _ in priced],
+                       np.array([s for _, _, _, s in priced]), obs, made_at=env.time)
+    for (a, k, _, _), price in zip(priced, prices):
+        joint.prices[(a, k)] = price
+
+
+def _act_rows(stack: ParamRows, units: list[ActingUnit], sets: np.ndarray,
+              obs: np.ndarray, made_at: int | None = None) -> list[int]:
+    """Act for ``units[i]`` on row i of ``obs`` with parameter set ``sets[i]``
+    of ``stack``: one forward over all rows, one draw per unit, then each
+    unit's bookkeeping in row order. With ``made_at`` the units are price
+    setters and their decisions are held pending instead of recorded."""
+    u = np.array([unit.sample_rng.random() for unit in units])
+    last = stack.last_action[sets]
+    logits, values = forward(stack, obs, sets)
+    actions, logps = sample_rows(logits, u, last)
+    actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
+    for r, unit in enumerate(units):
+        row = obs[r, :unit.spec.obs_width]
+        if made_at is not None:
+            unit.hold_price(made_at, row, actions[r], logps[r], values[r])
+            continue
+        if not unit.record(row, actions[r], logps[r], values[r]):
+            continue
+        # the update moved this set's weights: later rows of the set act
+        # on the new weights, with the draws they already took
+        later = [j for j in range(r + 1, len(units)) if sets[j] == sets[r]]
+        if later:
+            logits, fresh = forward(stack, obs[later], sets[later])
+            redrawn, relogp = sample_rows(logits, u[later], last[later])
+            for j, action, logp, value in zip(later, redrawn.tolist(),
+                                              relogp.tolist(), fresh.tolist()):
+                actions[j], logps[j], values[j] = action, logp, value
+    return actions
 
 
 class UnitReward(NamedTuple):
@@ -463,18 +511,49 @@ def deliver_rewards(bundle: AgentBundle, result: StepResult) -> None:
             unit.expire_prices(before=result.time)
 
 
+def build_bundles(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: int
+                  ) -> list[AgentBundle]:
+    """One AgentBundle per agent, agent i's of architecture ``archs[i]``. The
+    bundles whose parameter sets share a padded layout (widest in-width,
+    hidden width and action count) keep their weights in consecutive row
+    ranges of one ParamRows, in agent order, so that a Trainer acts for them
+    in one pass. The rows are allocated before any weight is initialized, so
+    no weight is copied."""
+    shapes = [_parameter_sets(arch, config)[2] for arch in archs]
+    layouts: dict[tuple[int, ...], list[int]] = {}
+    for agent, sets in enumerate(shapes):
+        layouts.setdefault(tuple(max(dim) for dim in zip(*sets)), []).append(agent)
+    homes: dict[int, tuple[ParamRows, int]] = {}
+    for agents in layouts.values():
+        home, first = ParamRows([shape for a in agents for shape in shapes[a]]), 0
+        for a in agents:
+            homes[a] = home, first
+            first += len(shapes[a])
+    return [AgentBundle(arch, a, config, hyper, seed, *homes[a])
+            for a, arch in enumerate(archs)]
+
+
 class Trainer:
     """Synchronizes bundles against one environment: observe, act, step,
-    route rewards, update whichever rollout windows filled."""
+    route rewards, update whichever rollout windows filled.
+
+    The bundles whose stacks share a home (see ``build_bundles``) act in one
+    pass over it, and any other bundle in a pass of its own.
+    """
 
     def __init__(self, env: SchedulingEnv, bundles: list[AgentBundle]):
         self.env = env
         self.bundles = bundles
+        homes: dict[int, list[AgentBundle]] = {}
+        for bundle in bundles:
+            homes.setdefault(id(bundle.stack.home), []).append(bundle)
+        self._passes = list(homes.values())  # the bundles of each pass
 
     def step(self) -> StepResult:
         joint = JointActions()
-        for bundle in self.bundles:
-            bundle.act(self.env, joint)
+        block = core_block(self.env, AUCTIONEER)
+        for group in self._passes:
+            _act(group, self.env, joint, block)
         result = self.env.step(joint)
         for bundle in self.bundles:
             deliver_rewards(bundle, result)

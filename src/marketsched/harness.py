@@ -28,8 +28,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, AgentBundle,
-                     Trainer)
+from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, Trainer,
+                     build_bundles)
 from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_keys, finite_number,
                      whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
@@ -235,10 +235,7 @@ def run_scenario(scenario: Scenario, seed: int,
     records and trace files.
     """
     env = SchedulingEnv(scenario.env, seed)
-    trainer = Trainer(env, [
-        AgentBundle(scenario.arch[agent], agent, scenario.env, scenario.hyper, seed)
-        for agent in range(scenario.env.num_agents)
-    ])
+    trainer = Trainer(env, build_bundles(scenario.arch, scenario.env, scenario.hyper, seed))
 
     metrics = _MetricWindow(scenario.env, scenario.window)
     steps: list[int] = []
@@ -362,7 +359,11 @@ def read_series_csv(path: str | os.PathLike) -> dict[str, CsvSeries]:
             try:
                 step = int(parts[0])
                 value = finite_number(float(parts[2]), "value")
+                if int(parts[3]) < 1:
+                    raise ValueError(f"seed_count must be at least 1, got {parts[3]}")
                 std = finite_number(float(parts[4]), "std")
+                if std < 0.0:
+                    raise ValueError(f"std must be >= 0, got {parts[4]}")
             except ValueError as err:
                 raise ValueError(f"{path}: line {lineno}: {err}") from None
             series = out.setdefault(parts[1], CsvSeries(parts[1], [], [], []))

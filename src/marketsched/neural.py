@@ -10,7 +10,9 @@ layout, plus one Adam step count per row. An Adam step is a fixed handful of
 whole-row operations. The padding stays fixed: its gradient is 0, so its step
 is 0. A checkpoint is one ``.npz`` of that state: a format version, the
 parameter-set names in row order, ``rows``, ``m``, ``v`` and the step counts,
-so a loaded stack continues training exactly as the saved one would.
+so a loaded stack continues training exactly as the saved one would. The
+weights alone are a ``ParamRows``, which can also hold the rows of several
+stacks of one layout so that one ``forward`` reads them all.
 """
 
 from __future__ import annotations
@@ -98,53 +100,86 @@ class NetParams:
                     ("bp", self.bp), ("wv", self.wv), ("bv", self.bv))
 
 
-class ParamStack:
+class ParamRows:
     """Several networks' weights, one zero-padded row of ``rows`` each.
 
     Row i is network i's whole parameter vector: its w1 (in, hidden), b1
     (hidden,), head (actions + 1, hidden) and head_bias (actions + 1,) blocks,
-    each at the stack's widest in_width, hidden width and action count.
-    ``w1``, ``b1``, ``head`` and ``head_bias`` view those blocks of every row,
-    and ``views[i]`` is network i as a NetParams of views into its unpadded
-    part, so an in-place update of a view or row (an Adam step, a checkpoint
-    load) is what ``forward`` reads next. ``grads`` has the same
-    layout, and ``grad_views`` the same views into it. ``head`` holds one row
-    of hidden weights per output, the policy's actions first and the value
-    last, so one product yields logits and value; ``wp`` is the transpose of
-    its first rows. The padding is fixed: weights 0, which add nothing to a
-    sum, and logit biases -inf, which give padded actions probability 0.
+    each at the widest in_width, hidden width and action count of
+    ``shapes``, the layout. ``w1``, ``b1``, ``head`` and ``head_bias`` view
+    those blocks of every row, and ``views[i]`` is network i as a NetParams
+    of views into its unpadded part, so an in-place update of a view or row
+    (an Adam step, a checkpoint load) is what ``forward`` reads next.
+    ``head`` holds one row of hidden weights per output, the policy's actions
+    first and the value last, so one product yields logits and value; ``wp``
+    is the transpose of its first rows. The padding is fixed: weights 0,
+    which add nothing to a sum, and logit biases -inf, which give padded
+    actions probability 0.
+    """
 
-    ``m`` and ``v`` are Adam's first and second moments of each row, in the
-    same layout, and ``steps[i]`` (a Python int) is row i's Adam step count.
+    def __init__(self, shapes: list[tuple[int, int, int]], home: ParamRows | None = None,
+                 first: int = 0):
+        """``shapes`` holds one (in_width, hidden_width, action_count) per
+        network. With ``home``, a ParamRows of the same layout whose networks
+        from ``first`` on are these, the weights are its rows ``first``,
+        ``first + 1``, ..., which the two then share, so one ``forward`` on
+        ``home`` reads them beside home's other rows. Else they are a new
+        array's, and ``home`` is the ParamRows itself."""
+        self.shapes = shapes
+        self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
+        self._layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden),
+                        (actions + 1,))
+        if home is None:
+            rows = np.zeros((len(shapes), sum(prod(s) for s in self._layout)))
+        elif (first < 0 or home.shapes[first:first + len(shapes)] != list(shapes)
+              or home._layout != self._layout):
+            raise ValueError(f"rows {first}.. of a stack of networks {home.shapes} "
+                             f"cannot hold networks {shapes}")
+        else:
+            rows = home.rows[first:first + len(shapes)]
+        self._home, self.first, self.rows = home, first, rows
+        (self.w1, self.b1, self.head, self.head_bias), self.views = self._lay_out(self.rows)
+        self.last_action = np.array([a for _, _, a in shapes]) - 1
+        self.head_bias[:, :-1] = np.where(
+            np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
+
+    @property
+    def home(self) -> ParamRows:
+        return self if self._home is None else self._home  # no reference cycle
+
+    def _lay_out(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[NetParams]]:
+        """The w1, b1, head and head_bias blocks of ``rows``, and each
+        network's NetParams of views into them."""
+        ends = list(accumulate(prod(shape) for shape in self._layout))
+        w1, b1, head, bias = (rows[:, start:end].reshape(-1, *shape)
+                              for start, end, shape in zip([0] + ends, ends, self._layout))
+        return [w1, b1, head, bias], [NetParams(
+            w1=w1[i, :w, :h], b1=b1[i, :h], wp=head[i, :a, :h].T, bp=bias[i, :a],
+            wv=head[i, -1, :h], bv=bias[i, -1:]) for i, (w, h, a) in enumerate(self.shapes)]
+
+
+class ParamStack(ParamRows):
+    """ParamRows with their learned state, all in the same row layout.
+
+    ``grads`` holds the gradient of each row, and ``grad_views`` the same
+    views into it. ``m`` and ``v`` are Adam's first and second moments of
+    each row, and ``steps[i]`` (a Python int) is row i's Adam step count.
     Their padding stays 0. ``save`` and ``load`` move exactly this state,
-    ``rows``, ``m``, ``v`` and ``steps``, through one ``.npz`` file.
+    ``rows``, ``m``, ``v`` and ``steps``, through one ``.npz`` file: a stack
+    whose weights are rows of a larger home writes and reads its own rows
+    only.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes: list[tuple[int, int, int]]):
-        """``shapes`` holds one (in_width, hidden_width, action_count) per network."""
-        self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
-        layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden), (actions + 1,))
-        ends = list(accumulate(prod(shape) for shape in layout))
-
-        def blocks_and_views(rows: np.ndarray) -> tuple[list, list[NetParams]]:
-            w1, b1, head, bias = (rows[:, start:end].reshape(-1, *shape)
-                                  for start, end, shape in zip([0] + ends, ends, layout))
-            return [w1, b1, head, bias], [NetParams(
-                w1=w1[i, :w, :h], b1=b1[i, :h], wp=head[i, :a, :h].T, bp=bias[i, :a],
-                wv=head[i, -1, :h], bv=bias[i, -1:]) for i, (w, h, a) in enumerate(shapes)]
-
-        self.rows = np.zeros((len(shapes), ends[-1]))
+    def __init__(self, shapes: list[tuple[int, int, int]], home: ParamRows | None = None,
+                 first: int = 0):
+        super().__init__(shapes, home, first)
         self.grads = np.zeros(self.rows.shape)
         self.m = np.zeros(self.rows.shape)
         self.v = np.zeros(self.rows.shape)
         self.steps = [0] * len(shapes)
-        (self.w1, self.b1, self.head, self.head_bias), self.views = blocks_and_views(self.rows)
-        self.grad_views = blocks_and_views(self.grads)[1]
-        self.last_action = np.array([a for _, _, a in shapes]) - 1
-        self.head_bias[:, :-1] = np.where(
-            np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
+        self.grad_views = self._lay_out(self.grads)[1]
 
     def ascend(self, index: int, lr: float) -> None:
         """One Adam ascent step of row ``index`` along its gradient, in place,
@@ -212,15 +247,20 @@ def init_params(params: NetParams, rng: np.random.Generator) -> None:
     _orthogonal(params.wv[:, None], 1.0, rng)
 
 
-def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
+def forward(stack: ParamRows, obs: np.ndarray, sets: np.ndarray):
     """Policy logits and value estimates, one observation per row of ``obs``
     and ``sets`` naming each row's network: (logits, values), row by row,
     with -inf logits on the padded actions of networks narrower than the
     stack."""
-    # a stack of one set (FULL's, with the large head) broadcasts its blocks
-    # over the rows instead of copying them for each row: the same products
+    # rows of the sets lo, lo+1, ..., lo+R-1 in turn (FULL's, with the large
+    # head, are such a run) read a view of the blocks instead of copying
+    # them for each row: the same products
     w1, b1, head, head_bias = stack.w1, stack.b1, stack.head, stack.head_bias
-    if len(stack.rows) > 1:
+    lo, count = int(sets[0]), len(sets)
+    if sets.tolist() == list(range(lo, lo + count)):
+        run = slice(lo, lo + count)
+        w1, b1, head, head_bias = w1[run], b1[run], head[run], head_bias[run]
+    else:
         w1, b1, head, head_bias = (w1.take(sets, axis=0), b1.take(sets, axis=0),
                                    head.take(sets, axis=0), head_bias.take(sets, axis=0))
     h = np.tanh(np.matmul(obs[:, None, :], w1)[:, 0] + b1)

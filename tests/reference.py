@@ -4,10 +4,14 @@
 one action from the unit's own stream; the ``encode_*`` functions return one
 observation vector each, built from the package's ``fill_*`` writers. The
 package acts through the batched ``forward`` and ``sample_rows`` only.
+``mixed_radix_decode`` and ``mixed_radix_encode`` translate an aggregated
+unit's action to and from its per-position digits one at a time, where the
+package takes each digit by weight and radix.
 """
 
 import numpy as np
 
+from marketsched.actions import space_size
 from marketsched.neural import log_softmax
 from marketsched.obs import (
     PRICE_OBS_LEN,
@@ -70,3 +74,29 @@ def encode_price_obs(env, agent, slot, target_core):
     vec = np.zeros(PRICE_OBS_LEN)
     fill_price_rows(env, agent, [(slot, target_core)], vec[None])
     return vec
+
+
+def mixed_radix_decode(index, radices):
+    """Little-endian digits of ``index`` in the given radices."""
+    if not 0 <= index < space_size(radices):
+        raise ValueError(f"index {index} out of range for radices {list(radices)}")
+    digits = []
+    rest = index
+    for r in radices:
+        digits.append(rest % r)
+        rest //= r
+    return digits
+
+
+def mixed_radix_encode(digits, radices):
+    """The index whose little-endian digits in the given radices are ``digits``."""
+    if len(digits) != len(radices):
+        raise ValueError("digit/radix length mismatch")
+    index = 0
+    weight = 1
+    for d, r in zip(digits, radices):
+        if not 0 <= d < r:
+            raise ValueError(f"digit {d} out of range for radix {r}")
+        index += d * weight
+        weight *= r
+    return index

@@ -1,12 +1,15 @@
-"""Mixed-radix codec and the action-space cardinalities of the unit layouts."""
+"""Mixed-radix codec (the test reference) and the action-space cardinalities of
+the unit layouts."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from marketsched.actions import mixed_radix_decode, mixed_radix_encode, space_size
+from marketsched.actions import space_size
 from marketsched.agents import ARCH_DIST, ARCH_FULL, ARCH_SEMI, unit_layout
 from marketsched.config import EnvConfig, JobType
+
+from reference import mixed_radix_decode, mixed_radix_encode
 
 DIST_OFFER = (ARCH_DIST, ("offer", 0))
 DIST_ACCEPT = (ARCH_DIST, ("accept", 0))

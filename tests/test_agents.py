@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from marketsched.actions import mixed_radix_decode
 from marketsched.agents import (
     ARCHITECTURES,
     ARCH_DIST,
@@ -17,6 +16,7 @@ from marketsched.agents import (
     InfeasibleArchitectureError,
     Trainer,
     UnitReward,
+    build_bundles,
     commercial_price_reward,
     feasibility_guard,
     noncommercial_price_reward,
@@ -30,6 +30,7 @@ from marketsched.neural import PPOHyper, TrainBatch, ppo_update
 from marketsched.rng import derive_rng
 
 from helpers import make_config, manual_config, place_job
+from reference import mixed_radix_decode
 
 
 class TestUnitLayout:
@@ -386,6 +387,48 @@ class TestCheckpointing:
         for bundle in (saved, loaded):
             ppo_update(bundle.stack, index, batch, scenario.hyper, derive_rng(3, 2))
         assert saved.stack.rows.tobytes() == loaded.stack.rows.tobytes()
+
+    def test_checkpoint_moves_between_trainer_and_standalone_bundles(self, tmp_path):
+        # bundles of one layout keep their weights in one home stack, which
+        # the Trainer reads; a bundle's checkpoint is still its own rows,
+        # names and step counts
+        cfg = make_config()
+        hyper = PPOHyper(rollout_length=8, minibatch_size=4, epochs=2)
+        env = SchedulingEnv(cfg, seed=16)
+        bundles = build_bundles((ARCH_DIST_PS, ARCH_DIST_PS), cfg, hyper, seed=16)
+        trainer = Trainer(env, bundles)
+        for _ in range(40):
+            trainer.step()
+        adopted = bundles[1]
+        assert any(adopted.stack.steps)
+
+        def assert_same_state(a, b):
+            for name in ("rows", "m", "v"):
+                assert getattr(a.stack, name).tobytes() == getattr(b.stack, name).tobytes()
+            assert a.stack.steps == b.stack.steps
+
+        adopted.save(tmp_path / "adopted.npz")
+        standalone = AgentBundle(ARCH_DIST_PS, 1, cfg, hyper, seed=17)
+        standalone.load(tmp_path / "adopted.npz")
+        assert_same_state(standalone, adopted)
+
+        other = AgentBundle(ARCH_DIST_PS, 1, cfg, hyper, seed=18)
+        rng = derive_rng(18, 0)
+        params = other.params["offer"]
+        batch = TrainBatch(obs=rng.standard_normal((16, params.in_width)),
+                           actions=rng.integers(0, params.action_count, 16),
+                           logp_old=np.full(16, -1.0), advantages=rng.standard_normal(16),
+                           returns=rng.standard_normal(16))
+        ppo_update(other.stack, list(other.params).index("offer"), batch, hyper,
+                   derive_rng(18, 1))
+        other.save(tmp_path / "standalone.npz")
+        adopted.load(tmp_path / "standalone.npz")
+        assert_same_state(adopted, other)
+        # the load went into the home rows, which the Trainer's pass reads
+        home, first = adopted.stack.home, adopted.stack.first
+        assert home is bundles[0].stack.home and first == len(bundles[0].stack.rows)
+        assert home.rows[first:first + len(other.stack.rows)].tobytes() == \
+            other.stack.rows.tobytes()
 
     def test_mismatched_names_or_row_shape_rejected(self, tmp_path):
         cfg = make_config()

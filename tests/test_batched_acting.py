@@ -7,14 +7,15 @@ maker followed by its price setter). An aggregated unit's vector is its
 positions' encodings side by side, and ``mixed_radix_decode`` turns its
 action into one digit per position; the digits of cores the agent does not
 own are dropped. A rollout length of 4 makes shared parameter sets update in
-the middle of a pass.
+the middle of a pass. The ``Trainer``'s step, one pass over every agent's
+rows per parameter layout, is checked against the same reference and
+against each bundle acting alone.
 """
 
 import numpy as np
 import pytest
 
 from marketsched import agents
-from marketsched.actions import mixed_radix_decode
 from marketsched.agents import (
     ARCH_DIST,
     ARCH_DIST_PRICE,
@@ -22,6 +23,8 @@ from marketsched.agents import (
     ARCH_FULL,
     ARCH_SEMI,
     AgentBundle,
+    Trainer,
+    build_bundles,
     deliver_rewards,
 )
 from marketsched.config import PricingMode
@@ -35,6 +38,7 @@ from reference import (
     encode_offer_obs,
     encode_price_obs,
     forward,
+    mixed_radix_decode,
     sample,
 )
 
@@ -180,3 +184,98 @@ def test_stack_views_write_through_and_padding_stays_masked():
         assert np.all(stack.head_bias[index, width:-1] == -np.inf)
         assert stack.head_bias[index, -1] == params.bv[0]
         assert np.array_equal(stack.head[index, -1], params.wv)
+
+
+def layout(bundle):
+    """The padded layout that decides which bundles share a home stack."""
+    return bundle.stack.w1.shape[1:], bundle.stack.head.shape[1:]
+
+
+@pytest.mark.parametrize("archs", [
+    (ARCH_DIST, ARCH_DIST), (ARCH_DIST_PS, ARCH_DIST_PS), (ARCH_DIST_PRICE, ARCH_DIST_PRICE),
+    (ARCH_SEMI, ARCH_SEMI), (ARCH_FULL, ARCH_FULL), (ARCH_FULL, ARCH_DIST_PRICE),
+    (ARCH_DIST, ARCH_FULL, ARCH_DIST_PS),  # DIST and DIST_PS share a layout
+], ids="-".join)
+def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
+    """One pass per step and layout over every agent's rows acts as each
+    bundle acting alone and as every unit acting alone; its weights end
+    bit-identical to those of bundles that act alone."""
+    cfg = make_config(num_agents=len(archs), pricing_mode=PricingMode.FREE_COMMERCIAL
+                      if ARCH_DIST_PRICE in archs else PricingMode.FIXED)
+    env = SchedulingEnv(cfg, seed=21)
+    batched = build_bundles(archs, cfg, HYPER, seed=21)
+    alone, by_unit = ([AgentBundle(arch, a, cfg, HYPER, seed=21) for a, arch in enumerate(archs)]
+                      for _ in range(2))
+    layouts = {layout(bundle) for bundle in batched}
+    assert len({id(bundle.stack.home) for bundle in batched}) == len(layouts)
+    trainer = Trainer(env, batched)
+
+    forward_calls = []
+    real_forward = agents.forward
+
+    def counting_forward(stack, obs, sets):
+        forward_calls.append(len(obs))
+        return real_forward(stack, obs, sets)
+
+    monkeypatch.setattr(agents, "forward", counting_forward)
+    passes = 0
+    real_step = env.step
+
+    def checked_step(joint):
+        nonlocal passes
+        priced = {layout(batched[a]) for a, _ in joint.prices}
+        passes += len(layouts) + len(priced)
+        calls = len(forward_calls)
+        each, expected = JointActions(), JointActions()
+        for bundle, ref in zip(alone, by_unit):
+            bundle.act(env, each)
+            act_unit_by_unit(ref, env, expected)
+        del forward_calls[calls:]  # count the trainer's calls only
+        assert joint == expected
+        assert joint == each
+        result = real_step(joint)
+        for bundle in alone + by_unit:
+            deliver_rewards(bundle, result)
+        return result
+
+    monkeypatch.setattr(env, "step", checked_step)
+    for _ in range(STEPS):
+        trainer.step()
+
+    updates = sum(u.updates for b in batched for u in b.units.values())
+    assert updates > 0
+    for bundle, one, ref in zip(batched, alone, by_unit):
+        for key, unit in bundle.units.items():
+            assert unit.updates == one.units[key].updates == ref.units[key].updates
+        for name in ("rows", "m", "v"):
+            assert getattr(bundle.stack, name).tobytes() == getattr(one.stack, name).tobytes()
+        assert bundle.stack.steps == one.stack.steps
+        for key, params in bundle.params.items():
+            for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
+    if set(archs) & {ARCH_DIST_PS, ARCH_DIST_PRICE}:
+        # shared sets updated mid-pass, so later rows were evaluated again,
+        # at most once per update
+        assert passes < len(forward_calls) <= passes + updates
+    else:
+        assert len(forward_calls) == passes
+
+
+@pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS, ARCH_FULL])
+def test_a_bundle_in_a_home_acts_alone_as_a_standalone_one(arch):
+    cfg = make_config()
+    env = SchedulingEnv(cfg, seed=22)
+    homed = build_bundles((arch, arch), cfg, HYPER, seed=22)
+    alone = [AgentBundle(arch, a, cfg, HYPER, seed=22) for a in range(2)]
+    assert homed[1].stack.first > 0
+    for _ in range(30):
+        got, want = JointActions(), JointActions()
+        for bundle, one in zip(homed, alone):
+            bundle.act(env, got)
+            one.act(env, want)
+        assert got == want
+        result = env.step(got)
+        for bundle in homed + alone:
+            deliver_rewards(bundle, result)
+    for bundle, one in zip(homed, alone):
+        assert bundle.stack.rows.tobytes() == one.stack.rows.tobytes()

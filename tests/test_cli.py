@@ -187,6 +187,27 @@ class TestPlot:
         assert err.startswith(f"error: {csv}: line 3: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed_count", ["0", "-3", "1.5", "x"])
+    def test_seed_count_below_one_or_fractional_is_rejected(self, seed_count, tmp_path,
+                                                            capsys):
+        csv = tmp_path / "bad.csv"
+        self.write_csv(csv, ["1,x,1.0,2,0.5", f"2,x,2.0,{seed_count},0.5"])
+        out = tmp_path / "o.svg"
+        assert run_cli("plot", str(csv), "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: line 3: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("std", ["-1.5", "-0.001"])
+    def test_negative_std_is_rejected(self, std, tmp_path, capsys):
+        csv = tmp_path / "bad.csv"
+        self.write_csv(csv, ["1,x,1.0,2,0.5", f"2,x,2.0,2,{std}"])
+        out = tmp_path / "o.svg"
+        assert run_cli("plot", str(csv), "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv}: line 3: std must be >= 0")
+        assert not out.exists()
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("step,series,value,seed_count,std\n5,x,nope,1,0\n")

@@ -6,6 +6,7 @@ import pytest
 from marketsched.neural import (
     NetParams,
     NonFiniteLossError,
+    ParamRows,
     ParamStack,
     PPOHyper,
     RolloutBuffer,
@@ -77,8 +78,8 @@ class TestForward:
             forward(small_stack(), np.ones((1, 5)), np.array([0]))
 
     def test_one_set_stack_matches_a_gathered_stack(self):
-        # one set broadcasts its blocks over the rows, two sets gather them
-        # per row: the products, and so the outputs, are the same
+        # one set repeated over the rows and two sets in no run both gather
+        # the blocks per row: the products, and so the outputs, are the same
         one = small_stack(seed=3)
         two = ParamStack([(4, 8, 3), (4, 8, 3)])
         two.rows[...] = one.rows[0]
@@ -86,6 +87,50 @@ class TestForward:
         for got, want in zip(forward(one, obs, np.zeros(5, dtype=int)),
                              forward(two, obs, np.array([0, 1, 1, 0, 1]))):
             assert np.array_equal(got, want)
+
+
+    def test_a_run_of_sets_reads_the_bytes_the_gather_reads(self):
+        # rows of the sets lo, lo+1, ... read a view of the blocks; any other
+        # sets gather them per row. Both give each row its own set's bytes.
+        stack = ParamStack([(4, 8, 3), (3, 8, 2), (4, 6, 3), (4, 8, 3), (2, 8, 3), (4, 8, 1)])
+        for index, params in enumerate(stack.views):
+            init_params(params, derive_rng(5, index))
+        obs = derive_rng(5, 9).standard_normal((4, 4))
+
+        def gathered(sets):
+            """Row i of ``forward`` on ``sets``, each row taken through the
+            gather: sets[i] paired with another set, in no run."""
+            rows = [forward(stack, obs[[i, i]], np.array([s, (s + 2) % 6]))
+                    for i, s in enumerate(sets)]
+            return np.concatenate([l[:1] for l, _ in rows]), np.array([v[0] for _, v in rows])
+
+        for sets in ([1, 2, 3, 4], [0, 1], [5], [2, 5, 5, 5], [3, 1, 2], [4, 4]):
+            sets = np.array(sets)
+            got = forward(stack, obs[:len(sets)], sets)
+            for got_part, want_part in zip(got, gathered(sets)):
+                assert got_part.tobytes() == want_part.tobytes(), sets
+        one = small_stack(seed=3)
+        two = ParamStack([(4, 8, 3), (4, 8, 3)])
+        two.rows[1] = one.rows[0]
+        logits, values = forward(one, obs[:1], np.array([0]))
+        want_logits, want_values = forward(two, obs[[0, 0]], np.array([1, 0]))
+        assert logits.tobytes() == want_logits[:1].tobytes()
+        assert values.tobytes() == want_values[:1].tobytes()
+
+
+    def test_a_stack_in_rows_of_a_home_shares_them(self):
+        home = ParamRows([(4, 8, 3), (4, 8, 2), (3, 8, 3)])
+        stack = ParamStack([(4, 8, 2), (3, 8, 3)], home, 1)
+        init_params(stack.views[0], derive_rng(6, 0))
+        assert np.shares_memory(stack.rows, home.rows) and stack.home is home
+        assert home.rows[1].tobytes() == stack.rows[0].tobytes()
+        alone = ParamStack([(4, 8, 2)])
+        assert alone.home is alone and alone.first == 0
+        for shapes, first in (([(4, 8, 2), (3, 8, 3)], 2), ([(4, 6, 2)], 1),
+                              ([(5, 8, 2)], 0), ([(4, 8, 9)], 0), ([(4, 8, 3)], 1),
+                              ([(3, 8, 3)], 2)):
+            with pytest.raises(ValueError, match="cannot hold"):
+                ParamStack(shapes, home, first)
 
 
 class TestSample:
