@@ -16,13 +16,15 @@ count) in one home ``ParamRows``, each bundle's rows a contiguous range of
 it, and the ``Trainer`` acts for all of them in one batched pass per step and
 home, whatever the architectures and however many rows the pass has.
 Every unit with a live position (accept m when trading is on and its agent
-owns core m; every offer) writes its observation into one row of a
-(units, width) array, one ``forward`` runs over all rows with each row's
-parameter set, and one vectorized inverse-CDF step turns one uniform draw
-per unit, taken from that unit's own sample stream, into its action. Live
-positions take their digits, the others are dropped. Price setters follow in
-a second pass over the offers just made, since what they see depends on the
-offer's target core. ``AgentBundle.act`` is the same pass for one bundle.
+owns core m; every offer) acts on one row of a (units, width) array: the
+step's ``market_image`` gathered through each unit's row of indices (see
+``marketsched.obs``), one gather for all rows. One ``forward`` runs over all
+rows with each row's parameter set, and one vectorized inverse-CDF step
+turns one uniform draw per unit, taken from that unit's own sample stream,
+into its action. Live positions take their digits, the others are dropped.
+Price setters follow in a second pass over the offers just made, since what
+they see depends on the offer's target core. ``AgentBundle.act`` is the same
+pass for one bundle.
 
 Update-order contract: the pass does exactly what acting one unit at a time
 in row order would. Each unit's bookkeeping runs in row order, and when a
@@ -42,7 +44,7 @@ import numpy as np
 
 from .actions import space_size
 from .config import EnvConfig, PricingMode
-from .env import AUCTIONEER, JointActions, SchedulingEnv, StepResult
+from .env import JointActions, SchedulingEnv, StepResult
 from .neural import (
     NetParams,
     ParamRows,
@@ -56,12 +58,12 @@ from .neural import (
 )
 from .obs import (
     PRICE_OBS_LEN,
+    acceptor_index,
     acceptor_obs_len,
-    core_block,
-    fill_acceptor_rows,
-    fill_offer_rows,
-    fill_price_rows,
+    market_image,
+    offer_index,
     offer_obs_len,
+    price_index,
 )
 from .rng import (
     STREAM_UNIT_INIT,
@@ -133,9 +135,9 @@ class UnitSpec:
 def unit_layout(arch: str, config: EnvConfig) -> list[UnitSpec]:
     """Acting units of one agent under the given architecture.
 
-    Units that decide accept positions come first and units that decide
-    offer positions last, and within each group every unit decides as many
-    positions; the acting pass relies on both.
+    A unit observes its accept positions' acceptor layouts, then one offer
+    layout of all its offer positions' slots, side by side; a price setter
+    observes the price layout.
     """
     m, n, k = config.num_cores, config.num_agents, config.num_slots
     radix = {"accept": n * k + 1, "offer": m + 1, "price": config.max_prio + 1}
@@ -270,10 +272,7 @@ class _Pass(NamedTuple):
 
     units: list[ActingUnit]          # the acting units, in row order
     sets: np.ndarray                 # each unit's parameter set in its bundle's stack
-    cores: list[int]                 # the core of each acceptor block, in order
-    acceptor_view: tuple | None      # the part of obs that holds them
-    slots: list[int]                 # the slot of each offer slot state, in order
-    offer_view: tuple                # the part of obs that holds the offer obs
+    index: np.ndarray                # each unit's obs as indices into the market image
     digits: list[tuple[int, int, int, Position]]  # (row, weight, radix, live position)
 
 
@@ -318,7 +317,7 @@ class AgentBundle:
 
     def act(self, env: SchedulingEnv, joint: JointActions) -> None:
         """The pass of the module docstring, for this bundle alone."""
-        _act([self], env, joint, core_block(env, self.agent))
+        _act([self], env, joint, market_image(env))
 
     def _plan(self, owned: tuple[int, ...]) -> _Pass:
         """This agent's rows of a pass when it owns the cores ``owned``, kept
@@ -339,23 +338,18 @@ class AgentBundle:
                 if pos in live:
                     digits.append((row, weight, radix, pos))
                 weight *= radix
-        # The units that decide accept positions lead the rows and the units
-        # that decide offer positions trail them, each unit of a group with
-        # as many positions (see unit_layout), so each group's blocks are one
-        # view of the pass's obs array.
-        width = acceptor_obs_len(self.config.num_agents, self.config.num_slots)
-        accepting = [spec for spec in specs if spec.cores]
-        making = [spec for spec in specs if spec.slots]
+        index = np.zeros((len(specs), self.stack.home.in_width), dtype=np.intp)
+        for row, spec in enumerate(specs):
+            cells = [i for m in spec.cores for i in acceptor_index(self.config, self.agent, m)]
+            if spec.slots:
+                cells += offer_index(self.config, self.agent, spec.slots)
+            index[row, :len(cells)] = cells
         if len(self._passes) == 64:  # every set of up to 6 cores fits
             self._passes.clear()
         plan = self._passes[owned] = _Pass(
             units=units,
             sets=np.array([unit.param_set for unit in units]),
-            cores=[m for spec in accepting for m in spec.cores],
-            acceptor_view=(np.s_[:len(accepting), :len(accepting[0].cores) * width]
-                           if accepting else None),
-            slots=[k for spec in making for k in spec.slots],
-            offer_view=np.s_[len(specs) - len(making):, len(making[0].cores) * width:],
+            index=index,
             digits=digits,
         )
         return plan
@@ -372,29 +366,21 @@ class AgentBundle:
 
 
 def _act(bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
-         block: np.ndarray) -> None:
+         image: np.ndarray) -> None:
     """The pass of the module docstring over ``bundles``, whose stacks share
-    one home. ``block`` is the step's ``core_block``, whose owned-by-agent
-    column each agent's rows overwrite."""
+    one home. ``image`` is the step's ``market_image``."""
     stack = bundles[0].stack.home
     trading = env.config.trading_enabled
     plans, units, sets = [], [], []
     for bundle in bundles:
-        mine = [core.owner == bundle.agent for core in env.cores]
-        plan = bundle._plan(tuple(m for m, own in enumerate(mine) if own) if trading else ())
-        plans.append((bundle, plan, len(units), mine))
+        plan = bundle._plan(tuple(m for m, core in enumerate(env.cores)
+                                  if core.owner == bundle.agent) if trading else ())
+        plans.append((bundle, plan, len(units)))
         units += plan.units
         sets.append(plan.sets + bundle.stack.first)
-    obs = np.zeros((len(units), stack.in_width))
-    for bundle, plan, start, mine in plans:
-        rows = obs[start:start + len(plan.units)]
-        block[2::3] = mine
-        if plan.cores:
-            fill_acceptor_rows(env, block, plan.cores,
-                               rows[plan.acceptor_view].reshape(len(plan.cores), -1))
-        fill_offer_rows(env, bundle.agent, block, plan.slots, rows[plan.offer_view])
+    obs = image[np.concatenate([plan.index for _, plan, _ in plans])]
     actions = _act_rows(stack, units, np.concatenate(sets), obs)
-    for bundle, plan, start, _ in plans:
+    for bundle, plan, start in plans:
         a = bundle.agent
         for row, weight, radix, (kind, i) in plan.digits:
             digit = actions[start + row] // weight % radix
@@ -410,9 +396,9 @@ def _act(bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
               if joint.offers[(bundle.agent, k)] > 0 and env.slots[bundle.agent][k] is not None]
     if not priced:
         return
-    obs = np.zeros((len(priced), stack.in_width))
-    for row, (a, k, _, _) in zip(obs, priced):
-        fill_price_rows(env, a, [(k, joint.offers[(a, k)] - 1)], row[None])
+    pad = [0] * (stack.in_width - PRICE_OBS_LEN)
+    obs = image[np.array([price_index(env.config, a, k, joint.offers[(a, k)] - 1) + pad
+                          for a, k, _, _ in priced])]
     prices = _act_rows(stack, [unit for _, _, unit, _ in priced],
                        np.array([s for _, _, _, s in priced]), obs, made_at=env.time)
     for (a, k, _, _), price in zip(priced, prices):
@@ -551,9 +537,9 @@ class Trainer:
 
     def step(self) -> StepResult:
         joint = JointActions()
-        block = core_block(self.env, AUCTIONEER)
+        image = market_image(self.env)
         for group in self._passes:
-            _act(group, self.env, joint, block)
+            _act(group, self.env, joint, image)
         result = self.env.step(joint)
         for bundle in self.bundles:
             deliver_rewards(bundle, result)

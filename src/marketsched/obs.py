@@ -1,18 +1,23 @@
-"""Observation encoders. All values are scaled into [0, 1].
+"""Observation layouts. All values are scaled into [0, 1].
 
 Priorities are divided by the scenario's maximum priority, burst counters by
 the maximum burst. Empty positions are zero-filled and carry a validity flag
 of 0, so every layout has a fixed length that depends only on the config.
 
-The ``fill_*`` writers put observations straight into rows of a caller's
-zeroed array, so one agent's acting units share one (units, width) array
-per acting pass, whatever the number of rows.
+``market_image`` writes every value any observation reads into one flat
+vector per step, and an observation is a row of indices into it:
+``acceptor_index``, ``offer_index`` and ``price_index`` give each layout's
+row. Index 0 of the image holds a constant 0.0, so a row padded with zeros
+reads 0.0 there, and all rows of an acting pass are one gather.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
+from .config import EnvConfig
 from .env import SchedulingEnv
 
 
@@ -27,75 +32,72 @@ def offer_obs_len(num_cores: int, num_slots: int) -> int:
 PRICE_OBS_LEN = 4
 
 
-def core_block(env: SchedulingEnv, agent: int) -> np.ndarray:
-    """[running priority, remaining burst, owned-by-agent flag] per core,
-    scaled and flattened to length 3 * num_cores."""
+def _starts(config: EnvConfig) -> tuple[int, int, int, int]:
+    """Where each block of the image starts, after the 0.0 at index 0: the
+    [running priority, remaining burst] pair of each core, the owned-by-agent
+    flag of each (agent, core), the [validity, price, time to payment,
+    offered priority] cell of each (core, source agent, source slot), and the
+    [validity, priority, remaining burst] state of each (agent, slot)."""
+    m, n, k = config.num_cores, config.num_agents, config.num_slots
+    owned = 1 + 2 * m
+    offers = owned + n * m
+    return 1, owned, offers, offers + 4 * m * n * k
+
+
+def market_image(env: SchedulingEnv) -> np.ndarray:
+    """Every value an observation of the current state reads, laid out as
+    ``_starts`` says."""
     cfg = env.config
     max_prio, max_burst = cfg.max_prio, cfg.max_burst
-    values = []
+    values = [0.0]
     for core in env.cores:
         job = core.job
-        if job is None:
-            values += (0.0, 0.0)
-        else:
-            values += (job.priority / max_prio, job.remaining_burst / max_burst)
-        values.append(1.0 if core.owner == agent else 0.0)
+        values += ((0.0, 0.0) if job is None
+                   else (job.priority / max_prio, job.remaining_burst / max_burst))
+    for agent in range(cfg.num_agents):
+        values += [1.0 if core.owner == agent else 0.0 for core in env.cores]
+    for m in range(cfg.num_cores):
+        cells = [0.0] * (4 * cfg.num_agents * cfg.num_slots)
+        for offer in env.pending_offers(m):
+            base = 4 * (offer.agent * cfg.num_slots + offer.slot)
+            cells[base:base + 4] = (1.0, offer.price / max_prio,
+                                    offer.time_to_payment / max_burst,
+                                    offer.job_priority / max_prio)
+        values += cells
+    for agent_slots in env.slots:
+        for job in agent_slots:
+            values += ((0.0, 0.0, 0.0) if job is None
+                       else (1.0, job.priority / max_prio, job.remaining_burst / max_burst))
     return np.array(values)
 
 
-def fill_acceptor_rows(env: SchedulingEnv, block: np.ndarray, cores: list[int],
-                       out: np.ndarray) -> None:
-    """Row i of ``out`` gets the acceptor observation of ``cores[i]``.
-
-    Layout: the core's entry of ``block`` (see ``core_block``), then one
-    [validity, price, time to payment, offered priority] block per (source
-    agent, source slot) grid cell, filled from that core's pending offers.
-    """
-    cfg = env.config
-    max_prio, max_burst, num_slots = cfg.max_prio, cfg.max_burst, cfg.num_slots
-    for row, m in zip(out, cores):
-        row[:3] = block[3 * m:3 * m + 3]
-        for offer in env.pending_offers(m):
-            base = 3 + 4 * (offer.agent * num_slots + offer.slot)
-            row[base] = 1.0
-            row[base + 1] = offer.price / max_prio
-            row[base + 2] = offer.time_to_payment / max_burst
-            row[base + 3] = offer.job_priority / max_prio
+def _core(config: EnvConfig, agent: int, core: int) -> list[int]:
+    """``core``'s running priority, remaining burst and owned-by-``agent`` flag."""
+    cores, owned, _, _ = _starts(config)
+    return [cores + 2 * core, cores + 2 * core + 1, owned + agent * config.num_cores + core]
 
 
-def fill_offer_rows(env: SchedulingEnv, agent: int, block: np.ndarray,
-                    slots, out: np.ndarray) -> None:
-    """Every row of ``out`` gets an offer observation: the core block, then
-    [validity, priority, remaining burst] of each slot of its equal share of
-    ``slots``, scaled. With one slot per row each row is a single-slot
-    observation; a single row gets the agent's slots side by side."""
-    cfg = env.config
-    width = len(block)
-    out[:, :width] = block
-    states = out[:, width:width + 3 * (len(slots) // len(out))].reshape(len(slots), 3)
-    for i, k in enumerate(slots):
-        job = env.slots[agent][k]
-        if job is not None:
-            states[i, 0] = 1.0
-            states[i, 1] = job.priority / cfg.max_prio
-            states[i, 2] = job.remaining_burst / cfg.max_burst
+def acceptor_index(config: EnvConfig, agent: int, core: int) -> list[int]:
+    """What ``agent``'s acceptor of ``core`` sees: the core, then the offer
+    cell of each (source agent, source slot) on it."""
+    grid = 4 * config.num_agents * config.num_slots
+    start = _starts(config)[2] + grid * core
+    return _core(config, agent, core) + list(range(start, start + grid))
 
 
-def fill_price_rows(env: SchedulingEnv, agent: int, targets: list[tuple[int, int]],
-                    out: np.ndarray) -> None:
-    """Row i of ``out`` gets what the price setter of the offer
-    ``targets[i] = (slot, target core)`` sees: its job, then the targeted
-    core's running job."""
-    cfg = env.config
-    max_prio, max_burst = cfg.max_prio, cfg.max_burst
-    for i, (slot, core) in enumerate(targets):
-        job = env.slots[agent][slot]
-        if job is None:
-            raise ValueError(f"agent {agent} slot {slot} holds no job to price")
-        row = out[i]
-        row[0] = job.priority / max_prio
-        row[1] = job.remaining_burst / max_burst
-        running = env.cores[core].job
-        if running is not None:
-            row[2] = running.priority / max_prio
-            row[3] = running.remaining_burst / max_burst
+def offer_index(config: EnvConfig, agent: int, slots: Iterable[int]) -> list[int]:
+    """What an offer maker of ``agent``'s ``slots`` sees: every core, then
+    the state of each of the slots, side by side."""
+    states = _starts(config)[3] + 3 * agent * config.num_slots
+    index = [i for m in range(config.num_cores) for i in _core(config, agent, m)]
+    for k in slots:
+        index += range(states + 3 * k, states + 3 * k + 3)
+    return index
+
+
+def price_index(config: EnvConfig, agent: int, slot: int, core: int) -> list[int]:
+    """What the price setter of ``agent``'s offer of ``slot`` to ``core``
+    sees: the slot's priority and remaining burst, then the core's."""
+    cores, _, _, states = _starts(config)
+    job = states + 3 * (agent * config.num_slots + slot)
+    return [job + 1, job + 2, cores + 2 * core, cores + 2 * core + 1]

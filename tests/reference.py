@@ -2,8 +2,9 @@
 
 ``forward`` runs one network on one observation vector and ``sample`` draws
 one action from the unit's own stream; the ``encode_*`` functions return one
-observation vector each, built from the package's ``fill_*`` writers. The
-package acts through the batched ``forward`` and ``sample_rows`` only.
+observation vector each, read straight from the env's cores, slots and
+offer books. The package acts through the batched ``forward`` and
+``sample_rows`` only, on rows gathered from ``obs.market_image``.
 ``mixed_radix_decode`` and ``mixed_radix_encode`` translate an aggregated
 unit's action to and from its per-position digits one at a time, where the
 package takes each digit by weight and radix.
@@ -13,15 +14,6 @@ import numpy as np
 
 from marketsched.actions import space_size
 from marketsched.neural import log_softmax
-from marketsched.obs import (
-    PRICE_OBS_LEN,
-    acceptor_obs_len,
-    core_block,
-    fill_acceptor_rows,
-    fill_offer_rows,
-    fill_price_rows,
-    offer_obs_len,
-)
 
 
 def forward(params, obs):
@@ -45,35 +37,55 @@ def sample(logits, rng):
     return action, float(logp[action])
 
 
-def encode_acceptor_obs(env, agent, core):
-    """Core job state, an ownership flag, and the offer grid for this core
-    (layout in ``fill_acceptor_rows``)."""
+def _core_state(env, agent, core):
+    """[running priority, remaining burst, owned-by-agent flag] of a core."""
     cfg = env.config
-    vec = np.zeros(acceptor_obs_len(cfg.num_agents, cfg.num_slots))
-    fill_acceptor_rows(env, core_block(env, agent), [core], vec[None])
-    return vec
+    job = env.cores[core].job
+    state = [0.0, 0.0] if job is None else [job.priority / cfg.max_prio,
+                                            job.remaining_burst / cfg.max_burst]
+    return state + [1.0 if env.cores[core].owner == agent else 0.0]
+
+
+def encode_acceptor_obs(env, agent, core):
+    """The core's state, then one [validity, price, time to payment, offered
+    priority] cell per (source agent, source slot), filled from the core's
+    pending offers in the order the env lists them."""
+    cfg = env.config
+    grid = [0.0] * (4 * cfg.num_agents * cfg.num_slots)
+    for offer in env.pending_offers(core):
+        base = 4 * (offer.agent * cfg.num_slots + offer.slot)
+        grid[base:base + 4] = (1.0, offer.price / cfg.max_prio,
+                               offer.time_to_payment / cfg.max_burst,
+                               offer.job_priority / cfg.max_prio)
+    return np.array(_core_state(env, agent, core) + grid)
 
 
 def encode_offer_obs(env, agent, slot):
-    """Per-core job states plus the agent's slot state(s).
+    """Every core's state, then [validity, priority, remaining burst] of the
+    agent's slot(s).
 
     With a slot index the vector covers that single slot (distributed
     layout); with ``slot=None`` all of the agent's slots are concatenated
     (aggregated layouts).
     """
     cfg = env.config
-    single = slot is not None
-    vec = np.zeros(offer_obs_len(cfg.num_cores, 1 if single else cfg.num_slots))
-    fill_offer_rows(env, agent, core_block(env, agent),
-                    (slot,) if single else range(cfg.num_slots), vec[None])
-    return vec
+    vec = [x for m in range(cfg.num_cores) for x in _core_state(env, agent, m)]
+    for k in range(cfg.num_slots) if slot is None else [slot]:
+        job = env.slots[agent][k]
+        vec += [0.0, 0.0, 0.0] if job is None else [1.0, job.priority / cfg.max_prio,
+                                                    job.remaining_burst / cfg.max_burst]
+    return np.array(vec)
 
 
 def encode_price_obs(env, agent, slot, target_core):
-    """What a price setter sees: its job and the targeted core's job."""
-    vec = np.zeros(PRICE_OBS_LEN)
-    fill_price_rows(env, agent, [(slot, target_core)], vec[None])
-    return vec
+    """What a price setter sees: its job's priority and remaining burst, then
+    the targeted core's running job's; an empty slot or idle core reads 0."""
+    cfg = env.config
+    vec = []
+    for job in (env.slots[agent][slot], env.cores[target_core].job):
+        vec += [0.0, 0.0] if job is None else [job.priority / cfg.max_prio,
+                                               job.remaining_burst / cfg.max_burst]
+    return np.array(vec)
 
 
 def mixed_radix_decode(index, radices):

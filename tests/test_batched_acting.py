@@ -30,7 +30,6 @@ from marketsched.agents import (
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
 from marketsched.neural import PPOHyper
-from marketsched.obs import acceptor_obs_len
 
 from helpers import make_config
 from reference import (
@@ -90,23 +89,6 @@ def act_price(bundle, env, joint, k):
         joint.prices[(a, k)] = price
 
 
-def acceptor_obs_from_sorted_offers(env, agent, core):
-    """The acceptor layout built from the env's per-core sorted offer list,
-    independently of the one-pass writer the encoders share."""
-    cfg = env.config
-    job, owner = env.cores[core].job, env.cores[core].owner
-    vec = [0.0] * (3 + 4 * cfg.num_agents * cfg.num_slots)
-    if job is not None:
-        vec[0], vec[1] = job.priority / cfg.max_prio, job.remaining_burst / cfg.max_burst
-    vec[2] = 1.0 if owner == agent else 0.0
-    for offer in env.pending_offers(core):
-        base = 3 + 4 * (offer.agent * cfg.num_slots + offer.slot)
-        vec[base:base + 4] = (1.0, offer.price / cfg.max_prio,
-                              offer.time_to_payment / cfg.max_burst,
-                              offer.job_priority / cfg.max_prio)
-    return np.array(vec)
-
-
 def assert_rows_match_encoders(bundle, env, joint):
     """What each unit recorded this step is its encoders' vector."""
     a = bundle.agent
@@ -117,10 +99,6 @@ def assert_rows_match_encoders(bundle, env, joint):
             continue
         recorded = unit.buffer.obs[len(unit.buffer) - 1]
         assert np.array_equal(recorded, reference_obs(env, a, spec))
-        width = acceptor_obs_len(bundle.config.num_agents, bundle.config.num_slots)
-        for i, m in enumerate(spec.cores):
-            block = recorded[i * width:(i + 1) * width]
-            assert np.array_equal(block, acceptor_obs_from_sorted_offers(env, a, m))
     for (agent, k) in joint.prices:
         if agent == a:
             recorded = bundle.units[("price", k)].pending_prices[env.time][0]

@@ -296,9 +296,15 @@ class TestInvariantsUnderFuzz:
         payout_total = 0
         income_total = 0
         terminated_priority = 0
+        completed = 0
         for _ in range(3000):
             result = env.step(random_actions(env, rng))
             env.check_invariants()
+            # job conservation: every uid issued is in a slot, on a core or completed
+            completed += len(result.completions)
+            held = sum(job is not None for row in env.slots for job in row)
+            running = sum(core.job is not None for core in env.cores)
+            assert env._next_job_uid == held + running + completed
             for s in result.settlements:
                 payout_total += sum(v for p, v in s.payouts.items() if p != AUCTIONEER)
             income_total += result.auctioneer_income

@@ -4,38 +4,33 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketsched.config import EnvConfig, JobType
+from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import JointActions, SchedulingEnv
 from marketsched.obs import (
     PRICE_OBS_LEN,
+    acceptor_index,
     acceptor_obs_len,
-    core_block,
-    fill_acceptor_rows,
-    fill_offer_rows,
-    fill_price_rows,
+    market_image,
+    offer_index,
     offer_obs_len,
+    price_index,
 )
+from marketsched.rng import STREAM_FUZZ, derive_rng
 
 from helpers import manual_config, place_job, random_actions
+from reference import encode_acceptor_obs, encode_offer_obs, encode_price_obs
 
 
 def acceptor_row(env, agent, core):
-    cfg = env.config
-    out = np.zeros((1, acceptor_obs_len(cfg.num_agents, cfg.num_slots)))
-    fill_acceptor_rows(env, core_block(env, agent), [core], out)
-    return out[0]
+    return market_image(env)[acceptor_index(env.config, agent, core)]
 
 
 def offer_row(env, agent, slots):
-    out = np.zeros((1, offer_obs_len(env.config.num_cores, len(slots))))
-    fill_offer_rows(env, agent, core_block(env, agent), slots, out)
-    return out[0]
+    return market_image(env)[offer_index(env.config, agent, slots)]
 
 
 def price_row(env, agent, slot, core):
-    out = np.zeros((1, PRICE_OBS_LEN))
-    fill_price_rows(env, agent, [(slot, core)], out)
-    return out[0]
+    return market_image(env)[price_index(env.config, agent, slot, core)]
 
 
 def test_idle_core_no_offers_is_zero_except_flags():
@@ -116,8 +111,6 @@ def test_lengths_match_formulas(num_cores, num_agents, num_slots, seed):
 def test_values_stay_in_unit_interval():
     cfg = EnvConfig(2, 2, 3, job_types=(JobType(0, 1, 10, 0.5), JobType(1, 5, 2, 0.3)),
                     pricing_mode="FREE_COMMERCIAL")
-    from marketsched.rng import STREAM_FUZZ, derive_rng
-
     env = SchedulingEnv(cfg, 21)
     rng = derive_rng(21, STREAM_FUZZ)
     for _ in range(300):
@@ -129,3 +122,33 @@ def test_values_stay_in_unit_interval():
             for slot in range(3):
                 vec = offer_row(env, agent, [slot])
                 assert np.all((vec >= 0.0) & (vec <= 1.0))
+                for core in range(2):
+                    vec = price_row(env, agent, slot, core)
+                    assert np.all((vec >= 0.0) & (vec <= 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.sampled_from(PricingMode),
+       st.booleans(), st.integers(0, 30), st.integers(0, 10_000))
+def test_image_rows_match_the_reference_encoders(num_agents, num_cores, num_slots, pricing,
+                                                 trading, steps, seed):
+    cfg = EnvConfig(num_agents, num_cores, num_slots,
+                    job_types=(JobType(0, 1, 4, 0.4), JobType(1, 5, 2, 0.3)),
+                    pricing_mode=pricing, trading_enabled=trading)
+    env = SchedulingEnv(cfg, seed)
+    rng = derive_rng(seed, STREAM_FUZZ)
+    for _ in range(steps):
+        env.step(random_actions(env, rng))
+    image = market_image(env)
+    for agent in range(num_agents):
+        rows = [(acceptor_index(cfg, agent, m), encode_acceptor_obs(env, agent, m))
+                for m in range(num_cores)]
+        rows += [(offer_index(cfg, agent, [k]), encode_offer_obs(env, agent, k))
+                 for k in range(num_slots)]
+        rows.append((offer_index(cfg, agent, range(num_slots)),
+                     encode_offer_obs(env, agent, None)))
+        rows += [(price_index(cfg, agent, k, m), encode_price_obs(env, agent, k, m))
+                 for k in range(num_slots) for m in range(num_cores)]
+        for index, expected in rows:
+            assert 0 <= min(index) and max(index) < len(image)
+            assert image[index].tobytes() == expected.tobytes()
