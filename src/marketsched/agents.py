@@ -12,9 +12,10 @@ digit per position, so a distributed unit is the one-digit case.
 A bundle keeps all its parameter sets in one ``ParamStack``. The bundles
 that ``build_bundles`` makes for one run keep the weights of all bundles
 whose stacks share a padded layout (widest in-width, hidden width and action
-count) in one home ``ParamRows``, each bundle's rows a contiguous range of
-it, and the ``Trainer`` acts for all of them in one batched pass per step and
-home, whatever the architectures and however many rows the pass has.
+count) in one home ``ParamStack``, each bundle's rows, gradients, moments and
+step counts a contiguous range of it, and the ``Trainer`` acts for all of
+them in one batched pass per step and home, whatever the architectures and
+however many rows the pass has.
 Every unit with a live position (accept m when trading is on and its agent
 owns core m; every offer) acts on one row of a (units, width) array: the
 step's ``market_image`` gathered through each unit's row of indices (see
@@ -27,10 +28,21 @@ they see depends on the offer's target core. ``AgentBundle.act`` is the same
 pass for one bundle.
 
 Update-order contract: the pass does exactly what acting one unit at a time
-in row order would. Each unit's bookkeeping runs in row order, and when a
-unit's rollout window fills, its parameter set is updated on the spot; the
-later rows of that set, all of the same agent, are then evaluated again with
-the updated weights and their same draws.
+in row order would, where a unit whose rollout window is full first updates
+its parameter set, closing the window with this decision's value, and the
+later rows of that set (all of the same agent) then act on the updated
+weights with the draws they already took. The pass keeps it in waves. A wave
+walks the rows not yet booked in order: a row of a set that has no due unit
+(one whose window is full) before it is recorded; the first due unit of each
+set is collected, so the collected units' sets are distinct; the later rows
+of those sets are deferred. The collected sets are updated together, one
+``ppo_update`` per network shape, each due unit's row is recorded, and the
+deferred rows are evaluated again in one ``forward`` and ``sample_rows``
+with their same draws, for the next wave to walk. The bundles of one home
+share their learned state with it (see ``marketsched.neural``), so a wave
+updates the sets of all of them at once. Updates of distinct sets touch
+disjoint rows, so each set sees exactly the updates, in the order, that
+acting one unit at a time gives it.
 """
 
 from __future__ import annotations
@@ -47,7 +59,6 @@ from .config import EnvConfig, PricingMode
 from .env import JointActions, SchedulingEnv, StepResult
 from .neural import (
     NetParams,
-    ParamRows,
     ParamStack,
     PPOHyper,
     RolloutBuffer,
@@ -223,16 +234,11 @@ class ActingUnit:
         self.dropped_rewards = 0.0
         self.last_stats: dict = {}
 
-    def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> bool:
+    def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> None:
         """Write this step's decision as the window's newest row, with reward
-        0.0. If the window is already full, its last row closes here: first
-        update the network with this decision's value as the bootstrap.
-        Return whether it updated."""
-        full = self.buffer.full
-        if full:
-            self._update(bootstrap_value=value)
+        0.0. A full window is first closed by ``update_units``, with this
+        decision's value as the bootstrap."""
         self.buffer.add(obs, action, logp, value, 0.0)
-        return full
 
     def accumulate(self, reward: float) -> None:
         if not self.buffer.size:  # before the first decision
@@ -252,19 +258,31 @@ class ActingUnit:
         obs, action, logp, value = pending
         self.buffer.add(obs, action, logp, value, reward)
         if self.buffer.full:
-            self._update(bootstrap_value=0.0)
+            update_units(self.stack, [self], [self.param_set], [0.0])
 
     def expire_prices(self, before: int) -> None:
         """Drop pending samples of offers that were never accepted."""
         for made_at in [t for t in self.pending_prices if t < before]:
             del self.pending_prices[made_at]
 
-    def _update(self, bootstrap_value: float) -> None:
-        batch = self.buffer.to_batch(bootstrap_value, self.hyper)
-        self.last_stats = ppo_update(self.stack, self.param_set, batch, self.hyper,
-                                     self.update_rng)
-        self.buffer.clear()
-        self.updates += 1
+
+def update_units(stack: ParamStack, units: list[ActingUnit], sets: Sequence[int],
+                 bootstraps: Sequence[float]) -> None:
+    """Close the full windows of ``units`` with their ``bootstraps`` values
+    and update their parameter sets ``sets`` of ``stack``, which must be
+    distinct: one ``ppo_update`` per network shape."""
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for i, s in enumerate(sets):
+        shapes.setdefault(stack.shapes[s], []).append(i)
+    for group in shapes.values():
+        batch = [units[i].buffer.to_batch(bootstraps[i], units[i].hyper) for i in group]
+        stats = ppo_update(stack, [sets[i] for i in group], batch, units[group[0]].hyper,
+                           [units[i].update_rng for i in group])
+        for i, unit_stats in zip(group, stats):
+            unit = units[i]
+            unit.last_stats = unit_stats
+            unit.buffer.clear()
+            unit.updates += 1
 
 
 class _Pass(NamedTuple):
@@ -280,9 +298,10 @@ class AgentBundle:
     """All acting units of one agent plus their (possibly shared) parameters."""
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
-                 seed: int, home: ParamRows | None = None, first: int = 0):
-        """With ``home`` the weights are its rows ``first``, ``first + 1``, ...
-        (see ``build_bundles``); else a new array's."""
+                 seed: int, home: ParamStack | None = None, first: int = 0):
+        """With ``home`` the weights and learned state are its rows
+        ``first``, ``first + 1``, ... (see ``build_bundles``); else a new
+        stack's."""
         specs, param_sets, shapes = _parameter_sets(arch, config)
         self.arch = arch
         self.agent = agent
@@ -405,33 +424,51 @@ def _act(bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
         joint.prices[(a, k)] = price
 
 
-def _act_rows(stack: ParamRows, units: list[ActingUnit], sets: np.ndarray,
+def _act_rows(stack: ParamStack, units: list[ActingUnit], sets: np.ndarray,
               obs: np.ndarray, made_at: int | None = None) -> list[int]:
     """Act for ``units[i]`` on row i of ``obs`` with parameter set ``sets[i]``
-    of ``stack``: one forward over all rows, one draw per unit, then each
-    unit's bookkeeping in row order. With ``made_at`` the units are price
-    setters and their decisions are held pending instead of recorded."""
+    of ``stack``: one forward over all rows, one draw per unit, then the
+    units' bookkeeping and updates in the waves of the module docstring.
+    With ``made_at`` the units are price setters and their decisions are
+    held pending instead of recorded."""
     u = np.array([unit.sample_rng.random() for unit in units])
     last = stack.last_action[sets]
     logits, values = forward(stack, obs, sets)
     actions, logps = sample_rows(logits, u, last)
     actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
-    for r, unit in enumerate(units):
-        row = obs[r, :unit.spec.obs_width]
-        if made_at is not None:
-            unit.hold_price(made_at, row, actions[r], logps[r], values[r])
-            continue
-        if not unit.record(row, actions[r], logps[r], values[r]):
-            continue
-        # the update moved this set's weights: later rows of the set act
-        # on the new weights, with the draws they already took
-        later = [j for j in range(r + 1, len(units)) if sets[j] == sets[r]]
-        if later:
-            logits, fresh = forward(stack, obs[later], sets[later])
-            redrawn, relogp = sample_rows(logits, u[later], last[later])
-            for j, action, logp, value in zip(later, redrawn.tolist(),
+    if made_at is not None:
+        for r, unit in enumerate(units):
+            unit.hold_price(made_at, obs[r, :unit.spec.obs_width], actions[r], logps[r],
+                            values[r])
+        return actions
+    set_of = sets.tolist()
+    pending = range(len(units))
+    while pending:
+        due, deferred, updated = [], [], set()
+        for r in pending:
+            unit = units[r]
+            if set_of[r] in updated:
+                deferred.append(r)
+            elif unit.buffer.full:
+                due.append(r)
+                updated.add(set_of[r])
+            else:
+                unit.record(obs[r, :unit.spec.obs_width], actions[r], logps[r], values[r])
+        if not due:
+            break
+        update_units(stack, [units[r] for r in due], [set_of[r] for r in due],
+                     [values[r] for r in due])
+        for r in due:
+            units[r].record(obs[r, :units[r].spec.obs_width], actions[r], logps[r], values[r])
+        if deferred:
+            # the updates moved these sets' weights: their later rows act on
+            # the new weights, with the draws they already took
+            logits, fresh = forward(stack, obs[deferred], sets[deferred])
+            redrawn, relogp = sample_rows(logits, u[deferred], last[deferred])
+            for j, action, logp, value in zip(deferred, redrawn.tolist(),
                                               relogp.tolist(), fresh.tolist()):
                 actions[j], logps[j], values[j] = action, logp, value
+        pending = deferred
     return actions
 
 
@@ -501,17 +538,18 @@ def build_bundles(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed
                   ) -> list[AgentBundle]:
     """One AgentBundle per agent, agent i's of architecture ``archs[i]``. The
     bundles whose parameter sets share a padded layout (widest in-width,
-    hidden width and action count) keep their weights in consecutive row
-    ranges of one ParamRows, in agent order, so that a Trainer acts for them
-    in one pass. The rows are allocated before any weight is initialized, so
-    no weight is copied."""
+    hidden width and action count) keep their weights and learned state in
+    consecutive row ranges of one ParamStack, in agent order, so that a
+    Trainer acts for them in one pass and updates their sets together. The
+    rows are allocated before any weight is initialized, so no weight is
+    copied."""
     shapes = [_parameter_sets(arch, config)[2] for arch in archs]
     layouts: dict[tuple[int, ...], list[int]] = {}
     for agent, sets in enumerate(shapes):
         layouts.setdefault(tuple(max(dim) for dim in zip(*sets)), []).append(agent)
-    homes: dict[int, tuple[ParamRows, int]] = {}
+    homes: dict[int, tuple[ParamStack, int]] = {}
     for agents in layouts.values():
-        home, first = ParamRows([shape for a in agents for shape in shapes[a]]), 0
+        home, first = ParamStack([shape for a in agents for shape in shapes[a]]), 0
         for a in agents:
             homes[a] = home, first
             first += len(shapes[a])

@@ -6,13 +6,29 @@ the test suite) and applied by the Adam step written here, so there is no
 external autodiff or optimizer dependency. Each network is one padded row of
 a ``ParamStack``, which holds all of its learned state: the weights ``rows``,
 the gradient ``grads`` and Adam's moments ``m`` and ``v``, all of the same row
-layout, plus one Adam step count per row. An Adam step is a fixed handful of
-whole-row operations. The padding stays fixed: its gradient is 0, so its step
-is 0. A checkpoint is one ``.npz`` of that state: a format version, the
-parameter-set names in row order, ``rows``, ``m``, ``v`` and the step counts,
-so a loaded stack continues training exactly as the saved one would. The
-weights alone are a ``ParamRows``, which can also hold the rows of several
-stacks of one layout so that one ``forward`` reads them all.
+layout, plus one Adam step count per row. A stack whose rows are rows of a
+home stack shares all of that state with the home, so one update on the
+home can step the networks of several agents. The padding stays fixed: its
+gradient is 0, so its step is 0. A checkpoint is one ``.npz`` of that state:
+a format version, the parameter-set names in row order, ``rows``, ``m``,
+``v`` and the step counts, so a loaded stack continues training exactly as
+the saved one would. The weights alone are a ``ParamRows``, which can also
+hold the rows of several stacks of one layout so that one ``forward`` reads
+them all.
+
+``ppo_update`` updates S >= 1 networks of one shape at once, each on its own
+window with its own sample stream and its own Adam step count, in one
+minibatch loop over (S, rows, ...) arrays: every product is a 3-D
+``np.matmul`` whose item s is the product the network alone would take, so
+each network ends bit for bit where updating it alone would leave it. The
+Adam step is a fixed handful of whole-row operations on all S rows at once,
+with each row's bias corrections as a column. A minibatch goes through the
+networks in groups whose work arrays fit in a core's cache (``GROUP_BYTES``):
+all the small distributed networks at once, a 1323-action head alone. Every
+array of the loop that scales with the rows, the hidden width or the actions
+lives in one scratch (``UpdateWork``) allocated per update: the loop
+allocates no row-sized or (rows x actions)-sized temporary, so a large
+head's pages are neither freed nor faulted in again between minibatches.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,7 +94,8 @@ class PPOHyper:
 
 @dataclass
 class NetParams:
-    """Weights of one actor-critic network."""
+    """Weights of one actor-critic network, or of several networks of one
+    shape, each tensor with a leading network axis."""
 
     w1: np.ndarray  # (in, hidden)
     b1: np.ndarray  # (hidden,)
@@ -89,11 +106,11 @@ class NetParams:
 
     @property
     def in_width(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
     @property
     def action_count(self) -> int:
-        return self.wp.shape[1]
+        return self.wp.shape[-1]
 
     def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         yield from (("w1", self.w1), ("b1", self.b1), ("wp", self.wp),
@@ -150,24 +167,53 @@ class ParamRows:
     def _lay_out(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[NetParams]]:
         """The w1, b1, head and head_bias blocks of ``rows``, and each
         network's NetParams of views into them."""
+        blocks = self._blocks(rows)
+        return blocks, [_unpadded([block[i] for block in blocks], shape)
+                        for i, shape in enumerate(self.shapes)]
+
+    def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The w1, b1, head and head_bias blocks of ``rows``, rows of this
+        layout, as views with a leading row axis."""
         ends = list(accumulate(prod(shape) for shape in self._layout))
-        w1, b1, head, bias = (rows[:, start:end].reshape(-1, *shape)
-                              for start, end, shape in zip([0] + ends, ends, self._layout))
-        return [w1, b1, head, bias], [NetParams(
-            w1=w1[i, :w, :h], b1=b1[i, :h], wp=head[i, :a, :h].T, bp=bias[i, :a],
-            wv=head[i, -1, :h], bv=bias[i, -1:]) for i, (w, h, a) in enumerate(self.shapes)]
+        return [rows[:, start:end].reshape(-1, *shape)
+                for start, end, shape in zip([0] + ends, ends, self._layout)]
+
+
+def _unpadded(blocks: list[np.ndarray], shape: tuple[int, int, int]) -> NetParams:
+    """Views of the unpadded (in_width, hidden_width, action_count) part of
+    padded w1, b1, head and head_bias blocks, of one network or, with a
+    leading axis, of several."""
+    w, h, a = shape
+    w1, b1, head, bias = blocks
+    return NetParams(w1=w1[..., :w, :h], b1=b1[..., :h], wp=head[..., :a, :h].swapaxes(-1, -2),
+                     bp=bias[..., :a], wv=head[..., -1, :h], bv=bias[..., -1:])
+
+
+def _span(sets: np.ndarray) -> slice | np.ndarray:
+    """``sets`` as an index of rows: a slice if they are a run lo, lo+1,
+    ..., so that ``_rows`` views the rows, else the array itself, so that
+    ``_rows`` copies them. Either way row i of the result is row sets[i]."""
+    lo, count = int(sets[0]), len(sets)
+    return slice(lo, lo + count) if sets.tolist() == list(range(lo, lo + count)) else sets
+
+
+def _rows(array: np.ndarray, span: slice | np.ndarray) -> np.ndarray:
+    """The rows ``span`` (``_span``) of ``array``: a view or a copy."""
+    return array[span] if isinstance(span, slice) else array.take(span, axis=0)
 
 
 class ParamStack(ParamRows):
     """ParamRows with their learned state, all in the same row layout.
 
-    ``grads`` holds the gradient of each row, and ``grad_views`` the same
-    views into it. ``m`` and ``v`` are Adam's first and second moments of
-    each row, and ``steps[i]`` (a Python int) is row i's Adam step count.
-    Their padding stays 0. ``save`` and ``load`` move exactly this state,
-    ``rows``, ``m``, ``v`` and ``steps``, through one ``.npz`` file: a stack
-    whose weights are rows of a larger home writes and reads its own rows
-    only.
+    ``grads`` holds the gradient of each row's latest update, and
+    ``grad_views`` the same views into it. ``m`` and ``v`` are Adam's first
+    and second moments of each row, and ``step_counts[i]`` is row i's Adam
+    step count (``steps`` as a list). Their padding stays 0. A stack whose
+    home is a ParamStack views the home's state as well as its weights, so
+    an update of the home's rows is an update of its. ``save`` and ``load``
+    move exactly this state, ``rows``, ``m``, ``v`` and the step counts,
+    through one ``.npz`` file: a stack whose weights are rows of a larger
+    home writes and reads its own rows only.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -175,32 +221,70 @@ class ParamStack(ParamRows):
     def __init__(self, shapes: list[tuple[int, int, int]], home: ParamRows | None = None,
                  first: int = 0):
         super().__init__(shapes, home, first)
-        self.grads = np.zeros(self.rows.shape)
-        self.m = np.zeros(self.rows.shape)
-        self.v = np.zeros(self.rows.shape)
-        self.steps = [0] * len(shapes)
+        if isinstance(home, ParamStack):
+            span = slice(first, first + len(shapes))
+            self.grads, self.m, self.v, self.step_counts = (
+                home.grads[span], home.m[span], home.v[span], home.step_counts[span])
+        else:
+            self.grads, self.m, self.v = (np.zeros(self.rows.shape) for _ in range(3))
+            self.step_counts = np.zeros(len(shapes), dtype=np.int64)
         self.grad_views = self._lay_out(self.grads)[1]
 
-    def ascend(self, index: int, lr: float) -> None:
-        """One Adam ascent step of row ``index`` along its gradient, in place,
-        in the operation order m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-        row += lr*m_hat / (sqrt(v_hat)+eps)."""
-        grad, m, v = self.grads[index], self.m[index], self.v[index]
-        self.steps[index] = t = self.steps[index] + 1
+    @property
+    def steps(self) -> list[int]:
+        """Each row's Adam step count."""
+        return self.step_counts.tolist()
+
+    def ascend(self, sets: Sequence[int], lr: float) -> None:
+        """One Adam ascent step of each row of ``sets`` along its row of
+        ``grads``, in place (see ``_step``)."""
+        state = self._take(np.asarray(sets))
+        self._step(*state[1:], lr, np.empty((2, state[1].size)))
+        self._put(*state)
+
+    def _take(self, sets: np.ndarray) -> list:
+        """The span of ``sets`` (``_span``), then their rows of ``rows``,
+        ``grads``, ``m``, ``v`` and ``step_counts``: views of a run, else
+        copies for ``_put`` to write back."""
+        span = _span(sets)
+        return [span] + [_rows(a, span) for a in (self.rows, self.grads, self.m, self.v,
+                                                  self.step_counts)]
+
+    def _put(self, span, rows, grads, m, v, step_counts) -> None:
+        """Write back what ``_take`` copied; a run's views need nothing."""
+        if not isinstance(span, slice):
+            for whole, part in zip((self.rows, self.grads, self.m, self.v, self.step_counts),
+                                   (rows, grads, m, v, step_counts)):
+                whole[span] = part
+
+    def _step(self, rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
+              step_counts: np.ndarray, lr: float, temp: np.ndarray) -> None:
+        """One Adam ascent step of ``rows`` along ``grads``, all in place and
+        every row at once, in the operation order m = b1*m + (1-b1)*g;
+        v = b2*v + ((1-b2)*g)*g; row += lr*m_hat / (sqrt(v_hat)+eps). Row i's
+        bias corrections are the Python floats 1 - b**t of its step count t,
+        as a column. ``temp`` holds two arrays of the rows' shape (or more
+        room), which every intermediate is written into."""
+        step_counts += 1
+        counts = step_counts.tolist()
+        first = np.array([[1.0 - self.beta1**t] for t in counts])
+        second = np.array([[1.0 - self.beta2**t] for t in counts])
+        step, root = (part[:rows.size].reshape(rows.shape) for part in temp[:2])
         m *= self.beta1
-        m += grad * (1.0 - self.beta1)
+        m += np.multiply(grads, 1.0 - self.beta1, out=step)
         v *= self.beta2
-        v += grad * (1.0 - self.beta2) * grad
-        step = m / (1.0 - self.beta1**t)
+        v += np.multiply(np.multiply(grads, 1.0 - self.beta2, out=step), grads, out=step)
+        np.divide(m, first, out=step)
         step *= lr
-        step /= np.sqrt(v / (1.0 - self.beta2**t)) + self.eps
-        self.rows[index] += step
+        root = np.add(np.sqrt(np.divide(v, second, out=root), out=root), self.eps, out=root)
+        step /= root
+        rows += step
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,
         to one ``.npz``; ``load`` restores it bit for bit."""
         np.savez(path, version=CHECKPOINT_VERSION, names=np.array(names, dtype=str),
-                 rows=self.rows, m=self.m, v=self.v, steps=np.array(self.steps))
+                 rows=self.rows, m=self.m, v=self.v, steps=self.step_counts)
 
     def load(self, path, names: list[str]) -> None:
         """Restore in place the state ``save`` wrote for rows named ``names``.
@@ -226,7 +310,7 @@ class ParamStack(ParamRows):
                 raise ValueError("checkpoint steps must be one non-negative integer per row, "
                                  f"got {steps.tolist()}")
             self.rows[...], self.m[...], self.v[...] = rows, m, v
-            self.steps = steps.tolist()
+            self.step_counts[...] = steps
 
 
 def _orthogonal(out: np.ndarray, gain: float, rng: np.random.Generator) -> None:
@@ -255,14 +339,9 @@ def forward(stack: ParamRows, obs: np.ndarray, sets: np.ndarray):
     # rows of the sets lo, lo+1, ..., lo+R-1 in turn (FULL's, with the large
     # head, are such a run) read a view of the blocks instead of copying
     # them for each row: the same products
-    w1, b1, head, head_bias = stack.w1, stack.b1, stack.head, stack.head_bias
-    lo, count = int(sets[0]), len(sets)
-    if sets.tolist() == list(range(lo, lo + count)):
-        run = slice(lo, lo + count)
-        w1, b1, head, head_bias = w1[run], b1[run], head[run], head_bias[run]
-    else:
-        w1, b1, head, head_bias = (w1.take(sets, axis=0), b1.take(sets, axis=0),
-                                   head.take(sets, axis=0), head_bias.take(sets, axis=0))
+    span = _span(sets)
+    w1, b1, head, head_bias = (_rows(block, span) for block in
+                               (stack.w1, stack.b1, stack.head, stack.head_bias))
     h = np.tanh(np.matmul(obs[:, None, :], w1)[:, 0] + b1)
     out = np.matmul(head, h[:, :, None])[:, :, 0] + head_bias
     return out[:, :-1], out[:, -1]
@@ -295,14 +374,18 @@ def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
     """
     if len(rewards) != len(values):
         raise ValueError("rewards and values must have equal length")
-    advantages = np.empty(len(rewards))
+    # Python floats: the same double arithmetic as numpy scalars, at a
+    # fraction of the cost per operation
+    rewards_t, values_t = rewards.tolist(), values.tolist()
+    advantages = [0.0] * len(rewards_t)
     carry = 0.0
     next_value = bootstrap_value
-    for t in range(len(rewards) - 1, -1, -1):
-        delta = rewards[t] + discount * next_value - values[t]
+    for t in range(len(rewards_t) - 1, -1, -1):
+        delta = rewards_t[t] + discount * next_value - values_t[t]
         carry = delta + discount * lam * carry
         advantages[t] = carry
-        next_value = values[t]
+        next_value = values_t[t]
+    advantages = np.array(advantages)
     return advantages, advantages + values
 
 
@@ -362,120 +445,208 @@ class RolloutBuffer:
         )
 
 
-def surrogate_work(params: NetParams, rows: int) -> np.ndarray:
-    """``surrogate_objective``'s scratch: four (``rows`` or hidden) x actions rows."""
-    return np.empty((4, max(rows, params.wp.shape[0]) * params.action_count))
+STATS = ("objective", "value_loss", "entropy", "clip_fraction", "approx_kl")
+
+
+class UpdateWork(NamedTuple):
+    """One update's scratch, for a group of S networks of one shape and
+    minibatches of up to ``rows`` rows: ``wide`` holds three arrays of
+    (S, rows or hidden, actions) or of (S, row width), whichever is larger (the surrogate's
+    log-probabilities, probabilities and logit gradients, then the policy
+    head's gradient, then Adam's two intermediates); ``narrow`` three of
+    (S, rows or in-width, hidden) (hidden activations, their gradient, and
+    a temporary that ends as the first layer's gradient); ``finite`` one
+    bool per gradient entry."""
+
+    wide: np.ndarray
+    narrow: np.ndarray
+    finite: np.ndarray
+
+
+# The most work-array bytes one minibatch pass runs on at once: the sets of
+# an update go through each minibatch in groups that fit, so that a group's
+# arrays stay in a core's cache from one operation to the next. FULL's
+# 1323-action head takes one set per group, the distributed heads all at once.
+GROUP_BYTES = 1 << 20
+
+
+def _work_per_set(shape: tuple[int, int, int], rows: int, row_width: int) -> tuple[int, int]:
+    """Entries per network of ``UpdateWork``'s wide and narrow arrays."""
+    in_width, hidden, actions = shape
+    return max(max(rows, hidden) * actions, row_width), max(rows, in_width) * hidden
+
+
+def update_work(sets: int, shape: tuple[int, int, int], rows: int,
+                row_width: int = 0) -> UpdateWork:
+    """``UpdateWork`` for ``sets`` networks of ``shape`` in rows of
+    ``row_width`` (0: no Adam step) and minibatches of up to ``rows`` rows."""
+    wide, narrow = _work_per_set(shape, rows, row_width)
+    return UpdateWork(np.empty((3, sets * wide)), np.empty((3, sets * narrow)),
+                      np.empty((sets, row_width), dtype=bool))
+
+
+def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) entries of a 1-D scratch buffer, as a
+    contiguous array of ``shape``."""
+    return buffer[:prod(shape)].reshape(shape)
 
 
 def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
                         hyper: PPOHyper, indices: np.ndarray,
-                        work: np.ndarray | None = None) -> tuple[float, dict]:
-    """Clipped-surrogate objective and its analytic gradient on a minibatch.
+                        work: UpdateWork | None = None) -> tuple[np.ndarray, dict]:
+    """Clipped-surrogate objective and its analytic gradient on a minibatch
+    of each of S networks of one shape.
 
-    Returns (objective, stats) and writes into ``grads`` the gradient, which
-    points in the ascent direction of objective = policy surrogate
-    - c_v * value loss + c_e * entropy. Every (rows x actions) array lives
-    in ``work`` (``surrogate_work``), which an update's minibatches share:
-    freed after each minibatch, such arrays' pages may go back to the OS and
-    be faulted in again on the next one, depending on the heap's layout.
+    ``params`` and ``grads`` hold the S networks as NetParams with a leading
+    network axis, ``batch`` their windows as (S, T, ...) arrays, and row s of
+    ``indices`` network s's minibatch rows. Returns the (S,) objectives and
+    a dict of (S,) stats, and writes into ``grads`` the gradients, which
+    point in the ascent direction of objective = policy surrogate - c_v *
+    value loss + c_e * entropy. Network s's results are bit for bit those
+    of computing it alone. ``approx_kl`` is the estimator
+    mean((ratio - 1) - log ratio) of the KL divergence from the window's
+    policy. Every (rows x hidden) and (rows x actions) array lives in
+    ``work`` (``update_work``), which an update's minibatches share.
     """
-    x = batch.obs[indices]
-    acts = batch.actions[indices]
-    adv = batch.advantages[indices]
-    ret = batch.returns[indices]
-    logp_old = batch.logp_old[indices]
-    n = len(indices)
-    hidden, actions = params.wp.shape
-    work = surrogate_work(params, n) if work is None else work
-    lp, pr, dl = (w[:n * actions].reshape(n, actions) for w in work[:3])
+    count, n = indices.shape
+    hidden, actions = params.wp.shape[-2:]
+    in_width = params.in_width
+    if work is None:
+        work = update_work(count, (in_width, hidden, actions), n)
+    networks = np.arange(count)[:, None]
+    x, acts, logp_old, adv, ret = (field[networks, indices] for field in batch)
+    lp, pr, dl = work.wide[:, :count * n * actions].reshape(3, count, n, actions)
+    h, d_h, temp = work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden)
+    rows = np.arange(n)
 
-    z1 = x @ params.w1 + params.b1
-    h = np.tanh(z1)
+    np.matmul(x, params.w1, out=h)
+    h += params.b1[:, None]
+    np.tanh(h, out=h)
     logits = np.matmul(h, params.wp, out=lp)
-    logits += params.bp
-    values = h @ params.wv + params.bv[0]
+    logits += params.bp[:, None]
+    values = np.matmul(h, params.wv[..., None])[..., 0] + params.bv
 
     # log_softmax in place: logits, z and logp_all all live in lp
     z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=lp)
     logp_all = np.subtract(z, np.log(np.exp(z, out=pr).sum(axis=-1, keepdims=True)), out=lp)
     probs = np.exp(logp_all, out=pr)
-    logp_act = logp_all[np.arange(n), acts]
-    ratio = np.exp(logp_act - logp_old)
+    logp_act = logp_all[networks, rows, acts]
+    log_ratio = logp_act - logp_old
+    ratio = np.exp(log_ratio)
     clipped = np.clip(ratio, 1.0 - hyper.clip, 1.0 + hyper.clip)
     surr_unclipped = ratio * adv
     surr_clipped = clipped * adv
     surrogate = np.minimum(surr_unclipped, surr_clipped)
-    entropy = -np.multiply(probs, logp_all, out=dl).sum(axis=1)
+    entropy = -np.multiply(probs, logp_all, out=dl).sum(axis=-1)
     value_err = values - ret
-    value_loss = (value_err**2).mean()
-    mean_entropy = entropy.mean()
+    # each mean is the sum over the minibatch / n, as ndarray.mean takes it
+    value_loss = (value_err**2).sum(axis=-1) / n
+    mean_entropy = entropy.sum(axis=-1) / n
 
-    objective = float(surrogate.mean()
-                      - hyper.value_coef * value_loss
-                      + hyper.entropy_coef * mean_entropy)
+    objective = (surrogate.sum(axis=-1) / n
+                 - hyper.value_coef * value_loss
+                 + hyper.entropy_coef * mean_entropy)
 
     # d objective / d logits. The unclipped branch carries gradient whenever
     # it attains the min; a clipped-and-active branch has zero gradient.
     use_unclipped = surr_unclipped <= surr_clipped
     coef = np.where(use_unclipped, ratio * adv, 0.0) / n
     dl.fill(0.0)  # one_hot, then d_logits
-    dl[np.arange(n), acts] = 1.0
-    d_logits = np.multiply(coef[:, None], np.subtract(dl, probs, out=dl), out=dl)
+    dl[networks, rows, acts] = 1.0
+    d_logits = np.multiply(coef[..., None], np.subtract(dl, probs, out=dl), out=dl)
     # += c_e * (-probs * (logp_all + entropy)) / n; probs and logp_all are done
     term = np.multiply(np.negative(probs, out=pr),
-                       np.add(logp_all, entropy[:, None], out=lp), out=pr)
+                       np.add(logp_all, entropy[..., None], out=lp), out=pr)
     d_logits += np.divide(np.multiply(hyper.entropy_coef, term, out=pr), n, out=pr)
 
     d_values = -2.0 * hyper.value_coef * value_err / n
 
-    d_h = d_logits @ params.wp.T + d_values[:, None] * params.wv[None, :]
-    d_z1 = d_h * (1.0 - h * h)
-    grads.w1[...] = x.T @ d_z1
-    grads.b1[...] = d_z1.sum(axis=0)
-    dw = work[3, :hidden * actions].reshape(hidden, actions)
-    grads.wp[...] = np.matmul(h.T, d_logits, out=dw)
-    grads.bp[...] = d_logits.sum(axis=0)
-    grads.wv[...] = h.T @ d_values
-    grads.bv[...] = d_values.sum()
+    np.matmul(d_logits, params.wp.swapaxes(-1, -2), out=d_h)
+    d_h += np.multiply(d_values[..., None], params.wv[:, None], out=temp)
+    d_z1 = np.multiply(d_h, np.subtract(1.0, np.multiply(h, h, out=temp), out=temp), out=d_h)
+    grads.w1[...] = np.matmul(x.swapaxes(-1, -2), d_z1,
+                              out=_part(work.narrow[2], count, in_width, hidden))
+    grads.b1[...] = d_z1.sum(axis=-2)
+    # the head's gradient goes through a contiguous array: a product written
+    # straight into the transposed head block is not summed in the same order
+    grads.wp[...] = np.matmul(h.swapaxes(-1, -2), d_logits,
+                              out=_part(work.wide[0], count, hidden, actions))
+    grads.bp[...] = d_logits.sum(axis=-2)
+    grads.wv[...] = np.matmul(h.swapaxes(-1, -2), d_values[..., None])[..., 0]
+    grads.bv[...] = d_values.sum(axis=-1, keepdims=True)
     stats = {
         "objective": objective,
-        "value_loss": float(value_loss),
-        "entropy": float(mean_entropy),
-        "clip_fraction": float((~use_unclipped).mean()),
+        "value_loss": value_loss,
+        "entropy": mean_entropy,
+        "clip_fraction": np.count_nonzero(~use_unclipped, axis=-1) / n,
+        "approx_kl": ((ratio - 1.0) - log_ratio).sum(axis=-1) / n,
     }
     return objective, stats
 
 
-def ppo_update(stack: ParamStack, index: int, batch: TrainBatch, hyper: PPOHyper,
-               rng: np.random.Generator) -> dict:
-    """Run the clipped-surrogate update of network ``index`` of ``stack`` in
-    place; returns aggregate stats.
+def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBatch],
+               hyper: PPOHyper, rngs: Sequence[np.random.Generator]) -> list[dict]:
+    """Run the clipped-surrogate update of the networks ``sets`` of
+    ``stack``, distinct and all of one (in_width, hidden_width, action_count)
+    shape, each on its own window ``batches[i]`` (all of one length) with its
+    own stream ``rngs[i]``, in place; returns each network's aggregate stats.
 
-    Advantages are normalized once per update. A non-finite loss or gradient
-    aborts before any parameter is touched by the offending minibatch.
+    The networks share one minibatch loop, and each ends bit for bit where
+    updating it alone would leave it: its own permutations, advantages
+    normalized once over its own window, its own stats and its own Adam step
+    count. A non-finite loss or gradient in any network raises
+    NonFiniteLossError naming it, before the offending minibatch touches any
+    of the networks.
     """
-    params, grads, grad_row = stack.views[index], stack.grad_views[index], stack.grads[index]
-    adv = batch.advantages
-    batch = batch._replace(advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
+    shape, count = stack.shapes[sets[0]], len(batches[0].actions)
+    if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
+            or any(len(batch.actions) != count for batch in batches)):
+        raise ValueError(f"one update takes distinct networks of one shape and windows "
+                         f"of one length, got networks {list(sets)} of shapes "
+                         f"{[stack.shapes[s] for s in sets]} and windows of "
+                         f"{[len(batch.actions) for batch in batches]}")
+    data = TrainBatch(*(np.stack(field) for field in zip(*batches)))
+    adv = data.advantages
+    data = data._replace(advantages=(adv - adv.mean(axis=1, keepdims=True))
+                         / (adv.std(axis=1, keepdims=True) + 1e-8))
 
-    count = len(batch.actions)
-    totals = dict.fromkeys(("objective", "value_loss", "entropy", "clip_fraction"), 0.0)
+    span, rows, grads, m, v, step_counts = stack._take(np.asarray(sets))
+    size = min(count, hyper.minibatch_size)
+    per_group = max(1, GROUP_BYTES // (8 * sum(_work_per_set(shape, size, rows.shape[1]))))
+    groups = [(group, _unpadded(stack._blocks(rows[group]), shape),
+               _unpadded(stack._blocks(grads[group]), shape),
+               TrainBatch(*(field[group] for field in data)))
+              for group in (slice(lo, min(lo + per_group, len(sets)))
+                            for lo in range(0, len(sets), per_group))]
+    work = update_work(min(per_group, len(sets)), shape, size, rows.shape[1])
+    latest = np.empty((len(STATS), len(sets)))  # one minibatch's stats, a row per STATS key
+    finite = np.empty(len(sets), dtype=bool)
+    totals = np.zeros((len(STATS), len(sets)))
     minibatches = 0
-    work = surrogate_work(params, min(count, hyper.minibatch_size))
-    for _ in range(hyper.epochs):
-        order = rng.permutation(count)
-        for start in range(0, count, hyper.minibatch_size):
-            indices = order[start:start + hyper.minibatch_size]
-            objective, stats = surrogate_objective(params, grads, batch, hyper, indices,
-                                                   work)
-            if not np.isfinite(objective) or not np.isfinite(grad_row).all():
-                raise NonFiniteLossError(
-                    f"non-finite update: objective={objective!r}, "
-                    f"value_loss={stats['value_loss']!r}, batch size {len(indices)}"
-                )
-            stack.ascend(index, hyper.learning_rate)
-            for key in totals:
-                totals[key] += stats[key]
-            minibatches += 1
-    return {**{key: total / max(minibatches, 1) for key, total in totals.items()},
-            "minibatches": minibatches}
+    try:
+        for _ in range(hyper.epochs):
+            order = np.stack([rng.permutation(count) for rng in rngs])
+            for start in range(0, count, hyper.minibatch_size):
+                indices = order[:, start:start + hyper.minibatch_size]
+                for group, group_params, group_grads, group_data in groups:
+                    _, stats = surrogate_objective(group_params, group_grads, group_data,
+                                                   hyper, indices[group], work)
+                    latest[:, group] = [stats[key] for key in STATS]
+                    finite[group] = np.isfinite(
+                        grads[group], out=work.finite[:group.stop - group.start]).all(axis=1)
+                finite &= np.isfinite(latest[0])
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    raise NonFiniteLossError(
+                        f"non-finite update of parameter set {sets[i]}: "
+                        f"objective={latest[0, i]!r}, value_loss={latest[1, i]!r}, "
+                        f"batch size {indices.shape[1]}")
+                for group, *_ in groups:
+                    stack._step(rows[group], grads[group], m[group], v[group],
+                                step_counts[group], hyper.learning_rate, work.wide)
+                totals += latest
+                minibatches += 1
+    finally:
+        stack._put(span, rows, grads, m, v, step_counts)
+    return [{**{key: float(total) / max(minibatches, 1) for key, total in zip(STATS, column)},
+             "minibatches": minibatches} for column in totals.T]

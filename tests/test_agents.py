@@ -377,7 +377,7 @@ class TestCheckpointing:
             actions=rng.integers(0, saved.params["accept"].action_count, size),
             logp_old=np.full(size, -1.0), advantages=rng.standard_normal(size),
             returns=rng.standard_normal(size))
-        ppo_update(saved.stack, index, batch, scenario.hyper, derive_rng(3, 1))
+        ppo_update(saved.stack, [index], [batch], scenario.hyper, [derive_rng(3, 1)])
         saved.save(tmp_path / "bundle.npz")
         loaded = AgentBundle(ARCH_DIST_PS, 0, scenario.env, scenario.hyper, seed=4)
         loaded.load(tmp_path / "bundle.npz")
@@ -385,7 +385,7 @@ class TestCheckpointing:
             assert np.array_equal(getattr(saved.stack, name), getattr(loaded.stack, name))
         assert loaded.stack.steps == saved.stack.steps
         for bundle in (saved, loaded):
-            ppo_update(bundle.stack, index, batch, scenario.hyper, derive_rng(3, 2))
+            ppo_update(bundle.stack, [index], [batch], scenario.hyper, [derive_rng(3, 2)])
         assert saved.stack.rows.tobytes() == loaded.stack.rows.tobytes()
 
     def test_checkpoint_moves_between_trainer_and_standalone_bundles(self, tmp_path):
@@ -419,8 +419,8 @@ class TestCheckpointing:
                            actions=rng.integers(0, params.action_count, 16),
                            logp_old=np.full(16, -1.0), advantages=rng.standard_normal(16),
                            returns=rng.standard_normal(16))
-        ppo_update(other.stack, list(other.params).index("offer"), batch, hyper,
-                   derive_rng(18, 1))
+        ppo_update(other.stack, [list(other.params).index("offer")], [batch], hyper,
+                   [derive_rng(18, 1)])
         other.save(tmp_path / "standalone.npz")
         adopted.load(tmp_path / "standalone.npz")
         assert_same_state(adopted, other)

@@ -26,6 +26,7 @@ from marketsched.agents import (
     Trainer,
     build_bundles,
     deliver_rewards,
+    update_units,
 )
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
@@ -66,6 +67,8 @@ def act_unit_by_unit(bundle, env, joint):
         obs = reference_obs(env, a, spec)
         logits, value = forward(bundle.stack.views[unit.param_set], obs)
         action, logp = sample(logits, unit.sample_rng)
+        if unit.buffer.full:
+            update_units(bundle.stack, [unit], [unit.param_set], [value])
         unit.record(obs, action, logp, value)
         for (kind, i), digit in zip(spec.positions,
                                     mixed_radix_decode(action, spec.radices)):
@@ -257,3 +260,85 @@ def test_a_bundle_in_a_home_acts_alone_as_a_standalone_one(arch):
             deliver_rewards(bundle, result)
     for bundle, one in zip(homed, alone):
         assert bundle.stack.rows.tobytes() == one.stack.rows.tobytes()
+
+
+def due_updates(bundles, env):
+    """The parameter sets (home rows) whose units are due to update in this
+    step's pass, with how many of each set's acting units are due."""
+    due = {}
+    for bundle in bundles:
+        for unit in bundle.units.values():
+            acts = unit.spec.slots or any(env.cores[m].owner == bundle.agent
+                                          for m in unit.spec.cores)
+            if acts and unit.buffer.full:
+                s = bundle.stack.first + unit.param_set
+                due[s] = due.get(s, 0) + 1
+    return due
+
+
+@pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS])
+def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypatch):
+    """Wave k of a pass updates the set of each k-th due unit, one
+    ``ppo_update`` per network shape; the Trainer still ends byte for byte
+    where bundles acting alone end."""
+    cfg = make_config(num_slots=3)
+    env = SchedulingEnv(cfg, seed=23)
+    batched = build_bundles((arch, arch), cfg, HYPER, seed=23)
+    alone = [AgentBundle(arch, a, cfg, HYPER, seed=23) for a in range(2)]
+    home = batched[0].stack.home
+    trainer = Trainer(env, batched)
+
+    calls, forward_calls = [], []
+    real_update, real_forward = agents.ppo_update, agents.forward
+
+    def counting_update(stack, sets, batches, hyper, rngs):
+        if stack is home:  # the pass's waves, not the bundles acting alone
+            calls.append(list(sets))
+        return real_update(stack, sets, batches, hyper, rngs)
+
+    def counting_forward(stack, obs, sets):
+        if stack is home:
+            forward_calls.append(len(obs))
+        return real_forward(stack, obs, sets)
+
+    monkeypatch.setattr(agents, "ppo_update", counting_update)
+    monkeypatch.setattr(agents, "forward", counting_forward)
+    real_step = env.step
+
+    def lockstep(joint):
+        each = JointActions()
+        for bundle in alone:
+            bundle.act(env, each)
+        assert joint == each
+        result = real_step(joint)
+        for bundle in alone:
+            deliver_rewards(bundle, result)
+        return result
+
+    monkeypatch.setattr(env, "step", lockstep)
+    widest = 0
+    for _ in range(STEPS):
+        due = due_updates(batched, env)
+        expected = []  # wave k: the sets with more than k due units, by shape
+        for k in range(max(due.values(), default=0)):
+            wave = [s for s in sorted(due) if due[s] > k]
+            shapes = {home.shapes[s] for s in wave}
+            expected += [[s for s in wave if home.shapes[s] == shape] for shape in shapes]
+        calls.clear()
+        trainer.step()
+        assert sorted(calls) == sorted(expected)
+        widest = max([widest] + [len(sets) for sets in calls])
+
+    assert widest >= 2  # several sets' windows filled in one step
+    updates = sum(u.updates for b in batched for u in b.units.values())
+    for bundle, one in zip(batched, alone):
+        for key, unit in bundle.units.items():
+            assert unit.updates == one.units[key].updates
+        for name in ("rows", "m", "v", "grads"):
+            assert getattr(bundle.stack, name).tobytes() == getattr(one.stack, name).tobytes()
+        assert bundle.stack.steps == one.stack.steps
+    if arch == ARCH_DIST_PS:
+        # a shared set's later rows are evaluated again once per wave
+        assert STEPS < len(forward_calls) <= STEPS + updates
+    else:
+        assert len(forward_calls) == STEPS

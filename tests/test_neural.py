@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from marketsched import neural
+from marketsched.agents import ARCH_DIST, ARCH_FULL, build_bundles
+from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
     NetParams,
     NonFiniteLossError,
@@ -18,10 +21,11 @@ from marketsched.neural import (
     ppo_update,
     sample_rows,
     surrogate_objective,
-    surrogate_work,
+    update_work,
 )
 from marketsched.rng import derive_rng
 
+import reference
 from reference import forward as unit_forward
 
 
@@ -36,12 +40,22 @@ def small_net(seed=0, in_width=4, hidden=8, actions=3):
     return small_stack(seed, in_width, hidden, actions).views[0]
 
 
+def one_network(params, grads, batch, hyper, indices, work=None):
+    """``surrogate_objective`` on the one network ``params``, its gradient
+    written into ``grads``: (objective, stats) as Python floats."""
+    objective, stats = surrogate_objective(
+        NetParams(*(t[None] for _, t in params.tensors())),
+        NetParams(*(t[None] for _, t in grads.tensors())),
+        TrainBatch(*(field[None] for field in batch)), hyper, indices[None], work)
+    return float(objective[0]), {key: float(value[0]) for key, value in stats.items()}
+
+
 def gradient(params, batch, hyper, indices):
     """``surrogate_objective`` with its gradient written into a fresh gradient
     row: (objective, the gradient views by tensor name, stats)."""
     shape = (params.in_width, params.w1.shape[1], params.action_count)
     grads = ParamStack([shape]).grad_views[0]
-    objective, stats = surrogate_objective(params, grads, batch, hyper, indices)
+    objective, stats = one_network(params, grads, batch, hyper, indices)
     return objective, dict(grads.tensors()), stats
 
 
@@ -254,14 +268,24 @@ class TestGradients:
         batch = make_batch(params, 48, seed=14)
         hyper = PPOHyper()
         shape = (params.in_width, params.w1.shape[1], params.action_count)
-        work = np.full(surrogate_work(params, 32).shape, np.nan)
+        work = update_work(1, shape, 32)
+        for part in work:
+            part.fill(np.nan)
         for idx in (np.arange(32), np.arange(32, 48), np.arange(0, 48, 3)):
             fresh_objective, fresh_grads, fresh_stats = gradient(params, batch, hyper, idx)
             grads = ParamStack([shape]).grad_views[0]
-            objective, stats = surrogate_objective(params, grads, batch, hyper, idx, work)
+            objective, stats = one_network(params, grads, batch, hyper, idx, work)
             assert objective == fresh_objective and stats == fresh_stats
             for name, tensor in grads.tensors():
                 assert tensor.tobytes() == fresh_grads[name].tobytes()
+
+    def test_approx_kl_is_zero_on_the_policy_that_drew_the_window(self):
+        params = small_net(seed=27)
+        hyper = PPOHyper()
+        on_policy = make_batch(params, 64, seed=27, jitter=0.0)
+        assert gradient(params, on_policy, hyper, np.arange(64))[2]["approx_kl"] < 1e-12
+        off_policy = make_batch(params, 64, seed=27, jitter=0.05)
+        assert gradient(params, off_policy, hyper, np.arange(64))[2]["approx_kl"] > 1e-6
 
     def test_zero_advantages_give_zero_policy_gradient(self):
         params = small_net(seed=13)
@@ -281,7 +305,7 @@ class TestPpoUpdate:
         before = NetParams(*(t.copy() for _, t in params.tensors()))
         batch = make_batch(params, 64, seed=14)
         hyper = PPOHyper(learning_rate=1e-6)
-        ppo_update(stack, 0, batch, hyper, derive_rng(14, 2))
+        ppo_update(stack, [0], [batch], hyper, [derive_rng(14, 2)])
         for (_, now), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.max(np.abs(now - old)) < 1e-3
 
@@ -291,7 +315,7 @@ class TestPpoUpdate:
         batch = make_batch(params, 128, seed=15)
         hyper = PPOHyper(learning_rate=3e-3, epochs=8)
         before = gradient(params, batch, hyper, np.arange(128))[0]
-        ppo_update(stack, 0, batch, hyper, derive_rng(15, 2))
+        ppo_update(stack, [0], [batch], hyper, [derive_rng(15, 2)])
         after = gradient(params, batch, hyper, np.arange(128))[0]
         assert after > before
 
@@ -302,7 +326,7 @@ class TestPpoUpdate:
         hyper = PPOHyper(learning_rate=1e-2, epochs=1, minibatch_size=32)
         for _ in range(60):
             batch = make_batch(params, 32, seed=int(rng.integers(1 << 30)))
-            ppo_update(stack, 0, batch, hyper, rng)
+            ppo_update(stack, [0], [batch], hyper, [rng])
             for _, tensor in params.tensors():
                 assert np.all(np.isfinite(tensor))
 
@@ -312,7 +336,7 @@ class TestPpoUpdate:
         batch = make_batch(params, 16, seed=17)
         batch = batch._replace(returns=np.full(16, np.nan))
         with pytest.raises(NonFiniteLossError):
-            ppo_update(stack, 0, batch, PPOHyper(), derive_rng(17, 2))
+            ppo_update(stack, [0], [batch], PPOHyper(), [derive_rng(17, 2)])
 
     @pytest.mark.parametrize("field", ["returns", "obs"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -326,8 +350,8 @@ class TestPpoUpdate:
         bad.flat[3] = np.inf
         before = stack.rows.tobytes()
         with pytest.raises(NonFiniteLossError):
-            ppo_update(stack, 0, batch._replace(**{field: bad}), PPOHyper(),
-                       derive_rng(23, 2))
+            ppo_update(stack, [0], [batch._replace(**{field: bad})], PPOHyper(),
+                       [derive_rng(23, 2)])
         assert stack.rows.tobytes() == before
 
 
@@ -351,7 +375,7 @@ class TestAdamRow:
             for step in range(1, 21):
                 for _, g in stack.grad_views[i].tensors():
                     g[...] = rng.standard_normal(g.shape)
-                stack.ascend(i, lr)
+                stack.ascend([i], lr)
                 for name, g in stack.grad_views[i].tensors():
                     m[name] = b1 * m[name] + (1.0 - b1) * g
                     v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -372,12 +396,111 @@ class TestAdamRow:
         assert np.isneginf(probe.rows[1][padding]).any()
         wide, narrow = stack.rows[0].copy(), stack.rows[1].copy()
         batch = make_batch(stack.views[1], 64, seed=26)
-        ppo_update(stack, 1, batch, PPOHyper(learning_rate=1e-2), derive_rng(26, 2))
+        ppo_update(stack, [1], [batch], PPOHyper(learning_rate=1e-2), [derive_rng(26, 2)])
         assert not np.array_equal(stack.rows[1][~padding], narrow[~padding])
         assert np.array_equal(stack.rows[1][padding], probe.rows[1][padding])
         assert np.array_equal(stack.rows[0], wide)
         for padded in (stack.grads[1], stack.m[1], stack.v[1]):
             assert np.all(padded[padding] == 0.0)
+
+
+def home_sets(scenario_name, arch, prefix, seed):
+    """The home ParamStack of a scenario's bundles under ``arch`` and its
+    rows whose parameter-set names start with ``prefix``, in row order."""
+    scenario = builtin_scenarios()[scenario_name]
+    bundles = build_bundles((arch,) * scenario.env.num_agents, scenario.env, scenario.hyper,
+                            seed)
+    sets = [bundle.stack.first + i for bundle in bundles
+            for i, key in enumerate(bundle.params) if key.startswith(prefix)]
+    return bundles[0].stack.home, sets
+
+
+def state(stack):
+    return [stack.rows.tobytes(), stack.m.tobytes(), stack.v.tobytes(), stack.steps]
+
+
+class TestStackedUpdate:
+    """``ppo_update`` on several networks against the reference updating
+    them one at a time, each with its own window and stream."""
+
+    def assert_matches_one_at_a_time(self, scenario_name, arch, prefix, hyper, size,
+                                     warm=()):
+        stacked, sets = home_sets(scenario_name, arch, prefix, seed=31)
+        alone, _ = home_sets(scenario_name, arch, prefix, seed=31)
+        assert len(set(stacked.shapes[s] for s in sets)) == 1
+        for stack in (stacked, alone):
+            # Adam moments and step counts that differ from set to set
+            for s, steps in zip(sets, warm):
+                stack.m[s] = derive_rng(32, s).standard_normal(stack.m[s].shape) * 1e-3
+                stack.v[s] = derive_rng(33, s).random(stack.v[s].shape) * 1e-6
+                stack.step_counts[s] = steps
+        batches = [make_batch(stacked.views[s], size, seed=34 + s) for s in sets]
+        stats = ppo_update(stacked, sets, batches, hyper,
+                           [derive_rng(35, s) for s in sets])
+        for s, batch, got in zip(sets, batches, stats):
+            want = reference.ppo_update(alone, s, batch, hyper, derive_rng(35, s))
+            assert {key: got[key] for key in want} == want, s
+        for name in ("rows", "grads", "m", "v"):
+            assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert stacked.steps == alone.steps
+        assert all(stacked.steps[s] > steps for s, steps in zip(sets, warm))
+
+    @pytest.mark.parametrize("group_bytes", [neural.GROUP_BYTES, 55_000], ids=["one-group",
+                                                                          "groups-of-5"])
+    def test_the_offer_sets_of_a_dist_home(self, group_bytes, monkeypatch):
+        # 12 sets of one shape, 3 per agent between the agents' accept sets:
+        # no run, so the update takes their rows and puts them back; with a
+        # smaller work budget a minibatch goes through them 5, 5 and 2 at a time
+        monkeypatch.setattr(neural, "GROUP_BYTES", group_bytes)
+        stack, sets = home_sets("EXP2_ARCH_4X4", ARCH_DIST, "offer", seed=31)
+        assert len(sets) == 12 and sets != list(range(sets[0], sets[0] + 12))
+        assert stack.shapes[sets[0]] != max(stack.shapes)
+        hyper = PPOHyper(minibatch_size=16, epochs=2)
+        per_set = 8 * sum(neural._work_per_set(stack.shapes[sets[0]], 16, stack.rows.shape[1]))
+        assert min(len(sets), group_bytes // per_set) in (12, 5)
+        self.assert_matches_one_at_a_time("EXP2_ARCH_4X4", ARCH_DIST, "offer", hyper, size=40)
+
+    def test_the_full_sets_of_a_home_are_a_run(self):
+        stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=31)
+        assert sets == [0, 1] and stack.shapes[0] == (69, 64, 1323)
+        self.assert_matches_one_at_a_time(
+            "EXP2_ARCH_2X2", ARCH_FULL, "full", PPOHyper(minibatch_size=24, epochs=2),
+            size=48)
+
+    def test_sets_whose_adam_step_counts_differ(self):
+        self.assert_matches_one_at_a_time(
+            "EXP2_ARCH_4X4", ARCH_DIST, "accept", PPOHyper(minibatch_size=32, epochs=3),
+            size=32, warm=(0, 5, 1, 40, 2, 0, 7, 3, 0, 11, 0, 4, 9, 0, 6, 1))
+
+    @pytest.mark.parametrize("scenario_name, arch, prefix", [
+        ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
+    @pytest.mark.parametrize("field", ["returns", "obs"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_set_names_itself_and_moves_no_set(self, scenario_name, arch, prefix,
+                                                          field):
+        stack, sets = home_sets(scenario_name, arch, prefix, seed=36)
+        batches = [make_batch(stack.views[s], 16, seed=37 + s) for s in sets]
+        bad = getattr(batches[-1], field).copy()
+        bad.flat[3] = np.inf
+        batches[-1] = batches[-1]._replace(**{field: bad})
+        before = state(stack)
+        with pytest.raises(NonFiniteLossError, match=f"parameter set {sets[-1]}:"):
+            ppo_update(stack, sets, batches, PPOHyper(), [derive_rng(38, s) for s in sets])
+        assert state(stack) == before
+
+    def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
+        stack = two_set_stack()
+        batches = [make_batch(params, 16, seed=39) for params in stack.views]
+        rngs = [derive_rng(39, 0), derive_rng(39, 1)]
+        with pytest.raises(ValueError, match="one shape"):
+            ppo_update(stack, [0, 1], batches, PPOHyper(), rngs)
+        stack = ParamStack([(4, 8, 3), (4, 8, 3)])
+        for n, sets in (((16, 16), [0, 0]), ((8, 16), [0, 1])):
+            before = state(stack)
+            with pytest.raises(ValueError, match="distinct networks of one shape"):
+                ppo_update(stack, sets, [make_batch(stack.views[0], size, seed=39)
+                                         for size in n], PPOHyper(), rngs)
+            assert state(stack) == before
 
 
 class TestRolloutBuffer:
@@ -403,8 +526,8 @@ def alpha_beta_stack(seed):
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         saved = alpha_beta_stack(seed=18)
-        ppo_update(saved, 1, make_batch(saved.views[1], 64, seed=18), PPOHyper(),
-                   derive_rng(18, 2))
+        ppo_update(saved, [1], [make_batch(saved.views[1], 64, seed=18)], PPOHyper(),
+                   [derive_rng(18, 2)])
         path = tmp_path / "params.npz"
         saved.save(path, ["alpha", "beta"])
         loaded = alpha_beta_stack(seed=19)
@@ -441,8 +564,8 @@ class TestCheckpoint:
             arrays[key] = value
         np.savez(path, **arrays)
         stack = alpha_beta_stack(seed=22)
-        ppo_update(stack, 1, make_batch(stack.views[1], 64, seed=22), PPOHyper(),
-                   derive_rng(22, 2))
+        ppo_update(stack, [1], [make_batch(stack.views[1], 64, seed=22)], PPOHyper(),
+                   [derive_rng(22, 2)])
         before = [stack.rows.copy(), stack.m.copy(), stack.v.copy(), list(stack.steps)]
         with pytest.raises(ValueError, match=key):
             stack.load(path, ["alpha", "beta"])
