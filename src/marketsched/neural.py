@@ -22,10 +22,9 @@ minibatch loop over (S, rows, ...) arrays: every product is a 3-D
 ``np.matmul`` whose item s is the product the network alone would take, so
 each network ends bit for bit where updating it alone would leave it. The
 Adam step is a fixed handful of whole-row operations on all S rows at once,
-with each row's bias corrections as a column. A minibatch goes through the
-networks in groups whose work arrays fit in a core's cache (``GROUP_BYTES``):
-all the small distributed networks at once, a 1323-action head alone. Every
-array of the loop that scales with the rows, the hidden width or the actions
+with each row's bias corrections as a column, a block of rows at a time
+that fits in a core's cache (``ADAM_BLOCK_BYTES``): all the small distributed
+networks at once, a 1323-action head's row alone. Every array of the loop that scales with the rows, the hidden width or the actions
 lives in one scratch (``UpdateWork``) allocated per update: the loop
 allocates no row-sized or (rows x actions)-sized temporary, so a large
 head's pages are neither freed nor faulted in again between minibatches.
@@ -202,6 +201,13 @@ def _rows(array: np.ndarray, span: slice | np.ndarray) -> np.ndarray:
     return array[span] if isinstance(span, slice) else array.take(span, axis=0)
 
 
+# The most bytes of a row block that one Adam step runs its operations on at
+# once: a 1323-action head's two rows, stepped together, ran 15-25% slower
+# than one at a time on a 2 MB-L2 core, where 12 small rows gain from going
+# together.
+ADAM_BLOCK_BYTES = 1 << 20
+
+
 class ParamStack(ParamRows):
     """ParamRows with their learned state, all in the same row layout.
 
@@ -263,22 +269,29 @@ class ParamStack(ParamRows):
         every row at once, in the operation order m = b1*m + (1-b1)*g;
         v = b2*v + ((1-b2)*g)*g; row += lr*m_hat / (sqrt(v_hat)+eps). Row i's
         bias corrections are the Python floats 1 - b**t of its step count t,
-        as a column. ``temp`` holds two arrays of the rows' shape (or more
-        room), which every intermediate is written into."""
+        as a column. The rows go a block of at most ``ADAM_BLOCK_BYTES`` at a
+        time (at least one row), so that a block's arrays stay in a core's
+        cache from one operation to the next. ``temp`` holds two arrays of
+        the rows' shape (or more room), which every intermediate is written
+        into."""
         step_counts += 1
         counts = step_counts.tolist()
         first = np.array([[1.0 - self.beta1**t] for t in counts])
         second = np.array([[1.0 - self.beta2**t] for t in counts])
-        step, root = (part[:rows.size].reshape(rows.shape) for part in temp[:2])
-        m *= self.beta1
-        m += np.multiply(grads, 1.0 - self.beta1, out=step)
-        v *= self.beta2
-        v += np.multiply(np.multiply(grads, 1.0 - self.beta2, out=step), grads, out=step)
-        np.divide(m, first, out=step)
-        step *= lr
-        root = np.add(np.sqrt(np.divide(v, second, out=root), out=root), self.eps, out=root)
-        step /= root
-        rows += step
+        per_block = max(1, ADAM_BLOCK_BYTES // rows[0].nbytes)
+        for block in (slice(lo, lo + per_block) for lo in range(0, len(rows), per_block)):
+            row, grad, m_row, v_row = rows[block], grads[block], m[block], v[block]
+            step, root = (part[:row.size].reshape(row.shape) for part in temp[:2])
+            m_row *= self.beta1
+            m_row += np.multiply(grad, 1.0 - self.beta1, out=step)
+            v_row *= self.beta2
+            v_row += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
+            np.divide(m_row, first[block], out=step)
+            step *= lr
+            np.add(np.sqrt(np.divide(v_row, second[block], out=root), out=root), self.eps,
+                   out=root)
+            step /= root
+            row += step
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,
@@ -449,9 +462,9 @@ STATS = ("objective", "value_loss", "entropy", "clip_fraction", "approx_kl")
 
 
 class UpdateWork(NamedTuple):
-    """One update's scratch, for a group of S networks of one shape and
-    minibatches of up to ``rows`` rows: ``wide`` holds three arrays of
-    (S, rows or hidden, actions) or of (S, row width), whichever is larger (the surrogate's
+    """One update's scratch, for S networks of one shape and minibatches of
+    up to ``rows`` rows: ``wide`` holds three arrays of (S, rows or hidden,
+    actions) or of (S, row width), whichever is larger (the surrogate's
     log-probabilities, probabilities and logit gradients, then the policy
     head's gradient, then Adam's two intermediates); ``narrow`` three of
     (S, rows or in-width, hidden) (hidden activations, their gradient, and
@@ -463,25 +476,14 @@ class UpdateWork(NamedTuple):
     finite: np.ndarray
 
 
-# The most work-array bytes one minibatch pass runs on at once: the sets of
-# an update go through each minibatch in groups that fit, so that a group's
-# arrays stay in a core's cache from one operation to the next. FULL's
-# 1323-action head takes one set per group, the distributed heads all at once.
-GROUP_BYTES = 1 << 20
-
-
-def _work_per_set(shape: tuple[int, int, int], rows: int, row_width: int) -> tuple[int, int]:
-    """Entries per network of ``UpdateWork``'s wide and narrow arrays."""
-    in_width, hidden, actions = shape
-    return max(max(rows, hidden) * actions, row_width), max(rows, in_width) * hidden
-
-
 def update_work(sets: int, shape: tuple[int, int, int], rows: int,
                 row_width: int = 0) -> UpdateWork:
     """``UpdateWork`` for ``sets`` networks of ``shape`` in rows of
     ``row_width`` (0: no Adam step) and minibatches of up to ``rows`` rows."""
-    wide, narrow = _work_per_set(shape, rows, row_width)
-    return UpdateWork(np.empty((3, sets * wide)), np.empty((3, sets * narrow)),
+    in_width, hidden, actions = shape
+    wide = sets * max(max(rows, hidden) * actions, row_width)
+    narrow = sets * max(rows, in_width) * hidden
+    return UpdateWork(np.empty((3, wide)), np.empty((3, narrow)),
                       np.empty((sets, row_width), dtype=bool))
 
 
@@ -611,16 +613,8 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBa
                          / (adv.std(axis=1, keepdims=True) + 1e-8))
 
     span, rows, grads, m, v, step_counts = stack._take(np.asarray(sets))
-    size = min(count, hyper.minibatch_size)
-    per_group = max(1, GROUP_BYTES // (8 * sum(_work_per_set(shape, size, rows.shape[1]))))
-    groups = [(group, _unpadded(stack._blocks(rows[group]), shape),
-               _unpadded(stack._blocks(grads[group]), shape),
-               TrainBatch(*(field[group] for field in data)))
-              for group in (slice(lo, min(lo + per_group, len(sets)))
-                            for lo in range(0, len(sets), per_group))]
-    work = update_work(min(per_group, len(sets)), shape, size, rows.shape[1])
-    latest = np.empty((len(STATS), len(sets)))  # one minibatch's stats, a row per STATS key
-    finite = np.empty(len(sets), dtype=bool)
+    params, grad_params = (_unpadded(stack._blocks(a), shape) for a in (rows, grads))
+    work = update_work(len(sets), shape, min(count, hyper.minibatch_size), rows.shape[1])
     totals = np.zeros((len(STATS), len(sets)))
     minibatches = 0
     try:
@@ -628,23 +622,17 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBa
             order = np.stack([rng.permutation(count) for rng in rngs])
             for start in range(0, count, hyper.minibatch_size):
                 indices = order[:, start:start + hyper.minibatch_size]
-                for group, group_params, group_grads, group_data in groups:
-                    _, stats = surrogate_objective(group_params, group_grads, group_data,
-                                                   hyper, indices[group], work)
-                    latest[:, group] = [stats[key] for key in STATS]
-                    finite[group] = np.isfinite(
-                        grads[group], out=work.finite[:group.stop - group.start]).all(axis=1)
-                finite &= np.isfinite(latest[0])
+                objective, stats = surrogate_objective(params, grad_params, data, hyper,
+                                                       indices, work)
+                finite = np.isfinite(objective) & np.isfinite(grads, out=work.finite).all(axis=1)
                 if not finite.all():
                     i = int(np.argmin(finite))
                     raise NonFiniteLossError(
                         f"non-finite update of parameter set {sets[i]}: "
-                        f"objective={latest[0, i]!r}, value_loss={latest[1, i]!r}, "
+                        f"objective={objective[i]!r}, value_loss={stats['value_loss'][i]!r}, "
                         f"batch size {indices.shape[1]}")
-                for group, *_ in groups:
-                    stack._step(rows[group], grads[group], m[group], v[group],
-                                step_counts[group], hyper.learning_rate, work.wide)
-                totals += latest
+                stack._step(rows, grads, m, v, step_counts, hyper.learning_rate, work.wide)
+                totals += [stats[key] for key in STATS]
                 minibatches += 1
     finally:
         stack._put(span, rows, grads, m, v, step_counts)

@@ -445,20 +445,20 @@ class TestStackedUpdate:
         assert stacked.steps == alone.steps
         assert all(stacked.steps[s] > steps for s, steps in zip(sets, warm))
 
-    @pytest.mark.parametrize("group_bytes", [neural.GROUP_BYTES, 55_000], ids=["one-group",
-                                                                          "groups-of-5"])
-    def test_the_offer_sets_of_a_dist_home(self, group_bytes, monkeypatch):
+    @pytest.mark.parametrize("rows_per_block", [None, 5], ids=["one-block", "blocks-of-5"])
+    def test_the_offer_sets_of_a_dist_home(self, rows_per_block, monkeypatch):
         # 12 sets of one shape, 3 per agent between the agents' accept sets:
-        # no run, so the update takes their rows and puts them back; with a
-        # smaller work budget a minibatch goes through them 5, 5 and 2 at a time
-        monkeypatch.setattr(neural, "GROUP_BYTES", group_bytes)
+        # no run, so the update takes their rows and puts them back; Adam
+        # steps them all at once, or 5, 5 and 2 at a time
         stack, sets = home_sets("EXP2_ARCH_4X4", ARCH_DIST, "offer", seed=31)
+        if rows_per_block:
+            monkeypatch.setattr(neural, "ADAM_BLOCK_BYTES", rows_per_block * stack.rows[0].nbytes)
+        assert neural.ADAM_BLOCK_BYTES // stack.rows[0].nbytes >= (rows_per_block or 12)
         assert len(sets) == 12 and sets != list(range(sets[0], sets[0] + 12))
         assert stack.shapes[sets[0]] != max(stack.shapes)
-        hyper = PPOHyper(minibatch_size=16, epochs=2)
-        per_set = 8 * sum(neural._work_per_set(stack.shapes[sets[0]], 16, stack.rows.shape[1]))
-        assert min(len(sets), group_bytes // per_set) in (12, 5)
-        self.assert_matches_one_at_a_time("EXP2_ARCH_4X4", ARCH_DIST, "offer", hyper, size=40)
+        self.assert_matches_one_at_a_time(
+            "EXP2_ARCH_4X4", ARCH_DIST, "offer", PPOHyper(minibatch_size=16, epochs=2),
+            size=40, warm=(0, 3, 1, 7, 2, 0, 5, 1, 0, 9, 4, 2))
 
     def test_the_full_sets_of_a_home_are_a_run(self):
         stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=31)
