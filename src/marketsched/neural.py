@@ -23,8 +23,9 @@ minibatch loop over (S, rows, ...) arrays: every product is a 3-D
 each network ends bit for bit where updating it alone would leave it. The
 Adam step is a fixed handful of whole-row operations on all S rows at once,
 with each row's bias corrections as a column, a block of rows at a time
-that fits in a core's cache (``ADAM_BLOCK_BYTES``): all the small distributed
-networks at once, a 1323-action head's row alone. Every array of the loop that scales with the rows, the hidden width or the actions
+that fits in a core's cache (``ADAM_BLOCK_BYTES``): all the small
+distributed networks at once, a 1323-action head's row alone. Every array
+of the loop that scales with the rows, the hidden width or the actions
 lives in one scratch (``UpdateWork``) allocated per update: the loop
 allocates no row-sized or (rows x actions)-sized temporary, so a large
 head's pages are neither freed nor faulted in again between minibatches.
@@ -202,7 +203,7 @@ def _rows(array: np.ndarray, span: slice | np.ndarray) -> np.ndarray:
 
 
 # The most bytes of a row block that one Adam step runs its operations on at
-# once: a 1323-action head's two rows, stepped together, ran 15-25% slower
+# once: a 1323-action head's two rows, stepped together, ran 12-23% slower
 # than one at a time on a 2 MB-L2 core, where 12 small rows gain from going
 # together.
 ADAM_BLOCK_BYTES = 1 << 20
