@@ -12,8 +12,8 @@ digit per position, so a distributed unit is the one-digit case.
 A bundle keeps all its parameter sets in one ``ParamStack``. The bundles
 that ``build_bundles`` makes for one run keep the weights of all bundles
 whose stacks share a padded layout (widest in-width, hidden width and action
-count) in one home ``ParamStack``, each bundle's rows, gradients, moments and
-step counts a contiguous range of it, and the ``Trainer`` acts for all of
+count) in one home ``ParamStack``, each bundle's rows, moments and step
+counts a contiguous range of it, and the ``Trainer`` acts for all of
 them in one batched pass per step and home, whatever the architectures and
 however many rows the pass has.
 Every unit with a live position (accept m when trading is on and its agent

@@ -117,7 +117,8 @@ class OverrideError(ValueError):
 def apply_overrides(data: dict[str, Any], overrides: Iterable[str]) -> dict[str, Any]:
     """Apply ``dotted.key=value`` overrides to a scenario dictionary.
 
-    Keys must address existing fields; list elements are addressed by index.
+    Keys must address existing fields; list elements are addressed by
+    index, from 0.
     Values are parsed as JSON when possible, else taken as strings.
     """
     for item in overrides:
@@ -131,11 +132,9 @@ def apply_overrides(data: dict[str, Any], overrides: Iterable[str]) -> dict[str,
         node: Any = data
         for part in dotted.split("."):  # one part at least, so parent and key get set
             if isinstance(node, list):
-                try:
-                    key = int(part)
-                    node[key]
-                except (ValueError, IndexError):
+                if not part.isdecimal() or int(part) >= len(node):
                     raise OverrideError(f"override {dotted!r}: bad list index {part!r}")
+                key = int(part)
             elif isinstance(node, dict):
                 if part not in node:
                     raise OverrideError(f"override {dotted!r}: unknown field {part!r}")

@@ -4,17 +4,16 @@ One tanh hidden layer feeds a categorical policy head and a scalar value
 head. Gradients are computed by hand (verified against finite differences in
 the test suite) and applied by the Adam step written here, so there is no
 external autodiff or optimizer dependency. Each network is one padded row of
-a ``ParamStack``, which holds all of its learned state: the weights ``rows``,
-the gradient ``grads`` and Adam's moments ``m`` and ``v``, all of the same row
-layout, plus one Adam step count per row. A stack whose rows are rows of a
-home stack shares all of that state with the home, so one update on the
-home can step the networks of several agents. The padding stays fixed: its
-gradient is 0, so its step is 0. A checkpoint is one ``.npz`` of that state:
-a format version, the parameter-set names in row order, ``rows``, ``m``,
-``v`` and the step counts, so a loaded stack continues training exactly as
-the saved one would. The weights alone are a ``ParamRows``, which can also
-hold the rows of several stacks of one layout so that one ``forward`` reads
-them all.
+a ``ParamStack``, which holds exactly what a checkpoint saves: the weights
+``rows`` and Adam's moments ``m`` and ``v``, all of the same row layout, plus
+one Adam step count per row. A checkpoint is one ``.npz`` of that state: a
+format version, the parameter-set names in row order, ``rows``, ``m``, ``v``
+and the step counts, so a loaded stack continues training exactly as the
+saved one would. A stack whose rows are rows of a home stack shares all of
+that state with the home, so one ``forward`` reads the networks of several
+agents and one update on the home steps them. The gradient belongs to one
+update: it lives in that update's scratch, zero-filled, and the surrogate
+never writes its padding, so the padding's step is 0 and stays fixed.
 
 ``ppo_update`` updates S >= 1 networks of one shape at once, each on its own
 window with its own sample stream and its own Adam step count, in one
@@ -117,68 +116,6 @@ class NetParams:
                     ("bp", self.bp), ("wv", self.wv), ("bv", self.bv))
 
 
-class ParamRows:
-    """Several networks' weights, one zero-padded row of ``rows`` each.
-
-    Row i is network i's whole parameter vector: its w1 (in, hidden), b1
-    (hidden,), head (actions + 1, hidden) and head_bias (actions + 1,) blocks,
-    each at the widest in_width, hidden width and action count of
-    ``shapes``, the layout. ``w1``, ``b1``, ``head`` and ``head_bias`` view
-    those blocks of every row, and ``views[i]`` is network i as a NetParams
-    of views into its unpadded part, so an in-place update of a view or row
-    (an Adam step, a checkpoint load) is what ``forward`` reads next.
-    ``head`` holds one row of hidden weights per output, the policy's actions
-    first and the value last, so one product yields logits and value; ``wp``
-    is the transpose of its first rows. The padding is fixed: weights 0,
-    which add nothing to a sum, and logit biases -inf, which give padded
-    actions probability 0.
-    """
-
-    def __init__(self, shapes: list[tuple[int, int, int]], home: ParamRows | None = None,
-                 first: int = 0):
-        """``shapes`` holds one (in_width, hidden_width, action_count) per
-        network. With ``home``, a ParamRows of the same layout whose networks
-        from ``first`` on are these, the weights are its rows ``first``,
-        ``first + 1``, ..., which the two then share, so one ``forward`` on
-        ``home`` reads them beside home's other rows. Else they are a new
-        array's, and ``home`` is the ParamRows itself."""
-        self.shapes = shapes
-        self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
-        self._layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden),
-                        (actions + 1,))
-        if home is None:
-            rows = np.zeros((len(shapes), sum(prod(s) for s in self._layout)))
-        elif (first < 0 or home.shapes[first:first + len(shapes)] != list(shapes)
-              or home._layout != self._layout):
-            raise ValueError(f"rows {first}.. of a stack of networks {home.shapes} "
-                             f"cannot hold networks {shapes}")
-        else:
-            rows = home.rows[first:first + len(shapes)]
-        self._home, self.first, self.rows = home, first, rows
-        (self.w1, self.b1, self.head, self.head_bias), self.views = self._lay_out(self.rows)
-        self.last_action = np.array([a for _, _, a in shapes]) - 1
-        self.head_bias[:, :-1] = np.where(
-            np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
-
-    @property
-    def home(self) -> ParamRows:
-        return self if self._home is None else self._home  # no reference cycle
-
-    def _lay_out(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[NetParams]]:
-        """The w1, b1, head and head_bias blocks of ``rows``, and each
-        network's NetParams of views into them."""
-        blocks = self._blocks(rows)
-        return blocks, [_unpadded([block[i] for block in blocks], shape)
-                        for i, shape in enumerate(self.shapes)]
-
-    def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
-        """The w1, b1, head and head_bias blocks of ``rows``, rows of this
-        layout, as views with a leading row axis."""
-        ends = list(accumulate(prod(shape) for shape in self._layout))
-        return [rows[:, start:end].reshape(-1, *shape)
-                for start, end, shape in zip([0] + ends, ends, self._layout)]
-
-
 def _unpadded(blocks: list[np.ndarray], shape: tuple[int, int, int]) -> NetParams:
     """Views of the unpadded (in_width, hidden_width, action_count) part of
     padded w1, b1, head and head_bias blocks, of one network or, with a
@@ -209,59 +146,96 @@ def _rows(array: np.ndarray, span: slice | np.ndarray) -> np.ndarray:
 ADAM_BLOCK_BYTES = 1 << 20
 
 
-class ParamStack(ParamRows):
-    """ParamRows with their learned state, all in the same row layout.
+class ParamStack:
+    """Several networks' learned state, exactly what a checkpoint saves.
 
-    ``grads`` holds the gradient of each row's latest update, and
-    ``grad_views`` the same views into it. ``m`` and ``v`` are Adam's first
-    and second moments of each row, and ``step_counts[i]`` is row i's Adam
-    step count (``steps`` as a list). Their padding stays 0. A stack whose
-    home is a ParamStack views the home's state as well as its weights, so
-    an update of the home's rows is an update of its. ``save`` and ``load``
-    move exactly this state, ``rows``, ``m``, ``v`` and the step counts,
-    through one ``.npz`` file: a stack whose weights are rows of a larger
-    home writes and reads its own rows only.
+    Row i of ``rows`` is network i's whole parameter vector: its w1 (in,
+    hidden), b1 (hidden,), head (actions + 1, hidden) and head_bias (actions
+    + 1,) blocks, each at the widest in_width, hidden width and action count
+    of ``shapes``, the layout. ``w1``, ``b1``, ``head`` and ``head_bias``
+    view those blocks of every row, and ``views[i]`` is network i as a
+    NetParams of views into its unpadded part, so an in-place update of a
+    view or row (an Adam step, a checkpoint load) is what ``forward`` reads
+    next. ``head`` holds one row of hidden weights per output, the policy's
+    actions first and the value last, so one product yields logits and
+    value; ``wp`` is the transpose of its first rows. ``m`` and ``v`` are
+    Adam's first and second moments of each row, in the same layout, and
+    ``step_counts[i]`` is row i's Adam step count (``steps`` as a list). The
+    padding is fixed: weights 0, which add nothing to a sum, logit biases
+    -inf, which give padded actions probability 0, and moments 0. ``save``
+    and ``load`` move exactly this state, ``rows``, ``m``, ``v`` and the step
+    counts, through one ``.npz`` file. The gradient is not part of it: it
+    belongs to one update (``UpdateWork``).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes: list[tuple[int, int, int]], home: ParamRows | None = None,
+    def __init__(self, shapes: list[tuple[int, int, int]], home: ParamStack | None = None,
                  first: int = 0):
-        super().__init__(shapes, home, first)
-        if isinstance(home, ParamStack):
-            span = slice(first, first + len(shapes))
-            self.grads, self.m, self.v, self.step_counts = (
-                home.grads[span], home.m[span], home.v[span], home.step_counts[span])
-        else:
-            self.grads, self.m, self.v = (np.zeros(self.rows.shape) for _ in range(3))
+        """``shapes`` holds one (in_width, hidden_width, action_count) per
+        network. With ``home``, a ParamStack of the same layout whose
+        networks from ``first`` on are these, the state is its rows
+        ``first``, ``first + 1``, ..., which the two then share, so one
+        ``forward`` or update on ``home`` reads or steps them beside home's
+        other rows. Else it is new arrays', and ``home`` is the ParamStack
+        itself."""
+        self.shapes = shapes
+        self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
+        self._layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden),
+                        (actions + 1,))
+        if home is None:
+            self.rows, self.m, self.v = (
+                np.zeros((len(shapes), sum(prod(s) for s in self._layout))) for _ in range(3))
             self.step_counts = np.zeros(len(shapes), dtype=np.int64)
-        self.grad_views = self._lay_out(self.grads)[1]
+        elif (first < 0 or home.shapes[first:first + len(shapes)] != list(shapes)
+              or home._layout != self._layout):
+            raise ValueError(f"rows {first}.. of a stack of networks {home.shapes} "
+                             f"cannot hold networks {shapes}")
+        else:
+            span = slice(first, first + len(shapes))
+            self.rows, self.m, self.v, self.step_counts = (
+                home.rows[span], home.m[span], home.v[span], home.step_counts[span])
+        self._home, self.first = home, first
+        (self.w1, self.b1, self.head, self.head_bias), self.views = self._lay_out(self.rows)
+        self.last_action = np.array([a for _, _, a in shapes]) - 1
+        self.head_bias[:, :-1] = np.where(
+            np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
+
+    @property
+    def home(self) -> ParamStack:
+        return self if self._home is None else self._home  # no reference cycle
 
     @property
     def steps(self) -> list[int]:
         """Each row's Adam step count."""
         return self.step_counts.tolist()
 
-    def ascend(self, sets: Sequence[int], lr: float) -> None:
-        """One Adam ascent step of each row of ``sets`` along its row of
-        ``grads``, in place (see ``_step``)."""
-        state = self._take(np.asarray(sets))
-        self._step(*state[1:], lr, np.empty((2, state[1].size)))
-        self._put(*state)
+    def _lay_out(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[NetParams]]:
+        """The w1, b1, head and head_bias blocks of ``rows``, and each
+        network's NetParams of views into them."""
+        blocks = self._blocks(rows)
+        return blocks, [_unpadded([block[i] for block in blocks], shape)
+                        for i, shape in enumerate(self.shapes)]
+
+    def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The w1, b1, head and head_bias blocks of ``rows``, rows of this
+        layout, as views with a leading row axis."""
+        ends = list(accumulate(prod(shape) for shape in self._layout))
+        return [rows[:, start:end].reshape(-1, *shape)
+                for start, end, shape in zip([0] + ends, ends, self._layout)]
 
     def _take(self, sets: np.ndarray) -> list:
         """The span of ``sets`` (``_span``), then their rows of ``rows``,
-        ``grads``, ``m``, ``v`` and ``step_counts``: views of a run, else
-        copies for ``_put`` to write back."""
+        ``m``, ``v`` and ``step_counts``: views of a run, else copies for
+        ``_put`` to write back."""
         span = _span(sets)
-        return [span] + [_rows(a, span) for a in (self.rows, self.grads, self.m, self.v,
-                                                  self.step_counts)]
+        return [span] + [_rows(a, span) for a in (self.rows, self.m, self.v, self.step_counts)]
 
-    def _put(self, span, rows, grads, m, v, step_counts) -> None:
+    def _put(self, span, rows, m, v, step_counts) -> None:
         """Write back what ``_take`` copied; a run's views need nothing."""
         if not isinstance(span, slice):
-            for whole, part in zip((self.rows, self.grads, self.m, self.v, self.step_counts),
-                                   (rows, grads, m, v, step_counts)):
+            for whole, part in zip((self.rows, self.m, self.v, self.step_counts),
+                                   (rows, m, v, step_counts)):
                 whole[span] = part
 
     def _step(self, rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -274,7 +248,7 @@ class ParamStack(ParamRows):
         time (at least one row), so that a block's arrays stay in a core's
         cache from one operation to the next. ``temp`` holds two arrays of
         the rows' shape (or more room), which every intermediate is written
-        into."""
+        into. A gradient whose padding is 0 leaves the padding fixed."""
         step_counts += 1
         counts = step_counts.tolist()
         first = np.array([[1.0 - self.beta1**t] for t in counts])
@@ -296,15 +270,19 @@ class ParamStack(ParamRows):
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,
-        to one ``.npz``; ``load`` restores it bit for bit."""
+        to one ``.npz``; ``load`` restores it bit for bit. A stack in rows of
+        a larger home writes its own rows only."""
         np.savez(path, version=CHECKPOINT_VERSION, names=np.array(names, dtype=str),
                  rows=self.rows, m=self.m, v=self.v, steps=self.step_counts)
 
     def load(self, path, names: list[str]) -> None:
         """Restore in place the state ``save`` wrote for rows named ``names``.
         A file of another format version, with a key missing, other names,
-        another row shape or anything but one non-negative integer step count
-        per row is rejected with ValueError and leaves the stack untouched."""
+        another row shape, anything but finite floats in ``rows``, ``m`` and
+        ``v`` outside the padding, a negative ``v``, padding other than the
+        stack's own, or anything but one non-negative integer step count per
+        row is rejected with ValueError naming the key, and leaves the stack
+        untouched."""
         with np.load(path, allow_pickle=False) as data:
             version = data.get("version")
             if version != CHECKPOINT_VERSION:
@@ -319,6 +297,18 @@ class ParamStack(ParamRows):
             if {rows.shape, m.shape, v.shape} != {self.rows.shape}:
                 raise ValueError(f"checkpoint rows of shape {rows.shape} do not match "
                                  f"the stack's {self.rows.shape}")
+            padding = np.ones(self.rows.shape, dtype=bool)
+            for params in self._lay_out(padding)[1]:
+                for _, tensor in params.tensors():
+                    tensor[...] = False
+            for key, array, own in (("rows", rows, self.rows), ("m", m, self.m),
+                                    ("v", v, self.v)):
+                if array.dtype.kind != "f" or not np.isfinite(array[~padding]).all():
+                    raise ValueError(f"checkpoint {key} must be finite floats")
+                if not np.array_equal(array[padding], own[padding]):
+                    raise ValueError(f"checkpoint {key} padding differs from the stack's")
+            if (v < 0.0).any():
+                raise ValueError("checkpoint v must not be negative")
             if (steps.shape != (len(rows),) or steps.dtype.kind not in "iu"
                     or (steps < 0).any()):
                 raise ValueError("checkpoint steps must be one non-negative integer per row, "
@@ -345,7 +335,7 @@ def init_params(params: NetParams, rng: np.random.Generator) -> None:
     _orthogonal(params.wv[:, None], 1.0, rng)
 
 
-def forward(stack: ParamRows, obs: np.ndarray, sets: np.ndarray):
+def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
     """Policy logits and value estimates, one observation per row of ``obs``
     and ``sets`` naming each row's network: (logits, values), row by row,
     with -inf logits on the padded actions of networks narrower than the
@@ -469,23 +459,26 @@ class UpdateWork(NamedTuple):
     log-probabilities, probabilities and logit gradients, then the policy
     head's gradient, then Adam's two intermediates); ``narrow`` three of
     (S, rows or in-width, hidden) (hidden activations, their gradient, and
-    a temporary that ends as the first layer's gradient); ``finite`` one
-    bool per gradient entry."""
+    a temporary that ends as the first layer's gradient); ``grad`` the
+    networks' gradient rows, in the stack's row layout, whose padding is
+    never written and so stays 0; ``finite`` one bool per gradient entry."""
 
     wide: np.ndarray
     narrow: np.ndarray
+    grad: np.ndarray
     finite: np.ndarray
 
 
 def update_work(sets: int, shape: tuple[int, int, int], rows: int,
                 row_width: int = 0) -> UpdateWork:
     """``UpdateWork`` for ``sets`` networks of ``shape`` in rows of
-    ``row_width`` (0: no Adam step) and minibatches of up to ``rows`` rows."""
+    ``row_width`` (0: no gradient rows and no Adam step) and minibatches of
+    up to ``rows`` rows."""
     in_width, hidden, actions = shape
     wide = sets * max(max(rows, hidden) * actions, row_width)
     narrow = sets * max(rows, in_width) * hidden
     return UpdateWork(np.empty((3, wide)), np.empty((3, narrow)),
-                      np.empty((sets, row_width), dtype=bool))
+                      np.zeros((sets, row_width)), np.empty((sets, row_width), dtype=bool))
 
 
 def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -496,7 +489,7 @@ def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
 
 def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
                         hyper: PPOHyper, indices: np.ndarray,
-                        work: UpdateWork | None = None) -> tuple[np.ndarray, dict]:
+                        work: UpdateWork) -> tuple[np.ndarray, dict]:
     """Clipped-surrogate objective and its analytic gradient on a minibatch
     of each of S networks of one shape.
 
@@ -514,8 +507,6 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     count, n = indices.shape
     hidden, actions = params.wp.shape[-2:]
     in_width = params.in_width
-    if work is None:
-        work = update_work(count, (in_width, hidden, actions), n)
     networks = np.arange(count)[:, None]
     x, acts, logp_old, adv, ret = (field[networks, indices] for field in batch)
     lp, pr, dl = work.wide[:, :count * n * actions].reshape(3, count, n, actions)
@@ -613,9 +604,9 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBa
     data = data._replace(advantages=(adv - adv.mean(axis=1, keepdims=True))
                          / (adv.std(axis=1, keepdims=True) + 1e-8))
 
-    span, rows, grads, m, v, step_counts = stack._take(np.asarray(sets))
-    params, grad_params = (_unpadded(stack._blocks(a), shape) for a in (rows, grads))
+    span, rows, m, v, step_counts = stack._take(np.asarray(sets))
     work = update_work(len(sets), shape, min(count, hyper.minibatch_size), rows.shape[1])
+    params, grads = (_unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
     totals = np.zeros((len(STATS), len(sets)))
     minibatches = 0
     try:
@@ -623,19 +614,19 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBa
             order = np.stack([rng.permutation(count) for rng in rngs])
             for start in range(0, count, hyper.minibatch_size):
                 indices = order[:, start:start + hyper.minibatch_size]
-                objective, stats = surrogate_objective(params, grad_params, data, hyper,
-                                                       indices, work)
-                finite = np.isfinite(objective) & np.isfinite(grads, out=work.finite).all(axis=1)
+                objective, stats = surrogate_objective(params, grads, data, hyper, indices,
+                                                       work)
+                finite = np.isfinite(objective) & np.isfinite(work.grad, out=work.finite).all(1)
                 if not finite.all():
                     i = int(np.argmin(finite))
                     raise NonFiniteLossError(
                         f"non-finite update of parameter set {sets[i]}: "
                         f"objective={objective[i]!r}, value_loss={stats['value_loss'][i]!r}, "
                         f"batch size {indices.shape[1]}")
-                stack._step(rows, grads, m, v, step_counts, hyper.learning_rate, work.wide)
+                stack._step(rows, work.grad, m, v, step_counts, hyper.learning_rate, work.wide)
                 totals += [stats[key] for key in STATS]
                 minibatches += 1
     finally:
-        stack._put(span, rows, grads, m, v, step_counts)
+        stack._put(span, rows, m, v, step_counts)
     return [{**{key: float(total) / max(minibatches, 1) for key, total in zip(STATS, column)},
              "minibatches": minibatches} for column in totals.T]

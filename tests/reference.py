@@ -188,11 +188,12 @@ def surrogate_objective(params, grads, batch, hyper, indices, work=None):
     return objective, stats
 
 
-def ascend(stack, index, lr):
-    """One Adam ascent step of row ``index`` of a ParamStack along its
-    gradient, in place, in the operation order m = b1*m + (1-b1)*g;
-    v = b2*v + ((1-b2)*g)*g; row += lr*m_hat / (sqrt(v_hat)+eps)."""
-    grad, m, v = stack.grads[index], stack.m[index], stack.v[index]
+def ascend(stack, index, grad, lr):
+    """One Adam ascent step of row ``index`` of a ParamStack along ``grad``,
+    a gradient row of the stack's layout, in place, in the operation order
+    m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    row += lr*m_hat / (sqrt(v_hat)+eps)."""
+    m, v = stack.m[index], stack.v[index]
     t = int(stack.step_counts[index]) + 1
     stack.step_counts[index] = t
     m *= stack.beta1
@@ -207,8 +208,12 @@ def ascend(stack, index, lr):
 
 def ppo_update(stack, index, batch, hyper, rng):
     """The clipped-surrogate update of network ``index`` of ``stack`` alone,
-    in place; returns aggregate stats."""
-    params, grads, grad_row = stack.views[index], stack.grad_views[index], stack.grads[index]
+    in place; returns aggregate stats. The gradient is written into a
+    zero-filled row of the stack's layout that the update owns, so its
+    padding stays 0."""
+    grad_rows = np.zeros(stack.rows.shape)
+    params, grads = stack.views[index], stack._lay_out(grad_rows)[1][index]
+    grad_row = grad_rows[index]
     adv = batch.advantages
     batch = batch._replace(advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
 
@@ -227,7 +232,7 @@ def ppo_update(stack, index, batch, hyper, rng):
                     f"non-finite update: objective={objective!r}, "
                     f"value_loss={stats['value_loss']!r}, batch size {len(indices)}"
                 )
-            ascend(stack, index, hyper.learning_rate)
+            ascend(stack, index, grad_row, hyper.learning_rate)
             for key in totals:
                 totals[key] += stats[key]
             minibatches += 1

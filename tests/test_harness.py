@@ -248,6 +248,7 @@ class TestOverrides:
     @pytest.mark.parametrize("override, message", [
         ("env.num_cores.x=1", "override 'env.num_cores.x': 'x' is not addressable"),
         ("env.job_types.x.burst=2", "override 'env.job_types.x.burst': bad list index 'x'"),
+        ("seeds.-1=9", "override 'seeds.-1': bad list index '-1'"),
         ("env.bogus.x=1", "override 'env.bogus.x': unknown field 'bogus'"),
     ])
     def test_rejection_names_the_failing_part(self, override, message):

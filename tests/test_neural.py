@@ -9,7 +9,6 @@ from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
     NetParams,
     NonFiniteLossError,
-    ParamRows,
     ParamStack,
     PPOHyper,
     RolloutBuffer,
@@ -40,9 +39,20 @@ def small_net(seed=0, in_width=4, hidden=8, actions=3):
     return small_stack(seed, in_width, hidden, actions).views[0]
 
 
+def gradient_rows(stack):
+    """A zero-filled gradient array of ``stack``'s row layout, owned by the
+    caller, and each network's NetParams of views into it."""
+    grads = np.zeros(stack.rows.shape)
+    return grads, stack._lay_out(grads)[1]
+
+
 def one_network(params, grads, batch, hyper, indices, work=None):
     """``surrogate_objective`` on the one network ``params``, its gradient
-    written into ``grads``: (objective, stats) as Python floats."""
+    written into ``grads``, in ``work`` or a fresh scratch: (objective,
+    stats) as Python floats."""
+    if work is None:
+        shape = (params.in_width, params.w1.shape[1], params.action_count)
+        work = update_work(1, shape, len(indices))
     objective, stats = surrogate_objective(
         NetParams(*(t[None] for _, t in params.tensors())),
         NetParams(*(t[None] for _, t in grads.tensors())),
@@ -54,7 +64,7 @@ def gradient(params, batch, hyper, indices):
     """``surrogate_objective`` with its gradient written into a fresh gradient
     row: (objective, the gradient views by tensor name, stats)."""
     shape = (params.in_width, params.w1.shape[1], params.action_count)
-    grads = ParamStack([shape]).grad_views[0]
+    grads = gradient_rows(ParamStack([shape]))[1][0]
     objective, stats = one_network(params, grads, batch, hyper, indices)
     return objective, dict(grads.tensors()), stats
 
@@ -133,10 +143,14 @@ class TestForward:
 
 
     def test_a_stack_in_rows_of_a_home_shares_them(self):
-        home = ParamRows([(4, 8, 3), (4, 8, 2), (3, 8, 3)])
+        home = ParamStack([(4, 8, 3), (4, 8, 2), (3, 8, 3)])
         stack = ParamStack([(4, 8, 2), (3, 8, 3)], home, 1)
         init_params(stack.views[0], derive_rng(6, 0))
-        assert np.shares_memory(stack.rows, home.rows) and stack.home is home
+        assert stack.home is home
+        for name in ("rows", "m", "v", "step_counts"):
+            assert np.shares_memory(getattr(stack, name), getattr(home, name)), name
+        stack.m[1, 0], stack.v[1, 0], stack.step_counts[1] = 0.5, 0.25, 3
+        assert (home.m[2, 0], home.v[2, 0], home.steps) == (0.5, 0.25, [0, 0, 3])
         assert home.rows[1].tobytes() == stack.rows[0].tobytes()
         alone = ParamStack([(4, 8, 2)])
         assert alone.home is alone and alone.first == 0
@@ -273,7 +287,7 @@ class TestGradients:
             part.fill(np.nan)
         for idx in (np.arange(32), np.arange(32, 48), np.arange(0, 48, 3)):
             fresh_objective, fresh_grads, fresh_stats = gradient(params, batch, hyper, idx)
-            grads = ParamStack([shape]).grad_views[0]
+            grads = gradient_rows(ParamStack([shape]))[1][0]
             objective, stats = one_network(params, grads, batch, hyper, idx, work)
             assert objective == fresh_objective and stats == fresh_stats
             for name, tensor in grads.tensors():
@@ -368,15 +382,18 @@ class TestAdamRow:
         stack = two_set_stack()
         rng = derive_rng(25, 0)
         b1, b2, eps, lr = ParamStack.beta1, ParamStack.beta2, ParamStack.eps, 1e-2
+        grads, grad_views = gradient_rows(stack)
         for i in range(2):
             ref = {name: t.copy() for name, t in stack.views[i].tensors()}
             m = {name: np.zeros(t.shape) for name, t in ref.items()}
             v = {name: np.zeros(t.shape) for name, t in ref.items()}
             for step in range(1, 21):
-                for _, g in stack.grad_views[i].tensors():
+                for _, g in grad_views[i].tensors():
                     g[...] = rng.standard_normal(g.shape)
-                stack.ascend([i], lr)
-                for name, g in stack.grad_views[i].tensors():
+                stack._step(*(a[i:i + 1] for a in (stack.rows, grads, stack.m, stack.v,
+                                                   stack.step_counts)),
+                            lr, np.empty((2, grads[i].size)))
+                for name, g in grad_views[i].tensors():
                     m[name] = b1 * m[name] + (1.0 - b1) * g
                     v[name] = b2 * v[name] + (1.0 - b2) * g * g
                     m_hat = m[name] / (1.0 - b1**step)
@@ -400,7 +417,7 @@ class TestAdamRow:
         assert not np.array_equal(stack.rows[1][~padding], narrow[~padding])
         assert np.array_equal(stack.rows[1][padding], probe.rows[1][padding])
         assert np.array_equal(stack.rows[0], wide)
-        for padded in (stack.grads[1], stack.m[1], stack.v[1]):
+        for padded in (stack.m[1], stack.v[1]):
             assert np.all(padded[padding] == 0.0)
 
 
@@ -440,7 +457,7 @@ class TestStackedUpdate:
         for s, batch, got in zip(sets, batches, stats):
             want = reference.ppo_update(alone, s, batch, hyper, derive_rng(35, s))
             assert {key: got[key] for key in want} == want, s
-        for name in ("rows", "grads", "m", "v"):
+        for name in ("rows", "m", "v"):
             assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
         assert stacked.steps == alone.steps
         assert all(stacked.steps[s] > steps for s, steps in zip(sets, warm))
@@ -471,6 +488,29 @@ class TestStackedUpdate:
         self.assert_matches_one_at_a_time(
             "EXP2_ARCH_4X4", ARCH_DIST, "accept", PPOHyper(minibatch_size=32, epochs=3),
             size=32, warm=(0, 5, 1, 40, 2, 0, 7, 3, 0, 11, 0, 4, 9, 0, 6, 1))
+
+    @pytest.mark.parametrize("scenario_name, arch, prefix", [
+        ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
+    def test_each_sets_gradient_is_the_one_network_surrogates(self, scenario_name, arch,
+                                                              prefix):
+        # one stacked surrogate call writes each set's gradient into its row
+        # of the update's zero-filled scratch; the padding stays 0
+        stack, sets = home_sets(scenario_name, arch, prefix, seed=40)
+        assert len(sets) == (12 if arch == ARCH_DIST else 2)
+        hyper, shape, size = PPOHyper(), stack.shapes[sets[0]], 24
+        batches = [make_batch(stack.views[s], 40, seed=41 + s) for s in sets]
+        indices = np.stack([derive_rng(42, s).permutation(40)[:size] for s in sets])
+        work = update_work(len(sets), shape, size, stack.rows.shape[1])
+        _, rows, *_ = stack._take(np.asarray(sets))
+        params, grads = (neural._unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
+        data = TrainBatch(*map(np.stack, zip(*batches)))
+        objective, _ = surrogate_objective(params, grads, data, hyper, indices, work)
+        want, views = gradient_rows(stack)
+        for i, s in enumerate(sets):
+            want_objective, _ = reference.surrogate_objective(stack.views[s], views[s],
+                                                              batches[i], hyper, indices[i])
+            assert objective[i] == want_objective, s
+            assert work.grad[i].tobytes() == want[s].tobytes(), s
 
     @pytest.mark.parametrize("scenario_name, arch, prefix", [
         ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
@@ -516,11 +556,21 @@ class TestRolloutBuffer:
 
 
 def alpha_beta_stack(seed):
-    """Two networks of different input widths, with weights from ``seed``."""
-    stack = ParamStack([(4, 8, 3), (6, 8, 3)])
+    """Two networks of different input widths and action counts, with
+    weights from ``seed``."""
+    stack = ParamStack([(4, 8, 3), (6, 8, 2)])
     for i, params in enumerate(stack.views):
         init_params(params, derive_rng(seed, i))
     return stack
+
+
+def entry(index, value):
+    """An edit of a saved array: a copy with ``value`` at ``index``."""
+    def edit(array):
+        array = array.copy()
+        array[index] = value
+        return array
+    return edit
 
 
 class TestCheckpoint:
@@ -552,7 +602,18 @@ class TestCheckpoint:
         ("steps", np.array([0.5, 1.0])),
         ("steps", np.array([-3, 1])),
         ("steps", np.array([[0, 4]])),
-    ], ids=["no-names", "no-rows", "fractional-steps", "negative-steps", "2d-steps"])
+        # beta's padded third logit bias, 0 instead of -inf
+        ("rows", lambda rows: np.where(np.isneginf(rows), 0.0, rows)),
+        ("rows", entry((1, 0), np.nan)),
+        # alpha's w1 entry for input 5, which alpha does not have
+        ("rows", entry((0, 5 * 8), 1.0)),
+        ("rows", lambda rows: rows.astype(str)),
+        ("m", entry((0, 0), np.inf)),
+        ("m", entry((0, 5 * 8), 1e-3)),
+        ("v", entry((1, 0), -1e-6)),
+    ], ids=["no-names", "no-rows", "fractional-steps", "negative-steps", "2d-steps",
+            "zero-logit-bias-padding", "nan-weight", "weight-in-padding", "text-rows",
+            "infinite-moment", "moment-in-padding", "negative-v"])
     def test_malformed_file_is_rejected_untouched(self, tmp_path, key, value):
         path = tmp_path / "params.npz"
         alpha_beta_stack(seed=21).save(path, ["alpha", "beta"])
@@ -561,7 +622,7 @@ class TestCheckpoint:
         if value is None:
             del arrays[key]
         else:
-            arrays[key] = value
+            arrays[key] = value(arrays[key]) if callable(value) else value
         np.savez(path, **arrays)
         stack = alpha_beta_stack(seed=22)
         ppo_update(stack, [1], [make_batch(stack.views[1], 64, seed=22)], PPOHyper(),
