@@ -13,36 +13,48 @@ A bundle keeps all its parameter sets in one ``ParamStack``. The bundles
 that ``build_bundles`` makes for one run keep the weights of all bundles
 whose stacks share a padded layout (widest in-width, hidden width and action
 count) in one home ``ParamStack``, each bundle's rows, moments and step
-counts a contiguous range of it, and the ``Trainer`` acts for all of
-them in one batched pass per step and home, whatever the architectures and
-however many rows the pass has.
-Every unit with a live position (accept m when trading is on and its agent
-owns core m; every offer) acts on one row of a (units, width) array: the
-step's ``market_image`` gathered through each unit's row of indices (see
-``marketsched.obs``), one gather for all rows. One ``forward`` runs over all
-rows with each row's parameter set, and one vectorized inverse-CDF step
-turns one uniform draw per unit, taken from that unit's own sample stream,
-into its action. Live positions take their digits, the others are dropped.
-Price setters follow in a second pass over the offers just made, since what
-they see depends on the offer's target core. ``AgentBundle.act`` is the same
-pass for one bundle.
+counts a contiguous range of it, and one ``Home`` acts for all of them: the
+``Trainer`` in one batched pass per step and home, whatever the
+architectures and however many rows the pass has, and ``AgentBundle.act``
+in the same pass over one bundle's rows.
 
-Update-order contract: the pass does exactly what acting one unit at a time
-in row order would, where a unit whose rollout window is full first updates
-its parameter set, closing the window with this decision's value, and the
-later rows of that set (all of the same agent) then act on the updated
-weights with the draws they already took. The pass keeps it in waves. A wave
-walks the rows not yet booked in order: a row of a set that has no due unit
-(one whose window is full) before it is recorded; the first due unit of each
-set is collected, so the collected units' sets are distinct; the later rows
-of those sets are deferred. The collected sets are updated together, one
-``ppo_update`` per network shape, each due unit's row is recorded, and the
-deferred rows are evaluated again in one ``forward`` and ``sample_rows``
-with their same draws, for the next wave to walk. The bundles of one home
-share their learned state with it (see ``marketsched.neural``), so a wave
-updates the sets of all of them at once. Updates of distinct sets touch
-disjoint rows, so each set sees exactly the updates, in the order, that
-acting one unit at a time gives it.
+A pass acts for every unit with a live position (accept m when trading is
+on and its agent owns core m; every offer), one row each. The rows are the
+units with an offer position first, then the accept-only units of owned
+cores, each group in agent order and then in ``unit_layout`` order. The
+home keeps the ``Plan`` of a pass, the rows' units, parameter sets, obs
+index rows and digit decode, for the ``PLANS_KEPT`` core ownerships it met
+last, so a pass costs a fixed number of numpy calls: one gather of the
+step's ``market_image`` (see ``marketsched.obs``) through the rows' indices,
+one ``forward`` over all rows with each row's parameter set (whose rows of
+the home stack it keeps until the home's next update or load), one draw per
+unit and one vectorized inverse-CDF step that turns it into the unit's
+action, one write per field and observation width of the home's
+``RolloutStore`` (see ``marketsched.rollout``), and one decode of every
+live position's digit. Each unit draws its uniforms a block of
+``rollout_length`` at a time from its own sample stream, which gives the
+same numbers as one draw per decision. Price setters follow in a second
+pass over the offers just made, since what they see depends on the offer's
+target core.
+
+Update-order contract: each parameter set sees exactly the updates, in the
+order and on the windows, that acting one unit at a time in row order gives
+it. Its rows keep their relative order in every plan, all of one agent:
+a unit whose rollout window is full first updates the set, closing the
+window with this decision's value, and the set's later rows then act on
+the updated weights with the draws they already took. With no window of
+the pass full, every row is recorded at once. Otherwise the pass goes in
+waves. A wave walks the rows not yet booked in order: a row of a set that
+has no due unit (one whose window is full) before it is recorded; the first
+due unit of each set is collected, so the collected units' sets are
+distinct; the later rows of those sets are deferred. The collected sets are
+updated together, one ``ppo_update`` per network shape, each due unit's row
+is recorded, and the deferred rows are evaluated again in one ``forward``
+and ``sample_rows`` with their same draws, for the next wave to walk. The
+bundles of one home share their learned state with it (see
+``marketsched.neural``), so a wave updates the sets of all of them at once.
+Updates of distinct sets touch disjoint rows, so the order of sets within
+a pass does not matter.
 """
 
 from __future__ import annotations
@@ -61,7 +73,6 @@ from .neural import (
     NetParams,
     ParamStack,
     PPOHyper,
-    RolloutBuffer,
     forward,
     init_params,
     ppo_update,
@@ -76,6 +87,7 @@ from .obs import (
     offer_obs_len,
     price_index,
 )
+from .rollout import RolloutStore
 from .rng import (
     STREAM_UNIT_INIT,
     STREAM_UNIT_SAMPLE,
@@ -210,14 +222,19 @@ def _parameter_sets(arch: str, config: EnvConfig
 
 
 class ActingUnit:
-    """One policy head: its network, rollout window, and reward bookkeeping.
+    """One policy head: its network, its rollout window in the home's
+    ``RolloutStore``, and reward bookkeeping.
 
     Rewards routed between two decisions accumulate on the newest row of the
     rollout window, the latest decision, so a payout that lands steps after
     the causing action still credits it. Price setters instead keep pending
     samples keyed by the offer step and only commit them once the offer is
-    accepted.
+    accepted. ``store`` and ``id``, the unit's row of it, are set by the
+    ``Home`` that acts for the unit.
     """
+
+    store: RolloutStore
+    id: int
 
     def __init__(self, spec: UnitSpec, stack: ParamStack, param_set: int,
                  hyper: PPOHyper, sample_rng: np.random.Generator,
@@ -228,23 +245,32 @@ class ActingUnit:
         self.hyper = hyper
         self.sample_rng = sample_rng
         self.update_rng = update_rng
-        self.buffer = RolloutBuffer(hyper.rollout_length, spec.obs_width)
         self.pending_prices: dict[int, tuple] = {}
         self.updates = 0
         self.dropped_rewards = 0.0
         self.last_stats: dict = {}
 
+    @property
+    def size(self) -> int:
+        """The rows of the unit's rollout window."""
+        return int(self.store.sizes[self.id])
+
+    @property
+    def full(self) -> bool:
+        return self.size >= self.hyper.rollout_length
+
     def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> None:
         """Write this step's decision as the window's newest row, with reward
         0.0. A full window is first closed by ``update_units``, with this
         decision's value as the bootstrap."""
-        self.buffer.add(obs, action, logp, value, 0.0)
+        self.store.add(self.id, obs, action, logp, value, 0.0)
 
     def accumulate(self, reward: float) -> None:
-        if not self.buffer.size:  # before the first decision
+        size = self.store.sizes[self.id]
+        if not size:  # before the first decision
             self.dropped_rewards += reward
             return
-        self.buffer.rewards[self.buffer.size - 1] += reward
+        self.store.rewards[self.id, size - 1] += reward
 
     def hold_price(self, made_at: int, obs: np.ndarray, action: int, logp: float,
                    value: float) -> None:
@@ -255,10 +281,9 @@ class ActingUnit:
         pending = self.pending_prices.pop(made_at, None)
         if pending is None:
             return
-        obs, action, logp, value = pending
-        self.buffer.add(obs, action, logp, value, reward)
-        if self.buffer.full:
-            update_units(self.stack, [self], [self.param_set], [0.0])
+        self.store.add(self.id, *pending, reward)
+        if self.full:
+            update_units([self], [0.0])
 
     def expire_prices(self, before: int) -> None:
         """Drop pending samples of offers that were never accepted."""
@@ -266,42 +291,239 @@ class ActingUnit:
             del self.pending_prices[made_at]
 
 
-def update_units(stack: ParamStack, units: list[ActingUnit], sets: Sequence[int],
-                 bootstraps: Sequence[float]) -> None:
-    """Close the full windows of ``units`` with their ``bootstraps`` values
-    and update their parameter sets ``sets`` of ``stack``, which must be
-    distinct: one ``ppo_update`` per network shape."""
+def update_units(units: list[ActingUnit], bootstraps: Sequence[float]) -> None:
+    """Close the full windows of ``units``, all of one home and of distinct
+    parameter sets, with their ``bootstraps`` values and update those sets
+    of the home's stack: one ``ppo_update`` per network shape."""
+    stack, store = units[0].stack.home, units[0].store
+    sets = [unit.stack.first + unit.param_set for unit in units]
     shapes: dict[tuple[int, int, int], list[int]] = {}
     for i, s in enumerate(sets):
         shapes.setdefault(stack.shapes[s], []).append(i)
     for group in shapes.values():
-        batch = [units[i].buffer.to_batch(bootstraps[i], units[i].hyper) for i in group]
-        stats = ppo_update(stack, [sets[i] for i in group], batch, units[group[0]].hyper,
+        ids = [units[i].id for i in group]
+        hyper = units[group[0]].hyper
+        batch = store.batch(ids, [bootstraps[i] for i in group], hyper)
+        stats = ppo_update(stack, [sets[i] for i in group], batch, hyper,
                            [units[i].update_rng for i in group])
+        store.sizes[ids] = 0
         for i, unit_stats in zip(group, stats):
-            unit = units[i]
-            unit.last_stats = unit_stats
-            unit.buffer.clear()
-            unit.updates += 1
+            units[i].last_stats = unit_stats
+            units[i].updates += 1
 
 
-class _Pass(NamedTuple):
-    """One agent's rows of an acting pass, for one set of owned cores."""
+class Plan(NamedTuple):
+    """The rows of a home's acting pass, for one set of acting agents and
+    one core ownership: each row's unit, parameter set, last valid action
+    and obs indices into the market image; for each observation width, the
+    rows' places in the rollout store (``RolloutStore.places``); and the
+    decode, row, weight and radix of each live position, the offers' first,
+    named by ``offers`` and then ``accepts``."""
 
-    units: list[ActingUnit]          # the acting units, in row order
-    sets: np.ndarray                 # each unit's parameter set in its bundle's stack
-    index: np.ndarray                # each unit's obs as indices into the market image
-    digits: list[tuple[int, int, int, Position]]  # (row, weight, radix, live position)
+    ids: np.ndarray
+    sets: np.ndarray
+    last: np.ndarray
+    index: np.ndarray
+    places: tuple[np.ndarray, list]
+    rows: np.ndarray
+    weights: np.ndarray
+    radices: np.ndarray
+    offers: list[tuple[int, int]]
+    accepts: list[tuple[int, int]]
+
+
+# the plans a home keeps, most recently used last: on EXP2_ARCH_4X4 DIST the
+# core ownership takes hundreds of values in a 2000-step episode, and 16
+# plans hit about as often as 64
+PLANS_KEPT = 16
+
+
+def _rank(unit: ActingUnit) -> int:
+    """Units with an offer position first, then accept-only units, then
+    price setters."""
+    return 0 if unit.spec.slots else 1 if unit.spec.cores else 2
+
+
+class Home:
+    """The acting state of the bundles whose stacks share one home
+    ParamStack: their units in row order (see the module docstring) with
+    each one's agent, parameter set, last valid action, digits and obs
+    index row, the rollout store, each unit's block of uniform draws and its
+    cursor, and the plans of recent passes."""
+
+    def __init__(self, bundles: list[AgentBundle]):
+        self.stack = bundles[0].stack.home
+        self.config = bundles[0].config
+        length = bundles[0].hyper.rollout_length
+        for bundle in bundles:
+            bundle.home = self
+        order = sorted(((bundle.agent, unit) for bundle in bundles
+                        for unit in bundle.units.values()), key=lambda item: _rank(item[1]))
+        self.agents = [agent for agent, _ in order]
+        self.units = [unit for _, unit in order]
+        self.sets = np.array([unit.stack.first + unit.param_set for unit in self.units])
+        self.last = self.stack.last_action[self.sets]
+        self.store = RolloutStore([unit.spec.obs_width for unit in self.units], length)
+        self.draws = np.empty((len(self.units), length))
+        self.cursor = np.full(len(self.units), length)
+        # each unit's offer digits and each (agent, core)'s accept digit:
+        # (unit id, weight, radix, position key)
+        self.offer_digits: dict[int, list[tuple[int, int, int, tuple[int, int]]]] = {}
+        self.accept_digit: dict[tuple[int, int], tuple[int, int, int, tuple[int, int]]] = {}
+        for u, (agent, unit) in enumerate(order):
+            unit.store, unit.id = self.store, u
+            weight = 1
+            for (kind, i), radix in zip(unit.spec.positions, unit.spec.radices):
+                digit = (u, weight, radix, (agent, i))
+                if kind == "offer":
+                    self.offer_digits.setdefault(agent, []).append(digit)
+                elif kind == "accept":
+                    self.accept_digit[(agent, i)] = digit
+                weight *= radix
+        self.plans: dict[tuple, Plan] = {}
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """Each unit's observation as a row of indices into the market
+        image; a price setter's row is left 0, since what it sees depends
+        on the offer."""
+        index = np.zeros((len(self.units), self.stack.in_width), dtype=np.intp)
+        for u, (agent, unit) in enumerate(zip(self.agents, self.units)):
+            cells = [i for m in unit.spec.cores for i in acceptor_index(self.config, agent, m)]
+            if unit.spec.slots:
+                cells += offer_index(self.config, agent, unit.spec.slots)
+            index[u, :len(cells)] = cells
+        return index
+
+    def plan(self, agents: tuple[int, ...], owners: tuple[int, ...]) -> Plan:
+        """The plan of a pass for ``agents`` when core m's owner is
+        ``owners[m]`` (no owners: no accept position is live), kept for the
+        next such pass among the ``PLANS_KEPT`` most recently used."""
+        key = (agents, owners)
+        plan = self.plans.pop(key, None)
+        if plan is None:
+            plan = self._plan(agents, owners)
+            if len(self.plans) == PLANS_KEPT:
+                del self.plans[next(iter(self.plans))]
+        self.plans[key] = plan
+        return plan
+
+    def _plan(self, agents: tuple[int, ...], owners: tuple[int, ...]) -> Plan:
+        """Every unit with an offer position acts, then every accept-only
+        unit of an owned core, each in unit order; every offer position and
+        the accept position of every owned core take their digits."""
+        offers = [d for a in agents for d in self.offer_digits.get(a, ())]
+        accepts = [self.accept_digit[(owner, m)] for m, owner in enumerate(owners)
+                   if owner in agents]
+        ids = list(dict.fromkeys(u for u, _, _, _ in offers))
+        ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
+        row = {u: r for r, u in enumerate(ids)}
+        rows, weights, radices = np.array([(row[u], weight, radix) for u, weight, radix, _
+                                           in offers + accepts], dtype=np.intp).T
+        index = np.array(ids)
+        return Plan(index, self.sets[index], self.last[index], self.index[index],
+                    self.store.places(ids), rows, weights, radices,
+                    [key for _, _, _, key in offers], [key for _, _, _, key in accepts])
+
+    def draw(self, ids: np.ndarray) -> np.ndarray:
+        """One uniform for each unit of ``ids`` from its own sample stream:
+        the next of the unit's block of ``rollout_length`` draws, a new
+        block taken when it is used up."""
+        length = self.store.length
+        cursor = self.cursor[ids]
+        if length in cursor.tolist():
+            spent = cursor == length
+            for u in ids[spent].tolist():
+                self.draws[u] = self.units[u].sample_rng.random(length)
+            cursor[spent] = 0
+        self.cursor.put(ids, cursor + 1)
+        return self.draws[ids, cursor]
+
+    def act(self, bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
+            image: np.ndarray) -> None:
+        """The pass of the module docstring over ``bundles``, some or all of
+        this home's. ``image`` is the step's ``market_image``."""
+        owners = tuple([core.owner for core in env.cores]) if env.config.trading_enabled else ()
+        plan = self.plan(tuple([bundle.agent for bundle in bundles]), owners)
+        actions = self._act_rows(plan, image[plan.index])
+        digits = (actions[plan.rows] // plan.weights % plan.radices).tolist()
+        joint.offers.update(zip(plan.offers, digits))
+        joint.accepts.update(zip(plan.accepts, digits[len(plan.offers):]))
+        if not env.config.pricing_mode.is_free:
+            return
+        # the price setters' pass over the offers just made
+        priced = [(bundle.agent, k, unit) for bundle in bundles
+                  for k, unit in bundle._price_setters.items()
+                  if joint.offers[(bundle.agent, k)] > 0 and env.slots[bundle.agent][k] is not None]
+        if not priced:
+            return
+        pad = [0] * (self.stack.in_width - PRICE_OBS_LEN)
+        obs = image[np.array([price_index(env.config, a, k, joint.offers[(a, k)] - 1) + pad
+                              for a, k, _ in priced])]
+        ids = np.array([unit.id for _, _, unit in priced])
+        logits, values = forward(self.stack, obs, self.sets[ids])
+        prices, logps = sample_rows(logits, self.draw(ids), self.last[ids])
+        for (a, k, unit), row, price, logp, value in zip(priced, obs, prices.tolist(),
+                                                         logps.tolist(), values.tolist()):
+            unit.hold_price(env.time, row[:PRICE_OBS_LEN], price, logp, value)
+            joint.prices[(a, k)] = price
+
+    def _act_rows(self, plan: Plan, obs: np.ndarray) -> np.ndarray:
+        """Act for the plan's units on the rows of ``obs``: one forward over
+        all rows, one draw per unit, then the units' records. With no window
+        full, every row is recorded at once, else in the waves of the module
+        docstring."""
+        u = self.draw(plan.ids)
+        logits, values = forward(self.stack, obs, plan.sets)
+        actions, logps = sample_rows(logits, u, plan.last)
+        sizes = self.store.sizes[plan.ids]
+        if max(sizes.tolist()) < self.store.length:
+            self.store.add_rows(plan.ids, plan.places, sizes, obs, actions, logps, values)
+            return actions
+        units = [self.units[i] for i in plan.ids.tolist()]
+        actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
+        set_of = plan.sets.tolist()
+        pending = range(len(units))
+        while pending:
+            due, deferred, updated = [], [], set()
+            for r in pending:
+                unit = units[r]
+                if set_of[r] in updated:
+                    deferred.append(r)
+                elif unit.full:
+                    due.append(r)
+                    updated.add(set_of[r])
+                else:
+                    unit.record(obs[r, :unit.spec.obs_width], actions[r], logps[r], values[r])
+            if not due:
+                break
+            update_units([units[r] for r in due], [values[r] for r in due])
+            for r in due:
+                units[r].record(obs[r, :units[r].spec.obs_width], actions[r], logps[r],
+                                values[r])
+            if deferred:
+                # the updates moved these sets' weights: their later rows act on
+                # the new weights, with the draws they already took
+                logits, fresh = forward(self.stack, obs[deferred], plan.sets[deferred])
+                redrawn, relogp = sample_rows(logits, u[deferred], plan.last[deferred])
+                for j, action, logp, value in zip(deferred, redrawn.tolist(),
+                                                  relogp.tolist(), fresh.tolist()):
+                    actions[j], logps[j], values[j] = action, logp, value
+            pending = deferred
+        return np.array(actions)
 
 
 class AgentBundle:
     """All acting units of one agent plus their (possibly shared) parameters."""
 
+    home: Home
+
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
                  seed: int, home: ParamStack | None = None, first: int = 0):
         """With ``home`` the weights and learned state are its rows
-        ``first``, ``first + 1``, ... (see ``build_bundles``); else a new
-        stack's."""
+        ``first``, ``first + 1``, ... (see ``build_bundles``), and the caller
+        makes the ``Home`` of all bundles in it; else a new stack's, and the
+        bundle's own ``Home``."""
         specs, param_sets, shapes = _parameter_sets(arch, config)
         self.arch = arch
         self.agent = agent
@@ -328,148 +550,18 @@ class AgentBundle:
             pos: spec.key for spec in specs for pos in spec.positions}
         self._price_setters = {i: self.units[key] for (kind, i), key in self.unit_at.items()
                                if kind == "price"}
-        self._passes: dict[tuple[int, ...], _Pass] = {}  # by set of owned cores
-
-    # ------------------------------------------------------------------
-    # acting
-    # ------------------------------------------------------------------
+        if home is None:
+            Home([self])
 
     def act(self, env: SchedulingEnv, joint: JointActions) -> None:
         """The pass of the module docstring, for this bundle alone."""
-        _act([self], env, joint, market_image(env))
-
-    def _plan(self, owned: tuple[int, ...]) -> _Pass:
-        """This agent's rows of a pass when it owns the cores ``owned``, kept
-        for the next such pass: every unit with a live position acts, and
-        each live position takes its digit."""
-        plan = self._passes.get(owned)
-        if plan is not None:
-            return plan
-        live = {("accept", m) for m in owned} | {
-            pos for pos in self.unit_at if pos[0] == "offer"}
-        units = [unit for unit in self.units.values()
-                 if not live.isdisjoint(unit.spec.positions)]
-        specs = [unit.spec for unit in units]
-        digits = []
-        for row, spec in enumerate(specs):
-            weight = 1
-            for pos, radix in zip(spec.positions, spec.radices):
-                if pos in live:
-                    digits.append((row, weight, radix, pos))
-                weight *= radix
-        index = np.zeros((len(specs), self.stack.home.in_width), dtype=np.intp)
-        for row, spec in enumerate(specs):
-            cells = [i for m in spec.cores for i in acceptor_index(self.config, self.agent, m)]
-            if spec.slots:
-                cells += offer_index(self.config, self.agent, spec.slots)
-            index[row, :len(cells)] = cells
-        if len(self._passes) == 64:  # every set of up to 6 cores fits
-            self._passes.clear()
-        plan = self._passes[owned] = _Pass(
-            units=units,
-            sets=np.array([unit.param_set for unit in units]),
-            index=index,
-            digits=digits,
-        )
-        return plan
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
+        self.home.act([self], env, joint, market_image(env))
 
     def save(self, path) -> None:
         self.stack.save(path, list(self.params))
 
     def load(self, path) -> None:
         self.stack.load(path, list(self.params))
-
-
-def _act(bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
-         image: np.ndarray) -> None:
-    """The pass of the module docstring over ``bundles``, whose stacks share
-    one home. ``image`` is the step's ``market_image``."""
-    stack = bundles[0].stack.home
-    trading = env.config.trading_enabled
-    plans, units, sets = [], [], []
-    for bundle in bundles:
-        plan = bundle._plan(tuple(m for m, core in enumerate(env.cores)
-                                  if core.owner == bundle.agent) if trading else ())
-        plans.append((bundle, plan, len(units)))
-        units += plan.units
-        sets.append(plan.sets + bundle.stack.first)
-    obs = image[np.concatenate([plan.index for _, plan, _ in plans])]
-    actions = _act_rows(stack, units, np.concatenate(sets), obs)
-    for bundle, plan, start in plans:
-        a = bundle.agent
-        for row, weight, radix, (kind, i) in plan.digits:
-            digit = actions[start + row] // weight % radix
-            if kind == "offer":
-                joint.offers[(a, i)] = digit
-            else:
-                joint.accepts[(a, i)] = digit
-    if not env.config.pricing_mode.is_free:
-        return
-    # the price setters' pass over the offers just made
-    priced = [(bundle.agent, k, unit, bundle.stack.first + unit.param_set)
-              for bundle in bundles for k, unit in bundle._price_setters.items()
-              if joint.offers[(bundle.agent, k)] > 0 and env.slots[bundle.agent][k] is not None]
-    if not priced:
-        return
-    pad = [0] * (stack.in_width - PRICE_OBS_LEN)
-    obs = image[np.array([price_index(env.config, a, k, joint.offers[(a, k)] - 1) + pad
-                          for a, k, _, _ in priced])]
-    prices = _act_rows(stack, [unit for _, _, unit, _ in priced],
-                       np.array([s for _, _, _, s in priced]), obs, made_at=env.time)
-    for (a, k, _, _), price in zip(priced, prices):
-        joint.prices[(a, k)] = price
-
-
-def _act_rows(stack: ParamStack, units: list[ActingUnit], sets: np.ndarray,
-              obs: np.ndarray, made_at: int | None = None) -> list[int]:
-    """Act for ``units[i]`` on row i of ``obs`` with parameter set ``sets[i]``
-    of ``stack``: one forward over all rows, one draw per unit, then the
-    units' bookkeeping and updates in the waves of the module docstring.
-    With ``made_at`` the units are price setters and their decisions are
-    held pending instead of recorded."""
-    u = np.array([unit.sample_rng.random() for unit in units])
-    last = stack.last_action[sets]
-    logits, values = forward(stack, obs, sets)
-    actions, logps = sample_rows(logits, u, last)
-    actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
-    if made_at is not None:
-        for r, unit in enumerate(units):
-            unit.hold_price(made_at, obs[r, :unit.spec.obs_width], actions[r], logps[r],
-                            values[r])
-        return actions
-    set_of = sets.tolist()
-    pending = range(len(units))
-    while pending:
-        due, deferred, updated = [], [], set()
-        for r in pending:
-            unit = units[r]
-            if set_of[r] in updated:
-                deferred.append(r)
-            elif unit.buffer.full:
-                due.append(r)
-                updated.add(set_of[r])
-            else:
-                unit.record(obs[r, :unit.spec.obs_width], actions[r], logps[r], values[r])
-        if not due:
-            break
-        update_units(stack, [units[r] for r in due], [set_of[r] for r in due],
-                     [values[r] for r in due])
-        for r in due:
-            units[r].record(obs[r, :units[r].spec.obs_width], actions[r], logps[r], values[r])
-        if deferred:
-            # the updates moved these sets' weights: their later rows act on
-            # the new weights, with the draws they already took
-            logits, fresh = forward(stack, obs[deferred], sets[deferred])
-            redrawn, relogp = sample_rows(logits, u[deferred], last[deferred])
-            for j, action, logp, value in zip(deferred, redrawn.tolist(),
-                                              relogp.tolist(), fresh.tolist()):
-                actions[j], logps[j], values[j] = action, logp, value
-        pending = deferred
-    return actions
 
 
 class UnitReward(NamedTuple):
@@ -553,8 +645,11 @@ def build_bundles(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed
         for a in agents:
             homes[a] = home, first
             first += len(shapes[a])
-    return [AgentBundle(arch, a, config, hyper, seed, *homes[a])
-            for a, arch in enumerate(archs)]
+    bundles = [AgentBundle(arch, a, config, hyper, seed, *homes[a])
+               for a, arch in enumerate(archs)]
+    for agents in layouts.values():
+        Home([bundles[a] for a in agents])
+    return bundles
 
 
 class Trainer:
@@ -570,14 +665,14 @@ class Trainer:
         self.bundles = bundles
         homes: dict[int, list[AgentBundle]] = {}
         for bundle in bundles:
-            homes.setdefault(id(bundle.stack.home), []).append(bundle)
-        self._passes = list(homes.values())  # the bundles of each pass
+            homes.setdefault(id(bundle.home), []).append(bundle)
+        self._passes = [(group[0].home, group) for group in homes.values()]
 
     def step(self) -> StepResult:
         joint = JointActions()
         image = market_image(self.env)
-        for group in self._passes:
-            _act(group, self.env, joint, image)
+        for home, group in self._passes:
+            home.act(group, self.env, joint, image)
         result = self.env.step(joint)
         for bundle in self.bundles:
             deliver_rewards(bundle, result)

@@ -14,6 +14,8 @@ that state with the home, so one ``forward`` reads the networks of several
 agents and one update on the home steps them. The gradient belongs to one
 update: it lives in that update's scratch, zero-filled, and the surrogate
 never writes its padding, so the padding's step is 0 and stays fixed.
+Besides that state a stack keeps the rows ``forward`` last gathered, until
+the home's next update or load.
 
 ``ppo_update`` updates S >= 1 networks of one shape at once, each on its own
 window with its own sample stream and its own Adam step count, in one
@@ -165,7 +167,10 @@ class ParamStack:
     -inf, which give padded actions probability 0, and moments 0. ``save``
     and ``load`` move exactly this state, ``rows``, ``m``, ``v`` and the step
     counts, through one ``.npz`` file. The gradient is not part of it: it
-    belongs to one update (``UpdateWork``).
+    belongs to one update (``UpdateWork``). A home's ``writes`` counts the
+    updates and loads of its rows, and ``gather`` keeps the blocks it last
+    gathered until that count moves; anything else that writes the rows in
+    place between two ``forward`` calls advances it too.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -196,6 +201,8 @@ class ParamStack:
             self.rows, self.m, self.v, self.step_counts = (
                 home.rows[span], home.m[span], home.v[span], home.step_counts[span])
         self._home, self.first = home, first
+        self.writes = 0
+        self._gathered: tuple = (None, [])
         (self.w1, self.b1, self.head, self.head_bias), self.views = self._lay_out(self.rows)
         self.last_action = np.array([a for _, _, a in shapes]) - 1
         self.head_bias[:, :-1] = np.where(
@@ -223,6 +230,18 @@ class ParamStack:
         ends = list(accumulate(prod(shape) for shape in self._layout))
         return [rows[:, start:end].reshape(-1, *shape)
                 for start, end, shape in zip([0] + ends, ends, self._layout)]
+
+    def gather(self, sets: np.ndarray) -> list[np.ndarray]:
+        """The w1, b1, head and head_bias blocks of the networks ``sets``:
+        views if they are a run lo, lo+1, ... (FULL's, with the large head),
+        else copies. Either is kept and given again for the same ``sets``
+        until the home's rows are next written (``writes``)."""
+        key = sets.tolist(), self.home.writes
+        if key != self._gathered[0]:
+            span = _span(sets)
+            self._gathered = key, [_rows(block, span) for block in
+                                   (self.w1, self.b1, self.head, self.head_bias)]
+        return self._gathered[1]
 
     def _take(self, sets: np.ndarray) -> list:
         """The span of ``sets`` (``_span``), then their rows of ``rows``,
@@ -315,6 +334,7 @@ class ParamStack:
                                  f"got {steps.tolist()}")
             self.rows[...], self.m[...], self.v[...] = rows, m, v
             self.step_counts[...] = steps
+            self.home.writes += 1
 
 
 def _orthogonal(out: np.ndarray, gain: float, rng: np.random.Generator) -> None:
@@ -340,14 +360,11 @@ def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
     and ``sets`` naming each row's network: (logits, values), row by row,
     with -inf logits on the padded actions of networks narrower than the
     stack."""
-    # rows of the sets lo, lo+1, ..., lo+R-1 in turn (FULL's, with the large
-    # head, are such a run) read a view of the blocks instead of copying
-    # them for each row: the same products
-    span = _span(sets)
-    w1, b1, head, head_bias = (_rows(block, span) for block in
-                               (stack.w1, stack.b1, stack.head, stack.head_bias))
-    h = np.tanh(np.matmul(obs[:, None, :], w1)[:, 0] + b1)
-    out = np.matmul(head, h[:, :, None])[:, :, 0] + head_bias
+    w1, b1, head, head_bias = stack.gather(sets)
+    h = np.matmul(obs[:, None, :], w1)[:, 0]
+    h += b1
+    out = np.matmul(head, np.tanh(h, out=h)[:, :, None])[:, :, 0]
+    out += head_bias
     return out[:, :-1], out[:, -1]
 
 
@@ -394,59 +411,14 @@ def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
 
 
 class TrainBatch(NamedTuple):
+    """One window of T samples, or, each field with a leading window axis,
+    several windows of one length (the form ``ppo_update`` takes)."""
+
     obs: np.ndarray        # (T, in)
     actions: np.ndarray    # (T,) int
     logp_old: np.ndarray   # (T,)
     advantages: np.ndarray  # (T,)
     returns: np.ndarray    # (T,)
-
-
-class RolloutBuffer:
-    """Per-unit experience window in preallocated arrays; ``add`` copies a
-    row in. Cleared after each update."""
-
-    def __init__(self, capacity: int, width: int):
-        self.capacity = capacity
-        self.obs = np.empty((capacity, width))
-        self.actions = np.empty(capacity, dtype=np.intp)
-        self.logps = np.empty(capacity)
-        self.values = np.empty(capacity)
-        self.rewards = np.empty(capacity)
-        self.size = 0
-
-    def add(self, obs: np.ndarray, action: int, logp: float, value: float,
-            reward: float) -> None:
-        i = self.size
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.logps[i] = logp
-        self.values[i] = value
-        self.rewards[i] = reward
-        self.size = i + 1
-
-    def __len__(self) -> int:
-        return self.size
-
-    @property
-    def full(self) -> bool:
-        return self.size >= self.capacity
-
-    def clear(self) -> None:
-        self.size = 0
-
-    def to_batch(self, bootstrap_value: float, hyper: PPOHyper) -> TrainBatch:
-        """The window as a batch of views, valid until the next ``add``."""
-        n = self.size
-        values = self.values[:n]
-        advantages, returns = gae(self.rewards[:n], values, bootstrap_value,
-                                  hyper.discount, hyper.gae_lambda)
-        return TrainBatch(
-            obs=self.obs[:n],
-            actions=self.actions[:n],
-            logp_old=self.logps[:n],
-            advantages=advantages,
-            returns=returns,
-        )
 
 
 STATS = ("objective", "value_loss", "entropy", "clip_fraction", "approx_kl")
@@ -578,12 +550,13 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     return objective, stats
 
 
-def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBatch],
+def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                hyper: PPOHyper, rngs: Sequence[np.random.Generator]) -> list[dict]:
     """Run the clipped-surrogate update of the networks ``sets`` of
     ``stack``, distinct and all of one (in_width, hidden_width, action_count)
-    shape, each on its own window ``batches[i]`` (all of one length) with its
-    own stream ``rngs[i]``, in place; returns each network's aggregate stats.
+    shape, each on its own window, item i of every field of ``batch``, with
+    its own stream ``rngs[i]``, in place; returns each network's aggregate
+    stats. Advances the home's ``writes``.
 
     The networks share one minibatch loop, and each ends bit for bit where
     updating it alone would leave it: its own permutations, advantages
@@ -592,17 +565,16 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBa
     NonFiniteLossError naming it, before the offending minibatch touches any
     of the networks.
     """
-    shape, count = stack.shapes[sets[0]], len(batches[0].actions)
+    shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
-            or any(len(batch.actions) != count for batch in batches)):
-        raise ValueError(f"one update takes distinct networks of one shape and windows "
-                         f"of one length, got networks {list(sets)} of shapes "
+            or any(field.shape[:2] != (len(sets), count) for field in batch)):
+        raise ValueError(f"one update takes distinct networks of one shape and one window "
+                         f"each, all of one length, got networks {list(sets)} of shapes "
                          f"{[stack.shapes[s] for s in sets]} and windows of "
-                         f"{[len(batch.actions) for batch in batches]}")
-    data = TrainBatch(*(np.stack(field) for field in zip(*batches)))
-    adv = data.advantages
-    data = data._replace(advantages=(adv - adv.mean(axis=1, keepdims=True))
-                         / (adv.std(axis=1, keepdims=True) + 1e-8))
+                         f"{[field.shape[:2] for field in batch]}")
+    adv = batch.advantages
+    data = batch._replace(advantages=(adv - adv.mean(axis=1, keepdims=True))
+                          / (adv.std(axis=1, keepdims=True) + 1e-8))
 
     span, rows, m, v, step_counts = stack._take(np.asarray(sets))
     work = update_work(len(sets), shape, min(count, hyper.minibatch_size), rows.shape[1])
@@ -628,5 +600,6 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batches: Sequence[TrainBa
                 minibatches += 1
     finally:
         stack._put(span, rows, m, v, step_counts)
+        stack.home.writes += 1
     return [{**{key: float(total) / max(minibatches, 1) for key, total in zip(STATS, column)},
              "minibatches": minibatches} for column in totals.T]

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .config import EnvConfig
-from .env import SchedulingEnv
+from .env import AUCTIONEER, SchedulingEnv
 
 
 def acceptor_obs_len(num_agents: int, num_slots: int) -> int:
@@ -46,29 +46,41 @@ def _starts(config: EnvConfig) -> tuple[int, int, int, int]:
 
 def market_image(env: SchedulingEnv) -> np.ndarray:
     """Every value an observation of the current state reads, laid out as
-    ``_starts`` says."""
+    ``_starts`` says: zeros, with each nonzero cell written by one ``put``.
+    A core the auctioneer owns sets no owned flag."""
     cfg = env.config
     max_prio, max_burst = cfg.max_prio, cfg.max_burst
-    values = [0.0]
-    for core in env.cores:
+    m, k = cfg.num_cores, cfg.num_slots
+    cores, owned, offers, states = _starts(cfg)
+    index: list[int] = []
+    values: list[float] = []
+    cell = cores
+    for c, core in enumerate(env.cores):
         job = core.job
-        values += ((0.0, 0.0) if job is None
-                   else (job.priority / max_prio, job.remaining_burst / max_burst))
-    for agent in range(cfg.num_agents):
-        values += [1.0 if core.owner == agent else 0.0 for core in env.cores]
-    for m in range(cfg.num_cores):
-        cells = [0.0] * (4 * cfg.num_agents * cfg.num_slots)
-        for offer in env.pending_offers(m):
-            base = 4 * (offer.agent * cfg.num_slots + offer.slot)
-            cells[base:base + 4] = (1.0, offer.price / max_prio,
-                                    offer.time_to_payment / max_burst,
-                                    offer.job_priority / max_prio)
-        values += cells
+        if job is not None:
+            index += (cell, cell + 1)
+            values += (job.priority / max_prio, job.remaining_burst / max_burst)
+        if core.owner != AUCTIONEER:
+            index.append(owned + core.owner * m + c)
+            values.append(1.0)
+        cell += 2
+    grid = 4 * cfg.num_agents * k
+    for c in range(m):
+        for offer in env.pending_offers(c):
+            cell = offers + grid * c + 4 * (offer.agent * k + offer.slot)
+            index += (cell, cell + 1, cell + 2, cell + 3)
+            values += (1.0, offer.price / max_prio, offer.time_to_payment / max_burst,
+                       offer.job_priority / max_prio)
+    cell = states
     for agent_slots in env.slots:
         for job in agent_slots:
-            values += ((0.0, 0.0, 0.0) if job is None
-                       else (1.0, job.priority / max_prio, job.remaining_burst / max_burst))
-    return np.array(values)
+            if job is not None:
+                index += (cell, cell + 1, cell + 2)
+                values += (1.0, job.priority / max_prio, job.remaining_burst / max_burst)
+            cell += 3
+    image = np.zeros(states + 3 * cfg.num_agents * k)
+    image.put(index, values)
+    return image
 
 
 def _core(config: EnvConfig, agent: int, core: int) -> list[int]:

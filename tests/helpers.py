@@ -1,7 +1,10 @@
 """Shared builders for environment-level tests."""
 
+import numpy as np
+
 from marketsched.config import EnvConfig, JobType
 from marketsched.env import AUCTIONEER, Job, JointActions
+from marketsched.neural import TrainBatch
 
 
 def make_config(**kwargs):
@@ -55,3 +58,15 @@ def random_actions(env, rng):
             if cfg.pricing_mode.is_free:
                 actions.prices[(agent, slot)] = int(rng.integers(0, cfg.max_prio + 1))
     return actions
+
+
+def stacked(*batches):
+    """The windows ``batches`` as one TrainBatch with a leading window axis,
+    the form ``ppo_update`` takes."""
+    return TrainBatch(*map(np.stack, zip(*batches)))
+
+
+def newest_obs(unit):
+    """The observation of a unit's latest recorded decision."""
+    store = unit.store
+    return store.obs[store.width[unit.id]][store.row[unit.id], unit.size - 1]

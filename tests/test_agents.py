@@ -13,6 +13,7 @@ from marketsched.agents import (
     ARCH_FULL,
     ARCH_SEMI,
     AgentBundle,
+    PLANS_KEPT,
     InfeasibleArchitectureError,
     Trainer,
     UnitReward,
@@ -29,7 +30,7 @@ from marketsched.harness import builtin_scenarios
 from marketsched.neural import PPOHyper, TrainBatch, ppo_update
 from marketsched.rng import derive_rng
 
-from helpers import make_config, manual_config, place_job
+from helpers import make_config, manual_config, place_job, stacked
 from reference import mixed_radix_decode
 
 
@@ -142,7 +143,7 @@ class TestActionWiring:
             bundle.act(env, joint)
             assert set(joint.accepts) == {(0, m) for m in owned}
             assert len(joint.offers) == cfg.num_slots
-            assert len(bundle._passes) <= 64
+            assert len(bundle.home.plans) <= PLANS_KEPT
 
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
@@ -272,7 +273,7 @@ class TestTraining:
         seen_full = False
         for i in range(40):
             trainer.step()
-            assert len(unit.buffer) <= 16
+            assert unit.size <= 16
             seen_full = seen_full or unit.updates > 0
         assert seen_full
         # a sample closes when the next one opens, so the window of 16
@@ -342,7 +343,7 @@ class TestTraining:
         for ur in route_rewards(bundle, result):
             unit.resolve_price(ur.offer_made_at, ur.reward)
         unit.expire_prices(before=result.time)
-        assert len(unit.buffer) == 0 and not unit.pending_prices
+        assert unit.size == 0 and not unit.pending_prices
 
 
 class TestCheckpointing:
@@ -377,7 +378,7 @@ class TestCheckpointing:
             actions=rng.integers(0, saved.params["accept"].action_count, size),
             logp_old=np.full(size, -1.0), advantages=rng.standard_normal(size),
             returns=rng.standard_normal(size))
-        ppo_update(saved.stack, [index], [batch], scenario.hyper, [derive_rng(3, 1)])
+        ppo_update(saved.stack, [index], stacked(batch), scenario.hyper, [derive_rng(3, 1)])
         saved.save(tmp_path / "bundle.npz")
         loaded = AgentBundle(ARCH_DIST_PS, 0, scenario.env, scenario.hyper, seed=4)
         loaded.load(tmp_path / "bundle.npz")
@@ -385,7 +386,8 @@ class TestCheckpointing:
             assert np.array_equal(getattr(saved.stack, name), getattr(loaded.stack, name))
         assert loaded.stack.steps == saved.stack.steps
         for bundle in (saved, loaded):
-            ppo_update(bundle.stack, [index], [batch], scenario.hyper, [derive_rng(3, 2)])
+            ppo_update(bundle.stack, [index], stacked(batch), scenario.hyper,
+                       [derive_rng(3, 2)])
         assert saved.stack.rows.tobytes() == loaded.stack.rows.tobytes()
 
     def test_checkpoint_moves_between_trainer_and_standalone_bundles(self, tmp_path):
@@ -419,7 +421,7 @@ class TestCheckpointing:
                            actions=rng.integers(0, params.action_count, 16),
                            logp_old=np.full(16, -1.0), advantages=rng.standard_normal(16),
                            returns=rng.standard_normal(16))
-        ppo_update(other.stack, [list(other.params).index("offer")], [batch], hyper,
+        ppo_update(other.stack, [list(other.params).index("offer")], stacked(batch), hyper,
                    [derive_rng(18, 1)])
         other.save(tmp_path / "standalone.npz")
         adopted.load(tmp_path / "standalone.npz")

@@ -31,8 +31,9 @@ from marketsched.agents import (
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
 from marketsched.neural import PPOHyper
+from marketsched.rng import STREAM_UNIT_SAMPLE, derive_rng
 
-from helpers import make_config
+from helpers import make_config, newest_obs
 from reference import (
     encode_acceptor_obs,
     encode_offer_obs,
@@ -67,8 +68,8 @@ def act_unit_by_unit(bundle, env, joint):
         obs = reference_obs(env, a, spec)
         logits, value = forward(bundle.stack.views[unit.param_set], obs)
         action, logp = sample(logits, unit.sample_rng)
-        if unit.buffer.full:
-            update_units(bundle.stack, [unit], [unit.param_set], [value])
+        if unit.full:
+            update_units([unit], [value])
         unit.record(obs, action, logp, value)
         for (kind, i), digit in zip(spec.positions,
                                     mixed_radix_decode(action, spec.radices)):
@@ -100,7 +101,7 @@ def assert_rows_match_encoders(bundle, env, joint):
         acted = spec.slots or any((a, m) in joint.accepts for m in spec.cores)
         if not acted:
             continue
-        recorded = unit.buffer.obs[len(unit.buffer) - 1]
+        recorded = newest_obs(unit)
         assert np.array_equal(recorded, reference_obs(env, a, spec))
     for (agent, k) in joint.prices:
         if agent == a:
@@ -225,6 +226,14 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
 
     updates = sum(u.updates for b in batched for u in b.units.values())
     assert updates > 0
+    # a unit with an offer position drew once a step, a block of
+    # rollout_length at a time: STEPS / 4 blocks, whose draws were the
+    # reference's one at a time
+    index, unit = next((i, unit) for i, unit in enumerate(batched[0].units.values())
+                       if unit.spec.slots)
+    stream = derive_rng(21, STREAM_UNIT_SAMPLE, 0, index)
+    stream.random(STEPS)
+    assert unit.sample_rng.bit_generator.state == stream.bit_generator.state
     for bundle, one, ref in zip(batched, alone, by_unit):
         for key, unit in bundle.units.items():
             assert unit.updates == one.units[key].updates == ref.units[key].updates
@@ -270,7 +279,7 @@ def due_updates(bundles, env):
         for unit in bundle.units.values():
             acts = unit.spec.slots or any(env.cores[m].owner == bundle.agent
                                           for m in unit.spec.cores)
-            if acts and unit.buffer.full:
+            if acts and unit.full:
                 s = bundle.stack.first + unit.param_set
                 due[s] = due.get(s, 0) + 1
     return due
@@ -342,3 +351,70 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
         assert STEPS < len(forward_calls) <= STEPS + updates
     else:
         assert len(forward_calls) == STEPS
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+def test_a_block_of_draws_is_the_draws_one_at_a_time(n):
+    """Units draw their uniforms a block at a time; the block must be the
+    numbers, and leave the stream in the state, of one draw per decision."""
+    block, single = (derive_rng(5, STREAM_UNIT_SAMPLE, 1, 3) for _ in range(2))
+    drawn = block.random(n)
+    assert drawn.tobytes() == np.array([single.random() for _ in range(n)]).tobytes()
+    assert block.bit_generator.state == single.bit_generator.state
+
+
+class FixedDraw:
+    """A stream that gives one number."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def assert_newest_decisions_follow(bundles, weights):
+    """Each offer unit's latest decision in ``bundles`` is what the same
+    unit of ``weights`` decides on the recorded observation and draw."""
+    for bundle, source in zip(bundles, weights):
+        home = bundle.home
+        for key, unit in bundle.units.items():
+            if not unit.spec.slots:
+                continue
+            t = unit.size - 1
+            logits, value = forward(source.stack.views[unit.param_set], newest_obs(unit))
+            action, logp = sample(logits, FixedDraw(home.draws[unit.id, home.cursor[unit.id] - 1]))
+            store = unit.store
+            assert store.actions[unit.id, t] == action, key
+            assert np.isclose(store.logps[unit.id, t], logp, rtol=1e-12, atol=0), key
+            assert np.isclose(store.values[unit.id, t], value, rtol=1e-12, atol=0), key
+
+
+def test_a_pass_acts_on_weights_loaded_between_steps(tmp_path):
+    cfg = make_config(trading_enabled=False)  # every pass has the same rows and sets
+    env = SchedulingEnv(cfg, seed=41)
+    bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=41)
+    trainer = Trainer(env, bundles)
+    trainer.step()
+    for bundle in bundles:
+        AgentBundle(ARCH_DIST, bundle.agent, cfg, HYPER, seed=42).save(tmp_path / f"{bundle.agent}")
+        bundle.load(tmp_path / f"{bundle.agent}.npz")
+    trainer.step()
+    fresh = [AgentBundle(ARCH_DIST, a, cfg, HYPER, seed=43) for a in range(2)]
+    for bundle in fresh:
+        bundle.load(tmp_path / f"{bundle.agent}.npz")
+    assert_newest_decisions_follow(bundles, fresh)
+
+
+def test_a_pass_after_an_update_wave_reads_the_updated_rows():
+    cfg = make_config(trading_enabled=False)
+    env = SchedulingEnv(cfg, seed=44)
+    bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=44)
+    trainer = Trainer(env, bundles)
+    units = [unit for bundle in bundles for unit in bundle.units.values() if unit.spec.slots]
+    while not any(unit.updates for unit in units):
+        trainer.step()
+    assert all(unit.updates == 1 for unit in units)  # all in one wave
+    trainer.step()
+    assert all(unit.updates == 1 for unit in units)
+    assert_newest_decisions_follow(bundles, bundles)

@@ -1,38 +1,67 @@
-"""Layer bench: one agent's ``AgentBundle.act`` on a fixed env state.
+"""Layer benches: the acting pass on a fixed env state.
 
 Deselected by default; run with ``python -m pytest -m bench``. The state is
-EXP2_ARCH_2X2 after 30 scripted steps, so the agent owns a core and the offer
-book is not empty. Each round acts once on that same state; rollout windows
-are emptied before every round, so no policy update is timed.
+a builtin scenario after 30 scripted steps, so agents own cores and the
+offer books are not empty (on EXP2_ARCH_2X2 agent 0 owns one). ``test_bench_act`` times one agent's
+``AgentBundle.act`` on EXP2_ARCH_2X2; ``test_bench_trainer_step`` one
+``Trainer.step`` of every EXP2_ARCH_4X4 ``DIST`` agent, the acting pass
+over the home's rows plus the market step and reward routing. Each round
+starts from that same state with every rollout window empty, so no policy
+update is timed and the pass records all its rows at once.
 """
+
+import copy
 
 import pytest
 
-from marketsched.agents import ARCH_DIST, ARCH_DIST_PS, ARCH_FULL, ARCH_SEMI, AgentBundle
+from marketsched.agents import (
+    ARCH_DIST,
+    ARCH_DIST_PS,
+    ARCH_FULL,
+    ARCH_SEMI,
+    AgentBundle,
+    Trainer,
+    build_bundles,
+)
 from marketsched.baseline import scripted_actions
-from marketsched.env import JointActions, SchedulingEnv
+from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
 
 pytestmark = pytest.mark.bench
 
 
-def fixed_state():
-    scenario = builtin_scenarios()["EXP2_ARCH_2X2"]
+def fixed_state(name):
+    scenario = builtin_scenarios()[name]
     env = SchedulingEnv(scenario.env, seed=1)
     for _ in range(30):
         env.step(scripted_actions(env))
-    assert any(core.owner == 0 for core in env.cores) and list(env.offers())
+    assert any(core.owner != AUCTIONEER for core in env.cores) and list(env.offers())
     return scenario, env
 
 
 @pytest.mark.parametrize("arch", [ARCH_DIST_PS, ARCH_DIST, ARCH_SEMI, ARCH_FULL])
 def test_bench_act(arch, benchmark):
-    scenario, env = fixed_state()
+    scenario, env = fixed_state("EXP2_ARCH_2X2")
+    assert any(core.owner == 0 for core in env.cores)
     bundle = AgentBundle(arch, 0, scenario.env, scenario.hyper, seed=1)
 
     def fresh_round():
-        for unit in bundle.units.values():
-            unit.buffer.clear()
+        bundle.home.store.sizes[:] = 0
         return (env, JointActions()), {}
 
     benchmark.pedantic(bundle.act, setup=fresh_round, rounds=2000, warmup_rounds=50)
+
+
+def test_bench_trainer_step(benchmark):
+    scenario, env = fixed_state("EXP2_ARCH_4X4")
+    assert scenario.arch == (ARCH_DIST,) * scenario.env.num_agents
+    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    trainer = Trainer(env, bundles)
+
+    def fresh_round():
+        trainer.env = copy.deepcopy(env)
+        bundles[0].home.store.sizes[:] = 0
+        return (), {}
+
+    benchmark.pedantic(trainer.step, setup=fresh_round, rounds=2000, warmup_rounds=50)
+    assert not any(unit.updates for bundle in bundles for unit in bundle.units.values())

@@ -22,6 +22,7 @@ from marketsched.harness import Scenario, apply_overrides, builtin_scenarios, ru
 from marketsched.neural import TrainBatch, ppo_update
 from marketsched.rng import derive_rng
 
+from helpers import stacked
 from reference import forward, sample
 
 pytestmark = pytest.mark.bench
@@ -55,7 +56,7 @@ def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
         stack.rows[...] = start
         stack.m[index] = stack.v[index] = 0.0
         stack.step_counts[index] = 0
-        return (stack, [index], [batch], hyper, [derive_rng(1, 1)]), {}
+        return (stack, [index], stacked(batch), hyper, [derive_rng(1, 1)]), {}
 
     benchmark.pedantic(ppo_update, setup=fresh_round, rounds=50, warmup_rounds=3)
 
@@ -68,14 +69,15 @@ def test_bench_ppo_update_wave(benchmark):
     sets = [bundle.stack.first + i for bundle in bundles
             for i, key in enumerate(bundle.params) if key.startswith("offer")]
     assert len(sets) == 12
-    batches = [window(stack.views[s], hyper.rollout_length, derive_rng(1, s)) for s in sets]
+    batch = stacked(*(window(stack.views[s], hyper.rollout_length, derive_rng(1, s))
+                      for s in sets))
     start = stack.rows.copy()
 
     def fresh_round():
         stack.rows[...] = start
         stack.m[...] = stack.v[...] = 0.0
         stack.step_counts[...] = 0
-        return (stack, sets, batches, hyper, [derive_rng(2, s) for s in sets]), {}
+        return (stack, sets, batch, hyper, [derive_rng(2, s) for s in sets]), {}
 
     benchmark.pedantic(ppo_update, setup=fresh_round, rounds=20, warmup_rounds=2)
 

@@ -11,7 +11,6 @@ from marketsched.neural import (
     NonFiniteLossError,
     ParamStack,
     PPOHyper,
-    RolloutBuffer,
     TrainBatch,
     forward,
     gae,
@@ -23,8 +22,10 @@ from marketsched.neural import (
     update_work,
 )
 from marketsched.rng import derive_rng
+from marketsched.rollout import RolloutStore
 
 import reference
+from helpers import stacked
 from reference import forward as unit_forward
 
 
@@ -319,7 +320,7 @@ class TestPpoUpdate:
         before = NetParams(*(t.copy() for _, t in params.tensors()))
         batch = make_batch(params, 64, seed=14)
         hyper = PPOHyper(learning_rate=1e-6)
-        ppo_update(stack, [0], [batch], hyper, [derive_rng(14, 2)])
+        ppo_update(stack, [0], stacked(batch), hyper, [derive_rng(14, 2)])
         for (_, now), (_, old) in zip(params.tensors(), before.tensors()):
             assert np.max(np.abs(now - old)) < 1e-3
 
@@ -329,7 +330,7 @@ class TestPpoUpdate:
         batch = make_batch(params, 128, seed=15)
         hyper = PPOHyper(learning_rate=3e-3, epochs=8)
         before = gradient(params, batch, hyper, np.arange(128))[0]
-        ppo_update(stack, [0], [batch], hyper, [derive_rng(15, 2)])
+        ppo_update(stack, [0], stacked(batch), hyper, [derive_rng(15, 2)])
         after = gradient(params, batch, hyper, np.arange(128))[0]
         assert after > before
 
@@ -340,7 +341,7 @@ class TestPpoUpdate:
         hyper = PPOHyper(learning_rate=1e-2, epochs=1, minibatch_size=32)
         for _ in range(60):
             batch = make_batch(params, 32, seed=int(rng.integers(1 << 30)))
-            ppo_update(stack, [0], [batch], hyper, [rng])
+            ppo_update(stack, [0], stacked(batch), hyper, [rng])
             for _, tensor in params.tensors():
                 assert np.all(np.isfinite(tensor))
 
@@ -350,7 +351,7 @@ class TestPpoUpdate:
         batch = make_batch(params, 16, seed=17)
         batch = batch._replace(returns=np.full(16, np.nan))
         with pytest.raises(NonFiniteLossError):
-            ppo_update(stack, [0], [batch], PPOHyper(), [derive_rng(17, 2)])
+            ppo_update(stack, [0], stacked(batch), PPOHyper(), [derive_rng(17, 2)])
 
     @pytest.mark.parametrize("field", ["returns", "obs"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -364,7 +365,7 @@ class TestPpoUpdate:
         bad.flat[3] = np.inf
         before = stack.rows.tobytes()
         with pytest.raises(NonFiniteLossError):
-            ppo_update(stack, [0], [batch._replace(**{field: bad})], PPOHyper(),
+            ppo_update(stack, [0], stacked(batch._replace(**{field: bad})), PPOHyper(),
                        [derive_rng(23, 2)])
         assert stack.rows.tobytes() == before
 
@@ -413,7 +414,8 @@ class TestAdamRow:
         assert np.isneginf(probe.rows[1][padding]).any()
         wide, narrow = stack.rows[0].copy(), stack.rows[1].copy()
         batch = make_batch(stack.views[1], 64, seed=26)
-        ppo_update(stack, [1], [batch], PPOHyper(learning_rate=1e-2), [derive_rng(26, 2)])
+        ppo_update(stack, [1], stacked(batch), PPOHyper(learning_rate=1e-2),
+                   [derive_rng(26, 2)])
         assert not np.array_equal(stack.rows[1][~padding], narrow[~padding])
         assert np.array_equal(stack.rows[1][padding], probe.rows[1][padding])
         assert np.array_equal(stack.rows[0], wide)
@@ -442,25 +444,25 @@ class TestStackedUpdate:
 
     def assert_matches_one_at_a_time(self, scenario_name, arch, prefix, hyper, size,
                                      warm=()):
-        stacked, sets = home_sets(scenario_name, arch, prefix, seed=31)
+        together, sets = home_sets(scenario_name, arch, prefix, seed=31)
         alone, _ = home_sets(scenario_name, arch, prefix, seed=31)
-        assert len(set(stacked.shapes[s] for s in sets)) == 1
-        for stack in (stacked, alone):
+        assert len(set(together.shapes[s] for s in sets)) == 1
+        for stack in (together, alone):
             # Adam moments and step counts that differ from set to set
             for s, steps in zip(sets, warm):
                 stack.m[s] = derive_rng(32, s).standard_normal(stack.m[s].shape) * 1e-3
                 stack.v[s] = derive_rng(33, s).random(stack.v[s].shape) * 1e-6
                 stack.step_counts[s] = steps
-        batches = [make_batch(stacked.views[s], size, seed=34 + s) for s in sets]
-        stats = ppo_update(stacked, sets, batches, hyper,
+        batches = [make_batch(together.views[s], size, seed=34 + s) for s in sets]
+        stats = ppo_update(together, sets, stacked(*batches), hyper,
                            [derive_rng(35, s) for s in sets])
         for s, batch, got in zip(sets, batches, stats):
             want = reference.ppo_update(alone, s, batch, hyper, derive_rng(35, s))
             assert {key: got[key] for key in want} == want, s
         for name in ("rows", "m", "v"):
-            assert getattr(stacked, name).tobytes() == getattr(alone, name).tobytes(), name
-        assert stacked.steps == alone.steps
-        assert all(stacked.steps[s] > steps for s, steps in zip(sets, warm))
+            assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert together.steps == alone.steps
+        assert all(together.steps[s] > steps for s, steps in zip(sets, warm))
 
     @pytest.mark.parametrize("rows_per_block", [None, 5], ids=["one-block", "blocks-of-5"])
     def test_the_offer_sets_of_a_dist_home(self, rows_per_block, monkeypatch):
@@ -503,7 +505,7 @@ class TestStackedUpdate:
         work = update_work(len(sets), shape, size, stack.rows.shape[1])
         _, rows, *_ = stack._take(np.asarray(sets))
         params, grads = (neural._unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
-        data = TrainBatch(*map(np.stack, zip(*batches)))
+        data = stacked(*batches)
         objective, _ = surrogate_objective(params, grads, data, hyper, indices, work)
         want, views = gradient_rows(stack)
         for i, s in enumerate(sets):
@@ -525,34 +527,49 @@ class TestStackedUpdate:
         batches[-1] = batches[-1]._replace(**{field: bad})
         before = state(stack)
         with pytest.raises(NonFiniteLossError, match=f"parameter set {sets[-1]}:"):
-            ppo_update(stack, sets, batches, PPOHyper(), [derive_rng(38, s) for s in sets])
+            ppo_update(stack, sets, stacked(*batches), PPOHyper(),
+                       [derive_rng(38, s) for s in sets])
         assert state(stack) == before
 
     def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
         stack = two_set_stack()
-        batches = [make_batch(params, 16, seed=39) for params in stack.views]
         rngs = [derive_rng(39, 0), derive_rng(39, 1)]
+        window = make_batch(stack.views[0], 16, seed=39)
         with pytest.raises(ValueError, match="one shape"):
-            ppo_update(stack, [0, 1], batches, PPOHyper(), rngs)
+            ppo_update(stack, [0, 1], stacked(window, window), PPOHyper(), rngs)
         stack = ParamStack([(4, 8, 3), (4, 8, 3)])
-        for n, sets in (((16, 16), [0, 0]), ((8, 16), [0, 1])):
+        window = make_batch(stack.views[0], 16, seed=39)
+        two = stacked(window, window)
+        # a repeated set; 16 observations but 8 actions a window; one window
+        # for two sets
+        for batch, sets in ((two, [0, 0]), (two._replace(actions=two.actions[:, :8]), [0, 1]),
+                            (stacked(window), [0, 1])):
             before = state(stack)
             with pytest.raises(ValueError, match="distinct networks of one shape"):
-                ppo_update(stack, sets, [make_batch(stack.views[0], size, seed=39)
-                                         for size in n], PPOHyper(), rngs)
+                ppo_update(stack, sets, batch, PPOHyper(), rngs)
             assert state(stack) == before
 
 
 class TestRolloutBuffer:
     def test_fill_and_clear(self):
-        buf = RolloutBuffer(capacity=4, width=2)
+        # a unit's window is a row of its home's store, in an obs array of
+        # its own width: no row is padded
+        store = RolloutStore([2, 3, 2], length=4)
+        assert {width: obs.shape for width, obs in store.obs.items()} == {
+            2: (2, 4, 2), 3: (1, 4, 3)}
         for i in range(4):
-            buf.add(np.zeros(2), i, -0.1, 0.0, 1.0)
-        assert buf.full and len(buf) == 4
-        batch = buf.to_batch(bootstrap_value=0.5, hyper=PPOHyper())
-        assert batch.obs.shape == (4, 2)
-        buf.clear()
-        assert len(buf) == 0 and not buf.full
+            store.add(1, np.full(3, float(i)), i, -0.1, 0.0, 1.0)
+            store.add(2 * (i % 2), np.full(2, float(i)), i, -0.2, 0.5, 0.0)
+        assert store.sizes.tolist() == [2, 4, 2]
+        batch = store.batch([1], [0.5], PPOHyper())
+        assert batch.obs.shape == (1, 4, 3) and batch.actions.tolist() == [[0, 1, 2, 3]]
+        assert batch.obs[0, :, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        # units 0 and 2 are rows 0 and 1 of the width-2 array: a view
+        assert np.shares_memory(store.batch([0, 2], [0.0, 0.0], PPOHyper()).obs, store.obs[2])
+        assert not np.shares_memory(store.batch([2, 0], [0.0, 0.0], PPOHyper()).obs,
+                                    store.obs[2])
+        store.sizes[[1]] = 0  # what the update that closes the window does
+        assert store.sizes.tolist() == [2, 0, 2]
 
 
 def alpha_beta_stack(seed):
@@ -576,7 +593,7 @@ def entry(index, value):
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         saved = alpha_beta_stack(seed=18)
-        ppo_update(saved, [1], [make_batch(saved.views[1], 64, seed=18)], PPOHyper(),
+        ppo_update(saved, [1], stacked(make_batch(saved.views[1], 64, seed=18)), PPOHyper(),
                    [derive_rng(18, 2)])
         path = tmp_path / "params.npz"
         saved.save(path, ["alpha", "beta"])
@@ -625,7 +642,7 @@ class TestCheckpoint:
             arrays[key] = value(arrays[key]) if callable(value) else value
         np.savez(path, **arrays)
         stack = alpha_beta_stack(seed=22)
-        ppo_update(stack, [1], [make_batch(stack.views[1], 64, seed=22)], PPOHyper(),
+        ppo_update(stack, [1], stacked(make_batch(stack.views[1], 64, seed=22)), PPOHyper(),
                    [derive_rng(22, 2)])
         before = [stack.rows.copy(), stack.m.copy(), stack.v.copy(), list(stack.steps)]
         with pytest.raises(ValueError, match=key):
