@@ -230,11 +230,11 @@ class ActingUnit:
     the causing action still credits it. Price setters instead keep pending
     samples keyed by the offer step and only commit them once the offer is
     accepted. ``store`` and ``id``, the unit's row of it, are set by the
-    ``Home`` that acts for the unit.
+    ``Home`` that acts for the unit; before that the unit has no window.
     """
 
-    store: RolloutStore
-    id: int
+    store: RolloutStore | None = None
+    id = 0
 
     def __init__(self, spec: UnitSpec, stack: ParamStack, param_set: int,
                  hyper: PPOHyper, sample_rng: np.random.Generator,
@@ -253,7 +253,7 @@ class ActingUnit:
     @property
     def size(self) -> int:
         """The rows of the unit's rollout window."""
-        return int(self.store.sizes[self.id])
+        return 0 if self.store is None else int(self.store.sizes[self.id])
 
     @property
     def full(self) -> bool:
@@ -266,7 +266,7 @@ class ActingUnit:
         self.store.add(self.id, obs, action, logp, value, 0.0)
 
     def accumulate(self, reward: float) -> None:
-        size = self.store.sizes[self.id]
+        size = self.size
         if not size:  # before the first decision
             self.dropped_rewards += reward
             return
@@ -516,14 +516,11 @@ class Home:
 class AgentBundle:
     """All acting units of one agent plus their (possibly shared) parameters."""
 
-    home: Home
-
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
                  seed: int, home: ParamStack | None = None, first: int = 0):
         """With ``home`` the weights and learned state are its rows
-        ``first``, ``first + 1``, ... (see ``build_bundles``), and the caller
-        makes the ``Home`` of all bundles in it; else a new stack's, and the
-        bundle's own ``Home``."""
+        ``first``, ``first + 1``, ... (see ``build_bundles``); else a new
+        stack's."""
         specs, param_sets, shapes = _parameter_sets(arch, config)
         self.arch = arch
         self.agent = agent
@@ -550,8 +547,13 @@ class AgentBundle:
             pos: spec.key for spec in specs for pos in spec.positions}
         self._price_setters = {i: self.units[key] for (kind, i), key in self.unit_at.items()
                                if kind == "price"}
-        if home is None:
-            Home([self])
+
+    @cached_property
+    def home(self) -> Home:
+        """The ``Home`` that acts for this bundle: the one ``build_bundles``
+        made for the bundles of its home stack, else one of its own, made at
+        first use."""
+        return Home([self])
 
     def act(self, env: SchedulingEnv, joint: JointActions) -> None:
         """The pass of the module docstring, for this bundle alone."""

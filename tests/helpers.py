@@ -1,4 +1,4 @@
-"""Shared builders for environment-level tests."""
+"""Shared builders for environment-level and learner tests."""
 
 import numpy as np
 

@@ -13,8 +13,8 @@ from marketsched.agents import (
     ARCH_FULL,
     ARCH_SEMI,
     AgentBundle,
-    PLANS_KEPT,
     InfeasibleArchitectureError,
+    PLANS_KEPT,
     Trainer,
     UnitReward,
     build_bundles,

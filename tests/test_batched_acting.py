@@ -59,6 +59,7 @@ def reference_obs(env, agent, spec):
 
 def act_unit_by_unit(bundle, env, joint):
     cfg, a = bundle.config, bundle.agent
+    store = bundle.home.store  # the units' windows, where the pass keeps them
     owned = {m for m in range(cfg.num_cores)
              if cfg.trading_enabled and env.cores[m].owner == a}
     for unit in bundle.units.values():
@@ -68,7 +69,7 @@ def act_unit_by_unit(bundle, env, joint):
         obs = reference_obs(env, a, spec)
         logits, value = forward(bundle.stack.views[unit.param_set], obs)
         action, logp = sample(logits, unit.sample_rng)
-        if unit.full:
+        if unit.size == store.length:
             update_units([unit], [value])
         unit.record(obs, action, logp, value)
         for (kind, i), digit in zip(spec.positions,
