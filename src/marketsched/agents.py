@@ -315,19 +315,17 @@ def update_units(units: list[ActingUnit], bootstraps: Sequence[float]) -> None:
 class Plan(NamedTuple):
     """The rows of a home's acting pass, for one set of acting agents and
     one core ownership: each row's unit, parameter set, last valid action
-    and obs indices into the market image; for each observation width, the
-    rows' places in the rollout store (``RolloutStore.places``); and the
-    decode, row, weight and radix of each live position, the offers' first,
-    named by ``offers`` and then ``accepts``."""
+    and obs indices into the market image; the rows' places in the rollout
+    store (``RolloutStore.places``); and the (row, weight, radix) of each
+    live offer and accept position, with the positions' keys."""
 
     ids: np.ndarray
     sets: np.ndarray
     last: np.ndarray
     index: np.ndarray
     places: tuple[np.ndarray, list]
-    rows: np.ndarray
-    weights: np.ndarray
-    radices: np.ndarray
+    offer_digits: list[tuple[int, int, int]]
+    accept_digits: list[tuple[int, int, int]]
     offers: list[tuple[int, int]]
     accepts: list[tuple[int, int]]
 
@@ -366,10 +364,11 @@ class Home:
         self.store = RolloutStore([unit.spec.obs_width for unit in self.units], length)
         self.draws = np.empty((len(self.units), length))
         self.cursor = np.full(len(self.units), length)
-        # each unit's offer digits and each (agent, core)'s accept digit:
-        # (unit id, weight, radix, position key)
+        # by agent, the (unit id, weight, radix, key) of each offer position,
+        # and by core, that of each agent's accept position
         self.offer_digits: dict[int, list[tuple[int, int, int, tuple[int, int]]]] = {}
-        self.accept_digit: dict[tuple[int, int], tuple[int, int, int, tuple[int, int]]] = {}
+        self.accept_digits: list[dict[int, tuple[int, int, int, tuple[int, int]]]] = [
+            {} for _ in range(self.config.num_cores)]
         for u, (agent, unit) in enumerate(order):
             unit.store, unit.id = self.store, u
             weight = 1
@@ -378,7 +377,7 @@ class Home:
                 if kind == "offer":
                     self.offer_digits.setdefault(agent, []).append(digit)
                 elif kind == "accept":
-                    self.accept_digit[(agent, i)] = digit
+                    self.accept_digits[i][agent] = digit
                 weight *= radix
         self.plans: dict[tuple, Plan] = {}
 
@@ -413,16 +412,15 @@ class Home:
         unit of an owned core, each in unit order; every offer position and
         the accept position of every owned core take their digits."""
         offers = [d for a in agents for d in self.offer_digits.get(a, ())]
-        accepts = [self.accept_digit[(owner, m)] for m, owner in enumerate(owners)
+        accepts = [digits[owner] for owner, digits in zip(owners, self.accept_digits)
                    if owner in agents]
         ids = list(dict.fromkeys(u for u, _, _, _ in offers))
         ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
-        row = {u: r for r, u in enumerate(ids)}
-        rows, weights, radices = np.array([(row[u], weight, radix) for u, weight, radix, _
-                                           in offers + accepts], dtype=np.intp).T
         index = np.array(ids)
         return Plan(index, self.sets[index], self.last[index], self.index[index],
-                    self.store.places(ids), rows, weights, radices,
+                    self.store.places(ids),
+                    [(ids.index(u), weight, radix) for u, weight, radix, _ in offers],
+                    [(ids.index(u), weight, radix) for u, weight, radix, _ in accepts],
                     [key for _, _, _, key in offers], [key for _, _, _, key in accepts])
 
     def draw(self, ids: np.ndarray) -> np.ndarray:
@@ -445,10 +443,11 @@ class Home:
         this home's. ``image`` is the step's ``market_image``."""
         owners = tuple([core.owner for core in env.cores]) if env.config.trading_enabled else ()
         plan = self.plan(tuple([bundle.agent for bundle in bundles]), owners)
-        actions = self._act_rows(plan, image[plan.index])
-        digits = (actions[plan.rows] // plan.weights % plan.radices).tolist()
-        joint.offers.update(zip(plan.offers, digits))
-        joint.accepts.update(zip(plan.accepts, digits[len(plan.offers):]))
+        actions = self._act_rows(plan, image[plan.index]).tolist()
+        joint.offers.update(zip(plan.offers, [actions[r] // weight % radix
+                                              for r, weight, radix in plan.offer_digits]))
+        joint.accepts.update(zip(plan.accepts, [actions[r] // weight % radix
+                                                for r, weight, radix in plan.accept_digits]))
         if not env.config.pricing_mode.is_free:
             return
         # the price setters' pass over the offers just made
@@ -623,7 +622,7 @@ def deliver_rewards(bundle: AgentBundle, result: StepResult) -> None:
             unit.resolve_price(ur.offer_made_at, ur.reward)
         else:
             unit.accumulate(ur.reward)
-    for unit in bundle.units.values():
+    for unit in bundle._price_setters.values():
         if unit.pending_prices:
             unit.expire_prices(before=result.time)
 

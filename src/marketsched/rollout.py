@@ -59,13 +59,14 @@ class RolloutStore:
         in the flat (units x length) arrays, and for each observation width,
         the positions in ``ids`` of the units of that width (a slice if they
         are a run) with their windows' starts in ``steps[width]``."""
-        groups: dict[int, list[int]] = {}
-        for r, u in enumerate(ids):
-            groups.setdefault(self.width[u], []).append(r)
-        return np.array([u * self.length for u in ids]), [
-            (width, slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1
-             else np.array(rows), np.array([self.row[ids[r]] * self.length for r in rows]))
-            for width, rows in groups.items()]
+        widths = [self.width[u] for u in ids]
+        groups = []
+        for width in dict.fromkeys(widths):
+            rows = [r for r, w in enumerate(widths) if w == width]
+            groups.append((width, slice(rows[0], rows[-1] + 1)
+                           if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows),
+                           np.array([self.row[ids[r]] * self.length for r in rows])))
+        return np.array(ids) * self.length, groups
 
     def add_rows(self, ids: np.ndarray, places: tuple[np.ndarray, list], sizes: np.ndarray,
                  obs: np.ndarray, actions: np.ndarray, logps: np.ndarray,
