@@ -1,0 +1,53 @@
+"""Golden digests of the learned state a run ends with.
+
+The goldens of ``test_golden.py`` hash what a run did: its trace, CSV and
+manifest, all of which follow the actions taken. A change in what an update
+sees can leave every action unchanged for thousands of steps while the
+weights already differ. These pins hash each home's weights, Adam moments
+and step counts, and the filled part of its rollout windows, after a fixed
+run, so such a change fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from marketsched.agents import Trainer, build_bundles
+from marketsched.env import SchedulingEnv
+from marketsched.harness import builtin_scenarios
+
+PINNED = {
+    # DIST_PS: units of one agent share a parameter set and update mid-pass
+    "EXP1_TRADING": "ea2265f67e95e32c4922afb60aaf41c254cee9258ab5abda9f19843def99e87c",
+    # DIST_PRICE: price setters' windows fill only when offers are accepted
+    "EXP3_SCARCITY_2C_COMM":
+        "75c513a0555e77f4143c395578a7292fa080fee6d47eda97c1d514c6d6cb09bb",
+}
+
+
+def learned_state_digest(bundles) -> str:
+    """sha256 over every home, in the order of its first bundle: its stack's
+    rows, m, v and step counts, then each unit's window sizes and the filled
+    rows of its observations, actions, log-probabilities, values and
+    rewards."""
+    digest = hashlib.sha256()
+    for bundle in {id(b.stack.home): b for b in bundles}.values():
+        stack, store = bundle.stack.home, bundle.home.store
+        for array in (stack.rows, stack.m, stack.v, stack.step_counts, store.sizes):
+            digest.update(array.tobytes())
+        for u, size in enumerate(store.sizes.tolist()):
+            digest.update(store.obs[store.width[u]][store.row[u], :size].tobytes())
+            for field in (store.actions, store.logps, store.values, store.rewards):
+                digest.update(field[u, :size].tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_learned_state_after_2000_steps_is_pinned(name):
+    scenario = builtin_scenarios()[name]
+    env = SchedulingEnv(scenario.env, 1)
+    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, 1)
+    trainer = Trainer(env, bundles)
+    for _ in range(2000):
+        trainer.step()
+    assert learned_state_digest(bundles) == PINNED[name]
