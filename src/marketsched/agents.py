@@ -13,10 +13,11 @@ A bundle keeps all its parameter sets in one ``ParamStack``. The bundles
 that ``build_bundles`` makes for one run keep the weights of all bundles
 whose stacks share a padded layout (widest in-width, hidden width and action
 count) in one home ``ParamStack``, each bundle's rows, moments and step
-counts a contiguous range of it, and one ``Home`` acts for all of them: the
-``Trainer`` in one batched pass per step and home, whatever the
-architectures and however many rows the pass has, and ``AgentBundle.act``
-in the same pass over one bundle's rows.
+counts a contiguous range of it, and one ``Home`` acts for all of them in
+one batched pass per step, whatever the architectures and however many rows
+the pass has. ``build_bundles`` is the one place a run's homes are made, so
+the ``Trainer`` calls each of them once a step; a bundle constructed on its
+own holds weights and learned state but does not act.
 
 A pass acts for every unit with a live position (accept m when trading is
 on and its agent owns core m; every offer), one row each. The rows are the
@@ -24,18 +25,18 @@ units with an offer position first, then the accept-only units of owned
 cores, each group in agent order and then in ``unit_layout`` order. The
 home keeps the ``Plan`` of a pass, the rows' units, parameter sets, obs
 index rows and digit decode, for the ``PLANS_KEPT`` core ownerships it met
-last, so a pass costs a fixed number of numpy calls: one gather of the
-step's ``market_image`` (see ``marketsched.obs``) through the rows' indices,
-one ``forward`` over all rows with each row's parameter set (whose rows of
-the home stack it keeps until the home's next update or load), one draw per
-unit and one vectorized inverse-CDF step that turns it into the unit's
-action, one write per field and observation width of the home's
-``RolloutStore`` (see ``marketsched.rollout``), and one decode of every
-live position's digit. Each unit draws its uniforms a block of
-``rollout_length`` at a time from its own sample stream, which gives the
-same numbers as one draw per decision. Price setters follow in a second
-pass over the offers just made, since what they see depends on the offer's
-target core.
+last (the ownership is all a plan depends on), so a pass costs a fixed
+number of numpy calls: one gather of the step's ``market_image`` (see
+``marketsched.obs``) through the rows' indices, one ``forward`` over all
+rows with each row's parameter set (whose rows of the home stack it keeps
+until the home's next update or load), one draw per unit and one
+vectorized inverse-CDF step that turns it into the unit's action, one
+write per field and observation width of the home's ``RolloutStore`` (see
+``marketsched.rollout``), and one decode of every live position's digit.
+Each unit draws its uniforms a block of ``rollout_length`` at a time from
+its own sample stream, which gives the same numbers as one draw per
+decision. Price setters follow in a second pass over the offers just made,
+since what they see depends on the offer's target core.
 
 Update-order contract: each parameter set sees exactly the updates, in the
 order and on the windows, that acting one unit at a time in row order gives
@@ -55,6 +56,13 @@ bundles of one home share their learned state with it (see
 ``marketsched.neural``), so a wave updates the sets of all of them at once.
 Updates of distinct sets touch disjoint rows, so the order of sets within
 a pass does not matter.
+
+After the market step, ``route_rewards`` credits each agent's units
+directly, in this order: each settlement's net to the acceptor of its core;
+then per trade the job's priority to the offering slot's unit, and its
+pricing reward to that slot's price setter, which commits the decision
+pending since the offer's step; then the price decisions of offers that
+expired unaccepted are dropped.
 """
 
 from __future__ import annotations
@@ -313,11 +321,11 @@ def update_units(units: list[ActingUnit], bootstraps: Sequence[float]) -> None:
 
 
 class Plan(NamedTuple):
-    """The rows of a home's acting pass, for one set of acting agents and
-    one core ownership: each row's unit, parameter set, last valid action
-    and obs indices into the market image; the rows' places in the rollout
-    store (``RolloutStore.places``); and the (row, weight, radix) of each
-    live offer and accept position, with the positions' keys."""
+    """The rows of a home's acting pass for one core ownership: each row's
+    unit, parameter set, last valid action and obs indices into the market
+    image; the rows' places in the rollout store (``RolloutStore.places``);
+    and the (row, weight, radix) of each live offer and accept position,
+    with the positions' keys."""
 
     ids: np.ndarray
     sets: np.ndarray
@@ -364,9 +372,9 @@ class Home:
         self.store = RolloutStore([unit.spec.obs_width for unit in self.units], length)
         self.draws = np.empty((len(self.units), length))
         self.cursor = np.full(len(self.units), length)
-        # by agent, the (unit id, weight, radix, key) of each offer position,
-        # and by core, that of each agent's accept position
-        self.offer_digits: dict[int, list[tuple[int, int, int, tuple[int, int]]]] = {}
+        # in row order, the (unit id, weight, radix, key) of each offer
+        # position, and by core, that of each agent's accept position
+        self.offer_digits: list[tuple[int, int, int, tuple[int, int]]] = []
         self.accept_digits: list[dict[int, tuple[int, int, int, tuple[int, int]]]] = [
             {} for _ in range(self.config.num_cores)]
         for u, (agent, unit) in enumerate(order):
@@ -375,10 +383,12 @@ class Home:
             for (kind, i), radix in zip(unit.spec.positions, unit.spec.radices):
                 digit = (u, weight, radix, (agent, i))
                 if kind == "offer":
-                    self.offer_digits.setdefault(agent, []).append(digit)
+                    self.offer_digits.append(digit)
                 elif kind == "accept":
                     self.accept_digits[i][agent] = digit
                 weight *= radix
+        self.price_setters = [(bundle.agent, k, unit) for bundle in bundles
+                              for k, unit in bundle._price_setters.items()]
         self.plans: dict[tuple, Plan] = {}
 
     @cached_property
@@ -394,26 +404,26 @@ class Home:
             index[u, :len(cells)] = cells
         return index
 
-    def plan(self, agents: tuple[int, ...], owners: tuple[int, ...]) -> Plan:
-        """The plan of a pass for ``agents`` when core m's owner is
-        ``owners[m]`` (no owners: no accept position is live), kept for the
-        next such pass among the ``PLANS_KEPT`` most recently used."""
-        key = (agents, owners)
-        plan = self.plans.pop(key, None)
+    def plan(self, owners: tuple[int, ...]) -> Plan:
+        """The plan of a pass when core m's owner is ``owners[m]`` (no
+        owners: no accept position is live), kept for the next such pass
+        among the ``PLANS_KEPT`` most recently used."""
+        plan = self.plans.pop(owners, None)
         if plan is None:
-            plan = self._plan(agents, owners)
+            plan = self._plan(owners)
             if len(self.plans) == PLANS_KEPT:
                 del self.plans[next(iter(self.plans))]
-        self.plans[key] = plan
+        self.plans[owners] = plan
         return plan
 
-    def _plan(self, agents: tuple[int, ...], owners: tuple[int, ...]) -> Plan:
+    def _plan(self, owners: tuple[int, ...]) -> Plan:
         """Every unit with an offer position acts, then every accept-only
-        unit of an owned core, each in unit order; every offer position and
-        the accept position of every owned core take their digits."""
-        offers = [d for a in agents for d in self.offer_digits.get(a, ())]
+        unit of a core its agent owns, each in unit order; every offer
+        position and the accept position of every such core take their
+        digits."""
+        offers = self.offer_digits
         accepts = [digits[owner] for owner, digits in zip(owners, self.accept_digits)
-                   if owner in agents]
+                   if owner in digits]
         ids = list(dict.fromkeys(u for u, _, _, _ in offers))
         ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
         index = np.array(ids)
@@ -437,12 +447,11 @@ class Home:
         self.cursor.put(ids, cursor + 1)
         return self.draws[ids, cursor]
 
-    def act(self, bundles: list[AgentBundle], env: SchedulingEnv, joint: JointActions,
-            image: np.ndarray) -> None:
-        """The pass of the module docstring over ``bundles``, some or all of
-        this home's. ``image`` is the step's ``market_image``."""
+    def act(self, env: SchedulingEnv, joint: JointActions, image: np.ndarray) -> None:
+        """The pass of the module docstring over all of this home's bundles.
+        ``image`` is the step's ``market_image``."""
         owners = tuple([core.owner for core in env.cores]) if env.config.trading_enabled else ()
-        plan = self.plan(tuple([bundle.agent for bundle in bundles]), owners)
+        plan = self.plan(owners)
         actions = self._act_rows(plan, image[plan.index]).tolist()
         joint.offers.update(zip(plan.offers, [actions[r] // weight % radix
                                               for r, weight, radix in plan.offer_digits]))
@@ -451,9 +460,8 @@ class Home:
         if not env.config.pricing_mode.is_free:
             return
         # the price setters' pass over the offers just made
-        priced = [(bundle.agent, k, unit) for bundle in bundles
-                  for k, unit in bundle._price_setters.items()
-                  if joint.offers[(bundle.agent, k)] > 0 and env.slots[bundle.agent][k] is not None]
+        priced = [(a, k, unit) for a, k, unit in self.price_setters
+                  if joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
         if not priced:
             return
         pad = [0] * (self.stack.in_width - PRICE_OBS_LEN)
@@ -513,7 +521,11 @@ class Home:
 
 
 class AgentBundle:
-    """All acting units of one agent plus their (possibly shared) parameters."""
+    """All acting units of one agent plus their (possibly shared) parameters.
+    ``home`` is the ``Home`` that acts for them, set when ``build_bundles``
+    makes it; a bundle constructed on its own has none."""
+
+    home: Home | None = None
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
                  seed: int, home: ParamStack | None = None, first: int = 0):
@@ -547,17 +559,6 @@ class AgentBundle:
         self._price_setters = {i: self.units[key] for (kind, i), key in self.unit_at.items()
                                if kind == "price"}
 
-    @cached_property
-    def home(self) -> Home:
-        """The ``Home`` that acts for this bundle: the one ``build_bundles``
-        made for the bundles of its home stack, else one of its own, made at
-        first use."""
-        return Home([self])
-
-    def act(self, env: SchedulingEnv, joint: JointActions) -> None:
-        """The pass of the module docstring, for this bundle alone."""
-        self.home.act([self], env, joint, market_image(env))
-
     def save(self, path) -> None:
         self.stack.save(path, list(self.params))
 
@@ -565,66 +566,26 @@ class AgentBundle:
         self.stack.load(path, list(self.params))
 
 
-class UnitReward(NamedTuple):
-    unit: UnitKey
-    timestep: int
-    reward: float
-    offer_made_at: int | None = None
-
-
-def route_rewards(bundle: AgentBundle, result: StepResult) -> list[UnitReward]:
-    """Map one step's payouts onto this agent's acting units.
-
-    Settlement nets go to the acceptor responsible for the core, the
-    priority of a mediated job goes to the offering slot's unit, and price
-    setters earn their pricing reward keyed to the step the offer was made.
-    Auctioneer income is routed to nobody.
-    """
-    agent = bundle.agent
-    rewards: list[UnitReward] = []
+def route_rewards(bundle: AgentBundle, result: StepResult) -> None:
+    """Credit one step's payouts to this agent's acting units, as the module
+    docstring says; auctioneer income is routed to nobody."""
+    agent, units, unit_at = bundle.agent, bundle.units, bundle.unit_at
     for settlement in result.settlements:
         if agent in settlement.payouts:
-            rewards.append(UnitReward(
-                unit=bundle.unit_at[("accept", settlement.core)],
-                timestep=result.time,
-                reward=float(settlement.payouts[agent]),
-            ))
-    free = bundle.config.pricing_mode.is_free
+            units[unit_at[("accept", settlement.core)]].accumulate(
+                float(settlement.payouts[agent]))
+    price_reward = (commercial_price_reward
+                    if bundle.config.pricing_mode is PricingMode.FREE_COMMERCIAL
+                    else noncommercial_price_reward)
     for trade in result.trades:
         if trade.buyer != agent:
             continue
-        rewards.append(UnitReward(
-            unit=bundle.unit_at[("offer", trade.source_slot)],
-            timestep=result.time,
-            reward=float(trade.job_priority),
-        ))
-        price_key = bundle.unit_at.get(("price", trade.source_slot))
-        if free and price_key is not None:
-            if bundle.config.pricing_mode is PricingMode.FREE_COMMERCIAL:
-                price_pay = commercial_price_reward(trade.job_priority, trade.price)
-            else:
-                price_pay = noncommercial_price_reward(trade.job_priority, trade.price)
-            rewards.append(UnitReward(
-                unit=price_key,
-                timestep=result.time,
-                reward=price_pay,
-                offer_made_at=trade.made_at,
-            ))
-    return rewards
-
-
-def deliver_rewards(bundle: AgentBundle, result: StepResult) -> None:
-    """Credit one step's routed rewards to the bundle's units, then drop the
-    pending price decisions whose offers expired unaccepted."""
-    for ur in route_rewards(bundle, result):
-        unit = bundle.units[ur.unit]
-        if ur.offer_made_at is not None:
-            unit.resolve_price(ur.offer_made_at, ur.reward)
-        else:
-            unit.accumulate(ur.reward)
+        units[unit_at[("offer", trade.source_slot)]].accumulate(float(trade.job_priority))
+        setter = bundle._price_setters.get(trade.source_slot)
+        if setter is not None:  # holds no decision unless pricing is free
+            setter.resolve_price(trade.made_at, price_reward(trade.job_priority, trade.price))
     for unit in bundle._price_setters.values():
-        if unit.pending_prices:
-            unit.expire_prices(before=result.time)
+        unit.expire_prices(before=result.time)
 
 
 def build_bundles(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: int
@@ -657,24 +618,27 @@ class Trainer:
     """Synchronizes bundles against one environment: observe, act, step,
     route rewards, update whichever rollout windows filled.
 
-    The bundles whose stacks share a home (see ``build_bundles``) act in one
-    pass over it, and any other bundle in a pass of its own.
+    Each home of the bundles (see ``build_bundles``) acts for all its
+    bundles in one pass, so the Trainer must hold every bundle of each.
     """
 
     def __init__(self, env: SchedulingEnv, bundles: list[AgentBundle]):
+        homes = [bundle.home for bundle in bundles]
+        for bundle, home in zip(bundles, homes):
+            if home is None or homes.count(home) != len(set(home.agents)):
+                raise ValueError(f"agent {bundle.agent}'s bundle has no Home or shares "
+                                 "it with bundles this Trainer lacks; pass all "
+                                 "build_bundles made")
         self.env = env
         self.bundles = bundles
-        homes: dict[int, list[AgentBundle]] = {}
-        for bundle in bundles:
-            homes.setdefault(id(bundle.home), []).append(bundle)
-        self._passes = [(group[0].home, group) for group in homes.values()]
+        self.homes = list(dict.fromkeys(homes))
 
     def step(self) -> StepResult:
         joint = JointActions()
         image = market_image(self.env)
-        for home, group in self._passes:
-            home.act(group, self.env, joint, image)
+        for home in self.homes:
+            home.act(self.env, joint, image)
         result = self.env.step(joint)
         for bundle in self.bundles:
-            deliver_rewards(bundle, result)
+            route_rewards(bundle, result)
         return result

@@ -516,14 +516,14 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     # d objective / d logits. The unclipped branch carries gradient whenever
     # it attains the min; a clipped-and-active branch has zero gradient.
     use_unclipped = surr_unclipped <= surr_clipped
-    coef = np.where(use_unclipped, ratio * adv, 0.0) / n
-    dl.fill(0.0)  # one_hot, then d_logits
-    dl[networks, rows, acts] = 1.0
-    d_logits = np.multiply(coef[..., None], np.subtract(dl, probs, out=dl), out=dl)
-    # += c_e * (-probs * (logp_all + entropy)) / n; probs and logp_all are done
-    term = np.multiply(np.negative(probs, out=pr),
-                       np.add(logp_all, entropy[..., None], out=lp), out=pr)
-    d_logits += np.divide(np.multiply(hyper.entropy_coef, term, out=pr), n, out=pr)
+    coef = np.where(use_unclipped, surr_unclipped, 0.0) / n
+    # coef * (one_hot - probs), the one-hot added at the taken actions
+    d_logits = np.subtract(0.0, probs, out=dl)
+    d_logits[networks, rows, acts] += 1.0
+    d_logits *= coef[..., None]
+    # += -c_e * (probs * (logp_all + entropy)) / n; probs and logp_all are done
+    term = np.multiply(probs, np.add(logp_all, entropy[..., None], out=lp), out=pr)
+    d_logits += np.divide(np.multiply(-hyper.entropy_coef, term, out=pr), n, out=pr)
 
     d_values = -2.0 * hyper.value_coef * value_err / n
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from marketsched.agents import AgentBundle, Home
 from marketsched.config import EnvConfig, JobType
 from marketsched.env import AUCTIONEER, Job, JointActions
 from marketsched.neural import TrainBatch
+from marketsched.obs import market_image
 
 
 def make_config(**kwargs):
@@ -70,3 +72,24 @@ def newest_obs(unit):
     """The observation of a unit's latest recorded decision."""
     store = unit.store
     return store.obs[store.width[unit.id]][store.row[unit.id], unit.size - 1]
+
+
+def standalone(archs, cfg, hyper, seed):
+    """One bundle per agent, agent i's of architecture ``archs[i]``, each
+    constructed on its own and acting in a ``Home`` of its own: the
+    per-bundle reference that a home of ``build_bundles`` is checked
+    against."""
+    bundles = [AgentBundle(arch, a, cfg, hyper, seed) for a, arch in enumerate(archs)]
+    for bundle in bundles:
+        Home([bundle])
+    return bundles
+
+
+def act(bundles, env, joint=None):
+    """One acting pass of each home of ``bundles``, in the order of its first
+    bundle, into ``joint`` (a new JointActions if None), which it returns."""
+    joint = JointActions() if joint is None else joint
+    image = market_image(env)
+    for home in dict.fromkeys(bundle.home for bundle in bundles):
+        home.act(env, joint, image)
+    return joint

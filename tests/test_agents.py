@@ -16,7 +16,6 @@ from marketsched.agents import (
     InfeasibleArchitectureError,
     PLANS_KEPT,
     Trainer,
-    UnitReward,
     build_bundles,
     commercial_price_reward,
     feasibility_guard,
@@ -28,9 +27,10 @@ from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import PPOHyper, TrainBatch, ppo_update
+from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import derive_rng
 
-from helpers import make_config, manual_config, place_job, stacked
+from helpers import act, make_config, manual_config, place_job, stacked
 from reference import mixed_radix_decode
 
 
@@ -104,19 +104,15 @@ class TestActionWiring:
     def test_distributed_emits_one_action_per_unit(self):
         cfg = make_config()
         env = SchedulingEnv(cfg, seed=1)
-        bundle = AgentBundle(ARCH_DIST, 0, cfg, PPOHyper(), seed=1)
-        joint = JointActions()
-        bundle.act(env, joint)
-        # no cores owned yet: only the 3 offer actions
-        assert len(joint.offers) == 3 and len(joint.accepts) == 0
+        joint = act(build_bundles((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=1), env)
+        # no cores owned yet: only each agent's 3 offer actions
+        assert len(joint.offers) == 2 * 3 and len(joint.accepts) == 0
 
     def test_semi_decodes_into_per_core_and_per_slot_digits(self):
         cfg = make_config()
         env = SchedulingEnv(cfg, seed=2)
-        bundle = AgentBundle(ARCH_SEMI, 0, cfg, PPOHyper(), seed=2)
-        joint = JointActions()
-        bundle.act(env, joint)
-        assert set(joint.offers) == {(0, 0), (0, 1), (0, 2)}
+        joint = act(build_bundles((ARCH_SEMI,) * 2, cfg, PPOHyper(), seed=2), env)
+        assert set(joint.offers) == {(a, k) for a in (0, 1) for k in (0, 1, 2)}
         assert all(0 <= a <= cfg.num_cores for a in joint.offers.values())
 
     def test_full_covers_cartesian_product(self):
@@ -134,29 +130,42 @@ class TestActionWiring:
     def test_accepts_only_owned_cores_and_keeps_few_passes(self):
         cfg = make_config(num_cores=7)  # 128 sets of owned cores
         env = SchedulingEnv(cfg, seed=4)
-        bundle = AgentBundle(ARCH_DIST, 0, cfg, PPOHyper(), seed=4)
+        bundles = build_bundles((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=4)
         for mask in range(2 ** cfg.num_cores):
             owned = {m for m in range(cfg.num_cores) if mask >> m & 1}
             for m, core in enumerate(env.cores):
                 core.owner = 0 if m in owned else AUCTIONEER
-            joint = JointActions()
-            bundle.act(env, joint)
+            joint = act(bundles, env)
             assert set(joint.accepts) == {(0, m) for m in owned}
-            assert len(joint.offers) == cfg.num_slots
-            assert len(bundle.home.plans) <= PLANS_KEPT
+            assert len(joint.offers) == 2 * cfg.num_slots
+            assert len(bundles[0].home.plans) <= PLANS_KEPT
 
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
         env = SchedulingEnv(cfg, seed=3)
-        bundle = AgentBundle(ARCH_DIST_PRICE, 0, cfg, PPOHyper(), seed=3)
-        joint = JointActions()
-        bundle.act(env, joint)
+        joint = act(build_bundles((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=3), env)
+        assert joint.prices
         for (agent, slot), choice in joint.offers.items():
             has_price = (agent, slot) in joint.prices
             wants_offer = choice > 0 and env.slots[agent][slot] is not None
             assert has_price == wants_offer
         for price in joint.prices.values():
             assert 0 <= price <= cfg.max_prio
+
+
+def credit_log(bundles):
+    """Make the units of ``bundles`` log what ``route_rewards`` credits them,
+    in order, instead of taking it: (agent, unit key, reward) for a reward
+    on a unit's latest decision, and (agent, unit key, reward, offer step)
+    for a price setter's pending decision. Returns the log."""
+    log = []
+    for bundle in bundles:
+        for key, unit in bundle.units.items():
+            unit.accumulate = lambda reward, a=bundle.agent, key=key: log.append(
+                (a, key, reward))
+            unit.resolve_price = lambda made_at, reward, a=bundle.agent, key=key: log.append(
+                (a, key, reward, made_at))
+    return log
 
 
 class TestRewardRouting:
@@ -177,13 +186,14 @@ class TestRewardRouting:
 
     def test_offer_acceptance_routes_priority_to_slot_unit(self):
         cfg, env = self.trade_fixture()
-        bundles = [AgentBundle(ARCH_DIST, a, cfg, PPOHyper(), seed=5) for a in (0, 1)]
+        bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
+        log = credit_log(bundles)
         cell = 1 * cfg.num_slots + 0
         result = env.step(JointActions(accepts={(0, 1): cell + 1}))
         assert len(result.trades) == 1 and result.trades[0].price == 8
-        routed = route_rewards(bundles[1], result)
-        assert UnitReward(("offer", 0), result.time, 8.0) in routed
-        assert route_rewards(bundles[0], result) == []
+        for bundle in bundles:
+            route_rewards(bundle, result)
+        assert log == [(1, ("offer", 0), 8.0)]
 
         # two steps later the prio-8 job terminates; settlement reaches the
         # seller's acceptor for core 1
@@ -191,15 +201,16 @@ class TestRewardRouting:
         result = env.step(JointActions()) if not result.settlements else result
         payouts = result.settlements[0].payouts
         assert payouts == {AUCTIONEER: 1, 0: 7, 1: 0}
-        routed0 = route_rewards(bundles[0], result)
-        assert UnitReward(("accept", 1), result.time, 7.0) in routed0
-        routed1 = route_rewards(bundles[1], result)
-        assert UnitReward(("accept", 1), result.time, 0.0) in routed1
+        log.clear()
+        for bundle in bundles:
+            route_rewards(bundle, result)
+        assert (0, ("accept", 1), 7.0) in log and (1, ("accept", 1), 0.0) in log
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_each_position_credits_the_unit_that_covers_it(self, arch):
         cfg, env = self.trade_fixture(PricingMode.FREE_COMMERCIAL)
-        bundles = [AgentBundle(arch, a, cfg, PPOHyper(), seed=5) for a in (0, 1)]
+        bundles = build_bundles((arch, arch), cfg, PPOHyper(), seed=5)
+        log = credit_log(bundles)
         accept_1 = {ARCH_SEMI: ("accept", 0),
                     ARCH_FULL: ("full", 0)}.get(arch, ("accept", 1))
         offer_0 = ("full", 0) if arch == ARCH_FULL else ("offer", 0)
@@ -209,18 +220,20 @@ class TestRewardRouting:
         cell = 1 * cfg.num_slots + 0
         result = env.step(JointActions(accepts={(0, 1): cell + 1}))
         (trade,) = result.trades
-        expected = [UnitReward(offer_0, result.time, 8.0)]
+        expected = [(1, offer_0, 8.0)]
         if arch == ARCH_DIST_PRICE:  # the matched bid pays 0.5
-            expected.append(UnitReward(("price", 0), result.time, 0.5,
-                                       offer_made_at=trade.made_at))
-        assert route_rewards(bundles[1], result) == expected
-        assert route_rewards(bundles[0], result) == []
+            expected.append((1, ("price", 0), 0.5, trade.made_at))
+        for bundle in bundles:
+            route_rewards(bundle, result)
+        assert log == expected
 
         result = env.step(JointActions())
         result = env.step(JointActions()) if not result.settlements else result
         assert result.settlements[0].payouts == {AUCTIONEER: 1, 0: 7, 1: 0}
-        assert route_rewards(bundles[0], result) == [UnitReward(accept_1, result.time, 7.0)]
-        assert route_rewards(bundles[1], result) == [UnitReward(accept_1, result.time, 0.0)]
+        log.clear()
+        for bundle in bundles:
+            route_rewards(bundle, result)
+        assert log == [(0, accept_1, 7.0), (1, accept_1, 0.0)]
 
     def test_price_reward_routed_with_offer_alignment(self):
         cfg = manual_config(job_types=(JobType(0, 5, 5, 0.0),),
@@ -231,11 +244,11 @@ class TestRewardRouting:
         made_at = env.time
         env.step(JointActions(offers={(0, 0): 1}, prices={(0, 0): 3}))
         result = env.step(JointActions())
-        bundle = AgentBundle(ARCH_DIST_PRICE, 0, cfg, PPOHyper(), seed=6)
-        routed = route_rewards(bundle, result)
-        price_rewards = [r for r in routed if r.unit == ("price", 0)]
-        assert price_rewards == [UnitReward(("price", 0), result.time, 2.0,
-                                            offer_made_at=made_at)]
+        bundles = build_bundles((ARCH_DIST_PRICE,), cfg, PPOHyper(), seed=6)
+        log = credit_log(bundles)
+        route_rewards(bundles[0], result)
+        assert [entry for entry in log if entry[1] == ("price", 0)] == [
+            (0, ("price", 0), 2.0, made_at)]
 
     def test_totality_against_step_payouts(self):
         # routed rewards over all bundles = settlements to agents
@@ -243,16 +256,13 @@ class TestRewardRouting:
         cfg = make_config(job_types=(JobType(0, 2, 4, 0.5), JobType(1, 5, 2, 0.3)),
                           pricing_mode=PricingMode.FREE_NONCOMMERCIAL)
         env = SchedulingEnv(cfg, seed=8)
-        bundles = [AgentBundle(ARCH_DIST_PRICE, a, cfg, PPOHyper(), seed=8)
-                   for a in range(cfg.num_agents)]
+        bundles = build_bundles((ARCH_DIST_PRICE,) * cfg.num_agents, cfg, PPOHyper(), seed=8)
         trainer = Trainer(env, bundles)
+        log = credit_log(bundles)
         for _ in range(400):
-            joint = JointActions()
-            for b in bundles:
-                b.act(env, joint)
-            result = env.step(joint)
-            routed_total = sum(
-                ur.reward for b in bundles for ur in route_rewards(b, result))
+            log.clear()
+            result = trainer.step()
+            routed_total = sum(entry[2] for entry in log)
             settle_agents = sum(v for s in result.settlements
                                 for p, v in s.payouts.items() if p != AUCTIONEER)
             offered = sum(t.job_priority for t in result.trades)
@@ -267,7 +277,7 @@ class TestTraining:
         cfg = make_config()
         hyper = PPOHyper(rollout_length=16, minibatch_size=8, epochs=1)
         env = SchedulingEnv(cfg, seed=9)
-        bundles = [AgentBundle(ARCH_DIST, a, cfg, hyper, seed=9) for a in range(2)]
+        bundles = build_bundles((ARCH_DIST,) * 2, cfg, hyper, seed=9)
         trainer = Trainer(env, bundles)
         unit = bundles[0].units[("offer", 0)]
         seen_full = False
@@ -284,7 +294,7 @@ class TestTraining:
         cfg = make_config()
         hyper = PPOHyper(rollout_length=8, minibatch_size=4, epochs=2)
         env = SchedulingEnv(cfg, seed=10)
-        bundles = [AgentBundle(ARCH_DIST_PS, a, cfg, hyper, seed=10) for a in range(2)]
+        bundles = build_bundles((ARCH_DIST_PS,) * 2, cfg, hyper, seed=10)
         trainer = Trainer(env, bundles)
         for _ in range(200):
             trainer.step()
@@ -305,8 +315,7 @@ class TestTraining:
 
         def run():
             env = SchedulingEnv(cfg, seed=11)
-            bundles = [AgentBundle(ARCH_DIST_PRICE, a, cfg, hyper, seed=11)
-                       for a in range(2)]
+            bundles = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=11)
             trainer = Trainer(env, bundles)
             trace = []
             for _ in range(300):
@@ -329,21 +338,34 @@ class TestTraining:
                             num_agents=2, num_cores=1, num_slots=1,
                             pricing_mode=PricingMode.FREE_COMMERCIAL)
         env = SchedulingEnv(cfg, 0)
-        bundle = AgentBundle(ARCH_DIST_PRICE, 0, cfg, PPOHyper(), seed=12)
-        trainer = Trainer(env, [bundle])
+        bundle = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=12)[0]
         place_job(env, 0, 0)
         # core 0 is taken by a competitor with a higher bid next step
         competitor = place_job(env, 1, 0)
         unit = bundle.units[("price", 0)]
+        unit.hold_price(env.time, np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
         env.step(JointActions(offers={(0, 0): 1, (1, 0): 1},
                               prices={(0, 0): 2, (1, 0): 5}))
         assert env.pending_offers(0)
         result = env.step(JointActions())
         assert result.trades[0].buyer == 1  # our offer lost
-        for ur in route_rewards(bundle, result):
-            unit.resolve_price(ur.offer_made_at, ur.reward)
-        unit.expire_prices(before=result.time)
+        route_rewards(bundle, result)
         assert unit.size == 0 and not unit.pending_prices
+
+
+    def test_trainer_rejects_a_bundle_without_a_home(self):
+        # a bundle constructed on its own has no Home to act for it
+        cfg = make_config()
+        bundles = [AgentBundle(ARCH_DIST, a, cfg, PPOHyper(), seed=19) for a in range(2)]
+        with pytest.raises(ValueError, match="build_bundles"):
+            Trainer(SchedulingEnv(cfg, seed=19), bundles)
+
+    def test_trainer_rejects_part_of_a_home(self):
+        # the home would act for agent 1 too, whose rewards nobody routes
+        cfg = make_config()
+        bundles = build_bundles((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=20)
+        with pytest.raises(ValueError, match="build_bundles"):
+            Trainer(SchedulingEnv(cfg, seed=20), bundles[:1])
 
 
 class TestCheckpointing:

@@ -7,9 +7,10 @@ maker followed by its price setter). An aggregated unit's vector is its
 positions' encodings side by side, and ``mixed_radix_decode`` turns its
 action into one digit per position; the digits of cores the agent does not
 own are dropped. A rollout length of 4 makes shared parameter sets update in
-the middle of a pass. The ``Trainer``'s step, one pass over every agent's
-rows per parameter layout, is checked against the same reference and
-against each bundle acting alone.
+the middle of a pass. A home's pass over every agent's rows, and the
+``Trainer``'s step, one such pass per parameter layout, are checked against
+the same reference and against bundles that each act in a ``Home`` of their
+own.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from marketsched.agents import (
     AgentBundle,
     Trainer,
     build_bundles,
-    deliver_rewards,
+    route_rewards,
     update_units,
 )
 from marketsched.config import PricingMode
@@ -33,7 +34,7 @@ from marketsched.env import JointActions, SchedulingEnv
 from marketsched.neural import PPOHyper
 from marketsched.rng import STREAM_UNIT_SAMPLE, derive_rng
 
-from helpers import make_config, newest_obs
+from helpers import act, make_config, newest_obs, standalone
 from reference import (
     encode_acceptor_obs,
     encode_offer_obs,
@@ -117,8 +118,8 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL
                       if arch == ARCH_DIST_PRICE else PricingMode.FIXED)
     env = SchedulingEnv(cfg, seed=21)
-    batched = [AgentBundle(arch, a, cfg, HYPER, seed=21) for a in range(cfg.num_agents)]
-    reference = [AgentBundle(arch, a, cfg, HYPER, seed=21) for a in range(cfg.num_agents)]
+    batched = build_bundles((arch,) * cfg.num_agents, cfg, HYPER, seed=21)
+    reference = standalone((arch,) * cfg.num_agents, cfg, HYPER, seed=21)
 
     forward_calls = []
     real_forward = agents.forward
@@ -130,16 +131,15 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     monkeypatch.setattr(agents, "forward", counting_forward)
     passes = 0
     for _ in range(STEPS):
-        joint, expected = JointActions(), JointActions()
+        joint, expected = act(batched, env), JointActions()
+        passes += 1 + bool(joint.prices)  # the home's pass, then its price setters'
         for bundle, ref in zip(batched, reference):
-            bundle.act(env, joint)
-            passes += 1 + any(agent == bundle.agent for agent, _ in joint.prices)
             assert_rows_match_encoders(bundle, env, joint)
             act_unit_by_unit(ref, env, expected)
         assert joint == expected
         result = env.step(joint)
         for bundle in batched + reference:
-            deliver_rewards(bundle, result)
+            route_rewards(bundle, result)
 
     for bundle, ref in zip(batched, reference):
         for key, unit in bundle.units.items():
@@ -187,8 +187,7 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
                       if ARCH_DIST_PRICE in archs else PricingMode.FIXED)
     env = SchedulingEnv(cfg, seed=21)
     batched = build_bundles(archs, cfg, HYPER, seed=21)
-    alone, by_unit = ([AgentBundle(arch, a, cfg, HYPER, seed=21) for a, arch in enumerate(archs)]
-                      for _ in range(2))
+    alone, by_unit = (standalone(archs, cfg, HYPER, seed=21) for _ in range(2))
     layouts = {layout(bundle) for bundle in batched}
     assert len({id(bundle.stack.home) for bundle in batched}) == len(layouts)
     trainer = Trainer(env, batched)
@@ -209,16 +208,15 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
         priced = {layout(batched[a]) for a, _ in joint.prices}
         passes += len(layouts) + len(priced)
         calls = len(forward_calls)
-        each, expected = JointActions(), JointActions()
-        for bundle, ref in zip(alone, by_unit):
-            bundle.act(env, each)
+        each, expected = act(alone, env), JointActions()
+        for ref in by_unit:
             act_unit_by_unit(ref, env, expected)
         del forward_calls[calls:]  # count the trainer's calls only
         assert joint == expected
         assert joint == each
         result = real_step(joint)
         for bundle in alone + by_unit:
-            deliver_rewards(bundle, result)
+            route_rewards(bundle, result)
         return result
 
     monkeypatch.setattr(env, "step", checked_step)
@@ -252,26 +250,6 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
         assert len(forward_calls) == passes
 
 
-@pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS, ARCH_FULL])
-def test_a_bundle_in_a_home_acts_alone_as_a_standalone_one(arch):
-    cfg = make_config()
-    env = SchedulingEnv(cfg, seed=22)
-    homed = build_bundles((arch, arch), cfg, HYPER, seed=22)
-    alone = [AgentBundle(arch, a, cfg, HYPER, seed=22) for a in range(2)]
-    assert homed[1].stack.first > 0
-    for _ in range(30):
-        got, want = JointActions(), JointActions()
-        for bundle, one in zip(homed, alone):
-            bundle.act(env, got)
-            one.act(env, want)
-        assert got == want
-        result = env.step(got)
-        for bundle in homed + alone:
-            deliver_rewards(bundle, result)
-    for bundle, one in zip(homed, alone):
-        assert bundle.stack.rows.tobytes() == one.stack.rows.tobytes()
-
-
 def due_updates(bundles, env):
     """The parameter sets (home rows) whose units are due to update in this
     step's pass, with how many of each set's acting units are due."""
@@ -294,7 +272,7 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
     cfg = make_config(num_slots=3)
     env = SchedulingEnv(cfg, seed=23)
     batched = build_bundles((arch, arch), cfg, HYPER, seed=23)
-    alone = [AgentBundle(arch, a, cfg, HYPER, seed=23) for a in range(2)]
+    alone = standalone((arch, arch), cfg, HYPER, seed=23)
     home = batched[0].stack.home
     trainer = Trainer(env, batched)
 
@@ -316,13 +294,10 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
     real_step = env.step
 
     def lockstep(joint):
-        each = JointActions()
-        for bundle in alone:
-            bundle.act(env, each)
-        assert joint == each
+        assert joint == act(alone, env)
         result = real_step(joint)
         for bundle in alone:
-            deliver_rewards(bundle, result)
+            route_rewards(bundle, result)
         return result
 
     monkeypatch.setattr(env, "step", lockstep)

@@ -2,8 +2,8 @@
 
 Deselected by default; run with ``python -m pytest -m bench``. The state is
 a builtin scenario after 30 scripted steps, so agents own cores and the
-offer books are not empty (on EXP2_ARCH_2X2 agent 0 owns one). ``test_bench_act`` times one agent's
-``AgentBundle.act`` on EXP2_ARCH_2X2; ``test_bench_trainer_step`` one
+offer books are not empty (on EXP2_ARCH_2X2 agent 0 owns one). ``test_bench_act`` times
+``Home.act`` for every EXP2_ARCH_2X2 agent; ``test_bench_trainer_step`` one
 ``Trainer.step`` of every EXP2_ARCH_4X4 ``DIST`` agent, the acting pass
 over the home's rows plus the market step and reward routing. Each round
 starts from that same state with every rollout window empty, so no policy
@@ -19,13 +19,13 @@ from marketsched.agents import (
     ARCH_DIST_PS,
     ARCH_FULL,
     ARCH_SEMI,
-    AgentBundle,
     Trainer,
     build_bundles,
 )
 from marketsched.baseline import scripted_actions
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
+from marketsched.obs import market_image
 
 pytestmark = pytest.mark.bench
 
@@ -43,13 +43,15 @@ def fixed_state(name):
 def test_bench_act(arch, benchmark):
     scenario, env = fixed_state("EXP2_ARCH_2X2")
     assert any(core.owner == 0 for core in env.cores)
-    bundle = AgentBundle(arch, 0, scenario.env, scenario.hyper, seed=1)
+    home = build_bundles((arch,) * scenario.env.num_agents, scenario.env, scenario.hyper,
+                         seed=1)[0].home
+    image = market_image(env)
 
     def fresh_round():
-        bundle.home.store.sizes[:] = 0
-        return (env, JointActions()), {}
+        home.store.sizes[:] = 0
+        return (env, JointActions(), image), {}
 
-    benchmark.pedantic(bundle.act, setup=fresh_round, rounds=2000, warmup_rounds=50)
+    benchmark.pedantic(home.act, setup=fresh_round, rounds=2000, warmup_rounds=50)
 
 
 def test_bench_trainer_step(benchmark):

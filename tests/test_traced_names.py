@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracing import TRACED_NAMES  # noqa: E402
 
-DARK = {"obs.encode_acceptor_obs", "obs.encode_offer_obs", "neural.sample"}
+# agents.act: a bundle no longer acts on its own; its Home acts for it
+DARK = {"obs.encode_acceptor_obs", "obs.encode_offer_obs", "neural.sample", "agents.act"}
 
 
 def test_only_the_known_spans_are_dark():
