@@ -26,7 +26,7 @@ from marketsched.agents import (
 from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import PPOHyper, TrainBatch, ppo_update
+from marketsched.neural import STATS, PPOHyper, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import derive_rng
 
@@ -168,21 +168,25 @@ def credit_log(bundles):
     return log
 
 
+def trade_fixture(pricing_mode=PricingMode.FIXED):
+    """Agent 0 buys core access at 1, then offers it to agent 1, whose
+    priority-8 job bids 8 for core 1."""
+    cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 8, 2, 0.0)),
+                        num_agents=2, num_cores=2, num_slots=3,
+                        pricing_mode=pricing_mode)
+    env = SchedulingEnv(cfg, 0)
+    place_job(env, 0, 0, type_id=0)
+    env.step(JointActions(offers={(0, 0): 2}))  # bid core 1
+    env.step(JointActions())
+    assert env.cores[1].owner == 0
+    place_job(env, 1, 0, type_id=1)
+    env.step(JointActions(offers={(1, 0): 2}))
+    return cfg, env
+
+
 class TestRewardRouting:
     def trade_fixture(self, pricing_mode=PricingMode.FIXED):
-        """Agent 0 buys core access at 1, then sells it to agent 1 at 8 for a
-        priority-8 job on core 1."""
-        cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 8, 2, 0.0)),
-                            num_agents=2, num_cores=2, num_slots=3,
-                            pricing_mode=pricing_mode)
-        env = SchedulingEnv(cfg, 0)
-        place_job(env, 0, 0, type_id=0)
-        env.step(JointActions(offers={(0, 0): 2}))  # bid core 1
-        env.step(JointActions())
-        assert env.cores[1].owner == 0
-        place_job(env, 1, 0, type_id=1)
-        env.step(JointActions(offers={(1, 0): 2}))
-        return cfg, env
+        return trade_fixture(pricing_mode)
 
     def test_offer_acceptance_routes_priority_to_slot_unit(self):
         cfg, env = self.trade_fixture()
@@ -270,6 +274,63 @@ class TestRewardRouting:
                 noncommercial_price_reward(t.job_priority, t.price)
                 for t in result.trades)
             assert routed_total == settle_agents + offered + priced
+
+
+class TestUnitBookkeeping:
+    """What a home keeps per unit besides its rollout window: the rewards
+    that arrived before its first decision, its update count and its last
+    update's stats."""
+
+    def test_a_reward_before_the_first_decision_is_dropped(self):
+        cfg, env = trade_fixture()
+        bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
+        store = bundles[0].home.store
+        store.rewards[...] = np.nan
+        result = env.step(JointActions(accepts={(0, 1): 1 * cfg.num_slots + 1}))
+        assert len(result.trades) == 1
+        for bundle in bundles:
+            route_rewards(bundle, result)
+        dropped = {(b.agent, key): unit.dropped_rewards
+                   for b in bundles for key, unit in b.units.items()}
+        assert {at: r for at, r in dropped.items() if r} == {(1, ("offer", 0)): 8.0}
+        assert not store.sizes.any() and np.isnan(store.rewards).all()
+
+    def test_one_update_is_counted_with_its_stats(self):
+        cfg = make_config()
+        hyper = PPOHyper(rollout_length=16, minibatch_size=8, epochs=1)
+        env = SchedulingEnv(cfg, seed=9)
+        bundles = build_bundles((ARCH_DIST,) * 2, cfg, hyper, seed=9)
+        trainer = Trainer(env, bundles)
+        unit = bundles[0].units[("offer", 0)]
+        assert unit.last_stats == {}
+        while not unit.updates:
+            trainer.step()
+        assert unit.updates == 1
+        stats = unit.last_stats
+        assert set(stats) == set(STATS) | {"minibatches"}
+        assert all(np.isfinite(stats[key]) for key in STATS)
+        assert stats["minibatches"] == 2  # one epoch of 16 rows in minibatches of 8
+
+    def test_a_price_commit_that_fills_the_window_updates_at_once(self):
+        cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
+        hyper = PPOHyper(rollout_length=4, minibatch_size=2, epochs=1)
+        bundle = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=24)[0]
+        store = bundle.home.store
+        bootstraps, batch = [], store.batch
+
+        def logged_batch(units, values, hyper):
+            bootstraps.append(list(values))
+            return batch(units, values, hyper)
+
+        store.batch = logged_batch
+        unit = bundle.units[("price", 0)]
+        steps = list(bundle.stack.steps)
+        for made_at in range(hyper.rollout_length):
+            assert unit.updates == 0 and unit.size == made_at
+            unit.hold_price(made_at, np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
+            unit.resolve_price(made_at, 0.5)
+        assert unit.updates == 1 and unit.size == 0 and bootstraps == [[0.0]]
+        assert bundle.stack.steps != steps  # the price set took its Adam steps
 
 
 class TestTraining:
