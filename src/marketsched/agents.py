@@ -19,6 +19,15 @@ the pass has. ``build_bundles`` is the one place a run's homes are made, so
 the ``Trainer`` calls each of them once a step; a bundle constructed on its
 own holds weights and learned state but does not act.
 
+A unit is a row of its home: everything of unit u that changes as it acts
+and learns is index u of the ``Home``'s fields. That is its spec, agent and
+parameter set; its sample and update streams; its rollout window, row u of
+the home's ``RolloutStore`` (see ``marketsched.rollout``), and its block of
+uniform draws with the block's cursor; its update count, the rewards routed
+to it before its first decision and its last update's stats; and, for a
+price setter, its price decisions pending by offer step. ``Home.at`` maps
+each (agent, position) to the unit that decides it and is credited for it.
+
 A pass acts for every unit with a live position (accept m when trading is
 on and its agent owns core m; every offer), one row each. The rows are the
 units with an offer position first, then the accept-only units of owned
@@ -31,12 +40,12 @@ number of numpy calls: one gather of the step's ``market_image`` (see
 rows with each row's parameter set (whose rows of the home stack it keeps
 until the home's next update or load), one draw per unit and one
 vectorized inverse-CDF step that turns it into the unit's action, one
-write per field and observation width of the home's ``RolloutStore`` (see
-``marketsched.rollout``), and one decode of every live position's digit.
-Each unit draws its uniforms a block of ``rollout_length`` at a time from
-its own sample stream, which gives the same numbers as one draw per
-decision. Price setters follow in a second pass over the offers just made,
-since what they see depends on the offer's target core.
+write per field and observation width of the rollout store, and one decode
+of every live position's digit. Each unit draws its uniforms a block of
+``rollout_length`` at a time from its own sample stream, which gives the
+same numbers as one draw per decision. Price setters follow in a second
+pass over the offers just made, since what they see depends on the offer's
+target core.
 
 Update-order contract: each parameter set sees exactly the updates, in the
 order and on the windows, that acting one unit at a time in row order gives
@@ -48,21 +57,23 @@ the pass full, every row is recorded at once. Otherwise the pass goes in
 waves. A wave walks the rows not yet booked in order: a row of a set that
 has no due unit (one whose window is full) before it is recorded; the first
 due unit of each set is collected, so the collected units' sets are
-distinct; the later rows of those sets are deferred. The collected sets are
-updated together, one ``ppo_update`` per network shape, each due unit's row
-is recorded, and the deferred rows are evaluated again in one ``forward``
-and ``sample_rows`` with their same draws, for the next wave to walk. The
-bundles of one home share their learned state with it (see
-``marketsched.neural``), so a wave updates the sets of all of them at once.
-Updates of distinct sets touch disjoint rows, so the order of sets within
-a pass does not matter.
+distinct; the later rows of those sets are deferred. ``Home.update``
+updates the collected sets together, one ``ppo_update`` per network shape,
+each due unit's row is recorded, and the deferred rows are evaluated again
+in one ``forward`` and ``sample_rows`` with their same draws, for the next
+wave to walk. The bundles of one home share their learned state with it
+(see ``marketsched.neural``), so a wave updates the sets of all of them at
+once. Updates of distinct sets touch disjoint rows, so the order of sets
+within a pass does not matter.
 
 After the market step, ``route_rewards`` credits each agent's units
-directly, in this order: each settlement's net to the acceptor of its core;
-then per trade the job's priority to the offering slot's unit, and its
-pricing reward to that slot's price setter, which commits the decision
-pending since the offer's step; then the price decisions of offers that
-expired unaccepted are dropped.
+through their home, in this order: each settlement's net to the acceptor
+of its core; then per trade the job's priority to the offering slot's
+unit, and its pricing reward to that slot's price setter, which commits
+the decision pending since the offer's step; then the price decisions of
+offers that expired unaccepted are dropped. A reward adds to the unit's
+latest decision, so a payout that lands steps after the causing action
+still credits it.
 """
 
 from __future__ import annotations
@@ -229,97 +240,6 @@ def _parameter_sets(arch: str, config: EnvConfig
     return specs, rows, shapes
 
 
-class ActingUnit:
-    """One policy head: its network, its rollout window in the home's
-    ``RolloutStore``, and reward bookkeeping.
-
-    Rewards routed between two decisions accumulate on the newest row of the
-    rollout window, the latest decision, so a payout that lands steps after
-    the causing action still credits it. Price setters instead keep pending
-    samples keyed by the offer step and only commit them once the offer is
-    accepted. ``store`` and ``id``, the unit's row of it, are set by the
-    ``Home`` that acts for the unit; before that the unit has no window.
-    """
-
-    store: RolloutStore | None = None
-    id = 0
-
-    def __init__(self, spec: UnitSpec, stack: ParamStack, param_set: int,
-                 hyper: PPOHyper, sample_rng: np.random.Generator,
-                 update_rng: np.random.Generator):
-        self.spec = spec
-        self.stack = stack
-        self.param_set = param_set  # index of params in the bundle's ParamStack
-        self.hyper = hyper
-        self.sample_rng = sample_rng
-        self.update_rng = update_rng
-        self.pending_prices: dict[int, tuple] = {}
-        self.updates = 0
-        self.dropped_rewards = 0.0
-        self.last_stats: dict = {}
-
-    @property
-    def size(self) -> int:
-        """The rows of the unit's rollout window."""
-        return 0 if self.store is None else int(self.store.sizes[self.id])
-
-    @property
-    def full(self) -> bool:
-        return self.size >= self.hyper.rollout_length
-
-    def record(self, obs: np.ndarray, action: int, logp: float, value: float) -> None:
-        """Write this step's decision as the window's newest row, with reward
-        0.0. A full window is first closed by ``update_units``, with this
-        decision's value as the bootstrap."""
-        self.store.add(self.id, obs, action, logp, value, 0.0)
-
-    def accumulate(self, reward: float) -> None:
-        size = self.size
-        if not size:  # before the first decision
-            self.dropped_rewards += reward
-            return
-        self.store.rewards[self.id, size - 1] += reward
-
-    def hold_price(self, made_at: int, obs: np.ndarray, action: int, logp: float,
-                   value: float) -> None:
-        """Keep a price decision pending until its offer is resolved."""
-        self.pending_prices[made_at] = (obs, action, logp, value)
-
-    def resolve_price(self, made_at: int, reward: float) -> None:
-        pending = self.pending_prices.pop(made_at, None)
-        if pending is None:
-            return
-        self.store.add(self.id, *pending, reward)
-        if self.full:
-            update_units([self], [0.0])
-
-    def expire_prices(self, before: int) -> None:
-        """Drop pending samples of offers that were never accepted."""
-        for made_at in [t for t in self.pending_prices if t < before]:
-            del self.pending_prices[made_at]
-
-
-def update_units(units: list[ActingUnit], bootstraps: Sequence[float]) -> None:
-    """Close the full windows of ``units``, all of one home and of distinct
-    parameter sets, with their ``bootstraps`` values and update those sets
-    of the home's stack: one ``ppo_update`` per network shape."""
-    stack, store = units[0].stack.home, units[0].store
-    sets = [unit.stack.first + unit.param_set for unit in units]
-    shapes: dict[tuple[int, int, int], list[int]] = {}
-    for i, s in enumerate(sets):
-        shapes.setdefault(stack.shapes[s], []).append(i)
-    for group in shapes.values():
-        ids = [units[i].id for i in group]
-        hyper = units[group[0]].hyper
-        batch = store.batch(ids, [bootstraps[i] for i in group], hyper)
-        stats = ppo_update(stack, [sets[i] for i in group], batch, hyper,
-                           [units[i].update_rng for i in group])
-        store.sizes[ids] = 0
-        for i, unit_stats in zip(group, stats):
-            units[i].last_stats = unit_stats
-            units[i].updates += 1
-
-
 class Plan(NamedTuple):
     """The rows of a home's acting pass for one core ownership: each row's
     unit, parameter set, last valid action and obs indices into the market
@@ -344,51 +264,64 @@ class Plan(NamedTuple):
 PLANS_KEPT = 16
 
 
-def _rank(unit: ActingUnit) -> int:
+def _rank(spec: UnitSpec) -> int:
     """Units with an offer position first, then accept-only units, then
     price setters."""
-    return 0 if unit.spec.slots else 1 if unit.spec.cores else 2
+    return 0 if spec.slots else 1 if spec.cores else 2
 
 
 class Home:
-    """The acting state of the bundles whose stacks share one home
-    ParamStack: their units in row order (see the module docstring) with
-    each one's agent, parameter set, last valid action, digits and obs
-    index row, the rollout store, each unit's block of uniform draws and its
-    cursor, and the plans of recent passes."""
+    """The acting and learning state of the units of the bundles whose
+    stacks share one home ParamStack, unit u at index u of each per-unit
+    field, in row order (see the module docstring): ``specs``, ``agents``
+    and parameter ``sets``; ``sample_rngs`` and ``update_rngs``, the streams
+    of (seed, stream, agent, index in ``unit_layout``); the rollout
+    ``store``, the ``draws`` blocks and their ``cursor``; the ``updates``
+    count, the ``dropped`` rewards and the last update's ``stats``;
+    ``pending``, each price setter's held decisions by offer step; ``at``,
+    the unit of each (agent, position); and the plans of recent passes."""
 
     def __init__(self, bundles: list[AgentBundle]):
         self.stack = bundles[0].stack.home
         self.config = bundles[0].config
-        length = bundles[0].hyper.rollout_length
+        self.hyper = bundles[0].hyper
+        length = self.hyper.rollout_length
         for bundle in bundles:
             bundle.home = self
-        order = sorted(((bundle.agent, unit) for bundle in bundles
-                        for unit in bundle.units.values()), key=lambda item: _rank(item[1]))
-        self.agents = [agent for agent, _ in order]
-        self.units = [unit for _, unit in order]
-        self.sets = np.array([unit.stack.first + unit.param_set for unit in self.units])
+        order = sorted(((bundle, i, spec) for bundle in bundles
+                        for i, spec in enumerate(bundle.specs)), key=lambda item: _rank(item[2]))
+        self.specs = [spec for _, _, spec in order]
+        self.agents = [bundle.agent for bundle, _, _ in order]
+        self.sets = np.array([bundle.stack.first + bundle.param_sets[spec.param_key]
+                              for bundle, _, spec in order])
+        self.sample_rngs, self.update_rngs = (
+            [derive_rng(bundle.seed, stream, bundle.agent, i) for bundle, i, _ in order]
+            for stream in (STREAM_UNIT_SAMPLE, STREAM_UNIT_UPDATE))
+        self.updates = [0] * len(order)
+        self.dropped = [0.0] * len(order)
+        self.stats: list[dict] = [{} for _ in order]
+        self.at = {(agent, pos): u for u, (agent, spec) in enumerate(zip(self.agents, self.specs))
+                   for pos in spec.positions}
+        self.pending: dict[int, dict[int, tuple]] = {
+            u: {} for (_, (kind, _)), u in self.at.items() if kind == "price"}
         self.last = self.stack.last_action[self.sets]
-        self.store = RolloutStore([unit.spec.obs_width for unit in self.units], length)
-        self.draws = np.empty((len(self.units), length))
-        self.cursor = np.full(len(self.units), length)
-        # in row order, the (unit id, weight, radix, key) of each offer
+        self.store = RolloutStore([spec.obs_width for spec in self.specs], length)
+        self.draws = np.empty((len(order), length))
+        self.cursor = np.full(len(order), length)
+        # in row order, the (unit, weight, radix, key) of each offer
         # position, and by core, that of each agent's accept position
         self.offer_digits: list[tuple[int, int, int, tuple[int, int]]] = []
         self.accept_digits: list[dict[int, tuple[int, int, int, tuple[int, int]]]] = [
             {} for _ in range(self.config.num_cores)]
-        for u, (agent, unit) in enumerate(order):
-            unit.store, unit.id = self.store, u
+        for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
             weight = 1
-            for (kind, i), radix in zip(unit.spec.positions, unit.spec.radices):
+            for (kind, i), radix in zip(spec.positions, spec.radices):
                 digit = (u, weight, radix, (agent, i))
                 if kind == "offer":
                     self.offer_digits.append(digit)
                 elif kind == "accept":
                     self.accept_digits[i][agent] = digit
                 weight *= radix
-        self.price_setters = [(bundle.agent, k, unit) for bundle in bundles
-                              for k, unit in bundle._price_setters.items()]
         self.plans: dict[tuple, Plan] = {}
 
     @cached_property
@@ -396,11 +329,11 @@ class Home:
         """Each unit's observation as a row of indices into the market
         image; a price setter's row is left 0, since what it sees depends
         on the offer."""
-        index = np.zeros((len(self.units), self.stack.in_width), dtype=np.intp)
-        for u, (agent, unit) in enumerate(zip(self.agents, self.units)):
-            cells = [i for m in unit.spec.cores for i in acceptor_index(self.config, agent, m)]
-            if unit.spec.slots:
-                cells += offer_index(self.config, agent, unit.spec.slots)
+        index = np.zeros((len(self.specs), self.stack.in_width), dtype=np.intp)
+        for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
+            cells = [i for m in spec.cores for i in acceptor_index(self.config, agent, m)]
+            if spec.slots:
+                cells += offer_index(self.config, agent, spec.slots)
             index[u, :len(cells)] = cells
         return index
 
@@ -442,7 +375,7 @@ class Home:
         if length in cursor.tolist():
             spent = cursor == length
             for u in ids[spent].tolist():
-                self.draws[u] = self.units[u].sample_rng.random(length)
+                self.draws[u] = self.sample_rngs[u].random(length)
             cursor[spent] = 0
         self.cursor.put(ids, cursor + 1)
         return self.draws[ids, cursor]
@@ -460,19 +393,19 @@ class Home:
         if not env.config.pricing_mode.is_free:
             return
         # the price setters' pass over the offers just made
-        priced = [(a, k, unit) for a, k, unit in self.price_setters
-                  if joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
+        priced = [(a, k, u) for (a, (kind, k)), u in self.at.items()
+                  if kind == "price" and joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
         if not priced:
             return
         pad = [0] * (self.stack.in_width - PRICE_OBS_LEN)
         obs = image[np.array([price_index(env.config, a, k, joint.offers[(a, k)] - 1) + pad
                               for a, k, _ in priced])]
-        ids = np.array([unit.id for _, _, unit in priced])
+        ids = np.array([u for _, _, u in priced])
         logits, values = forward(self.stack, obs, self.sets[ids])
         prices, logps = sample_rows(logits, self.draw(ids), self.last[ids])
-        for (a, k, unit), row, price, logp, value in zip(priced, obs, prices.tolist(),
-                                                         logps.tolist(), values.tolist()):
-            unit.hold_price(env.time, row[:PRICE_OBS_LEN], price, logp, value)
+        for (a, k, u), row, price, logp, value in zip(priced, obs, prices.tolist(),
+                                                      logps.tolist(), values.tolist()):
+            self.pending[u][env.time] = (row[:PRICE_OBS_LEN], price, logp, value)
             joint.prices[(a, k)] = price
 
     def _act_rows(self, plan: Plan, obs: np.ndarray) -> np.ndarray:
@@ -480,50 +413,94 @@ class Home:
         all rows, one draw per unit, then the units' records. With no window
         full, every row is recorded at once, else in the waves of the module
         docstring."""
-        u = self.draw(plan.ids)
+        draws = self.draw(plan.ids)
         logits, values = forward(self.stack, obs, plan.sets)
-        actions, logps = sample_rows(logits, u, plan.last)
-        sizes = self.store.sizes[plan.ids]
-        if max(sizes.tolist()) < self.store.length:
-            self.store.add_rows(plan.ids, plan.places, sizes, obs, actions, logps, values)
+        actions, logps = sample_rows(logits, draws, plan.last)
+        store = self.store
+        sizes = store.sizes[plan.ids]
+        if max(sizes.tolist()) < store.length:
+            store.add_rows(plan.ids, plan.places, sizes, obs, actions, logps, values)
             return actions
-        units = [self.units[i] for i in plan.ids.tolist()]
+        ids, set_of = plan.ids.tolist(), plan.sets.tolist()
         actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
-        set_of = plan.sets.tolist()
-        pending = range(len(units))
-        while pending:
+
+        def record(r: int) -> None:
+            u = ids[r]
+            store.add(u, obs[r, :store.width[u]], actions[r], logps[r], values[r], 0.0)
+
+        waiting = range(len(ids))
+        while waiting:
             due, deferred, updated = [], [], set()
-            for r in pending:
-                unit = units[r]
+            for r in waiting:
                 if set_of[r] in updated:
                     deferred.append(r)
-                elif unit.full:
+                elif store.sizes[ids[r]] >= store.length:
                     due.append(r)
                     updated.add(set_of[r])
                 else:
-                    unit.record(obs[r, :unit.spec.obs_width], actions[r], logps[r], values[r])
+                    record(r)
             if not due:
                 break
-            update_units([units[r] for r in due], [values[r] for r in due])
+            self.update([ids[r] for r in due], [values[r] for r in due])
             for r in due:
-                units[r].record(obs[r, :units[r].spec.obs_width], actions[r], logps[r],
-                                values[r])
+                record(r)
             if deferred:
                 # the updates moved these sets' weights: their later rows act on
                 # the new weights, with the draws they already took
                 logits, fresh = forward(self.stack, obs[deferred], plan.sets[deferred])
-                redrawn, relogp = sample_rows(logits, u[deferred], plan.last[deferred])
+                redrawn, relogp = sample_rows(logits, draws[deferred], plan.last[deferred])
                 for j, action, logp, value in zip(deferred, redrawn.tolist(),
                                                   relogp.tolist(), fresh.tolist()):
                     actions[j], logps[j], values[j] = action, logp, value
-            pending = deferred
+            waiting = deferred
         return np.array(actions)
+
+    def update(self, rows: list[int], bootstraps: Sequence[float]) -> None:
+        """Close the full windows of units ``rows``, of distinct parameter
+        sets, with their ``bootstraps`` values and update those sets, one
+        ``ppo_update`` per network shape. Each unit counts the update and
+        keeps its set's stats."""
+        shapes: dict[tuple[int, int, int], list[int]] = {}
+        for i, u in enumerate(rows):
+            shapes.setdefault(self.stack.shapes[self.sets[u]], []).append(i)
+        for group in shapes.values():
+            ids = [rows[i] for i in group]
+            batch = self.store.batch(ids, [bootstraps[i] for i in group], self.hyper)
+            stats = ppo_update(self.stack, self.sets[ids].tolist(), batch, self.hyper,
+                               [self.update_rngs[u] for u in ids])
+            self.store.sizes[ids] = 0
+            for u, unit_stats in zip(ids, stats):
+                self.stats[u] = unit_stats
+                self.updates[u] += 1
+
+    def credit(self, u: int, reward: float) -> None:
+        """Add ``reward`` to unit u's latest decision, the newest row of its
+        window; before its first decision, to its ``dropped`` rewards."""
+        size = self.store.sizes[u]
+        if size:
+            self.store.rewards[u, size - 1] += reward
+        else:
+            self.dropped[u] += reward
+
+    def resolve_price(self, u: int, made_at: int, reward: float) -> None:
+        """Commit price setter u's decision held for the offer made at step
+        ``made_at``, if any, with ``reward`` as its window's newest row. A
+        window this fills is updated at once, with bootstrap 0.0."""
+        pending = self.pending[u].pop(made_at, None)
+        if pending is None:
+            return
+        self.store.add(u, *pending, reward)
+        if self.store.sizes[u] >= self.store.length:
+            self.update([u], [0.0])
 
 
 class AgentBundle:
-    """All acting units of one agent plus their (possibly shared) parameters.
-    ``home`` is the ``Home`` that acts for them, set when ``build_bundles``
-    makes it; a bundle constructed on its own has none."""
+    """The parameter sets of one agent's units: ``specs``, the units of
+    ``unit_layout``; ``param_sets``, the row of each set by key;
+    ``stack``, the sets' weights and learned state; and ``params``, their
+    views by key, in row order. ``home`` is the ``Home`` that acts for the
+    units and keeps their state, set when ``build_bundles`` makes it; a
+    bundle constructed on its own has none."""
 
     home: Home | None = None
 
@@ -532,32 +509,18 @@ class AgentBundle:
         """With ``home`` the weights and learned state are its rows
         ``first``, ``first + 1``, ... (see ``build_bundles``); else a new
         stack's."""
-        specs, param_sets, shapes = _parameter_sets(arch, config)
+        self.specs, self.param_sets, shapes = _parameter_sets(arch, config)
         self.arch = arch
         self.agent = agent
         self.config = config
         self.hyper = hyper
+        self.seed = seed
         self.stack = ParamStack(shapes, home, first)
         for index, params in enumerate(self.stack.views):
             init_params(params, derive_rng(seed, STREAM_UNIT_INIT, agent, index))
         # the parameter sets by key, in row order: the names of a checkpoint's rows
         self.params: dict[str, NetParams] = {
-            key: self.stack.views[index] for key, index in param_sets.items()}
-        self.units: dict[UnitKey, ActingUnit] = {}
-        for unit_index, spec in enumerate(specs):
-            self.units[spec.key] = ActingUnit(
-                spec,
-                self.stack,
-                param_sets[spec.param_key],
-                hyper,
-                sample_rng=derive_rng(seed, STREAM_UNIT_SAMPLE, agent, unit_index),
-                update_rng=derive_rng(seed, STREAM_UNIT_UPDATE, agent, unit_index),
-            )
-        # the position map: which unit decides, and is credited for, each position
-        self.unit_at: dict[Position, UnitKey] = {
-            pos: spec.key for spec in specs for pos in spec.positions}
-        self._price_setters = {i: self.units[key] for (kind, i), key in self.unit_at.items()
-                               if kind == "price"}
+            key: self.stack.views[index] for key, index in self.param_sets.items()}
 
     def save(self, path) -> None:
         self.stack.save(path, list(self.params))
@@ -567,25 +530,29 @@ class AgentBundle:
 
 
 def route_rewards(bundle: AgentBundle, result: StepResult) -> None:
-    """Credit one step's payouts to this agent's acting units, as the module
-    docstring says; auctioneer income is routed to nobody."""
-    agent, units, unit_at = bundle.agent, bundle.units, bundle.unit_at
+    """Credit one step's payouts to this agent's units through their home,
+    as the module docstring says; auctioneer income is routed to nobody."""
+    agent, home = bundle.agent, bundle.home
+    at = home.at
     for settlement in result.settlements:
         if agent in settlement.payouts:
-            units[unit_at[("accept", settlement.core)]].accumulate(
-                float(settlement.payouts[agent]))
+            home.credit(at[(agent, ("accept", settlement.core))],
+                        float(settlement.payouts[agent]))
     price_reward = (commercial_price_reward
                     if bundle.config.pricing_mode is PricingMode.FREE_COMMERCIAL
                     else noncommercial_price_reward)
     for trade in result.trades:
         if trade.buyer != agent:
             continue
-        units[unit_at[("offer", trade.source_slot)]].accumulate(float(trade.job_priority))
-        setter = bundle._price_setters.get(trade.source_slot)
+        home.credit(at[(agent, ("offer", trade.source_slot))], float(trade.job_priority))
+        setter = at.get((agent, ("price", trade.source_slot)))
         if setter is not None:  # holds no decision unless pricing is free
-            setter.resolve_price(trade.made_at, price_reward(trade.job_priority, trade.price))
-    for unit in bundle._price_setters.values():
-        unit.expire_prices(before=result.time)
+            home.resolve_price(setter, trade.made_at,
+                               price_reward(trade.job_priority, trade.price))
+    for u, pending in home.pending.items():  # offers that expired unaccepted
+        if home.agents[u] == agent:
+            for made_at in [t for t in pending if t < result.time]:
+                del pending[made_at]
 
 
 def build_bundles(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: int

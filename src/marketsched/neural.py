@@ -304,8 +304,10 @@ class ParamStack:
         untouched."""
         with np.load(path, allow_pickle=False) as data:
             version = data.get("version")
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
+            if (version is None or version.shape or version.dtype.kind not in "iu"
+                    or version != CHECKPOINT_VERSION):
+                raise ValueError(f"checkpoint version must be the integer {CHECKPOINT_VERSION}, "
+                                 f"got {None if version is None else version.tolist()}")
             missing = [key for key in ("names", "rows", "m", "v", "steps") if key not in data]
             if missing:
                 raise ValueError(f"checkpoint has no {', '.join(missing)}")
@@ -442,10 +444,9 @@ class UpdateWork(NamedTuple):
 
 
 def update_work(sets: int, shape: tuple[int, int, int], rows: int,
-                row_width: int = 0) -> UpdateWork:
+                row_width: int) -> UpdateWork:
     """``UpdateWork`` for ``sets`` networks of ``shape`` in rows of
-    ``row_width`` (0: no gradient rows and no Adam step) and minibatches of
-    up to ``rows`` rows."""
+    ``row_width`` and minibatches of up to ``rows`` rows."""
     in_width, hidden, actions = shape
     wide = sets * max(max(rows, hidden) * actions, row_width)
     narrow = sets * max(rows, in_width) * hidden

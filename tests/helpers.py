@@ -68,10 +68,21 @@ def stacked(*batches):
     return TrainBatch(*map(np.stack, zip(*batches)))
 
 
-def newest_obs(unit):
-    """The observation of a unit's latest recorded decision."""
-    store = unit.store
-    return store.obs[store.width[unit.id]][store.row[unit.id], unit.size - 1]
+def newest_obs(home, u):
+    """The observation of unit u's latest recorded decision."""
+    store = home.store
+    return store.obs[store.width[u]][store.row[u], store.sizes[u] - 1]
+
+
+def unit_rows(bundle):
+    """The row of each unit of ``bundle`` in its home, by unit key."""
+    return {spec.key: bundle.home.at[(bundle.agent, spec.positions[0])]
+            for spec in bundle.specs}
+
+
+def update_counts(bundle):
+    """How many updates each unit of ``bundle`` took, by unit key."""
+    return {key: bundle.home.updates[u] for key, u in unit_rows(bundle).items()}
 
 
 def standalone(archs, cfg, hyper, seed):

@@ -154,17 +154,16 @@ class TestActionWiring:
 
 
 def credit_log(bundles):
-    """Make the units of ``bundles`` log what ``route_rewards`` credits them,
-    in order, instead of taking it: (agent, unit key, reward) for a reward
-    on a unit's latest decision, and (agent, unit key, reward, offer step)
-    for a price setter's pending decision. Returns the log."""
+    """Make the homes of ``bundles`` log what ``route_rewards`` credits their
+    units, in order, instead of taking it: (agent, unit key, reward) for a
+    reward on a unit's latest decision, and (agent, unit key, reward, offer
+    step) for a price setter's pending decision. Returns the log."""
     log = []
-    for bundle in bundles:
-        for key, unit in bundle.units.items():
-            unit.accumulate = lambda reward, a=bundle.agent, key=key: log.append(
-                (a, key, reward))
-            unit.resolve_price = lambda made_at, reward, a=bundle.agent, key=key: log.append(
-                (a, key, reward, made_at))
+    for home in dict.fromkeys(bundle.home for bundle in bundles):
+        home.credit = lambda u, reward, home=home: log.append(
+            (home.agents[u], home.specs[u].key, reward))
+        home.resolve_price = lambda u, made_at, reward, home=home: log.append(
+            (home.agents[u], home.specs[u].key, reward, made_at))
     return log
 
 
@@ -185,11 +184,8 @@ def trade_fixture(pricing_mode=PricingMode.FIXED):
 
 
 class TestRewardRouting:
-    def trade_fixture(self, pricing_mode=PricingMode.FIXED):
-        return trade_fixture(pricing_mode)
-
     def test_offer_acceptance_routes_priority_to_slot_unit(self):
-        cfg, env = self.trade_fixture()
+        cfg, env = trade_fixture()
         bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
         log = credit_log(bundles)
         cell = 1 * cfg.num_slots + 0
@@ -212,14 +208,15 @@ class TestRewardRouting:
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_each_position_credits_the_unit_that_covers_it(self, arch):
-        cfg, env = self.trade_fixture(PricingMode.FREE_COMMERCIAL)
+        cfg, env = trade_fixture(PricingMode.FREE_COMMERCIAL)
         bundles = build_bundles((arch, arch), cfg, PPOHyper(), seed=5)
         log = credit_log(bundles)
         accept_1 = {ARCH_SEMI: ("accept", 0),
                     ARCH_FULL: ("full", 0)}.get(arch, ("accept", 1))
         offer_0 = ("full", 0) if arch == ARCH_FULL else ("offer", 0)
+        home = bundles[0].home
         for key, pos in ((accept_1, ("accept", 1)), (offer_0, ("offer", 0))):
-            assert pos in bundles[0].units[key].spec.positions
+            assert home.specs[home.at[(0, pos)]].key == key
 
         cell = 1 * cfg.num_slots + 0
         result = env.step(JointActions(accepts={(0, 1): cell + 1}))
@@ -284,16 +281,15 @@ class TestUnitBookkeeping:
     def test_a_reward_before_the_first_decision_is_dropped(self):
         cfg, env = trade_fixture()
         bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
-        store = bundles[0].home.store
-        store.rewards[...] = np.nan
+        home = bundles[0].home
+        home.store.rewards[...] = np.nan
         result = env.step(JointActions(accepts={(0, 1): 1 * cfg.num_slots + 1}))
         assert len(result.trades) == 1
         for bundle in bundles:
             route_rewards(bundle, result)
-        dropped = {(b.agent, key): unit.dropped_rewards
-                   for b in bundles for key, unit in b.units.items()}
+        dropped = {(a, spec.key): r for a, spec, r in zip(home.agents, home.specs, home.dropped)}
         assert {at: r for at, r in dropped.items() if r} == {(1, ("offer", 0)): 8.0}
-        assert not store.sizes.any() and np.isnan(store.rewards).all()
+        assert not home.store.sizes.any() and np.isnan(home.store.rewards).all()
 
     def test_one_update_is_counted_with_its_stats(self):
         cfg = make_config()
@@ -301,12 +297,13 @@ class TestUnitBookkeeping:
         env = SchedulingEnv(cfg, seed=9)
         bundles = build_bundles((ARCH_DIST,) * 2, cfg, hyper, seed=9)
         trainer = Trainer(env, bundles)
-        unit = bundles[0].units[("offer", 0)]
-        assert unit.last_stats == {}
-        while not unit.updates:
+        home = bundles[0].home
+        u = home.at[(0, ("offer", 0))]
+        assert home.stats[u] == {}
+        while not home.updates[u]:
             trainer.step()
-        assert unit.updates == 1
-        stats = unit.last_stats
+        assert home.updates[u] == 1
+        stats = home.stats[u]
         assert set(stats) == set(STATS) | {"minibatches"}
         assert all(np.isfinite(stats[key]) for key in STATS)
         assert stats["minibatches"] == 2  # one epoch of 16 rows in minibatches of 8
@@ -315,7 +312,8 @@ class TestUnitBookkeeping:
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
         hyper = PPOHyper(rollout_length=4, minibatch_size=2, epochs=1)
         bundle = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=24)[0]
-        store = bundle.home.store
+        home = bundle.home
+        store = home.store
         bootstraps, batch = [], store.batch
 
         def logged_batch(units, values, hyper):
@@ -323,13 +321,13 @@ class TestUnitBookkeeping:
             return batch(units, values, hyper)
 
         store.batch = logged_batch
-        unit = bundle.units[("price", 0)]
+        u = home.at[(0, ("price", 0))]
         steps = list(bundle.stack.steps)
         for made_at in range(hyper.rollout_length):
-            assert unit.updates == 0 and unit.size == made_at
-            unit.hold_price(made_at, np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
-            unit.resolve_price(made_at, 0.5)
-        assert unit.updates == 1 and unit.size == 0 and bootstraps == [[0.0]]
+            assert home.updates[u] == 0 and store.sizes[u] == made_at
+            home.pending[u][made_at] = (np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
+            home.resolve_price(u, made_at, 0.5)
+        assert home.updates[u] == 1 and store.sizes[u] == 0 and bootstraps == [[0.0]]
         assert bundle.stack.steps != steps  # the price set took its Adam steps
 
 
@@ -340,16 +338,17 @@ class TestTraining:
         env = SchedulingEnv(cfg, seed=9)
         bundles = build_bundles((ARCH_DIST,) * 2, cfg, hyper, seed=9)
         trainer = Trainer(env, bundles)
-        unit = bundles[0].units[("offer", 0)]
+        home = bundles[0].home
+        u = home.at[(0, ("offer", 0))]
         seen_full = False
         for i in range(40):
             trainer.step()
-            assert unit.size <= 16
-            seen_full = seen_full or unit.updates > 0
+            assert home.store.sizes[u] <= 16
+            seen_full = seen_full or home.updates[u] > 0
         assert seen_full
         # a sample closes when the next one opens, so the window of 16
         # closed samples completes at acts 16 and 32 within 40 steps
-        assert unit.updates == 2
+        assert home.updates[u] == 2
 
     def test_parameter_sharing_stays_bitwise_identical(self):
         cfg = make_config()
@@ -359,13 +358,13 @@ class TestTraining:
         trainer = Trainer(env, bundles)
         for _ in range(200):
             trainer.step()
-        bundle = bundles[0]
-        assert bundle.units[("offer", 0)].updates + bundle.units[("offer", 1)].updates > 0
-        for kind, count in (("accept", cfg.num_cores), ("offer", cfg.num_slots)):
-            tensors = [
-                dict(bundle.stack.views[bundle.units[(kind, i)].param_set].tensors())
-                for i in range(count)
-            ]
+        bundle, home = bundles[0], bundles[0].home
+        assert home.updates[home.at[(0, ("offer", 0))]] + home.updates[
+            home.at[(0, ("offer", 1))]] > 0
+        for kind in ("accept", "offer"):
+            tensors = [dict(bundle.params[spec.param_key].tensors())
+                       for spec in bundle.specs if spec.key[0] == kind]
+            assert len(tensors) == {"accept": cfg.num_cores, "offer": cfg.num_slots}[kind]
             for other in tensors[1:]:
                 for name in tensors[0]:
                     assert np.array_equal(tensors[0][name], other[name])
@@ -383,8 +382,8 @@ class TestTraining:
                 result = trainer.step()
                 trace.append((len(result.trades), result.auctioneer_income,
                               tuple(sorted((t.buyer, t.price) for t in result.trades))))
-            params = [dict(b.stack.views[b.units[key].param_set].tensors())
-                      for b in bundles for key in b.units]
+            params = [dict(b.params[spec.param_key].tensors())
+                      for b in bundles for spec in b.specs]
             return trace, params
 
         trace_a, params_a = run()
@@ -403,15 +402,16 @@ class TestTraining:
         place_job(env, 0, 0)
         # core 0 is taken by a competitor with a higher bid next step
         competitor = place_job(env, 1, 0)
-        unit = bundle.units[("price", 0)]
-        unit.hold_price(env.time, np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
+        home = bundle.home
+        u = home.at[(0, ("price", 0))]
+        home.pending[u][env.time] = (np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
         env.step(JointActions(offers={(0, 0): 1, (1, 0): 1},
                               prices={(0, 0): 2, (1, 0): 5}))
         assert env.pending_offers(0)
         result = env.step(JointActions())
         assert result.trades[0].buyer == 1  # our offer lost
         route_rewards(bundle, result)
-        assert unit.size == 0 and not unit.pending_prices
+        assert home.store.sizes[u] == 0 and not home.pending[u]
 
 
     def test_trainer_rejects_a_bundle_without_a_home(self):

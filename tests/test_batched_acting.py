@@ -27,14 +27,13 @@ from marketsched.agents import (
     Trainer,
     build_bundles,
     route_rewards,
-    update_units,
 )
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
 from marketsched.neural import PPOHyper
 from marketsched.rng import STREAM_UNIT_SAMPLE, derive_rng
 
-from helpers import act, make_config, newest_obs, standalone
+from helpers import act, make_config, newest_obs, standalone, unit_rows, update_counts
 from reference import (
     encode_acceptor_obs,
     encode_offer_obs,
@@ -59,20 +58,21 @@ def reference_obs(env, agent, spec):
 
 
 def act_unit_by_unit(bundle, env, joint):
-    cfg, a = bundle.config, bundle.agent
-    store = bundle.home.store  # the units' windows, where the pass keeps them
+    cfg, a, home = bundle.config, bundle.agent, bundle.home
+    store = home.store  # the units' windows, where the pass keeps them
     owned = {m for m in range(cfg.num_cores)
              if cfg.trading_enabled and env.cores[m].owner == a}
-    for unit in bundle.units.values():
-        spec = unit.spec
+    rows = unit_rows(bundle)
+    for spec in bundle.specs:
         if not spec.slots and not owned & set(spec.cores):
             continue  # price setters, and acceptors of cores the agent does not own
+        u = rows[spec.key]
         obs = reference_obs(env, a, spec)
-        logits, value = forward(bundle.stack.views[unit.param_set], obs)
-        action, logp = sample(logits, unit.sample_rng)
-        if unit.size == store.length:
-            update_units([unit], [value])
-        unit.record(obs, action, logp, value)
+        logits, value = forward(bundle.params[spec.param_key], obs)
+        action, logp = sample(logits, home.sample_rngs[u])
+        if store.sizes[u] == store.length:
+            home.update([u], [value])
+        store.add(u, obs, action, logp, value, 0.0)
         for (kind, i), digit in zip(spec.positions,
                                     mixed_radix_decode(action, spec.radices)):
             if kind == "accept" and i in owned:
@@ -87,27 +87,28 @@ def act_price(bundle, env, joint, k):
     choice = joint.offers[(a, k)]
     if (bundle.arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
             and choice > 0 and env.slots[a][k] is not None):
-        unit = bundle.units[("price", k)]
+        home = bundle.home
+        u = home.at[(a, ("price", k))]
         obs = encode_price_obs(env, a, k, choice - 1)
-        logits, value = forward(bundle.stack.views[unit.param_set], obs)
-        price, logp = sample(logits, unit.sample_rng)
-        unit.hold_price(env.time, obs, price, logp, value)
+        logits, value = forward(bundle.params["price"], obs)
+        price, logp = sample(logits, home.sample_rngs[u])
+        home.pending[u][env.time] = (obs, price, logp, value)
         joint.prices[(a, k)] = price
 
 
 def assert_rows_match_encoders(bundle, env, joint):
     """What each unit recorded this step is its encoders' vector."""
-    a = bundle.agent
-    for unit in bundle.units.values():
-        spec = unit.spec
+    a, home = bundle.agent, bundle.home
+    rows = unit_rows(bundle)
+    for spec in bundle.specs:
         acted = spec.slots or any((a, m) in joint.accepts for m in spec.cores)
         if not acted:
             continue
-        recorded = newest_obs(unit)
+        recorded = newest_obs(home, rows[spec.key])
         assert np.array_equal(recorded, reference_obs(env, a, spec))
     for (agent, k) in joint.prices:
         if agent == a:
-            recorded = bundle.units[("price", k)].pending_prices[env.time][0]
+            recorded = home.pending[rows[("price", k)]][env.time][0]
             expected = encode_price_obs(env, a, k, joint.offers[(a, k)] - 1)
             assert np.array_equal(recorded, expected)
 
@@ -142,12 +143,11 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
             route_rewards(bundle, result)
 
     for bundle, ref in zip(batched, reference):
-        for key, unit in bundle.units.items():
-            assert unit.updates == ref.units[key].updates
+        assert update_counts(bundle) == update_counts(ref)
         for key, params in bundle.params.items():
             for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
                 assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
-    assert sum(u.updates for b in batched for u in b.units.values()) > 0
+    assert sum(batched[0].home.updates) > 0
     if arch in (ARCH_DIST_PS, ARCH_DIST_PRICE):
         # shared sets updated mid-pass, so later rows were evaluated again
         assert len(forward_calls) > passes
@@ -223,19 +223,18 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
     for _ in range(STEPS):
         trainer.step()
 
-    updates = sum(u.updates for b in batched for u in b.units.values())
+    updates = sum(sum(update_counts(bundle).values()) for bundle in batched)
     assert updates > 0
     # a unit with an offer position drew once a step, a block of
     # rollout_length at a time: STEPS / 4 blocks, whose draws were the
     # reference's one at a time
-    index, unit = next((i, unit) for i, unit in enumerate(batched[0].units.values())
-                       if unit.spec.slots)
+    index, spec = next((i, spec) for i, spec in enumerate(batched[0].specs) if spec.slots)
     stream = derive_rng(21, STREAM_UNIT_SAMPLE, 0, index)
     stream.random(STEPS)
-    assert unit.sample_rng.bit_generator.state == stream.bit_generator.state
+    u = unit_rows(batched[0])[spec.key]
+    assert batched[0].home.sample_rngs[u].bit_generator.state == stream.bit_generator.state
     for bundle, one, ref in zip(batched, alone, by_unit):
-        for key, unit in bundle.units.items():
-            assert unit.updates == one.units[key].updates == ref.units[key].updates
+        assert update_counts(bundle) == update_counts(one) == update_counts(ref)
         for name in ("rows", "m", "v"):
             assert getattr(bundle.stack, name).tobytes() == getattr(one.stack, name).tobytes()
         assert bundle.stack.steps == one.stack.steps
@@ -254,12 +253,11 @@ def due_updates(bundles, env):
     """The parameter sets (home rows) whose units are due to update in this
     step's pass, with how many of each set's acting units are due."""
     due = {}
-    for bundle in bundles:
-        for unit in bundle.units.values():
-            acts = unit.spec.slots or any(env.cores[m].owner == bundle.agent
-                                          for m in unit.spec.cores)
-            if acts and unit.full:
-                s = bundle.stack.first + unit.param_set
+    for home in dict.fromkeys(bundle.home for bundle in bundles):
+        for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
+            acts = spec.slots or any(env.cores[m].owner == agent for m in spec.cores)
+            if acts and home.store.sizes[u] == home.store.length:
+                s = int(home.sets[u])
                 due[s] = due.get(s, 0) + 1
     return due
 
@@ -315,10 +313,9 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
         widest = max([widest] + [len(sets) for sets in calls])
 
     assert widest >= 2  # several sets' windows filled in one step
-    updates = sum(u.updates for b in batched for u in b.units.values())
+    updates = sum(batched[0].home.updates)
     for bundle, one in zip(batched, alone):
-        for key, unit in bundle.units.items():
-            assert unit.updates == one.units[key].updates
+        assert update_counts(bundle) == update_counts(one)
         for name in ("rows", "m", "v"):
             assert getattr(bundle.stack, name).tobytes() == getattr(one.stack, name).tobytes()
         assert bundle.stack.steps == one.stack.steps
@@ -353,17 +350,17 @@ def assert_newest_decisions_follow(bundles, weights):
     """Each offer unit's latest decision in ``bundles`` is what the same
     unit of ``weights`` decides on the recorded observation and draw."""
     for bundle, source in zip(bundles, weights):
-        home = bundle.home
-        for key, unit in bundle.units.items():
-            if not unit.spec.slots:
+        home, store = bundle.home, bundle.home.store
+        for spec in bundle.specs:
+            if not spec.slots:
                 continue
-            t = unit.size - 1
-            logits, value = forward(source.stack.views[unit.param_set], newest_obs(unit))
-            action, logp = sample(logits, FixedDraw(home.draws[unit.id, home.cursor[unit.id] - 1]))
-            store = unit.store
-            assert store.actions[unit.id, t] == action, key
-            assert np.isclose(store.logps[unit.id, t], logp, rtol=1e-12, atol=0), key
-            assert np.isclose(store.values[unit.id, t], value, rtol=1e-12, atol=0), key
+            u, key = unit_rows(bundle)[spec.key], spec.key
+            t = store.sizes[u] - 1
+            logits, value = forward(source.params[spec.param_key], newest_obs(home, u))
+            action, logp = sample(logits, FixedDraw(home.draws[u, home.cursor[u] - 1]))
+            assert store.actions[u, t] == action, key
+            assert np.isclose(store.logps[u, t], logp, rtol=1e-12, atol=0), key
+            assert np.isclose(store.values[u, t], value, rtol=1e-12, atol=0), key
 
 
 def test_a_pass_acts_on_weights_loaded_between_steps(tmp_path):
@@ -387,10 +384,11 @@ def test_a_pass_after_an_update_wave_reads_the_updated_rows():
     env = SchedulingEnv(cfg, seed=44)
     bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=44)
     trainer = Trainer(env, bundles)
-    units = [unit for bundle in bundles for unit in bundle.units.values() if unit.spec.slots]
-    while not any(unit.updates for unit in units):
+    home = bundles[0].home
+    offers = [u for u, spec in enumerate(home.specs) if spec.slots]
+    while not any(home.updates[u] for u in offers):
         trainer.step()
-    assert all(unit.updates == 1 for unit in units)  # all in one wave
+    assert all(home.updates[u] == 1 for u in offers)  # all in one wave
     trainer.step()
-    assert all(unit.updates == 1 for unit in units)
+    assert all(home.updates[u] == 1 for u in offers)
     assert_newest_decisions_follow(bundles, bundles)

@@ -66,4 +66,4 @@ def test_bench_trainer_step(benchmark):
         return (), {}
 
     benchmark.pedantic(trainer.step, setup=fresh_round, rounds=2000, warmup_rounds=50)
-    assert not any(unit.updates for bundle in bundles for unit in bundle.units.values())
+    assert not any(bundles[0].home.updates)

@@ -47,8 +47,7 @@ def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
     hyper = scenario.hyper
     assert hyper.rollout_length == 256
     bundle = AgentBundle(arch, 0, scenario.env, hyper, seed=1)
-    unit = next(u for u in bundle.units.values() if u.spec.param_key == param_key)
-    stack, index = bundle.stack, unit.param_set
+    stack, index = bundle.stack, bundle.param_sets[param_key]
     batch = window(stack.views[index], hyper.rollout_length, derive_rng(1, 0))
     start = stack.rows.copy()
 

@@ -7,6 +7,7 @@ from marketsched import neural
 from marketsched.agents import ARCH_DIST, ARCH_FULL, build_bundles
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
+    CHECKPOINT_VERSION,
     NetParams,
     NonFiniteLossError,
     ParamStack,
@@ -53,7 +54,7 @@ def one_network(params, grads, batch, hyper, indices, work=None):
     stats) as Python floats."""
     if work is None:
         shape = (params.in_width, params.w1.shape[1], params.action_count)
-        work = update_work(1, shape, len(indices))
+        work = update_work(1, shape, len(indices), ParamStack([shape]).rows.shape[1])
     objective, stats = surrogate_objective(
         NetParams(*(t[None] for _, t in params.tensors())),
         NetParams(*(t[None] for _, t in grads.tensors())),
@@ -283,7 +284,7 @@ class TestGradients:
         batch = make_batch(params, 48, seed=14)
         hyper = PPOHyper()
         shape = (params.in_width, params.w1.shape[1], params.action_count)
-        work = update_work(1, shape, 32)
+        work = update_work(1, shape, 32, ParamStack([shape]).rows.shape[1])
         for part in work:
             part.fill(np.nan)
         for idx in (np.arange(32), np.arange(32, 48), np.arange(0, 48, 3)):
@@ -628,9 +629,12 @@ class TestCheckpoint:
         ("m", entry((0, 0), np.inf)),
         ("m", entry((0, 5 * 8), 1e-3)),
         ("v", entry((1, 0), -1e-6)),
+        ("version", np.array([CHECKPOINT_VERSION] * 2)),
+        ("version", np.array([CHECKPOINT_VERSION])),
     ], ids=["no-names", "no-rows", "fractional-steps", "negative-steps", "2d-steps",
             "zero-logit-bias-padding", "nan-weight", "weight-in-padding", "text-rows",
-            "infinite-moment", "moment-in-padding", "negative-v"])
+            "infinite-moment", "moment-in-padding", "negative-v", "two-versions",
+            "version-in-a-list"])
     def test_malformed_file_is_rejected_untouched(self, tmp_path, key, value):
         path = tmp_path / "params.npz"
         alpha_beta_stack(seed=21).save(path, ["alpha", "beta"])
