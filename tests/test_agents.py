@@ -168,8 +168,8 @@ def credit_log(bundles):
 
 
 def trade_fixture(pricing_mode=PricingMode.FIXED):
-    """Agent 0 buys core access at 1, then offers it to agent 1, whose
-    priority-8 job bids 8 for core 1."""
+    """Agent 0 buys core access at 1, then sells it to agent 1 at 8 for a
+    priority-8 job on core 1."""
     cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 8, 2, 0.0)),
                         num_agents=2, num_cores=2, num_slots=3,
                         pricing_mode=pricing_mode)
