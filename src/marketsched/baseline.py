@@ -30,13 +30,13 @@ class CompletionEvent(NamedTuple):
 
 def scripted_actions(env: SchedulingEnv) -> JointActions:
     """Bid every waiting job on its slot's home core; never accept."""
-    cfg = env.config
+    k, m = env.config.num_slots, env.config.num_cores
     joint = JointActions()
-    for agent in range(cfg.num_agents):
-        for slot in range(cfg.num_slots):
-            if env.slots[agent][slot] is not None:
-                home = (agent * cfg.num_slots + slot) % cfg.num_cores
-                joint.offers[(agent, slot)] = home + 1
+    offers = joint.offers
+    for agent, agent_slots in enumerate(env.slots):
+        for slot, job in enumerate(agent_slots):
+            if job is not None:
+                offers[(agent, slot)] = (agent * k + slot) % m + 1
     return joint
 
 

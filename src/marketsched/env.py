@@ -1,18 +1,24 @@
 """Discrete-time scheduling market: cores, slots, offers, trades, settlement.
 
-One ``step`` runs a fixed phase order:
+One ``step`` runs a fixed phase order (2 and 3 share one pass over the
+cores, as do 4 and 5):
 
 1. trade resolution - owners of busy cores accept or decline pending offers
 2. auctioneer resolution - idle cores go to the highest-priced pending offer
 3. offer book cleared (an offer lives for exactly one acceptance opportunity)
 4. compute - every running job advances one tick
 5. termination and settlement of the core's payment chain
-6. registration of this step's new offers (visible to deciders next step)
+6. registration of this step's new offers (visible to deciders next step);
+   a key that names no (agent, slot) or a target that names no core is ignored
 7. spawn - empty slots draw a job type from the spawn probabilities
 8. time advances
 
 Ownership rule: a core is owned by the agent whose job runs on it and falls
 back to the auctioneer the moment it idles.
+
+``step`` is the inner loop of every run, so the environment reads the config
+values it needs once, at construction, and builds each record positionally,
+in field order.
 """
 
 from __future__ import annotations
@@ -74,7 +80,12 @@ class JointActions:
     accepts: (agent, core) -> 0 declines, 1 + g accepts the offer in grid
         cell g = source_agent * num_slots + source_slot.
     offers: (agent, slot) -> 0 makes no offer, 1 + m targets core m.
-    prices: (agent, slot) -> bid for that slot's offer (free pricing only).
+    prices: (agent, slot) -> bid for that slot's offer (free pricing only),
+        clamped to [0, max_prio]; with no bid the price is the job's priority.
+
+    Nothing is rejected: an entry that names no agent, slot, core or pending
+    offer does nothing, so an offer keyed outside 0 <= agent < num_agents,
+    0 <= slot < num_slots registers nothing, as does one targeting no core.
     """
 
     accepts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -170,6 +181,11 @@ class SchedulingEnv:
         self.config = config
         self.seed = seed
         self.time = 0
+        # read on every step; the config is frozen
+        self._trading = config.trading_enabled
+        self._free_pricing = config.pricing_mode.is_free
+        self._num_cores, self._num_slots = config.num_cores, config.num_slots
+        self._max_prio = config.max_prio
         self._spawn_rng = derive_rng(seed, STREAM_ENV_SPAWN)
         self._next_job_uid = 0
         self.cores = [Core(index=m) for m in range(config.num_cores)]
@@ -193,7 +209,7 @@ class SchedulingEnv:
     def pending_offers(self, core: int) -> list[Offer]:
         """Offers awaiting resolution at this core, ordered by (agent, slot):
         the core's book in the order step phase 6 filed it."""
-        if not 0 <= core < self.config.num_cores:
+        if not 0 <= core < self._num_cores:
             raise IndexError(f"core index {core} out of range")
         return list(self._offer_book[core].values())
 
@@ -209,19 +225,20 @@ class SchedulingEnv:
     def step(self, actions: JointActions) -> StepResult:
         trades: list[TradeRecord] = []
         voided = 0
+        slots, books, now = self.slots, self._offer_book, self.time
 
         # (1) trade resolution on agent-owned cores
-        if self.config.trading_enabled:
+        if self._trading:
             for core in self.cores:
                 if core.owner == AUCTIONEER:
                     continue
                 choice = actions.accepts.get((core.owner, core.index), 0)
                 if choice <= 0:
                     continue
-                offer = self._offer_book[core.index].get(choice - 1)
+                offer = books[core.index].get(choice - 1)
                 if offer is None:
                     continue
-                job = self.slots[offer.agent][offer.slot]
+                job = slots[offer.agent][offer.slot]
                 if job is None or job.uid != offer.job_uid:
                     continue
                 trade = self._execute_acceptance(core, offer, job)
@@ -230,82 +247,68 @@ class SchedulingEnv:
                 else:
                     trades.append(trade)
 
-        # (2) auctioneer grants idle cores to the highest bid
-        for core in self.cores:
-            if core.owner != AUCTIONEER:
+        # (2) auctioneer grants idle cores to the highest bid, then (3) the
+        # core's book is cleared: unaccepted offers expire
+        for core, book in zip(self.cores, books):
+            if not book:
                 continue
-            best: tuple | None = None
-            for offer in self._offer_book[core.index].values():
-                job = self.slots[offer.agent][offer.slot]
-                if job is None or job.uid != offer.job_uid:
-                    continue
-                rank = (-offer.price, job.arrival_time, offer.agent, offer.slot)
-                if best is None or rank < best[0]:
-                    best = (rank, offer, job)
-            if best is None:
-                continue
-            _, offer, job = best
-            trades.append(self._move(core, offer, job))
-
-        # (3) offer books cleared; unaccepted offers expire
-        for book in self._offer_book:
+            if core.owner == AUCTIONEER:
+                best: tuple | None = None
+                for offer in book.values():
+                    job = slots[offer.agent][offer.slot]
+                    if job is None or job.uid != offer.job_uid:
+                        continue
+                    rank = (-offer.price, job.arrival_time, offer.agent, offer.slot)
+                    if best is None or rank < best[0]:
+                        best = (rank, offer, job)
+                if best is not None:
+                    trades.append(self._move(core, best[1], best[2]))
             book.clear()
 
-        # (4) compute
-        for core in self.cores:
-            if core.job is not None:
-                core.job.remaining_burst -= 1
-
-        # (5) termination and settlement
+        # (4) compute, then (5) termination and settlement
         completions: list[CompletionRecord] = []
         settlements: list[SettlementRecord] = []
         income = 0
         for core in self.cores:
             job = core.job
-            if job is None or job.remaining_burst > 0:
+            if job is None:
+                continue
+            job.remaining_burst -= 1
+            if job.remaining_burst > 0:
                 continue
             payouts = settle_chain(core.chain, job.priority, core.owner)
-            turnaround = self.time - job.arrival_time
+            turnaround = now - job.arrival_time
             completions.append(CompletionRecord(
-                job_uid=job.uid, type_id=job.type_id, priority=job.priority, core=core.index,
-                arrival_time=job.arrival_time, completed_at=self.time, turnaround=turnaround,
-                normalized_turnaround=turnaround / job.burst))
-            settlements.append(SettlementRecord(core=core.index, job_uid=job.uid, payouts=payouts))
+                job.uid, job.type_id, job.priority, core.index, job.arrival_time, now,
+                turnaround, turnaround / job.burst))
+            settlements.append(SettlementRecord(core.index, job.uid, payouts))
             income += payouts.get(AUCTIONEER, 0)
             core.job = None
             core.owner = AUCTIONEER
             core.chain = []
 
         # (6) register this step's offers for resolution at t + 1
-        free_pricing = self.config.pricing_mode.is_free
-        for agent, slot in sorted(actions.offers):
-            choice = actions.offers[(agent, slot)]
-            if choice <= 0:
+        num_cores, num_slots, num_agents = self._num_cores, self._num_slots, len(slots)
+        free_pricing, prices = self._free_pricing, actions.prices
+        for (agent, slot), choice in sorted(actions.offers.items()):
+            if not (0 < choice <= num_cores and 0 <= agent < num_agents
+                    and 0 <= slot < num_slots):
                 continue
-            target = choice - 1
-            if not 0 <= target < self.config.num_cores:
-                continue
-            job = self.slots[agent][slot]
+            job = slots[agent][slot]
             if job is None:
                 continue
+            price = job.priority
             if free_pricing:
-                price = actions.prices.get((agent, slot), job.priority)
-                price = max(0, min(int(price), self.config.max_prio))
-            else:
-                price = job.priority
-            self._offer_book[target][agent * self.config.num_slots + slot] = Offer(
-                agent=agent, slot=slot, job_uid=job.uid, job_priority=job.priority,
-                price=price, time_to_payment=job.remaining_burst, made_at=self.time)
+                price = max(0, min(int(prices.get((agent, slot), price)), self._max_prio))
+            books[choice - 1][agent * num_slots + slot] = Offer(
+                agent, slot, job.uid, job.priority, price, job.remaining_burst, now)
 
         # (7) spawn into empty slots; new jobs are first actionable next step
-        self._fill_empty_slots(arrival_time=self.time + 1)
+        self._fill_empty_slots(arrival_time=now + 1)
 
         # (8) advance
-        result = StepResult(
-            time=self.time, trades=trades, completions=completions, settlements=settlements,
-            auctioneer_income=income, voided_acceptances=voided)
-        self.time += 1
-        return result
+        self.time = now + 1
+        return StepResult(now, trades, completions, settlements, income, voided)
 
     # ------------------------------------------------------------------
     # internals
@@ -320,12 +323,9 @@ class SchedulingEnv:
         self.slots[offer.agent][offer.slot] = None
         core.job = job
         core.owner = offer.agent
-        core.chain.append(ChainEntry(buyer=offer.agent, seller=seller, price=offer.price))
-        return TradeRecord(
-            core=core.index, buyer=offer.agent, seller=seller, price=offer.price,
-            job_uid=job.uid, job_type_id=job.type_id, job_priority=job.priority,
-            source_slot=offer.slot, made_at=offer.made_at,
-            by_auctioneer=seller == AUCTIONEER)
+        core.chain.append(ChainEntry(offer.agent, seller, offer.price))
+        return TradeRecord(core.index, offer.agent, seller, offer.price, job.uid, job.type_id,
+                           job.priority, offer.slot, offer.made_at, seller == AUCTIONEER)
 
     def _execute_acceptance(self, core: Core, offer: Offer, job: Job) -> TradeRecord | None:
         """Accept ``offer`` on the busy ``core``; return None if voided.
@@ -345,17 +345,17 @@ class SchedulingEnv:
         return trade
 
     def _fill_empty_slots(self, arrival_time: int) -> None:
-        for agent in range(self.config.num_agents):
-            for k in range(self.config.num_slots):
-                if self.slots[agent][k] is not None:
+        for agent, agent_slots in enumerate(self.slots):
+            if all(agent_slots):  # a Job is always truthy: no slot is empty
+                continue
+            for k, held in enumerate(agent_slots):
+                if held is not None:
                     continue
                 u = self._spawn_rng.random()
                 for threshold, jt in self._spawn_cumulative:
                     if u < threshold:
-                        self.slots[agent][k] = Job(
-                            uid=self._next_job_uid, type_id=jt.id, priority=jt.priority,
-                            burst=jt.burst, arrival_time=arrival_time,
-                            remaining_burst=jt.burst, owner_agent=agent)
+                        agent_slots[k] = Job(self._next_job_uid, jt.id, jt.priority, jt.burst,
+                                             arrival_time, jt.burst, agent)
                         self._next_job_uid += 1
                         break
 

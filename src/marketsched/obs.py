@@ -65,9 +65,10 @@ def market_image(env: SchedulingEnv) -> np.ndarray:
             values.append(1.0)
         cell += 2
     grid = 4 * cfg.num_agents * k
-    for c in range(m):
-        for offer in env.pending_offers(c):
-            cell = offers + grid * c + 4 * (offer.agent * k + offer.slot)
+    # each core's book, keyed by the offer's grid cell agent * k + slot
+    for c, book in enumerate(env._offer_book):
+        for g, offer in book.items():
+            cell = offers + grid * c + 4 * g
             index += (cell, cell + 1, cell + 2, cell + 3)
             values += (1.0, offer.price / max_prio, offer.time_to_payment / max_burst,
                        offer.job_priority / max_prio)

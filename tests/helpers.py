@@ -47,7 +47,8 @@ def offer(agent, slot, core):
 
 
 def random_actions(env, rng):
-    """Uniformly random valid actions for every acting position."""
+    """Uniformly random actions for every acting position. Under free
+    pricing a bid may fall below 0 or above ``max_prio``, or be missing."""
     cfg = env.config
     actions = JointActions()
     for m in range(cfg.num_cores):
@@ -58,7 +59,9 @@ def random_actions(env, rng):
         for slot in range(cfg.num_slots):
             actions.offers[(agent, slot)] = int(rng.integers(0, cfg.num_cores + 1))
             if cfg.pricing_mode.is_free:
-                actions.prices[(agent, slot)] = int(rng.integers(0, cfg.max_prio + 1))
+                price = int(rng.integers(-2, cfg.max_prio + 4))
+                if price <= cfg.max_prio + 2:  # the top draw makes no bid
+                    actions.prices[(agent, slot)] = price
     return actions
 
 

@@ -1,11 +1,15 @@
-"""Layer benches: the market step and the batched acting arithmetic.
+"""Layer benches: both sides of the market layer and the batched acting
+arithmetic.
 
-Deselected by default; run with ``python -m pytest -m bench``. Both use
-EXP2_ARCH_4X4. ``SchedulingEnv.step`` runs under the scripted policy with
-trading off, so no learner is involved; each round steps the same env on from
-where the last round left it. The acting bench is one batched ``forward`` and
-one ``sample_rows`` over every row of a ``DIST`` agent's stack, one row per
-unit, on fixed observations and draws.
+Deselected by default; run with ``python -m pytest -m bench``. All use
+EXP2_ARCH_4X4. ``SchedulingEnv.step`` is timed twice, with no learner
+involved: under the scripted policy with trading off, and with trading on
+under uniformly random accepts, offers and bids; each round steps the same
+env on from where the last round left it, and building the round's actions
+is not timed. ``market_image`` reads a state with pending offers on every
+core. The acting bench is one batched ``forward`` and one ``sample_rows``
+over every row of a ``DIST`` agent's stack, one row per unit, on fixed
+observations and draws.
 """
 
 from dataclasses import replace
@@ -18,7 +22,10 @@ from marketsched.baseline import scripted_actions
 from marketsched.env import SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import forward, sample_rows
-from marketsched.rng import derive_rng
+from marketsched.obs import market_image
+from marketsched.rng import STREAM_FUZZ, derive_rng
+
+from helpers import random_actions
 
 pytestmark = pytest.mark.bench
 
@@ -31,6 +38,24 @@ def test_bench_env_step(benchmark):
         return (scripted_actions(env),), {}
 
     benchmark.pedantic(env.step, setup=next_round, rounds=5000, warmup_rounds=200)
+
+
+def test_bench_env_step_trading(benchmark):
+    env = SchedulingEnv(builtin_scenarios()["EXP2_ARCH_4X4"].env, seed=1)
+    assert env.config.trading_enabled
+    rng = derive_rng(1, STREAM_FUZZ)
+
+    def next_round():
+        return (random_actions(env, rng),), {}
+
+    benchmark.pedantic(env.step, setup=next_round, rounds=5000, warmup_rounds=200)
+
+
+def test_bench_market_image(benchmark):
+    env = SchedulingEnv(builtin_scenarios()["EXP2_ARCH_4X4"].env, seed=1)
+    env.step(scripted_actions(env))
+    assert all(env.pending_offers(m) for m in range(env.config.num_cores))
+    benchmark.pedantic(market_image, args=(env,), rounds=5000, warmup_rounds=200)
 
 
 def test_bench_forward_and_sample(benchmark):

@@ -1,5 +1,7 @@
 """Environment state machine: phases, trades, displacement, determinism."""
 
+from dataclasses import asdict
+
 import pytest
 
 from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
@@ -269,6 +271,20 @@ class TestPendingOffers:
         assert len(env.pending_offers(0)) == 6
         assert env.pending_offers(1) == []
 
+    @pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, -1), (0, 3)], ids=str)
+    def test_offer_keyed_by_no_slot_registers_nothing(self, key):
+        # (-1, 0) would index agent 1's slots and register an offer from the
+        # auctioneer; (2, 0) would index past the last agent
+        env = SchedulingEnv(manual_config(num_agents=2, num_cores=1, num_slots=3), 0)
+        for agent in range(2):
+            for slot in range(3):
+                place_job(env, agent, slot)
+        env.step(JointActions(offers={key: 1}))
+        assert list(env.offers()) == []
+        env.check_invariants()
+        assert env.step(JointActions()).trades == []
+        env.check_invariants()
+
 
 class TestOfferPrices:
     def test_registered_price_follows_the_pricing_rules(self):
@@ -288,9 +304,75 @@ class TestOfferPrices:
         assert {o.slot: o.price for o in free.offers()} == {0: 8, 1: 0, 2: 6, 3: 3}
 
 
+class TestStepRecords:
+    """Every field of every record a step returns, read by name. Within a
+    record no two fields share a value (a bool aside, read with ``is``), so
+    a record built with two arguments swapped fails here."""
+
+    def test_offer_grant_trade_completion_and_settlement(self):
+        types = (JobType(5, 6, 9, 0.0), JobType(8, 7, 2, 0.0))
+        cfg = manual_config(job_types=types, num_agents=2, num_cores=4, num_slots=5,
+                            pricing_mode=PricingMode.FREE_COMMERCIAL)
+        env = SchedulingEnv(cfg, 0)
+        for _ in range(10):
+            env.step(JointActions())
+        env._next_job_uid = 50
+        place_job(env, 1, 2, type_id=5, arrival=4)
+        place_job(env, 0, 4, type_id=8, arrival=1)
+
+        env.step(JointActions(offers={(1, 2): 4}, prices={(1, 2): 4}))  # t = 10
+        (pending,) = env.pending_offers(3)
+        assert pending._asdict() == dict(agent=1, slot=2, job_uid=50, job_priority=6,
+                                         price=4, time_to_payment=9, made_at=10)
+
+        grant = env.step(JointActions(offers={(0, 4): 4}, prices={(0, 4): 2}))  # t = 11
+        (trade,) = grant.trades
+        assert trade.by_auctioneer is True
+        assert trade._asdict() == dict(core=3, buyer=1, seller=AUCTIONEER, price=4,
+                                       job_uid=50, job_type_id=5, job_priority=6,
+                                       source_slot=2, made_at=10, by_auctioneer=True)
+        assert env.cores[3].chain[0]._asdict() == dict(buyer=1, seller=AUCTIONEER, price=4)
+
+        # agent 1 accepts agent 0's offer of slot 4: grid cell 0 * 5 + 4
+        swap = env.step(JointActions(accepts={(1, 3): 1 + 4}))  # t = 12
+        (trade,) = swap.trades
+        assert trade.by_auctioneer is False
+        assert trade._asdict() == dict(core=3, buyer=0, seller=1, price=2, job_uid=51,
+                                       job_type_id=8, job_priority=7, source_slot=4,
+                                       made_at=11, by_auctioneer=False)
+        assert env.cores[3].chain[1]._asdict() == dict(buyer=0, seller=1, price=2)
+
+        result = env.step(JointActions())  # t = 13: job 51 ends its burst of 2
+        (completion,) = result.completions
+        assert completion._asdict() == dict(
+            job_uid=51, type_id=8, priority=7, core=3, arrival_time=1, completed_at=13,
+            turnaround=12, normalized_turnaround=6.0)
+        (settlement,) = result.settlements
+        assert settlement._asdict() == dict(core=3, job_uid=51,
+                                            payouts={AUCTIONEER: 4, 1: -2, 0: 5})
+        assert result._asdict() == dict(time=13, trades=[], completions=[completion],
+                                        settlements=[settlement], auctioneer_income=4,
+                                        voided_acceptances=0)
+
+    def test_spawned_job(self):
+        cfg = make_config(job_types=(JobType(4, 5, 9, 1.0),), num_agents=3, num_cores=1,
+                          num_slots=2)
+        env = SchedulingEnv(cfg, 0)  # uids 0-5 fill every slot at time 0
+        for _ in range(10):
+            env.step(JointActions())
+        env.step(JointActions(offers={(2, 1): 1}))  # t = 10
+        env.step(JointActions())  # t = 11: slot (2, 1) is granted and refills
+        # a job's remaining burst starts at its burst, so those two agree
+        assert asdict(env.slots[2][1]) == dict(uid=6, type_id=4, priority=5, burst=9,
+                                               arrival_time=12, remaining_burst=9,
+                                               owner_agent=2)
+
+
 class TestInvariantsUnderFuzz:
-    def test_conservation_and_structure(self):
-        cfg = make_config(job_types=(JobType(0, 1, 4, 0.4), JobType(1, 5, 2, 0.3)))
+    @pytest.mark.parametrize("pricing", [mode.value for mode in PricingMode])
+    def test_conservation_and_structure(self, pricing):
+        cfg = make_config(job_types=(JobType(0, 1, 4, 0.4), JobType(1, 5, 2, 0.3)),
+                          pricing_mode=pricing)
         env = SchedulingEnv(cfg, seed=5)
         rng = derive_rng(5, STREAM_FUZZ)
         payout_total = 0
@@ -300,6 +382,7 @@ class TestInvariantsUnderFuzz:
         for _ in range(3000):
             result = env.step(random_actions(env, rng))
             env.check_invariants()
+            assert all(0 <= o.price <= cfg.max_prio for o in env.offers())
             # job conservation: every uid issued is in a slot, on a core or completed
             completed += len(result.completions)
             held = sum(job is not None for row in env.slots for job in row)
