@@ -8,8 +8,7 @@ cores, as do 4 and 5):
 3. offer book cleared (an offer lives for exactly one acceptance opportunity)
 4. compute - every running job advances one tick
 5. termination and settlement of the core's payment chain
-6. registration of this step's new offers (visible to deciders next step);
-   a key that names no (agent, slot) or a target that names no core is ignored
+6. registration of this step's new offers (visible to deciders next step)
 7. spawn - empty slots draw a job type from the spawn probabilities
 8. time advances
 
