@@ -4,7 +4,7 @@ arithmetic.
 Deselected by default; run with ``python -m pytest -m bench``. All use
 EXP2_ARCH_4X4. ``SchedulingEnv.step`` is timed twice, with no learner
 involved: under the scripted policy with trading off, and with trading on
-under uniformly random accepts, offers and bids; each round steps the same
+under uniformly random accepts and offers; each round steps the same
 env on from where the last round left it, and building the round's actions
 is not timed. ``market_image`` reads a state with pending offers on every
 core. The acting bench is one batched ``forward`` and one ``sample_rows``
