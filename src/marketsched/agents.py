@@ -40,10 +40,10 @@ number of numpy calls: one gather of the step's ``market_image`` (see
 rows with each row's parameter set (whose rows of the home stack it keeps
 until the home's next update or load), one draw per unit and one
 vectorized inverse-CDF step that turns it into the unit's action, one
-write per field and observation width of the rollout store, and one decode
-of every live position's digit. Each unit draws its uniforms a block of
-``rollout_length`` at a time from its own sample stream, which gives the
-same numbers as one draw per decision. Price setters follow in a second
+``RolloutStore.add`` of every row, padded as the pass reads it, and one
+decode of every live position's digit. Each unit draws its uniforms a
+block of ``rollout_length`` at a time from its own sample stream, which
+gives the same numbers as one draw per decision. Price setters follow in a second
 pass over the offers just made, since what they see depends on the offer's
 target core.
 
@@ -54,17 +54,18 @@ a unit whose rollout window is full first updates the set, closing the
 window with this decision's value, and the set's later rows then act on
 the updated weights with the draws they already took. With no window of
 the pass full, every row is recorded at once. Otherwise the pass goes in
-waves. A wave walks the rows not yet booked in order: a row of a set that
-has no due unit (one whose window is full) before it is recorded; the first
-due unit of each set is collected, so the collected units' sets are
+waves. A wave walks the rows not yet recorded in order: a row of a set
+that has no due unit (one whose window is full) before it is booked; the
+first due unit of each set is collected, so the collected units' sets are
 distinct; the later rows of those sets are deferred. ``Home.update``
 updates the collected sets together, one ``ppo_update`` per network shape,
-each due unit's row is recorded, and the deferred rows are evaluated again
-in one ``forward`` and ``sample_rows`` with their same draws, for the next
-wave to walk. The bundles of one home share their learned state with it
-(see ``marketsched.neural``), so a wave updates the sets of all of them at
-once. Updates of distinct sets touch disjoint rows, so the order of sets
-within a pass does not matter.
+reading only the due units' windows; the booked and due rows are then
+recorded in one ``RolloutStore.add``, and the deferred rows are evaluated
+again in one ``forward`` and ``sample_rows`` with their same draws, in
+place, for the next wave to walk. The bundles of one home share their
+learned state with it (see ``marketsched.neural``), so a wave updates the
+sets of all of them at once. Updates of distinct sets touch disjoint rows,
+so the order of sets within a pass does not matter.
 
 After the market step, ``route_rewards`` credits each agent's units
 through their home, in this order: each settlement's net to the acceptor
@@ -243,15 +244,13 @@ def _parameter_sets(arch: str, config: EnvConfig
 class Plan(NamedTuple):
     """The rows of a home's acting pass for one core ownership: each row's
     unit, parameter set, last valid action and obs indices into the market
-    image; the rows' places in the rollout store (``RolloutStore.places``);
-    and the (row, weight, radix) of each live offer and accept position,
-    with the positions' keys."""
+    image; and the (row, weight, radix) of each live offer and accept
+    position, with the positions' keys."""
 
     ids: np.ndarray
     sets: np.ndarray
     last: np.ndarray
     index: np.ndarray
-    places: tuple[np.ndarray, list]
     offer_digits: list[tuple[int, int, int]]
     accept_digits: list[tuple[int, int, int]]
     offers: list[tuple[int, int]]
@@ -361,7 +360,6 @@ class Home:
         ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
         index = np.array(ids)
         return Plan(index, self.sets[index], self.last[index], self.index[index],
-                    self.store.places(ids),
                     [(ids.index(u), weight, radix) for u, weight, radix, _ in offers],
                     [(ids.index(u), weight, radix) for u, weight, radix, _ in accepts],
                     [key for _, _, _, key in offers], [key for _, _, _, key in accepts])
@@ -417,20 +415,13 @@ class Home:
         logits, values = forward(self.stack, obs, plan.sets)
         actions, logps = sample_rows(logits, draws, plan.last)
         store = self.store
-        sizes = store.sizes[plan.ids]
-        if max(sizes.tolist()) < store.length:
-            store.add_rows(plan.ids, plan.places, sizes, obs, actions, logps, values)
+        if max(store.sizes[plan.ids].tolist()) < store.length:
+            store.add(plan.ids, obs, actions, logps, values)
             return actions
         ids, set_of = plan.ids.tolist(), plan.sets.tolist()
-        actions, logps, values = actions.tolist(), logps.tolist(), values.tolist()
-
-        def record(r: int) -> None:
-            u = ids[r]
-            store.add(u, obs[r, :store.width[u]], actions[r], logps[r], values[r], 0.0)
-
         waiting = range(len(ids))
         while waiting:
-            due, deferred, updated = [], [], set()
+            booked, due, deferred, updated = [], [], [], set()
             for r in waiting:
                 if set_of[r] in updated:
                     deferred.append(r)
@@ -438,22 +429,21 @@ class Home:
                     due.append(r)
                     updated.add(set_of[r])
                 else:
-                    record(r)
-            if not due:
-                break
-            self.update([ids[r] for r in due], [values[r] for r in due])
-            for r in due:
-                record(r)
+                    booked.append(r)
+            if due:
+                self.update([ids[r] for r in due], values[due].tolist())
+            booked += due
+            store.add(plan.ids[booked], obs[booked], actions[booked], logps[booked],
+                      values[booked])
             if deferred:
                 # the updates moved these sets' weights: their later rows act on
                 # the new weights, with the draws they already took
-                logits, fresh = forward(self.stack, obs[deferred], plan.sets[deferred])
-                redrawn, relogp = sample_rows(logits, draws[deferred], plan.last[deferred])
-                for j, action, logp, value in zip(deferred, redrawn.tolist(),
-                                                  relogp.tolist(), fresh.tolist()):
-                    actions[j], logps[j], values[j] = action, logp, value
+                logits, values[deferred] = forward(self.stack, obs[deferred],
+                                                   plan.sets[deferred])
+                actions[deferred], logps[deferred] = sample_rows(logits, draws[deferred],
+                                                                 plan.last[deferred])
             waiting = deferred
-        return np.array(actions)
+        return actions
 
     def update(self, rows: list[int], bootstraps: Sequence[float]) -> None:
         """Close the full windows of units ``rows``, of distinct parameter

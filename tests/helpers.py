@@ -74,7 +74,7 @@ def stacked(*batches):
 def newest_obs(home, u):
     """The observation of unit u's latest recorded decision."""
     store = home.store
-    return store.obs[store.width[u]][store.row[u], store.sizes[u] - 1]
+    return store.obs[u, store.sizes[u] - 1, :store.width[u]]
 
 
 def unit_rows(bundle):

@@ -6,8 +6,13 @@ offer books are not empty (on EXP2_ARCH_2X2 agent 0 owns one). ``test_bench_act`
 ``Home.act`` for every EXP2_ARCH_2X2 agent; ``test_bench_trainer_step`` one
 ``Trainer.step`` of every EXP2_ARCH_4X4 ``DIST`` agent, the acting pass
 over the home's rows plus the market step and reward routing. Each round
-starts from that same state with every rollout window empty, so no policy
-update is timed and the pass records all its rows at once.
+of these starts from that same state with every rollout window empty, so
+no policy update is timed and the pass records all its rows at once.
+``test_bench_trainer_step_with_update`` times one ``Trainer.step`` of the
+EXP1_TRADING ``DIST_PS`` agents in which the window of agent 0's first
+offer unit is full: the pass updates that unit's shared parameter set
+mid-pass, re-evaluates the set's later rows as deferred rows and records
+the pass in two waves.
 """
 
 import copy
@@ -67,3 +72,27 @@ def test_bench_trainer_step(benchmark):
 
     benchmark.pedantic(trainer.step, setup=fresh_round, rounds=2000, warmup_rounds=50)
     assert not any(bundles[0].home.updates)
+
+
+def test_bench_trainer_step_with_update(benchmark):
+    scenario, env = fixed_state("EXP1_TRADING")
+    assert scenario.arch == (ARCH_DIST_PS,) * scenario.env.num_agents
+    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    trainer = Trainer(env, bundles)
+    home = bundles[0].home
+    due, later = home.at[(0, ("offer", 0))], home.at[(0, ("offer", 1))]
+    assert home.sets[due] == home.sets[later] and due < later
+    store = home.store
+    # a finite window for the update to read: zero observations and log-probabilities
+    for field in (store.obs, store.logps, store.values):
+        field[due] = 0.0
+    store.actions[due], store.rewards[due] = 0, 1.0
+
+    def fresh_round():
+        trainer.env = copy.deepcopy(env)
+        store.sizes[:] = 0
+        store.sizes[due] = store.length
+        return (), {}
+
+    benchmark.pedantic(trainer.step, setup=fresh_round, rounds=300, warmup_rounds=10)
+    assert home.updates[due] == 310 and not home.updates[later]

@@ -2,6 +2,7 @@
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
@@ -283,6 +284,20 @@ class TestPendingOffers:
         assert list(env.offers()) == []
         env.check_invariants()
         assert env.step(JointActions()).trades == []
+        env.check_invariants()
+
+    @pytest.mark.parametrize("target, registers", [
+        (1.5, False), (1.0, False), (np.float64(1.0), False), (np.int64(1), True),
+        (True, True)], ids=repr)
+    def test_offer_target_that_is_no_integer_registers_nothing(self, target, registers):
+        env = SchedulingEnv(manual_config(num_agents=2, num_cores=2, num_slots=3), 0)
+        place_job(env, 0, 0)
+        place_job(env, 1, 0)
+        env.step(JointActions(offers={(0, 0): 1}))
+        # phase 2 grants core 0 to agent 0 before phase 6 reads the target
+        result = env.step(JointActions(offers={(1, 0): target}))
+        assert [trade.buyer for trade in result.trades] == [0] and env.time == 2
+        assert [(o.agent, o.slot) for o in env.offers()] == ([(1, 0)] if registers else [])
         env.check_invariants()
 
 

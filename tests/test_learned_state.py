@@ -10,11 +10,14 @@ run, so such a change fails here.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from marketsched import agents
 from marketsched.agents import Trainer, build_bundles
 from marketsched.env import SchedulingEnv
 from marketsched.harness import builtin_scenarios
+from marketsched.neural import forward
 
 PINNED = {
     # DIST_PS: units of one agent share a parameter set and update mid-pass
@@ -36,7 +39,7 @@ def learned_state_digest(bundles) -> str:
         for array in (stack.rows, stack.m, stack.v, stack.step_counts, store.sizes):
             digest.update(array.tobytes())
         for u, size in enumerate(store.sizes.tolist()):
-            digest.update(store.obs[store.width[u]][store.row[u], :size].tobytes())
+            digest.update(store.obs[u, :size, :store.width[u]].tobytes())
             for field in (store.actions, store.logps, store.values, store.rewards):
                 digest.update(field[u, :size].tobytes())
     return digest.hexdigest()
@@ -51,3 +54,28 @@ def test_learned_state_after_2000_steps_is_pinned(name):
     for _ in range(2000):
         trainer.step()
     assert learned_state_digest(bundles) == PINNED[name]
+
+
+def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
+    # A unit narrower than its home's widest pads its observations in the
+    # store. NaN padding that reached an update would raise
+    # NonFiniteLossError, or move the weights and so the digest.
+    scenario = builtin_scenarios()["EXP1_TRADING"]
+    env = SchedulingEnv(scenario.env, 1)
+    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, 1)
+    (home,) = {bundle.home for bundle in bundles}
+    assert len(set(home.store.width)) > 1
+    home.store.obs[...] = np.nan
+    forwards = []
+
+    def counted(*args):
+        forwards.append(len(args[1]))
+        return forward(*args)
+
+    monkeypatch.setattr(agents, "forward", counted)
+    trainer = Trainer(env, bundles)
+    for _ in range(2000):
+        trainer.step()
+    # one forward a step, and one more for each wave that re-evaluates deferred rows
+    assert len(forwards) > 2000
+    assert learned_state_digest(bundles) == PINNED["EXP1_TRADING"]
