@@ -85,9 +85,8 @@ class JointActions:
 
     Nothing is rejected: an entry that names no agent, slot, core or pending
     offer does nothing, so an offer keyed outside 0 <= agent < num_agents,
-    0 <= slot < num_slots registers nothing, as does one targeting no core:
-    a target outside 1..num_cores, or one that is not an integer (a float
-    such as 1.0 or 1.5; an int, a bool or a numpy integer is one).
+    0 <= slot < num_slots registers nothing, as does one whose target is no
+    integer in 1..num_cores (a float such as 1.0 is none; a numpy integer is).
     """
 
     accepts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -294,8 +293,7 @@ class SchedulingEnv:
         free_pricing, prices = self._free_pricing, actions.prices
         for (agent, slot), choice in sorted(actions.offers.items()):
             # a Python int skips the slower Integral check a numpy integer takes
-            if not (0 < choice <= num_cores and 0 <= agent < num_agents
-                    and 0 <= slot < num_slots
+            if not (0 < choice <= num_cores and 0 <= agent < num_agents and 0 <= slot < num_slots
                     and (type(choice) is int or isinstance(choice, Integral))):
                 continue
             job = slots[agent][slot]
