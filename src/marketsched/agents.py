@@ -43,9 +43,9 @@ vectorized inverse-CDF step that turns it into the unit's action, one
 ``RolloutStore.add`` of every row, padded as the pass reads it, and one
 decode of every live position's digit. Each unit draws its uniforms a
 block of ``rollout_length`` at a time from its own sample stream, which
-gives the same numbers as one draw per decision. Price setters follow in a second
-pass over the offers just made, since what they see depends on the offer's
-target core.
+gives the same numbers as one draw per decision. Price setters follow in a
+second pass over the offers just made, since what they see depends on the
+offer's target core.
 
 Update-order contract: each parameter set sees exactly the updates, in the
 order and on the windows, that acting one unit at a time in row order gives

@@ -83,7 +83,7 @@ def test_bench_trainer_step_with_update(benchmark):
     due, later = home.at[(0, ("offer", 0))], home.at[(0, ("offer", 1))]
     assert home.sets[due] == home.sets[later] and due < later
     store = home.store
-    # a finite window for the update to read: zero observations and log-probabilities
+    # a finite window for the update to read
     for field in (store.obs, store.logps, store.values):
         field[due] = 0.0
     store.actions[due], store.rewards[due] = 0, 1.0

@@ -69,7 +69,7 @@ def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
     forwards = []
 
     def counted(*args):
-        forwards.append(len(args[1]))
+        forwards.append(1)
         return forward(*args)
 
     monkeypatch.setattr(agents, "forward", counted)
