@@ -34,18 +34,20 @@ units with an offer position first, then the accept-only units of owned
 cores, each group in agent order and then in ``unit_layout`` order. The
 home keeps the ``Plan`` of a pass, the rows' units, parameter sets, obs
 index rows and digit decode, for the ``PLANS_KEPT`` core ownerships it met
-last (the ownership is all a plan depends on), so a pass costs a fixed
-number of numpy calls: one gather of the step's ``market_image`` (see
-``marketsched.obs``) through the rows' indices, one ``forward`` over all
-rows with each row's parameter set (whose rows of the home stack it keeps
-until the home's next update or load), one draw per unit and one
-vectorized inverse-CDF step that turns it into the unit's action, one
-``RolloutStore.add`` of every row, padded as the pass reads it, and one
-decode of every live position's digit. Each unit draws its uniforms a
-block of ``rollout_length`` at a time from its own sample stream, which
-gives the same numbers as one draw per decision. Price setters follow in a
-second pass over the offers just made, since what they see depends on the
-offer's target core.
+last (the ownership is all a plan depends on). The units with an offer
+position lead every plan with the same digits, so the home lays out that
+offer prefix once, and a plan for a new ownership adds only the accept
+units of the cores owned. A pass costs a fixed number of numpy calls: one
+gather of the step's ``market_image`` (see ``marketsched.obs``) through
+the rows' indices, one ``forward`` over all rows with each row's parameter
+set (whose rows of the home stack it keeps until the home's next update or
+load), one draw per unit and one vectorized inverse-CDF step that turns
+it into the unit's action, one ``RolloutStore.add`` of every row, padded
+as the pass reads it, and one decode of every live position's digit. Each
+unit draws its uniforms a block of ``rollout_length`` at a time from its
+own sample stream, which gives the same numbers as one draw per decision.
+Price setters follow in a second pass over the offers just made, since
+what they see depends on the offer's target core.
 
 Update-order contract: each parameter set sees exactly the updates, in the
 order and on the windows, that acting one unit at a time in row order gives
@@ -307,19 +309,23 @@ class Home:
         self.store = RolloutStore([spec.obs_width for spec in self.specs], length)
         self.draws = np.empty((len(order), length))
         self.cursor = np.full(len(order), length)
-        # in row order, the (unit, weight, radix, key) of each offer
-        # position, and by core, that of each agent's accept position
-        self.offer_digits: list[tuple[int, int, int, tuple[int, int]]] = []
+        # the offer prefix of every plan: the units with an offer position,
+        # units 0, 1, ... (see _rank), each its own row; the (row, weight,
+        # radix) and key of each offer position, in row order; and by core,
+        # the (unit, weight, radix, key) of each agent's accept position
+        self.prefix = [u for u, spec in enumerate(self.specs) if spec.slots]
+        self.offer_digits: list[tuple[int, int, int]] = []
+        self.offer_keys: list[tuple[int, int]] = []
         self.accept_digits: list[dict[int, tuple[int, int, int, tuple[int, int]]]] = [
             {} for _ in range(self.config.num_cores)]
         for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
             weight = 1
             for (kind, i), radix in zip(spec.positions, spec.radices):
-                digit = (u, weight, radix, (agent, i))
                 if kind == "offer":
-                    self.offer_digits.append(digit)
+                    self.offer_digits.append((u, weight, radix))
+                    self.offer_keys.append((agent, i))
                 elif kind == "accept":
-                    self.accept_digits[i][agent] = digit
+                    self.accept_digits[i][agent] = (u, weight, radix, (agent, i))
                 weight *= radix
         self.plans: dict[tuple, Plan] = {}
 
@@ -352,17 +358,17 @@ class Home:
         """Every unit with an offer position acts, then every accept-only
         unit of a core its agent owns, each in unit order; every offer
         position and the accept position of every such core take their
-        digits."""
-        offers = self.offer_digits
+        digits. The offer prefix is the home's; only the accept units are
+        added."""
         accepts = [digits[owner] for owner, digits in zip(owners, self.accept_digits)
                    if owner in digits]
-        ids = list(dict.fromkeys(u for u, _, _, _ in offers))
-        ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
-        index = np.array(ids)
-        return Plan(index, self.sets[index], self.last[index], self.index[index],
-                    [(ids.index(u), weight, radix) for u, weight, radix, _ in offers],
-                    [(ids.index(u), weight, radix) for u, weight, radix, _ in accepts],
-                    [key for _, _, _, key in offers], [key for _, _, _, key in accepts])
+        first = len(self.prefix)
+        extra = sorted({u for u, _, _, _ in accepts if u >= first})
+        ids = np.array(self.prefix + extra)
+        return Plan(ids, self.sets[ids], self.last[ids], self.index[ids], self.offer_digits,
+                    [(u if u < first else first + extra.index(u), weight, radix)
+                     for u, weight, radix, _ in accepts],
+                    self.offer_keys, [key for _, _, _, key in accepts])
 
     def draw(self, ids: np.ndarray) -> np.ndarray:
         """One uniform for each unit of ``ids`` from its own sample stream:
@@ -383,7 +389,7 @@ class Home:
         ``image`` is the step's ``market_image``."""
         owners = tuple([core.owner for core in env.cores]) if env.config.trading_enabled else ()
         plan = self.plan(owners)
-        actions = self._act_rows(plan, image[plan.index]).tolist()
+        actions = self._act_rows(plan, image.take(plan.index)).tolist()
         joint.offers.update(zip(plan.offers, [actions[r] // weight % radix
                                               for r, weight, radix in plan.offer_digits]))
         joint.accepts.update(zip(plan.accepts, [actions[r] // weight % radix

@@ -86,7 +86,8 @@ class JointActions:
     Nothing is rejected: an entry that names no agent, slot, core or pending
     offer does nothing, so an offer keyed outside 0 <= agent < num_agents,
     0 <= slot < num_slots registers nothing, as does one whose target is no
-    integer in 1..num_cores (a float such as 1.0 is none; a numpy integer is).
+    integer in 1..num_cores, and an accept whose choice is no integer trades
+    nothing (a float such as 1.0 is no integer; a numpy integer is).
     """
 
     accepts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -234,7 +235,8 @@ class SchedulingEnv:
                 if core.owner == AUCTIONEER:
                     continue
                 choice = actions.accepts.get((core.owner, core.index), 0)
-                if choice <= 0:
+                # as in phase 6, a Python int skips the slower Integral check
+                if choice <= 0 or not (type(choice) is int or isinstance(choice, Integral)):
                     continue
                 offer = books[core.index].get(choice - 1)
                 if offer is None:

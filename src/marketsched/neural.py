@@ -14,8 +14,8 @@ that state with the home, so one ``forward`` reads the networks of several
 agents and one update on the home steps them. The gradient belongs to one
 update: it lives in that update's scratch, zero-filled, and the surrogate
 never writes its padding, so the padding's step is 0 and stays fixed.
-Besides that state a stack keeps the rows ``forward`` last gathered, until
-the home's next update or load.
+Besides that state a stack keeps the rows ``forward`` last gathered, one
+copy of the whole rows taken at once, until the home's next update or load.
 
 ``ppo_update`` updates S >= 1 networks of one shape at once, each on its own
 window with its own sample stream and its own Adam step count, in one
@@ -30,6 +30,12 @@ of the loop that scales with the rows, the hidden width or the actions
 lives in one scratch (``UpdateWork``) allocated per update: the loop
 allocates no row-sized or (rows x actions)-sized temporary, so a large
 head's pages are neither freed nor faulted in again between minibatches.
+
+The arrays of an acting pass and of a minibatch are small, so much of an
+operation's cost is its call. The reductions call the ufuncs' ``reduce``
+and ``accumulate``, the loops that ``ndarray.sum``, ``max`` and ``cumsum``
+reach through a Python-level wrapper, and entries are picked by one flat
+index with ``take``, which reads what a multi-axis fancy index reads.
 """
 
 from __future__ import annotations
@@ -188,6 +194,8 @@ class ParamStack:
         self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
         self._layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden),
                         (actions + 1,))
+        ends = list(accumulate(prod(shape) for shape in self._layout))
+        self._bounds = list(zip([0] + ends, ends, self._layout))
         if home is None:
             self.rows, self.m, self.v = (
                 np.zeros((len(shapes), sum(prod(s) for s in self._layout))) for _ in range(3))
@@ -227,20 +235,24 @@ class ParamStack:
     def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
         """The w1, b1, head and head_bias blocks of ``rows``, rows of this
         layout, as views with a leading row axis."""
-        ends = list(accumulate(prod(shape) for shape in self._layout))
-        return [rows[:, start:end].reshape(-1, *shape)
-                for start, end, shape in zip([0] + ends, ends, self._layout)]
+        return [rows[:, start:end].reshape(-1, *shape) for start, end, shape in self._bounds]
 
     def gather(self, sets: np.ndarray) -> list[np.ndarray]:
         """The w1, b1, head and head_bias blocks of the networks ``sets``:
-        views if they are a run lo, lo+1, ... (FULL's, with the large head),
-        else copies. Either is kept and given again for the same ``sets``
-        until the home's rows are next written (``writes``)."""
+        views of ``rows`` if they are a run lo, lo+1, ... (FULL's, with the
+        large head), else views of one copy of their rows, taken at once,
+        with the two bias blocks copied again to be contiguous. Either is
+        kept and given again for the same ``sets`` until the home's rows
+        are next written (``writes``)."""
         key = sets.tolist(), self.home.writes
         if key != self._gathered[0]:
             span = _span(sets)
-            self._gathered = key, [_rows(block, span) for block in
-                                   (self.w1, self.b1, self.head, self.head_bias)]
+            w1, b1, head, head_bias = self._blocks(_rows(self.rows, span))
+            if not isinstance(span, slice):
+                # forward adds a contiguous bias in one loop, a strided one
+                # row by row
+                b1, head_bias = np.ascontiguousarray(b1), np.ascontiguousarray(head_bias)
+            self._gathered = key, [w1, b1, head, head_bias]
         return self._gathered[1]
 
     def _take(self, sets: np.ndarray) -> list:
@@ -371,8 +383,8 @@ def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def sample_rows(logits: np.ndarray, u: np.ndarray, last: np.ndarray
@@ -383,9 +395,9 @@ def sample_rows(logits: np.ndarray, u: np.ndarray, last: np.ndarray
     ``last[i]``. Returns the actions and their log-probabilities; the same
     draws give the same actions."""
     logp = log_softmax(logits)
-    cumulative = np.cumsum(np.exp(logp), axis=1)
-    actions = np.minimum((cumulative <= u[:, None]).sum(axis=1), last)
-    return actions, logp[np.arange(len(actions)), actions]
+    cumulative = np.add.accumulate(np.exp(logp), axis=1)
+    actions = np.minimum(np.add.reduce(cumulative <= u[:, None], axis=1), last)
+    return actions, logp.take(actions + np.arange(0, logp.size, logp.shape[1]))
 
 
 def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
@@ -480,11 +492,16 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     count, n = indices.shape
     hidden, actions = params.wp.shape[-2:]
     in_width = params.in_width
-    networks = np.arange(count)[:, None]
-    x, acts, logp_old, adv, ret = (field[networks, indices] for field in batch)
+    # network s's row t of a (count, T, ...) field is row s * T + t of its
+    # first two axes flattened
+    window = batch.actions.shape[1]
+    flat = indices + np.arange(0, count * window, window)[:, None]
+    x, acts, logp_old, adv, ret = (field.reshape(count * window, *field.shape[2:])
+                                   .take(flat, axis=0) for field in batch)
     lp, pr, dl = work.wide[:, :count * n * actions].reshape(3, count, n, actions)
     h, d_h, temp = work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden)
-    rows = np.arange(n)
+    # the taken actions' entries of a (count, n, actions) array, flattened
+    taken = acts + np.arange(0, count * n * actions, actions).reshape(count, n)
 
     np.matmul(x, params.w1, out=h)
     h += params.b1[:, None]
@@ -494,23 +511,25 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     values = np.matmul(h, params.wv[..., None])[..., 0] + params.bv
 
     # log_softmax in place: logits, z and logp_all all live in lp
-    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=lp)
-    logp_all = np.subtract(z, np.log(np.exp(z, out=pr).sum(axis=-1, keepdims=True)), out=lp)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=lp)
+    logp_all = np.subtract(
+        z, np.log(np.add.reduce(np.exp(z, out=pr), axis=-1, keepdims=True)), out=lp)
     probs = np.exp(logp_all, out=pr)
-    logp_act = logp_all[networks, rows, acts]
+    logp_act = logp_all.take(taken)
     log_ratio = logp_act - logp_old
     ratio = np.exp(log_ratio)
-    clipped = np.clip(ratio, 1.0 - hyper.clip, 1.0 + hyper.clip)
+    # np.clip's bits, without its Python-level wrapper
+    clipped = np.minimum(np.maximum(ratio, 1.0 - hyper.clip), 1.0 + hyper.clip)
     surr_unclipped = ratio * adv
     surr_clipped = clipped * adv
     surrogate = np.minimum(surr_unclipped, surr_clipped)
-    entropy = -np.multiply(probs, logp_all, out=dl).sum(axis=-1)
+    entropy = -np.add.reduce(np.multiply(probs, logp_all, out=dl), axis=-1)
     value_err = values - ret
     # each mean is the sum over the minibatch / n, as ndarray.mean takes it
-    value_loss = (value_err**2).sum(axis=-1) / n
-    mean_entropy = entropy.sum(axis=-1) / n
+    value_loss = np.add.reduce(value_err**2, axis=-1) / n
+    mean_entropy = np.add.reduce(entropy, axis=-1) / n
 
-    objective = (surrogate.sum(axis=-1) / n
+    objective = (np.add.reduce(surrogate, axis=-1) / n
                  - hyper.value_coef * value_loss
                  + hyper.entropy_coef * mean_entropy)
 
@@ -520,7 +539,7 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     coef = np.where(use_unclipped, surr_unclipped, 0.0) / n
     # coef * (one_hot - probs), the one-hot added at the taken actions
     d_logits = np.subtract(0.0, probs, out=dl)
-    d_logits[networks, rows, acts] += 1.0
+    d_logits.reshape(-1)[taken] += 1.0
     d_logits *= coef[..., None]
     # += -c_e * (probs * (logp_all + entropy)) / n; probs and logp_all are done
     term = np.multiply(probs, np.add(logp_all, entropy[..., None], out=lp), out=pr)
@@ -533,20 +552,20 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     d_z1 = np.multiply(d_h, np.subtract(1.0, np.multiply(h, h, out=temp), out=temp), out=d_h)
     grads.w1[...] = np.matmul(x.swapaxes(-1, -2), d_z1,
                               out=_part(work.narrow[2], count, in_width, hidden))
-    grads.b1[...] = d_z1.sum(axis=-2)
+    grads.b1[...] = np.add.reduce(d_z1, axis=-2)
     # the head's gradient goes through a contiguous array: a product written
     # straight into the transposed head block is not summed in the same order
     grads.wp[...] = np.matmul(h.swapaxes(-1, -2), d_logits,
                               out=_part(work.wide[0], count, hidden, actions))
-    grads.bp[...] = d_logits.sum(axis=-2)
+    grads.bp[...] = np.add.reduce(d_logits, axis=-2)
     grads.wv[...] = np.matmul(h.swapaxes(-1, -2), d_values[..., None])[..., 0]
-    grads.bv[...] = d_values.sum(axis=-1, keepdims=True)
+    grads.bv[...] = np.add.reduce(d_values, axis=-1, keepdims=True)
     stats = {
         "objective": objective,
         "value_loss": value_loss,
         "entropy": mean_entropy,
-        "clip_fraction": np.count_nonzero(~use_unclipped, axis=-1) / n,
-        "approx_kl": ((ratio - 1.0) - log_ratio).sum(axis=-1) / n,
+        "clip_fraction": np.add.reduce(~use_unclipped, axis=-1) / n,
+        "approx_kl": np.add.reduce((ratio - 1.0) - log_ratio, axis=-1) / n,
     }
     return objective, stats
 

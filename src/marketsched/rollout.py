@@ -4,8 +4,8 @@ of preallocated arrays.
 A unit's window holds its decisions since its parameter set's last update:
 the observation, action, log-probability and value of each, and the reward
 routed to it since. Decisions of many units are written at once, one write
-per field, and an update reads the full windows of its sets as one batch, a
-view of the store where it can.
+per field through one flat index of (unit, row), and an update reads the
+full windows of its sets as one batch, a view of the store where it can.
 """
 
 from __future__ import annotations
@@ -46,9 +46,12 @@ class RolloutStore:
         one row to the window of unit ``ids``, an int. An observation
         narrower than the store fills its row from entry 0 on."""
         t = self.sizes[ids]
-        self.obs[ids, t, :obs.shape[-1]] = obs
-        self.actions[ids, t], self.logps[ids, t] = actions, logps
-        self.values[ids, t], self.rewards[ids, t] = values, rewards
+        # unit u's row t is row u * length + t of every field, rows flattened
+        at = ids * self.length + t
+        self.obs.reshape(-1, self.obs.shape[-1])[at, :obs.shape[-1]] = obs
+        for field, value in ((self.actions, actions), (self.logps, logps),
+                             (self.values, values), (self.rewards, rewards)):
+            field.put(at, value)
         self.sizes[ids] = t + 1
 
     def batch(self, units: list[int], bootstraps: Sequence[float], hyper: PPOHyper

@@ -7,7 +7,9 @@ offer books. The package acts through the batched ``forward`` and
 ``sample_rows`` only, on rows gathered from ``obs.market_image``.
 ``mixed_radix_decode`` and ``mixed_radix_encode`` translate an aggregated
 unit's action to and from its per-position digits one at a time, where the
-package takes each digit by weight and radix. ``ppo_update`` updates one
+package takes each digit by weight and radix. ``plan`` builds a home's pass
+plan from scratch, finding every row by a search of the row list, where the
+package adds a core ownership's accept units to the home's offer prefix. ``ppo_update`` updates one
 network at a time with the one-network ``surrogate_objective`` and
 ``ascend``, where the package updates several networks of one shape in one
 stacked minibatch loop.
@@ -115,6 +117,31 @@ def mixed_radix_encode(digits, radices):
         index += d * weight
         weight *= r
     return index
+
+
+def plan(home, owners):
+    """The fields of ``home``'s Plan when core m's owner is ``owners[m]``:
+    every unit with an offer position, then every accept-only unit of an
+    owned core, each in unit order; the (row, weight, radix) and key of
+    every offer position in unit order, then of every owned core's accept
+    position in core order."""
+    offers, accepts = [], {}
+    for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
+        weight = 1
+        for (kind, i), radix in zip(spec.positions, spec.radices):
+            if kind == "offer":
+                offers.append((u, weight, radix, (agent, i)))
+            elif kind == "accept" and i < len(owners) and owners[i] == agent:
+                accepts[i] = (u, weight, radix, (agent, i))
+            weight *= radix
+    accepts = [accepts[i] for i in sorted(accepts)]
+    ids = list(dict.fromkeys(u for u, _, _, _ in offers))
+    ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
+    index = np.array(ids)
+    return (index, home.sets[index], home.last[index], home.index[index],
+            [(ids.index(u), weight, radix) for u, weight, radix, _ in offers],
+            [(ids.index(u), weight, radix) for u, weight, radix, _ in accepts],
+            [key for _, _, _, key in offers], [key for _, _, _, key in accepts])
 
 
 def surrogate_work(params, rows):

@@ -31,7 +31,7 @@ from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import derive_rng
 
 from helpers import act, make_config, manual_config, place_job, stacked
-from reference import mixed_radix_decode
+from reference import mixed_radix_decode, plan as reference_plan
 
 
 class TestUnitLayout:
@@ -139,6 +139,23 @@ class TestActionWiring:
             assert set(joint.accepts) == {(0, m) for m in owned}
             assert len(joint.offers) == 2 * cfg.num_slots
             assert len(bundles[0].home.plans) <= PLANS_KEPT
+
+    @pytest.mark.parametrize("archs", [
+        (ARCH_DIST,) * 2, (ARCH_DIST_PS,) * 2, (ARCH_SEMI,) * 2, (ARCH_FULL,) * 2,
+        (ARCH_DIST_PRICE,) * 2, (ARCH_DIST_PS, ARCH_DIST)], ids="-".join)
+    def test_every_plan_equals_one_built_from_scratch(self, archs):
+        # the update-order contract rests on the plans' row order
+        cfg = make_config(num_cores=4, num_slots=1)
+        bundles = build_bundles(archs, cfg, PPOHyper(), seed=1)
+        home = bundles[0].home
+        assert bundles[1].home is home
+        for owners in [()] + list(itertools.product((AUCTIONEER, 0, 1), repeat=4)):
+            plan, want = home._plan(owners), reference_plan(home, owners)
+            for field, got, expected in zip(plan._fields, plan, want):
+                if isinstance(expected, np.ndarray):
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected), field
+                else:
+                    assert got == expected, field
 
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)

@@ -8,6 +8,10 @@ offer books are not empty (on EXP2_ARCH_2X2 agent 0 owns one). ``test_bench_act`
 over the home's rows plus the market step and reward routing. Each round
 of these starts from that same state with every rollout window empty, so
 no policy update is timed and the pass records all its rows at once.
+``test_bench_act_on_new_ownership`` times ``Home.act`` for every
+EXP2_ARCH_4X4 ``DIST`` agent with the cores' owners set to the next of all
+5^4 ownerships each round, so that every pass builds its plan anew and
+gathers its parameter sets anew.
 ``test_bench_trainer_step_with_update`` times one ``Trainer.step`` of the
 EXP1_TRADING ``DIST_PS`` agents in which the window of agent 0's first
 offer unit is full: the pass updates that unit's shared parameter set
@@ -16,6 +20,7 @@ the pass in two waves.
 """
 
 import copy
+import itertools
 
 import pytest
 
@@ -24,6 +29,7 @@ from marketsched.agents import (
     ARCH_DIST_PS,
     ARCH_FULL,
     ARCH_SEMI,
+    PLANS_KEPT,
     Trainer,
     build_bundles,
 )
@@ -57,6 +63,28 @@ def test_bench_act(arch, benchmark):
         return (env, JointActions(), image), {}
 
     benchmark.pedantic(home.act, setup=fresh_round, rounds=2000, warmup_rounds=50)
+
+
+def test_bench_act_on_new_ownership(benchmark):
+    scenario, env = fixed_state("EXP2_ARCH_4X4")
+    assert scenario.arch == (ARCH_DIST,) * scenario.env.num_agents
+    home = build_bundles(scenario.arch, scenario.env, scenario.hyper, seed=1)[0].home
+    image = market_image(env)
+    # consecutive ownerships differ, and one recurs only after more than
+    # PLANS_KEPT others
+    ownerships = list(itertools.product(range(AUCTIONEER, scenario.env.num_agents),
+                                        repeat=scenario.env.num_cores))
+    assert len(ownerships) > PLANS_KEPT
+    rounds = itertools.cycle(ownerships)
+
+    def new_ownership():
+        for core, owner in zip(env.cores, next(rounds)):
+            core.owner = owner
+        home.store.sizes[:] = 0
+        return (env, JointActions(), image), {}
+
+    benchmark.pedantic(home.act, setup=new_ownership, rounds=2000, warmup_rounds=50)
+    assert len(home.plans) == PLANS_KEPT
 
 
 def test_bench_trainer_step(benchmark):

@@ -126,10 +126,10 @@ class TestAuctioneer:
 
 
 class TestTrading:
-    def build_trading_pair(self):
+    def build_trading_pair(self, num_slots=2):
         """Agent 0 runs a low job on core 0; agent 1 offers a high job."""
         cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 5, 2, 0.0)),
-                            num_agents=2, num_cores=1, num_slots=2)
+                            num_agents=2, num_cores=1, num_slots=num_slots)
         env = SchedulingEnv(cfg, 0)
         low = place_job(env, 0, 0, type_id=0)
         env.step(JointActions(offers={(0, 0): 1}))
@@ -220,6 +220,18 @@ class TestTrading:
         result = env.step(JointActions(accepts={(0, 0): 99}))
         assert result.trades == [] and result.voided_acceptances == 0
         assert env.cores[0].job.uid == low.uid
+
+    @pytest.mark.parametrize("choice, trades", [
+        (4, True), (np.int64(4), True), (4.0, False), (4.5, False), (np.float64(4.0), False)],
+        ids=repr)
+    def test_accept_choice_that_is_no_integer_trades_nothing(self, choice, trades):
+        # agent 1's slot 0 is grid cell 1 * 3 + 0 = 3, which the choice 4 names
+        env, low, high = self.build_trading_pair(num_slots=3)
+        result = env.step(JointActions(accepts={(0, 0): choice}))
+        assert [(t.buyer, t.seller) for t in result.trades] == ([(1, 0)] if trades else [])
+        assert result.voided_acceptances == 0
+        assert env.cores[0].job.uid == (high if trades else low).uid
+        env.check_invariants()
 
     def test_offer_is_acceptable_only_on_its_target_core(self):
         cfg = manual_config(job_types=(JobType(0, 1, 10, 0.0), JobType(1, 5, 2, 0.0)),

@@ -144,6 +144,27 @@ class TestForward:
         assert values.tobytes() == want_values[:1].tobytes()
 
 
+    def test_gathered_rows_are_kept_until_the_writes_count_moves(self):
+        stack = ParamStack([(4, 8, 3)] * 3)
+        for index, params in enumerate(stack.views):
+            init_params(params, derive_rng(7, index))
+        obs = derive_rng(7, 9).standard_normal((3, 4))
+        sets = np.array([2, 0, 2])
+        assert not any(np.shares_memory(block, stack.rows) for block in stack.gather(sets))
+        assert all(np.shares_memory(block, stack.rows)
+                   for block in stack.gather(np.array([0, 1, 2])))
+        before = forward(stack, obs, sets)
+        stack.views[2].w1 += 1.0  # an in-place write that does not advance writes
+        for got, kept in zip(forward(stack, obs, sets), before):
+            assert got.tobytes() == kept.tobytes()
+        stack.home.writes += 1
+        after = forward(stack, obs, sets)
+        fresh = ParamStack([(4, 8, 3)] * 3)
+        fresh.rows[...] = stack.rows
+        for got, want in zip(after, forward(fresh, obs, sets)):
+            assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(after[1], before[1])
+
     def test_a_stack_in_rows_of_a_home_shares_them(self):
         home = ParamStack([(4, 8, 3), (4, 8, 2), (3, 8, 3)])
         stack = ParamStack([(4, 8, 2), (3, 8, 3)], home, 1)
