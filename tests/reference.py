@@ -9,10 +9,10 @@ offer books. The package acts through the batched ``forward`` and
 unit's action to and from its per-position digits one at a time, where the
 package takes each digit by weight and radix. ``plan`` builds a home's pass
 plan from scratch, finding every row by a search of the row list, where the
-package adds a core ownership's accept units to the home's offer prefix. ``ppo_update`` updates one
-network at a time with the one-network ``surrogate_objective`` and
-``ascend``, where the package updates several networks of one shape in one
-stacked minibatch loop.
+package adds a core ownership's accept units to the home's offer prefix.
+``ppo_update`` updates one network at a time with the one-network
+``surrogate_objective`` and ``ascend``, where the package updates several
+networks of one shape in one stacked minibatch loop.
 """
 
 import numpy as np
