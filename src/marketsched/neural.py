@@ -30,6 +30,15 @@ of the loop that scales with the rows, the hidden width or the actions
 lives in one scratch (``UpdateWork``) allocated per update: the loop
 allocates no row-sized or (rows x actions)-sized temporary, so a large
 head's pages are neither freed nor faulted in again between minibatches.
+The loop does only the arithmetic; everything that depends only on the
+update, the epoch or the minibatch size is laid out before it. Per
+update: each field of the windows flattened to (S * T, ...) rows, the
+scratch's views for each minibatch size (``minibatch_views``; at most two
+sizes, ``minibatch_size`` and a remainder), and the Adam step's row blocks
+and bias corrections (``ParamStack._adam``). Per epoch: each network's
+permutation as flat row indices, of which a minibatch takes a slice. A
+minibatch's five stats are one reduction over their per-row terms, written
+into one (5, S) row that is added to the update's totals.
 
 The arrays of an acting pass and of a minibatch are small, so much of an
 operation's cost is its call. The reductions call the ufuncs' ``reduce``
@@ -43,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,35 +278,48 @@ class ParamStack:
                                    (rows, m, v, step_counts)):
                 whole[span] = part
 
-    def _step(self, rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
-              step_counts: np.ndarray, lr: float, temp: np.ndarray) -> None:
-        """One Adam ascent step of ``rows`` along ``grads``, all in place and
+    def _adam(self, rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
+              step_counts: np.ndarray, lr: float, temp: np.ndarray,
+              steps: int) -> Callable[[int], None]:
+        """A function whose call with k takes the (k+1)-th of ``steps``
+        Adam ascent steps of ``rows`` along ``grads``, all in place and
         every row at once, in the operation order m = b1*m + (1-b1)*g;
-        v = b2*v + ((1-b2)*g)*g; row += lr*m_hat / (sqrt(v_hat)+eps). Row i's
-        bias corrections are the Python floats 1 - b**t of its step count t,
-        as a column. The rows go a block of at most ``ADAM_BLOCK_BYTES`` at a
-        time (at least one row), so that a block's arrays stay in a core's
-        cache from one operation to the next. ``temp`` holds two arrays of
-        the rows' shape (or more room), which every intermediate is written
-        into. A gradient whose padding is 0 leaves the padding fixed."""
-        step_counts += 1
+        v = b2*v + ((1-b2)*g)*g; row += lr*m_hat / (sqrt(v_hat)+eps), and
+        advances ``step_counts``. Row i's bias corrections are the Python
+        floats 1 - b**t of its step count t, as a column. The rows go a
+        block of at most ``ADAM_BLOCK_BYTES`` at a time (at least one row),
+        so that a block's arrays stay in a core's cache from one operation
+        to the next. ``temp`` holds two arrays of the rows' shape (or more
+        room), which every intermediate is written into. Everything but the
+        arithmetic is laid out here, once: each block's views and every
+        step's bias corrections. A gradient whose padding is 0 leaves the
+        padding fixed."""
         counts = step_counts.tolist()
-        first = np.array([[1.0 - self.beta1**t] for t in counts])
-        second = np.array([[1.0 - self.beta2**t] for t in counts])
         per_block = max(1, ADAM_BLOCK_BYTES // rows[0].nbytes)
+        blocks = []
         for block in (slice(lo, lo + per_block) for lo in range(0, len(rows), per_block)):
-            row, grad, m_row, v_row = rows[block], grads[block], m[block], v[block]
+            row = rows[block]
+            first, second = (np.array([[[1.0 - beta**(t + k)] for t in counts[block]]
+                                       for k in range(1, steps + 1)])
+                             for beta in (self.beta1, self.beta2))
             step, root = (part[:row.size].reshape(row.shape) for part in temp[:2])
-            m_row *= self.beta1
-            m_row += np.multiply(grad, 1.0 - self.beta1, out=step)
-            v_row *= self.beta2
-            v_row += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
-            np.divide(m_row, first[block], out=step)
-            step *= lr
-            np.add(np.sqrt(np.divide(v_row, second[block], out=root), out=root), self.eps,
-                   out=root)
-            step /= root
-            row += step
+            blocks.append((row, grads[block], m[block], v[block], first, second, step, root))
+
+        def ascend(k: int) -> None:
+            np.add(step_counts, 1, out=step_counts)
+            for row, grad, m_row, v_row, first, second, step, root in blocks:
+                m_row *= self.beta1
+                m_row += np.multiply(grad, 1.0 - self.beta1, out=step)
+                v_row *= self.beta2
+                v_row += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad,
+                                     out=step)
+                np.divide(m_row, first[k], out=step)
+                step *= lr
+                np.add(np.sqrt(np.divide(v_row, second[k], out=root), out=root), self.eps,
+                       out=root)
+                step /= root
+                row += step
+        return ascend
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,
@@ -447,12 +469,16 @@ class UpdateWork(NamedTuple):
     (S, rows or in-width, hidden) (hidden activations, their gradient, and
     a temporary that ends as the first layer's gradient); ``grad`` the
     networks' gradient rows, in the stack's row layout, whose padding is
-    never written and so stays 0; ``finite`` one bool per gradient entry."""
+    never written and so stays 0; ``finite`` one bool per gradient entry;
+    ``terms`` room for the five stats' per-row terms, (5, S, rows); and
+    ``stats`` the five stats (``STATS``) of a minibatch, (5, S)."""
 
     wide: np.ndarray
     narrow: np.ndarray
     grad: np.ndarray
     finite: np.ndarray
+    terms: np.ndarray
+    stats: np.ndarray
 
 
 def update_work(sets: int, shape: tuple[int, int, int], rows: int,
@@ -463,7 +489,26 @@ def update_work(sets: int, shape: tuple[int, int, int], rows: int,
     wide = sets * max(max(rows, hidden) * actions, row_width)
     narrow = sets * max(rows, in_width) * hidden
     return UpdateWork(np.empty((3, wide)), np.empty((3, narrow)),
-                      np.zeros((sets, row_width)), np.empty((sets, row_width), dtype=bool))
+                      np.zeros((sets, row_width)), np.empty((sets, row_width), dtype=bool),
+                      np.empty(len(STATS) * sets * rows), np.empty((len(STATS), sets)))
+
+
+def minibatch_views(work: UpdateWork, shape: tuple[int, int, int], n: int) -> tuple:
+    """The views of ``work``, scratch for S networks of ``shape``, that a
+    minibatch of n rows of each reads and writes, laid out once per update
+    and minibatch size: ``lp``, ``pr`` and ``dl`` (S, n, actions); ``h``,
+    ``d_h`` and ``temp`` (S, n, hidden); ``terms`` (5, S, n); the first
+    layer's and the policy head's gradients, (S, in-width, hidden) and (S,
+    hidden, actions); and ``offsets``, where row t of network s starts in a
+    flattened (S, n, actions) array."""
+    in_width, hidden, actions = shape
+    count = len(work.grad)
+    return (*work.wide[:, :count * n * actions].reshape(3, count, n, actions),
+            *work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden),
+            _part(work.terms, len(STATS), count, n),
+            _part(work.narrow[2], count, in_width, hidden),
+            _part(work.wide[0], count, hidden, actions),
+            np.arange(0, count * n * actions, actions).reshape(count, n))
 
 
 def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -472,36 +517,27 @@ def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer[:prod(shape)].reshape(shape)
 
 
-def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
-                        hyper: PPOHyper, indices: np.ndarray,
-                        work: UpdateWork) -> tuple[np.ndarray, dict]:
+def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBatch,
+                        hyper: PPOHyper, views: tuple, stats: np.ndarray) -> None:
     """Clipped-surrogate objective and its analytic gradient on a minibatch
     of each of S networks of one shape.
 
     ``params`` and ``grads`` hold the S networks as NetParams with a leading
-    network axis, ``batch`` their windows as (S, T, ...) arrays, and row s of
-    ``indices`` network s's minibatch rows. Returns the (S,) objectives and
-    a dict of (S,) stats, and writes into ``grads`` the gradients, which
-    point in the ascent direction of objective = policy surrogate - c_v *
-    value loss + c_e * entropy. Network s's results are bit for bit those
-    of computing it alone. ``approx_kl`` is the estimator
-    mean((ratio - 1) - log ratio) of the KL divergence from the window's
-    policy. Every (rows x hidden) and (rows x actions) array lives in
-    ``work`` (``update_work``), which an update's minibatches share.
+    network axis, and ``minibatch`` their minibatches' rows as (S, n, ...)
+    arrays. Writes the five stats (``STATS``), each of shape (S,), into the
+    rows of ``stats``, and into ``grads`` the gradients, which point in the
+    ascent direction of objective = policy surrogate - c_v * value loss +
+    c_e * entropy. Network s's results are bit for bit those of computing
+    it alone. ``approx_kl`` is the estimator mean((ratio - 1) - log ratio)
+    of the KL divergence from the window's policy. Every (rows x hidden)
+    and (rows x actions) array lives in the ``views`` of the update's
+    scratch for minibatches of n rows (``minibatch_views``).
     """
-    count, n = indices.shape
-    hidden, actions = params.wp.shape[-2:]
-    in_width = params.in_width
-    # network s's row t of a (count, T, ...) field is row s * T + t of its
-    # first two axes flattened
-    window = batch.actions.shape[1]
-    flat = indices + np.arange(0, count * window, window)[:, None]
-    x, acts, logp_old, adv, ret = (field.reshape(count * window, *field.shape[2:])
-                                   .take(flat, axis=0) for field in batch)
-    lp, pr, dl = work.wide[:, :count * n * actions].reshape(3, count, n, actions)
-    h, d_h, temp = work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden)
+    x, acts, logp_old, adv, ret = minibatch
+    lp, pr, dl, h, d_h, temp, terms, grad_w1, grad_head, offsets = views
+    n = offsets.shape[1]
     # the taken actions' entries of a (count, n, actions) array, flattened
-    taken = acts + np.arange(0, count * n * actions, actions).reshape(count, n)
+    taken = acts + offsets
 
     np.matmul(x, params.w1, out=h)
     h += params.b1[:, None]
@@ -522,20 +558,25 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     clipped = np.minimum(np.maximum(ratio, 1.0 - hyper.clip), 1.0 + hyper.clip)
     surr_unclipped = ratio * adv
     surr_clipped = clipped * adv
-    surrogate = np.minimum(surr_unclipped, surr_clipped)
-    entropy = -np.add.reduce(np.multiply(probs, logp_all, out=dl), axis=-1)
+    # each stat is the sum of its term over the minibatch / n, as
+    # ndarray.mean takes a mean: surrogate, squared value error, entropy,
+    # clipped or not, and the KL estimate
+    surrogate, value_sq, entropy, clipped_out, kl = terms
+    np.minimum(surr_unclipped, surr_clipped, out=surrogate)
+    np.negative(np.add.reduce(np.multiply(probs, logp_all, out=dl), axis=-1), out=entropy)
     value_err = values - ret
-    # each mean is the sum over the minibatch / n, as ndarray.mean takes it
-    value_loss = np.add.reduce(value_err**2, axis=-1) / n
-    mean_entropy = np.add.reduce(entropy, axis=-1) / n
-
-    objective = (np.add.reduce(surrogate, axis=-1) / n
-                 - hyper.value_coef * value_loss
-                 + hyper.entropy_coef * mean_entropy)
-
-    # d objective / d logits. The unclipped branch carries gradient whenever
-    # it attains the min; a clipped-and-active branch has zero gradient.
+    np.square(value_err, out=value_sq)
+    # The unclipped branch carries gradient whenever it attains the min; a
+    # clipped-and-active branch has zero gradient.
     use_unclipped = surr_unclipped <= surr_clipped
+    np.logical_not(use_unclipped, out=clipped_out)
+    np.subtract(ratio - 1.0, log_ratio, out=kl)
+    np.divide(np.add.reduce(terms, axis=-1), n, out=stats)
+    objective, value_loss, mean_entropy = stats[:3]
+    np.add(objective - hyper.value_coef * value_loss, hyper.entropy_coef * mean_entropy,
+           out=objective)
+
+    # d objective / d logits
     coef = np.where(use_unclipped, surr_unclipped, 0.0) / n
     # coef * (one_hot - probs), the one-hot added at the taken actions
     d_logits = np.subtract(0.0, probs, out=dl)
@@ -550,24 +591,14 @@ def surrogate_objective(params: NetParams, grads: NetParams, batch: TrainBatch,
     np.matmul(d_logits, params.wp.swapaxes(-1, -2), out=d_h)
     d_h += np.multiply(d_values[..., None], params.wv[:, None], out=temp)
     d_z1 = np.multiply(d_h, np.subtract(1.0, np.multiply(h, h, out=temp), out=temp), out=d_h)
-    grads.w1[...] = np.matmul(x.swapaxes(-1, -2), d_z1,
-                              out=_part(work.narrow[2], count, in_width, hidden))
+    grads.w1[...] = np.matmul(x.swapaxes(-1, -2), d_z1, out=grad_w1)
     grads.b1[...] = np.add.reduce(d_z1, axis=-2)
     # the head's gradient goes through a contiguous array: a product written
     # straight into the transposed head block is not summed in the same order
-    grads.wp[...] = np.matmul(h.swapaxes(-1, -2), d_logits,
-                              out=_part(work.wide[0], count, hidden, actions))
+    grads.wp[...] = np.matmul(h.swapaxes(-1, -2), d_logits, out=grad_head)
     grads.bp[...] = np.add.reduce(d_logits, axis=-2)
     grads.wv[...] = np.matmul(h.swapaxes(-1, -2), d_values[..., None])[..., 0]
     grads.bv[...] = np.add.reduce(d_values, axis=-1, keepdims=True)
-    stats = {
-        "objective": objective,
-        "value_loss": value_loss,
-        "entropy": mean_entropy,
-        "clip_fraction": np.add.reduce(~use_unclipped, axis=-1) / n,
-        "approx_kl": np.add.reduce((ratio - 1.0) - log_ratio, axis=-1) / n,
-    }
-    return objective, stats
 
 
 def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
@@ -584,6 +615,14 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     count. A non-finite loss or gradient in any network raises
     NonFiniteLossError naming it, before the offending minibatch touches any
     of the networks.
+
+    The loop does only the arithmetic. Once per update, each field of the
+    windows is flattened to (S * T, ...) rows, the three float fields into
+    one (3, S * T) array, and the scratch's views are laid out for each
+    minibatch size (at most two: ``minibatch_size`` and a remainder), as
+    are the Adam step's row blocks. Once per epoch, each network's
+    permutation becomes flat row indices; a minibatch takes its rows with
+    one ``take`` per array on a slice of them.
     """
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
@@ -593,30 +632,51 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                          f"{[stack.shapes[s] for s in sets]} and windows of "
                          f"{[field.shape[:2] for field in batch]}")
     adv = batch.advantages
-    data = batch._replace(advantages=(adv - adv.mean(axis=1, keepdims=True))
-                          / (adv.std(axis=1, keepdims=True) + 1e-8))
+    advantages = (adv - adv.mean(axis=1, keepdims=True)) / (adv.std(axis=1, keepdims=True)
+                                                           + 1e-8)
+    # network s's row t of a (S, T, ...) field is row s * T + t of its first
+    # two axes flattened
+    rows_total = len(sets) * count
+    obs = batch.obs.reshape(rows_total, batch.obs.shape[2])
+    actions = batch.actions.reshape(rows_total)
+    floats = np.stack((batch.logp_old, advantages, batch.returns)).reshape(3, rows_total)
+    offsets = np.arange(0, rows_total, count)[:, None]
 
     span, rows, m, v, step_counts = stack._take(np.asarray(sets))
-    work = update_work(len(sets), shape, min(count, hyper.minibatch_size), rows.shape[1])
+    size = hyper.minibatch_size
+    work = update_work(len(sets), shape, min(count, size), rows.shape[1])
+    views = {n: minibatch_views(work, shape, n) for n in {min(count, size), count % size} if n}
+    bounds = [(start, start + size, views[min(size, count - start)])
+              for start in range(0, count, size)]
     params, grads = (_unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
+    step = stack._adam(rows, work.grad, m, v, step_counts, hyper.learning_rate, work.wide,
+                       hyper.epochs * len(bounds))
+    stats, finite = work.stats, work.finite
+    objective = stats[0]
     totals = np.zeros((len(STATS), len(sets)))
     minibatches = 0
     try:
         for _ in range(hyper.epochs):
             order = np.stack([rng.permutation(count) for rng in rngs])
-            for start in range(0, count, hyper.minibatch_size):
-                indices = order[:, start:start + hyper.minibatch_size]
-                objective, stats = surrogate_objective(params, grads, data, hyper, indices,
-                                                       work)
-                finite = np.isfinite(objective) & np.isfinite(work.grad, out=work.finite).all(1)
-                if not finite.all():
-                    i = int(np.argmin(finite))
+            order += offsets
+            for start, stop, size_views in bounds:
+                indices = order[:, start:stop]
+                surrogate_objective(
+                    params, grads,
+                    TrainBatch(obs.take(indices, axis=0), actions.take(indices),
+                               *floats.take(indices, axis=1)),
+                    hyper, size_views, stats)
+                if not (np.logical_and.reduce(np.isfinite(objective))
+                        and np.logical_and.reduce(np.isfinite(work.grad, out=finite),
+                                                  axis=None)):
+                    # which network: the first whose objective or gradient is not finite
+                    i = int(np.argmin(np.isfinite(objective) & np.isfinite(work.grad).all(1)))
                     raise NonFiniteLossError(
                         f"non-finite update of parameter set {sets[i]}: "
-                        f"objective={objective[i]!r}, value_loss={stats['value_loss'][i]!r}, "
+                        f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "
                         f"batch size {indices.shape[1]}")
-                stack._step(rows, work.grad, m, v, step_counts, hyper.learning_rate, work.wide)
-                totals += [stats[key] for key in STATS]
+                step(minibatches)
+                totals += stats
                 minibatches += 1
     finally:
         stack._put(span, rows, m, v, step_counts)

@@ -151,7 +151,9 @@ def surrogate_work(params, rows):
 
 def surrogate_objective(params, grads, batch, hyper, indices, work=None):
     """Clipped-surrogate objective and its analytic gradient on a minibatch
-    of one network: (objective, stats), the gradient written into ``grads``."""
+    of one network: (objective, stats), the gradient written into ``grads``.
+    The stats are the objective, value loss, entropy, clip fraction and the
+    KL estimate mean((ratio - 1) - log ratio)."""
     x = batch.obs[indices]
     acts = batch.actions[indices]
     adv = batch.advantages[indices]
@@ -172,7 +174,8 @@ def surrogate_objective(params, grads, batch, hyper, indices, work=None):
     logp_all = np.subtract(z, np.log(np.exp(z, out=pr).sum(axis=-1, keepdims=True)), out=lp)
     probs = np.exp(logp_all, out=pr)
     logp_act = logp_all[np.arange(n), acts]
-    ratio = np.exp(logp_act - logp_old)
+    log_ratio = logp_act - logp_old
+    ratio = np.exp(log_ratio)
     clipped = np.clip(ratio, 1.0 - hyper.clip, 1.0 + hyper.clip)
     surr_unclipped = ratio * adv
     surr_clipped = clipped * adv
@@ -211,6 +214,7 @@ def surrogate_objective(params, grads, batch, hyper, indices, work=None):
         "value_loss": float(value_loss),
         "entropy": float(mean_entropy),
         "clip_fraction": float((~use_unclipped).mean()),
+        "approx_kl": float(((ratio - 1.0) - log_ratio).mean()),
     }
     return objective, stats
 
@@ -245,7 +249,8 @@ def ppo_update(stack, index, batch, hyper, rng):
     batch = batch._replace(advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
 
     count = len(batch.actions)
-    totals = dict.fromkeys(("objective", "value_loss", "entropy", "clip_fraction"), 0.0)
+    totals = dict.fromkeys(("objective", "value_loss", "entropy", "clip_fraction", "approx_kl"),
+                           0.0)
     minibatches = 0
     work = surrogate_work(params, min(count, hyper.minibatch_size))
     for _ in range(hyper.epochs):

@@ -6,7 +6,10 @@ weights, with the sets' Adam moments and step counts reset: one set of a
 fresh agent bundle, EXP1_TRADING's ``DIST_PS`` accept set, where per-call
 overhead dominates, and EXP2_ARCH_2X2's ``FULL`` set, whose 1323-action head
 makes the update arithmetic-bound; and one wave, the 12 offer sets of an
-EXP2_ARCH_4X4 ``DIST`` home, whose windows fill in the same step. A last
+EXP2_ARCH_4X4 ``DIST`` home, whose windows fill in the same step.
+``test_bench_reference_update`` times ``tests/reference.py``'s one-network
+update on the same EXP1_TRADING accept window, the yardstick of the
+single-set stacked update. A last
 check counts the minor page faults of a whole ``FULL`` episode: the
 update's scratch must not be returned to the system and faulted in again
 from one minibatch or update to the next.
@@ -22,6 +25,7 @@ from marketsched.harness import Scenario, apply_overrides, builtin_scenarios, ru
 from marketsched.neural import TrainBatch, ppo_update
 from marketsched.rng import derive_rng
 
+import reference
 from helpers import stacked
 from reference import forward, sample
 
@@ -38,11 +42,10 @@ def window(params, size, rng):
                       returns=rng.standard_normal(size))
 
 
-@pytest.mark.parametrize("scenario_name, arch, param_key", [
-    ("EXP1_TRADING", ARCH_DIST_PS, "accept"),
-    ("EXP2_ARCH_2X2", ARCH_FULL, "full"),
-])
-def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
+def one_set(scenario_name, arch, param_key):
+    """A fresh bundle's parameter set ``param_key`` under ``arch``, a window
+    of it acting, and a function that resets the set to where it started:
+    (hyper, stack, index, window, reset)."""
     scenario = builtin_scenarios()[scenario_name]
     hyper = scenario.hyper
     assert hyper.rollout_length == 256
@@ -51,13 +54,36 @@ def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
     batch = window(stack.views[index], hyper.rollout_length, derive_rng(1, 0))
     start = stack.rows.copy()
 
-    def fresh_round():
+    def reset():
         stack.rows[...] = start
         stack.m[index] = stack.v[index] = 0.0
         stack.step_counts[index] = 0
+
+    return hyper, stack, index, batch, reset
+
+
+@pytest.mark.parametrize("scenario_name, arch, param_key", [
+    ("EXP1_TRADING", ARCH_DIST_PS, "accept"),
+    ("EXP2_ARCH_2X2", ARCH_FULL, "full"),
+])
+def test_bench_ppo_update(scenario_name, arch, param_key, benchmark):
+    hyper, stack, index, batch, reset = one_set(scenario_name, arch, param_key)
+
+    def fresh_round():
+        reset()
         return (stack, [index], stacked(batch), hyper, [derive_rng(1, 1)]), {}
 
     benchmark.pedantic(ppo_update, setup=fresh_round, rounds=50, warmup_rounds=3)
+
+
+def test_bench_reference_update(benchmark):
+    hyper, stack, index, batch, reset = one_set("EXP1_TRADING", ARCH_DIST_PS, "accept")
+
+    def fresh_round():
+        reset()
+        return (stack, index, batch, hyper, derive_rng(1, 1)), {}
+
+    benchmark.pedantic(reference.ppo_update, setup=fresh_round, rounds=50, warmup_rounds=3)
 
 
 def test_bench_ppo_update_wave(benchmark):

@@ -8,6 +8,7 @@ from marketsched.agents import ARCH_DIST, ARCH_FULL, build_bundles
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
     CHECKPOINT_VERSION,
+    STATS,
     NetParams,
     NonFiniteLossError,
     ParamStack,
@@ -17,6 +18,7 @@ from marketsched.neural import (
     gae,
     init_params,
     log_softmax,
+    minibatch_views,
     ppo_update,
     sample_rows,
     surrogate_objective,
@@ -48,18 +50,25 @@ def gradient_rows(stack):
     return grads, stack._lay_out(grads)[1]
 
 
+def minibatch(batch, indices):
+    """The rows ``indices`` of every field of ``batch``."""
+    return TrainBatch(*(field[indices] for field in batch))
+
+
 def one_network(params, grads, batch, hyper, indices, work=None):
-    """``surrogate_objective`` on the one network ``params``, its gradient
-    written into ``grads``, in ``work`` or a fresh scratch: (objective,
-    stats) as Python floats."""
+    """``surrogate_objective`` on the rows ``indices`` of ``batch`` for the
+    one network ``params``, its gradient written into ``grads``, in
+    ``work`` or a fresh scratch: (objective, stats) as Python floats."""
+    shape = (params.in_width, params.w1.shape[1], params.action_count)
     if work is None:
-        shape = (params.in_width, params.w1.shape[1], params.action_count)
         work = update_work(1, shape, len(indices), ParamStack([shape]).rows.shape[1])
-    objective, stats = surrogate_objective(
+    surrogate_objective(
         NetParams(*(t[None] for _, t in params.tensors())),
         NetParams(*(t[None] for _, t in grads.tensors())),
-        TrainBatch(*(field[None] for field in batch)), hyper, indices[None], work)
-    return float(objective[0]), {key: float(value[0]) for key, value in stats.items()}
+        stacked(minibatch(batch, indices)), hyper, minibatch_views(work, shape, len(indices)),
+        work.stats)
+    stats = dict(zip(STATS, work.stats[:, 0].tolist()))
+    return stats["objective"], stats
 
 
 def gradient(params, batch, hyper, indices):
@@ -410,12 +419,14 @@ class TestAdamRow:
             ref = {name: t.copy() for name, t in stack.views[i].tensors()}
             m = {name: np.zeros(t.shape) for name, t in ref.items()}
             v = {name: np.zeros(t.shape) for name, t in ref.items()}
+            ascend = stack._adam(*(a[i:i + 1] for a in (stack.rows, grads, stack.m, stack.v,
+                                                        stack.step_counts)),
+                                 lr, np.empty((2, grads[i].size)), 20)
             for step in range(1, 21):
                 for _, g in grad_views[i].tensors():
                     g[...] = rng.standard_normal(g.shape)
-                stack._step(*(a[i:i + 1] for a in (stack.rows, grads, stack.m, stack.v,
-                                                   stack.step_counts)),
-                            lr, np.empty((2, grads[i].size)))
+                ascend(step - 1)
+                assert stack.steps[i] == step
                 for name, g in grad_views[i].tensors():
                     m[name] = b1 * m[name] + (1.0 - b1) * g
                     v[name] = b2 * v[name] + (1.0 - b2) * g * g
@@ -504,9 +515,12 @@ class TestStackedUpdate:
     def test_the_full_sets_of_a_home_are_a_run(self):
         stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=31)
         assert sets == [0, 1] and stack.shapes[0] == (69, 64, 1323)
-        self.assert_matches_one_at_a_time(
-            "EXP2_ARCH_2X2", ARCH_FULL, "full", PPOHyper(minibatch_size=24, epochs=2),
-            size=48)
+        # minibatches of 24 rows only, then of 24 and a remainder of 16: the
+        # update lays out its scratch once for each size
+        for size in (48, 40):
+            self.assert_matches_one_at_a_time(
+                "EXP2_ARCH_2X2", ARCH_FULL, "full", PPOHyper(minibatch_size=24, epochs=2),
+                size=size)
 
     def test_sets_whose_adam_step_counts_differ(self):
         self.assert_matches_one_at_a_time(
@@ -527,13 +541,13 @@ class TestStackedUpdate:
         work = update_work(len(sets), shape, size, stack.rows.shape[1])
         _, rows, *_ = stack._take(np.asarray(sets))
         params, grads = (neural._unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
-        data = stacked(*batches)
-        objective, _ = surrogate_objective(params, grads, data, hyper, indices, work)
+        surrogate_objective(params, grads, stacked(*map(minibatch, batches, indices)), hyper,
+                            minibatch_views(work, shape, size), work.stats)
         want, views = gradient_rows(stack)
         for i, s in enumerate(sets):
-            want_objective, _ = reference.surrogate_objective(stack.views[s], views[s],
-                                                              batches[i], hyper, indices[i])
-            assert objective[i] == want_objective, s
+            _, want_stats = reference.surrogate_objective(stack.views[s], views[s], batches[i],
+                                                          hyper, indices[i])
+            assert dict(zip(STATS, work.stats[:, i].tolist())) == want_stats, s
             assert work.grad[i].tobytes() == want[s].tobytes(), s
 
     @pytest.mark.parametrize("scenario_name, arch, prefix", [
@@ -543,15 +557,17 @@ class TestStackedUpdate:
     def test_non_finite_set_names_itself_and_moves_no_set(self, scenario_name, arch, prefix,
                                                           field):
         stack, sets = home_sets(scenario_name, arch, prefix, seed=36)
-        batches = [make_batch(stack.views[s], 16, seed=37 + s) for s in sets]
-        bad = getattr(batches[-1], field).copy()
-        bad.flat[3] = np.inf
-        batches[-1] = batches[-1]._replace(**{field: bad})
-        before = state(stack)
-        with pytest.raises(NonFiniteLossError, match=f"parameter set {sets[-1]}:"):
-            ppo_update(stack, sets, stacked(*batches), PPOHyper(),
-                       [derive_rng(38, s) for s in sets])
-        assert state(stack) == before
+        # the last set, then one in the middle: the 6th of 12, the 1st of 2
+        for i in (len(sets) - 1, len(sets) // 2 - 1):
+            batches = [make_batch(stack.views[s], 16, seed=37 + s) for s in sets]
+            bad = getattr(batches[i], field).copy()
+            bad.flat[3] = np.inf
+            batches[i] = batches[i]._replace(**{field: bad})
+            before = state(stack)
+            with pytest.raises(NonFiniteLossError, match=f"parameter set {sets[i]}:"):
+                ppo_update(stack, sets, stacked(*batches), PPOHyper(),
+                           [derive_rng(38, s) for s in sets])
+            assert state(stack) == before
 
     def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
         stack = two_set_stack()
