@@ -617,12 +617,13 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     of the networks.
 
     The loop does only the arithmetic. Once per update, each field of the
-    windows is flattened to (S * T, ...) rows, the three float fields into
-    one (3, S * T) array, and the scratch's views are laid out for each
-    minibatch size (at most two: ``minibatch_size`` and a remainder), as
-    are the Adam step's row blocks. Once per epoch, each network's
-    permutation becomes flat row indices; a minibatch takes its rows with
-    one ``take`` per array on a slice of them.
+    windows is flattened to (S * T, ...) rows (a copy only of observations
+    that are a strided view of a wider store), the scratch's views are laid
+    out for each minibatch size (at most two: ``minibatch_size`` and a
+    remainder), and so are the Adam step's row blocks and bias corrections.
+    Once per epoch, each network's permutation becomes flat row indices; a
+    minibatch takes its rows with one ``take`` per field on a slice of
+    them.
     """
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
@@ -639,7 +640,7 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     rows_total = len(sets) * count
     obs = batch.obs.reshape(rows_total, batch.obs.shape[2])
     actions = batch.actions.reshape(rows_total)
-    floats = np.stack((batch.logp_old, advantages, batch.returns)).reshape(3, rows_total)
+    floats = [field.reshape(rows_total) for field in (batch.logp_old, advantages, batch.returns)]
     offsets = np.arange(0, rows_total, count)[:, None]
 
     span, rows, m, v, step_counts = stack._take(np.asarray(sets))
@@ -664,7 +665,7 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                 surrogate_objective(
                     params, grads,
                     TrainBatch(obs.take(indices, axis=0), actions.take(indices),
-                               *floats.take(indices, axis=1)),
+                               *[field.take(indices) for field in floats]),
                     hyper, size_views, stats)
                 if not (np.logical_and.reduce(np.isfinite(objective))
                         and np.logical_and.reduce(np.isfinite(work.grad, out=finite),
