@@ -9,10 +9,9 @@ makes the update arithmetic-bound; and one wave, the 12 offer sets of an
 EXP2_ARCH_4X4 ``DIST`` home, whose windows fill in the same step.
 ``test_bench_reference_update`` times ``tests/reference.py``'s one-network
 update on the same EXP1_TRADING accept window, the yardstick of the
-single-set stacked update. A last
-check counts the minor page faults of a whole ``FULL`` episode: the
-update's scratch must not be returned to the system and faulted in again
-from one minibatch or update to the next.
+single-set stacked update. A last check counts the minor page faults of a
+whole ``FULL`` episode: the update's scratch must not be returned to the
+system and faulted in again from one minibatch or update to the next.
 """
 
 import resource
