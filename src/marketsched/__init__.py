@@ -15,8 +15,10 @@ from .neural import NonFiniteLossError, PPOHyper
 from .agents import (
     ARCHITECTURES,
     AgentBundle,
+    Home,
     InfeasibleArchitectureError,
     Trainer,
+    build_homes,
     feasibility_guard,
     route_rewards,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "ChainLineageError",
     "ConfigError",
     "EnvConfig",
+    "Home",
     "InfeasibleArchitectureError",
     "JobType",
     "JointActions",
@@ -50,6 +53,7 @@ __all__ = [
     "StepResult",
     "Trainer",
     "aggregate",
+    "build_homes",
     "builtin_scenarios",
     "feasibility_guard",
     "route_rewards",

@@ -9,15 +9,16 @@ positions into one unit and the offer positions into another, and ``FULL``
 folds them all into one. Mixed-radix arithmetic turns a unit's action into one
 digit per position, so a distributed unit is the one-digit case.
 
-A bundle keeps all its parameter sets in one ``ParamStack``. The bundles
-that ``build_bundles`` makes for one run keep the weights of all bundles
-whose stacks share a padded layout (widest in-width, hidden width and action
-count) in one home ``ParamStack``, each bundle's rows, moments and step
-counts a contiguous range of it, and one ``Home`` acts for all of them in
-one batched pass per step, whatever the architectures and however many rows
-the pass has. ``build_bundles`` is the one place a run's homes are made, so
-the ``Trainer`` calls each of them once a step; a bundle constructed on its
-own holds weights and learned state but does not act.
+A run's agents are grouped into homes, one per padded layout of their
+parameter sets (widest in-width, hidden width and action count):
+``build_homes`` makes them, and the ``Trainer`` calls each once a step. A
+``Home`` keeps the weights and learned state of all its agents in one
+``ParamStack``, each agent's ``AgentBundle`` a contiguous row range of it,
+acts for all of them in one batched pass per step, whatever the
+architectures and however many rows the pass has, credits them in one walk
+of each step's result, and saves and loads them as one checkpoint. A
+bundle constructed on its own holds weights and learned state in a stack
+of its own but does not act.
 
 A unit is a row of its home: everything of unit u that changes as it acts
 and learns is index u of the ``Home``'s fields. That is its spec, agent and
@@ -26,7 +27,8 @@ the home's ``RolloutStore`` (see ``marketsched.rollout``), and its block of
 uniform draws with the block's cursor; its update count, the rewards routed
 to it before its first decision and its last update's stats; and, for a
 price setter, its price decisions pending by offer step. ``Home.at`` maps
-each (agent, position) to the unit that decides it and is credited for it.
+each (agent, position) to the unit that decides it and is credited for it,
+and ``Home.setters`` lists the (agent, slot, unit) of each price setter.
 
 A pass acts for every unit with a live position (accept m when trading is
 on and its agent owns core m; every offer), one row each. The rows are the
@@ -64,19 +66,20 @@ updates the collected sets together, one ``ppo_update`` per network shape,
 reading only the due units' windows; the booked and due rows are then
 recorded in one ``RolloutStore.add``, and the deferred rows are evaluated
 again in one ``forward`` and ``sample_rows`` with their same draws, in
-place, for the next wave to walk. The bundles of one home share their
-learned state with it (see ``marketsched.neural``), so a wave updates the
-sets of all of them at once. Updates of distinct sets touch disjoint rows,
-so the order of sets within a pass does not matter.
+place, for the next wave to walk. The agents of one home share its stack,
+so a wave updates the sets of all of them at once. Updates of distinct
+sets touch disjoint rows, so the order of sets within a pass does not
+matter.
 
-After the market step, ``route_rewards`` credits each agent's units
-through their home, in this order: each settlement's net to the acceptor
-of its core; then per trade the job's priority to the offering slot's
-unit, and its pricing reward to that slot's price setter, which commits
-the decision pending since the offer's step; then the price decisions of
-offers that expired unaccepted are dropped. A reward adds to the unit's
-latest decision, so a payout that lands steps after the causing action
-still credits it.
+After the market step, ``route_rewards`` credits the units of every agent
+of a home in one walk of the result, in this order for each agent: each
+settlement's net to the acceptor of its core; then per trade the job's
+priority to the offering slot's unit, and its pricing reward to that
+slot's price setter, which commits the decision pending since the offer's
+step; then the price decisions of offers that expired unaccepted are
+dropped. Units of different agents share no state, so the order across
+agents changes no bit. A reward adds to the unit's latest decision, so a
+payout that lands steps after the causing action still credits it.
 """
 
 from __future__ import annotations
@@ -272,39 +275,49 @@ def _rank(spec: UnitSpec) -> int:
 
 
 class Home:
-    """The acting and learning state of the units of the bundles whose
-    stacks share one home ParamStack, unit u at index u of each per-unit
-    field, in row order (see the module docstring): ``specs``, ``agents``
-    and parameter ``sets``; ``sample_rngs`` and ``update_rngs``, the streams
-    of (seed, stream, agent, index in ``unit_layout``); the rollout
-    ``store``, the ``draws`` blocks and their ``cursor``; the ``updates``
-    count, the ``dropped`` rewards and the last update's ``stats``;
-    ``pending``, each price setter's held decisions by offer step; ``at``,
-    the unit of each (agent, position); and the plans of recent passes."""
+    """The agents whose parameter sets share one padded layout: their
+    ``bundles``, in agent order, each a row range of the home's ``stack``,
+    and the acting and learning state of their units, unit u at index u of
+    each per-unit field, in row order (see the module docstring): ``specs``,
+    ``agents`` and parameter ``sets``; ``sample_rngs`` and ``update_rngs``,
+    the streams of (seed, stream, agent, index in ``unit_layout``); the
+    rollout ``store``, the ``draws`` blocks and their ``cursor``; the
+    ``updates`` count, the ``dropped`` rewards and the last update's
+    ``stats``; ``pending``, each price setter's held decisions by offer
+    step; ``at``, the unit of each (agent, position); ``setters``, the
+    (agent, slot, unit) of each price setter; and the plans of recent
+    passes."""
 
-    def __init__(self, bundles: list[AgentBundle]):
-        self.stack = bundles[0].stack.home
-        self.config = bundles[0].config
-        self.hyper = bundles[0].hyper
-        length = self.hyper.rollout_length
-        for bundle in bundles:
-            bundle.home = self
-        order = sorted(((bundle, i, spec) for bundle in bundles
+    def __init__(self, archs: dict[int, str], config: EnvConfig, hyper: PPOHyper, seed: int):
+        """The home of agent a of architecture ``archs[a]``, for each a in
+        order. Their sets' rows are allocated before any weight is
+        initialized, so no weight is copied."""
+        self.config = config
+        self.hyper = hyper
+        self.stack = ParamStack([shape for arch in archs.values()
+                                 for shape in _parameter_sets(arch, config)[2]])
+        self.bundles: list[AgentBundle] = []
+        for agent, arch in archs.items():
+            first = sum(len(bundle.param_sets) for bundle in self.bundles)
+            self.bundles.append(AgentBundle(arch, agent, config, hyper, seed, self.stack, first))
+        length = hyper.rollout_length
+        order = sorted(((bundle, i, spec) for bundle in self.bundles
                         for i, spec in enumerate(bundle.specs)), key=lambda item: _rank(item[2]))
         self.specs = [spec for _, _, spec in order]
         self.agents = [bundle.agent for bundle, _, _ in order]
-        self.sets = np.array([bundle.stack.first + bundle.param_sets[spec.param_key]
+        self.sets = np.array([bundle.first + bundle.param_sets[spec.param_key]
                               for bundle, _, spec in order])
         self.sample_rngs, self.update_rngs = (
-            [derive_rng(bundle.seed, stream, bundle.agent, i) for bundle, i, _ in order]
+            [derive_rng(seed, stream, bundle.agent, i) for bundle, i, _ in order]
             for stream in (STREAM_UNIT_SAMPLE, STREAM_UNIT_UPDATE))
         self.updates = [0] * len(order)
         self.dropped = [0.0] * len(order)
         self.stats: list[dict] = [{} for _ in order]
         self.at = {(agent, pos): u for u, (agent, spec) in enumerate(zip(self.agents, self.specs))
                    for pos in spec.positions}
-        self.pending: dict[int, dict[int, tuple]] = {
-            u: {} for (_, (kind, _)), u in self.at.items() if kind == "price"}
+        self.setters = [(agent, k, u) for (agent, (kind, k)), u in self.at.items()
+                        if kind == "price"]
+        self.pending: dict[int, dict[int, tuple]] = {u: {} for _, _, u in self.setters}
         self.last = self.stack.last_action[self.sets]
         self.store = RolloutStore([spec.obs_width for spec in self.specs], length)
         self.draws = np.empty((len(order), length))
@@ -328,6 +341,23 @@ class Home:
                     self.accept_digits[i][agent] = (u, weight, radix, (agent, i))
                 weight *= radix
         self.plans: dict[tuple, Plan] = {}
+
+    @property
+    def names(self) -> list[str]:
+        """The name of each row of the stack, ``agent<A>/<key>``: a
+        checkpoint's row names."""
+        return [f"agent{bundle.agent}/{key}" for bundle in self.bundles
+                for key in bundle.param_sets]
+
+    def save(self, path) -> None:
+        """Write every agent's learned state to one ``.npz`` (see
+        ``ParamStack.save``), its rows named ``names``."""
+        self.stack.save(path, self.names)
+
+    def load(self, path) -> None:
+        """Restore in place the state ``save`` wrote for a home of these
+        names; anything else is rejected as ``ParamStack.load`` says."""
+        self.stack.load(path, self.names)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -385,7 +415,7 @@ class Home:
         return self.draws[ids, cursor]
 
     def act(self, env: SchedulingEnv, joint: JointActions, image: np.ndarray) -> None:
-        """The pass of the module docstring over all of this home's bundles.
+        """The pass of the module docstring over all of this home's agents.
         ``image`` is the step's ``market_image``."""
         owners = tuple([core.owner for core in env.cores]) if env.config.trading_enabled else ()
         plan = self.plan(owners)
@@ -397,8 +427,8 @@ class Home:
         if not env.config.pricing_mode.is_free:
             return
         # the price setters' pass over the offers just made
-        priced = [(a, k, u) for (a, (kind, k)), u in self.at.items()
-                  if kind == "price" and joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
+        priced = [(a, k, u) for a, k, u in self.setters
+                  if joint.offers[(a, k)] > 0 and env.slots[a][k] is not None]
         if not priced:
             return
         pad = [0] * (self.stack.in_width - PRICE_OBS_LEN)
@@ -492,109 +522,78 @@ class Home:
 
 class AgentBundle:
     """The parameter sets of one agent's units: ``specs``, the units of
-    ``unit_layout``; ``param_sets``, the row of each set by key;
-    ``stack``, the sets' weights and learned state; and ``params``, their
-    views by key, in row order. ``home`` is the ``Home`` that acts for the
-    units and keeps their state, set when ``build_bundles`` makes it; a
-    bundle constructed on its own has none."""
-
-    home: Home | None = None
+    ``unit_layout``; ``param_sets``, the row of each set by key, counted
+    from ``first``; ``stack``, whose rows ``first``, ``first + 1``, ... hold
+    the sets' weights and learned state; and ``params``, their views by
+    key, in row order."""
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
-                 seed: int, home: ParamStack | None = None, first: int = 0):
-        """With ``home`` the weights and learned state are its rows
-        ``first``, ``first + 1``, ... (see ``build_bundles``); else a new
-        stack's."""
+                 seed: int, stack: ParamStack | None = None, first: int = 0):
+        """Initializes the weights in place: in rows ``first``, ``first +
+        1``, ... of ``stack`` (a ``Home``'s), else in a new stack's.
+        ``hyper`` is not read; the home keeps it."""
         self.specs, self.param_sets, shapes = _parameter_sets(arch, config)
         self.arch = arch
         self.agent = agent
-        self.config = config
-        self.hyper = hyper
-        self.seed = seed
-        self.stack = ParamStack(shapes, home, first)
-        for index, params in enumerate(self.stack.views):
+        self.stack = ParamStack(shapes) if stack is None else stack
+        self.first = first
+        views = self.stack.views[first:first + len(shapes)]
+        for index, params in enumerate(views):
             init_params(params, derive_rng(seed, STREAM_UNIT_INIT, agent, index))
-        # the parameter sets by key, in row order: the names of a checkpoint's rows
         self.params: dict[str, NetParams] = {
-            key: self.stack.views[index] for key, index in self.param_sets.items()}
-
-    def save(self, path) -> None:
-        self.stack.save(path, list(self.params))
-
-    def load(self, path) -> None:
-        self.stack.load(path, list(self.params))
+            key: views[index] for key, index in self.param_sets.items()}
 
 
-def route_rewards(bundle: AgentBundle, result: StepResult) -> None:
-    """Credit one step's payouts to this agent's units through their home,
-    as the module docstring says; auctioneer income is routed to nobody."""
-    agent, home = bundle.agent, bundle.home
+def route_rewards(home: Home, result: StepResult) -> None:
+    """Credit one step's payouts to the units of every agent of ``home``
+    in one walk, as the module docstring says; auctioneer income, and the
+    payouts of agents of other homes, are routed to nobody here."""
     at = home.at
-    for settlement in result.settlements:
-        if agent in settlement.payouts:
-            home.credit(at[(agent, ("accept", settlement.core))],
-                        float(settlement.payouts[agent]))
     price_reward = (commercial_price_reward
-                    if bundle.config.pricing_mode is PricingMode.FREE_COMMERCIAL
+                    if home.config.pricing_mode is PricingMode.FREE_COMMERCIAL
                     else noncommercial_price_reward)
+    for settlement in result.settlements:
+        for agent, payout in settlement.payouts.items():
+            u = at.get((agent, ("accept", settlement.core)))
+            if u is not None:
+                home.credit(u, float(payout))
     for trade in result.trades:
-        if trade.buyer != agent:
+        u = at.get((trade.buyer, ("offer", trade.source_slot)))
+        if u is None:
             continue
-        home.credit(at[(agent, ("offer", trade.source_slot))], float(trade.job_priority))
-        setter = at.get((agent, ("price", trade.source_slot)))
+        home.credit(u, float(trade.job_priority))
+        setter = at.get((trade.buyer, ("price", trade.source_slot)))
         if setter is not None:  # holds no decision unless pricing is free
             home.resolve_price(setter, trade.made_at,
                                price_reward(trade.job_priority, trade.price))
-    for u, pending in home.pending.items():  # offers that expired unaccepted
-        if home.agents[u] == agent:
-            for made_at in [t for t in pending if t < result.time]:
-                del pending[made_at]
+    for _, _, u in home.setters:  # offers that expired unaccepted
+        pending = home.pending[u]
+        for made_at in [t for t in pending if t < result.time]:
+            del pending[made_at]
 
 
-def build_bundles(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: int
-                  ) -> list[AgentBundle]:
-    """One AgentBundle per agent, agent i's of architecture ``archs[i]``. The
-    bundles whose parameter sets share a padded layout (widest in-width,
-    hidden width and action count) keep their weights and learned state in
-    consecutive row ranges of one ParamStack, in agent order, so that a
-    Trainer acts for them in one pass and updates their sets together. The
-    rows are allocated before any weight is initialized, so no weight is
-    copied."""
-    shapes = [_parameter_sets(arch, config)[2] for arch in archs]
-    layouts: dict[tuple[int, ...], list[int]] = {}
-    for agent, sets in enumerate(shapes):
-        layouts.setdefault(tuple(max(dim) for dim in zip(*sets)), []).append(agent)
-    homes: dict[int, tuple[ParamStack, int]] = {}
-    for agents in layouts.values():
-        home, first = ParamStack([shape for a in agents for shape in shapes[a]]), 0
-        for a in agents:
-            homes[a] = home, first
-            first += len(shapes[a])
-    bundles = [AgentBundle(arch, a, config, hyper, seed, *homes[a])
-               for a, arch in enumerate(archs)]
-    for agents in layouts.values():
-        Home([bundles[a] for a in agents])
-    return bundles
+def build_homes(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: int
+                ) -> list[Home]:
+    """The homes of a run, agent i of architecture ``archs[i]``: one per
+    padded layout of the agents' parameter sets (widest in-width, hidden
+    width and action count), in order of each layout's first agent, its
+    agents in order, so that a Trainer acts for them in one pass and
+    updates their sets together."""
+    layouts: dict[tuple[int, ...], dict[int, str]] = {}
+    for agent, arch in enumerate(archs):
+        shapes = _parameter_sets(arch, config)[2]
+        layouts.setdefault(tuple(max(dim) for dim in zip(*shapes)), {})[agent] = arch
+    return [Home(agents, config, hyper, seed) for agents in layouts.values()]
 
 
 class Trainer:
-    """Synchronizes bundles against one environment: observe, act, step,
-    route rewards, update whichever rollout windows filled.
+    """Synchronizes homes (see ``build_homes``) against one environment:
+    observe, act, step, route rewards, update whichever rollout windows
+    filled."""
 
-    Each home of the bundles (see ``build_bundles``) acts for all its
-    bundles in one pass, so the Trainer must hold every bundle of each.
-    """
-
-    def __init__(self, env: SchedulingEnv, bundles: list[AgentBundle]):
-        homes = [bundle.home for bundle in bundles]
-        for bundle, home in zip(bundles, homes):
-            if home is None or homes.count(home) != len(set(home.agents)):
-                raise ValueError(f"agent {bundle.agent}'s bundle has no Home or shares "
-                                 "it with bundles this Trainer lacks; pass all "
-                                 "build_bundles made")
+    def __init__(self, env: SchedulingEnv, homes: list[Home]):
         self.env = env
-        self.bundles = bundles
-        self.homes = list(dict.fromkeys(homes))
+        self.homes = homes
 
     def step(self) -> StepResult:
         joint = JointActions()
@@ -602,6 +601,6 @@ class Trainer:
         for home in self.homes:
             home.act(self.env, joint, image)
         result = self.env.step(joint)
-        for bundle in self.bundles:
-            route_rewards(bundle, result)
+        for home in self.homes:
+            route_rewards(home, result)
         return result

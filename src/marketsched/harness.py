@@ -1,8 +1,8 @@
 """Scenario definitions, multi-seed training runs, windowed metrics, CSV export.
 
-Every run trains: each agent acts through its architecture's ``AgentBundle``
-and one ``Trainer`` steps them all. The scripted policy has its own entry
-point, ``baseline.scripted_env_trace``.
+Every run trains: ``build_homes`` groups the agents into homes, each of
+which acts for its agents, and one ``Trainer`` steps them all. The scripted
+policy has its own entry point, ``baseline.scripted_env_trace``.
 
 A run record samples, every ``record_every`` steps, the trailing-window mean
 normalized turnaround per job type, the trailing-window mean realized price
@@ -29,7 +29,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, Trainer,
-                     build_bundles)
+                     build_homes)
 from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_keys, finite_number,
                      whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
@@ -234,7 +234,7 @@ def run_scenario(scenario: Scenario, seed: int,
     records and trace files.
     """
     env = SchedulingEnv(scenario.env, seed)
-    trainer = Trainer(env, build_bundles(scenario.arch, scenario.env, scenario.hyper, seed))
+    trainer = Trainer(env, build_homes(scenario.arch, scenario.env, scenario.hyper, seed))
 
     metrics = _MetricWindow(scenario.env, scenario.window)
     steps: list[int] = []

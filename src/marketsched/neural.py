@@ -9,13 +9,13 @@ a ``ParamStack``, which holds exactly what a checkpoint saves: the weights
 one Adam step count per row. A checkpoint is one ``.npz`` of that state: a
 format version, the parameter-set names in row order, ``rows``, ``m``, ``v``
 and the step counts, so a loaded stack continues training exactly as the
-saved one would. A stack whose rows are rows of a home stack shares all of
-that state with the home, so one ``forward`` reads the networks of several
-agents and one update on the home steps them. The gradient belongs to one
-update: it lives in that update's scratch, zero-filled, and the surrogate
-never writes its padding, so the padding's step is 0 and stays fixed.
+saved one would. One stack holds the networks of every agent of a home
+(see ``marketsched.agents``), so one ``forward`` reads them all and one
+update steps them. The gradient belongs to one update: it lives in that
+update's scratch, zero-filled, and the surrogate never writes its padding,
+so the padding's step is 0 and stays fixed.
 Besides that state a stack keeps the rows ``forward`` last gathered, one
-copy of the whole rows taken at once, until the home's next update or load.
+copy of the whole rows taken at once, until its next update or load.
 
 ``ppo_update`` updates S >= 1 networks of one shape at once, each on its own
 window with its own sample stream and its own Adam step count, in one
@@ -182,52 +182,30 @@ class ParamStack:
     -inf, which give padded actions probability 0, and moments 0. ``save``
     and ``load`` move exactly this state, ``rows``, ``m``, ``v`` and the step
     counts, through one ``.npz`` file. The gradient is not part of it: it
-    belongs to one update (``UpdateWork``). A home's ``writes`` counts the
-    updates and loads of its rows, and ``gather`` keeps the blocks it last
-    gathered until that count moves; anything else that writes the rows in
-    place between two ``forward`` calls advances it too.
+    belongs to one update (``UpdateWork``). ``writes`` counts the updates
+    and loads of the rows, and ``gather`` keeps the blocks it last gathered
+    until that count moves; anything else that writes the rows in place
+    between two ``forward`` calls advances it too.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, shapes: list[tuple[int, int, int]], home: ParamStack | None = None,
-                 first: int = 0):
+    def __init__(self, shapes: list[tuple[int, int, int]]):
         """``shapes`` holds one (in_width, hidden_width, action_count) per
-        network. With ``home``, a ParamStack of the same layout whose
-        networks from ``first`` on are these, the state is its rows
-        ``first``, ``first + 1``, ..., which the two then share, so one
-        ``forward`` or update on ``home`` reads or steps them beside home's
-        other rows. Else it is new arrays', and ``home`` is the ParamStack
-        itself."""
+        network."""
         self.shapes = shapes
         self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
-        self._layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden),
-                        (actions + 1,))
-        ends = list(accumulate(prod(shape) for shape in self._layout))
-        self._bounds = list(zip([0] + ends, ends, self._layout))
-        if home is None:
-            self.rows, self.m, self.v = (
-                np.zeros((len(shapes), sum(prod(s) for s in self._layout))) for _ in range(3))
-            self.step_counts = np.zeros(len(shapes), dtype=np.int64)
-        elif (first < 0 or home.shapes[first:first + len(shapes)] != list(shapes)
-              or home._layout != self._layout):
-            raise ValueError(f"rows {first}.. of a stack of networks {home.shapes} "
-                             f"cannot hold networks {shapes}")
-        else:
-            span = slice(first, first + len(shapes))
-            self.rows, self.m, self.v, self.step_counts = (
-                home.rows[span], home.m[span], home.v[span], home.step_counts[span])
-        self._home, self.first = home, first
+        layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden), (actions + 1,))
+        ends = list(accumulate(prod(shape) for shape in layout))
+        self._bounds = list(zip([0] + ends, ends, layout))
+        self.rows, self.m, self.v = (np.zeros((len(shapes), ends[-1])) for _ in range(3))
+        self.step_counts = np.zeros(len(shapes), dtype=np.int64)
         self.writes = 0
         self._gathered: tuple = (None, [])
         (self.w1, self.b1, self.head, self.head_bias), self.views = self._lay_out(self.rows)
         self.last_action = np.array([a for _, _, a in shapes]) - 1
         self.head_bias[:, :-1] = np.where(
             np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
-
-    @property
-    def home(self) -> ParamStack:
-        return self if self._home is None else self._home  # no reference cycle
 
     @property
     def steps(self) -> list[int]:
@@ -251,9 +229,9 @@ class ParamStack:
         views of ``rows`` if they are a run lo, lo+1, ... (FULL's, with the
         large head), else views of one copy of their rows, taken at once,
         with the two bias blocks copied again to be contiguous. Either is
-        kept and given again for the same ``sets`` until the home's rows
-        are next written (``writes``)."""
-        key = sets.tolist(), self.home.writes
+        kept and given again for the same ``sets`` until the rows are next
+        written (``writes``)."""
+        key = sets.tolist(), self.writes
         if key != self._gathered[0]:
             span = _span(sets)
             w1, b1, head, head_bias = self._blocks(_rows(self.rows, span))
@@ -323,8 +301,7 @@ class ParamStack:
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,
-        to one ``.npz``; ``load`` restores it bit for bit. A stack in rows of
-        a larger home writes its own rows only."""
+        to one ``.npz``; ``load`` restores it bit for bit."""
         np.savez(path, version=CHECKPOINT_VERSION, names=np.array(names, dtype=str),
                  rows=self.rows, m=self.m, v=self.v, steps=self.step_counts)
 
@@ -370,7 +347,7 @@ class ParamStack:
                                  f"got {steps.tolist()}")
             self.rows[...], self.m[...], self.v[...] = rows, m, v
             self.step_counts[...] = steps
-            self.home.writes += 1
+            self.writes += 1
 
 
 def _orthogonal(out: np.ndarray, gain: float, rng: np.random.Generator) -> None:
@@ -607,7 +584,7 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     ``stack``, distinct and all of one (in_width, hidden_width, action_count)
     shape, each on its own window, item i of every field of ``batch``, with
     its own stream ``rngs[i]``, in place; returns each network's aggregate
-    stats. Advances the home's ``writes``.
+    stats. Advances the stack's ``writes``.
 
     The networks share one minibatch loop, and each ends bit for bit where
     updating it alone would leave it: its own permutations, advantages
@@ -681,6 +658,6 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                 minibatches += 1
     finally:
         stack._put(span, rows, m, v, step_counts)
-        stack.home.writes += 1
+        stack.writes += 1
     return [{**{key: float(total) / max(minibatches, 1) for key, total in zip(STATS, column)},
              "minibatches": minibatches} for column in totals.T]

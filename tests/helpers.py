@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from marketsched.agents import AgentBundle, Home
+from marketsched.agents import Home
 from marketsched.config import EnvConfig, JobType
 from marketsched.env import AUCTIONEER, Job, JointActions
 from marketsched.neural import TrainBatch
@@ -77,33 +77,28 @@ def newest_obs(home, u):
     return store.obs[u, store.sizes[u] - 1, :store.width[u]]
 
 
-def unit_rows(bundle):
-    """The row of each unit of ``bundle`` in its home, by unit key."""
-    return {spec.key: bundle.home.at[(bundle.agent, spec.positions[0])]
-            for spec in bundle.specs}
+def unit_rows(home):
+    """The row of each unit of ``home``, by (agent, unit key)."""
+    return {(agent, spec.key): u for u, (agent, spec) in enumerate(zip(home.agents, home.specs))}
 
 
-def update_counts(bundle):
-    """How many updates each unit of ``bundle`` took, by unit key."""
-    return {key: bundle.home.updates[u] for key, u in unit_rows(bundle).items()}
+def update_counts(homes):
+    """How many updates each unit of ``homes`` took, by (agent, unit key)."""
+    return {unit: home.updates[u] for home in homes for unit, u in unit_rows(home).items()}
 
 
 def standalone(archs, cfg, hyper, seed):
-    """One bundle per agent, agent i's of architecture ``archs[i]``, each
-    constructed on its own and acting in a ``Home`` of its own: the
-    per-bundle reference that a home of ``build_bundles`` is checked
+    """One home per agent, agent i's of architecture ``archs[i]``: the
+    per-agent reference that a home of ``build_homes`` is checked
     against."""
-    bundles = [AgentBundle(arch, a, cfg, hyper, seed) for a, arch in enumerate(archs)]
-    for bundle in bundles:
-        Home([bundle])
-    return bundles
+    return [Home({a: arch}, cfg, hyper, seed) for a, arch in enumerate(archs)]
 
 
-def act(bundles, env, joint=None):
-    """One acting pass of each home of ``bundles``, in the order of its first
-    bundle, into ``joint`` (a new JointActions if None), which it returns."""
+def act(homes, env, joint=None):
+    """One acting pass of each of ``homes``, in order, into ``joint`` (a new
+    JointActions if None), which it returns."""
     joint = JointActions() if joint is None else joint
     image = market_image(env)
-    for home in dict.fromkeys(bundle.home for bundle in bundles):
+    for home in homes:
         home.act(env, joint, image)
     return joint

@@ -1,6 +1,7 @@
 """Architectures, reward routing, parameter sharing, training determinism."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from marketsched.agents import (
     InfeasibleArchitectureError,
     PLANS_KEPT,
     Trainer,
-    build_bundles,
+    build_homes,
     commercial_price_reward,
     feasibility_guard,
     noncommercial_price_reward,
@@ -30,7 +31,8 @@ from marketsched.neural import STATS, PPOHyper, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import derive_rng
 
-from helpers import act, make_config, manual_config, place_job, stacked
+from helpers import (act, make_config, manual_config, place_job, random_actions, stacked,
+                     standalone)
 from reference import mixed_radix_decode, plan as reference_plan
 
 
@@ -88,6 +90,36 @@ class TestFeasibilityGuard:
         assert ok and worst == 64 * 64 + 1
 
 
+def parameter_count(arch, cfg):
+    """The weights of one agent's parameter sets, counted from the shapes of
+    ``unit_layout``, so that no guard cuts a large ``FULL`` off."""
+    shapes = {spec.param_key: (spec.obs_width, spec.hidden_width, spec.action_count)
+              for spec in unit_layout(arch, cfg)}
+    # w1, b1, wp, bp, wv and bv
+    return sum(w * h + h + h * a + a + h + 1 for w, h, a in shapes.values())
+
+
+class TestScaling:
+    """C0: splitting an agent into units makes its size linear in the
+    market's agents, cores and slots."""
+
+    @staticmethod
+    def second_differences(arch, field):
+        base = builtin_scenarios()["EXP2_ARCH_2X2"].env
+        counts = [parameter_count(arch, replace(base, **{field: n})) for n in range(2, 8)]
+        return [a - 2 * b + c for a, b, c in zip(counts, counts[1:], counts[2:])]
+
+    @pytest.mark.parametrize("field", ["num_agents", "num_cores", "num_slots"])
+    @pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS])
+    def test_split_agents_grow_linearly(self, arch, field):
+        assert self.second_differences(arch, field) == [0] * 4
+
+    @pytest.mark.parametrize("field", ["num_agents", "num_cores", "num_slots"])
+    @pytest.mark.parametrize("arch", [ARCH_SEMI, ARCH_FULL])
+    def test_aggregated_agents_grow_faster_than_linearly(self, arch, field):
+        assert all(d > 0 for d in self.second_differences(arch, field))
+
+
 class TestPriceRewards:
     def test_commercial(self):
         assert commercial_price_reward(5, 3) == 2
@@ -104,14 +136,14 @@ class TestActionWiring:
     def test_distributed_emits_one_action_per_unit(self):
         cfg = make_config()
         env = SchedulingEnv(cfg, seed=1)
-        joint = act(build_bundles((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=1), env)
+        joint = act(build_homes((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=1), env)
         # no cores owned yet: only each agent's 3 offer actions
         assert len(joint.offers) == 2 * 3 and len(joint.accepts) == 0
 
     def test_semi_decodes_into_per_core_and_per_slot_digits(self):
         cfg = make_config()
         env = SchedulingEnv(cfg, seed=2)
-        joint = act(build_bundles((ARCH_SEMI,) * 2, cfg, PPOHyper(), seed=2), env)
+        joint = act(build_homes((ARCH_SEMI,) * 2, cfg, PPOHyper(), seed=2), env)
         assert set(joint.offers) == {(a, k) for a in (0, 1) for k in (0, 1, 2)}
         assert all(0 <= a <= cfg.num_cores for a in joint.offers.values())
 
@@ -130,15 +162,15 @@ class TestActionWiring:
     def test_accepts_only_owned_cores_and_keeps_few_passes(self):
         cfg = make_config(num_cores=7)  # 128 sets of owned cores
         env = SchedulingEnv(cfg, seed=4)
-        bundles = build_bundles((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=4)
+        homes = build_homes((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=4)
         for mask in range(2 ** cfg.num_cores):
             owned = {m for m in range(cfg.num_cores) if mask >> m & 1}
             for m, core in enumerate(env.cores):
                 core.owner = 0 if m in owned else AUCTIONEER
-            joint = act(bundles, env)
+            joint = act(homes, env)
             assert set(joint.accepts) == {(0, m) for m in owned}
             assert len(joint.offers) == 2 * cfg.num_slots
-            assert len(bundles[0].home.plans) <= PLANS_KEPT
+            assert len(homes[0].plans) <= PLANS_KEPT
 
     @pytest.mark.parametrize("archs", [
         (ARCH_DIST,) * 2, (ARCH_DIST_PS,) * 2, (ARCH_SEMI,) * 2, (ARCH_FULL,) * 2,
@@ -146,9 +178,7 @@ class TestActionWiring:
     def test_every_plan_equals_one_built_from_scratch(self, archs):
         # the update-order contract rests on the plans' row order
         cfg = make_config(num_cores=4, num_slots=1)
-        bundles = build_bundles(archs, cfg, PPOHyper(), seed=1)
-        home = bundles[0].home
-        assert bundles[1].home is home
+        (home,) = build_homes(archs, cfg, PPOHyper(), seed=1)
         for owners in [()] + list(itertools.product((AUCTIONEER, 0, 1), repeat=4)):
             plan, want = home._plan(owners), reference_plan(home, owners)
             for field, got, expected in zip(plan._fields, plan, want):
@@ -160,7 +190,7 @@ class TestActionWiring:
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
         env = SchedulingEnv(cfg, seed=3)
-        joint = act(build_bundles((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=3), env)
+        joint = act(build_homes((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=3), env)
         assert joint.prices
         for (agent, slot), choice in joint.offers.items():
             has_price = (agent, slot) in joint.prices
@@ -170,13 +200,13 @@ class TestActionWiring:
             assert 0 <= price <= cfg.max_prio
 
 
-def credit_log(bundles):
-    """Make the homes of ``bundles`` log what ``route_rewards`` credits their
-    units, in order, instead of taking it: (agent, unit key, reward) for a
-    reward on a unit's latest decision, and (agent, unit key, reward, offer
-    step) for a price setter's pending decision. Returns the log."""
+def credit_log(homes):
+    """Make ``homes`` log what ``route_rewards`` credits their units, in
+    order, instead of taking it: (agent, unit key, reward) for a reward on
+    a unit's latest decision, and (agent, unit key, reward, offer step) for
+    a price setter's pending decision. Returns the log."""
     log = []
-    for home in dict.fromkeys(bundle.home for bundle in bundles):
+    for home in homes:
         home.credit = lambda u, reward, home=home: log.append(
             (home.agents[u], home.specs[u].key, reward))
         home.resolve_price = lambda u, made_at, reward, home=home: log.append(
@@ -203,13 +233,13 @@ def trade_fixture(pricing_mode=PricingMode.FIXED):
 class TestRewardRouting:
     def test_offer_acceptance_routes_priority_to_slot_unit(self):
         cfg, env = trade_fixture()
-        bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
-        log = credit_log(bundles)
+        homes = build_homes((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
+        log = credit_log(homes)
         cell = 1 * cfg.num_slots + 0
         result = env.step(JointActions(accepts={(0, 1): cell + 1}))
         assert len(result.trades) == 1 and result.trades[0].price == 8
-        for bundle in bundles:
-            route_rewards(bundle, result)
+        for home in homes:
+            route_rewards(home, result)
         assert log == [(1, ("offer", 0), 8.0)]
 
         # two steps later the prio-8 job terminates; settlement reaches the
@@ -219,19 +249,19 @@ class TestRewardRouting:
         payouts = result.settlements[0].payouts
         assert payouts == {AUCTIONEER: 1, 0: 7, 1: 0}
         log.clear()
-        for bundle in bundles:
-            route_rewards(bundle, result)
+        for home in homes:
+            route_rewards(home, result)
         assert (0, ("accept", 1), 7.0) in log and (1, ("accept", 1), 0.0) in log
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_each_position_credits_the_unit_that_covers_it(self, arch):
         cfg, env = trade_fixture(PricingMode.FREE_COMMERCIAL)
-        bundles = build_bundles((arch, arch), cfg, PPOHyper(), seed=5)
-        log = credit_log(bundles)
+        homes = build_homes((arch, arch), cfg, PPOHyper(), seed=5)
+        log = credit_log(homes)
         accept_1 = {ARCH_SEMI: ("accept", 0),
                     ARCH_FULL: ("full", 0)}.get(arch, ("accept", 1))
         offer_0 = ("full", 0) if arch == ARCH_FULL else ("offer", 0)
-        home = bundles[0].home
+        (home,) = homes
         for key, pos in ((accept_1, ("accept", 1)), (offer_0, ("offer", 0))):
             assert home.specs[home.at[(0, pos)]].key == key
 
@@ -241,16 +271,16 @@ class TestRewardRouting:
         expected = [(1, offer_0, 8.0)]
         if arch == ARCH_DIST_PRICE:  # the matched bid pays 0.5
             expected.append((1, ("price", 0), 0.5, trade.made_at))
-        for bundle in bundles:
-            route_rewards(bundle, result)
+        for home in homes:
+            route_rewards(home, result)
         assert log == expected
 
         result = env.step(JointActions())
         result = env.step(JointActions()) if not result.settlements else result
         assert result.settlements[0].payouts == {AUCTIONEER: 1, 0: 7, 1: 0}
         log.clear()
-        for bundle in bundles:
-            route_rewards(bundle, result)
+        for home in homes:
+            route_rewards(home, result)
         assert log == [(0, accept_1, 7.0), (1, accept_1, 0.0)]
 
     def test_price_reward_routed_with_offer_alignment(self):
@@ -262,21 +292,21 @@ class TestRewardRouting:
         made_at = env.time
         env.step(JointActions(offers={(0, 0): 1}, prices={(0, 0): 3}))
         result = env.step(JointActions())
-        bundles = build_bundles((ARCH_DIST_PRICE,), cfg, PPOHyper(), seed=6)
-        log = credit_log(bundles)
-        route_rewards(bundles[0], result)
+        homes = build_homes((ARCH_DIST_PRICE,), cfg, PPOHyper(), seed=6)
+        log = credit_log(homes)
+        route_rewards(homes[0], result)
         assert [entry for entry in log if entry[1] == ("price", 0)] == [
             (0, ("price", 0), 2.0, made_at)]
 
     def test_totality_against_step_payouts(self):
-        # routed rewards over all bundles = settlements to agents
+        # routed rewards over all homes = settlements to agents
         # + mediated priorities + price rewards, never the auctioneer income
         cfg = make_config(job_types=(JobType(0, 2, 4, 0.5), JobType(1, 5, 2, 0.3)),
                           pricing_mode=PricingMode.FREE_NONCOMMERCIAL)
         env = SchedulingEnv(cfg, seed=8)
-        bundles = build_bundles((ARCH_DIST_PRICE,) * cfg.num_agents, cfg, PPOHyper(), seed=8)
-        trainer = Trainer(env, bundles)
-        log = credit_log(bundles)
+        homes = build_homes((ARCH_DIST_PRICE,) * cfg.num_agents, cfg, PPOHyper(), seed=8)
+        trainer = Trainer(env, homes)
+        log = credit_log(homes)
         for _ in range(400):
             log.clear()
             result = trainer.step()
@@ -290,6 +320,49 @@ class TestRewardRouting:
             assert routed_total == settle_agents + offered + priced
 
 
+    @pytest.mark.parametrize("mode", list(PricingMode), ids=lambda mode: mode.name)
+    def test_one_walk_of_a_home_routes_as_each_agent_alone(self, mode):
+        # a DIST_PRICE home of two agents against one home per agent, on
+        # random actions in EXP4's market, where a settlement now and then
+        # pays both agents; every offer with a bid leaves a price decision
+        # pending in both, which a trade commits or the expiry drops
+        scenario = builtin_scenarios()["EXP4_PRICING_COMM"]
+        cfg = replace(scenario.env, pricing_mode=mode)
+        env = SchedulingEnv(cfg, seed=26)
+        rng = derive_rng(26, 0)
+        (home,) = build_homes((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=26)
+        alone = standalone((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=26)
+        together, each = credit_log([home]), [credit_log([one]) for one in alone]
+        logged, held_any, paid_both = [], False, 0
+        for _ in range(400):
+            actions = random_actions(env, rng)
+            for one in [home] + alone:
+                for a, k, u in one.setters:
+                    if (a, k) in actions.prices:
+                        one.pending[u][env.time] = (np.zeros(PRICE_OBS_LEN), 0, 0.0, 0.0)
+            result = env.step(actions)
+            together.clear()
+            for log in each:
+                log.clear()
+            route_rewards(home, result)
+            for one in alone:
+                route_rewards(one, result)
+            for agent, log in enumerate(each):
+                assert [entry for entry in together if entry[0] == agent] == log
+            assert len(together) == sum(map(len, each))
+            held = {(a, k): list(home.pending[u]) for a, k, u in home.setters}
+            assert held == {(a, k): list(one.pending[u])
+                            for one in alone for a, k, u in one.setters}
+            assert all(t >= result.time for times in held.values() for t in times)
+            logged += together
+            held_any = held_any or any(held.values())
+            paid_both += sum({0, 1} <= set(s.payouts) for s in result.settlements)
+        assert paid_both
+        kinds = {(entry[1][0], len(entry)) for entry in logged}
+        assert kinds == {("accept", 3), ("offer", 3), ("price", 4)}
+        assert held_any == mode.is_free
+
+
 class TestUnitBookkeeping:
     """What a home keeps per unit besides its rollout window: the rewards
     that arrived before its first decision, its update count and its last
@@ -297,13 +370,11 @@ class TestUnitBookkeeping:
 
     def test_a_reward_before_the_first_decision_is_dropped(self):
         cfg, env = trade_fixture()
-        bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
-        home = bundles[0].home
+        (home,) = build_homes((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
         home.store.rewards[...] = np.nan
         result = env.step(JointActions(accepts={(0, 1): 1 * cfg.num_slots + 1}))
         assert len(result.trades) == 1
-        for bundle in bundles:
-            route_rewards(bundle, result)
+        route_rewards(home, result)
         dropped = {(a, spec.key): r for a, spec, r in zip(home.agents, home.specs, home.dropped)}
         assert {at: r for at, r in dropped.items() if r} == {(1, ("offer", 0)): 8.0}
         assert not home.store.sizes.any() and np.isnan(home.store.rewards).all()
@@ -312,9 +383,9 @@ class TestUnitBookkeeping:
         cfg = make_config()
         hyper = PPOHyper(rollout_length=16, minibatch_size=8, epochs=1)
         env = SchedulingEnv(cfg, seed=9)
-        bundles = build_bundles((ARCH_DIST,) * 2, cfg, hyper, seed=9)
-        trainer = Trainer(env, bundles)
-        home = bundles[0].home
+        homes = build_homes((ARCH_DIST,) * 2, cfg, hyper, seed=9)
+        trainer = Trainer(env, homes)
+        (home,) = homes
         u = home.at[(0, ("offer", 0))]
         assert home.stats[u] == {}
         while not home.updates[u]:
@@ -328,8 +399,7 @@ class TestUnitBookkeeping:
     def test_a_price_commit_that_fills_the_window_updates_at_once(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
         hyper = PPOHyper(rollout_length=4, minibatch_size=2, epochs=1)
-        bundle = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=24)[0]
-        home = bundle.home
+        (home,) = build_homes((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=24)
         store = home.store
         bootstraps, batch = [], store.batch
 
@@ -339,13 +409,13 @@ class TestUnitBookkeeping:
 
         store.batch = logged_batch
         u = home.at[(0, ("price", 0))]
-        steps = list(bundle.stack.steps)
+        steps = list(home.stack.steps)
         for made_at in range(hyper.rollout_length):
             assert home.updates[u] == 0 and store.sizes[u] == made_at
             home.pending[u][made_at] = (np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
             home.resolve_price(u, made_at, 0.5)
         assert home.updates[u] == 1 and store.sizes[u] == 0 and bootstraps == [[0.0]]
-        assert bundle.stack.steps != steps  # the price set took its Adam steps
+        assert home.stack.steps != steps  # the price set took its Adam steps
 
 
 class TestTraining:
@@ -353,9 +423,9 @@ class TestTraining:
         cfg = make_config()
         hyper = PPOHyper(rollout_length=16, minibatch_size=8, epochs=1)
         env = SchedulingEnv(cfg, seed=9)
-        bundles = build_bundles((ARCH_DIST,) * 2, cfg, hyper, seed=9)
-        trainer = Trainer(env, bundles)
-        home = bundles[0].home
+        homes = build_homes((ARCH_DIST,) * 2, cfg, hyper, seed=9)
+        trainer = Trainer(env, homes)
+        (home,) = homes
         u = home.at[(0, ("offer", 0))]
         seen_full = False
         for i in range(40):
@@ -371,11 +441,12 @@ class TestTraining:
         cfg = make_config()
         hyper = PPOHyper(rollout_length=8, minibatch_size=4, epochs=2)
         env = SchedulingEnv(cfg, seed=10)
-        bundles = build_bundles((ARCH_DIST_PS,) * 2, cfg, hyper, seed=10)
-        trainer = Trainer(env, bundles)
+        homes = build_homes((ARCH_DIST_PS,) * 2, cfg, hyper, seed=10)
+        trainer = Trainer(env, homes)
         for _ in range(200):
             trainer.step()
-        bundle, home = bundles[0], bundles[0].home
+        (home,) = homes
+        bundle = home.bundles[0]
         assert home.updates[home.at[(0, ("offer", 0))]] + home.updates[
             home.at[(0, ("offer", 1))]] > 0
         for kind in ("accept", "offer"):
@@ -392,15 +463,15 @@ class TestTraining:
 
         def run():
             env = SchedulingEnv(cfg, seed=11)
-            bundles = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=11)
-            trainer = Trainer(env, bundles)
+            homes = build_homes((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=11)
+            trainer = Trainer(env, homes)
             trace = []
             for _ in range(300):
                 result = trainer.step()
                 trace.append((len(result.trades), result.auctioneer_income,
                               tuple(sorted((t.buyer, t.price) for t in result.trades))))
             params = [dict(b.params[spec.param_key].tensors())
-                      for b in bundles for spec in b.specs]
+                      for home in homes for b in home.bundles for spec in b.specs]
             return trace, params
 
         trace_a, params_a = run()
@@ -415,11 +486,10 @@ class TestTraining:
                             num_agents=2, num_cores=1, num_slots=1,
                             pricing_mode=PricingMode.FREE_COMMERCIAL)
         env = SchedulingEnv(cfg, 0)
-        bundle = build_bundles((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=12)[0]
+        (home,) = build_homes((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=12)
         place_job(env, 0, 0)
         # core 0 is taken by a competitor with a higher bid next step
         competitor = place_job(env, 1, 0)
-        home = bundle.home
         u = home.at[(0, ("price", 0))]
         home.pending[u][env.time] = (np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
         env.step(JointActions(offers={(0, 0): 1, (1, 0): 1},
@@ -427,120 +497,107 @@ class TestTraining:
         assert env.pending_offers(0)
         result = env.step(JointActions())
         assert result.trades[0].buyer == 1  # our offer lost
-        route_rewards(bundle, result)
+        route_rewards(home, result)
         assert home.store.sizes[u] == 0 and not home.pending[u]
 
 
-    def test_trainer_rejects_a_bundle_without_a_home(self):
-        # a bundle constructed on its own has no Home to act for it
-        cfg = make_config()
-        bundles = [AgentBundle(ARCH_DIST, a, cfg, PPOHyper(), seed=19) for a in range(2)]
-        with pytest.raises(ValueError, match="build_bundles"):
-            Trainer(SchedulingEnv(cfg, seed=19), bundles)
 
-    def test_trainer_rejects_part_of_a_home(self):
-        # the home would act for agent 1 too, whose rewards nobody routes
-        cfg = make_config()
-        bundles = build_bundles((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=20)
-        with pytest.raises(ValueError, match="build_bundles"):
-            Trainer(SchedulingEnv(cfg, seed=20), bundles[:1])
+def learned_state(home):
+    return [getattr(home.stack, name).tobytes() for name in ("rows", "m", "v", "step_counts")]
+
+
+def accept_window(home, name, seed, size=64):
+    """A window of ``size`` random rows for the set ``name`` of ``home``,
+    as ``ppo_update`` takes it, and the set's row."""
+    index = home.names.index(name)
+    params, rng = home.stack.views[index], derive_rng(seed, 0)
+    batch = TrainBatch(obs=rng.standard_normal((size, params.in_width)),
+                       actions=rng.integers(0, params.action_count, size),
+                       logp_old=np.full(size, -1.0), advantages=rng.standard_normal(size),
+                       returns=rng.standard_normal(size))
+    return stacked(batch), index
 
 
 class TestCheckpointing:
+    """A home saves and loads the learned state of all its agents as one
+    file, its rows named ``agent<A>/<key>``."""
+
     def test_bundle_checkpoint_roundtrip(self, tmp_path):
         cfg = make_config()
-        bundle = AgentBundle(ARCH_DIST_PS, 0, cfg, PPOHyper(), seed=13)
-        path = tmp_path / "bundle.npz"
-        bundle.save(path)
-        other = AgentBundle(ARCH_DIST_PS, 0, cfg, PPOHyper(), seed=99)
+        (home,) = build_homes((ARCH_DIST_PS,) * 2, cfg, PPOHyper(), seed=13)
+        path = tmp_path / "home.npz"
+        home.save(path)
+        with np.load(path) as data:
+            assert data["names"].tolist() == ["agent0/accept", "agent0/offer",
+                                              "agent1/accept", "agent1/offer"]
+        (other,) = build_homes((ARCH_DIST_PS,) * 2, cfg, PPOHyper(), seed=99)
+        assert learned_state(other) != learned_state(home)
         other.load(path)
-        for key in bundle.params:
-            for (name, a), (_, b) in zip(bundle.params[key].tensors(),
-                                         other.params[key].tensors()):
-                assert np.array_equal(a, b)
+        assert learned_state(other) == learned_state(home)
+        for mine, theirs in zip(home.bundles, other.bundles):
+            for key in mine.params:
+                for (name, a), (_, b) in zip(mine.params[key].tensors(),
+                                             theirs.params[key].tensors()):
+                    assert np.array_equal(a, b)
 
     def test_mismatched_architecture_rejected(self, tmp_path):
         cfg = make_config()
-        AgentBundle(ARCH_DIST_PS, 0, cfg, PPOHyper(), seed=14).save(tmp_path / "x.npz")
+        build_homes((ARCH_DIST_PS,) * 2, cfg, PPOHyper(), seed=14)[0].save(tmp_path / "x.npz")
         with pytest.raises(ValueError):
-            AgentBundle(ARCH_FULL, 0, cfg, PPOHyper(), seed=14).load(tmp_path / "x.npz")
+            build_homes((ARCH_FULL,) * 2, cfg, PPOHyper(), seed=14)[0].load(tmp_path / "x.npz")
 
     def test_loaded_bundle_trains_on_as_the_saved_one(self, tmp_path):
         # the Adam moments and step counts travel with the weights, so the
-        # next update of a loaded bundle is the saved bundle's next update
+        # next update of a loaded home is the saved home's next update
         scenario = builtin_scenarios()["EXP1_TRADING"]
-        saved = AgentBundle(ARCH_DIST_PS, 0, scenario.env, scenario.hyper, seed=3)
-        index = list(saved.params).index("accept")
-        rng = derive_rng(3, 0)
-        size = 64
-        batch = TrainBatch(
-            obs=rng.standard_normal((size, saved.params["accept"].in_width)),
-            actions=rng.integers(0, saved.params["accept"].action_count, size),
-            logp_old=np.full(size, -1.0), advantages=rng.standard_normal(size),
-            returns=rng.standard_normal(size))
-        ppo_update(saved.stack, [index], stacked(batch), scenario.hyper, [derive_rng(3, 1)])
-        saved.save(tmp_path / "bundle.npz")
-        loaded = AgentBundle(ARCH_DIST_PS, 0, scenario.env, scenario.hyper, seed=4)
-        loaded.load(tmp_path / "bundle.npz")
-        for name in ("rows", "m", "v"):
-            assert np.array_equal(getattr(saved.stack, name), getattr(loaded.stack, name))
-        assert loaded.stack.steps == saved.stack.steps
-        for bundle in (saved, loaded):
-            ppo_update(bundle.stack, [index], stacked(batch), scenario.hyper,
-                       [derive_rng(3, 2)])
-        assert saved.stack.rows.tobytes() == loaded.stack.rows.tobytes()
+        (saved,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=3)
+        batch, index = accept_window(saved, "agent1/accept", seed=3)
+        ppo_update(saved.stack, [index], batch, scenario.hyper, [derive_rng(3, 1)])
+        saved.save(tmp_path / "home.npz")
+        (loaded,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=4)
+        loaded.load(tmp_path / "home.npz")
+        assert learned_state(loaded) == learned_state(saved)
+        for home in (saved, loaded):
+            ppo_update(home.stack, [index], batch, scenario.hyper, [derive_rng(3, 2)])
+        assert learned_state(loaded) == learned_state(saved)
 
     def test_checkpoint_moves_between_trainer_and_standalone_bundles(self, tmp_path):
-        # bundles of one layout keep their weights in one home stack, which
-        # the Trainer reads; a bundle's checkpoint is still its own rows,
-        # names and step counts
+        # a trained home's checkpoint loads into a home no Trainer steps,
+        # and back; the load goes into the rows the pass and the agents'
+        # parameter sets read
         cfg = make_config()
         hyper = PPOHyper(rollout_length=8, minibatch_size=4, epochs=2)
         env = SchedulingEnv(cfg, seed=16)
-        bundles = build_bundles((ARCH_DIST_PS, ARCH_DIST_PS), cfg, hyper, seed=16)
-        trainer = Trainer(env, bundles)
+        homes = build_homes((ARCH_DIST_PS, ARCH_DIST_PS), cfg, hyper, seed=16)
+        trainer = Trainer(env, homes)
         for _ in range(40):
             trainer.step()
-        adopted = bundles[1]
-        assert any(adopted.stack.steps)
+        (trained,) = homes
+        assert any(trained.stack.steps)
+        trained.save(tmp_path / "trained.npz")
+        (fresh,) = build_homes((ARCH_DIST_PS, ARCH_DIST_PS), cfg, hyper, seed=17)
+        fresh.load(tmp_path / "trained.npz")
+        assert learned_state(fresh) == learned_state(trained)
 
-        def assert_same_state(a, b):
-            for name in ("rows", "m", "v"):
-                assert getattr(a.stack, name).tobytes() == getattr(b.stack, name).tobytes()
-            assert a.stack.steps == b.stack.steps
-
-        adopted.save(tmp_path / "adopted.npz")
-        standalone = AgentBundle(ARCH_DIST_PS, 1, cfg, hyper, seed=17)
-        standalone.load(tmp_path / "adopted.npz")
-        assert_same_state(standalone, adopted)
-
-        other = AgentBundle(ARCH_DIST_PS, 1, cfg, hyper, seed=18)
-        rng = derive_rng(18, 0)
-        params = other.params["offer"]
-        batch = TrainBatch(obs=rng.standard_normal((16, params.in_width)),
-                           actions=rng.integers(0, params.action_count, 16),
-                           logp_old=np.full(16, -1.0), advantages=rng.standard_normal(16),
-                           returns=rng.standard_normal(16))
-        ppo_update(other.stack, [list(other.params).index("offer")], stacked(batch), hyper,
-                   [derive_rng(18, 1)])
-        other.save(tmp_path / "standalone.npz")
-        adopted.load(tmp_path / "standalone.npz")
-        assert_same_state(adopted, other)
-        # the load went into the home rows, which the Trainer's pass reads
-        home, first = adopted.stack.home, adopted.stack.first
-        assert home is bundles[0].stack.home and first == len(bundles[0].stack.rows)
-        assert home.rows[first:first + len(other.stack.rows)].tobytes() == \
-            other.stack.rows.tobytes()
+        (other,) = build_homes((ARCH_DIST_PS, ARCH_DIST_PS), cfg, hyper, seed=18)
+        batch, index = accept_window(other, "agent1/offer", seed=18, size=16)
+        ppo_update(other.stack, [index], batch, hyper, [derive_rng(18, 1)])
+        other.save(tmp_path / "other.npz")
+        trained.load(tmp_path / "other.npz")
+        assert learned_state(trained) == learned_state(other)
+        for (_, got), (_, want) in zip(trained.bundles[1].params["offer"].tensors(),
+                                       other.bundles[1].params["offer"].tensors()):
+            assert got.tobytes() == want.tobytes()
 
     def test_mismatched_names_or_row_shape_rejected(self, tmp_path):
         cfg = make_config()
-        bundle = AgentBundle(ARCH_DIST_PS, 0, cfg, PPOHyper(), seed=15)
-        before = bundle.stack.rows.tobytes()
-        bundle.stack.save(tmp_path / "names.npz", ["offer", "accept"])
-        wider = AgentBundle(ARCH_DIST_PS, 0, make_config(num_slots=4), PPOHyper(), seed=15)
-        wider.save(tmp_path / "shape.npz")
+        (home,) = build_homes((ARCH_DIST_PS,) * 2, cfg, PPOHyper(), seed=15)
+        before = learned_state(home)
+        home.stack.save(tmp_path / "names.npz", home.names[::-1])
+        build_homes((ARCH_DIST_PS,) * 2, make_config(num_slots=4), PPOHyper(),
+                    seed=15)[0].save(tmp_path / "shape.npz")
         with pytest.raises(ValueError, match="parameter sets"):
-            bundle.load(tmp_path / "names.npz")
+            home.load(tmp_path / "names.npz")
         with pytest.raises(ValueError, match="checkpoint rows of shape"):
-            bundle.load(tmp_path / "shape.npz")
-        assert bundle.stack.rows.tobytes() == before
+            home.load(tmp_path / "shape.npz")
+        assert learned_state(home) == before

@@ -9,7 +9,7 @@ action into one digit per position; the digits of cores the agent does not
 own are dropped. A rollout length of 4 makes shared parameter sets update in
 the middle of a pass. A home's pass over every agent's rows, and the
 ``Trainer``'s step, one such pass per parameter layout, are checked against
-the same reference and against bundles that each act in a ``Home`` of their
+the same reference and against agents that each act in a ``Home`` of their
 own.
 """
 
@@ -25,7 +25,7 @@ from marketsched.agents import (
     ARCH_SEMI,
     AgentBundle,
     Trainer,
-    build_bundles,
+    build_homes,
     route_rewards,
 )
 from marketsched.config import PricingMode
@@ -57,37 +57,38 @@ def reference_obs(env, agent, spec):
     return np.concatenate(parts)
 
 
-def act_unit_by_unit(bundle, env, joint):
-    cfg, a, home = bundle.config, bundle.agent, bundle.home
-    store = home.store  # the units' windows, where the pass keeps them
-    owned = {m for m in range(cfg.num_cores)
-             if cfg.trading_enabled and env.cores[m].owner == a}
-    rows = unit_rows(bundle)
-    for spec in bundle.specs:
-        if not spec.slots and not owned & set(spec.cores):
-            continue  # price setters, and acceptors of cores the agent does not own
-        u = rows[spec.key]
-        obs = reference_obs(env, a, spec)
-        logits, value = forward(bundle.params[spec.param_key], obs)
-        action, logp = sample(logits, home.sample_rngs[u])
-        if store.sizes[u] == store.length:
-            home.update([u], [value])
-        store.add(u, obs, action, logp, value, 0.0)
-        for (kind, i), digit in zip(spec.positions,
-                                    mixed_radix_decode(action, spec.radices)):
-            if kind == "accept" and i in owned:
-                joint.accepts[(a, i)] = digit
-            elif kind == "offer":
-                joint.offers[(a, i)] = digit
-                act_price(bundle, env, joint, i)
+def act_unit_by_unit(home, env, joint):
+    """Each agent of ``home`` acting one unit at a time, in ``unit_layout``
+    order; the units' windows are where the home's pass keeps them."""
+    cfg, store, rows = home.config, home.store, unit_rows(home)
+    for bundle in home.bundles:
+        a = bundle.agent
+        owned = {m for m in range(cfg.num_cores)
+                 if cfg.trading_enabled and env.cores[m].owner == a}
+        for spec in bundle.specs:
+            if not spec.slots and not owned & set(spec.cores):
+                continue  # price setters, and acceptors of cores the agent does not own
+            u = rows[(a, spec.key)]
+            obs = reference_obs(env, a, spec)
+            logits, value = forward(bundle.params[spec.param_key], obs)
+            action, logp = sample(logits, home.sample_rngs[u])
+            if store.sizes[u] == store.length:
+                home.update([u], [value])
+            store.add(u, obs, action, logp, value, 0.0)
+            for (kind, i), digit in zip(spec.positions,
+                                        mixed_radix_decode(action, spec.radices)):
+                if kind == "accept" and i in owned:
+                    joint.accepts[(a, i)] = digit
+                elif kind == "offer":
+                    joint.offers[(a, i)] = digit
+                    act_price(home, bundle, env, joint, i)
 
 
-def act_price(bundle, env, joint, k):
-    cfg, a = bundle.config, bundle.agent
+def act_price(home, bundle, env, joint, k):
+    cfg, a = home.config, bundle.agent
     choice = joint.offers[(a, k)]
     if (bundle.arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
             and choice > 0 and env.slots[a][k] is not None):
-        home = bundle.home
         u = home.at[(a, ("price", k))]
         obs = encode_price_obs(env, a, k, choice - 1)
         logits, value = forward(bundle.params["price"], obs)
@@ -96,21 +97,43 @@ def act_price(bundle, env, joint, k):
         joint.prices[(a, k)] = price
 
 
-def assert_rows_match_encoders(bundle, env, joint):
-    """What each unit recorded this step is its encoders' vector."""
-    a, home = bundle.agent, bundle.home
-    rows = unit_rows(bundle)
-    for spec in bundle.specs:
+def assert_rows_match_encoders(home, env, joint):
+    """What each unit of ``home`` recorded this step is its encoders' vector."""
+    rows = unit_rows(home)
+    for a, spec in zip(home.agents, home.specs):
         acted = spec.slots or any((a, m) in joint.accepts for m in spec.cores)
         if not acted:
             continue
-        recorded = newest_obs(home, rows[spec.key])
+        recorded = newest_obs(home, rows[(a, spec.key)])
         assert np.array_equal(recorded, reference_obs(env, a, spec))
-    for (agent, k) in joint.prices:
-        if agent == a:
-            recorded = home.pending[rows[("price", k)]][env.time][0]
+    for (a, k) in joint.prices:
+        if (a, ("price", k)) in home.at:
+            recorded = home.pending[rows[(a, ("price", k))]][env.time][0]
             expected = encode_price_obs(env, a, k, joint.offers[(a, k)] - 1)
             assert np.array_equal(recorded, expected)
+
+
+def bundles_of(homes):
+    """The bundles of ``homes``, in agent order."""
+    return sorted((bundle for home in homes for bundle in home.bundles),
+                  key=lambda bundle: bundle.agent)
+
+
+def learned_state(bundle):
+    """The bytes of the bundle's rows of its stack's weights, moments and
+    step counts."""
+    span = slice(bundle.first, bundle.first + len(bundle.param_sets))
+    return [getattr(bundle.stack, name)[span].tobytes()
+            for name in ("rows", "m", "v", "step_counts")]
+
+
+def assert_params_close(homes, reference):
+    """Every parameter set of ``homes`` is close to the same agent's set in
+    the ``reference`` homes."""
+    for bundle, ref in zip(bundles_of(homes), bundles_of(reference)):
+        for key, params in bundle.params.items():
+            for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
 
 
 @pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE,
@@ -119,7 +142,7 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL
                       if arch == ARCH_DIST_PRICE else PricingMode.FIXED)
     env = SchedulingEnv(cfg, seed=21)
-    batched = build_bundles((arch,) * cfg.num_agents, cfg, HYPER, seed=21)
+    batched = build_homes((arch,) * cfg.num_agents, cfg, HYPER, seed=21)
     reference = standalone((arch,) * cfg.num_agents, cfg, HYPER, seed=21)
 
     forward_calls = []
@@ -134,20 +157,18 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
     for _ in range(STEPS):
         joint, expected = act(batched, env), JointActions()
         passes += 1 + bool(joint.prices)  # the home's pass, then its price setters'
-        for bundle, ref in zip(batched, reference):
-            assert_rows_match_encoders(bundle, env, joint)
+        for home in batched:
+            assert_rows_match_encoders(home, env, joint)
+        for ref in reference:
             act_unit_by_unit(ref, env, expected)
         assert joint == expected
         result = env.step(joint)
-        for bundle in batched + reference:
-            route_rewards(bundle, result)
+        for home in batched + reference:
+            route_rewards(home, result)
 
-    for bundle, ref in zip(batched, reference):
-        assert update_counts(bundle) == update_counts(ref)
-        for key, params in bundle.params.items():
-            for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
-                assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
-    assert sum(batched[0].home.updates) > 0
+    assert update_counts(batched) == update_counts(reference)
+    assert_params_close(batched, reference)
+    assert sum(batched[0].updates) > 0
     if arch in (ARCH_DIST_PS, ARCH_DIST_PRICE):
         # shared sets updated mid-pass, so later rows were evaluated again
         assert len(forward_calls) > passes
@@ -169,9 +190,9 @@ def test_stack_views_write_through_and_padding_stays_masked():
         assert np.array_equal(stack.head[index, -1], params.wv)
 
 
-def layout(bundle):
-    """The padded layout that decides which bundles share a home stack."""
-    return bundle.stack.w1.shape[1:], bundle.stack.head.shape[1:]
+def layout(home):
+    """The padded layout that decides which agents share a home."""
+    return home.stack.w1.shape[1:], home.stack.head.shape[1:]
 
 
 @pytest.mark.parametrize("archs", [
@@ -181,15 +202,16 @@ def layout(bundle):
 ], ids="-".join)
 def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
     """One pass per step and layout over every agent's rows acts as each
-    bundle acting alone and as every unit acting alone; its weights end
-    bit-identical to those of bundles that act alone."""
+    agent acting alone and as every unit acting alone; its weights end
+    bit-identical to those of agents that act alone."""
     cfg = make_config(num_agents=len(archs), pricing_mode=PricingMode.FREE_COMMERCIAL
                       if ARCH_DIST_PRICE in archs else PricingMode.FIXED)
     env = SchedulingEnv(cfg, seed=21)
-    batched = build_bundles(archs, cfg, HYPER, seed=21)
+    batched = build_homes(archs, cfg, HYPER, seed=21)
     alone, by_unit = (standalone(archs, cfg, HYPER, seed=21) for _ in range(2))
-    layouts = {layout(bundle) for bundle in batched}
-    assert len({id(bundle.stack.home) for bundle in batched}) == len(layouts)
+    layouts = {layout(home) for home in alone}
+    assert {layout(home) for home in batched} == layouts and len(batched) == len(layouts)
+    home_of = {bundle.agent: home for home in batched for bundle in home.bundles}
     trainer = Trainer(env, batched)
 
     forward_calls = []
@@ -205,7 +227,7 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
 
     def checked_step(joint):
         nonlocal passes
-        priced = {layout(batched[a]) for a, _ in joint.prices}
+        priced = {id(home_of[a]) for a, _ in joint.prices}
         passes += len(layouts) + len(priced)
         calls = len(forward_calls)
         each, expected = act(alone, env), JointActions()
@@ -215,32 +237,29 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
         assert joint == expected
         assert joint == each
         result = real_step(joint)
-        for bundle in alone + by_unit:
-            route_rewards(bundle, result)
+        for home in alone + by_unit:
+            route_rewards(home, result)
         return result
 
     monkeypatch.setattr(env, "step", checked_step)
     for _ in range(STEPS):
         trainer.step()
 
-    updates = sum(sum(update_counts(bundle).values()) for bundle in batched)
+    updates = sum(update_counts(batched).values())
     assert updates > 0
     # a unit with an offer position drew once a step, a block of
     # rollout_length at a time: STEPS / 4 blocks, whose draws were the
     # reference's one at a time
-    index, spec = next((i, spec) for i, spec in enumerate(batched[0].specs) if spec.slots)
+    bundle = home_of[0].bundles[0]
+    index, spec = next((i, spec) for i, spec in enumerate(bundle.specs) if spec.slots)
     stream = derive_rng(21, STREAM_UNIT_SAMPLE, 0, index)
     stream.random(STEPS)
-    u = unit_rows(batched[0])[spec.key]
-    assert batched[0].home.sample_rngs[u].bit_generator.state == stream.bit_generator.state
-    for bundle, one, ref in zip(batched, alone, by_unit):
-        assert update_counts(bundle) == update_counts(one) == update_counts(ref)
-        for name in ("rows", "m", "v"):
-            assert getattr(bundle.stack, name).tobytes() == getattr(one.stack, name).tobytes()
-        assert bundle.stack.steps == one.stack.steps
-        for key, params in bundle.params.items():
-            for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
-                assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
+    u = unit_rows(home_of[0])[(0, spec.key)]
+    assert home_of[0].sample_rngs[u].bit_generator.state == stream.bit_generator.state
+    assert update_counts(batched) == update_counts(alone) == update_counts(by_unit)
+    for bundle, one in zip(bundles_of(batched), bundles_of(alone)):
+        assert learned_state(bundle) == learned_state(one)
+    assert_params_close(batched, by_unit)
     if set(archs) & {ARCH_DIST_PS, ARCH_DIST_PRICE}:
         # shared sets updated mid-pass, so later rows were evaluated again,
         # at most once per update
@@ -249,11 +268,11 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
         assert len(forward_calls) == passes
 
 
-def due_updates(bundles, env):
+def due_updates(homes, env):
     """The parameter sets (home rows) whose units are due to update in this
     step's pass, with how many of each set's acting units are due."""
     due = {}
-    for home in dict.fromkeys(bundle.home for bundle in bundles):
+    for home in homes:
         for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
             acts = spec.slots or any(env.cores[m].owner == agent for m in spec.cores)
             if acts and home.store.sizes[u] == home.store.length:
@@ -266,26 +285,27 @@ def due_updates(bundles, env):
 def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypatch):
     """Wave k of a pass updates the set of each k-th due unit, one
     ``ppo_update`` per network shape; the Trainer still ends byte for byte
-    where bundles acting alone end."""
+    where agents acting alone end."""
     cfg = make_config(num_slots=3)
     env = SchedulingEnv(cfg, seed=23)
-    batched = build_bundles((arch, arch), cfg, HYPER, seed=23)
+    batched = build_homes((arch, arch), cfg, HYPER, seed=23)
     alone = standalone((arch, arch), cfg, HYPER, seed=23)
-    home = batched[0].stack.home
+    (home,) = batched
+    stack = home.stack
     trainer = Trainer(env, batched)
 
     calls, forward_calls = [], []
     real_update, real_forward = agents.ppo_update, agents.forward
 
-    def counting_update(stack, sets, batches, hyper, rngs):
-        if stack is home:  # the pass's waves, not the bundles acting alone
+    def counting_update(stack_, sets, batches, hyper, rngs):
+        if stack_ is stack:  # the pass's waves, not the agents acting alone
             calls.append(list(sets))
-        return real_update(stack, sets, batches, hyper, rngs)
+        return real_update(stack_, sets, batches, hyper, rngs)
 
-    def counting_forward(stack, obs, sets):
-        if stack is home:
+    def counting_forward(stack_, obs, sets):
+        if stack_ is stack:
             forward_calls.append(len(obs))
-        return real_forward(stack, obs, sets)
+        return real_forward(stack_, obs, sets)
 
     monkeypatch.setattr(agents, "ppo_update", counting_update)
     monkeypatch.setattr(agents, "forward", counting_forward)
@@ -294,8 +314,8 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
     def lockstep(joint):
         assert joint == act(alone, env)
         result = real_step(joint)
-        for bundle in alone:
-            route_rewards(bundle, result)
+        for one in alone:
+            route_rewards(one, result)
         return result
 
     monkeypatch.setattr(env, "step", lockstep)
@@ -305,20 +325,18 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
         expected = []  # wave k: the sets with more than k due units, by shape
         for k in range(max(due.values(), default=0)):
             wave = [s for s in sorted(due) if due[s] > k]
-            shapes = {home.shapes[s] for s in wave}
-            expected += [[s for s in wave if home.shapes[s] == shape] for shape in shapes]
+            shapes = {stack.shapes[s] for s in wave}
+            expected += [[s for s in wave if stack.shapes[s] == shape] for shape in shapes]
         calls.clear()
         trainer.step()
         assert sorted(calls) == sorted(expected)
         widest = max([widest] + [len(sets) for sets in calls])
 
     assert widest >= 2  # several sets' windows filled in one step
-    updates = sum(batched[0].home.updates)
-    for bundle, one in zip(batched, alone):
-        assert update_counts(bundle) == update_counts(one)
-        for name in ("rows", "m", "v"):
-            assert getattr(bundle.stack, name).tobytes() == getattr(one.stack, name).tobytes()
-        assert bundle.stack.steps == one.stack.steps
+    updates = sum(home.updates)
+    assert update_counts(batched) == update_counts(alone)
+    for bundle, one in zip(bundles_of(batched), bundles_of(alone)):
+        assert learned_state(bundle) == learned_state(one)
     if arch == ARCH_DIST_PS:
         # a shared set's later rows are evaluated again once per wave
         assert STEPS < len(forward_calls) <= STEPS + updates
@@ -346,49 +364,49 @@ class FixedDraw:
         return self.u
 
 
-def assert_newest_decisions_follow(bundles, weights):
-    """Each offer unit's latest decision in ``bundles`` is what the same
-    unit of ``weights`` decides on the recorded observation and draw."""
-    for bundle, source in zip(bundles, weights):
-        home, store = bundle.home, bundle.home.store
-        for spec in bundle.specs:
+def assert_newest_decisions_follow(homes, weights):
+    """Each offer unit's latest decision in ``homes`` is what the same
+    agent's parameter set in the homes ``weights`` decides on the recorded
+    observation and draw."""
+    params = {(bundle.agent, key): p for bundle in bundles_of(weights)
+              for key, p in bundle.params.items()}
+    for home in homes:
+        store = home.store
+        for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
             if not spec.slots:
                 continue
-            u, key = unit_rows(bundle)[spec.key], spec.key
             t = store.sizes[u] - 1
-            logits, value = forward(source.params[spec.param_key], newest_obs(home, u))
+            logits, value = forward(params[(agent, spec.param_key)], newest_obs(home, u))
             action, logp = sample(logits, FixedDraw(home.draws[u, home.cursor[u] - 1]))
-            assert store.actions[u, t] == action, key
-            assert np.isclose(store.logps[u, t], logp, rtol=1e-12, atol=0), key
-            assert np.isclose(store.values[u, t], value, rtol=1e-12, atol=0), key
+            assert store.actions[u, t] == action, (agent, spec.key)
+            assert np.isclose(store.logps[u, t], logp, rtol=1e-12, atol=0), (agent, spec.key)
+            assert np.isclose(store.values[u, t], value, rtol=1e-12, atol=0), (agent, spec.key)
 
 
 def test_a_pass_acts_on_weights_loaded_between_steps(tmp_path):
     cfg = make_config(trading_enabled=False)  # every pass has the same rows and sets
     env = SchedulingEnv(cfg, seed=41)
-    bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=41)
-    trainer = Trainer(env, bundles)
+    homes = build_homes((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=41)
+    trainer = Trainer(env, homes)
     trainer.step()
-    for bundle in bundles:
-        AgentBundle(ARCH_DIST, bundle.agent, cfg, HYPER, seed=42).save(tmp_path / f"{bundle.agent}")
-        bundle.load(tmp_path / f"{bundle.agent}.npz")
+    build_homes((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=42)[0].save(tmp_path / "home.npz")
+    homes[0].load(tmp_path / "home.npz")
     trainer.step()
-    fresh = [AgentBundle(ARCH_DIST, a, cfg, HYPER, seed=43) for a in range(2)]
-    for bundle in fresh:
-        bundle.load(tmp_path / f"{bundle.agent}.npz")
-    assert_newest_decisions_follow(bundles, fresh)
+    fresh = build_homes((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=43)
+    fresh[0].load(tmp_path / "home.npz")
+    assert_newest_decisions_follow(homes, fresh)
 
 
 def test_a_pass_after_an_update_wave_reads_the_updated_rows():
     cfg = make_config(trading_enabled=False)
     env = SchedulingEnv(cfg, seed=44)
-    bundles = build_bundles((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=44)
-    trainer = Trainer(env, bundles)
-    home = bundles[0].home
+    homes = build_homes((ARCH_DIST, ARCH_DIST), cfg, HYPER, seed=44)
+    trainer = Trainer(env, homes)
+    (home,) = homes
     offers = [u for u, spec in enumerate(home.specs) if spec.slots]
     while not any(home.updates[u] for u in offers):
         trainer.step()
     assert all(home.updates[u] == 1 for u in offers)  # all in one wave
     trainer.step()
     assert all(home.updates[u] == 1 for u in offers)
-    assert_newest_decisions_follow(bundles, bundles)
+    assert_newest_decisions_follow(homes, homes)

@@ -31,7 +31,7 @@ from marketsched.agents import (
     ARCH_SEMI,
     PLANS_KEPT,
     Trainer,
-    build_bundles,
+    build_homes,
 )
 from marketsched.baseline import scripted_actions
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
@@ -54,8 +54,8 @@ def fixed_state(name):
 def test_bench_act(arch, benchmark):
     scenario, env = fixed_state("EXP2_ARCH_2X2")
     assert any(core.owner == 0 for core in env.cores)
-    home = build_bundles((arch,) * scenario.env.num_agents, scenario.env, scenario.hyper,
-                         seed=1)[0].home
+    (home,) = build_homes((arch,) * scenario.env.num_agents, scenario.env, scenario.hyper,
+                          seed=1)
     image = market_image(env)
 
     def fresh_round():
@@ -68,7 +68,7 @@ def test_bench_act(arch, benchmark):
 def test_bench_act_on_new_ownership(benchmark):
     scenario, env = fixed_state("EXP2_ARCH_4X4")
     assert scenario.arch == (ARCH_DIST,) * scenario.env.num_agents
-    home = build_bundles(scenario.arch, scenario.env, scenario.hyper, seed=1)[0].home
+    (home,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
     image = market_image(env)
     # consecutive ownerships differ, and one recurs only after more than
     # PLANS_KEPT others
@@ -90,24 +90,25 @@ def test_bench_act_on_new_ownership(benchmark):
 def test_bench_trainer_step(benchmark):
     scenario, env = fixed_state("EXP2_ARCH_4X4")
     assert scenario.arch == (ARCH_DIST,) * scenario.env.num_agents
-    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, seed=1)
-    trainer = Trainer(env, bundles)
+    homes = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    trainer = Trainer(env, homes)
+    (home,) = homes
 
     def fresh_round():
         trainer.env = copy.deepcopy(env)
-        bundles[0].home.store.sizes[:] = 0
+        home.store.sizes[:] = 0
         return (), {}
 
     benchmark.pedantic(trainer.step, setup=fresh_round, rounds=2000, warmup_rounds=50)
-    assert not any(bundles[0].home.updates)
+    assert not any(home.updates)
 
 
 def test_bench_trainer_step_with_update(benchmark):
     scenario, env = fixed_state("EXP1_TRADING")
     assert scenario.arch == (ARCH_DIST_PS,) * scenario.env.num_agents
-    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, seed=1)
-    trainer = Trainer(env, bundles)
-    home = bundles[0].home
+    homes = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    trainer = Trainer(env, homes)
+    (home,) = homes
     due, later = home.at[(0, ("offer", 0))], home.at[(0, ("offer", 1))]
     assert home.sets[due] == home.sets[later] and due < later
     store = home.store

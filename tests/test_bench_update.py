@@ -19,7 +19,7 @@ import resource
 import numpy as np
 import pytest
 
-from marketsched.agents import ARCH_DIST, ARCH_DIST_PS, ARCH_FULL, AgentBundle, build_bundles
+from marketsched.agents import ARCH_DIST, ARCH_DIST_PS, ARCH_FULL, AgentBundle, build_homes
 from marketsched.harness import Scenario, apply_overrides, builtin_scenarios, run_scenario
 from marketsched.neural import TrainBatch, ppo_update
 from marketsched.rng import derive_rng
@@ -88,10 +88,9 @@ def test_bench_reference_update(benchmark):
 def test_bench_ppo_update_wave(benchmark):
     scenario = builtin_scenarios()["EXP2_ARCH_4X4"]
     hyper = scenario.hyper
-    bundles = build_bundles((ARCH_DIST,) * 4, scenario.env, hyper, seed=1)
-    stack = bundles[0].stack.home
-    sets = [bundle.stack.first + i for bundle in bundles
-            for i, key in enumerate(bundle.params) if key.startswith("offer")]
+    (home,) = build_homes((ARCH_DIST,) * 4, scenario.env, hyper, seed=1)
+    stack = home.stack
+    sets = [i for i, name in enumerate(home.names) if name.split("/")[1].startswith("offer")]
     assert len(sets) == 12
     batch = stacked(*(window(stack.views[s], hyper.rollout_length, derive_rng(1, s))
                       for s in sets))

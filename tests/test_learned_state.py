@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from marketsched import agents
-from marketsched.agents import Trainer, build_bundles
+from marketsched.agents import Trainer, build_homes
 from marketsched.env import SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import forward
@@ -28,14 +28,13 @@ PINNED = {
 }
 
 
-def learned_state_digest(bundles) -> str:
-    """sha256 over every home, in the order of its first bundle: its stack's
-    rows, m, v and step counts, then each unit's window sizes and the filled
-    rows of its observations, actions, log-probabilities, values and
-    rewards."""
+def learned_state_digest(homes) -> str:
+    """sha256 over every home, in order: its stack's rows, m, v and step
+    counts, then each unit's window sizes and the filled rows of its
+    observations, actions, log-probabilities, values and rewards."""
     digest = hashlib.sha256()
-    for bundle in {id(b.stack.home): b for b in bundles}.values():
-        stack, store = bundle.stack.home, bundle.home.store
+    for home in homes:
+        stack, store = home.stack, home.store
         for array in (stack.rows, stack.m, stack.v, stack.step_counts, store.sizes):
             digest.update(array.tobytes())
         for u, size in enumerate(store.sizes.tolist()):
@@ -49,11 +48,11 @@ def learned_state_digest(bundles) -> str:
 def test_learned_state_after_2000_steps_is_pinned(name):
     scenario = builtin_scenarios()[name]
     env = SchedulingEnv(scenario.env, 1)
-    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, 1)
-    trainer = Trainer(env, bundles)
+    homes = build_homes(scenario.arch, scenario.env, scenario.hyper, 1)
+    trainer = Trainer(env, homes)
     for _ in range(2000):
         trainer.step()
-    assert learned_state_digest(bundles) == PINNED[name]
+    assert learned_state_digest(homes) == PINNED[name]
 
 
 def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
@@ -62,8 +61,8 @@ def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
     # NonFiniteLossError, or move the weights and so the digest.
     scenario = builtin_scenarios()["EXP1_TRADING"]
     env = SchedulingEnv(scenario.env, 1)
-    bundles = build_bundles(scenario.arch, scenario.env, scenario.hyper, 1)
-    (home,) = {bundle.home for bundle in bundles}
+    homes = build_homes(scenario.arch, scenario.env, scenario.hyper, 1)
+    (home,) = homes
     assert len(set(home.store.width)) > 1
     home.store.obs[...] = np.nan
     forwards = []
@@ -73,9 +72,9 @@ def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
         return forward(*args)
 
     monkeypatch.setattr(agents, "forward", counted)
-    trainer = Trainer(env, bundles)
+    trainer = Trainer(env, homes)
     for _ in range(2000):
         trainer.step()
     # one forward a step, and one more for each wave that re-evaluates deferred rows
     assert len(forwards) > 2000
-    assert learned_state_digest(bundles) == PINNED["EXP1_TRADING"]
+    assert learned_state_digest(homes) == PINNED["EXP1_TRADING"]

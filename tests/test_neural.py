@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marketsched import neural
-from marketsched.agents import ARCH_DIST, ARCH_FULL, build_bundles
+from marketsched.agents import ARCH_DIST, ARCH_FULL, build_homes
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
     CHECKPOINT_VERSION,
@@ -166,31 +166,13 @@ class TestForward:
         stack.views[2].w1 += 1.0  # an in-place write that does not advance writes
         for got, kept in zip(forward(stack, obs, sets), before):
             assert got.tobytes() == kept.tobytes()
-        stack.home.writes += 1
+        stack.writes += 1
         after = forward(stack, obs, sets)
         fresh = ParamStack([(4, 8, 3)] * 3)
         fresh.rows[...] = stack.rows
         for got, want in zip(after, forward(fresh, obs, sets)):
             assert got.tobytes() == want.tobytes()
         assert not np.array_equal(after[1], before[1])
-
-    def test_a_stack_in_rows_of_a_home_shares_them(self):
-        home = ParamStack([(4, 8, 3), (4, 8, 2), (3, 8, 3)])
-        stack = ParamStack([(4, 8, 2), (3, 8, 3)], home, 1)
-        init_params(stack.views[0], derive_rng(6, 0))
-        assert stack.home is home
-        for name in ("rows", "m", "v", "step_counts"):
-            assert np.shares_memory(getattr(stack, name), getattr(home, name)), name
-        stack.m[1, 0], stack.v[1, 0], stack.step_counts[1] = 0.5, 0.25, 3
-        assert (home.m[2, 0], home.v[2, 0], home.steps) == (0.5, 0.25, [0, 0, 3])
-        assert home.rows[1].tobytes() == stack.rows[0].tobytes()
-        alone = ParamStack([(4, 8, 2)])
-        assert alone.home is alone and alone.first == 0
-        for shapes, first in (([(4, 8, 2), (3, 8, 3)], 2), ([(4, 6, 2)], 1),
-                              ([(5, 8, 2)], 0), ([(4, 8, 9)], 0), ([(4, 8, 3)], 1),
-                              ([(3, 8, 3)], 2)):
-            with pytest.raises(ValueError, match="cannot hold"):
-                ParamStack(shapes, home, first)
 
 
 class TestSample:
@@ -457,14 +439,13 @@ class TestAdamRow:
 
 
 def home_sets(scenario_name, arch, prefix, seed):
-    """The home ParamStack of a scenario's bundles under ``arch`` and its
-    rows whose parameter-set names start with ``prefix``, in row order."""
+    """The ParamStack of a scenario's home under ``arch`` and its rows whose
+    parameter-set keys start with ``prefix``, in row order."""
     scenario = builtin_scenarios()[scenario_name]
-    bundles = build_bundles((arch,) * scenario.env.num_agents, scenario.env, scenario.hyper,
-                            seed)
-    sets = [bundle.stack.first + i for bundle in bundles
-            for i, key in enumerate(bundle.params) if key.startswith(prefix)]
-    return bundles[0].stack.home, sets
+    (home,) = build_homes((arch,) * scenario.env.num_agents, scenario.env, scenario.hyper,
+                          seed)
+    sets = [i for i, name in enumerate(home.names) if name.split("/")[1].startswith(prefix)]
+    return home.stack, sets
 
 
 def state(stack):
