@@ -291,21 +291,20 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
     batched = build_homes((arch, arch), cfg, HYPER, seed=23)
     alone = standalone((arch, arch), cfg, HYPER, seed=23)
     (home,) = batched
-    stack = home.stack
     trainer = Trainer(env, batched)
 
     calls, forward_calls = [], []
     real_update, real_forward = agents.ppo_update, agents.forward
 
-    def counting_update(stack_, sets, batches, hyper, rngs):
-        if stack_ is stack:  # the pass's waves, not the agents acting alone
+    def counting_update(stack, sets, batches, hyper, rngs):
+        if stack is home.stack:  # the pass's waves, not the agents acting alone
             calls.append(list(sets))
-        return real_update(stack_, sets, batches, hyper, rngs)
+        return real_update(stack, sets, batches, hyper, rngs)
 
-    def counting_forward(stack_, obs, sets):
-        if stack_ is stack:
+    def counting_forward(stack, obs, sets):
+        if stack is home.stack:
             forward_calls.append(len(obs))
-        return real_forward(stack_, obs, sets)
+        return real_forward(stack, obs, sets)
 
     monkeypatch.setattr(agents, "ppo_update", counting_update)
     monkeypatch.setattr(agents, "forward", counting_forward)
@@ -325,8 +324,8 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
         expected = []  # wave k: the sets with more than k due units, by shape
         for k in range(max(due.values(), default=0)):
             wave = [s for s in sorted(due) if due[s] > k]
-            shapes = {stack.shapes[s] for s in wave}
-            expected += [[s for s in wave if stack.shapes[s] == shape] for shape in shapes]
+            shapes = {home.stack.shapes[s] for s in wave}
+            expected += [[s for s in wave if home.stack.shapes[s] == shape] for shape in shapes]
         calls.clear()
         trainer.step()
         assert sorted(calls) == sorted(expected)
