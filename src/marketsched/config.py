@@ -120,12 +120,6 @@ class EnvConfig:
     def max_burst(self) -> int:
         return max(t.burst for t in self.job_types)
 
-    def type_by_id(self, type_id: int) -> JobType:
-        for t in self.job_types:
-            if t.id == type_id:
-                return t
-        raise KeyError(type_id)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "num_agents": self.num_agents,

@@ -15,6 +15,15 @@ cores, as do 4 and 5):
 Ownership rule: a core is owned by the agent whose job runs on it and falls
 back to the auctioneer the moment it idles.
 
+Each core's offer book maps a grid cell ``agent * num_slots + slot`` to the
+entry ``(agent, slot, job, price)``, filed in the order of the step's offers.
+An offer is valid while its slot still holds that very job: uids are
+unique, so identity is the uid check. A slot job does not run, so its
+priority and remaining burst are what the offer carried, and a book lives
+exactly one step, so an offer was made at ``time - 1``. ``Offer`` is the
+query view that ``offers`` and ``pending_offers`` build on demand; the step
+builds none.
+
 ``step`` is the inner loop of every run, so the environment reads the config
 values it needs once, at construction, and builds each record positionally,
 in field order.
@@ -73,6 +82,10 @@ class Offer(NamedTuple):
     made_at: int
 
 
+# what a core's offer book holds per grid cell: (agent, slot, job, price)
+BookEntry = tuple[int, int, Job, int]
+
+
 @dataclass
 class JointActions:
     """Sanitized-on-use action bundle for one step.
@@ -81,13 +94,15 @@ class JointActions:
         cell g = source_agent * num_slots + source_slot.
     offers: (agent, slot) -> 0 makes no offer, 1 + m targets core m.
     prices: (agent, slot) -> bid for that slot's offer (free pricing only),
-        clamped to [0, max_prio]; with no bid the price is the job's priority.
+        clamped to [0, max_prio]; with no bid, or one that is no integer, the
+        price is the job's priority.
 
     Nothing is rejected: an entry that names no agent, slot, core or pending
     offer does nothing, so an offer keyed outside 0 <= agent < num_agents,
     0 <= slot < num_slots registers nothing, as does one whose target is no
-    integer in 1..num_cores, and an accept whose choice is no integer trades
-    nothing (a float such as 1.0 is no integer; a numpy integer is).
+    integer in 1..num_cores, an accept whose choice is no integer trades
+    nothing, and a bid that is no integer counts as no bid (a float such as
+    1.0, NaN or None is no integer; a numpy integer is).
     """
 
     accepts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -195,8 +210,8 @@ class SchedulingEnv:
             [None] * config.num_slots for _ in range(config.num_agents)
         ]
         # one offer book per target core: grid cell
-        # (source_agent * num_slots + source_slot) -> Offer, in (agent, slot) order
-        self._offer_book: list[dict[int, Offer]] = [{} for _ in self.cores]
+        # (source_agent * num_slots + source_slot) -> BookEntry
+        self._offer_book: list[dict[int, BookEntry]] = [{} for _ in self.cores]
         self._spawn_cumulative = []
         acc = 0.0
         for t in config.job_types:
@@ -209,16 +224,18 @@ class SchedulingEnv:
     # ------------------------------------------------------------------
 
     def pending_offers(self, core: int) -> list[Offer]:
-        """Offers awaiting resolution at this core, ordered by (agent, slot):
-        the core's book in the order step phase 6 filed it."""
+        """Offers awaiting resolution at this core, ordered by (agent, slot),
+        each made at the previous step."""
         if not 0 <= core < self._num_cores:
             raise IndexError(f"core index {core} out of range")
-        return list(self._offer_book[core].values())
+        made_at = self.time - 1
+        return [Offer(agent, slot, job.uid, job.priority, price, job.remaining_burst, made_at)
+                for _, (agent, slot, job, price) in sorted(self._offer_book[core].items())]
 
     def offers(self) -> Iterator[Offer]:
-        """Every pending offer, core by core."""
-        for book in self._offer_book:
-            yield from book.values()
+        """Every pending offer, core by core, each core's in (agent, slot) order."""
+        for core in range(self._num_cores):
+            yield from self.pending_offers(core)
 
     # ------------------------------------------------------------------
     # stepping
@@ -238,13 +255,10 @@ class SchedulingEnv:
                 # as in phase 6, a Python int skips the slower Integral check
                 if choice <= 0 or not (type(choice) is int or isinstance(choice, Integral)):
                     continue
-                offer = books[core.index].get(choice - 1)
-                if offer is None:
+                entry = books[core.index].get(choice - 1)
+                if entry is None or slots[entry[0]][entry[1]] is not entry[2]:
                     continue
-                job = slots[offer.agent][offer.slot]
-                if job is None or job.uid != offer.job_uid:
-                    continue
-                trade = self._execute_acceptance(core, offer, job)
+                trade = self._execute_acceptance(core, entry)
                 if trade is None:
                     voided += 1
                 else:
@@ -257,15 +271,15 @@ class SchedulingEnv:
                 continue
             if core.owner == AUCTIONEER:
                 best: tuple | None = None
-                for offer in book.values():
-                    job = slots[offer.agent][offer.slot]
-                    if job is None or job.uid != offer.job_uid:
+                for entry in book.values():
+                    agent, slot, job, price = entry
+                    if slots[agent][slot] is not job:
                         continue
-                    rank = (-offer.price, job.arrival_time, offer.agent, offer.slot)
+                    rank = (-price, job.arrival_time, agent, slot)
                     if best is None or rank < best[0]:
-                        best = (rank, offer, job)
+                        best = (rank, entry)
                 if best is not None:
-                    trades.append(self._move(core, best[1], best[2]))
+                    trades.append(self._move(core, best[1]))
             book.clear()
 
         # (4) compute, then (5) termination and settlement
@@ -293,7 +307,7 @@ class SchedulingEnv:
         # (6) register this step's offers for resolution at t + 1
         num_cores, num_slots, num_agents = self._num_cores, self._num_slots, len(slots)
         free_pricing, prices = self._free_pricing, actions.prices
-        for (agent, slot), choice in sorted(actions.offers.items()):
+        for (agent, slot), choice in actions.offers.items():
             # a Python int skips the slower Integral check a numpy integer takes
             if not (0 < choice <= num_cores and 0 <= agent < num_agents and 0 <= slot < num_slots
                     and (type(choice) is int or isinstance(choice, Integral))):
@@ -303,9 +317,10 @@ class SchedulingEnv:
                 continue
             price = job.priority
             if free_pricing:
-                price = max(0, min(int(prices.get((agent, slot), price)), self._max_prio))
-            books[choice - 1][agent * num_slots + slot] = Offer(
-                agent, slot, job.uid, job.priority, price, job.remaining_burst, now)
+                bid = prices.get((agent, slot))
+                if type(bid) is int or isinstance(bid, Integral):
+                    price = max(0, min(int(bid), self._max_prio))
+            books[choice - 1][agent * num_slots + slot] = (agent, slot, job, price)
 
         # (7) spawn into empty slots; new jobs are first actionable next step
         self._fill_empty_slots(arrival_time=now + 1)
@@ -318,33 +333,37 @@ class SchedulingEnv:
     # internals
     # ------------------------------------------------------------------
 
-    def _move(self, core: Core, offer: Offer, job: Job) -> TradeRecord:
-        """Put ``offer``'s job on ``core``: empty the offering slot, make the
-        buyer the owner and chain the sale from the previous owner (on an idle
-        core, the auctioneer and an empty chain). Returns the trade's record;
-        a displaced job is the caller's to place."""
+    def _move(self, core: Core, entry: BookEntry) -> TradeRecord:
+        """Put the job of the book entry ``(agent, slot, job, price)`` on
+        ``core``: empty the offering slot, make the buyer the owner and chain
+        the sale from the previous owner (on an idle core, the auctioneer and
+        an empty chain). Returns the trade's record, whose offer was made at
+        the previous step; a displaced job is the caller's to place."""
+        agent, slot, job, price = entry
         seller = core.owner
-        self.slots[offer.agent][offer.slot] = None
+        self.slots[agent][slot] = None
         core.job = job
-        core.owner = offer.agent
-        core.chain.append(ChainEntry(offer.agent, seller, offer.price))
-        return TradeRecord(core.index, offer.agent, seller, offer.price, job.uid, job.type_id,
-                           job.priority, offer.slot, offer.made_at, seller == AUCTIONEER)
+        core.owner = agent
+        core.chain.append(ChainEntry(agent, seller, price))
+        return TradeRecord(core.index, agent, seller, price, job.uid, job.type_id,
+                           job.priority, slot, self.time - 1, seller == AUCTIONEER)
 
-    def _execute_acceptance(self, core: Core, offer: Offer, job: Job) -> TradeRecord | None:
-        """Accept ``offer`` on the busy ``core``; return None if voided.
+    def _execute_acceptance(self, core: Core, entry: BookEntry) -> TradeRecord | None:
+        """Accept the book entry ``(agent, slot, job, price)`` on the busy
+        ``core``; return None if voided.
 
         The displaced running job goes back to the first free slot of the
         core's owner, placed after ``_move`` empties the offering slot, which
         counts as free: that makes self-trades always placeable. With no free
         slot the acceptance is voided to preserve job conservation.
         """
+        agent, slot = entry[0], entry[1]
         owner, displaced = core.owner, core.job
         free_slot = next((k for k, held in enumerate(self.slots[owner])
-                          if held is None or (owner == offer.agent and k == offer.slot)), None)
+                          if held is None or (owner == agent and k == slot)), None)
         if free_slot is None:
             return None
-        trade = self._move(core, offer, job)
+        trade = self._move(core, entry)
         self.slots[owner][free_slot] = displaced
         return trade
 

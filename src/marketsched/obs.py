@@ -65,13 +65,14 @@ def market_image(env: SchedulingEnv) -> np.ndarray:
             values.append(1.0)
         cell += 2
     grid = 4 * cfg.num_agents * k
-    # each core's book, keyed by the offer's grid cell agent * k + slot
+    # each core's book, keyed by the offer's grid cell agent * k + slot; a
+    # slot job does not run, so its state is what the offer carries
     for c, book in enumerate(env._offer_book):
-        for g, offer in book.items():
+        for g, (_, _, job, price) in book.items():
             cell = offers + grid * c + 4 * g
             index += (cell, cell + 1, cell + 2, cell + 3)
-            values += (1.0, offer.price / max_prio, offer.time_to_payment / max_burst,
-                       offer.job_priority / max_prio)
+            values += (1.0, price / max_prio, job.remaining_burst / max_burst,
+                       job.priority / max_prio)
     cell = states
     for agent_slots in env.slots:
         for job in agent_slots:

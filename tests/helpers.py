@@ -27,7 +27,7 @@ def manual_config(job_types=(JobType(0, 5, 5, 0.0),), **kwargs):
 
 
 def place_job(env, agent, slot, type_id=0, arrival=None):
-    jt = env.config.type_by_id(type_id)
+    (jt,) = [t for t in env.config.job_types if t.id == type_id]
     job = Job(
         uid=env._next_job_uid,
         type_id=jt.id,

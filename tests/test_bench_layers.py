@@ -7,7 +7,8 @@ involved: under the scripted policy with trading off, and with trading on
 under uniformly random accepts and offers; each round steps the same
 env on from where the last round left it, and building the round's actions
 is not timed. ``market_image`` reads a state with pending offers on every
-core. The acting bench is one batched ``forward`` and one ``sample_rows``
+core, and ``offers`` builds the ``Offer`` records of that state's books: the
+cost a caller of the query view pays per call. The acting bench is one batched ``forward`` and one ``sample_rows``
 over every row of a ``DIST`` agent's stack, one row per unit, on fixed
 observations and draws.
 """
@@ -51,11 +52,22 @@ def test_bench_env_step_trading(benchmark):
     benchmark.pedantic(env.step, setup=next_round, rounds=5000, warmup_rounds=200)
 
 
-def test_bench_market_image(benchmark):
+def offers_on_every_core():
+    """An EXP2_ARCH_4X4 env one scripted step in: every core has an offer."""
     env = SchedulingEnv(builtin_scenarios()["EXP2_ARCH_4X4"].env, seed=1)
     env.step(scripted_actions(env))
     assert all(env.pending_offers(m) for m in range(env.config.num_cores))
-    benchmark.pedantic(market_image, args=(env,), rounds=5000, warmup_rounds=200)
+    return env
+
+
+def test_bench_market_image(benchmark):
+    benchmark.pedantic(market_image, args=(offers_on_every_core(),), rounds=5000,
+                       warmup_rounds=200)
+
+
+def test_bench_offer_queries(benchmark):
+    env = offers_on_every_core()
+    benchmark.pedantic(lambda: list(env.offers()), rounds=5000, warmup_rounds=200)
 
 
 def test_bench_forward_and_sample(benchmark):

@@ -1,12 +1,15 @@
 """Environment state machine: phases, trades, displacement, determinism."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import marketsched.env
+from marketsched.baseline import scripted_actions
 from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
-from marketsched.env import AUCTIONEER, ChainEntry, JointActions, SchedulingEnv
+from marketsched.env import AUCTIONEER, ChainEntry, JointActions, Offer, SchedulingEnv
+from marketsched.harness import builtin_scenarios
 from marketsched.rng import STREAM_FUZZ, derive_rng
 
 from helpers import make_config, manual_config, offer, place_job, random_actions
@@ -329,6 +332,60 @@ class TestOfferPrices:
                                prices={(0, 0): 20, (0, 1): -5, (0, 2): 6}))
         # above max_prio clamps down, negative clamps to 0, no bid is the priority
         assert {o.slot: o.price for o in free.offers()} == {0: 8, 1: 0, 2: 6, 3: 3}
+
+    @pytest.mark.parametrize("bid, price", [
+        (float("nan"), 6), (float("inf"), 6), (float("-inf"), 6), (None, 6), (2.7, 6),
+        ("3", 6), (np.int64(3), 3)], ids=repr)
+    def test_a_bid_that_is_no_integer_counts_as_no_bid(self, bid, price):
+        types = (JobType(0, 6, 4, 0.0), JobType(1, 8, 4, 0.0))  # max_prio 8
+        env = SchedulingEnv(manual_config(job_types=types, num_agents=1, num_cores=1,
+                                          num_slots=2,
+                                          pricing_mode=PricingMode.FREE_COMMERCIAL), 0)
+        place_job(env, 0, 0)
+        place_job(env, 0, 1)
+        env.step(JointActions(offers={(0, 0): 1, (0, 1): 1}, prices={(0, 0): bid, (0, 1): 2}))
+        # the step completes: both offers are filed and time advances
+        assert env.time == 1
+        assert {o.slot: o.price for o in env.offers()} == {0: price, 1: 2}
+        assert all(type(o.price) is int for o in env.offers())
+        (grant,) = env.step(JointActions()).trades
+        assert (grant.source_slot, grant.price) == (0, price)
+        env.check_invariants()
+
+
+class TestOfferRecordsOnlyOnQuery:
+    """The step files each offer as a book entry; only the query view builds
+    ``Offer`` records, and the step sorts nothing."""
+
+    @pytest.mark.parametrize("trading", [True, False], ids=["random", "scripted"])
+    def test_the_step_builds_no_offer_and_sorts_nothing(self, monkeypatch, trading):
+        built, sorts = [], []
+
+        def counted_offer(*fields):
+            built.append(fields)
+            return Offer(*fields)
+
+        def counted_sorted(*args, **kwargs):
+            sorts.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(marketsched.env, "Offer", counted_offer)
+        monkeypatch.setattr(marketsched.env, "sorted", counted_sorted, raising=False)
+        cfg = replace(builtin_scenarios()["EXP2_ARCH_4X4"].env, trading_enabled=trading)
+        env = SchedulingEnv(cfg, seed=1)
+        rng = derive_rng(1, STREAM_FUZZ)
+        filed = trades = 0
+        for _ in range(300):
+            actions = random_actions(env, rng) if trading else scripted_actions(env)
+            trades += len(env.step(actions).trades)
+            filed += sum(map(len, env._offer_book))
+        assert built == [] and sorts == []
+        assert filed > 0 and trades > 0
+
+        pending = [env.pending_offers(m) for m in range(cfg.num_cores)]
+        assert list(env.offers()) == [o for book in pending for o in book]
+        assert len(built) == 2 * sum(map(len, pending)) > 0
+        assert all(type(o) is Offer for book in pending for o in book)
 
 
 class TestStepRecords:

@@ -5,8 +5,9 @@ A Hypothesis state machine builds a config of 1-3 agents, cores and slots,
 trading on or off, in any pricing mode, and steps it with random
 ``JointActions``: accepts that name a pending offer, a stale or empty cell,
 the agent's own offer, a cell outside the grid, or no integer; offers to
-any core, to none, keyed outside the grid, or no integer; bids that are
-negative, above ``max_prio`` or missing. After every step it checks:
+any core, to none, keyed outside the grid, or no integer, filed in a random
+order; bids that are negative, above ``max_prio``, missing or no integer.
+After every step it checks:
 
 - ``check_invariants()`` and job conservation;
 - phase 1 against a one-core-at-a-time model of its rule: the trades it
@@ -16,14 +17,17 @@ negative, above ``max_prio`` or missing. After every step it checks:
 - each core's payment chain: every trade is the next link of its core's
   chain, and each settlement pays out exactly its job's priority, split as
   the chain's cash flows say;
-- this step's offer books against the offers and bids that name a held job;
+- this step's offer books against the offers and bids that name a held job,
+  and the query view: every pending ``Offer`` carries its slot job's state
+  and the previous step's time, as does every trade;
 - that what the market must ignore changes nothing: a twin market stepped
-  without the voided acceptances, the inputs out of range or of no integer
-  (and every accept when trading is off) ends in the same state with the
-  same records.
+  without the voided acceptances, the inputs out of range or of no integer,
+  bids included (and every accept when trading is off), ends in the same
+  state with the same records.
 """
 
 import copy
+import math
 from numbers import Integral
 
 import numpy as np
@@ -51,11 +55,13 @@ def configs(draw):
 # the forms an action's number takes: integers, as a Python int (twice as
 # often) or a numpy integer, or no integer, a float equal to one or halfway
 FORMS = (int, int, np.int64, float, lambda value: value + 0.5)
+# a bid also takes forms that no number of the other inputs takes
+BID_FORMS = FORMS + (lambda value: math.nan, lambda value: -math.inf, lambda value: None, str)
 
 
-def number(rng, values):
-    """One of ``values`` in one of ``FORMS``."""
-    return FORMS[rng.integers(len(FORMS))](values[rng.integers(len(values))])
+def number(rng, values, forms=FORMS):
+    """One of ``values`` in one of ``forms``."""
+    return forms[rng.integers(len(forms))](values[rng.integers(len(values))])
 
 
 def joint_actions(env, rng):
@@ -76,17 +82,18 @@ def joint_actions(env, rng):
         for key in keys:
             joint.accepts[key] = number(rng, choices)
     # an offer for each slot half the time, and at times one keyed outside
-    # the grid, to a core twice as often as to none or out of range; a bid
-    # half the time, from 3 below 0 to 3 above max_prio
+    # the grid, in a random order, to a core twice as often as to none or out
+    # of range; a bid half the time, from 3 below 0 to 3 above max_prio
     keys = [(a, k) for a in range(agents) for k in range(slots) if rng.random() < 0.5]
     outside = [(-1, 0), (agents, 0), (0, slots), (0, -1)]
     keys += [outside[rng.integers(4)]] * int(rng.random() < 0.2)
+    rng.shuffle(keys)
     targets = list(range(1, cores + 1)) * 2 + [-1, 0, cores + 1]
+    bids = list(range(-3, cfg.max_prio + 4))
     for key in keys:
         joint.offers[key] = number(rng, targets)
         if rng.random() < 0.5:
-            joint.prices[key] = (int, np.int64)[rng.integers(2)](
-                rng.integers(-3, cfg.max_prio + 4))
+            joint.prices[key] = number(rng, bids, BID_FORMS)
     return joint
 
 
@@ -208,19 +215,30 @@ class MarketModel(RuleBasedStateMachine):
             job = env.slots[agent][slot] if (agent, slot) not in skip else None
             if job is None or job.arrival_time > now:  # none, or spawned after phase 6
                 continue
-            price = job.priority
-            if cfg.pricing_mode.is_free:
-                price = max(0, min(int(joint.prices.get((agent, slot), price)), cfg.max_prio))
+            price, bid = job.priority, joint.prices.get((agent, slot))
+            if cfg.pricing_mode.is_free and is_integer(bid):
+                price = max(0, min(int(bid), cfg.max_prio))
             books[target - 1].append((agent, slot, job.uid, job.priority, price,
                                       job.remaining_burst, now))
-        assert [env.pending_offers(m) for m in range(cfg.num_cores)] == books
+        pending = [env.pending_offers(m) for m in range(cfg.num_cores)]
+        assert pending == books
+
+        # the query view: every offer, core by core, each with the state of
+        # the job its slot holds, made at the step before; so is every trade
+        assert list(env.offers()) == [o for book in pending for o in book]
+        for o in (o for book in pending for o in book):
+            job = env.slots[o.agent][o.slot]
+            assert o.made_at == env.time - 1 == now
+            assert (o.job_uid, o.job_priority, o.time_to_payment) == (
+                job.uid, job.priority, job.remaining_burst)
+        assert all(t.made_at == now - 1 for t in result.trades)
 
         # what the market ignores or voids changes nothing: the copy taken
         # before the step, stepped without it, ends where the market did
         kept = JointActions(
             accepts={k: v for k, v in joint.accepts.items() if k not in voided + ignored},
             offers={k: v for k, v in joint.offers.items() if k not in skip},
-            prices=dict(joint.prices))
+            prices={k: v for k, v in joint.prices.items() if is_integer(v)})
         assert before.step(kept) == result._replace(voided_acceptances=0)
         assert state(before) == state(env)
 
