@@ -16,13 +16,9 @@ Ownership rule: a core is owned by the agent whose job runs on it and falls
 back to the auctioneer the moment it idles.
 
 Each core's offer book maps a grid cell ``agent * num_slots + slot`` to the
-entry ``(agent, slot, job, price)``, filed in the order of the step's offers.
-An offer is valid while its slot still holds that very job: uids are
-unique, so identity is the uid check. A slot job does not run, so its
-priority and remaining burst are what the offer carried, and a book lives
-exactly one step, so an offer was made at ``time - 1``. ``Offer`` is the
-query view that ``offers`` and ``pending_offers`` build on demand; the step
-builds none.
+entry ``(agent, slot, job, price)``. An offer is valid while its slot still
+holds that very job, and a book lives one step. ``Offer`` is the query view
+that ``offers`` and ``pending_offers`` build on demand; the step builds none.
 
 ``step`` is the inner loop of every run, so the environment reads the config
 values it needs once, at construction, and builds each record positionally,
@@ -209,8 +205,7 @@ class SchedulingEnv:
         self.slots: list[list[Job | None]] = [
             [None] * config.num_slots for _ in range(config.num_agents)
         ]
-        # one offer book per target core: grid cell
-        # (source_agent * num_slots + source_slot) -> BookEntry
+        # one offer book per target core, keyed by grid cell
         self._offer_book: list[dict[int, BookEntry]] = [{} for _ in self.cores]
         self._spawn_cumulative = []
         acc = 0.0
@@ -334,11 +329,10 @@ class SchedulingEnv:
     # ------------------------------------------------------------------
 
     def _move(self, core: Core, entry: BookEntry) -> TradeRecord:
-        """Put the job of the book entry ``(agent, slot, job, price)`` on
-        ``core``: empty the offering slot, make the buyer the owner and chain
-        the sale from the previous owner (on an idle core, the auctioneer and
-        an empty chain). Returns the trade's record, whose offer was made at
-        the previous step; a displaced job is the caller's to place."""
+        """Put ``entry``'s job on ``core``: empty the offering slot, make the
+        buyer the owner and chain the sale from the previous owner (on an idle
+        core, the auctioneer and an empty chain). Returns the trade's record,
+        its offer made the step before; a displaced job is the caller's."""
         agent, slot, job, price = entry
         seller = core.owner
         self.slots[agent][slot] = None
@@ -349,8 +343,7 @@ class SchedulingEnv:
                            job.priority, slot, self.time - 1, seller == AUCTIONEER)
 
     def _execute_acceptance(self, core: Core, entry: BookEntry) -> TradeRecord | None:
-        """Accept the book entry ``(agent, slot, job, price)`` on the busy
-        ``core``; return None if voided.
+        """Accept ``entry`` on the busy ``core``; return None if voided.
 
         The displaced running job goes back to the first free slot of the
         core's owner, placed after ``_move`` empties the offering slot, which
