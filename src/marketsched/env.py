@@ -270,6 +270,7 @@ class SchedulingEnv:
                     agent, slot, job, price = entry
                     if slots[agent][slot] is not job:
                         continue
+                    # a total order: the book's filing order picks no winner
                     rank = (-price, job.arrival_time, agent, slot)
                     if best is None or rank < best[0]:
                         best = (rank, entry)
