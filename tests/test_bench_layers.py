@@ -8,9 +8,9 @@ under uniformly random accepts and offers; each round steps the same
 env on from where the last round left it, and building the round's actions
 is not timed. ``market_image`` reads a state with pending offers on every
 core, and ``offers`` builds the ``Offer`` records of that state's books: the
-cost a caller of the query view pays per call. The acting bench is one batched ``forward`` and one ``sample_rows``
-over every row of a ``DIST`` agent's stack, one row per unit, on fixed
-observations and draws.
+cost a caller of the query view pays per call. The acting bench is one
+batched ``forward`` and one ``sample_rows`` over every row of a ``DIST``
+agent's stack, one row per unit, on fixed observations and draws.
 """
 
 from dataclasses import replace

@@ -56,7 +56,7 @@ def configs(draw):
 # often) or a numpy integer, or no integer, a float equal to one or halfway
 FORMS = (int, int, np.int64, float, lambda value: value + 0.5)
 # a bid also takes forms that no number of the other inputs takes
-BID_FORMS = FORMS + (lambda value: math.nan, lambda value: -math.inf, lambda value: None, str)
+BID_FORMS = FORMS + (lambda value: math.nan, lambda value: math.inf, lambda value: None, str)
 
 
 def number(rng, values, forms=FORMS):
