@@ -6,8 +6,9 @@ offer. ``unit_layout`` lists the positions each acting unit decides, in digit
 order: the distributed variants give each position its own tiny network
 (optionally sharing parameters within each kind), ``SEMI`` folds the accept
 positions into one unit and the offer positions into another, and ``FULL``
-folds them all into one. Mixed-radix arithmetic turns a unit's action into one
-digit per position, so a distributed unit is the one-digit case.
+folds them all into one. A unit's action is one little-endian mixed-radix
+digit per position: digit i has radix r[i] and weight prod(r[:i]), so the
+unit has prod(r) actions, and a distributed unit is the one-digit case.
 
 A run's agents are grouped into homes, one per padded layout of their
 parameter sets (widest in-width, hidden width and action count):
@@ -33,13 +34,14 @@ and ``Home.setters`` lists the (agent, slot, unit) of each price setter.
 A pass acts for every unit with a live position (accept m when trading is
 on and its agent owns core m; every offer), one row each. The rows are the
 units with an offer position first, then the accept-only units of owned
-cores, each group in agent order and then in ``unit_layout`` order. The
-home keeps the ``Plan`` of a pass, the rows' units, parameter sets, obs
-index rows and digit decode, for the ``PLANS_KEPT`` core ownerships it met
-last (the ownership is all a plan depends on). The units with an offer
-position lead every plan with the same digits, so the home lays out that
-offer prefix once, and a plan for a new ownership adds only the accept
-units of the cores owned. A pass costs a fixed number of numpy calls: one
+cores, each group in agent order and then in ``unit_layout`` order. Each
+position has one digit record (unit, weight, radix, key), built once by the
+home. The units with an offer position are units 0, 1, ... and lead every
+pass, so an offer record's unit is its row, and the home's offer records
+serve every pass. The home keeps the ``Plan`` of a pass, the rows' units,
+parameter sets, obs index rows and the owned cores' accept records, for the
+``PLANS_KEPT`` core ownerships it met last (the ownership is all a plan
+depends on). A pass costs a fixed number of numpy calls: one
 gather of the step's ``market_image`` (see ``marketsched.obs``) through
 the rows' indices, one ``forward`` over all rows with each row's parameter
 set (whose rows of the home stack it keeps until the home's next update or
@@ -84,6 +86,7 @@ payout that lands steps after the causing action still credits it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,7 +94,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .actions import space_size
 from .config import EnvConfig, PricingMode
 from .env import JointActions, SchedulingEnv, StepResult
 from .neural import (
@@ -130,6 +132,7 @@ ARCHITECTURES = (ARCH_FULL, ARCH_SEMI, ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE)
 
 UnitKey = tuple[str, int]
 Position = tuple[str, int]  # ("accept", core), ("offer", slot) or ("price", slot)
+Digit = tuple[int, int, int, tuple[int, int]]  # (unit or row, weight, radix, (agent, m or k))
 
 
 class InfeasibleArchitectureError(RuntimeError):
@@ -167,7 +170,7 @@ class UnitSpec:
 
     @property
     def action_count(self) -> int:
-        return space_size(self.radices)
+        return math.prod(self.radices)
 
     @cached_property
     def cores(self) -> tuple[int, ...]:
@@ -249,17 +252,14 @@ def _parameter_sets(arch: str, config: EnvConfig
 class Plan(NamedTuple):
     """The rows of a home's acting pass for one core ownership: each row's
     unit, parameter set, last valid action and obs indices into the market
-    image; and the (row, weight, radix) of each live offer and accept
-    position, with the positions' keys."""
+    image; and the digit record of each owned core's accept position, in
+    core order, its unit replaced by its row."""
 
     ids: np.ndarray
     sets: np.ndarray
     last: np.ndarray
     index: np.ndarray
-    offer_digits: list[tuple[int, int, int]]
-    accept_digits: list[tuple[int, int, int]]
-    offers: list[tuple[int, int]]
-    accepts: list[tuple[int, int]]
+    accepts: list[Digit]
 
 
 # the plans a home keeps, most recently used last: on EXP2_ARCH_4X4 DIST the
@@ -322,21 +322,17 @@ class Home:
         self.store = RolloutStore([spec.obs_width for spec in self.specs], length)
         self.draws = np.empty((len(order), length))
         self.cursor = np.full(len(order), length)
-        # the offer prefix of every plan: the units with an offer position,
-        # units 0, 1, ... (see _rank), each its own row; the (row, weight,
-        # radix) and key of each offer position, in row order; and by core,
-        # the (unit, weight, radix, key) of each agent's accept position
+        # the units that lead every plan, units 0, 1, ... (see _rank); the
+        # digit records of the offer positions, in unit order, and by core,
+        # of each agent's accept position
         self.prefix = [u for u, spec in enumerate(self.specs) if spec.slots]
-        self.offer_digits: list[tuple[int, int, int]] = []
-        self.offer_keys: list[tuple[int, int]] = []
-        self.accept_digits: list[dict[int, tuple[int, int, int, tuple[int, int]]]] = [
-            {} for _ in range(self.config.num_cores)]
+        self.offer_digits: list[Digit] = []
+        self.accept_digits: list[dict[int, Digit]] = [{} for _ in range(config.num_cores)]
         for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
             weight = 1
             for (kind, i), radix in zip(spec.positions, spec.radices):
                 if kind == "offer":
-                    self.offer_digits.append((u, weight, radix))
-                    self.offer_keys.append((agent, i))
+                    self.offer_digits.append((u, weight, radix, (agent, i)))
                 elif kind == "accept":
                     self.accept_digits[i][agent] = (u, weight, radix, (agent, i))
                 weight *= radix
@@ -386,19 +382,16 @@ class Home:
 
     def _plan(self, owners: tuple[int, ...]) -> Plan:
         """Every unit with an offer position acts, then every accept-only
-        unit of a core its agent owns, each in unit order; every offer
-        position and the accept position of every such core take their
-        digits. The offer prefix is the home's; only the accept units are
-        added."""
+        unit of a core its agent owns, each in unit order; the accept
+        position of every such core takes its digit."""
         accepts = [digits[owner] for owner, digits in zip(owners, self.accept_digits)
                    if owner in digits]
         first = len(self.prefix)
         extra = sorted({u for u, _, _, _ in accepts if u >= first})
         ids = np.array(self.prefix + extra)
-        return Plan(ids, self.sets[ids], self.last[ids], self.index[ids], self.offer_digits,
-                    [(u if u < first else first + extra.index(u), weight, radix)
-                     for u, weight, radix, _ in accepts],
-                    self.offer_keys, [key for _, _, _, key in accepts])
+        return Plan(ids, self.sets[ids], self.last[ids], self.index[ids],
+                    [(u if u < first else first + extra.index(u), weight, radix, key)
+                     for u, weight, radix, key in accepts])
 
     def draw(self, ids: np.ndarray) -> np.ndarray:
         """One uniform for each unit of ``ids`` from its own sample stream:
@@ -420,10 +413,9 @@ class Home:
         owners = tuple([core.owner for core in env.cores]) if env.config.trading_enabled else ()
         plan = self.plan(owners)
         actions = self._act_rows(plan, image.take(plan.index)).tolist()
-        joint.offers.update(zip(plan.offers, [actions[r] // weight % radix
-                                              for r, weight, radix in plan.offer_digits]))
-        joint.accepts.update(zip(plan.accepts, [actions[r] // weight % radix
-                                                for r, weight, radix in plan.accept_digits]))
+        for decided, digits in ((joint.offers, self.offer_digits), (joint.accepts, plan.accepts)):
+            decided.update([(key, actions[r] // weight % radix)
+                            for r, weight, radix, key in digits])
         if not env.config.pricing_mode.is_free:
             return
         # the price setters' pass over the offers just made

@@ -94,11 +94,11 @@ class JointActions:
         price is the job's priority.
 
     Nothing is rejected: an entry that names no agent, slot, core or pending
-    offer does nothing, so an offer keyed outside 0 <= agent < num_agents,
-    0 <= slot < num_slots registers nothing, as does one whose target is no
-    integer in 1..num_cores, an accept whose choice is no integer trades
-    nothing, and a bid that is no integer counts as no bid (a float such as
-    1.0, NaN or None is no integer; a numpy integer is).
+    offer does nothing, so an offer keyed by no integers 0 <= agent <
+    num_agents, 0 <= slot < num_slots registers nothing, as does one whose
+    target is no integer in 1..num_cores, an accept whose choice is no
+    integer trades nothing, and a bid that is no integer counts as no bid
+    (1.0, NaN, None or '1' is no integer; a numpy integer is).
     """
 
     accepts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -247,8 +247,8 @@ class SchedulingEnv:
                 if core.owner == AUCTIONEER:
                     continue
                 choice = actions.accepts.get((core.owner, core.index), 0)
-                # as in phase 6, a Python int skips the slower Integral check
-                if choice <= 0 or not (type(choice) is int or isinstance(choice, Integral)):
+                # the type first, which None or a string fails; an int skips the Integral check
+                if not (type(choice) is int or isinstance(choice, Integral)) or choice <= 0:
                     continue
                 entry = books[core.index].get(choice - 1)
                 if entry is None or slots[entry[0]][entry[1]] is not entry[2]:
@@ -304,11 +304,16 @@ class SchedulingEnv:
         num_cores, num_slots, num_agents = self._num_cores, self._num_slots, len(slots)
         free_pricing, prices = self._free_pricing, actions.prices
         for (agent, slot), choice in actions.offers.items():
-            # a Python int skips the slower Integral check a numpy integer takes
-            if not (0 < choice <= num_cores and 0 <= agent < num_agents and 0 <= slot < num_slots
-                    and (type(choice) is int or isinstance(choice, Integral))):
+            # no offer from a number that does not compare with an int, or from a key
+            # that indexes no list (a float); a Python int skips the Integral check
+            try:
+                if not (0 < choice <= num_cores and 0 <= agent < num_agents
+                        and 0 <= slot < num_slots
+                        and (type(choice) is int or isinstance(choice, Integral))):
+                    continue
+                job = slots[agent][slot]
+            except TypeError:
                 continue
-            job = slots[agent][slot]
             if job is None:
                 continue
             price = job.priority

@@ -8,16 +8,18 @@ offer books. The package acts through the batched ``forward`` and
 ``mixed_radix_decode`` and ``mixed_radix_encode`` translate an aggregated
 unit's action to and from its per-position digits one at a time, where the
 package takes each digit by weight and radix. ``plan`` builds a home's pass
-plan from scratch, finding every row by a search of the row list, where the
-package adds a core ownership's accept units to the home's offer prefix.
+plan and offer records from scratch, finding every row by a search of the
+row list, where the package adds a core ownership's accept units to the
+units with an offer position, which lead every pass.
 ``ppo_update`` updates one network at a time with the one-network
 ``surrogate_objective`` and ``ascend``, where the package updates several
 networks of one shape in one stacked minibatch loop.
 """
 
+import math
+
 import numpy as np
 
-from marketsched.actions import space_size
 from marketsched.neural import NonFiniteLossError, log_softmax
 
 
@@ -95,7 +97,7 @@ def encode_price_obs(env, agent, slot, target_core):
 
 def mixed_radix_decode(index, radices):
     """Little-endian digits of ``index`` in the given radices."""
-    if not 0 <= index < space_size(radices):
+    if not 0 <= index < math.prod(radices):
         raise ValueError(f"index {index} out of range for radices {list(radices)}")
     digits = []
     rest = index
@@ -120,11 +122,11 @@ def mixed_radix_encode(digits, radices):
 
 
 def plan(home, owners):
-    """The fields of ``home``'s Plan when core m's owner is ``owners[m]``:
-    every unit with an offer position, then every accept-only unit of an
-    owned core, each in unit order; the (row, weight, radix) and key of
-    every offer position in unit order, then of every owned core's accept
-    position in core order."""
+    """The fields of ``home``'s Plan when core m's owner is ``owners[m]``,
+    and the home's offer records: every unit with an offer position, then
+    every accept-only unit of an owned core, each in unit order; the (row,
+    weight, radix, key) of every owned core's accept position in core order;
+    and that of every offer position in unit order."""
     offers, accepts = [], {}
     for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
         weight = 1
@@ -138,10 +140,9 @@ def plan(home, owners):
     ids = list(dict.fromkeys(u for u, _, _, _ in offers))
     ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
     index = np.array(ids)
-    return (index, home.sets[index], home.last[index], home.index[index],
-            [(ids.index(u), weight, radix) for u, weight, radix, _ in offers],
-            [(ids.index(u), weight, radix) for u, weight, radix, _ in accepts],
-            [key for _, _, _, key in offers], [key for _, _, _, key in accepts])
+    return ((index, home.sets[index], home.last[index], home.index[index],
+             [(ids.index(u), weight, radix, key) for u, weight, radix, key in accepts]),
+            [(ids.index(u), weight, radix, key) for u, weight, radix, key in offers])
 
 
 def surrogate_work(params, rows):

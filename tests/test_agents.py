@@ -180,8 +180,9 @@ class TestActionWiring:
         cfg = make_config(num_cores=4, num_slots=1)
         (home,) = build_homes(archs, cfg, PPOHyper(), seed=1)
         for owners in [()] + list(itertools.product((AUCTIONEER, 0, 1), repeat=4)):
-            plan, want = home._plan(owners), reference_plan(home, owners)
-            for field, got, expected in zip(plan._fields, plan, want):
+            plan, (want, offer_digits) = home._plan(owners), reference_plan(home, owners)
+            assert home.offer_digits == offer_digits
+            for field, got, expected in zip(plan._fields, plan, want, strict=True):
                 if isinstance(expected, np.ndarray):
                     assert got.dtype == expected.dtype and np.array_equal(got, expected), field
                 else:

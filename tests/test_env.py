@@ -1,5 +1,6 @@
 """Environment state machine: phases, trades, displacement, determinism."""
 
+import copy
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -350,6 +351,35 @@ class TestOfferPrices:
         assert all(type(o.price) is int for o in env.offers())
         (grant,) = env.step(JointActions()).trades
         assert (grant.source_slot, grant.price) == (0, price)
+        env.check_invariants()
+
+
+class TestInputsOfNoIntegerCountAsNone:
+    """A choice or target that does not compare with an integer, or an offer
+    key that indexes no slot, is no input: the step, whose earlier phases
+    have run when these are read, completes and ends where a twin stepped
+    without it does."""
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("offers", (0, 0), None), ("offers", (0, 0), "1"), ("accepts", (0, 0), None),
+        ("offers", (0.0, 0), 1)], ids=repr)
+    def test_the_step_completes_as_without_it(self, kind, key, value):
+        env = SchedulingEnv(builtin_scenarios()["EXP1_TRADING"].env, seed=5)
+        rng = derive_rng(5, STREAM_FUZZ)
+        # agent 0 owns core 0, and offers are pending there
+        while env.cores[0].owner != 0 or not env.pending_offers(0):
+            env.step(random_actions(env, rng))
+        kept = random_actions(env, rng)
+        getattr(kept, kind).pop(key)  # (0.0, 0) == (0, 0): drop the int key too
+        joint = copy.deepcopy(kept)
+        getattr(joint, kind)[key] = value
+        twin, now = copy.deepcopy(env), env.time
+        result = env.step(joint)
+        assert env.time == now + 1
+        assert result == twin.step(kept)
+        assert [c.owner for c in env.cores] == [c.owner for c in twin.cores]
+        assert env.slots == twin.slots and list(env.offers()) == list(twin.offers())
+        assert env._next_job_uid == twin._next_job_uid
         env.check_invariants()
 
 

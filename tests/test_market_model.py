@@ -4,9 +4,10 @@ actions, and every step checked against what the market's rules say.
 A Hypothesis state machine builds a config of 1-3 agents, cores and slots,
 trading on or off, in any pricing mode, and steps it with random
 ``JointActions``: accepts that name a pending offer, a stale or empty cell,
-the agent's own offer, a cell outside the grid, or no integer; offers to
-any core, to none, keyed outside the grid, or no integer, filed in a random
-order; bids that are negative, above ``max_prio``, missing or no integer.
+the agent's own offer, a cell outside the grid, or no integer (a float,
+``None`` or a string); offers to any core, to none, or to no integer, keyed
+outside the grid or by a float, filed in a random order; bids that are
+negative, above ``max_prio``, missing or no integer.
 After every step it checks:
 
 - ``check_invariants()`` and job conservation;
@@ -52,11 +53,12 @@ def configs(draw):
                      trading_enabled=draw(st.sampled_from([True, True, False])))
 
 
-# the forms an action's number takes: integers, as a Python int (twice as
-# often) or a numpy integer, or no integer, a float equal to one or halfway
-FORMS = (int, int, np.int64, float, lambda value: value + 0.5)
+# the forms an action's number takes: integers, as a Python int (three
+# times as often) or a numpy integer, or no integer: a float equal to one or
+# halfway, None, or its string, which no range test can compare with an int
+FORMS = (int, int, int, np.int64, float, lambda value: value + 0.5, lambda value: None, str)
 # a bid also takes forms that no number of the other inputs takes
-BID_FORMS = FORMS + (lambda value: math.nan, lambda value: math.inf, lambda value: None, str)
+BID_FORMS = FORMS + (lambda value: math.nan, lambda value: math.inf)
 
 
 def number(rng, values, forms=FORMS):
@@ -82,11 +84,13 @@ def joint_actions(env, rng):
         for key in keys:
             joint.accepts[key] = number(rng, choices)
     # an offer for each slot half the time, and at times one keyed outside
-    # the grid, in a random order, to a core twice as often as to none or out
-    # of range; a bid half the time, from 3 below 0 to 3 above max_prio
+    # the grid or by a float equal to a slot's key (which, if that slot's
+    # key is drawn too, keys one entry with the first drawn), in a random
+    # order, to a core twice as often as to none or out of range; a bid half
+    # the time, from 3 below 0 to 3 above max_prio
     keys = [(a, k) for a in range(agents) for k in range(slots) if rng.random() < 0.5]
-    outside = [(-1, 0), (agents, 0), (0, slots), (0, -1)]
-    keys += [outside[rng.integers(4)]] * int(rng.random() < 0.2)
+    outside = [(-1, 0), (agents, 0), (0, slots), (0, -1), (0.0, 0), (0, float(slots - 1))]
+    keys += [outside[rng.integers(len(outside))]] * int(rng.random() < 0.2)
     rng.shuffle(keys)
     targets = list(range(1, cores + 1)) * 2 + [-1, 0, cores + 1]
     bids = list(range(-3, cfg.max_prio + 4))
@@ -133,12 +137,13 @@ def phase_one(env, accepts):
 
 
 def ignored_offers(env, offers):
-    """The offer keys the market must ignore: keyed outside the grid, or
-    naming no core by an integer."""
+    """The offer keys the market must ignore: keyed by no integers in the
+    grid, or naming no core by an integer."""
     cfg = env.config
     return [(agent, slot) for (agent, slot), target in offers.items()
-            if not (0 <= agent < cfg.num_agents and 0 <= slot < cfg.num_slots
-                    and is_integer(target) and 0 < target <= cfg.num_cores)]
+            if not (is_integer(agent) and is_integer(slot) and is_integer(target)
+                    and 0 <= agent < cfg.num_agents and 0 <= slot < cfg.num_slots
+                    and 0 < target <= cfg.num_cores)]
 
 
 def state(env):
