@@ -102,7 +102,6 @@ from .neural import (
     PPOHyper,
     forward,
     init_params,
-    ppo_update,
     sample_rows,
 )
 from .obs import (
@@ -114,6 +113,7 @@ from .obs import (
     offer_obs_len,
     price_index,
 )
+from .ppo import ppo_update
 from .rollout import RolloutStore
 from .rng import (
     STREAM_UNIT_INIT,

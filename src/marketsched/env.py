@@ -94,11 +94,12 @@ class JointActions:
         price is the job's priority.
 
     Nothing is rejected: an entry that names no agent, slot, core or pending
-    offer does nothing, so an offer keyed by no integers 0 <= agent <
-    num_agents, 0 <= slot < num_slots registers nothing, as does one whose
-    target is no integer in 1..num_cores, an accept whose choice is no
-    integer trades nothing, and a bid that is no integer counts as no bid
-    (1.0, NaN, None or '1' is no integer; a numpy integer is).
+    offer does nothing, so an offer whose key is no pair of integers 0 <=
+    agent < num_agents, 0 <= slot < num_slots (0, (0, 0, 0) and 'ab' are
+    none) registers nothing, as does one whose target is no integer in
+    1..num_cores, an accept whose choice is no integer trades nothing, and a
+    bid that is no integer counts as no bid (1.0, NaN, None or '1' is no
+    integer; a numpy integer is).
     """
 
     accepts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -303,16 +304,18 @@ class SchedulingEnv:
         # (6) register this step's offers for resolution at t + 1
         num_cores, num_slots, num_agents = self._num_cores, self._num_slots, len(slots)
         free_pricing, prices = self._free_pricing, actions.prices
-        for (agent, slot), choice in actions.offers.items():
+        for key, choice in actions.offers.items():
             # no offer from a number that does not compare with an int, or from a key
-            # that indexes no list (a float); a Python int skips the Integral check
+            # that is no pair or indexes no list (a float); a Python int skips the
+            # Integral check
             try:
+                agent, slot = key
                 if not (0 < choice <= num_cores and 0 <= agent < num_agents
                         and 0 <= slot < num_slots
                         and (type(choice) is int or isinstance(choice, Integral))):
                     continue
                 job = slots[agent][slot]
-            except TypeError:
+            except (TypeError, ValueError):
                 continue
             if job is None:
                 continue

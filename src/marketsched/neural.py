@@ -1,4 +1,4 @@
-"""Minimal actor-critic networks and the clipped-surrogate policy update.
+"""Minimal actor-critic networks, their learned state and its Adam step.
 
 One tanh hidden layer feeds a categorical policy head and a scalar value
 head. Gradients are computed by hand (verified against finite differences in
@@ -17,34 +17,17 @@ so the padding's step is 0 and stays fixed.
 Besides that state a stack keeps the rows ``forward`` last gathered, one
 copy of the whole rows taken at once, until its next update or load.
 
-``ppo_update`` updates S >= 1 networks of one shape at once, each on its own
-window with its own sample stream and its own Adam step count, in one
-minibatch loop over (S, rows, ...) arrays: every product is a 3-D
-``np.matmul`` whose item s is the product the network alone would take, so
-each network ends bit for bit where updating it alone would leave it. The
-Adam step is a fixed handful of whole-row operations on all S rows at once,
-with each row's bias corrections as a column, a block of rows at a time
-that fits in a core's cache (``ADAM_BLOCK_BYTES``): all the small
-distributed networks at once, a 1323-action head's row alone. Every array
-of the loop that scales with the rows, the hidden width or the actions
-lives in one scratch (``UpdateWork``) allocated per update: the loop
-allocates no row-sized or (rows x actions)-sized temporary, so a large
-head's pages are neither freed nor faulted in again between minibatches.
-The loop does only the arithmetic; everything that depends only on the
-update, the epoch or the minibatch size is laid out before it. Per
-update: each field of the windows flattened to (S * T, ...) rows, the
-scratch's views for each minibatch size (``minibatch_views``; at most two
-sizes, ``minibatch_size`` and a remainder), and the Adam step's row blocks
-and bias corrections (``ParamStack._adam``). Per epoch: each network's
-permutation as flat row indices, of which a minibatch takes a slice. A
-minibatch's five stats are one reduction over their per-row terms, written
-into one (5, S) row that is added to the update's totals.
+``marketsched.ppo`` updates the networks of a stack; its Adam step is
+``ParamStack._adam``, a fixed handful of whole-row operations on all the
+updated rows at once, with each row's bias corrections as a column, a block
+of rows at a time that fits in a core's cache (``ADAM_BLOCK_BYTES``): all
+the small distributed networks at once, a 1323-action head's row alone.
 
-The arrays of an acting pass and of a minibatch are small, so much of an
-operation's cost is its call. The reductions call the ufuncs' ``reduce``
-and ``accumulate``, the loops that ``ndarray.sum``, ``max`` and ``cumsum``
-reach through a Python-level wrapper, and entries are picked by one flat
-index with ``take``, which reads what a multi-axis fancy index reads.
+The arrays of an acting pass are small, so much of an operation's cost is
+its call. The reductions call the ufuncs' ``reduce`` and ``accumulate``,
+the loops that ``ndarray.sum``, ``max`` and ``cumsum`` reach through a
+Python-level wrapper, and entries are picked by one flat index with
+``take``, which reads what a multi-axis fancy index reads.
 """
 
 from __future__ import annotations
@@ -52,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -182,10 +165,10 @@ class ParamStack:
     -inf, which give padded actions probability 0, and moments 0. ``save``
     and ``load`` move exactly this state, ``rows``, ``m``, ``v`` and the step
     counts, through one ``.npz`` file. The gradient is not part of it: it
-    belongs to one update (``UpdateWork``). ``writes`` counts the updates
-    and loads of the rows, and ``gather`` keeps the blocks it last gathered
-    until that count moves; anything else that writes the rows in place
-    between two ``forward`` calls advances it too.
+    belongs to one update (``marketsched.ppo.UpdateWork``). ``writes``
+    counts the updates and loads of the rows, and ``gather`` keeps the
+    blocks it last gathered until that count moves; anything else that
+    writes the rows in place between two ``forward`` calls advances it too.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -421,243 +404,3 @@ def gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
         next_value = values_t[t]
     advantages = np.array(advantages)
     return advantages, advantages + values
-
-
-class TrainBatch(NamedTuple):
-    """One window of T samples, or, each field with a leading window axis,
-    several windows of one length (the form ``ppo_update`` takes)."""
-
-    obs: np.ndarray        # (T, in)
-    actions: np.ndarray    # (T,) int
-    logp_old: np.ndarray   # (T,)
-    advantages: np.ndarray  # (T,)
-    returns: np.ndarray    # (T,)
-
-
-STATS = ("objective", "value_loss", "entropy", "clip_fraction", "approx_kl")
-
-
-class UpdateWork(NamedTuple):
-    """One update's scratch, for S networks of one shape and minibatches of
-    up to ``rows`` rows: ``wide`` holds three arrays of (S, rows or hidden,
-    actions) or of (S, row width), whichever is larger (the surrogate's
-    log-probabilities, probabilities and logit gradients, then the policy
-    head's gradient, then Adam's two intermediates); ``narrow`` three of
-    (S, rows or in-width, hidden) (hidden activations, their gradient, and
-    a temporary that ends as the first layer's gradient); ``grad`` the
-    networks' gradient rows, in the stack's row layout, whose padding is
-    never written and so stays 0; ``finite`` one bool per gradient entry;
-    ``terms`` room for the five stats' per-row terms, (5, S, rows); and
-    ``stats`` the five stats (``STATS``) of a minibatch, (5, S)."""
-
-    wide: np.ndarray
-    narrow: np.ndarray
-    grad: np.ndarray
-    finite: np.ndarray
-    terms: np.ndarray
-    stats: np.ndarray
-
-
-def update_work(sets: int, shape: tuple[int, int, int], rows: int,
-                row_width: int) -> UpdateWork:
-    """``UpdateWork`` for ``sets`` networks of ``shape`` in rows of
-    ``row_width`` and minibatches of up to ``rows`` rows."""
-    in_width, hidden, actions = shape
-    wide = sets * max(max(rows, hidden) * actions, row_width)
-    narrow = sets * max(rows, in_width) * hidden
-    return UpdateWork(np.empty((3, wide)), np.empty((3, narrow)),
-                      np.zeros((sets, row_width)), np.empty((sets, row_width), dtype=bool),
-                      np.empty(len(STATS) * sets * rows), np.empty((len(STATS), sets)))
-
-
-def minibatch_views(work: UpdateWork, shape: tuple[int, int, int], n: int) -> tuple:
-    """The views of ``work``, scratch for S networks of ``shape``, that a
-    minibatch of n rows of each reads and writes, laid out once per update
-    and minibatch size: ``lp``, ``pr`` and ``dl`` (S, n, actions); ``h``,
-    ``d_h`` and ``temp`` (S, n, hidden); ``terms`` (5, S, n); the first
-    layer's and the policy head's gradients, (S, in-width, hidden) and (S,
-    hidden, actions); and ``offsets``, where row t of network s starts in a
-    flattened (S, n, actions) array."""
-    in_width, hidden, actions = shape
-    count = len(work.grad)
-    return (*work.wide[:, :count * n * actions].reshape(3, count, n, actions),
-            *work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden),
-            _part(work.terms, len(STATS), count, n),
-            _part(work.narrow[2], count, in_width, hidden),
-            _part(work.wide[0], count, hidden, actions),
-            np.arange(0, count * n * actions, actions).reshape(count, n))
-
-
-def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
-    """The first prod(shape) entries of a 1-D scratch buffer, as a
-    contiguous array of ``shape``."""
-    return buffer[:prod(shape)].reshape(shape)
-
-
-def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBatch,
-                        hyper: PPOHyper, views: tuple, stats: np.ndarray) -> None:
-    """Clipped-surrogate objective and its analytic gradient on a minibatch
-    of each of S networks of one shape.
-
-    ``params`` and ``grads`` hold the S networks as NetParams with a leading
-    network axis, and ``minibatch`` their minibatches' rows as (S, n, ...)
-    arrays. Writes the five stats (``STATS``), each of shape (S,), into the
-    rows of ``stats``, and into ``grads`` the gradients, which point in the
-    ascent direction of objective = policy surrogate - c_v * value loss +
-    c_e * entropy. Network s's results are bit for bit those of computing
-    it alone. ``approx_kl`` is the estimator mean((ratio - 1) - log ratio)
-    of the KL divergence from the window's policy. Every (rows x hidden)
-    and (rows x actions) array lives in the ``views`` of the update's
-    scratch for minibatches of n rows (``minibatch_views``).
-    """
-    x, acts, logp_old, adv, ret = minibatch
-    lp, pr, dl, h, d_h, temp, terms, grad_w1, grad_head, offsets = views
-    n = offsets.shape[1]
-    # the taken actions' entries of a (count, n, actions) array, flattened
-    taken = acts + offsets
-
-    np.matmul(x, params.w1, out=h)
-    h += params.b1[:, None]
-    np.tanh(h, out=h)
-    logits = np.matmul(h, params.wp, out=lp)
-    logits += params.bp[:, None]
-    values = np.matmul(h, params.wv[..., None])[..., 0] + params.bv
-
-    # log_softmax in place: logits, z and logp_all all live in lp
-    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=lp)
-    logp_all = np.subtract(
-        z, np.log(np.add.reduce(np.exp(z, out=pr), axis=-1, keepdims=True)), out=lp)
-    probs = np.exp(logp_all, out=pr)
-    logp_act = logp_all.take(taken)
-    log_ratio = logp_act - logp_old
-    ratio = np.exp(log_ratio)
-    # np.clip's bits, without its Python-level wrapper
-    clipped = np.minimum(np.maximum(ratio, 1.0 - hyper.clip), 1.0 + hyper.clip)
-    surr_unclipped = ratio * adv
-    surr_clipped = clipped * adv
-    # each stat is the sum of its term over the minibatch / n, as
-    # ndarray.mean takes a mean: surrogate, squared value error, entropy,
-    # clipped or not, and the KL estimate
-    surrogate, value_sq, entropy, clipped_out, kl = terms
-    np.minimum(surr_unclipped, surr_clipped, out=surrogate)
-    np.negative(np.add.reduce(np.multiply(probs, logp_all, out=dl), axis=-1), out=entropy)
-    value_err = values - ret
-    np.square(value_err, out=value_sq)
-    # The unclipped branch carries gradient whenever it attains the min; a
-    # clipped-and-active branch has zero gradient.
-    use_unclipped = surr_unclipped <= surr_clipped
-    np.logical_not(use_unclipped, out=clipped_out)
-    np.subtract(ratio - 1.0, log_ratio, out=kl)
-    np.divide(np.add.reduce(terms, axis=-1), n, out=stats)
-    objective, value_loss, mean_entropy = stats[:3]
-    np.add(objective - hyper.value_coef * value_loss, hyper.entropy_coef * mean_entropy,
-           out=objective)
-
-    # d objective / d logits
-    coef = np.where(use_unclipped, surr_unclipped, 0.0) / n
-    # coef * (one_hot - probs), the one-hot added at the taken actions
-    d_logits = np.subtract(0.0, probs, out=dl)
-    d_logits.reshape(-1)[taken] += 1.0
-    d_logits *= coef[..., None]
-    # += -c_e * (probs * (logp_all + entropy)) / n; probs and logp_all are done
-    term = np.multiply(probs, np.add(logp_all, entropy[..., None], out=lp), out=pr)
-    d_logits += np.divide(np.multiply(-hyper.entropy_coef, term, out=pr), n, out=pr)
-
-    d_values = -2.0 * hyper.value_coef * value_err / n
-
-    np.matmul(d_logits, params.wp.swapaxes(-1, -2), out=d_h)
-    d_h += np.multiply(d_values[..., None], params.wv[:, None], out=temp)
-    d_z1 = np.multiply(d_h, np.subtract(1.0, np.multiply(h, h, out=temp), out=temp), out=d_h)
-    grads.w1[...] = np.matmul(x.swapaxes(-1, -2), d_z1, out=grad_w1)
-    grads.b1[...] = np.add.reduce(d_z1, axis=-2)
-    # the head's gradient goes through a contiguous array: a product written
-    # straight into the transposed head block is not summed in the same order
-    grads.wp[...] = np.matmul(h.swapaxes(-1, -2), d_logits, out=grad_head)
-    grads.bp[...] = np.add.reduce(d_logits, axis=-2)
-    grads.wv[...] = np.matmul(h.swapaxes(-1, -2), d_values[..., None])[..., 0]
-    grads.bv[...] = np.add.reduce(d_values, axis=-1, keepdims=True)
-
-
-def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
-               hyper: PPOHyper, rngs: Sequence[np.random.Generator]) -> list[dict]:
-    """Run the clipped-surrogate update of the networks ``sets`` of
-    ``stack``, distinct and all of one (in_width, hidden_width, action_count)
-    shape, each on its own window, item i of every field of ``batch``, with
-    its own stream ``rngs[i]``, in place; returns each network's aggregate
-    stats. Advances the stack's ``writes``.
-
-    The networks share one minibatch loop, and each ends bit for bit where
-    updating it alone would leave it: its own permutations, advantages
-    normalized once over its own window, its own stats and its own Adam step
-    count. A non-finite loss or gradient in any network raises
-    NonFiniteLossError naming it, before the offending minibatch touches any
-    of the networks.
-
-    The loop does only the arithmetic. Once per update, each field of the
-    windows is flattened to (S * T, ...) rows (a copy only of observations
-    that are a strided view of a wider store), the scratch's views are laid
-    out for each minibatch size (at most two: ``minibatch_size`` and a
-    remainder), and so are the Adam step's row blocks and bias corrections.
-    Once per epoch, each network's permutation becomes flat row indices; a
-    minibatch takes its rows with one ``take`` per field on a slice of
-    them.
-    """
-    shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
-    if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
-            or any(field.shape[:2] != (len(sets), count) for field in batch)):
-        raise ValueError(f"one update takes distinct networks of one shape and one window "
-                         f"each, all of one length, got networks {list(sets)} of shapes "
-                         f"{[stack.shapes[s] for s in sets]} and windows of "
-                         f"{[field.shape[:2] for field in batch]}")
-    adv = batch.advantages
-    advantages = (adv - adv.mean(axis=1, keepdims=True)) / (adv.std(axis=1, keepdims=True)
-                                                           + 1e-8)
-    # network s's row t of a (S, T, ...) field is row s * T + t of its first
-    # two axes flattened
-    rows_total = len(sets) * count
-    obs = batch.obs.reshape(rows_total, batch.obs.shape[2])
-    actions = batch.actions.reshape(rows_total)
-    floats = [field.reshape(rows_total) for field in (batch.logp_old, advantages, batch.returns)]
-    offsets = np.arange(0, rows_total, count)[:, None]
-
-    span, rows, m, v, step_counts = stack._take(np.asarray(sets))
-    size = hyper.minibatch_size
-    work = update_work(len(sets), shape, min(count, size), rows.shape[1])
-    views = {n: minibatch_views(work, shape, n) for n in {min(count, size), count % size} if n}
-    bounds = [(start, start + size, views[min(size, count - start)])
-              for start in range(0, count, size)]
-    params, grads = (_unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
-    step = stack._adam(rows, work.grad, m, v, step_counts, hyper.learning_rate, work.wide,
-                       hyper.epochs * len(bounds))
-    stats, finite = work.stats, work.finite
-    objective = stats[0]
-    totals = np.zeros((len(STATS), len(sets)))
-    minibatches = 0
-    try:
-        for _ in range(hyper.epochs):
-            order = np.stack([rng.permutation(count) for rng in rngs])
-            order += offsets
-            for start, stop, size_views in bounds:
-                indices = order[:, start:stop]
-                surrogate_objective(
-                    params, grads,
-                    TrainBatch(obs.take(indices, axis=0), actions.take(indices),
-                               *[field.take(indices) for field in floats]),
-                    hyper, size_views, stats)
-                if not (np.logical_and.reduce(np.isfinite(objective))
-                        and np.logical_and.reduce(np.isfinite(work.grad, out=finite),
-                                                  axis=None)):
-                    # which network: the first whose objective or gradient is not finite
-                    i = int(np.argmin(np.isfinite(objective) & np.isfinite(work.grad).all(1)))
-                    raise NonFiniteLossError(
-                        f"non-finite update of parameter set {sets[i]}: "
-                        f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "
-                        f"batch size {indices.shape[1]}")
-                step(minibatches)
-                totals += stats
-                minibatches += 1
-    finally:
-        stack._put(span, rows, m, v, step_counts)
-        stack.writes += 1
-    return [{**{key: float(total) / max(minibatches, 1) for key, total in zip(STATS, column)},
-             "minibatches": minibatches} for column in totals.T]

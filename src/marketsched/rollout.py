@@ -14,7 +14,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .neural import PPOHyper, TrainBatch, _span, gae
+from .neural import PPOHyper, _span, gae
+from .ppo import TrainBatch
 
 
 class RolloutStore:

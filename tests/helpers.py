@@ -5,7 +5,7 @@ import numpy as np
 from marketsched.agents import Home
 from marketsched.config import EnvConfig, JobType
 from marketsched.env import AUCTIONEER, Job, JointActions
-from marketsched.neural import TrainBatch
+from marketsched.ppo import TrainBatch
 from marketsched.obs import market_image
 
 

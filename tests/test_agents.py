@@ -27,7 +27,8 @@ from marketsched.agents import (
 from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import STATS, PPOHyper, TrainBatch, ppo_update
+from marketsched.neural import PPOHyper
+from marketsched.ppo import STATS, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import derive_rng
 

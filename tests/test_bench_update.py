@@ -21,7 +21,7 @@ import pytest
 
 from marketsched.agents import ARCH_DIST, ARCH_DIST_PS, ARCH_FULL, AgentBundle, build_homes
 from marketsched.harness import Scenario, apply_overrides, builtin_scenarios, run_scenario
-from marketsched.neural import TrainBatch, ppo_update
+from marketsched.ppo import TrainBatch, ppo_update
 from marketsched.rng import derive_rng
 
 import reference

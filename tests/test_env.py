@@ -356,13 +356,14 @@ class TestOfferPrices:
 
 class TestInputsOfNoIntegerCountAsNone:
     """A choice or target that does not compare with an integer, or an offer
-    key that indexes no slot, is no input: the step, whose earlier phases
-    have run when these are read, completes and ends where a twin stepped
-    without it does."""
+    key that is no pair or indexes no slot, is no input: the step, whose
+    earlier phases have run when these are read, completes and ends where a
+    twin stepped without it does."""
 
     @pytest.mark.parametrize("kind, key, value", [
         ("offers", (0, 0), None), ("offers", (0, 0), "1"), ("accepts", (0, 0), None),
-        ("offers", (0.0, 0), 1)], ids=repr)
+        ("offers", (0.0, 0), 1), ("offers", 0, 1), ("offers", (0, 0, 0), 1),
+        ("offers", "ab", 1)], ids=repr)
     def test_the_step_completes_as_without_it(self, kind, key, value):
         env = SchedulingEnv(builtin_scenarios()["EXP1_TRADING"].env, seed=5)
         rng = derive_rng(5, STREAM_FUZZ)
@@ -370,7 +371,9 @@ class TestInputsOfNoIntegerCountAsNone:
         while env.cores[0].owner != 0 or not env.pending_offers(0):
             env.step(random_actions(env, rng))
         kept = random_actions(env, rng)
-        getattr(kept, kind).pop(key)  # (0.0, 0) == (0, 0): drop the int key too
+        # (0.0, 0) == (0, 0): drop the int key too; a key that is no pair is in
+        # no random action
+        getattr(kept, kind).pop(key, None)
         joint = copy.deepcopy(kept)
         getattr(joint, kind)[key] = value
         twin, now = copy.deepcopy(env), env.time

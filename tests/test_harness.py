@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from marketsched import ppo
+from marketsched.agents import ARCH_FULL
 from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
 from marketsched.harness import (
@@ -181,13 +183,19 @@ class TestRunScenario:
         parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
         assert serial == parallel
 
-    def test_learned_sweep_workers_agree_with_serial(self):
+    def test_learned_sweep_workers_agree_with_serial(self, monkeypatch):
+        # FULL's 1323-action updates run on two threads, inside each worker,
+        # whatever the BLAS's thread count
+        monkeypatch.setattr(ppo, "_one_blas_thread", lambda: True)
         base = builtin_scenarios()["EXP1_TRADING"]
-        scenario = replace(base, total_steps=600, window=100,
-                           hyper=replace(base.hyper, rollout_length=64))
-        serial = run_sweep(scenario, seeds=[1, 2], workers=1)
-        parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
-        assert serial == parallel
+        full = builtin_scenarios()["EXP2_ARCH_2X2"]
+        for scenario in (replace(base, total_steps=600, window=100,
+                                 hyper=replace(base.hyper, rollout_length=64)),
+                         replace(full, arch=(ARCH_FULL,) * full.env.num_agents, total_steps=300,
+                                 window=100, hyper=replace(full.hyper, rollout_length=64))):
+            serial = run_sweep(scenario, seeds=[1, 2], workers=1)
+            parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
+            assert serial == parallel
 
 
 class TestCsv:

@@ -1,26 +1,34 @@
 """Networks, sampling, advantage estimation, and the policy update."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from marketsched import neural
+from marketsched import neural, ppo
 from marketsched.agents import ARCH_DIST, ARCH_FULL, build_homes
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
     CHECKPOINT_VERSION,
-    STATS,
     NetParams,
     NonFiniteLossError,
     ParamStack,
     PPOHyper,
-    TrainBatch,
     forward,
     gae,
     init_params,
     log_softmax,
+    sample_rows,
+)
+from marketsched.ppo import (
+    STATS,
+    TrainBatch,
     minibatch_views,
     ppo_update,
-    sample_rows,
     surrogate_objective,
     update_work,
 )
@@ -452,6 +460,27 @@ def state(stack):
     return [stack.rows.tobytes(), stack.m.tobytes(), stack.v.tobytes(), stack.steps]
 
 
+def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES, one_blas_thread=True):
+    """Count the updates that run on two threads, with ``ppo.SPLIT_BYTES``
+    set to ``split_bytes`` (by default its own value) and numpy's BLAS
+    taken to run on one thread or not: a list that gains one entry per such
+    update."""
+    monkeypatch.setattr(ppo, "SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(ppo, "_one_blas_thread", lambda: one_blas_thread)
+    calls, in_lockstep = [], ppo._in_lockstep
+
+    def counted(first, second):
+        calls.append(threading.active_count())
+        in_lockstep(first, second)
+    monkeypatch.setattr(ppo, "_in_lockstep", counted)
+    return calls
+
+
+# ppo.SPLIT_BYTES settings that put every update of two or more networks on
+# two threads, or every update on one
+TWO_THREADS, ONE_THREAD = 0, float("inf")
+
+
 class TestStackedUpdate:
     """``ppo_update`` on several networks against the reference updating
     them one at a time, each with its own window and stream."""
@@ -478,30 +507,43 @@ class TestStackedUpdate:
         assert together.steps == alone.steps
         assert all(together.steps[s] > steps for s, steps in zip(sets, warm))
 
-    @pytest.mark.parametrize("rows_per_block", [None, 5], ids=["one-block", "blocks-of-5"])
-    def test_the_offer_sets_of_a_dist_home(self, rows_per_block, monkeypatch):
+    @pytest.mark.parametrize("rows_per_block, split_bytes", [
+        (None, ppo.SPLIT_BYTES), (5, ppo.SPLIT_BYTES), (None, TWO_THREADS), (5, TWO_THREADS)],
+        ids=["one-block", "blocks-of-5", "one-block-two-threads", "blocks-of-5-two-threads"])
+    def test_the_offer_sets_of_a_dist_home(self, rows_per_block, split_bytes, monkeypatch):
         # 12 sets of one shape, 3 per agent between the agents' accept sets:
         # no run, so the update takes their rows and puts them back; Adam
-        # steps them all at once, or 5, 5 and 2 at a time
+        # steps them all at once, or 5, 5 and 2 at a time; their 5-action
+        # minibatches are narrow, so they go on one thread unless made to
+        # split into sets 0-5 and 6-11
         stack, sets = home_sets("EXP2_ARCH_4X4", ARCH_DIST, "offer", seed=31)
         if rows_per_block:
             monkeypatch.setattr(neural, "ADAM_BLOCK_BYTES", rows_per_block * stack.rows[0].nbytes)
         assert neural.ADAM_BLOCK_BYTES // stack.rows[0].nbytes >= (rows_per_block or 12)
         assert len(sets) == 12 and sets != list(range(sets[0], sets[0] + 12))
         assert stack.shapes[sets[0]] != max(stack.shapes)
+        split = split_updates(monkeypatch, split_bytes)
         self.assert_matches_one_at_a_time(
             "EXP2_ARCH_4X4", ARCH_DIST, "offer", PPOHyper(minibatch_size=16, epochs=2),
             size=40, warm=(0, 3, 1, 7, 2, 0, 5, 1, 0, 9, 4, 2))
+        assert len(split) == (split_bytes == TWO_THREADS)
 
-    def test_the_full_sets_of_a_home_are_a_run(self):
+    def test_the_full_sets_of_a_home_are_a_run(self, monkeypatch):
         stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=31)
         assert sets == [0, 1] and stack.shapes[0] == (69, 64, 1323)
         # minibatches of 24 rows only, then of 24 and a remainder of 16: the
-        # update lays out its scratch once for each size
-        for size in (48, 40):
-            self.assert_matches_one_at_a_time(
-                "EXP2_ARCH_2X2", ARCH_FULL, "full", PPOHyper(minibatch_size=24, epochs=2),
-                size=size)
+        # update lays out its scratch once for each size; their 1323-action
+        # minibatches are wide, so each set goes on its own thread, unless
+        # made to stay on one or unless the BLAS runs on several
+        for split_bytes, one_blas_thread, splits in ((ppo.SPLIT_BYTES, True, 2),
+                                                     (ONE_THREAD, True, 0),
+                                                     (ppo.SPLIT_BYTES, False, 0)):
+            split = split_updates(monkeypatch, split_bytes, one_blas_thread)
+            for size in (48, 40):
+                self.assert_matches_one_at_a_time(
+                    "EXP2_ARCH_2X2", ARCH_FULL, "full", PPOHyper(minibatch_size=24, epochs=2),
+                    size=size)
+            assert len(split) == splits
 
     def test_sets_whose_adam_step_counts_differ(self):
         self.assert_matches_one_at_a_time(
@@ -536,19 +578,62 @@ class TestStackedUpdate:
     @pytest.mark.parametrize("field", ["returns", "obs"])
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_set_names_itself_and_moves_no_set(self, scenario_name, arch, prefix,
-                                                          field):
+                                                          field, monkeypatch):
         stack, sets = home_sets(scenario_name, arch, prefix, seed=36)
-        # the last set, then one in the middle: the 6th of 12, the 1st of 2
-        for i in (len(sets) - 1, len(sets) // 2 - 1):
-            batches = [make_batch(stack.views[s], 16, seed=37 + s) for s in sets]
-            bad = getattr(batches[i], field).copy()
-            bad.flat[3] = np.inf
-            batches[i] = batches[i]._replace(**{field: bad})
-            before = state(stack)
-            with pytest.raises(NonFiniteLossError, match=f"parameter set {sets[i]}:"):
-                ppo_update(stack, sets, stacked(*batches), PPOHyper(),
-                           [derive_rng(38, s) for s in sets])
-            assert state(stack) == before
+        last, middle = len(sets) - 1, len(sets) // 2 - 1
+        threads = threading.active_count()
+        for split_bytes in (ONE_THREAD, TWO_THREADS):
+            split = split_updates(monkeypatch, split_bytes)
+            # the last set, the 12th of 12 or the 2nd of 2, in the second half;
+            # one in the middle, the 6th of 12 or the 1st of 2, in the first;
+            # and both, which names the one in the middle
+            for bad_sets in ([last], [middle], [middle, last]):
+                batches = [make_batch(stack.views[s], 16, seed=37 + s) for s in sets]
+                for i in bad_sets:
+                    bad = getattr(batches[i], field).copy()
+                    bad.flat[3] = np.inf
+                    batches[i] = batches[i]._replace(**{field: bad})
+                before = state(stack)
+                named = f"parameter set {sets[bad_sets[0]]}:"
+                with pytest.raises(NonFiniteLossError, match=named):
+                    ppo_update(stack, sets, stacked(*batches), PPOHyper(),
+                               [derive_rng(38, s) for s in sets])
+                assert state(stack) == before
+                assert threading.active_count() == threads
+            assert split == ([threads] * 3 if split_bytes == TWO_THREADS else [])
+
+    def test_both_halves_take_every_step(self):
+        # the barrier is broken only on an error: breaking it once the first
+        # half is done would stop a second half that the last wait released
+        # but that had not yet woken, before its last step
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(50):
+                steps = [0, 0]
+
+                def half(i):
+                    def run(wait):
+                        for _ in range(3):
+                            wait()
+                            steps[i] += 1
+                    return run
+                ppo._in_lockstep(half(0), half(1))
+                assert steps == [3, 3] and threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_split_reads_the_blas_thread_count(self, threads):
+        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy's BLAS is no OpenBLAS")
+        src = str(Path(ppo.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "from marketsched import ppo; print(ppo._one_blas_thread())"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == str(threads == 1)
 
     def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
         stack = two_set_stack()
