@@ -137,13 +137,14 @@ Digit = tuple[int, int, int, tuple[int, int]]  # (unit or row, weight, radix, (a
 
 class InfeasibleArchitectureError(RuntimeError):
     def __init__(self, arch: str, cardinality: int, threshold: int):
-        self.arch = arch
-        self.cardinality = cardinality
-        self.threshold = threshold
-        super().__init__(
-            f"{arch} needs an action space of {cardinality}, above the guard "
-            f"threshold {threshold}"
-        )
+        # the arguments, not the message: a copy is rebuilt from them when a
+        # sweep's worker pool hands the error back pickled
+        super().__init__(arch, cardinality, threshold)
+        self.arch, self.cardinality, self.threshold = arch, cardinality, threshold
+
+    def __str__(self) -> str:
+        return (f"{self.arch} needs an action space of {self.cardinality}, above the guard "
+                f"threshold {self.threshold}")
 
 
 def commercial_price_reward(priority: int, price: int) -> float:

@@ -25,18 +25,16 @@ is added to the update's totals. The reductions call the ufuncs'
 its call.
 
 Networks whose minibatch is wide (``SPLIT_BYTES``), as a 1323-action head's
-is, are split into two contiguous halves of the S that run their minibatch
-loops at once, if numpy's BLAS runs each product on one thread: the
-calling thread runs the first and a worker thread, started for the update
-and joined before it returns, the second. The numpy calls that carry the
-cost release the interpreter lock, so the halves overlap on two cores. The
-calling thread lays out both halves before the worker starts: each works in
-its own S-slice of the one scratch, with its own offsets and its own Adam
-intermediates, so the worker allocates only a minibatch's small
-temporaries. The halves run in lockstep, with one barrier per minibatch
-after both halves' surrogates and finiteness checks and before either's
-Adam step. So a non-finite minibatch stops both halves before it moves any
-network, the error names the first bad network in ``sets`` order, and every
+is, are split into two contiguous halves of the S if numpy's BLAS runs each
+product on one thread. The calling thread keeps the one minibatch loop and
+runs each phase of a minibatch on the first half while a worker thread,
+started for the update and joined before it returns, runs it on the second;
+the numpy calls that carry the cost release the interpreter lock, so the
+halves overlap on two cores. Phase one is each half's surrogate and
+finiteness check, after which the calling thread alone raises a non-finite
+minibatch's error, naming the first bad network in ``sets`` order, before
+phase two, the Adam step, moves any network. Each half works in its own
+S-slice of the one scratch, laid out before the worker starts, and every
 network's arithmetic is the one-thread loop's.
 """
 
@@ -46,6 +44,7 @@ import ctypes
 import threading
 from functools import cache
 from math import prod
+from queue import SimpleQueue
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -258,14 +257,14 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     its own stream ``rngs[i]``, in place; returns each network's aggregate
     stats. Advances the stack's ``writes``.
 
-    The networks share one minibatch loop, or two in lockstep on two threads
-    when their minibatches are wide (``SPLIT_BYTES``) and numpy's BLAS runs
-    on one thread, and each ends bit for bit where updating it alone would
-    leave it: its own permutations, advantages normalized once over its own
-    window, its own stats and its own Adam step count. A non-finite loss or
-    gradient in any network raises NonFiniteLossError naming the first such
-    network, before the offending minibatch touches any of the networks. No
-    thread outlives the call.
+    The networks share one minibatch loop, run on two threads, a half of
+    the networks each, when their minibatches are wide (``SPLIT_BYTES``) and
+    numpy's BLAS runs on one thread, and each ends bit for bit where
+    updating it alone would leave it: its own permutations, advantages
+    normalized once over its own window, its own stats and its own Adam step
+    count. A non-finite loss or gradient in any network raises
+    NonFiniteLossError naming the first such network, before the offending
+    minibatch touches any of the networks. No thread outlives the call.
 
     The loop does only the arithmetic. Once per update, each field of the
     windows is flattened to (S * T, ...) rows (a copy only of observations
@@ -301,93 +300,90 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     minibatches = hyper.epochs * len(starts)
     totals = np.zeros((len(STATS), len(sets)))
 
-    def loop(lo: int, hi: int) -> Callable[[Callable[[], object]], None]:
-        """The minibatch loop of networks lo, ..., hi - 1 in their part of
-        the scratch, laid out; it calls its argument between each
-        minibatch's finiteness check and its Adam step."""
+    def lay_out(lo: int, hi: int) -> tuple[Callable, Callable]:
+        """The two phases of a minibatch for networks lo, ..., hi - 1 in
+        their part of the scratch: the surrogate, given all networks' row
+        indices, which returns the NonFiniteLossError of the first network
+        whose objective or gradient is not finite, or None; and the Adam
+        step, given the number of steps taken before it."""
         part = work.networks(lo, hi)
         views = {k: minibatch_views(part, shape, k) for k in {n, count % size} if k}
-        bounds = [(start, start + size, views[min(size, count - start)]) for start in starts]
         params, grads = (_unpadded(stack._blocks(a), shape) for a in (rows[lo:hi], part.grad))
-        step = stack._adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
-                           hyper.learning_rate, part.wide, minibatches)
-        stats, total = part.stats, totals[:, lo:hi]
+        stats, objective = part.stats, part.stats[0]
         # the logit gradients are spent once the surrogate returns
         finite = part.wide[2].view(bool)[:part.grad.size].reshape(part.grad.shape)
-        objective = stats[0]
 
-        def run(wait: Callable[[], object]) -> None:
-            k = 0
-            for _ in range(hyper.epochs):
-                order = np.stack([rng.permutation(count) for rng in rngs[lo:hi]])
-                order += offsets[lo:hi]
-                for start, stop, size_views in bounds:
-                    indices = order[:, start:stop]
-                    surrogate_objective(
-                        params, grads,
-                        TrainBatch(obs.take(indices, axis=0), actions.take(indices),
-                                   *[field.take(indices) for field in floats]),
-                        hyper, size_views, stats)
-                    if not (np.logical_and.reduce(np.isfinite(objective))
-                            and np.logical_and.reduce(np.isfinite(part.grad, out=finite),
-                                                      axis=None)):
-                        # which network: the first whose objective or gradient is not finite
-                        i = int(np.argmin(np.isfinite(objective)
-                                          & np.isfinite(part.grad).all(1)))
-                        raise NonFiniteLossError(
-                            f"non-finite update of parameter set {sets[lo + i]}: "
-                            f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "
-                            f"batch size {indices.shape[1]}")
-                    wait()
-                    step(k)
-                    np.add(total, stats, out=total)
-                    k += 1
-        return run
+        def surrogate(indices: np.ndarray) -> NonFiniteLossError | None:
+            indices = indices[lo:hi]
+            surrogate_objective(
+                params, grads, TrainBatch(obs.take(indices, axis=0), actions.take(indices),
+                                          *[field.take(indices) for field in floats]),
+                hyper, views[indices.shape[1]], stats)
+            if (np.logical_and.reduce(np.isfinite(objective))
+                    and np.logical_and.reduce(np.isfinite(part.grad, out=finite), axis=None)):
+                return None
+            i = int(np.argmin(np.isfinite(objective) & np.isfinite(part.grad).all(1)))
+            return NonFiniteLossError(
+                f"non-finite update of parameter set {sets[lo + i]}: "
+                f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "
+                f"batch size {indices.shape[1]}")
+        return surrogate, stack._adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi],
+                                      step_counts[lo:hi], hyper.learning_rate, part.wide,
+                                      minibatches)
+
+    split = (len(sets) > 1 and n * shape[2] * work.wide.itemsize >= SPLIT_BYTES
+             and _one_blas_thread())
+    bounds = [0, len(sets) // 2, len(sets)] if split else [0, len(sets)]
+    parts = [lay_out(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    inbox, outbox = SimpleQueue(), SimpleQueue()
+    worker = (threading.Thread(target=_serve, args=(inbox, outbox), name="ppo_update")
+              if split else None)
+    owed = 0  # results of the worker's tasks not yet taken from the outbox
+
+    def run(phase: int, arg: object, wait: bool) -> None:
+        """Phase ``phase`` of every part, given ``arg``, the second part's on
+        the worker; with ``wait``, takes every result the worker owes.
+        Raises the first part's error, else the worker's first."""
+        nonlocal owed
+        if worker:
+            inbox.put((parts[1][phase], arg))
+            owed += 1
+        error = parts[0][phase](arg)
+        while wait and owed and error is None:
+            error = outbox.get()
+            owed -= 1
+        if error is not None:
+            raise error
 
     try:
-        if (len(sets) > 1 and n * shape[2] * work.wide.itemsize >= SPLIT_BYTES
-                and _one_blas_thread()):
-            half = len(sets) // 2
-            _in_lockstep(loop(0, half), loop(half, len(sets)))
-        else:
-            loop(0, len(sets))(lambda: None)
+        if worker:
+            worker.start()
+        k = 0
+        for _ in range(hyper.epochs):
+            order = np.stack([rng.permutation(count) for rng in rngs])
+            order += offsets
+            for start in starts:
+                run(0, order[:, start:start + size], wait=True)
+                np.add(totals, work.stats, out=totals)
+                # the worker's next surrogate follows its step: wait only for the last
+                run(1, k, wait=k + 1 == minibatches)
+                k += 1
     finally:
+        if worker and worker.is_alive():
+            inbox.put(None)
+            worker.join()
         stack._put(span, rows, m, v, step_counts)
         stack.writes += 1
     return [{**{key: float(total) / minibatches for key, total in zip(STATS, column)},
              "minibatches": minibatches} for column in totals.T]
 
 
-def _in_lockstep(first: Callable, second: Callable) -> None:
-    """Run ``first`` on this thread and ``second`` on a worker thread
-    started for the call and joined before it returns, each given a
-    ``wait`` that returns once both have called it. Either one's error
-    breaks the other's next ``wait``, which stops it; the first's error is
-    raised, else the second's. The barrier is broken only on an error: a
-    waiter that a barrier has released but that has not yet woken still
-    raises if the barrier is broken then."""
-    barrier = threading.Barrier(2)
-    errors: list[BaseException] = []
-
-    def run() -> None:
+def _serve(inbox: SimpleQueue, outbox: SimpleQueue) -> None:
+    """Call each (function, argument) taken from ``inbox``, until a None,
+    and put what it returns, or the error it raises, in ``outbox``."""
+    while (task := inbox.get()) is not None:
+        function, arg = task
         try:
-            second(barrier.wait)
-        except threading.BrokenBarrierError:
-            pass  # the first failed, and its error is raised
+            outbox.put(function(arg))
         except BaseException as error:
-            errors.append(error)
-            barrier.abort()
-
-    worker = threading.Thread(target=run, name="ppo_update")
-    worker.start()
-    try:
-        first(barrier.wait)
-    except threading.BrokenBarrierError:
-        pass  # the second failed: its error is raised below
-    except BaseException:
-        barrier.abort()
-        raise
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+            outbox.put(error)  # the calling thread raises it

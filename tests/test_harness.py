@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marketsched import ppo
-from marketsched.agents import ARCH_FULL
+from marketsched.agents import ARCH_FULL, InfeasibleArchitectureError
 from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
 from marketsched.harness import (
@@ -196,6 +196,14 @@ class TestRunScenario:
             serial = run_sweep(scenario, seeds=[1, 2], workers=1)
             parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
             assert serial == parallel
+
+    def test_a_worker_hands_back_an_infeasible_architecture(self):
+        # each worker's error comes back to the pool pickled
+        base = builtin_scenarios()["EXP2_ARCH_4X4"]
+        scenario = replace(base, arch=(ARCH_FULL,) * base.env.num_agents)
+        with pytest.raises(InfeasibleArchitectureError, match="3570125") as err:
+            run_sweep(scenario, seeds=[1, 2], workers=2)
+        assert (err.value.arch, err.value.cardinality) == (ARCH_FULL, 3_570_125)
 
 
 class TestCsv:

@@ -1,9 +1,15 @@
-"""Source hygiene, read from the syntax trees of ``src/marketsched`` alone:
+"""Source hygiene. Read from the syntax trees of ``src/marketsched`` alone:
 every name a module imports is used in it, and every module-level
 ``_private`` name is used somewhere in the package. A deletion that leaves
-an import or a helper behind fails here."""
+an import or a helper behind fails here. And every exception class the
+package defines survives ``pickle``, as a sweep's worker pool hands errors
+back: a class whose ``__init__`` takes other arguments than its ``args``
+would otherwise fail to unpickle, and the pool waits for it forever."""
 
 import ast
+import importlib
+import inspect
+import pickle
 from pathlib import Path
 
 import pytest
@@ -57,3 +63,32 @@ def test_every_private_module_name_is_used():
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in used) == []
+
+
+# each exception class the package defines, by name, with the arguments of
+# one instance of it
+ERRORS = {
+    "ChainLineageError": ("chain 3 lost its seller",),
+    "CliError": ("unknown scenario", 3),
+    "ConfigError": ("num_cores must be at least 1",),
+    "InfeasibleArchitectureError": ("full", 3_570_125, 100_000),
+    "NonFiniteLossError": ("non-finite update of parameter set 2",),
+    "OverrideError": ("no field env.cores",),
+}
+
+DEFINED_ERRORS = sorted(
+    (cls for path in SOURCES
+     for _, cls in inspect.getmembers(importlib.import_module(f"marketsched.{path.stem}"),
+                                      inspect.isclass)
+     if issubclass(cls, BaseException) and cls.__module__ == f"marketsched.{path.stem}"),
+    key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", DEFINED_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_exception_survives_pickle(cls):
+    assert cls.__name__ in ERRORS, f"add {cls.__name__} to ERRORS"
+    error = cls(*ERRORS[cls.__name__])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)

@@ -463,16 +463,16 @@ def state(stack):
 def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES, one_blas_thread=True):
     """Count the updates that run on two threads, with ``ppo.SPLIT_BYTES``
     set to ``split_bytes`` (by default its own value) and numpy's BLAS
-    taken to run on one thread or not: a list that gains one entry per such
-    update."""
+    taken to run on one thread or not: a list that gains, per such update,
+    the thread count its worker sees as it starts."""
     monkeypatch.setattr(ppo, "SPLIT_BYTES", split_bytes)
     monkeypatch.setattr(ppo, "_one_blas_thread", lambda: one_blas_thread)
-    calls, in_lockstep = [], ppo._in_lockstep
+    calls, serve = [], ppo._serve
 
-    def counted(first, second):
+    def counted(inbox, outbox):
         calls.append(threading.active_count())
-        in_lockstep(first, second)
-    monkeypatch.setattr(ppo, "_in_lockstep", counted)
+        serve(inbox, outbox)
+    monkeypatch.setattr(ppo, "_serve", counted)
     return calls
 
 
@@ -600,28 +600,38 @@ class TestStackedUpdate:
                                [derive_rng(38, s) for s in sets])
                 assert state(stack) == before
                 assert threading.active_count() == threads
-            assert split == ([threads] * 3 if split_bytes == TWO_THREADS else [])
+            # one worker beside the threads there were before
+            assert split == ([threads + 1] * 3 if split_bytes == TWO_THREADS else [])
 
-    def test_both_halves_take_every_step(self):
-        # the barrier is broken only on an error: breaking it once the first
-        # half is done would stop a second half that the last wait released
-        # but that had not yet woken, before its last step
-        threads, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in range(50):
-                steps = [0, 0]
+    @pytest.mark.parametrize("fails", ["surrogate", "first step", "last step"])
+    def test_an_error_in_the_second_half_alone_is_raised_and_stops_the_worker(self, fails,
+                                                                              monkeypatch):
+        # 16-row windows: 4 epochs of one minibatch each
+        stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=43)
+        threads = threading.active_count()
+        split = split_updates(monkeypatch)
 
-                def half(i):
-                    def run(wait):
-                        for _ in range(3):
-                            wait()
-                            steps[i] += 1
-                    return run
-                ppo._in_lockstep(half(0), half(1))
-                assert steps == [3, 3] and threading.active_count() == threads
-        finally:
-            sys.setswitchinterval(interval)
+        def off_the_main_thread(function, fails_on):
+            def call(*args):
+                if threading.current_thread() is not threading.main_thread() and fails_on(*args):
+                    raise MemoryError(f"second half's {fails}")
+                return function(*args)
+            return call
+        if fails == "surrogate":
+            monkeypatch.setattr(ppo, "surrogate_objective",
+                                off_the_main_thread(ppo.surrogate_objective, lambda *_: True))
+        else:
+            adam, step = ParamStack._adam, 0 if fails == "first step" else 3
+            monkeypatch.setattr(ParamStack, "_adam", lambda self, *args: off_the_main_thread(
+                adam(self, *args), lambda k: k == step))
+        batches = [make_batch(stack.views[s], 16, seed=44 + s) for s in sets]
+        before = state(stack)
+        with pytest.raises(MemoryError, match=f"second half's {fails}"):
+            ppo_update(stack, sets, stacked(*batches), PPOHyper(),
+                       [derive_rng(45, s) for s in sets])
+        assert split == [threads + 1]
+        assert threading.active_count() == threads
+        assert (state(stack) == before) == (fails == "surrogate")
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_split_reads_the_blas_thread_count(self, threads):
