@@ -518,7 +518,9 @@ class AgentBundle:
     ``unit_layout``; ``param_sets``, the row of each set by key, counted
     from ``first``; ``stack``, whose rows ``first``, ``first + 1``, ... hold
     the sets' weights and learned state; and ``params``, their views by
-    key, in row order."""
+    key, in row order. Set i's weights are drawn from its own stream, (seed,
+    ``STREAM_UNIT_INIT``, agent, i), and the agent's matrices of one tensor
+    and one shape share one stacked QR (``init_params``)."""
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
                  seed: int, stack: ParamStack | None = None, first: int = 0):
@@ -531,8 +533,8 @@ class AgentBundle:
         self.stack = ParamStack(shapes) if stack is None else stack
         self.first = first
         views = self.stack.views[first:first + len(shapes)]
-        for index, params in enumerate(views):
-            init_params(params, derive_rng(seed, STREAM_UNIT_INIT, agent, index))
+        init_params(views, [derive_rng(seed, STREAM_UNIT_INIT, agent, index)
+                            for index in range(len(shapes))])
         self.params: dict[str, NetParams] = {
             key: views[index] for key, index in self.param_sets.items()}
 

@@ -16,6 +16,9 @@ update's scratch, zero-filled, and the surrogate never writes its padding,
 so the padding's step is 0 and stays fixed.
 Besides that state a stack keeps the rows ``forward`` last gathered, one
 copy of the whole rows taken at once, until its next update or load.
+``init_params`` draws each network's initial weights from its own stream
+and orthogonalizes the matrices of one tensor and one shape with one
+stacked QR, which gives each matrix the bits of a QR of its own.
 
 ``marketsched.ppo`` updates the networks of a stack; its Adam step is
 ``ParamStack._adam``, a fixed handful of whole-row operations on all the
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import prod
+from math import prod, sqrt
 from typing import Callable, Iterator
 
 import numpy as np
@@ -333,22 +336,35 @@ class ParamStack:
             self.writes += 1
 
 
-def _orthogonal(out: np.ndarray, gain: float, rng: np.random.Generator) -> None:
-    rows, cols = out.shape
-    a = rng.standard_normal((max(rows, cols), min(rows, cols)))
+def _orthogonal(group: list[tuple[np.ndarray, np.random.Generator]], gain: float) -> None:
+    """Write ``gain`` times an orthogonal matrix (Saxe et al., 2014) into
+    each matrix of ``group``, (matrix, stream) pairs of one shape: all drawn
+    into one array, then one stacked QR. A column's sign fix and the gain
+    are one exact factor, +-gain."""
+    rows, cols = group[0][0].shape
+    a = np.empty((len(group), max(rows, cols), min(rows, cols)))
+    for block, (_, rng) in zip(a, group):
+        rng.standard_normal(out=block)
     q, r = np.linalg.qr(a)
-    q *= np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    np.multiply(q[:rows, :cols], gain, out=out)
+    scales = np.sign(r.diagonal(0, -2, -1)) * gain
+    for (out, _), matrix, scale in zip(group, q, scales):
+        np.multiply(matrix, scale, out=out if rows >= cols else out.T)
 
 
-def init_params(params: NetParams, rng: np.random.Generator) -> None:
-    """Write orthogonally scaled weights into ``params``, for example a fresh
-    ParamStack view; the small policy-head gain keeps the policy near uniform."""
-    _orthogonal(params.w1, np.sqrt(2.0), rng)
-    _orthogonal(params.wp, 0.01, rng)
-    _orthogonal(params.wv[:, None], 1.0, rng)
+def init_params(nets: list[NetParams], rngs: list[np.random.Generator]) -> None:
+    """Write orthogonally scaled weights into ``nets``, for example fresh
+    ParamStack views, network i's from its own stream ``rngs[i]`` (w1,
+    policy head, value head, in that order). The matrices of one tensor and
+    one shape share one stacked QR: on a ``DIST`` agent one for the accept
+    sets' w1, one for the offer sets' w1, and so on. The small policy-head
+    gain keeps the policy near uniform."""
+    for outs, gain in (([net.w1 for net in nets], sqrt(2.0)), ([net.wp for net in nets], 0.01),
+                       ([net.wv[:, None] for net in nets], 1.0)):
+        groups: dict[tuple[int, ...], list] = {}
+        for out, rng in zip(outs, rngs):
+            groups.setdefault(out.shape, []).append((out, rng))
+        for group in groups.values():
+            _orthogonal(group, gain)
 
 
 def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):

@@ -13,7 +13,10 @@ row list, where the package adds a core ownership's accept units to the
 units with an offer position, which lead every pass.
 ``ppo_update`` updates one network at a time with the one-network
 ``surrogate_objective`` and ``ascend``, where the package updates several
-networks of one shape in one stacked minibatch loop.
+networks of one shape in one stacked minibatch loop. ``init_params``
+initializes one network with a QR per tensor, where the package
+orthogonalizes the same-shape matrices of several networks with one
+stacked QR.
 """
 
 import math
@@ -143,6 +146,20 @@ def plan(home, owners):
     return ((index, home.sets[index], home.last[index], home.index[index],
              [(ids.index(u), weight, radix, key) for u, weight, radix, key in accepts]),
             [(ids.index(u), weight, radix, key) for u, weight, radix, key in offers])
+
+
+def init_params(params, rng):
+    """Write orthogonally scaled weights into one network's NetParams from
+    ``rng``: w1, policy head and value head in that order, each from a QR of
+    its own, its columns' signs fixed by the diagonal of R, then scaled by
+    its gain."""
+    for out, gain in ((params.w1, np.sqrt(2.0)), (params.wp, 0.01), (params.wv[:, None], 1.0)):
+        rows, cols = out.shape
+        q, r = np.linalg.qr(rng.standard_normal((max(rows, cols), min(rows, cols))))
+        q *= np.sign(np.diag(r))
+        if rows < cols:
+            q = q.T
+        np.multiply(q, gain, out=out)
 
 
 def surrogate_work(params, rows):

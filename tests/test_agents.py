@@ -27,13 +27,14 @@ from marketsched.agents import (
 from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import PPOHyper
+from marketsched.neural import ParamStack, PPOHyper
 from marketsched.ppo import STATS, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
-from marketsched.rng import derive_rng
+from marketsched.rng import STREAM_UNIT_INIT, derive_rng
 
 from helpers import (act, make_config, manual_config, place_job, random_actions, stacked,
                      standalone)
+import reference
 from reference import mixed_radix_decode, plan as reference_plan
 
 
@@ -119,6 +120,38 @@ class TestScaling:
     @pytest.mark.parametrize("arch", [ARCH_SEMI, ARCH_FULL])
     def test_aggregated_agents_grow_faster_than_linearly(self, arch, field):
         assert all(d > 0 for d in self.second_differences(arch, field))
+
+
+class TestInitialWeights:
+    @pytest.mark.parametrize("scenario, arch, qr_count", [
+        ("EXP2_ARCH_2X2", ARCH_DIST, 5), ("EXP2_ARCH_2X2", ARCH_DIST_PS, 5),
+        ("EXP2_ARCH_2X2", ARCH_SEMI, 5), ("EXP2_ARCH_2X2", ARCH_FULL, 3),
+        ("EXP2_ARCH_4X4", ARCH_DIST, 5), ("EXP3_SCARCITY_2C_COMM", ARCH_DIST_PRICE, 7)])
+    def test_a_bundle_matches_a_one_network_init(self, monkeypatch, scenario, arch, qr_count):
+        # a bundle orthogonalizes its matrices of one tensor and one shape
+        # with one stacked QR (every value head of one hidden width shares
+        # one); each set gets the bytes of a QR of its own, and its stream
+        # is left where a one-network init leaves it
+        config = builtin_scenarios()[scenario].env
+        streams, qr_calls = {}, []
+        qr = np.linalg.qr
+
+        def recorded(seed, *stream):
+            streams[stream] = derive_rng(seed, *stream)
+            return streams[stream]
+
+        monkeypatch.setattr("marketsched.agents.derive_rng", recorded)
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+        for agent in range(config.num_agents):
+            qr_calls.clear()
+            bundle = AgentBundle(arch, agent, config, PPOHyper(), seed=4)
+            assert len(qr_calls) == qr_count
+            want = ParamStack(bundle.stack.shapes)
+            for index, params in enumerate(want.views):
+                rng = derive_rng(4, STREAM_UNIT_INIT, agent, index)
+                reference.init_params(params, rng)
+                assert streams[STREAM_UNIT_INIT, agent, index].random() == rng.random()
+            assert bundle.stack.rows.tobytes() == want.rows.tobytes()
 
 
 class TestPriceRewards:

@@ -43,7 +43,7 @@ from reference import forward as unit_forward
 def small_stack(seed=0, in_width=4, hidden=8, actions=3):
     """One network, as a stack of one."""
     stack = ParamStack([(in_width, hidden, actions)])
-    init_params(stack.views[0], derive_rng(seed, 99))
+    init_params(stack.views, [derive_rng(seed, 99)])
     return stack
 
 
@@ -136,8 +136,7 @@ class TestForward:
         # rows of the sets lo, lo+1, ... read a view of the blocks; any other
         # sets gather them per row. Both give each row its own set's bytes.
         stack = ParamStack([(4, 8, 3), (3, 8, 2), (4, 6, 3), (4, 8, 3), (2, 8, 3), (4, 8, 1)])
-        for index, params in enumerate(stack.views):
-            init_params(params, derive_rng(5, index))
+        init_params(stack.views, [derive_rng(5, index) for index in range(6)])
         obs = derive_rng(5, 9).standard_normal((4, 4))
 
         def gathered(sets):
@@ -163,8 +162,7 @@ class TestForward:
 
     def test_gathered_rows_are_kept_until_the_writes_count_moves(self):
         stack = ParamStack([(4, 8, 3)] * 3)
-        for index, params in enumerate(stack.views):
-            init_params(params, derive_rng(7, index))
+        init_params(stack.views, [derive_rng(7, index) for index in range(3)])
         obs = derive_rng(7, 9).standard_normal((3, 4))
         sets = np.array([2, 0, 2])
         assert not any(np.shares_memory(block, stack.rows) for block in stack.gather(sets))
@@ -394,8 +392,7 @@ class TestPpoUpdate:
 def two_set_stack():
     """A stack whose second network is narrower than the first in every width."""
     stack = ParamStack([(6, 8, 5), (4, 5, 3)])
-    for i, params in enumerate(stack.views):
-        init_params(params, derive_rng(24, i))
+    init_params(stack.views, [derive_rng(24, i) for i in range(2)])
     return stack
 
 
@@ -701,8 +698,7 @@ def alpha_beta_stack(seed):
     """Two networks of different input widths and action counts, with
     weights from ``seed``."""
     stack = ParamStack([(4, 8, 3), (6, 8, 2)])
-    for i, params in enumerate(stack.views):
-        init_params(params, derive_rng(seed, i))
+    init_params(stack.views, [derive_rng(seed, i) for i in range(2)])
     return stack
 
 
