@@ -135,6 +135,11 @@ Position = tuple[str, int]  # ("accept", core), ("offer", slot) or ("price", slo
 Digit = tuple[int, int, int, tuple[int, int]]  # (unit or row, weight, radix, (agent, m or k))
 
 
+# the largest action-space cardinality printed in full; Python formats no
+# int of more than 4300 digits, and no network could take this many actions
+MAX_PRINTABLE = 2**63 - 1
+
+
 class InfeasibleArchitectureError(RuntimeError):
     def __init__(self, arch: str, cardinality: int, threshold: int):
         # the arguments, not the message: a copy is rebuilt from them when a
@@ -143,7 +148,8 @@ class InfeasibleArchitectureError(RuntimeError):
         self.arch, self.cardinality, self.threshold = arch, cardinality, threshold
 
     def __str__(self) -> str:
-        return (f"{self.arch} needs an action space of {self.cardinality}, above the guard "
+        shown = self.cardinality if self.cardinality <= MAX_PRINTABLE else "> 2^63"
+        return (f"{self.arch} needs an action space of {shown}, above the guard "
                 f"threshold {self.threshold}")
 
 

@@ -17,6 +17,7 @@ from .agents import (
     ARCH_DIST,
     ARCH_FULL,
     ARCH_SEMI,
+    MAX_PRINTABLE,
     InfeasibleArchitectureError,
     unit_layout,
 )
@@ -41,8 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
-
-_MAX_PRINTABLE = 2**63 - 1
 
 # (label, architecture, unit key): the rows of the cardinality table
 _CARDINALITY_ROWS = (
@@ -152,7 +151,7 @@ def _cmd_cardinality(args: argparse.Namespace) -> int:
     width = max(len(label) for label, _, _ in _CARDINALITY_ROWS)
     for label, arch, key in _CARDINALITY_ROWS:
         value = next(s for s in unit_layout(arch, config) if s.key == key).action_count
-        shown = str(value) if value <= _MAX_PRINTABLE else "infeasible (> 2^63)"
+        shown = str(value) if value <= MAX_PRINTABLE else "infeasible (> 2^63)"
         print(f"  {label:<{width}}  {shown}")
     return EXIT_OK
 

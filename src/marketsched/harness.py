@@ -34,6 +34,7 @@ from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_keys, f
                      whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
 from .neural import PPOHyper
+from .ppo import set_one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -299,13 +300,15 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
 
 def run_sweep(scenario: Scenario, seeds: Iterable[int] | None = None,
               workers: int = 1) -> list[RunRecord]:
-    """Train every seed; seeds are independent, so they may run in parallel."""
+    """Train every seed; seeds are independent, so they may run in parallel.
+    A pool's workers share the host's cores, so its initializer,
+    ``set_one_blas_thread``, runs each worker's BLAS on one thread."""
     seed_list = list(seeds) if seeds is not None else list(scenario.seeds)
     workers = max(1, min(workers, len(seed_list)))
     run_seed = partial(run_scenario, scenario)
     if workers == 1:
         return list(map(run_seed, seed_list))
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, set_one_blas_thread) as pool:
         return pool.map(run_seed, seed_list)
 
 

@@ -24,9 +24,13 @@ is added to the update's totals. The reductions call the ufuncs'
 ``take``: a minibatch's arrays are small, so much of an operation's cost is
 its call.
 
-Networks whose minibatch is wide (``SPLIT_BYTES``), as a 1323-action head's
-is, are split into two contiguous halves of the S if numpy's BLAS runs each
-product on one thread. The calling thread keeps the one minibatch loop and
+Two or more networks whose minibatch is wide (``SPLIT_BYTES``), as a
+1323-action head's is, are split into two contiguous halves of the S if
+numpy's BLAS is an OpenBLAS, whatever its thread count; under any other BLAS
+they run unsplit. A wide update sets OpenBLAS to one thread until it
+returns, since two halves on a many-thread BLAS would oversubscribe the
+cores, and a wide product on two OpenBLAS threads is not always bit for bit
+the one-thread one. The calling thread keeps the one minibatch loop and
 runs each phase of a minibatch on the first half while a worker thread,
 started for the update and joined before it returns, runs it on the second;
 the numpy calls that carry the cost release the interpreter lock, so the
@@ -74,29 +78,30 @@ SPLIT_BYTES = 1 << 17
 
 
 @cache
-def _openblas_threads() -> Callable[[], int] | None:
-    """numpy's OpenBLAS's query of how many threads it runs a product on,
-    or None if numpy's BLAS is no OpenBLAS that exports one."""
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """numpy's OpenBLAS's query of how many threads it runs a product on and
+    its setter of that count, or None if numpy's BLAS is no OpenBLAS that
+    exports both."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
         return None
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads"):
-        query = getattr(lib, name, None)
-        if query is not None:
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        query = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if query is not None and setter is not None:
             query.argtypes, query.restype = [], ctypes.c_int
-            return query
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return query, setter
     return None
 
 
-def _one_blas_thread() -> bool:
-    """Whether numpy's BLAS is known to run each product on one thread.
-    The split pays only then: with two BLAS threads on a 2-core host,
-    splitting 1323-action updates made a ``FULL`` episode about 1.1x as
-    long, and a 2-worker sweep of them about 3x."""
-    query = _openblas_threads()
-    return query is not None and query() == 1
+def set_one_blas_thread() -> None:
+    """Run numpy's OpenBLAS's products on one thread from now on; nothing
+    if numpy's BLAS is no OpenBLAS that can be set."""
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[1](1)
 
 
 class UpdateWork(NamedTuple):
@@ -257,14 +262,15 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     its own stream ``rngs[i]``, in place; returns each network's aggregate
     stats. Advances the stack's ``writes``.
 
-    The networks share one minibatch loop, run on two threads, a half of
-    the networks each, when their minibatches are wide (``SPLIT_BYTES``) and
-    numpy's BLAS runs on one thread, and each ends bit for bit where
-    updating it alone would leave it: its own permutations, advantages
-    normalized once over its own window, its own stats and its own Adam step
-    count. A non-finite loss or gradient in any network raises
-    NonFiniteLossError naming the first such network, before the offending
-    minibatch touches any of the networks. No thread outlives the call.
+    The networks share one minibatch loop. A wide update (``SPLIT_BYTES``)
+    sets numpy's OpenBLAS, whatever its thread count, to one thread until it
+    returns and runs two or more networks on two threads, a half each. Each
+    network ends bit for bit where updating it alone would leave it: its
+    own permutations, advantages normalized once over its own window, its
+    own stats and its own Adam step count. A non-finite loss or gradient in
+    any network raises NonFiniteLossError naming the first such network,
+    before the offending minibatch touches any of the networks. No thread
+    outlives the call.
 
     The loop does only the arithmetic. Once per update, each field of the
     windows is flattened to (S * T, ...) rows (a copy only of observations
@@ -331,13 +337,13 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                                       step_counts[lo:hi], hyper.learning_rate, part.wide,
                                       minibatches)
 
-    split = (len(sets) > 1 and n * shape[2] * work.wide.itemsize >= SPLIT_BYTES
-             and _one_blas_thread())
-    bounds = [0, len(sets) // 2, len(sets)] if split else [0, len(sets)]
+    # a wide update runs on one OpenBLAS thread, and splits two or more networks
+    blas = _openblas_threads() if n * shape[2] * work.wide.itemsize >= SPLIT_BYTES else None
+    bounds = [0, len(sets) // 2, len(sets)] if blas and len(sets) > 1 else [0, len(sets)]
     parts = [lay_out(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     inbox, outbox = SimpleQueue(), SimpleQueue()
     worker = (threading.Thread(target=_serve, args=(inbox, outbox), name="ppo_update")
-              if split else None)
+              if len(bounds) > 2 else None)
     owed = 0  # results of the worker's tasks not yet taken from the outbox
 
     def run(phase: int, arg: object, wait: bool) -> None:
@@ -355,7 +361,10 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
         if error is not None:
             raise error
 
+    threads = blas[0]() if blas else 0  # the caller's BLAS thread count, restored after
     try:
+        if blas:
+            blas[1](1)
         if worker:
             worker.start()
         k = 0
@@ -372,6 +381,8 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
         if worker and worker.is_alive():
             inbox.put(None)
             worker.join()
+        if blas:
+            blas[1](threads)
         stack._put(span, rows, m, v, step_counts)
         stack.writes += 1
     return [{**{key: float(total) / minibatches for key, total in zip(STATS, column)},

@@ -81,6 +81,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "3570125" in err.replace(",", "").replace(" ", "")
 
+    def test_infeasible_architecture_too_large_to_print_names_its_bound(self, tmp_path,
+                                                                        capsys):
+        # FULL's action space on 10000 slots is a number of over 4300 digits
+        code = run_cli("run", "--scenario", "EXP2_ARCH_2X2", "--arch", "FULL",
+                       "--set", "env.num_slots=10000", "--out", str(tmp_path), *FAST)
+        assert code == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == ("infeasible: FULL needs an action space of > 2^63, "
+                                           "above the guard threshold 1000000\n")
+
     def test_unknown_scenario_is_usage_error(self, tmp_path, capsys):
         code = run_cli("run", "--scenario", "NO_SUCH", "--out", str(tmp_path))
         assert code == EXIT_USAGE

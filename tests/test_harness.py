@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketsched import ppo
+from marketsched import harness, ppo
 from marketsched.agents import ARCH_FULL, InfeasibleArchitectureError
 from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
@@ -102,6 +102,13 @@ def captured_steps(monkeypatch):
     return results
 
 
+def blas_threads(scenario, seed):
+    """What a sweep's worker runs in place of ``run_scenario`` in the test
+    below: the number of threads its OpenBLAS runs a product on."""
+    query, _ = ppo._openblas_threads()
+    return query()
+
+
 class TestRunScenario:
     def single_scenario(self, **kwargs):
         base = builtin_scenarios()["BASE_SINGLE"]
@@ -183,10 +190,9 @@ class TestRunScenario:
         parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
         assert serial == parallel
 
-    def test_learned_sweep_workers_agree_with_serial(self, monkeypatch):
+    def test_learned_sweep_workers_agree_with_serial(self):
         # FULL's 1323-action updates run on two threads, inside each worker,
         # whatever the BLAS's thread count
-        monkeypatch.setattr(ppo, "_one_blas_thread", lambda: True)
         base = builtin_scenarios()["EXP1_TRADING"]
         full = builtin_scenarios()["EXP2_ARCH_2X2"]
         for scenario in (replace(base, total_steps=600, window=100,
@@ -196,6 +202,12 @@ class TestRunScenario:
             serial = run_sweep(scenario, seeds=[1, 2], workers=1)
             parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
             assert serial == parallel
+
+    @pytest.mark.skipif(ppo._openblas_threads() is None, reason="numpy's BLAS is no OpenBLAS")
+    def test_each_sweep_worker_runs_one_blas_thread(self, monkeypatch):
+        # the workers share the host's cores, whatever count the caller runs
+        monkeypatch.setattr(harness, "run_scenario", blas_threads)
+        assert run_sweep(builtin_scenarios()["BASE_DUO"], seeds=[1, 2], workers=2) == [1, 1]
 
     def test_a_worker_hands_back_an_infeasible_architecture(self):
         # each worker's error comes back to the pool pickled

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -457,13 +458,11 @@ def state(stack):
     return [stack.rows.tobytes(), stack.m.tobytes(), stack.v.tobytes(), stack.steps]
 
 
-def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES, one_blas_thread=True):
+def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES):
     """Count the updates that run on two threads, with ``ppo.SPLIT_BYTES``
-    set to ``split_bytes`` (by default its own value) and numpy's BLAS
-    taken to run on one thread or not: a list that gains, per such update,
-    the thread count its worker sees as it starts."""
+    set to ``split_bytes`` (by default its own value): a list that gains,
+    per such update, the thread count its worker sees as it starts."""
     monkeypatch.setattr(ppo, "SPLIT_BYTES", split_bytes)
-    monkeypatch.setattr(ppo, "_one_blas_thread", lambda: one_blas_thread)
     calls, serve = [], ppo._serve
 
     def counted(inbox, outbox):
@@ -476,6 +475,74 @@ def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES, one_blas_thread=True
 # ppo.SPLIT_BYTES settings that put every update of two or more networks on
 # two threads, or every update on one
 TWO_THREADS, ONE_THREAD = 0, float("inf")
+# an update splits only where numpy's BLAS is an OpenBLAS, which it can set
+# to one thread while it runs
+SPLITS = ppo._openblas_threads() is not None
+
+
+@contextmanager
+def one_blas_thread_if_openblas():
+    """numpy's OpenBLAS, if that is its BLAS, on one thread, then on as many
+    as before. A wide update runs on one BLAS thread whatever the caller's
+    count, and OpenBLAS's product of a 1323-wide head on two threads is not
+    always bit for bit its product on one: an update and its reference are
+    compared on one."""
+    blas = ppo._openblas_threads()
+    threads = blas[0]() if blas else 0
+    if blas:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if blas:
+            blas[1](threads)
+
+
+# Run in a fresh process, whose BLAS thread count comes from its environment:
+# with "update", a two-network FULL update, printing the thread and BLAS
+# thread count of each half's first surrogate, then the caller's BLAS thread
+# count; with "non-finite", the same of an update that raises; and last, the
+# record of a 300-step FULL run.
+BLAS_PROBE = """
+import sys
+import threading
+from dataclasses import replace
+import numpy as np
+from marketsched import ppo
+from marketsched.agents import ARCH_FULL, build_homes
+from marketsched.harness import builtin_scenarios, run_scenario
+from marketsched.neural import NonFiniteLossError
+from marketsched.rng import derive_rng
+base = builtin_scenarios()["EXP2_ARCH_2X2"]
+full = replace(base, arch=(ARCH_FULL,) * base.env.num_agents, total_steps=300, window=100,
+               hyper=replace(base.hyper, rollout_length=64))
+threads, _ = ppo._openblas_threads()
+seen, surrogate = {}, ppo.surrogate_objective
+def counted(*args):
+    seen.setdefault(threading.current_thread().name, threads())
+    return surrogate(*args)
+ppo.surrogate_objective = counted
+for check in sys.argv[1:]:
+    (home,) = build_homes(full.arch, full.env, full.hyper, 31)
+    rng = derive_rng(32, 0)
+    width, rows = home.stack.shapes[0][0], (2, 64)
+    returns = rng.standard_normal(rows)
+    if check == "non-finite":
+        returns[1, 3] = np.inf
+    batch = ppo.TrainBatch(rng.standard_normal((*rows, width)),
+                           rng.integers(0, home.stack.shapes[0][2], rows),
+                           np.full(rows, -7.0), rng.standard_normal(rows), returns)
+    seen.clear()
+    try:
+        ppo.ppo_update(home.stack, [0, 1], batch, full.hyper, [derive_rng(33, 0),
+                                                               derive_rng(33, 1)])
+        print(*sorted(f"{name}:{count}" for name, count in seen.items()), end=" ")
+    except NonFiniteLossError:
+        print("NonFiniteLossError", end=" ")
+    print(f"after:{threads()}")
+ppo.surrogate_objective = surrogate
+print(repr(run_scenario(full, 1)))
+"""
 
 
 class TestStackedUpdate:
@@ -494,10 +561,12 @@ class TestStackedUpdate:
                 stack.v[s] = derive_rng(33, s).random(stack.v[s].shape) * 1e-6
                 stack.step_counts[s] = steps
         batches = [make_batch(together.views[s], size, seed=34 + s) for s in sets]
-        stats = ppo_update(together, sets, stacked(*batches), hyper,
-                           [derive_rng(35, s) for s in sets])
-        for s, batch, got in zip(sets, batches, stats):
-            want = reference.ppo_update(alone, s, batch, hyper, derive_rng(35, s))
+        with one_blas_thread_if_openblas():
+            stats = ppo_update(together, sets, stacked(*batches), hyper,
+                               [derive_rng(35, s) for s in sets])
+            wants = [reference.ppo_update(alone, s, batch, hyper, derive_rng(35, s))
+                     for s, batch in zip(sets, batches)]
+        for s, got, want in zip(sets, stats, wants):
             assert {key: got[key] for key in want} == want, s
         for name in ("rows", "m", "v"):
             assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
@@ -523,7 +592,7 @@ class TestStackedUpdate:
         self.assert_matches_one_at_a_time(
             "EXP2_ARCH_4X4", ARCH_DIST, "offer", PPOHyper(minibatch_size=16, epochs=2),
             size=40, warm=(0, 3, 1, 7, 2, 0, 5, 1, 0, 9, 4, 2))
-        assert len(split) == (split_bytes == TWO_THREADS)
+        assert len(split) == (SPLITS and split_bytes == TWO_THREADS)
 
     def test_the_full_sets_of_a_home_are_a_run(self, monkeypatch):
         stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=31)
@@ -531,11 +600,9 @@ class TestStackedUpdate:
         # minibatches of 24 rows only, then of 24 and a remainder of 16: the
         # update lays out its scratch once for each size; their 1323-action
         # minibatches are wide, so each set goes on its own thread, unless
-        # made to stay on one or unless the BLAS runs on several
-        for split_bytes, one_blas_thread, splits in ((ppo.SPLIT_BYTES, True, 2),
-                                                     (ONE_THREAD, True, 0),
-                                                     (ppo.SPLIT_BYTES, False, 0)):
-            split = split_updates(monkeypatch, split_bytes, one_blas_thread)
+        # made to stay on one
+        for split_bytes, splits in ((ppo.SPLIT_BYTES, 2 * SPLITS), (ONE_THREAD, 0)):
+            split = split_updates(monkeypatch, split_bytes)
             for size in (48, 40):
                 self.assert_matches_one_at_a_time(
                     "EXP2_ARCH_2X2", ARCH_FULL, "full", PPOHyper(minibatch_size=24, epochs=2),
@@ -598,8 +665,9 @@ class TestStackedUpdate:
                 assert state(stack) == before
                 assert threading.active_count() == threads
             # one worker beside the threads there were before
-            assert split == ([threads + 1] * 3 if split_bytes == TWO_THREADS else [])
+            assert split == ([threads + 1] * 3 if SPLITS and split_bytes == TWO_THREADS else [])
 
+    @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS: no update splits")
     @pytest.mark.parametrize("fails", ["surrogate", "first step", "last step"])
     def test_an_error_in_the_second_half_alone_is_raised_and_stops_the_worker(self, fails,
                                                                               monkeypatch):
@@ -630,17 +698,27 @@ class TestStackedUpdate:
         assert threading.active_count() == threads
         assert (state(stack) == before) == (fails == "surrogate")
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_split_reads_the_blas_thread_count(self, threads):
-        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
-            pytest.skip("numpy's BLAS is no OpenBLAS")
+    @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS takes one thread a core")
+    def test_a_split_runs_on_one_blas_thread_and_restores_the_callers(self):
+        # one process under two BLAS threads at a time: the update's worker
+        # is the only thread it starts beside OpenBLAS's own
         src = str(Path(ppo.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = "from marketsched import ppo; print(ppo._one_blas_thread())"
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        assert out.strip() == str(threads == 1)
+
+        def probe(threads, *checks):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                os.environ.get("PYTHONPATH")])))
+            return subprocess.run([sys.executable, "-c", BLAS_PROBE, *checks], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=120).stdout.splitlines()
+
+        split, raised, record = probe(2, "update", "non-finite")
+        # both halves' surrogates ran on one BLAS thread, and the caller's
+        # two came back after the update, and after the one that raised
+        assert split == "MainThread:1 ppo_update:1 after:2"
+        assert raised == "NonFiniteLossError after:2"
+        assert record == probe(1)[0]
 
     def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
         stack = two_set_stack()
