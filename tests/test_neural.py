@@ -499,10 +499,10 @@ def one_blas_thread_if_openblas():
 
 
 # Run in a fresh process, whose BLAS thread count comes from its environment:
-# with "update", a two-network FULL update, printing the thread and BLAS
-# thread count of each half's first surrogate, then the caller's BLAS thread
-# count; with "non-finite", the same of an update that raises; and last, the
-# record of a 300-step FULL run.
+# with "update", a two-network FULL update, printing the caller's BLAS thread
+# count, the thread and BLAS thread count of each half's first surrogate, then
+# the caller's count again; with "non-finite", the same of an update that
+# raises; with "record", the record of a 300-step FULL run.
 BLAS_PROBE = """
 import sys
 import threading
@@ -523,6 +523,10 @@ def counted(*args):
     return surrogate(*args)
 ppo.surrogate_objective = counted
 for check in sys.argv[1:]:
+    if check == "record":
+        ppo.surrogate_objective = surrogate
+        print(repr(run_scenario(full, 1)))
+        continue
     (home,) = build_homes(full.arch, full.env, full.hyper, 31)
     rng = derive_rng(32, 0)
     width, rows = home.stack.shapes[0][0], (2, 64)
@@ -533,6 +537,7 @@ for check in sys.argv[1:]:
                            rng.integers(0, home.stack.shapes[0][2], rows),
                            np.full(rows, -7.0), rng.standard_normal(rows), returns)
     seen.clear()
+    print(f"before:{threads()}", end=" ")
     try:
         ppo.ppo_update(home.stack, [0, 1], batch, full.hyper, [derive_rng(33, 0),
                                                                derive_rng(33, 1)])
@@ -540,8 +545,6 @@ for check in sys.argv[1:]:
     except NonFiniteLossError:
         print("NonFiniteLossError", end=" ")
     print(f"after:{threads()}")
-ppo.surrogate_objective = surrogate
-print(repr(run_scenario(full, 1)))
 """
 
 
@@ -698,27 +701,37 @@ class TestStackedUpdate:
         assert threading.active_count() == threads
         assert (state(stack) == before) == (fails == "surrogate")
 
+    @staticmethod
+    def blas_probe(threads, *checks):
+        """The lines BLAS_PROBE prints for ``checks`` in a fresh process
+        under ``threads`` OpenBLAS threads."""
+        src = str(Path(ppo.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", BLAS_PROBE, *checks], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120).stdout.splitlines()
+
+    @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_split_reads_the_blas_thread_count(self, threads):
+        # the update reads the caller's count, runs both halves on one BLAS
+        # thread, and sets the count it read back, whatever it was
+        (line,) = self.blas_probe(threads, "update")
+        before, split = line.split(" ", 1)
+        assert split == f"MainThread:1 ppo_update:1 after:{before.split(':')[1]}"
+
     @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS")
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS takes one thread a core")
     def test_a_split_runs_on_one_blas_thread_and_restores_the_callers(self):
         # one process under two BLAS threads at a time: the update's worker
         # is the only thread it starts beside OpenBLAS's own
-        src = str(Path(ppo.__file__).parents[1])
-
-        def probe(threads, *checks):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join(filter(None, [src,
-                                                                os.environ.get("PYTHONPATH")])))
-            return subprocess.run([sys.executable, "-c", BLAS_PROBE, *checks], env=env,
-                                  capture_output=True, text=True, check=True,
-                                  timeout=120).stdout.splitlines()
-
-        split, raised, record = probe(2, "update", "non-finite")
+        split, raised, record = self.blas_probe(2, "update", "non-finite", "record")
         # both halves' surrogates ran on one BLAS thread, and the caller's
         # two came back after the update, and after the one that raised
-        assert split == "MainThread:1 ppo_update:1 after:2"
-        assert raised == "NonFiniteLossError after:2"
-        assert record == probe(1)[0]
+        assert split == "before:2 MainThread:1 ppo_update:1 after:2"
+        assert raised == "before:2 NonFiniteLossError after:2"
+        assert record == self.blas_probe(1, "record")[0]
 
     def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
         stack = two_set_stack()
