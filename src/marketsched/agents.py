@@ -27,9 +27,10 @@ parameter set; its sample and update streams; its rollout window, row u of
 the home's ``RolloutStore`` (see ``marketsched.rollout``), and its block of
 uniform draws with the block's cursor; its update count, the rewards routed
 to it before its first decision and its last update's stats; and, for a
-price setter, its price decisions pending by offer step. ``Home.at`` maps
-each (agent, position) to the unit that decides it and is credited for it,
-and ``Home.setters`` lists the (agent, slot, unit) of each price setter.
+price setter, its decisions on this step's and the last step's offers
+(``Home.pending`` and ``Home.offered``). ``Home.at`` maps each (agent,
+position) to the unit that decides it and is credited for it, and
+``Home.setters`` lists the (agent, slot, unit) of each price setter.
 
 A pass acts for every unit with a live position (accept m when trading is
 on and its agent owns core m; every offer), one row each. The rows are the
@@ -53,35 +54,30 @@ own sample stream, which gives the same numbers as one draw per decision.
 Price setters follow in a second pass over the offers just made, since
 what they see depends on the offer's target core.
 
-Update-order contract: each parameter set sees exactly the updates, in the
-order and on the windows, that acting one unit at a time in row order gives
-it. Its rows keep their relative order in every plan, all of one agent:
-a unit whose rollout window is full first updates the set, closing the
-window with this decision's value, and the set's later rows then act on
-the updated weights with the draws they already took. With no window of
-the pass full, every row is recorded at once. Otherwise the pass goes in
-waves. A wave walks the rows not yet recorded in order: a row of a set
-that has no due unit (one whose window is full) before it is booked; the
-first due unit of each set is collected, so the collected units' sets are
-distinct; the later rows of those sets are deferred. ``Home.update``
-updates the collected sets together, one ``ppo_update`` per network shape,
-reading only the due units' windows; the booked and due rows are then
-recorded in one ``RolloutStore.add``, and the deferred rows are evaluated
-again in one ``forward`` and ``sample_rows`` with their same draws, in
-place, for the next wave to walk. The agents of one home share its stack,
-so a wave updates the sets of all of them at once. Updates of distinct
-sets touch disjoint rows, so the order of sets within a pass does not
-matter.
+Update-order contract: a row's wave is the number of due units (whose
+rollout windows are full) of its set among the rows before it, and the
+waves go in order, wave w updating the sets of its due units, closing
+their windows with this decision's value, then recording its rows; a row
+of wave 1 or later first acts again, on the weights the earlier waves
+left, with the draws it already took. A set's rows keep their relative
+order in every plan, all of one agent, so each set sees exactly the
+updates, in the order and on the windows, that acting one unit at a time
+in row order gives it. With no unit due, every row is of wave 0 and the
+pass records it at once. A wave's due units are of distinct sets, which
+``Home.update`` updates together, one ``ppo_update`` per network shape,
+whatever agents they belong to; updates of distinct sets touch disjoint
+rows, so their order within a wave changes no bit.
 
-After the market step, ``route_rewards`` credits the units of every agent
-of a home in one walk of the result, in this order for each agent: each
-settlement's net to the acceptor of its core; then per trade the job's
-priority to the offering slot's unit, and its pricing reward to that
-slot's price setter, which commits the decision pending since the offer's
-step; then the price decisions of offers that expired unaccepted are
-dropped. Units of different agents share no state, so the order across
-agents changes no bit. A reward adds to the unit's latest decision, so a
-payout that lands steps after the causing action still credits it.
+Reward routing: after the market step, ``route_rewards`` credits each
+payout of the result to the unit that earned it, one agent of the home
+after another (units of different agents share no state, so the order
+across agents changes no bit): each settlement's net to the acceptor of
+its core; then per trade the job's priority to the offering slot's unit,
+and its pricing reward to that slot's price setter, committing the
+setter's decision on the offer. An offer lives one step, so a price
+setter holds each decision for one step and then drops it uncommitted. A
+reward adds to the unit's latest decision, so a payout that lands steps
+after the causing action still credits it.
 """
 
 from __future__ import annotations
@@ -179,6 +175,16 @@ class UnitSpec:
     def action_count(self) -> int:
         return math.prod(self.radices)
 
+    def capped_count(self, bound: int) -> int:
+        """``action_count`` if at most ``bound``, else the first product of
+        leading radices above it: an exact count can run to millions of digits."""
+        count = 1
+        for radix in self.radices:
+            count *= radix
+            if count > bound:
+                break
+        return count
+
     @cached_property
     def cores(self) -> tuple[int, ...]:
         """The cores of the unit's accept positions."""
@@ -228,13 +234,15 @@ def unit_layout(arch: str, config: EnvConfig) -> list[UnitSpec]:
 
 
 def feasibility_guard(arch: str, config: EnvConfig) -> tuple[bool, int]:
-    """(ok, largest unit action space). Construction is rejected when any
+    """(ok, largest unit action space, exact up to the larger of the guard
+    threshold and ``MAX_PRINTABLE``). Construction is rejected when any
     unit's space exceeds the configured guard threshold."""
     return _feasible(unit_layout(arch, config), config)
 
 
 def _feasible(specs: list[UnitSpec], config: EnvConfig) -> tuple[bool, int]:
-    worst = max(spec.action_count for spec in specs)
+    worst = max(spec.capped_count(max(config.guard_threshold, MAX_PRINTABLE))
+                for spec in specs)
     return worst <= config.guard_threshold, worst
 
 
@@ -290,10 +298,11 @@ class Home:
     the streams of (seed, stream, agent, index in ``unit_layout``); the
     rollout ``store``, the ``draws`` blocks and their ``cursor``; the
     ``updates`` count, the ``dropped`` rewards and the last update's
-    ``stats``; ``pending``, each price setter's held decisions by offer
-    step; ``at``, the unit of each (agent, position); ``setters``, the
-    (agent, slot, unit) of each price setter; and the plans of recent
-    passes."""
+    ``stats``; ``pending`` and ``offered``, by unit, each price setter's
+    decision on this step's offer and on the last step's (``route_rewards``
+    commits the traded ones of ``offered``, then moves ``pending`` there);
+    ``at``, the unit of each (agent, position); ``setters``, the (agent,
+    slot, unit) of each price setter; and the plans of recent passes."""
 
     def __init__(self, archs: dict[int, str], config: EnvConfig, hyper: PPOHyper, seed: int):
         """The home of agent a of architecture ``archs[a]``, for each a in
@@ -324,7 +333,8 @@ class Home:
                    for pos in spec.positions}
         self.setters = [(agent, k, u) for (agent, (kind, k)), u in self.at.items()
                         if kind == "price"]
-        self.pending: dict[int, dict[int, tuple]] = {u: {} for _, _, u in self.setters}
+        self.pending: dict[int, tuple] = {}
+        self.offered: dict[int, tuple] = {}
         self.last = self.stack.last_action[self.sets]
         self.store = RolloutStore([spec.obs_width for spec in self.specs], length)
         self.draws = np.empty((len(order), length))
@@ -438,7 +448,7 @@ class Home:
         prices, logps = sample_rows(logits, self.draw(ids), self.last[ids])
         for (a, k, u), row, price, logp, value in zip(priced, obs, prices.tolist(),
                                                       logps.tolist(), values.tolist()):
-            self.pending[u][env.time] = (row[:PRICE_OBS_LEN], price, logp, value)
+            self.pending[u] = (row[:PRICE_OBS_LEN], price, logp, value)
             joint.prices[(a, k)] = price
 
     def _act_rows(self, plan: Plan, obs: np.ndarray) -> np.ndarray:
@@ -453,31 +463,20 @@ class Home:
         if max(store.sizes[plan.ids].tolist()) < store.length:
             store.add(plan.ids, obs, actions, logps, values)
             return actions
-        ids, set_of = plan.ids.tolist(), plan.sets.tolist()
-        waiting = range(len(ids))
-        while waiting:
-            booked, due, deferred, updated = [], [], [], set()
-            for r in waiting:
-                if set_of[r] in updated:
-                    deferred.append(r)
-                elif store.sizes[ids[r]] >= store.length:
-                    due.append(r)
-                    updated.add(set_of[r])
-                else:
-                    booked.append(r)
-            if due:
-                self.update([ids[r] for r in due], values[due].tolist())
-            booked += due
-            store.add(plan.ids[booked], obs[booked], actions[booked], logps[booked],
-                      values[booked])
-            if deferred:
-                # the updates moved these sets' weights: their later rows act on
-                # the new weights, with the draws they already took
-                logits, values[deferred] = forward(self.stack, obs[deferred],
-                                                   plan.sets[deferred])
-                actions[deferred], logps[deferred] = sample_rows(logits, draws[deferred],
-                                                                 plan.last[deferred])
-            waiting = deferred
+        due = store.sizes[plan.ids] >= store.length
+        # each row's wave: the due rows of its set before it
+        waves = np.tril((plan.sets[:, None] == plan.sets) & due, -1).sum(axis=1)
+        for wave in range(waves.max() + 1):
+            rows = np.flatnonzero(waves == wave)
+            if wave:
+                # the earlier waves moved these rows' sets: they act on the
+                # new weights, with the draws they already took
+                logits, values[rows] = forward(self.stack, obs[rows], plan.sets[rows])
+                actions[rows], logps[rows] = sample_rows(logits, draws[rows], plan.last[rows])
+            updating = rows[due[rows]]
+            if updating.size:
+                self.update(plan.ids[updating].tolist(), values[updating].tolist())
+            store.add(plan.ids[rows], obs[rows], actions[rows], logps[rows], values[rows])
         return actions
 
     def update(self, rows: list[int], bootstraps: Sequence[float]) -> None:
@@ -507,14 +506,14 @@ class Home:
         else:
             self.dropped[u] += reward
 
-    def resolve_price(self, u: int, made_at: int, reward: float) -> None:
-        """Commit price setter u's decision held for the offer made at step
-        ``made_at``, if any, with ``reward`` as its window's newest row. A
-        window this fills is updated at once, with bootstrap 0.0."""
-        pending = self.pending[u].pop(made_at, None)
-        if pending is None:
+    def resolve_price(self, u: int, reward: float) -> None:
+        """Commit price setter u's decision of the last step's offer, if it
+        holds one, with ``reward`` as its window's newest row. A window this
+        fills is updated at once, with bootstrap 0.0."""
+        decision = self.offered.pop(u, None)
+        if decision is None:
             return
-        self.store.add(u, *pending, reward)
+        self.store.add(u, *decision, reward)
         if self.store.sizes[u] >= self.store.length:
             self.update([u], [0.0])
 
@@ -565,12 +564,8 @@ def route_rewards(home: Home, result: StepResult) -> None:
         home.credit(u, float(trade.job_priority))
         setter = at.get((trade.buyer, ("price", trade.source_slot)))
         if setter is not None:  # holds no decision unless pricing is free
-            home.resolve_price(setter, trade.made_at,
-                               price_reward(trade.job_priority, trade.price))
-    for _, _, u in home.setters:  # offers that expired unaccepted
-        pending = home.pending[u]
-        for made_at in [t for t in pending if t < result.time]:
-            del pending[made_at]
+            home.resolve_price(setter, price_reward(trade.job_priority, trade.price))
+    home.offered, home.pending = home.pending, {}
 
 
 def build_homes(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: int

@@ -150,7 +150,8 @@ def _cmd_cardinality(args: argparse.Namespace) -> int:
           f"agents={args.agents} slots={args.slots}")
     width = max(len(label) for label, _, _ in _CARDINALITY_ROWS)
     for label, arch, key in _CARDINALITY_ROWS:
-        value = next(s for s in unit_layout(arch, config) if s.key == key).action_count
+        spec = next(s for s in unit_layout(arch, config) if s.key == key)
+        value = spec.capped_count(MAX_PRINTABLE)
         shown = str(value) if value <= MAX_PRINTABLE else "infeasible (> 2^63)"
         print(f"  {label:<{width}}  {shown}")
     return EXIT_OK

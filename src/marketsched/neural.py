@@ -380,9 +380,14 @@ def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
     return out[:, :-1], out[:, -1]
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+def log_softmax(logits: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """Each row's log-softmax, into ``out`` (may be ``logits``) with the
+    exponentials in ``scratch``; either is a new array when not given."""
+    # positional outs: as keywords they cost sample_rows 1.5% on 10 rows of 7 actions
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out)
+    z -= np.log(np.add.reduce(np.exp(z, scratch), axis=-1, keepdims=True))
+    return z
 
 
 def sample_rows(logits: np.ndarray, u: np.ndarray, last: np.ndarray

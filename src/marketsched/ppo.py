@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .neural import NetParams, NonFiniteLossError, ParamStack, PPOHyper, _unpadded
+from .neural import NetParams, NonFiniteLossError, ParamStack, PPOHyper, _unpadded, log_softmax
 
 
 class TrainBatch(NamedTuple):
@@ -199,10 +199,7 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
     logits += params.bp[:, None]
     values = np.matmul(h, params.wv[..., None])[..., 0] + params.bv
 
-    # log_softmax in place: logits, z and logp_all all live in lp
-    z = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=lp)
-    logp_all = np.subtract(
-        z, np.log(np.add.reduce(np.exp(z, out=pr), axis=-1, keepdims=True)), out=lp)
+    logp_all = log_softmax(logits, lp, pr)  # in place of the logits
     probs = np.exp(logp_all, out=pr)
     logp_act = logp_all.take(taken)
     log_ratio = logp_act - logp_old

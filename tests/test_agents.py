@@ -15,6 +15,7 @@ from marketsched.agents import (
     ARCH_SEMI,
     AgentBundle,
     InfeasibleArchitectureError,
+    MAX_PRINTABLE,
     PLANS_KEPT,
     Trainer,
     build_homes,
@@ -90,6 +91,15 @@ class TestFeasibilityGuard:
         cfg = make_config(num_agents=64, num_cores=64, num_slots=64)
         ok, worst = feasibility_guard(ARCH_DIST, cfg)
         assert ok and worst == 64 * 64 + 1
+
+    def test_a_huge_space_is_multiplied_out_only_past_the_bound(self):
+        # FULL on 10^5 slots has an action space of over 47000 digits; the
+        # guard stops multiplying once the product passes 2^63 - 1
+        ok, worst = feasibility_guard(ARCH_FULL, make_config(num_slots=100_000))
+        assert not ok and MAX_PRINTABLE < worst and worst.bit_length() <= 64
+        # a larger guard threshold is the bound, and below it the space is exact
+        cfg = make_config(num_slots=40, guard_threshold=2**100)
+        assert feasibility_guard(ARCH_FULL, cfg) == (True, 81**2 * 3**40)
 
 
 def parameter_count(arch, cfg):
@@ -238,14 +248,15 @@ class TestActionWiring:
 def credit_log(homes):
     """Make ``homes`` log what ``route_rewards`` credits their units, in
     order, instead of taking it: (agent, unit key, reward) for a reward on
-    a unit's latest decision, and (agent, unit key, reward, offer step) for
-    a price setter's pending decision. Returns the log."""
+    a unit's latest decision, and (agent, unit key, reward, decision) for a
+    price setter's commit of the decision it holds on the last step's offer
+    (None if it holds none). Returns the log."""
     log = []
     for home in homes:
         home.credit = lambda u, reward, home=home: log.append(
             (home.agents[u], home.specs[u].key, reward))
-        home.resolve_price = lambda u, made_at, reward, home=home: log.append(
-            (home.agents[u], home.specs[u].key, reward, made_at))
+        home.resolve_price = lambda u, reward, home=home: log.append(
+            (home.agents[u], home.specs[u].key, reward, home.offered.get(u)))
     return log
 
 
@@ -302,10 +313,12 @@ class TestRewardRouting:
 
         cell = 1 * cfg.num_slots + 0
         result = env.step(JointActions(accepts={(0, 1): cell + 1}))
-        (trade,) = result.trades
+        assert len(result.trades) == 1
         expected = [(1, offer_0, 8.0)]
-        if arch == ARCH_DIST_PRICE:  # the matched bid pays 0.5
-            expected.append((1, ("price", 0), 0.5, trade.made_at))
+        if arch == ARCH_DIST_PRICE:  # the matched bid pays 0.5, on the decision held
+            decision = (np.zeros(PRICE_OBS_LEN), 8, -1.0, 0.0)
+            home.offered[home.at[(1, ("price", 0))]] = decision
+            expected.append((1, ("price", 0), 0.5, decision))
         for home in homes:
             route_rewards(home, result)
         assert log == expected
@@ -323,15 +336,19 @@ class TestRewardRouting:
                             num_agents=1, num_cores=1, num_slots=1,
                             pricing_mode=PricingMode.FREE_COMMERCIAL)
         env = SchedulingEnv(cfg, 0)
+        (home,) = build_homes((ARCH_DIST_PRICE,), cfg, PPOHyper(), seed=6)
+        log = credit_log([home])
         place_job(env, 0, 0)
         made_at = env.time
-        env.step(JointActions(offers={(0, 0): 1}, prices={(0, 0): 3}))
+        # the decision on the offer, held as Home.act holds it
+        decision = (np.zeros(PRICE_OBS_LEN), 3, -1.0, 0.0)
+        home.pending[home.at[(0, ("price", 0))]] = decision
+        route_rewards(home, env.step(JointActions(offers={(0, 0): 1}, prices={(0, 0): 3})))
         result = env.step(JointActions())
-        homes = build_homes((ARCH_DIST_PRICE,), cfg, PPOHyper(), seed=6)
-        log = credit_log(homes)
-        route_rewards(homes[0], result)
+        assert [trade.made_at for trade in result.trades] == [made_at]
+        route_rewards(home, result)
         assert [entry for entry in log if entry[1] == ("price", 0)] == [
-            (0, ("price", 0), 2.0, made_at)]
+            (0, ("price", 0), 2.0, decision)]
 
     def test_totality_against_step_payouts(self):
         # routed rewards over all homes = settlements to agents
@@ -360,7 +377,7 @@ class TestRewardRouting:
         # a DIST_PRICE home of two agents against one home per agent, on
         # random actions in EXP4's market, where a settlement now and then
         # pays both agents; every offer with a bid leaves a price decision
-        # pending in both, which a trade commits or the expiry drops
+        # held in both, which the next step's trade commits or its routing drops
         scenario = builtin_scenarios()["EXP4_PRICING_COMM"]
         cfg = replace(scenario.env, pricing_mode=mode)
         env = SchedulingEnv(cfg, seed=26)
@@ -369,12 +386,13 @@ class TestRewardRouting:
         alone = standalone((ARCH_DIST_PRICE,) * 2, cfg, PPOHyper(), seed=26)
         together, each = credit_log([home]), [credit_log([one]) for one in alone]
         logged, held_any, paid_both = [], False, 0
+        decision = (np.zeros(PRICE_OBS_LEN), 0, 0.0, 0.0)
         for _ in range(400):
             actions = random_actions(env, rng)
             for one in [home] + alone:
                 for a, k, u in one.setters:
                     if (a, k) in actions.prices:
-                        one.pending[u][env.time] = (np.zeros(PRICE_OBS_LEN), 0, 0.0, 0.0)
+                        one.pending[u] = decision
             result = env.step(actions)
             together.clear()
             for log in each:
@@ -385,12 +403,14 @@ class TestRewardRouting:
             for agent, log in enumerate(each):
                 assert [entry for entry in together if entry[0] == agent] == log
             assert len(together) == sum(map(len, each))
-            held = {(a, k): list(home.pending[u]) for a, k, u in home.setters}
-            assert held == {(a, k): list(one.pending[u])
-                            for one in alone for a, k, u in one.setters}
-            assert all(t >= result.time for times in held.values() for t in times)
+            held = {(a, k) for a, k, u in home.setters if u in home.offered}
+            assert held == {(a, k) for one in alone for a, k, u in one.setters
+                            if u in one.offered}
+            # only the decisions on this step's offers are held
+            assert held == set(actions.prices)
+            assert not home.pending and not any(one.pending for one in alone)
             logged += together
-            held_any = held_any or any(held.values())
+            held_any = held_any or bool(held)
             paid_both += sum({0, 1} <= set(s.payouts) for s in result.settlements)
         assert paid_both
         kinds = {(entry[1][0], len(entry)) for entry in logged}
@@ -445,10 +465,11 @@ class TestUnitBookkeeping:
         store.batch = logged_batch
         u = home.at[(0, ("price", 0))]
         steps = list(home.stack.steps)
-        for made_at in range(hyper.rollout_length):
-            assert home.updates[u] == 0 and store.sizes[u] == made_at
-            home.pending[u][made_at] = (np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
-            home.resolve_price(u, made_at, 0.5)
+        for size in range(hyper.rollout_length):
+            assert home.updates[u] == 0 and store.sizes[u] == size
+            home.offered[u] = (np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
+            home.resolve_price(u, 0.5)
+            assert u not in home.offered
         assert home.updates[u] == 1 and store.sizes[u] == 0 and bootstraps == [[0.0]]
         assert home.stack.steps != steps  # the price set took its Adam steps
 
@@ -526,14 +547,14 @@ class TestTraining:
         # core 0 is taken by a competitor with a higher bid next step
         competitor = place_job(env, 1, 0)
         u = home.at[(0, ("price", 0))]
-        home.pending[u][env.time] = (np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
-        env.step(JointActions(offers={(0, 0): 1, (1, 0): 1},
-                              prices={(0, 0): 2, (1, 0): 5}))
-        assert env.pending_offers(0)
+        home.pending[u] = (np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
+        route_rewards(home, env.step(JointActions(offers={(0, 0): 1, (1, 0): 1},
+                                                  prices={(0, 0): 2, (1, 0): 5})))
+        assert env.pending_offers(0) and u in home.offered
         result = env.step(JointActions())
         assert result.trades[0].buyer == 1  # our offer lost
         route_rewards(home, result)
-        assert home.store.sizes[u] == 0 and not home.pending[u]
+        assert home.store.sizes[u] == 0 and u not in home.offered and not home.pending
 
 
 

@@ -15,8 +15,14 @@ gathers its parameter sets anew.
 ``test_bench_trainer_step_with_update`` times one ``Trainer.step`` of the
 EXP1_TRADING ``DIST_PS`` agents in which the window of agent 0's first
 offer unit is full: the pass updates that unit's shared parameter set
-mid-pass, re-evaluates the set's later rows as deferred rows and records
-the pass in two waves.
+mid-pass, records the pass in two waves, and forwards the rows of the
+second wave again before it. ``test_bench_act_with_three_due`` times
+``Home.act`` for the EXP1_TRADING ``DIST_PS`` agents with all three of
+agent 0's offer units due: their shared set updates in each of three
+waves, and the rows of waves 1 and 2 are forwarded again before their
+wave. ``test_bench_act_with_price_pass`` times ``Home.act`` for the
+EXP4_PRICING_COMM ``DIST_PRICE`` agents, whose price setters act in a
+second pass over the offers just made, with no window due.
 """
 
 import copy
@@ -26,6 +32,7 @@ import pytest
 
 from marketsched.agents import (
     ARCH_DIST,
+    ARCH_DIST_PRICE,
     ARCH_DIST_PS,
     ARCH_FULL,
     ARCH_SEMI,
@@ -125,3 +132,44 @@ def test_bench_trainer_step_with_update(benchmark):
 
     benchmark.pedantic(trainer.step, setup=fresh_round, rounds=300, warmup_rounds=10)
     assert home.updates[due] == 310 and not home.updates[later]
+
+
+def test_bench_act_with_three_due(benchmark):
+    scenario, env = fixed_state("EXP1_TRADING")
+    assert scenario.arch == (ARCH_DIST_PS,) * scenario.env.num_agents
+    (home,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    due = [home.at[(0, ("offer", k))] for k in range(scenario.env.num_slots)]
+    assert len(due) == 3 and len({int(home.sets[u]) for u in due}) == 1
+    store = home.store
+    # finite windows for the updates to read
+    for field in (store.obs, store.logps, store.values):
+        field[due] = 0.0
+    store.actions[due], store.rewards[due] = 0, 1.0
+    image = market_image(env)
+
+    def fresh_round():
+        store.sizes[:] = 0
+        store.sizes[due] = store.length
+        return (env, JointActions(), image), {}
+
+    benchmark.pedantic(home.act, setup=fresh_round, rounds=100, warmup_rounds=5)
+    assert [home.updates[u] for u in due] == [105] * 3
+
+
+def test_bench_act_with_price_pass(benchmark):
+    scenario, env = fixed_state("EXP4_PRICING_COMM")
+    assert scenario.arch == (ARCH_DIST_PRICE,) * scenario.env.num_agents
+    (home,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    image = market_image(env)
+    priced = []
+
+    def fresh_round():
+        home.store.sizes[:] = 0
+        priced.append(len(home.pending))
+        home.pending = {}
+        return (env, JointActions(), image), {}
+
+    benchmark.pedantic(home.act, setup=fresh_round, rounds=2000, warmup_rounds=50)
+    # nearly every pass prices offers: a uniform policy makes none with
+    # probability 3^-6
+    assert sum(map(bool, priced)) > 0.9 * len(priced)

@@ -75,6 +75,6 @@ def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
     trainer = Trainer(env, homes)
     for _ in range(2000):
         trainer.step()
-    # one forward a step, and one more for each wave that re-evaluates deferred rows
+    # one forward a step, and one more for each wave after the first
     assert len(forwards) > 2000
     assert learned_state_digest(homes) == PINNED["EXP1_TRADING"]
