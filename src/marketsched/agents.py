@@ -39,18 +39,19 @@ cores, each group in agent order and then in ``unit_layout`` order. Each
 position has one digit record (unit, weight, radix, key), built once by the
 home. The units with an offer position are units 0, 1, ... and lead every
 pass, so an offer record's unit is its row, and the home's offer records
-serve every pass. The home keeps the ``Plan`` of a pass, the rows' units,
-parameter sets, obs index rows and the owned cores' accept records, for the
-``PLANS_KEPT`` core ownerships it met last (the ownership is all a plan
-depends on). A pass costs a fixed number of numpy calls: one
-gather of the step's ``market_image`` (see ``marketsched.obs``) through
-the rows' indices, one ``forward`` over all rows with each row's parameter
-set (whose rows of the home stack it keeps until the home's next update or
-load), one draw per unit and one vectorized inverse-CDF step that turns
-it into the unit's action, one ``RolloutStore.add`` of every row, padded
-as the pass reads it, and one decode of every live position's digit. Each
-unit draws its uniforms a block of ``rollout_length`` at a time from its
-own sample stream, which gives the same numbers as one draw per decision.
+serve every pass. The ``Plan`` of a pass, the rows' units, parameter
+sets, obs index rows and the owned cores' accept records, depends on the
+core ownership alone; ``Home.plan``'s cache keeps it for the
+``PLANS_KEPT`` ownerships used last. A pass costs a fixed number of numpy
+calls: one gather of the step's ``market_image`` (see ``marketsched.obs``)
+through the rows' indices, one ``forward`` over all rows with each row's
+parameter set (whose rows of the home stack it keeps until the home's next
+update or load), one draw per unit and one vectorized inverse-CDF step
+that turns it into the unit's action, one ``RolloutStore.add`` of every
+row, padded as the pass reads it, and one decode of every live position's
+digit. Each unit draws its uniforms a block of ``rollout_length`` at a time
+from its own sample stream, which gives the same numbers as one draw per
+decision.
 Price setters follow in a second pass over the offers just made, since
 what they see depends on the offer's target core.
 
@@ -85,7 +86,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -289,6 +290,26 @@ def _rank(spec: UnitSpec) -> int:
     return 0 if spec.slots else 1 if spec.cores else 2
 
 
+def _plan(prefix: list[int], accept_digits: list[dict[int, Digit]], sets: np.ndarray,
+          last: np.ndarray, index: np.ndarray, owners: tuple[int, ...]) -> Plan:
+    """The plan of a home's pass when core m's owner is ``owners[m]``, from
+    the home's tables of the same names. Its rows are every unit with an
+    offer position (``prefix``), then every accept-only unit of a core its
+    agent owns, each in unit order; the accept position of every such core
+    takes its digit. ``Home.plan`` caches it bound to these tables, not to
+    the home: a cache of a bound method refers back to its home, so that
+    every home would be a reference cycle, freed only by the garbage
+    collector."""
+    accepts = [digits[owner] for owner, digits in zip(owners, accept_digits)
+               if owner in digits]
+    first = len(prefix)
+    extra = sorted({u for u, _, _, _ in accepts if u >= first})
+    ids = np.array(prefix + extra)
+    return Plan(ids, sets[ids], last[ids], index[ids],
+                [(u if u < first else first + extra.index(u), weight, radix, key)
+                 for u, weight, radix, key in accepts])
+
+
 class Home:
     """The agents whose parameter sets share one padded layout: their
     ``bundles``, in agent order, each a row range of the home's ``stack``,
@@ -302,7 +323,8 @@ class Home:
     decision on this step's offer and on the last step's (``route_rewards``
     commits the traded ones of ``offered``, then moves ``pending`` there);
     ``at``, the unit of each (agent, position); ``setters``, the (agent,
-    slot, unit) of each price setter; and the plans of recent passes."""
+    slot, unit) of each price setter; and ``plan``, the ``Plan`` of a pass
+    by core ownership, whose cache keeps the plans of recent passes."""
 
     def __init__(self, archs: dict[int, str], config: EnvConfig, hyper: PPOHyper, seed: int):
         """The home of agent a of architecture ``archs[a]``, for each a in
@@ -341,10 +363,13 @@ class Home:
         self.cursor = np.full(len(order), length)
         # the units that lead every plan, units 0, 1, ... (see _rank); the
         # digit records of the offer positions, in unit order, and by core,
-        # of each agent's accept position
+        # of each agent's accept position; and each unit's observation as a
+        # row of indices into the market image, a price setter's left 0,
+        # since what it sees depends on the offer
         self.prefix = [u for u, spec in enumerate(self.specs) if spec.slots]
         self.offer_digits: list[Digit] = []
         self.accept_digits: list[dict[int, Digit]] = [{} for _ in range(config.num_cores)]
+        self.index = np.zeros((len(order), self.stack.in_width), dtype=np.intp)
         for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
             weight = 1
             for (kind, i), radix in zip(spec.positions, spec.radices):
@@ -353,7 +378,13 @@ class Home:
                 elif kind == "accept":
                     self.accept_digits[i][agent] = (u, weight, radix, (agent, i))
                 weight *= radix
-        self.plans: dict[tuple, Plan] = {}
+            cells = [i for m in spec.cores for i in acceptor_index(config, agent, m)]
+            if spec.slots:
+                cells += offer_index(config, agent, spec.slots)
+            self.index[u, :len(cells)] = cells
+        # owners[m] owns core m; no owners: no accept position is live
+        self.plan = lru_cache(PLANS_KEPT)(partial(
+            _plan, self.prefix, self.accept_digits, self.sets, self.last, self.index))
 
     @property
     def names(self) -> list[str]:
@@ -371,44 +402,6 @@ class Home:
         """Restore in place the state ``save`` wrote for a home of these
         names; anything else is rejected as ``ParamStack.load`` says."""
         self.stack.load(path, self.names)
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """Each unit's observation as a row of indices into the market
-        image; a price setter's row is left 0, since what it sees depends
-        on the offer."""
-        index = np.zeros((len(self.specs), self.stack.in_width), dtype=np.intp)
-        for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
-            cells = [i for m in spec.cores for i in acceptor_index(self.config, agent, m)]
-            if spec.slots:
-                cells += offer_index(self.config, agent, spec.slots)
-            index[u, :len(cells)] = cells
-        return index
-
-    def plan(self, owners: tuple[int, ...]) -> Plan:
-        """The plan of a pass when core m's owner is ``owners[m]`` (no
-        owners: no accept position is live), kept for the next such pass
-        among the ``PLANS_KEPT`` most recently used."""
-        plan = self.plans.pop(owners, None)
-        if plan is None:
-            plan = self._plan(owners)
-            if len(self.plans) == PLANS_KEPT:
-                del self.plans[next(iter(self.plans))]
-        self.plans[owners] = plan
-        return plan
-
-    def _plan(self, owners: tuple[int, ...]) -> Plan:
-        """Every unit with an offer position acts, then every accept-only
-        unit of a core its agent owns, each in unit order; the accept
-        position of every such core takes its digit."""
-        accepts = [digits[owner] for owner, digits in zip(owners, self.accept_digits)
-                   if owner in digits]
-        first = len(self.prefix)
-        extra = sorted({u for u, _, _, _ in accepts if u >= first})
-        ids = np.array(self.prefix + extra)
-        return Plan(ids, self.sets[ids], self.last[ids], self.index[ids],
-                    [(u if u < first else first + extra.index(u), weight, radix, key)
-                     for u, weight, radix, key in accepts])
 
     def draw(self, ids: np.ndarray) -> np.ndarray:
         """One uniform for each unit of ``ids`` from its own sample stream:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .agents import (
-    ARCH_DIST,
     ARCH_FULL,
     ARCH_SEMI,
     MAX_PRINTABLE,
@@ -42,16 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
-
-# (label, architecture, unit key): the rows of the cardinality table
-_CARDINALITY_ROWS = (
-    ("DIST_OFFER", ARCH_DIST, ("offer", 0)),
-    ("DIST_ACCEPT", ARCH_DIST, ("accept", 0)),
-    ("SEMI_OFFER", ARCH_SEMI, ("offer", 0)),
-    ("SEMI_ACCEPT", ARCH_SEMI, ("accept", 0)),
-    ("FULL", ARCH_FULL, ("full", 0)),
-)
-
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -148,10 +137,15 @@ def _cmd_cardinality(args: argparse.Namespace) -> int:
                        num_slots=args.slots, job_types=(JobType(0, 1, 1, 1.0),))
     print(f"action-space cardinalities for cores={args.cores} "
           f"agents={args.agents} slots={args.slots}")
-    width = max(len(label) for label, _, _ in _CARDINALITY_ROWS)
-    for label, arch, key in _CARDINALITY_ROWS:
-        spec = next(s for s in unit_layout(arch, config) if s.key == key)
-        value = spec.capped_count(MAX_PRINTABLE)
+    accept, offer = unit_layout(ARCH_SEMI, config)
+    (full,) = unit_layout(ARCH_FULL, config)
+    # a DIST unit of each kind is one digit of the SEMI unit of that kind
+    rows = (("DIST_OFFER", offer.radices[0]), ("DIST_ACCEPT", accept.radices[0]),
+            ("SEMI_OFFER", offer.capped_count(MAX_PRINTABLE)),
+            ("SEMI_ACCEPT", accept.capped_count(MAX_PRINTABLE)),
+            ("FULL", full.capped_count(MAX_PRINTABLE)))
+    width = max(len(label) for label, _ in rows)
+    for label, value in rows:
         shown = str(value) if value <= MAX_PRINTABLE else "infeasible (> 2^63)"
         print(f"  {label:<{width}}  {shown}")
     return EXIT_OK

@@ -20,6 +20,12 @@ def whole_number(value: Any, name: str) -> int:
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
+def check_int(value: Any, name: str, low: int) -> None:
+    """Raise ConfigError unless ``value`` is an int, not a bool, and at least ``low``."""
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def finite_number(value: Any, name: str) -> float:
     """``value`` as a float; a bool, a non-number, NaN or infinity is a ConfigError."""
     if type(value) in (int, float) and isfinite(value):
@@ -61,10 +67,10 @@ class JobType:
     spawn_prob: float
 
     def __post_init__(self) -> None:
-        if self.priority < 1:
-            raise ConfigError(f"job type {self.id}: priority must be >= 1, got {self.priority}")
-        if self.burst < 1:
-            raise ConfigError(f"job type {self.id}: burst must be >= 1, got {self.burst}")
+        if type(self.id) is not int:
+            raise ConfigError(f"job type id must be an integer, got {self.id!r}")
+        check_int(self.priority, "job type priority", 1)
+        check_int(self.burst, "job type burst", 1)
         if not 0.0 <= self.spawn_prob <= 1.0:
             raise ConfigError(
                 f"job type {self.id}: spawn_prob must be in [0, 1], got {self.spawn_prob}"
@@ -91,24 +97,23 @@ class EnvConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "job_types", tuple(self.job_types))
         object.__setattr__(self, "pricing_mode", PricingMode(self.pricing_mode))
-        if self.num_agents < 1:
-            raise ConfigError(f"num_agents must be >= 1, got {self.num_agents}")
-        if self.num_cores < 1:
-            raise ConfigError(f"num_cores must be >= 1, got {self.num_cores}")
-        if self.num_slots < 1:
-            raise ConfigError(f"num_slots must be >= 1, got {self.num_slots}")
+        for name in ("num_agents", "num_cores", "num_slots", "guard_threshold"):
+            check_int(getattr(self, name), name, 1)
+        if type(self.trading_enabled) is not bool:
+            raise ConfigError(
+                f"trading_enabled must be true or false, got {self.trading_enabled!r}")
         if not self.job_types:
             raise ConfigError("at least one job type is required")
         seen: set[int] = set()
         for t in self.job_types:
+            if not isinstance(t, JobType):
+                raise ConfigError(f"job_types must hold JobType objects, got {t!r}")
             if t.id in seen:
                 raise ConfigError(f"duplicate job type id {t.id}")
             seen.add(t.id)
         total = sum(t.spawn_prob for t in self.job_types)
         if total > 1.0 + 1e-9:
             raise ConfigError(f"sum of spawn probabilities must be <= 1, got {total}")
-        if self.guard_threshold < 1:
-            raise ConfigError(f"guard_threshold must be >= 1, got {self.guard_threshold}")
 
     # Computed once per instance: the fields are frozen, and the cache lives in
     # the instance __dict__, outside equality, hashing, repr and to_dict.
@@ -138,9 +143,6 @@ class EnvConfig:
             raise ConfigError(f"env.job_types must be a list, got {data['job_types']!r}")
         for i, t in enumerate(data["job_types"]):
             check_keys(JobType, t, f"env.job_types.{i}")
-        trading = data.get("trading_enabled", cls.trading_enabled)
-        if not isinstance(trading, bool):
-            raise ConfigError(f"trading_enabled must be true or false, got {trading!r}")
         mode = data.get("pricing_mode", cls.pricing_mode.value)
         if not isinstance(mode, str) or mode not in PricingMode.__members__:
             raise ConfigError(f"pricing_mode must be one of "
@@ -159,7 +161,7 @@ class EnvConfig:
                 for t in data["job_types"]
             ),
             pricing_mode=PricingMode(mode),
-            trading_enabled=trading,
+            trading_enabled=data.get("trading_enabled", cls.trading_enabled),
             guard_threshold=whole_number(data.get("guard_threshold", cls.guard_threshold),
                                          "guard_threshold"),
         )

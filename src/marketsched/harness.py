@@ -30,8 +30,8 @@ import numpy as np
 
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, Trainer,
                      build_homes)
-from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_keys, finite_number,
-                     whole_number)
+from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_int, check_keys,
+                     finite_number, whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
 from .neural import PPOHyper
 from .ppo import set_one_blas_thread
@@ -51,6 +51,10 @@ class Scenario:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self) -> None:
+        for name, kind in (("env", EnvConfig), ("hyper", PPOHyper)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"scenario {self.name}: {name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
         arch = self.arch
         if isinstance(arch, str):
             arch = (arch,) * self.env.num_agents
@@ -69,15 +73,14 @@ class Scenario:
         if unknown:
             raise ConfigError(f"scenario {self.name}: unknown architecture {unknown[0]!r}; "
                               f"choose from {', '.join(ARCHITECTURES)}")
-        if not self.total_steps >= self.window >= 1:
-            raise ConfigError(
-                f"scenario {self.name}: need total_steps >= window >= 1")
-        if self.record_every < 1:
-            raise ConfigError(f"scenario {self.name}: record_every must be >= 1")
+        for name in ("total_steps", "window", "record_every"):
+            check_int(getattr(self, name), name, 1)
+        if self.total_steps < self.window:
+            raise ConfigError(f"scenario {self.name}: need total_steps >= window")
+        for seed in self.seeds:
+            check_int(seed, "each of seeds", 0)
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"scenario {self.name}: seeds must be non-empty and distinct")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"scenario {self.name}: seeds must be >= 0, got {min(self.seeds)}")
 
     def to_dict(self) -> dict[str, Any]:
         return {

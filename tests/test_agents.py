@@ -1,6 +1,8 @@
 """Architectures, reward routing, parameter sharing, training determinism."""
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -214,7 +216,7 @@ class TestActionWiring:
             joint = act(homes, env)
             assert set(joint.accepts) == {(0, m) for m in owned}
             assert len(joint.offers) == 2 * cfg.num_slots
-            assert len(homes[0].plans) <= PLANS_KEPT
+            assert homes[0].plan.cache_info().currsize <= PLANS_KEPT
 
     @pytest.mark.parametrize("archs", [
         (ARCH_DIST,) * 2, (ARCH_DIST_PS,) * 2, (ARCH_SEMI,) * 2, (ARCH_FULL,) * 2,
@@ -224,13 +226,42 @@ class TestActionWiring:
         cfg = make_config(num_cores=4, num_slots=1)
         (home,) = build_homes(archs, cfg, PPOHyper(), seed=1)
         for owners in [()] + list(itertools.product((AUCTIONEER, 0, 1), repeat=4)):
-            plan, (want, offer_digits) = home._plan(owners), reference_plan(home, owners)
+            plan = home.plan.__wrapped__(owners)  # the uncached builder
+            want, offer_digits = reference_plan(home, owners)
             assert home.offer_digits == offer_digits
             for field, got, expected in zip(plan._fields, plan, want, strict=True):
                 if isinstance(expected, np.ndarray):
                     assert got.dtype == expected.dtype and np.array_equal(got, expected), field
                 else:
                     assert got == expected, field
+
+    def test_a_plan_is_kept_for_the_ownerships_used_last(self):
+        (home,) = build_homes((ARCH_DIST,) * 2, make_config(num_cores=4), PPOHyper(), seed=1)
+        ownerships = list(itertools.product((AUCTIONEER, 0, 1), repeat=4))[:PLANS_KEPT + 1]
+        for owners in ownerships:
+            home.plan(owners)
+        info = home.plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, PLANS_KEPT + 1, PLANS_KEPT)
+        home.plan(ownerships[1])  # the oldest kept
+        assert home.plan.cache_info().hits == 1
+        home.plan(ownerships[0])  # evicted by the last one
+        assert home.plan.cache_info().misses == PLANS_KEPT + 2
+
+    def test_a_home_is_freed_with_its_last_reference(self):
+        # a plan cache that referred back to its home would make the home a
+        # reference cycle, which only the garbage collector frees
+        cfg = make_config()
+        env = SchedulingEnv(cfg, seed=1)
+        homes = build_homes((ARCH_DIST,) * 2, cfg, PPOHyper(), seed=1)
+        act(homes, env)
+        assert homes[0].plan.cache_info().currsize == 1
+        gc.disable()
+        try:
+            freed = weakref.ref(homes[0])
+            del homes
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)

@@ -11,7 +11,8 @@ no policy update is timed and the pass records all its rows at once.
 ``test_bench_act_on_new_ownership`` times ``Home.act`` for every
 EXP2_ARCH_4X4 ``DIST`` agent with the cores' owners set to the next of all
 5^4 ownerships each round, so that every pass builds its plan anew and
-gathers its parameter sets anew.
+gathers its parameter sets anew. ``test_bench_plan_lookup`` times
+``Home.plan`` on the recurring ownership of that state, a cache hit.
 ``test_bench_trainer_step_with_update`` times one ``Trainer.step`` of the
 EXP1_TRADING ``DIST_PS`` agents in which the window of agent 0's first
 offer unit is full: the pass updates that unit's shared parameter set
@@ -91,7 +92,17 @@ def test_bench_act_on_new_ownership(benchmark):
         return (env, JointActions(), image), {}
 
     benchmark.pedantic(home.act, setup=new_ownership, rounds=2000, warmup_rounds=50)
-    assert len(home.plans) == PLANS_KEPT
+    assert home.plan.cache_info().currsize == PLANS_KEPT
+
+
+def test_bench_plan_lookup(benchmark):
+    scenario, env = fixed_state("EXP2_ARCH_4X4")
+    assert scenario.arch == (ARCH_DIST,) * scenario.env.num_agents
+    (home,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
+    owners = tuple([core.owner for core in env.cores])
+    plan = home.plan(owners)
+    assert benchmark(home.plan, owners) is plan
+    assert home.plan.cache_info().misses == 1
 
 
 def test_bench_trainer_step(benchmark):

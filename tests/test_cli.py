@@ -1,9 +1,12 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import itertools
 import json
 
 import pytest
 
+from marketsched import cli
+from marketsched.agents import ARCH_DIST, ARCH_FULL, ARCH_SEMI, unit_layout
 from marketsched.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -11,6 +14,7 @@ from marketsched.cli import (
     EXIT_USAGE,
     main,
 )
+from marketsched.config import EnvConfig, JobType
 
 FAST = ["--set", "total_steps=300", "--set", "window=100",
         "--set", "record_every=100", "--set", "hyper.rollout_length=64"]
@@ -142,6 +146,34 @@ class TestCardinality:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "num_cores" in captured.err
+
+    def test_table_equals_one_read_unit_by_unit(self, capsys):
+        rows = (("DIST_OFFER", ARCH_DIST, ("offer", 0)), ("DIST_ACCEPT", ARCH_DIST, ("accept", 0)),
+                ("SEMI_OFFER", ARCH_SEMI, ("offer", 0)), ("SEMI_ACCEPT", ARCH_SEMI, ("accept", 0)),
+                ("FULL", ARCH_FULL, ("full", 0)))
+        for cores, agents, slots in itertools.product((1, 2, 3), repeat=3):
+            config = EnvConfig(num_agents=agents, num_cores=cores, num_slots=slots,
+                               job_types=(JobType(0, 1, 1, 1.0),))
+            want = [f"action-space cardinalities for cores={cores} agents={agents} slots={slots}"]
+            for label, arch, key in rows:
+                (spec,) = [s for s in unit_layout(arch, config) if s.key == key]
+                want.append(f"  {label:<11}  {spec.action_count}")
+            assert run_cli("cardinality", "--cores", str(cores), "--agents", str(agents),
+                           "--slots", str(slots)) == EXIT_OK
+            assert capsys.readouterr().out.splitlines() == want
+
+    def test_only_the_aggregated_architectures_are_laid_out(self, monkeypatch, capsys):
+        laid_out = []
+
+        def counted(arch, config):
+            laid_out.append(arch)
+            return unit_layout(arch, config)
+
+        monkeypatch.setattr(cli, "unit_layout", counted)
+        assert run_cli("cardinality", "--cores", "2", "--agents", "2",
+                       "--slots", "3") == EXIT_OK
+        assert sorted(laid_out) == [ARCH_FULL, ARCH_SEMI]
+        assert capsys.readouterr().out.split()[-1] == "1323"
 
     def test_overflow_reported_as_infeasible(self, capsys):
         run_cli("cardinality", "--cores", "99", "--agents", "99", "--slots", "99")

@@ -1,4 +1,5 @@
-"""EnvConfig: the cached scenario bounds leave the value semantics alone."""
+"""Config objects: the cached scenario bounds leave the value semantics alone,
+and every field is checked when an object is built."""
 
 import dataclasses
 import pickle
@@ -6,6 +7,8 @@ import pickle
 import pytest
 
 from marketsched.config import EnvConfig, JobType
+from marketsched.harness import builtin_scenarios
+from marketsched.neural import PPOHyper
 
 from helpers import make_config
 
@@ -25,3 +28,32 @@ def test_cached_bounds_leave_equality_dicts_and_pickling_unchanged():
         cfg.num_cores = 3
     other = dataclasses.replace(cfg, job_types=(JobType(0, 9, 3, 0.5),))
     assert (other.max_prio, other.max_burst) == (9, 3)
+
+
+SCENARIO = builtin_scenarios()["EXP1_TRADING"]
+JOB_TYPE = SCENARIO.env.job_types[0]
+
+
+INT_FIELDS = [
+    (JOB_TYPE, ("id", "priority", "burst")),
+    (SCENARIO.env, ("num_agents", "num_cores", "num_slots", "guard_threshold")),
+    (SCENARIO, ("total_steps", "window", "record_every")),
+    (SCENARIO.hyper, PPOHyper.integer_fields),
+]
+CASES = [(config, name, bad) for config, names in INT_FIELDS for name in names
+         for value in [getattr(config, name)] for bad in (value + 0.5, True, str(value))]
+CASES += [(SCENARIO.env, "trading_enabled", bad) for bad in ("no", 1, None)]
+CASES += [(SCENARIO, "seeds", (bad,)) for bad in (1.5, True, "1")]
+CASES += [(SCENARIO.env, "job_types", (vars(JOB_TYPE),)),
+          (SCENARIO, "env", SCENARIO.env.to_dict()),
+          (SCENARIO, "hyper", SCENARIO.hyper.to_dict())]
+
+
+@pytest.mark.parametrize("config, field, bad", CASES,
+                         ids=[f"{type(c).__name__}.{f}={b!r}"[:40] for c, f, b in CASES])
+def test_every_int_bool_and_nested_config_field_rejects_another_type(config, field, bad):
+    # every config object that exists is valid: replace re-checks its fields
+    kept = dataclasses.replace(config, **{field: getattr(config, field)})
+    assert kept == config
+    with pytest.raises(ValueError, match=field.rstrip("s")):
+        dataclasses.replace(config, **{field: bad})
