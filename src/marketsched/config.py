@@ -71,7 +71,7 @@ class JobType:
             raise ConfigError(f"job type id must be an integer, got {self.id!r}")
         check_int(self.priority, "job type priority", 1)
         check_int(self.burst, "job type burst", 1)
-        if not 0.0 <= self.spawn_prob <= 1.0:
+        if not 0.0 <= finite_number(self.spawn_prob, "job type spawn_prob") <= 1.0:
             raise ConfigError(
                 f"job type {self.id}: spawn_prob must be in [0, 1], got {self.spawn_prob}"
             )

@@ -17,8 +17,8 @@ back to the auctioneer the moment it idles.
 
 Each core's offer book maps a grid cell ``agent * num_slots + slot`` to the
 entry ``(agent, slot, job, price)``. An offer is valid while its slot still
-holds that very job, and a book lives one step. ``Offer`` is the query view
-that ``offers`` and ``pending_offers`` build on demand; the step builds none.
+holds that very job, and a book lives one step. The books are the only
+record of pending offers: offers made at step t are resolved at step t + 1.
 
 ``step`` is the inner loop of every run, so the environment reads the config
 values it needs once, at construction, and builds each record positionally,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .config import EnvConfig
 from .rng import STREAM_ENV_SPAWN, derive_rng
@@ -64,18 +64,6 @@ class Core:
     owner: int = AUCTIONEER
     job: Job | None = None
     chain: list[ChainEntry] = field(default_factory=list)
-
-
-class Offer(NamedTuple):
-    """A one-step-valid proposal to run a slot job on a specific core."""
-
-    agent: int
-    slot: int
-    job_uid: int
-    job_priority: int
-    price: int
-    time_to_payment: int
-    made_at: int
 
 
 # what a core's offer book holds per grid cell: (agent, slot, job, price)
@@ -116,7 +104,6 @@ class TradeRecord(NamedTuple):
     job_type_id: int
     job_priority: int
     source_slot: int
-    made_at: int
     by_auctioneer: bool
 
 
@@ -193,7 +180,6 @@ class SchedulingEnv:
 
     def __init__(self, config: EnvConfig, seed: int):
         self.config = config
-        self.seed = seed
         self.time = 0
         # read on every step; the config is frozen
         self._trading = config.trading_enabled
@@ -214,24 +200,6 @@ class SchedulingEnv:
             acc += t.spawn_prob
             self._spawn_cumulative.append((acc, t))
         self._fill_empty_slots(arrival_time=0)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    def pending_offers(self, core: int) -> list[Offer]:
-        """Offers awaiting resolution at this core, ordered by (agent, slot),
-        each made at the previous step."""
-        if not 0 <= core < self._num_cores:
-            raise IndexError(f"core index {core} out of range")
-        made_at = self.time - 1
-        return [Offer(agent, slot, job.uid, job.priority, price, job.remaining_burst, made_at)
-                for _, (agent, slot, job, price) in sorted(self._offer_book[core].items())]
-
-    def offers(self) -> Iterator[Offer]:
-        """Every pending offer, core by core, each core's in (agent, slot) order."""
-        for core in range(self._num_cores):
-            yield from self.pending_offers(core)
 
     # ------------------------------------------------------------------
     # stepping
@@ -340,8 +308,8 @@ class SchedulingEnv:
     def _move(self, core: Core, entry: BookEntry) -> TradeRecord:
         """Put ``entry``'s job on ``core``: empty the offering slot, make the
         buyer the owner and chain the sale from the previous owner (on an idle
-        core, the auctioneer and an empty chain). Returns the trade's record,
-        its offer made the step before; a displaced job is the caller's."""
+        core, the auctioneer and an empty chain). Returns the trade's record; a
+        displaced job is the caller's."""
         agent, slot, job, price = entry
         seller = core.owner
         self.slots[agent][slot] = None
@@ -349,7 +317,7 @@ class SchedulingEnv:
         core.owner = agent
         core.chain.append(ChainEntry(agent, seller, price))
         return TradeRecord(core.index, agent, seller, price, job.uid, job.type_id,
-                           job.priority, slot, self.time - 1, seller == AUCTIONEER)
+                           job.priority, slot, seller == AUCTIONEER)
 
     def _execute_acceptance(self, core: Core, entry: BookEntry) -> TradeRecord | None:
         """Accept ``entry`` on the busy ``core``; return None if voided.

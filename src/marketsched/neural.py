@@ -42,7 +42,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .config import check_keys, finite_number, whole_number
+from .config import ConfigError, check_int, check_keys, finite_number, whole_number
 
 
 CHECKPOINT_VERSION = 2
@@ -68,21 +68,20 @@ class PPOHyper:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if name in self.integer_fields and type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            finite_number(value, name)
+            if name in self.integer_fields:
+                check_int(value, name, 1)
+            else:
+                finite_number(value, name)
         if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1], got {self.discount}")
+            raise ConfigError(f"discount must be in (0, 1], got {self.discount}")
         if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
+            raise ConfigError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
         if self.clip <= 0.0:
-            raise ValueError(f"clip must be > 0, got {self.clip}")
-        if self.rollout_length < 1 or self.minibatch_size < 1 or self.epochs < 1:
-            raise ValueError("rollout_length, minibatch_size and epochs must be >= 1")
+            raise ConfigError(f"clip must be > 0, got {self.clip}")
         if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.entropy_coef < 0.0 or self.value_coef < 0.0:
-            raise ValueError("entropy_coef and value_coef must be >= 0")
+            raise ConfigError("entropy_coef and value_coef must be >= 0")
 
     def to_dict(self) -> dict:
         return dict(vars(self))

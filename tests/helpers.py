@@ -46,6 +46,13 @@ def offer(agent, slot, core):
     return {(agent, slot): core + 1}
 
 
+def book_entries(env, core=None):
+    """The offer book entries ``(agent, slot, job, price)`` of ``core``, or of
+    every core in core order, each book's in grid order: by (agent, slot)."""
+    books = env._offer_book if core is None else [env._offer_book[core]]
+    return [entry for book in books for _, entry in sorted(book.items())]
+
+
 def random_actions(env, rng):
     """Uniformly random actions for every acting position. Under free
     pricing a bid may fall below 0 or above ``max_prio``, or be missing."""

@@ -25,6 +25,8 @@ import numpy as np
 
 from marketsched.neural import NonFiniteLossError, log_softmax
 
+from helpers import book_entries
+
 
 def forward(params, obs):
     """Policy logits and value estimate of one NetParams on one observation."""
@@ -59,14 +61,14 @@ def _core_state(env, agent, core):
 def encode_acceptor_obs(env, agent, core):
     """The core's state, then one [validity, price, time to payment, offered
     priority] cell per (source agent, source slot), filled from the core's
-    pending offers in the order the env lists them."""
+    offer book in grid order; the time to payment is the offered job's
+    remaining burst."""
     cfg = env.config
     grid = [0.0] * (4 * cfg.num_agents * cfg.num_slots)
-    for offer in env.pending_offers(core):
-        base = 4 * (offer.agent * cfg.num_slots + offer.slot)
-        grid[base:base + 4] = (1.0, offer.price / cfg.max_prio,
-                               offer.time_to_payment / cfg.max_burst,
-                               offer.job_priority / cfg.max_prio)
+    for source, slot, job, price in book_entries(env, core):
+        base = 4 * (source * cfg.num_slots + slot)
+        grid[base:base + 4] = (1.0, price / cfg.max_prio, job.remaining_burst / cfg.max_burst,
+                               job.priority / cfg.max_prio)
     return np.array(_core_state(env, agent, core) + grid)
 
 

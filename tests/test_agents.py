@@ -35,8 +35,8 @@ from marketsched.ppo import STATS, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import STREAM_UNIT_INIT, derive_rng
 
-from helpers import (act, make_config, manual_config, place_job, random_actions, stacked,
-                     standalone)
+from helpers import (act, book_entries, make_config, manual_config, place_job, random_actions,
+                     stacked, standalone)
 import reference
 from reference import mixed_radix_decode, plan as reference_plan
 
@@ -370,13 +370,15 @@ class TestRewardRouting:
         (home,) = build_homes((ARCH_DIST_PRICE,), cfg, PPOHyper(), seed=6)
         log = credit_log([home])
         place_job(env, 0, 0)
-        made_at = env.time
+        offered_at = env.time
         # the decision on the offer, held as Home.act holds it
         decision = (np.zeros(PRICE_OBS_LEN), 3, -1.0, 0.0)
         home.pending[home.at[(0, ("price", 0))]] = decision
         route_rewards(home, env.step(JointActions(offers={(0, 0): 1}, prices={(0, 0): 3})))
         result = env.step(JointActions())
-        assert [trade.made_at for trade in result.trades] == [made_at]
+        # the grant of the offer made at offered_at, one step later
+        assert result.time == offered_at + 1
+        assert [(trade.buyer, trade.source_slot) for trade in result.trades] == [(0, 0)]
         route_rewards(home, result)
         assert [entry for entry in log if entry[1] == ("price", 0)] == [
             (0, ("price", 0), 2.0, decision)]
@@ -581,7 +583,7 @@ class TestTraining:
         home.pending[u] = (np.zeros(PRICE_OBS_LEN), 2, -1.0, 0.0)
         route_rewards(home, env.step(JointActions(offers={(0, 0): 1, (1, 0): 1},
                                                   prices={(0, 0): 2, (1, 0): 5})))
-        assert env.pending_offers(0) and u in home.offered
+        assert book_entries(env, 0) and u in home.offered
         result = env.step(JointActions())
         assert result.trades[0].buyer == 1  # our offer lost
         route_rewards(home, result)

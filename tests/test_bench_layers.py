@@ -7,8 +7,7 @@ involved: under the scripted policy with trading off, and with trading on
 under uniformly random accepts and offers; each round steps the same
 env on from where the last round left it, and building the round's actions
 is not timed. ``market_image`` reads a state with pending offers on every
-core, and ``offers`` builds the ``Offer`` records of that state's books: the
-cost a caller of the query view pays per call. The acting bench is one
+core. The acting bench is one
 batched ``forward`` and one ``sample_rows`` over every row of a ``DIST``
 agent's stack, one row per unit, on fixed observations and draws.
 """
@@ -56,18 +55,13 @@ def offers_on_every_core():
     """An EXP2_ARCH_4X4 env one scripted step in: every core has an offer."""
     env = SchedulingEnv(builtin_scenarios()["EXP2_ARCH_4X4"].env, seed=1)
     env.step(scripted_actions(env))
-    assert all(env.pending_offers(m) for m in range(env.config.num_cores))
+    assert all(env._offer_book)
     return env
 
 
 def test_bench_market_image(benchmark):
     benchmark.pedantic(market_image, args=(offers_on_every_core(),), rounds=5000,
                        warmup_rounds=200)
-
-
-def test_bench_offer_queries(benchmark):
-    env = offers_on_every_core()
-    benchmark.pedantic(lambda: list(env.offers()), rounds=5000, warmup_rounds=200)
 
 
 def test_bench_forward_and_sample(benchmark):

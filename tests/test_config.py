@@ -2,6 +2,7 @@
 and every field is checked when an object is built."""
 
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -42,6 +43,13 @@ INT_FIELDS = [
 ]
 CASES = [(config, name, bad) for config, names in INT_FIELDS for name in names
          for value in [getattr(config, name)] for bad in (value + 0.5, True, str(value))]
+FLOAT_FIELDS = [
+    (JOB_TYPE, ("spawn_prob",)),
+    (SCENARIO.hyper, [name for name in vars(SCENARIO.hyper)
+                      if name not in PPOHyper.integer_fields]),
+]
+CASES += [(config, name, bad) for config, names in FLOAT_FIELDS for name in names
+          for bad in (True, str(getattr(config, name)), math.nan)]
 CASES += [(SCENARIO.env, "trading_enabled", bad) for bad in ("no", 1, None)]
 CASES += [(SCENARIO, "seeds", (bad,)) for bad in (1.5, True, "1")]
 CASES += [(SCENARIO.env, "job_types", (vars(JOB_TYPE),)),

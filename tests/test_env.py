@@ -9,11 +9,11 @@ import pytest
 import marketsched.env
 from marketsched.baseline import scripted_actions
 from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
-from marketsched.env import AUCTIONEER, ChainEntry, JointActions, Offer, SchedulingEnv
+from marketsched.env import AUCTIONEER, ChainEntry, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.rng import STREAM_FUZZ, derive_rng
 
-from helpers import make_config, manual_config, offer, place_job, random_actions
+from helpers import book_entries, make_config, manual_config, offer, place_job, random_actions
 
 
 class TestNewEnv:
@@ -22,7 +22,7 @@ class TestNewEnv:
         assert env.time == 0
         assert all(c.owner == AUCTIONEER and c.job is None for c in env.cores)
         assert len(env.slots) == 2 and all(len(s) == 3 for s in env.slots)
-        assert env.pending_offers(0) == []
+        assert book_entries(env, 0) == []
 
     def test_spawn_prob_one_fills_every_slot(self):
         cfg = make_config(job_types=(JobType(0, 2, 3, 1.0),))
@@ -71,12 +71,12 @@ class TestStepTiming:
     def test_offer_is_acceptable_exactly_one_step_later(self):
         env = SchedulingEnv(manual_config(num_agents=1, num_cores=1, num_slots=1), 0)
         place_job(env, 0, 0)
-        assert env.pending_offers(0) == []
+        assert book_entries(env, 0) == []
         env.step(JointActions(offers=offer(0, 0, 0)))
-        assert len(env.pending_offers(0)) == 1  # visible for the next decision
+        assert len(book_entries(env, 0)) == 1  # visible for the next decision
         result = env.step(JointActions())
         assert len(result.trades) == 1  # consumed by the auctioneer at t+1
-        assert env.pending_offers(0) == []
+        assert book_entries(env, 0) == []
 
     def test_unaccepted_offer_expires(self):
         # two jobs bid the same core; the loser's offer must be gone after
@@ -87,7 +87,7 @@ class TestStepTiming:
         env.step(JointActions(offers={(0, 0): 1, (1, 0): 1}))
         result = env.step(JointActions())
         assert len(result.trades) == 1
-        assert env.pending_offers(0) == []
+        assert book_entries(env, 0) == []
 
 
 class TestAuctioneer:
@@ -276,8 +276,9 @@ class TestPendingOffers:
         place_job(env, 0, 1)
         place_job(env, 1, 0)
         env.step(JointActions(offers={(1, 0): 1, (0, 1): 1}))
-        pending = env.pending_offers(0)
-        assert [(o.agent, o.slot) for o in pending] == [(0, 1), (1, 0)]
+        # keyed by grid cell agent * num_slots + slot, the cell an accept names
+        assert {cell: entry[:2] for cell, entry in env._offer_book[0].items()} == {
+            1: (0, 1), 2: (1, 0)}
 
     def test_capacity_is_agents_times_slots(self):
         env = SchedulingEnv(manual_config(num_agents=2, num_cores=2, num_slots=3), 0)
@@ -285,8 +286,8 @@ class TestPendingOffers:
             for slot in range(3):
                 place_job(env, agent, slot)
         env.step(JointActions(offers={(a, s): 1 for a in range(2) for s in range(3)}))
-        assert len(env.pending_offers(0)) == 6
-        assert env.pending_offers(1) == []
+        assert len(book_entries(env, 0)) == 6
+        assert book_entries(env, 1) == []
 
     @pytest.mark.parametrize("key", [(-1, 0), (2, 0), (0, -1), (0, 3)], ids=str)
     def test_offer_keyed_by_no_slot_registers_nothing(self, key):
@@ -297,7 +298,7 @@ class TestPendingOffers:
             for slot in range(3):
                 place_job(env, agent, slot)
         env.step(JointActions(offers={key: 1}))
-        assert list(env.offers()) == []
+        assert book_entries(env) == []
         env.check_invariants()
         assert env.step(JointActions()).trades == []
         env.check_invariants()
@@ -313,7 +314,7 @@ class TestPendingOffers:
         # phase 2 grants core 0 to agent 0 before phase 6 reads the target
         result = env.step(JointActions(offers={(1, 0): target}))
         assert [trade.buyer for trade in result.trades] == [0] and env.time == 2
-        assert [(o.agent, o.slot) for o in env.offers()] == ([(1, 0)] if registers else [])
+        assert [entry[:2] for entry in book_entries(env)] == ([(1, 0)] if registers else [])
         env.check_invariants()
 
 
@@ -323,7 +324,7 @@ class TestOfferPrices:
         fixed = SchedulingEnv(manual_config(job_types=types, num_agents=1, num_slots=1), 0)
         place_job(fixed, 0, 0)
         fixed.step(JointActions(offers=offer(0, 0, 0), prices={(0, 0): 7}))
-        assert [o.price for o in fixed.offers()] == [3]  # FIXED ignores the bid
+        assert [price for *_, price in book_entries(fixed)] == [3]  # FIXED ignores the bid
 
         free = SchedulingEnv(manual_config(job_types=types, num_agents=1, num_slots=4,
                                            pricing_mode=PricingMode.FREE_COMMERCIAL), 0)
@@ -332,7 +333,8 @@ class TestOfferPrices:
         free.step(JointActions(offers={(0, slot): 1 for slot in range(4)},
                                prices={(0, 0): 20, (0, 1): -5, (0, 2): 6}))
         # above max_prio clamps down, negative clamps to 0, no bid is the priority
-        assert {o.slot: o.price for o in free.offers()} == {0: 8, 1: 0, 2: 6, 3: 3}
+        assert {slot: price for _, slot, _, price in book_entries(free)} == {
+            0: 8, 1: 0, 2: 6, 3: 3}
 
     @pytest.mark.parametrize("bid, price", [
         (float("nan"), 6), (float("inf"), 6), (float("-inf"), 6), (None, 6), (2.7, 6),
@@ -347,8 +349,8 @@ class TestOfferPrices:
         env.step(JointActions(offers={(0, 0): 1, (0, 1): 1}, prices={(0, 0): bid, (0, 1): 2}))
         # the step completes: both offers are filed and time advances
         assert env.time == 1
-        assert {o.slot: o.price for o in env.offers()} == {0: price, 1: 2}
-        assert all(type(o.price) is int for o in env.offers())
+        assert {slot: price for _, slot, _, price in book_entries(env)} == {0: price, 1: 2}
+        assert all(type(price) is int for *_, price in book_entries(env))
         (grant,) = env.step(JointActions()).trades
         assert (grant.source_slot, grant.price) == (0, price)
         env.check_invariants()
@@ -368,7 +370,7 @@ class TestInputsOfNoIntegerCountAsNone:
         env = SchedulingEnv(builtin_scenarios()["EXP1_TRADING"].env, seed=5)
         rng = derive_rng(5, STREAM_FUZZ)
         # agent 0 owns core 0, and offers are pending there
-        while env.cores[0].owner != 0 or not env.pending_offers(0):
+        while env.cores[0].owner != 0 or not book_entries(env, 0):
             env.step(random_actions(env, rng))
         kept = random_actions(env, rng)
         # (0.0, 0) == (0, 0): drop the int key too; a key that is no pair is in
@@ -381,28 +383,23 @@ class TestInputsOfNoIntegerCountAsNone:
         assert env.time == now + 1
         assert result == twin.step(kept)
         assert [c.owner for c in env.cores] == [c.owner for c in twin.cores]
-        assert env.slots == twin.slots and list(env.offers()) == list(twin.offers())
+        assert env.slots == twin.slots and book_entries(env) == book_entries(twin)
         assert env._next_job_uid == twin._next_job_uid
         env.check_invariants()
 
 
-class TestOfferRecordsOnlyOnQuery:
-    """The step files each offer as a book entry; only the query view builds
-    ``Offer`` records, and the step sorts nothing."""
+class TestOffersAreBookEntries:
+    """The step files each offer as a plain ``(agent, slot, job, price)``
+    entry holding the slot's job itself, and sorts nothing."""
 
     @pytest.mark.parametrize("trading", [True, False], ids=["random", "scripted"])
     def test_the_step_builds_no_offer_and_sorts_nothing(self, monkeypatch, trading):
-        built, sorts = [], []
-
-        def counted_offer(*fields):
-            built.append(fields)
-            return Offer(*fields)
+        sorts = []
 
         def counted_sorted(*args, **kwargs):
             sorts.append(args)
             return sorted(*args, **kwargs)
 
-        monkeypatch.setattr(marketsched.env, "Offer", counted_offer)
         monkeypatch.setattr(marketsched.env, "sorted", counted_sorted, raising=False)
         cfg = replace(builtin_scenarios()["EXP2_ARCH_4X4"].env, trading_enabled=trading)
         env = SchedulingEnv(cfg, seed=1)
@@ -412,13 +409,12 @@ class TestOfferRecordsOnlyOnQuery:
             actions = random_actions(env, rng) if trading else scripted_actions(env)
             trades += len(env.step(actions).trades)
             filed += sum(map(len, env._offer_book))
-        assert built == [] and sorts == []
+        assert sorts == []
         assert filed > 0 and trades > 0
 
-        pending = [env.pending_offers(m) for m in range(cfg.num_cores)]
-        assert list(env.offers()) == [o for book in pending for o in book]
-        assert len(built) == 2 * sum(map(len, pending)) > 0
-        assert all(type(o) is Offer for book in pending for o in book)
+        entries = book_entries(env)
+        assert entries and all(type(entry) is tuple for entry in entries)
+        assert all(env.slots[agent][slot] is job for agent, slot, job, _ in entries)
 
 
 class TestStepRecords:
@@ -438,16 +434,16 @@ class TestStepRecords:
         place_job(env, 0, 4, type_id=8, arrival=1)
 
         env.step(JointActions(offers={(1, 2): 4}, prices={(1, 2): 4}))  # t = 10
-        (pending,) = env.pending_offers(3)
-        assert pending._asdict() == dict(agent=1, slot=2, job_uid=50, job_priority=6,
-                                         price=4, time_to_payment=9, made_at=10)
+        ((agent, slot, job, price),) = book_entries(env, 3)
+        assert (agent, slot, price) == (1, 2, 4) and job is env.slots[1][2]
+        assert (job.uid, job.priority, job.remaining_burst) == (50, 6, 9)
 
         grant = env.step(JointActions(offers={(0, 4): 4}, prices={(0, 4): 2}))  # t = 11
         (trade,) = grant.trades
         assert trade.by_auctioneer is True
         assert trade._asdict() == dict(core=3, buyer=1, seller=AUCTIONEER, price=4,
                                        job_uid=50, job_type_id=5, job_priority=6,
-                                       source_slot=2, made_at=10, by_auctioneer=True)
+                                       source_slot=2, by_auctioneer=True)
         assert env.cores[3].chain[0]._asdict() == dict(buyer=1, seller=AUCTIONEER, price=4)
 
         # agent 1 accepts agent 0's offer of slot 4: grid cell 0 * 5 + 4
@@ -456,7 +452,7 @@ class TestStepRecords:
         assert trade.by_auctioneer is False
         assert trade._asdict() == dict(core=3, buyer=0, seller=1, price=2, job_uid=51,
                                        job_type_id=8, job_priority=7, source_slot=4,
-                                       made_at=11, by_auctioneer=False)
+                                       by_auctioneer=False)
         assert env.cores[3].chain[1]._asdict() == dict(buyer=0, seller=1, price=2)
 
         result = env.step(JointActions())  # t = 13: job 51 ends its burst of 2
@@ -499,7 +495,7 @@ class TestInvariantsUnderFuzz:
         for _ in range(3000):
             result = env.step(random_actions(env, rng))
             env.check_invariants()
-            assert all(0 <= o.price <= cfg.max_prio for o in env.offers())
+            assert all(0 <= price <= cfg.max_prio for *_, price in book_entries(env))
             # job conservation: every uid issued is in a slot, on a core or completed
             completed += len(result.completions)
             held = sum(job is not None for row in env.slots for job in row)

@@ -18,9 +18,8 @@ After every step it checks:
 - each core's payment chain: every trade is the next link of its core's
   chain, and each settlement pays out exactly its job's priority, split as
   the chain's cash flows say;
-- this step's offer books against the offers and bids that name a held job,
-  and the query view: every pending ``Offer`` carries its slot job's state
-  and the previous step's time, as does every trade;
+- this step's offer books, entry by entry, against the offers and bids that
+  name a held job, each entry holding that very job;
 - that what the market must ignore changes nothing: a twin market stepped
   without the voided acceptances, the inputs out of range or of no integer,
   bids included (and every accept when trading is off), ends in the same
@@ -38,6 +37,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from marketsched.config import EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, ChainEntry, JointActions, SchedulingEnv
+
+from helpers import book_entries
 
 
 @st.composite
@@ -77,7 +78,7 @@ def joint_actions(env, rng):
         # nothing: a pending offer (possibly stale, or the owner's own) three
         # times as often as any other cell, empty or not, out of the grid, or
         # a decline
-        live = [1 + o.agent * slots + o.slot for o in env.pending_offers(m)]
+        live = [1 + agent * slots + slot for agent, slot, _, _ in book_entries(env, m)]
         choices = live * 3 + list(range(-1, cells + 2))
         keys = [(core.owner, m)] if core.owner != AUCTIONEER else []
         keys += [(int(rng.integers(agents)), m)] * int(rng.random() < 0.3)
@@ -118,21 +119,21 @@ def phase_one(env, accepts):
             ignored.append(key)
             continue
         cell = choice - 1 if is_integer(choice) and choice > 0 else None
-        offer = next((o for o in env.pending_offers(m)
-                      if o.agent * env.config.num_slots + o.slot == cell), None)
-        job = None if offer is None else slots[offer.agent][offer.slot]
-        if job is None or job.uid != offer.job_uid:
+        entry = next((entry for entry in book_entries(env, m)
+                      if entry[0] * env.config.num_slots + entry[1] == cell), None)
+        if entry is None or slots[entry[0]][entry[1]] is not entry[2]:
             ignored.append(key)
             continue
+        source, slot, job, price = entry
         # the offering slot is emptied first, so a self-trade always has room
-        slots[offer.agent][offer.slot] = None
+        slots[source][slot] = None
         free = next((k for k, held in enumerate(slots[agent]) if held is None), None)
         if free is None:
-            slots[offer.agent][offer.slot] = job
+            slots[source][slot] = job
             voided.append(key)
             continue
         slots[agent][free] = core.job
-        trades.append((m, offer.agent, agent, offer.price, job.uid, offer.slot))
+        trades.append((m, source, agent, price, job.uid, slot))
     return trades, voided, ignored
 
 
@@ -150,7 +151,7 @@ def state(env):
     """Everything a step reads or writes, by value."""
     return (env.time, env._next_job_uid, env._spawn_rng.bit_generator.state,
             [(c.owner, c.job, c.chain) for c in env.cores], env.slots,
-            [env.pending_offers(m) for m in range(env.config.num_cores)])
+            [book_entries(env, m) for m in range(env.config.num_cores)])
 
 
 def ledger(chain, priority, owner):
@@ -212,7 +213,8 @@ class MarketModel(RuleBasedStateMachine):
                 assert core.chain == chains[m]
 
         # this step's offers: one per offer that names a core and a held job,
-        # at the job's priority or the bid clamped to [0, max_prio]
+        # holding that very job, at the job's priority or the bid clamped to
+        # [0, max_prio]
         cfg, now = env.config, before.time
         skip = set(ignored_offers(env, joint.offers))
         books = [[] for _ in env.cores]
@@ -223,20 +225,11 @@ class MarketModel(RuleBasedStateMachine):
             price, bid = job.priority, joint.prices.get((agent, slot))
             if cfg.pricing_mode.is_free and is_integer(bid):
                 price = max(0, min(int(bid), cfg.max_prio))
-            books[target - 1].append((agent, slot, job.uid, job.priority, price,
-                                      job.remaining_burst, now))
-        pending = [env.pending_offers(m) for m in range(cfg.num_cores)]
-        assert pending == books
-
-        # the query view: every offer, core by core, each with the state of
-        # the job its slot holds, made at the step before; so is every trade
-        assert list(env.offers()) == [o for book in pending for o in book]
-        for o in (o for book in pending for o in book):
-            job = env.slots[o.agent][o.slot]
-            assert o.made_at == env.time - 1 == now
-            assert (o.job_uid, o.job_priority, o.time_to_payment) == (
-                job.uid, job.priority, job.remaining_burst)
-        assert all(t.made_at == now - 1 for t in result.trades)
+            books[target - 1].append((agent, slot, job, price))
+        for m, book in enumerate(books):
+            entries = book_entries(env, m)
+            assert [(a, s, p) for a, s, _, p in entries] == [(a, s, p) for a, s, _, p in book]
+            assert all(got[2] is want[2] for got, want in zip(entries, book))
 
         # what the market ignores or voids changes nothing: the copy taken
         # before the step, stepped without it, ends where the market did

@@ -12,6 +12,7 @@ import pytest
 
 from marketsched import neural, ppo
 from marketsched.agents import ARCH_DIST, ARCH_FULL, build_homes
+from marketsched.config import ConfigError
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
     CHECKPOINT_VERSION,
@@ -869,11 +870,11 @@ class TestCheckpoint:
 
 
 def test_hyper_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PPOHyper(discount=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PPOHyper(gae_lambda=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PPOHyper(clip=0.0)
     for bad in (dict(learning_rate="abc"), dict(learning_rate=None),
                 dict(learning_rate=True), dict(discount=float("nan")),
@@ -881,6 +882,6 @@ def test_hyper_validation():
                 dict(epochs=1.5), dict(minibatch_size=8.0), dict(rollout_length="64"),
                 dict(entropy_coef=None), dict(learning_rate=-1.0), dict(learning_rate=0.0),
                 dict(entropy_coef=-0.01), dict(value_coef=-0.5)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PPOHyper(**bad)
     PPOHyper()
