@@ -11,20 +11,21 @@ format version, the parameter-set names in row order, ``rows``, ``m``, ``v``
 and the step counts, so a loaded stack continues training exactly as the
 saved one would. One stack holds the networks of every agent of a home
 (see ``marketsched.agents``), so one ``forward`` reads them all and one
-update steps them. The gradient belongs to one update: it lives in that
-update's scratch, zero-filled, and the surrogate never writes its padding,
-so the padding's step is 0 and stays fixed.
+update steps them.
 Besides that state a stack keeps the rows ``forward`` last gathered, one
 copy of the whole rows taken at once, until its next update or load.
 ``init_params`` draws each network's initial weights from its own stream
 and orthogonalizes the matrices of one tensor and one shape with one
 stacked QR, which gives each matrix the bits of a QR of its own.
 
-``marketsched.ppo`` updates the networks of a stack; its Adam step is
-``ParamStack._adam``, a fixed handful of whole-row operations on all the
-updated rows at once, with each row's bias corrections as a column, a block
-of rows at a time that fits in a core's cache (``ADAM_BLOCK_BYTES``): all
-the small distributed networks at once, a 1323-action head's row alone.
+``marketsched.ppo`` updates the networks of a stack on their own entries alone,
+a narrower network's as a copy in its shape's own layout
+(``ParamStack._take``), which moves no bit: the padding's gradient is 0 and its
+moments stay 0, so a step of the whole row leaves it where it was. The Adam
+step is ``ParamStack._adam``, a fixed handful of whole-row operations on all
+the updated rows at once, with each row's bias corrections as a column, a block
+of rows at a time that fits in a core's cache (``ADAM_BLOCK_BYTES``): all the
+small distributed networks at once, a 1323-action head's row alone.
 
 The arrays of an acting pass are small, so much of an operation's cost is
 its call. The reductions call the ufuncs' ``reduce`` and ``accumulate``,
@@ -36,6 +37,7 @@ Python-level wrapper, and entries are picked by one flat index with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from math import prod, sqrt
 from typing import Callable, Iterator
@@ -128,6 +130,34 @@ def _unpadded(blocks: list[np.ndarray], shape: tuple[int, int, int]) -> NetParam
                      bp=bias[..., :a], wv=head[..., -1, :h], bv=bias[..., -1:])
 
 
+@cache
+def _layout(shape: tuple[int, int, int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(start, end, block shape) of the w1, b1, head and head_bias blocks of
+    a row of a network of ``shape``; the last end is the row's width."""
+    in_width, hidden, actions = shape
+    layout = ((in_width, hidden), (hidden,), (actions + 1, hidden), (actions + 1,))
+    ends = list(accumulate(prod(block) for block in layout))
+    return list(zip([0] + ends, ends, layout))
+
+
+def _blocks(rows: np.ndarray, shape: tuple[int, int, int]) -> list[np.ndarray]:
+    """The w1, b1, head and head_bias blocks of ``rows``, rows of the layout
+    of ``shape`` (``_layout``), as views with a leading row axis."""
+    return [rows[:, start:end].reshape(-1, *block) for start, end, block in _layout(shape)]
+
+
+@cache
+def _columns(shape: tuple[int, int, int], widest: tuple[int, int, int]) -> np.ndarray:
+    """The columns of a row of ``widest``'s layout that hold a network of
+    ``shape``, in the order of ``shape``'s own layout, read-only."""
+    own, padded = (np.arange(_layout(s)[-1][1])[None] for s in (shape, widest))
+    for (_, mine), (_, theirs) in zip(_unpadded(_blocks(own, shape), shape).tensors(),
+                                      _unpadded(_blocks(padded, widest), shape).tensors()):
+        mine[...] = theirs
+    own.flags.writeable = False
+    return own[0]
+
+
 def _span(sets: np.ndarray) -> slice | np.ndarray:
     """``sets`` as an index of rows: a slice if they are a run lo, lo+1,
     ..., so that ``_rows`` views the rows, else the array itself, so that
@@ -151,10 +181,9 @@ ADAM_BLOCK_BYTES = 1 << 20
 class ParamStack:
     """Several networks' learned state, exactly what a checkpoint saves.
 
-    Row i of ``rows`` is network i's whole parameter vector: its w1 (in,
-    hidden), b1 (hidden,), head (actions + 1, hidden) and head_bias (actions
-    + 1,) blocks, each at the widest in_width, hidden width and action count
-    of ``shapes``, the layout. ``w1``, ``b1``, ``head`` and ``head_bias``
+    Row i of ``rows`` is network i's whole parameter vector, in the layout
+    (``_layout``) of ``widest``, the widest in_width, hidden width and
+    action count of ``shapes``. ``w1``, ``b1``, ``head`` and ``head_bias``
     view those blocks of every row, and ``views[i]`` is network i as a
     NetParams of views into its unpadded part, so an in-place update of a
     view or row (an Adam step, a checkpoint load) is what ``forward`` reads
@@ -165,12 +194,13 @@ class ParamStack:
     ``step_counts[i]`` is row i's Adam step count (``steps`` as a list). The
     padding is fixed: weights 0, which add nothing to a sum, logit biases
     -inf, which give padded actions probability 0, and moments 0. ``save``
-    and ``load`` move exactly this state, ``rows``, ``m``, ``v`` and the step
-    counts, through one ``.npz`` file. The gradient is not part of it: it
-    belongs to one update (``marketsched.ppo.UpdateWork``). ``writes``
-    counts the updates and loads of the rows, and ``gather`` keeps the
-    blocks it last gathered until that count moves; anything else that
-    writes the rows in place between two ``forward`` calls advances it too.
+    and ``load`` move exactly this state through one ``.npz`` file. The
+    gradient is not part of it: it belongs to one update
+    (``marketsched.ppo.UpdateWork``), which works on each network's own
+    entries (``_take``). ``writes`` counts the updates and loads of the
+    rows, and ``gather`` keeps the blocks it last gathered until that count
+    moves; anything else that writes the rows in place between two
+    ``forward`` calls advances it too.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -179,15 +209,16 @@ class ParamStack:
         """``shapes`` holds one (in_width, hidden_width, action_count) per
         network."""
         self.shapes = shapes
-        self.in_width, hidden, actions = (max(dim) for dim in zip(*shapes))
-        layout = ((self.in_width, hidden), (hidden,), (actions + 1, hidden), (actions + 1,))
-        ends = list(accumulate(prod(shape) for shape in layout))
-        self._bounds = list(zip([0] + ends, ends, layout))
-        self.rows, self.m, self.v = (np.zeros((len(shapes), ends[-1])) for _ in range(3))
+        self.widest = tuple(max(dim) for dim in zip(*shapes))
+        self.in_width, _, actions = self.widest
+        width = _layout(self.widest)[-1][1]
+        self.rows, self.m, self.v = (np.zeros((len(shapes), width)) for _ in range(3))
         self.step_counts = np.zeros(len(shapes), dtype=np.int64)
         self.writes = 0
         self._gathered: tuple = (None, [])
-        (self.w1, self.b1, self.head, self.head_bias), self.views = self._lay_out(self.rows)
+        blocks = self.w1, self.b1, self.head, self.head_bias = _blocks(self.rows, self.widest)
+        self.views = [_unpadded([block[i] for block in blocks], shape)
+                      for i, shape in enumerate(shapes)]
         self.last_action = np.array([a for _, _, a in shapes]) - 1
         self.head_bias[:, :-1] = np.where(
             np.arange(actions) <= self.last_action[:, None], 0.0, -np.inf)
@@ -196,18 +227,6 @@ class ParamStack:
     def steps(self) -> list[int]:
         """Each row's Adam step count."""
         return self.step_counts.tolist()
-
-    def _lay_out(self, rows: np.ndarray) -> tuple[list[np.ndarray], list[NetParams]]:
-        """The w1, b1, head and head_bias blocks of ``rows``, and each
-        network's NetParams of views into them."""
-        blocks = self._blocks(rows)
-        return blocks, [_unpadded([block[i] for block in blocks], shape)
-                        for i, shape in enumerate(self.shapes)]
-
-    def _blocks(self, rows: np.ndarray) -> list[np.ndarray]:
-        """The w1, b1, head and head_bias blocks of ``rows``, rows of this
-        layout, as views with a leading row axis."""
-        return [rows[:, start:end].reshape(-1, *shape) for start, end, shape in self._bounds]
 
     def gather(self, sets: np.ndarray) -> list[np.ndarray]:
         """The w1, b1, head and head_bias blocks of the networks ``sets``:
@@ -219,7 +238,7 @@ class ParamStack:
         key = sets.tolist(), self.writes
         if key != self._gathered[0]:
             span = _span(sets)
-            w1, b1, head, head_bias = self._blocks(_rows(self.rows, span))
+            w1, b1, head, head_bias = _blocks(_rows(self.rows, span), self.widest)
             if not isinstance(span, slice):
                 # forward adds a contiguous bias in one loop, a strided one
                 # row by row
@@ -228,18 +247,29 @@ class ParamStack:
         return self._gathered[1]
 
     def _take(self, sets: np.ndarray) -> list:
-        """The span of ``sets`` (``_span``), then their rows of ``rows``,
-        ``m``, ``v`` and ``step_counts``: views of a run, else copies for
-        ``_put`` to write back."""
-        span = _span(sets)
-        return [span] + [_rows(a, span) for a in (self.rows, self.m, self.v, self.step_counts)]
+        """An index for ``_put``, then the networks ``sets``' rows of
+        ``rows``, ``m``, ``v`` and ``step_counts``: views of a run lo, lo+1,
+        ..., else copies. A shape narrower than the row gets, of ``rows``,
+        ``m`` and ``v``, a copy of each row's own entries (``_columns``), so
+        that no update reads, steps or checks the padding: that moves no bit,
+        since the padding's gradient is 0 and its moments stay 0 (``load``
+        takes no others)."""
+        span, shape = _span(sets), self.shapes[sets[0]]
+        if shape == self.widest:
+            return [span] + [_rows(a, span) for a in (self.rows, self.m, self.v, self.step_counts)]
+        entries = sets[:, None] * self.rows.shape[1] + _columns(shape, self.widest)
+        return [(sets, entries), *(a.take(entries) for a in (self.rows, self.m, self.v)),
+                self.step_counts[sets]]
 
-    def _put(self, span, rows, m, v, step_counts) -> None:
-        """Write back what ``_take`` copied; a run's views need nothing."""
-        if not isinstance(span, slice):
-            for whole, part in zip((self.rows, self.m, self.v, self.step_counts),
-                                   (rows, m, v, step_counts)):
-                whole[span] = part
+    def _put(self, index, rows, m, v, step_counts) -> None:
+        """Write back what ``_take`` copied, a narrower shape's own entries
+        alone (a 2-D index into the flattened rows), so the padding stays as
+        it was; a run's views need nothing."""
+        if not isinstance(index, slice):
+            sets, entries = index if isinstance(index, tuple) else (index, index)
+            self.step_counts[sets] = step_counts
+            for whole, part in zip((self.rows, self.m, self.v), (rows, m, v)):
+                (whole.reshape(-1) if entries.ndim > 1 else whole)[entries] = part
 
     def _adam(self, rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
               step_counts: np.ndarray, lr: float, temp: np.ndarray,
@@ -255,8 +285,7 @@ class ParamStack:
         to the next. ``temp`` holds two arrays of the rows' shape (or more
         room), which every intermediate is written into. Everything but the
         arithmetic is laid out here, once: each block's views and every
-        step's bias corrections. A gradient whose padding is 0 leaves the
-        padding fixed."""
+        step's bias corrections."""
         counts = step_counts.tolist()
         per_block = max(1, ADAM_BLOCK_BYTES // rows[0].nbytes)
         blocks = []
@@ -315,9 +344,8 @@ class ParamStack:
                 raise ValueError(f"checkpoint rows of shape {rows.shape} do not match "
                                  f"the stack's {self.rows.shape}")
             padding = np.ones(self.rows.shape, dtype=bool)
-            for params in self._lay_out(padding)[1]:
-                for _, tensor in params.tensors():
-                    tensor[...] = False
+            for row, shape in zip(padding, self.shapes):
+                row[_columns(shape, self.widest)] = False
             for key, array, own in (("rows", rows, self.rows), ("m", m, self.m),
                                     ("v", v, self.v)):
                 if array.dtype.kind != "f" or not np.isfinite(array[~padding]).all():

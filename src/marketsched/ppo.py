@@ -4,25 +4,27 @@
 window with its own sample stream and its own Adam step count, in one
 minibatch loop over (S, rows, ...) arrays: every product is a 3-D
 ``np.matmul`` whose item s is the product the network alone would take, so
-each network ends bit for bit where updating it alone would leave it. The
-Adam step (``ParamStack._adam``) is a fixed handful of whole-row operations
+each network ends bit for bit where updating it alone would leave it. It
+works on each network's own entries, never on a narrower network's padding
+(``ParamStack._take``): the surrogate, the scratch, the finiteness check and
+the Adam step (``ParamStack._adam``, a fixed handful of whole-row operations
 on all S rows at once, a block of rows at a time that fits in a core's
-cache. Every array of the loop that scales with the rows, the hidden width
-or the actions lives in one scratch (``UpdateWork``) allocated per update:
-the loop allocates no row-sized or (rows x actions)-sized temporary, so a
-large head's pages are neither freed nor faulted in again between
-minibatches. The loop does only the arithmetic; everything that depends
-only on the update, the epoch or the minibatch size is laid out before it.
-Per update: each field of the windows flattened to (S * T, ...) rows, the
-scratch's views for each minibatch size (``minibatch_views``; at most two
-sizes, ``minibatch_size`` and a remainder), and the Adam step's row blocks
-and bias corrections. Per epoch: each network's permutation as flat row
-indices, of which a minibatch takes a slice. A minibatch's five stats are
-one reduction over their per-row terms, written into one (5, S) row that
-is added to the update's totals. The reductions call the ufuncs'
-``reduce`` directly, and entries are picked by one flat index with
-``take``: a minibatch's arrays are small, so much of an operation's cost is
-its call.
+cache) all see rows of the shape's own layout. Every array of the loop that
+scales with the rows, the hidden width or the actions lives in one scratch
+(``UpdateWork``) allocated per update: the loop allocates no row-sized or
+(rows x actions)-sized temporary, so a large head's pages are neither freed
+nor faulted in again between minibatches. The loop does only the arithmetic;
+everything that depends only on the update, the epoch or the minibatch size
+is laid out before it. Per update: each field of the windows flattened to
+(S * T, ...) rows, the scratch's views for each minibatch size
+(``minibatch_views``; at most two sizes, ``minibatch_size`` and a
+remainder), and the Adam step's row blocks and bias corrections. Per epoch:
+each network's permutation as flat row indices, of which a minibatch takes a
+slice. A minibatch's five stats are one reduction over their per-row terms,
+written into one (5, S) row that is added to the update's totals. The
+reductions call the ufuncs' ``reduce`` directly, and entries are picked by
+one flat index with ``take``: a minibatch's arrays are small, so much of an
+operation's cost is its call.
 
 Two or more networks whose minibatch is wide (``SPLIT_BYTES``), as a
 1323-action head's is, are split into two contiguous halves of the S if
@@ -53,7 +55,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .neural import NetParams, NonFiniteLossError, ParamStack, PPOHyper, _unpadded, log_softmax
+from .neural import (NetParams, NonFiniteLossError, ParamStack, PPOHyper, _blocks, _layout,
+                     _unpadded, log_softmax)
 
 
 class TrainBatch(NamedTuple):
@@ -105,18 +108,18 @@ def set_one_blas_thread() -> None:
 
 
 class UpdateWork(NamedTuple):
-    """One update's scratch, for S networks of one shape and minibatches of
-    up to ``rows`` rows: ``wide`` holds three arrays of (S, rows or hidden,
+    """One update's scratch, for S networks of one shape and minibatches of up
+    to ``rows`` rows: ``wide`` holds three arrays of (S, rows or hidden,
     actions) or of (S, row width), whichever is larger (the surrogate's
     log-probabilities, probabilities and logit gradients, then the policy
-    head's gradient and one finiteness flag per gradient entry, then Adam's
-    two intermediates); ``narrow`` three of (S, rows or in-width, hidden)
-    (hidden activations, their gradient, and a temporary that ends as the
-    first layer's gradient); ``grad`` the networks' gradient rows, in the
-    stack's row layout, whose padding is never written and so stays 0;
-    ``terms`` room for the five stats' per-row terms, (5, S, rows); and
-    ``stats`` the five stats (``STATS``) of a minibatch, (5, S). Each
-    network's part of every field is a contiguous slice (``networks``)."""
+    head's gradient and one finiteness flag per gradient entry, then Adam's two
+    intermediates); ``narrow`` three of (S, rows or in-width, hidden) (hidden
+    activations, their gradient, and a temporary that ends as the first layer's
+    gradient); ``grad`` the networks' gradient rows, in the shape's own layout
+    (``neural._layout``), zero-filled; ``terms`` room for the five stats'
+    per-row terms, (5, S, rows); and ``stats`` the five stats (``STATS``) of a
+    minibatch, (5, S). Each network's part of every field is a contiguous slice
+    (``networks``)."""
 
     wide: np.ndarray
     narrow: np.ndarray
@@ -135,11 +138,11 @@ class UpdateWork(NamedTuple):
                           self.terms[lo * terms:hi * terms], self.stats[:, lo:hi])
 
 
-def update_work(sets: int, shape: tuple[int, int, int], rows: int,
-                row_width: int) -> UpdateWork:
-    """``UpdateWork`` for ``sets`` networks of ``shape`` in rows of
-    ``row_width`` and minibatches of up to ``rows`` rows."""
+def update_work(sets: int, shape: tuple[int, int, int], rows: int) -> UpdateWork:
+    """``UpdateWork`` for ``sets`` networks of ``shape``, in rows of that
+    shape's own layout, and minibatches of up to ``rows`` rows."""
     in_width, hidden, actions = shape
+    row_width = _layout(shape)[-1][1]
     wide = sets * max(max(rows, hidden) * actions, row_width)
     narrow = sets * max(rows, in_width) * hidden
     return UpdateWork(np.empty((3, wide)), np.empty((3, narrow)), np.zeros((sets, row_width)),
@@ -256,27 +259,16 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     """Run the clipped-surrogate update of the networks ``sets`` of
     ``stack``, distinct and all of one (in_width, hidden_width, action_count)
     shape, each on its own window, item i of every field of ``batch``, with
-    its own stream ``rngs[i]``, in place; returns each network's aggregate
-    stats. Advances the stack's ``writes``.
+    its own stream ``rngs[i]``, in place, on its own entries alone; returns
+    each network's aggregate stats. Advances the stack's ``writes``.
 
-    The networks share one minibatch loop. A wide update (``SPLIT_BYTES``)
-    sets numpy's OpenBLAS, whatever its thread count, to one thread until it
-    returns and runs two or more networks on two threads, a half each. Each
-    network ends bit for bit where updating it alone would leave it: its
-    own permutations, advantages normalized once over its own window, its
-    own stats and its own Adam step count. A non-finite loss or gradient in
-    any network raises NonFiniteLossError naming the first such network,
-    before the offending minibatch touches any of the networks. No thread
-    outlives the call.
-
-    The loop does only the arithmetic. Once per update, each field of the
-    windows is flattened to (S * T, ...) rows (a copy only of observations
-    that are a strided view of a wider store), the scratch's views are laid
-    out for each minibatch size (at most two: ``minibatch_size`` and a
-    remainder), and so are the Adam step's row blocks and bias corrections.
-    Once per epoch, each network's permutation becomes flat row indices; a
-    minibatch takes its rows with one ``take`` per field on a slice of
-    them.
+    The networks share one minibatch loop, which a wide update (``SPLIT_BYTES``)
+    may split over two threads. Each network ends bit for bit where updating it
+    alone would leave it: its own permutations, advantages normalized once over
+    its own window, its own stats and its own Adam step count. A non-finite loss
+    or gradient in any network raises NonFiniteLossError naming the first such
+    network, before the offending minibatch touches any of the networks. No
+    thread outlives the call.
     """
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
@@ -296,9 +288,9 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     floats = [field.reshape(rows_total) for field in (batch.logp_old, advantages, batch.returns)]
     offsets = np.arange(0, rows_total, count)[:, None]
 
-    span, rows, m, v, step_counts = stack._take(np.asarray(sets))
+    index, rows, m, v, step_counts = stack._take(np.asarray(sets))
     size, n = hyper.minibatch_size, min(count, hyper.minibatch_size)
-    work = update_work(len(sets), shape, n, rows.shape[1])
+    work = update_work(len(sets), shape, n)
     starts = range(0, count, size)
     minibatches = hyper.epochs * len(starts)
     totals = np.zeros((len(STATS), len(sets)))
@@ -311,7 +303,7 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
         step, given the number of steps taken before it."""
         part = work.networks(lo, hi)
         views = {k: minibatch_views(part, shape, k) for k in {n, count % size} if k}
-        params, grads = (_unpadded(stack._blocks(a), shape) for a in (rows[lo:hi], part.grad))
+        params, grads = (_unpadded(_blocks(a, shape), shape) for a in (rows[lo:hi], part.grad))
         stats, objective = part.stats, part.stats[0]
         # the logit gradients are spent once the surrogate returns
         finite = part.wide[2].view(bool)[:part.grad.size].reshape(part.grad.shape)
@@ -380,7 +372,7 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
             worker.join()
         if blas:
             blas[1](threads)
-        stack._put(span, rows, m, v, step_counts)
+        stack._put(index, rows, m, v, step_counts)
         stack.writes += 1
     return [{**{key: float(total) / minibatches for key, total in zip(STATS, column)},
              "minibatches": minibatches} for column in totals.T]

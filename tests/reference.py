@@ -262,9 +262,10 @@ def ppo_update(stack, index, batch, hyper, rng):
     in place; returns aggregate stats. The gradient is written into a
     zero-filled row of the stack's layout that the update owns, so its
     padding stays 0."""
-    grad_rows = np.zeros(stack.rows.shape)
-    params, grads = stack.views[index], stack._lay_out(grad_rows)[1][index]
-    grad_row = grad_rows[index]
+    grad_stack = type(stack)(stack.shapes)
+    grad_stack.rows[...] = 0.0  # the logit biases' padding too
+    params, grads = stack.views[index], grad_stack.views[index]
+    grad_row = grad_stack.rows[index]
     adv = batch.advantages
     batch = batch._replace(advantages=(adv - adv.mean()) / (adv.std() + 1e-8))
 

@@ -55,9 +55,11 @@ def small_net(seed=0, in_width=4, hidden=8, actions=3):
 
 def gradient_rows(stack):
     """A zero-filled gradient array of ``stack``'s row layout, owned by the
-    caller, and each network's NetParams of views into it."""
-    grads = np.zeros(stack.rows.shape)
-    return grads, stack._lay_out(grads)[1]
+    caller, and each network's NetParams of views into it: a fresh stack's,
+    zeroed."""
+    grads = ParamStack(stack.shapes)
+    grads.rows[...] = 0.0
+    return grads.rows, grads.views
 
 
 def minibatch(batch, indices):
@@ -71,7 +73,7 @@ def one_network(params, grads, batch, hyper, indices, work=None):
     ``work`` or a fresh scratch: (objective, stats) as Python floats."""
     shape = (params.in_width, params.w1.shape[1], params.action_count)
     if work is None:
-        work = update_work(1, shape, len(indices), ParamStack([shape]).rows.shape[1])
+        work = update_work(1, shape, len(indices))
     surrogate_objective(
         NetParams(*(t[None] for _, t in params.tensors())),
         NetParams(*(t[None] for _, t in grads.tensors())),
@@ -304,7 +306,7 @@ class TestGradients:
         batch = make_batch(params, 48, seed=14)
         hyper = PPOHyper()
         shape = (params.in_width, params.w1.shape[1], params.action_count)
-        work = update_work(1, shape, 32, ParamStack([shape]).rows.shape[1])
+        work = update_work(1, shape, 32)
         for part in work:
             part.fill(np.nan)
         for idx in (np.arange(32), np.arange(32, 48), np.arange(0, 48, 3)):
@@ -559,10 +561,13 @@ class TestStackedUpdate:
         alone, _ = home_sets(scenario_name, arch, prefix, seed=31)
         assert len(set(together.shapes[s] for s in sets)) == 1
         for stack in (together, alone):
-            # Adam moments and step counts that differ from set to set
+            # Adam moments and step counts that differ from set to set, in
+            # each set's own entries: no update writes the padding's moments,
+            # and load rejects any but 0
             for s, steps in zip(sets, warm):
-                stack.m[s] = derive_rng(32, s).standard_normal(stack.m[s].shape) * 1e-3
-                stack.v[s] = derive_rng(33, s).random(stack.v[s].shape) * 1e-6
+                own = neural._columns(stack.shapes[s], stack.widest)
+                stack.m[s, own] = derive_rng(32, s).standard_normal(len(own)) * 1e-3
+                stack.v[s, own] = derive_rng(33, s).random(len(own)) * 1e-6
                 stack.step_counts[s] = steps
         batches = [make_batch(together.views[s], size, seed=34 + s) for s in sets]
         with one_blas_thread_if_openblas():
@@ -581,15 +586,16 @@ class TestStackedUpdate:
         (None, ppo.SPLIT_BYTES), (5, ppo.SPLIT_BYTES), (None, TWO_THREADS), (5, TWO_THREADS)],
         ids=["one-block", "blocks-of-5", "one-block-two-threads", "blocks-of-5-two-threads"])
     def test_the_offer_sets_of_a_dist_home(self, rows_per_block, split_bytes, monkeypatch):
-        # 12 sets of one shape, 3 per agent between the agents' accept sets:
-        # no run, so the update takes their rows and puts them back; Adam
-        # steps them all at once, or 5, 5 and 2 at a time; their 5-action
-        # minibatches are narrow, so they go on one thread unless made to
-        # split into sets 0-5 and 6-11
+        # 12 sets of one shape, 3 per agent between the agents' accept sets,
+        # narrower than the row: the update takes their own entries and puts
+        # them back; Adam steps them all at once, or 5, 5 and 2 at a time;
+        # their 5-action minibatches are narrow, so they go on one thread
+        # unless made to split into sets 0-5 and 6-11
         stack, sets = home_sets("EXP2_ARCH_4X4", ARCH_DIST, "offer", seed=31)
+        own_bytes = neural._columns(stack.shapes[sets[0]], stack.widest).size * stack.rows.itemsize
         if rows_per_block:
-            monkeypatch.setattr(neural, "ADAM_BLOCK_BYTES", rows_per_block * stack.rows[0].nbytes)
-        assert neural.ADAM_BLOCK_BYTES // stack.rows[0].nbytes >= (rows_per_block or 12)
+            monkeypatch.setattr(neural, "ADAM_BLOCK_BYTES", rows_per_block * own_bytes)
+        assert neural.ADAM_BLOCK_BYTES // own_bytes >= (rows_per_block or 12)
         assert len(sets) == 12 and sets != list(range(sets[0], sets[0] + 12))
         assert stack.shapes[sets[0]] != max(stack.shapes)
         split = split_updates(monkeypatch, split_bytes)
@@ -613,6 +619,37 @@ class TestStackedUpdate:
                     size=size)
             assert len(split) == splits
 
+    @pytest.mark.parametrize("scenario_name, arch, prefix, width, views", [
+        ("EXP2_ARCH_4X4", ARCH_DIST, "offer", 358, False),
+        ("EXP2_ARCH_2X2", ARCH_FULL, "full", 90540, True)])
+    def test_an_update_works_on_each_networks_own_entries(self, scenario_name, arch, prefix,
+                                                         width, views, monkeypatch):
+        # the 12 offer sets (15, 16, 5) of a DIST home own 358 of their
+        # row's 1070 entries, and the scratch and the Adam step hold those
+        # alone; the two FULL sets fill their rows and are a run, so Adam
+        # steps views of the stack's rows
+        stack, sets = home_sets(scenario_name, arch, prefix, seed=46)
+        assert neural._columns(stack.shapes[sets[0]], stack.widest).size == width
+        works, steps = [], []
+        work_for, adam = ppo.update_work, ParamStack._adam
+
+        def recorded_work(*args):
+            work = work_for(*args)
+            works.append(work.grad.shape)
+            return work
+
+        def recorded_adam(self, rows, *args):
+            steps.append((rows.shape, rows.base is self.rows))
+            return adam(self, rows, *args)
+        monkeypatch.setattr(ppo, "update_work", recorded_work)
+        monkeypatch.setattr(ParamStack, "_adam", recorded_adam)
+        split_updates(monkeypatch, ONE_THREAD)
+        batches = [make_batch(stack.views[s], 16, seed=47 + s) for s in sets]
+        ppo_update(stack, sets, stacked(*batches), PPOHyper(epochs=1),
+                   [derive_rng(48, s) for s in sets])
+        assert works == [(len(sets), width)]
+        assert steps == [((len(sets), width), views)]
+
     def test_sets_whose_adam_step_counts_differ(self):
         self.assert_matches_one_at_a_time(
             "EXP2_ARCH_4X4", ARCH_DIST, "accept", PPOHyper(minibatch_size=32, epochs=3),
@@ -623,23 +660,29 @@ class TestStackedUpdate:
     def test_each_sets_gradient_is_the_one_network_surrogates(self, scenario_name, arch,
                                                               prefix):
         # one stacked surrogate call writes each set's gradient into its row
-        # of the update's zero-filled scratch; the padding stays 0
+        # of the update's zero-filled scratch, in its shape's own layout:
+        # the padded row's own entries (``neural._columns``); the rest is 0
         stack, sets = home_sets(scenario_name, arch, prefix, seed=40)
         assert len(sets) == (12 if arch == ARCH_DIST else 2)
         hyper, shape, size = PPOHyper(), stack.shapes[sets[0]], 24
         batches = [make_batch(stack.views[s], 40, seed=41 + s) for s in sets]
         indices = np.stack([derive_rng(42, s).permutation(40)[:size] for s in sets])
-        work = update_work(len(sets), shape, size, stack.rows.shape[1])
+        work = update_work(len(sets), shape, size)
         _, rows, *_ = stack._take(np.asarray(sets))
-        params, grads = (neural._unpadded(stack._blocks(a), shape) for a in (rows, work.grad))
+        params, grads = (neural._unpadded(neural._blocks(a, shape), shape)
+                         for a in (rows, work.grad))
         surrogate_objective(params, grads, stacked(*map(minibatch, batches, indices)), hyper,
                             minibatch_views(work, shape, size), work.stats)
         want, views = gradient_rows(stack)
+        own = neural._columns(shape, stack.widest)
+        padding = np.ones(want.shape[1], dtype=bool)
+        padding[own] = False
         for i, s in enumerate(sets):
             _, want_stats = reference.surrogate_objective(stack.views[s], views[s], batches[i],
                                                           hyper, indices[i])
             assert dict(zip(STATS, work.stats[:, i].tolist())) == want_stats, s
-            assert work.grad[i].tobytes() == want[s].tobytes(), s
+            assert work.grad[i].tobytes() == want[s, own].tobytes(), s
+            assert not want[s, padding].any(), s
 
     @pytest.mark.parametrize("scenario_name, arch, prefix", [
         ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
