@@ -12,14 +12,15 @@ unit has prod(r) actions, and a distributed unit is the one-digit case.
 
 A run's agents are grouped into homes, one per padded layout of their
 parameter sets (widest in-width, hidden width and action count):
-``build_homes`` makes them, and the ``Trainer`` calls each once a step. A
-``Home`` keeps the weights and learned state of all its agents in one
-``ParamStack``, each agent's ``AgentBundle`` a contiguous row range of it,
-acts for all of them in one batched pass per step, whatever the
-architectures and however many rows the pass has, credits them in one walk
-of each step's result, and saves and loads them as one checkpoint. A
-bundle constructed on its own holds weights and learned state in a stack
-of its own but does not act.
+``build_homes`` makes them, laying out and guarding each architecture once,
+and the ``Trainer`` calls each once a step. A ``Home`` keeps the weights
+and learned state of all its agents in one ``ParamStack``, each agent's sets
+a contiguous row range of it, initialized together in one call, acts for
+all of them in one batched pass per step, whatever the architectures and
+however many rows the pass has, credits them in one walk of each step's
+result, and saves and loads them as one checkpoint. An ``AgentBundle`` is
+one agent's sets in a stack of their own, built the same way; it does not
+act.
 
 A unit is a row of its home: everything of unit u that changes as it acts
 and learns is index u of the ``Home``'s fields. That is its spec, agent and
@@ -91,7 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import EnvConfig, PricingMode
+from .config import ConfigError, EnvConfig, PricingMode
 from .env import JointActions, SchedulingEnv, StepResult
 from .neural import (
     NetParams,
@@ -247,8 +248,10 @@ def _feasible(specs: list[UnitSpec], config: EnvConfig) -> tuple[bool, int]:
     return worst <= config.guard_threshold, worst
 
 
-def _parameter_sets(arch: str, config: EnvConfig
-                    ) -> tuple[list[UnitSpec], dict[str, int], list[tuple[int, int, int]]]:
+Layout = tuple[list[UnitSpec], dict[str, int], list[tuple[int, int, int]]]  # see _parameter_sets
+
+
+def _parameter_sets(arch: str, config: EnvConfig) -> Layout:
     """The units of ``unit_layout``, the row of each parameter set by key, in
     order of first use, and each set's (in_width, hidden_width, action_count).
     An architecture that ``feasibility_guard`` rejects raises."""
@@ -263,6 +266,18 @@ def _parameter_sets(arch: str, config: EnvConfig
             rows[spec.param_key] = len(shapes)
             shapes.append((spec.obs_width, spec.hidden_width, spec.action_count))
     return specs, rows, shapes
+
+
+def _initialized(layouts: dict[int, Layout], seed: int) -> ParamStack:
+    """A stack of the parameter sets of agent a's layout, for each a in
+    order, allocated before any weight is drawn, so that no weight is
+    copied. Set i of agent a draws from its own stream, (seed,
+    ``STREAM_UNIT_INIT``, a, i), and all the stack's matrices of one tensor
+    and one shape share one stacked QR (``init_params``)."""
+    sets = [(a, i, shape) for a, (_, _, own) in layouts.items() for i, shape in enumerate(own)]
+    stack = ParamStack([shape for _, _, shape in sets])
+    init_params(stack.views, [derive_rng(seed, STREAM_UNIT_INIT, a, i) for a, i, _ in sets])
+    return stack
 
 
 class Plan(NamedTuple):
@@ -311,42 +326,40 @@ def _plan(prefix: list[int], accept_digits: list[dict[int, Digit]], sets: np.nda
 
 
 class Home:
-    """The agents whose parameter sets share one padded layout: their
-    ``bundles``, in agent order, each a row range of the home's ``stack``,
-    and the acting and learning state of their units, unit u at index u of
-    each per-unit field, in row order (see the module docstring): ``specs``,
-    ``agents`` and parameter ``sets``; ``sample_rngs`` and ``update_rngs``,
-    the streams of (seed, stream, agent, index in ``unit_layout``); the
-    rollout ``store``, the ``draws`` blocks and their ``cursor``; the
-    ``updates`` count, the ``dropped`` rewards and the last update's
-    ``stats``; ``pending`` and ``offered``, by unit, each price setter's
-    decision on this step's offer and on the last step's (``route_rewards``
-    commits the traded ones of ``offered``, then moves ``pending`` there);
-    ``at``, the unit of each (agent, position); ``setters``, the (agent,
-    slot, unit) of each price setter; and ``plan``, the ``Plan`` of a pass
-    by core ownership, whose cache keeps the plans of recent passes."""
+    """The agents whose parameter sets share one padded layout: their sets,
+    the rows of the home's ``stack``, in agent order and each agent's in
+    order of first use, row i named ``names[i]``, ``agent<A>/<key>``, as a
+    checkpoint names it; and the acting and learning state of their units,
+    unit u at index u of each per-unit field, in row order (see the module
+    docstring): ``specs``, ``agents`` and parameter ``sets``;
+    ``sample_rngs`` and ``update_rngs``, the streams of (seed, stream,
+    agent, index in ``unit_layout``); the rollout ``store``, the ``draws``
+    blocks and their ``cursor``; the ``updates`` count, the ``dropped``
+    rewards and the last update's ``stats``; ``pending`` and ``offered``, by
+    unit, each price setter's decision on this step's offer and on the last
+    step's (``route_rewards`` commits the traded ones of ``offered``, then
+    moves ``pending`` there); ``at``, the unit of each (agent, position);
+    ``setters``, the (agent, slot, unit) of each price setter; and ``plan``,
+    the ``Plan`` of a pass by core ownership, whose cache keeps the plans of
+    recent passes."""
 
-    def __init__(self, archs: dict[int, str], config: EnvConfig, hyper: PPOHyper, seed: int):
-        """The home of agent a of architecture ``archs[a]``, for each a in
-        order. Their sets' rows are allocated before any weight is
-        initialized, so no weight is copied."""
+    def __init__(self, layouts: dict[int, Layout], config: EnvConfig, hyper: PPOHyper, seed: int):
+        """The home of agent a of layout ``layouts[a]`` (``_parameter_sets``),
+        for each a in order."""
         self.config = config
         self.hyper = hyper
-        self.stack = ParamStack([shape for arch in archs.values()
-                                 for shape in _parameter_sets(arch, config)[2]])
-        self.bundles: list[AgentBundle] = []
-        for agent, arch in archs.items():
-            first = sum(len(bundle.param_sets) for bundle in self.bundles)
-            self.bundles.append(AgentBundle(arch, agent, config, hyper, seed, self.stack, first))
+        self.stack = _initialized(layouts, seed)
+        rows = {(agent, key): row for row, (agent, key) in enumerate(
+            (agent, key) for agent, (_, keys, _) in layouts.items() for key in keys)}
+        self.names = [f"agent{agent}/{key}" for agent, key in rows]
         length = hyper.rollout_length
-        order = sorted(((bundle, i, spec) for bundle in self.bundles
-                        for i, spec in enumerate(bundle.specs)), key=lambda item: _rank(item[2]))
+        order = sorted(((agent, i, spec) for agent, (specs, _, _) in layouts.items()
+                        for i, spec in enumerate(specs)), key=lambda item: _rank(item[2]))
         self.specs = [spec for _, _, spec in order]
-        self.agents = [bundle.agent for bundle, _, _ in order]
-        self.sets = np.array([bundle.first + bundle.param_sets[spec.param_key]
-                              for bundle, _, spec in order])
+        self.agents = [agent for agent, _, _ in order]
+        self.sets = np.array([rows[agent, spec.param_key] for agent, _, spec in order])
         self.sample_rngs, self.update_rngs = (
-            [derive_rng(seed, stream, bundle.agent, i) for bundle, i, _ in order]
+            [derive_rng(seed, stream, agent, i) for agent, i, _ in order]
             for stream in (STREAM_UNIT_SAMPLE, STREAM_UNIT_UPDATE))
         self.updates = [0] * len(order)
         self.dropped = [0.0] * len(order)
@@ -385,13 +398,6 @@ class Home:
         # owners[m] owns core m; no owners: no accept position is live
         self.plan = lru_cache(PLANS_KEPT)(partial(
             _plan, self.prefix, self.accept_digits, self.sets, self.last, self.index))
-
-    @property
-    def names(self) -> list[str]:
-        """The name of each row of the stack, ``agent<A>/<key>``: a
-        checkpoint's row names."""
-        return [f"agent{bundle.agent}/{key}" for bundle in self.bundles
-                for key in bundle.param_sets]
 
     def save(self, path) -> None:
         """Write every agent's learned state to one ``.npz`` (see
@@ -512,29 +518,19 @@ class Home:
 
 
 class AgentBundle:
-    """The parameter sets of one agent's units: ``specs``, the units of
-    ``unit_layout``; ``param_sets``, the row of each set by key, counted
-    from ``first``; ``stack``, whose rows ``first``, ``first + 1``, ... hold
-    the sets' weights and learned state; and ``params``, their views by
-    key, in row order. Set i's weights are drawn from its own stream, (seed,
-    ``STREAM_UNIT_INIT``, agent, i), and the agent's matrices of one tensor
-    and one shape share one stacked QR (``init_params``)."""
+    """One agent's parameter sets on their own, built as a home builds its
+    sets (``_initialized``), so each set has the bits of the same agent's
+    set in a home: ``param_sets``, the row of each set by key; ``stack``, a
+    stack of these sets alone; and ``params``, their views by key, in row
+    order. No run constructs one, and it does not act. ``hyper`` is not
+    read; it stays for the call of ``perfbench/measure.py``'s
+    ``time_setup``."""
 
-    def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper,
-                 seed: int, stack: ParamStack | None = None, first: int = 0):
-        """Initializes the weights in place: in rows ``first``, ``first +
-        1``, ... of ``stack`` (a ``Home``'s), else in a new stack's.
-        ``hyper`` is not read; the home keeps it."""
-        self.specs, self.param_sets, shapes = _parameter_sets(arch, config)
-        self.arch = arch
-        self.agent = agent
-        self.stack = ParamStack(shapes) if stack is None else stack
-        self.first = first
-        views = self.stack.views[first:first + len(shapes)]
-        init_params(views, [derive_rng(seed, STREAM_UNIT_INIT, agent, index)
-                            for index in range(len(shapes))])
+    def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper, seed: int):
+        layout = _, self.param_sets, _ = _parameter_sets(arch, config)
+        self.stack = _initialized({agent: layout}, seed)
         self.params: dict[str, NetParams] = {
-            key: views[index] for key, index in self.param_sets.items()}
+            key: self.stack.views[row] for key, row in self.param_sets.items()}
 
 
 def route_rewards(home: Home, result: StepResult) -> None:
@@ -567,12 +563,16 @@ def build_homes(archs: Sequence[str], config: EnvConfig, hyper: PPOHyper, seed: 
     padded layout of the agents' parameter sets (widest in-width, hidden
     width and action count), in order of each layout's first agent, its
     agents in order, so that a Trainer acts for them in one pass and
-    updates their sets together."""
-    layouts: dict[tuple[int, ...], dict[int, str]] = {}
+    updates their sets together. Each architecture is laid out and guarded
+    once; ``archs`` names one per agent of ``config``, else ConfigError."""
+    if len(archs) != config.num_agents:
+        raise ConfigError(f"{len(archs)} architectures for {config.num_agents} agents")
+    layouts = {arch: _parameter_sets(arch, config) for arch in dict.fromkeys(archs)}
+    homes: dict[tuple[int, ...], dict[int, Layout]] = {}
     for agent, arch in enumerate(archs):
-        shapes = _parameter_sets(arch, config)[2]
-        layouts.setdefault(tuple(max(dim) for dim in zip(*shapes)), {})[agent] = arch
-    return [Home(agents, config, hyper, seed) for agents in layouts.values()]
+        widest = tuple(max(dim) for dim in zip(*layouts[arch][2]))
+        homes.setdefault(widest, {})[agent] = layouts[arch]
+    return [Home(agents, config, hyper, seed) for agents in homes.values()]
 
 
 class Trainer:

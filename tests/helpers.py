@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from marketsched.agents import Home
+from marketsched.agents import Home, _parameter_sets
 from marketsched.config import EnvConfig, JobType
 from marketsched.env import AUCTIONEER, Job, JointActions
 from marketsched.ppo import TrainBatch
@@ -98,7 +98,13 @@ def standalone(archs, cfg, hyper, seed):
     """One home per agent, agent i's of architecture ``archs[i]``: the
     per-agent reference that a home of ``build_homes`` is checked
     against."""
-    return [Home({a: arch}, cfg, hyper, seed) for a, arch in enumerate(archs)]
+    return [Home({a: _parameter_sets(arch, cfg)}, cfg, hyper, seed)
+            for a, arch in enumerate(archs)]
+
+
+def params_of(home, agent, key):
+    """The views of agent ``agent``'s parameter set ``key`` in ``home``."""
+    return home.stack.views[home.names.index(f"agent{agent}/{key}")]
 
 
 def act(homes, env, joint=None):

@@ -27,7 +27,7 @@ from marketsched.agents import (
     route_rewards,
     unit_layout,
 )
-from marketsched.config import EnvConfig, JobType, PricingMode
+from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import ParamStack, PPOHyper
@@ -35,8 +35,8 @@ from marketsched.ppo import STATS, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import STREAM_UNIT_INIT, derive_rng
 
-from helpers import (act, book_entries, make_config, manual_config, place_job, random_actions,
-                     stacked, standalone)
+from helpers import (act, book_entries, make_config, manual_config, params_of, place_job,
+                     random_actions, stacked, standalone)
 import reference
 from reference import mixed_radix_decode, plan as reference_plan
 
@@ -143,7 +143,9 @@ class TestInitialWeights:
         # a bundle orthogonalizes its matrices of one tensor and one shape
         # with one stacked QR (every value head of one hidden width shares
         # one); each set gets the bytes of a QR of its own, and its stream
-        # is left where a one-network init leaves it
+        # is left where a one-network init leaves it. A home of every agent
+        # takes as many QRs as one bundle: all its agents' matrices of one
+        # tensor and one shape join the same one
         config = builtin_scenarios()[scenario].env
         streams, qr_calls = {}, []
         qr = np.linalg.qr
@@ -164,6 +166,57 @@ class TestInitialWeights:
                 reference.init_params(params, rng)
                 assert streams[STREAM_UNIT_INIT, agent, index].random() == rng.random()
             assert bundle.stack.rows.tobytes() == want.rows.tobytes()
+        qr_calls.clear()
+        (home,) = build_homes((arch,) * config.num_agents, config, PPOHyper(), seed=4)
+        assert len(qr_calls) == qr_count
+        # the w1, policy head and value head of every set of every agent
+        assert sum(shape[0] for shape in qr_calls) == 3 * len(home.names)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name, archs, home_count", [
+        *((name, None, 1) for name in builtin_scenarios()),
+        ("EXP2_ARCH_4X4", (ARCH_DIST, ARCH_DIST_PS) * 2, 1),
+        ("EXP2_ARCH_2X2", (ARCH_FULL, ARCH_DIST_PRICE), 2)])
+    def test_every_set_of_a_home_is_the_agents_standalone_set(self, name, archs, home_count,
+                                                             seed):
+        # a home initializes all its agents' sets at once, and each set has
+        # the bits of the same agent's AgentBundle
+        scenario = builtin_scenarios()[name]
+        archs = archs or scenario.arch
+        homes = build_homes(archs, scenario.env, scenario.hyper, seed)
+        assert len(homes) == home_count
+        for home in homes:
+            names = []
+            for a in sorted(set(home.agents)):
+                bundle = AgentBundle(archs[a], a, scenario.env, scenario.hyper, seed)
+                names += [f"agent{a}/{key}" for key in bundle.param_sets]
+                for key, want in bundle.params.items():
+                    for (tensor, got), (_, expected) in zip(params_of(home, a, key).tensors(),
+                                                            want.tensors()):
+                        assert got.tobytes() == expected.tobytes(), (a, key, tensor)
+            assert home.names == names
+        assert sorted(a for home in homes for a in set(home.agents)) == list(range(len(archs)))
+
+
+class TestBuildHomes:
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_architecture_per_agent_else_config_error(self, count):
+        # one architecture too few would leave agent 1 idle for a whole
+        # run, and one too many would fail inside the first pass
+        env = builtin_scenarios()["EXP1_TRADING"].env
+        with pytest.raises(ConfigError, match=f"{count} architectures for 2 agents"):
+            build_homes((ARCH_DIST_PS,) * count, env, PPOHyper(), seed=1)
+
+    @pytest.mark.parametrize("name, archs, layouts", [
+        ("EXP2_ARCH_4X4", (ARCH_DIST,) * 4, 1),
+        ("EXP2_ARCH_4X4", (ARCH_DIST, ARCH_DIST_PS) * 2, 2),
+        ("EXP1_TRADING", (ARCH_DIST_PS,) * 2, 1), ("EXP2_ARCH_2X2", (ARCH_FULL,) * 2, 1)])
+    def test_each_architecture_is_laid_out_once(self, monkeypatch, name, archs, layouts):
+        calls = []
+        monkeypatch.setattr("marketsched.agents.unit_layout",
+                            lambda *args: calls.append(args[0]) or unit_layout(*args))
+        build_homes(archs, builtin_scenarios()[name].env, PPOHyper(), seed=1)
+        assert sorted(calls) == sorted(set(archs)) and len(calls) == layouts
 
 
 class TestPriceRewards:
@@ -535,12 +588,11 @@ class TestTraining:
         for _ in range(200):
             trainer.step()
         (home,) = homes
-        bundle = home.bundles[0]
         assert home.updates[home.at[(0, ("offer", 0))]] + home.updates[
             home.at[(0, ("offer", 1))]] > 0
         for kind in ("accept", "offer"):
-            tensors = [dict(bundle.params[spec.param_key].tensors())
-                       for spec in bundle.specs if spec.key[0] == kind]
+            tensors = [dict(params_of(home, 0, spec.param_key).tensors())
+                       for spec in unit_layout(ARCH_DIST_PS, cfg) if spec.key[0] == kind]
             assert len(tensors) == {"accept": cfg.num_cores, "offer": cfg.num_slots}[kind]
             for other in tensors[1:]:
                 for name in tensors[0]:
@@ -559,8 +611,8 @@ class TestTraining:
                 result = trainer.step()
                 trace.append((len(result.trades), result.auctioneer_income,
                               tuple(sorted((t.buyer, t.price) for t in result.trades))))
-            params = [dict(b.params[spec.param_key].tensors())
-                      for home in homes for b in home.bundles for spec in b.specs]
+            params = [dict(params_of(home, a, spec.param_key).tensors())
+                      for home in homes for a, spec in zip(home.agents, home.specs)]
             return trace, params
 
         trace_a, params_a = run()
@@ -623,11 +675,10 @@ class TestCheckpointing:
         assert learned_state(other) != learned_state(home)
         other.load(path)
         assert learned_state(other) == learned_state(home)
-        for mine, theirs in zip(home.bundles, other.bundles):
-            for key in mine.params:
-                for (name, a), (_, b) in zip(mine.params[key].tensors(),
-                                             theirs.params[key].tensors()):
-                    assert np.array_equal(a, b)
+        assert other.names == home.names
+        for mine, theirs in zip(home.stack.views, other.stack.views):
+            for (name, a), (_, b) in zip(mine.tensors(), theirs.tensors()):
+                assert np.array_equal(a, b)
 
     def test_mismatched_architecture_rejected(self, tmp_path):
         cfg = make_config()
@@ -674,8 +725,8 @@ class TestCheckpointing:
         other.save(tmp_path / "other.npz")
         trained.load(tmp_path / "other.npz")
         assert learned_state(trained) == learned_state(other)
-        for (_, got), (_, want) in zip(trained.bundles[1].params["offer"].tensors(),
-                                       other.bundles[1].params["offer"].tensors()):
+        for (_, got), (_, want) in zip(params_of(trained, 1, "offer").tensors(),
+                                       params_of(other, 1, "offer").tensors()):
             assert got.tobytes() == want.tobytes()
 
     def test_mismatched_names_or_row_shape_rejected(self, tmp_path):

@@ -27,13 +27,15 @@ from marketsched.agents import (
     Trainer,
     build_homes,
     route_rewards,
+    unit_layout,
 )
 from marketsched.config import PricingMode
 from marketsched.env import JointActions, SchedulingEnv
 from marketsched.neural import PPOHyper
 from marketsched.rng import STREAM_UNIT_SAMPLE, derive_rng
 
-from helpers import act, make_config, newest_obs, standalone, unit_rows, update_counts
+from helpers import (act, make_config, newest_obs, params_of, standalone, unit_rows,
+                     update_counts)
 from reference import (
     encode_acceptor_obs,
     encode_offer_obs,
@@ -57,41 +59,40 @@ def reference_obs(env, agent, spec):
     return np.concatenate(parts)
 
 
-def act_unit_by_unit(home, env, joint):
-    """Each agent of ``home`` acting one unit at a time, in ``unit_layout``
-    order; the units' windows are where the home's pass keeps them."""
+def act_unit_by_unit(home, arch, env, joint):
+    """The one agent of ``home``, of architecture ``arch``, acting one unit
+    at a time, in ``unit_layout`` order; the units' windows are where the
+    home's pass keeps them."""
     cfg, store, rows = home.config, home.store, unit_rows(home)
-    for bundle in home.bundles:
-        a = bundle.agent
-        owned = {m for m in range(cfg.num_cores)
-                 if cfg.trading_enabled and env.cores[m].owner == a}
-        for spec in bundle.specs:
-            if not spec.slots and not owned & set(spec.cores):
-                continue  # price setters, and acceptors of cores the agent does not own
-            u = rows[(a, spec.key)]
-            obs = reference_obs(env, a, spec)
-            logits, value = forward(bundle.params[spec.param_key], obs)
-            action, logp = sample(logits, home.sample_rngs[u])
-            if store.sizes[u] == store.length:
-                home.update([u], [value])
-            store.add(u, obs, action, logp, value, 0.0)
-            for (kind, i), digit in zip(spec.positions,
-                                        mixed_radix_decode(action, spec.radices)):
-                if kind == "accept" and i in owned:
-                    joint.accepts[(a, i)] = digit
-                elif kind == "offer":
-                    joint.offers[(a, i)] = digit
-                    act_price(home, bundle, env, joint, i)
+    (a,) = set(home.agents)
+    owned = {m for m in range(cfg.num_cores)
+             if cfg.trading_enabled and env.cores[m].owner == a}
+    for spec in unit_layout(arch, cfg):
+        if not spec.slots and not owned & set(spec.cores):
+            continue  # price setters, and acceptors of cores the agent does not own
+        u = rows[(a, spec.key)]
+        obs = reference_obs(env, a, spec)
+        logits, value = forward(params_of(home, a, spec.param_key), obs)
+        action, logp = sample(logits, home.sample_rngs[u])
+        if store.sizes[u] == store.length:
+            home.update([u], [value])
+        store.add(u, obs, action, logp, value, 0.0)
+        for (kind, i), digit in zip(spec.positions, mixed_radix_decode(action, spec.radices)):
+            if kind == "accept" and i in owned:
+                joint.accepts[(a, i)] = digit
+            elif kind == "offer":
+                joint.offers[(a, i)] = digit
+                act_price(home, arch, a, env, joint, i)
 
 
-def act_price(home, bundle, env, joint, k):
-    cfg, a = home.config, bundle.agent
+def act_price(home, arch, a, env, joint, k):
+    cfg = home.config
     choice = joint.offers[(a, k)]
-    if (bundle.arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
+    if (arch == ARCH_DIST_PRICE and cfg.pricing_mode.is_free
             and choice > 0 and env.slots[a][k] is not None):
         u = home.at[(a, ("price", k))]
         obs = encode_price_obs(env, a, k, choice - 1)
-        logits, value = forward(bundle.params["price"], obs)
+        logits, value = forward(params_of(home, a, "price"), obs)
         price, logp = sample(logits, home.sample_rngs[u])
         home.pending[u] = (obs, price, logp, value)
         joint.prices[(a, k)] = price
@@ -113,27 +114,29 @@ def assert_rows_match_encoders(home, env, joint):
             assert np.array_equal(recorded, expected)
 
 
-def bundles_of(homes):
-    """The bundles of ``homes``, in agent order."""
-    return sorted((bundle for home in homes for bundle in home.bundles),
-                  key=lambda bundle: bundle.agent)
+def named_sets(homes):
+    """Each parameter set of ``homes`` by its checkpoint name: (its home's
+    stack, its row)."""
+    return {name: (home.stack, row) for home in homes for row, name in enumerate(home.names)}
 
 
-def learned_state(bundle):
-    """The bytes of the bundle's rows of its stack's weights, moments and
-    step counts."""
-    span = slice(bundle.first, bundle.first + len(bundle.param_sets))
-    return [getattr(bundle.stack, name)[span].tobytes()
-            for name in ("rows", "m", "v", "step_counts")]
+def learned_state(homes):
+    """The bytes of each set's row of its stack's weights, moments and step
+    counts, by name."""
+    return {name: [getattr(stack, field)[row].tobytes()
+                   for field in ("rows", "m", "v", "step_counts")]
+            for name, (stack, row) in named_sets(homes).items()}
 
 
 def assert_params_close(homes, reference):
     """Every parameter set of ``homes`` is close to the same agent's set in
     the ``reference`` homes."""
-    for bundle, ref in zip(bundles_of(homes), bundles_of(reference)):
-        for key, params in bundle.params.items():
-            for (name, got), (_, want) in zip(params.tensors(), ref.params[key].tensors()):
-                assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (key, name)
+    sets, ref = named_sets(homes), named_sets(reference)
+    assert sets.keys() == ref.keys()
+    for key, (stack, row) in sets.items():
+        want = ref[key][0].views[ref[key][1]]
+        for (name, got), (_, expected) in zip(stack.views[row].tensors(), want.tensors()):
+            assert np.allclose(got, expected, rtol=1e-9, atol=1e-12), (key, name)
 
 
 @pytest.mark.parametrize("arch", [ARCH_DIST, ARCH_DIST_PS, ARCH_DIST_PRICE,
@@ -160,7 +163,7 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
         for home in batched:
             assert_rows_match_encoders(home, env, joint)
         for ref in reference:
-            act_unit_by_unit(ref, env, expected)
+            act_unit_by_unit(ref, arch, env, expected)
         assert joint == expected
         result = env.step(joint)
         for home in batched + reference:
@@ -211,7 +214,7 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
     alone, by_unit = (standalone(archs, cfg, HYPER, seed=21) for _ in range(2))
     layouts = {layout(home) for home in alone}
     assert {layout(home) for home in batched} == layouts and len(batched) == len(layouts)
-    home_of = {bundle.agent: home for home in batched for bundle in home.bundles}
+    home_of = {a: home for home in batched for a in home.agents}
     trainer = Trainer(env, batched)
 
     forward_calls = []
@@ -231,8 +234,8 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
         passes += len(layouts) + len(priced)
         calls = len(forward_calls)
         each, expected = act(alone, env), JointActions()
-        for ref in by_unit:
-            act_unit_by_unit(ref, env, expected)
+        for ref, arch in zip(by_unit, archs):
+            act_unit_by_unit(ref, arch, env, expected)
         del forward_calls[calls:]  # count the trainer's calls only
         assert joint == expected
         assert joint == each
@@ -250,15 +253,14 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
     # a unit with an offer position drew once a step, a block of
     # rollout_length at a time: STEPS / 4 blocks, whose draws were the
     # reference's one at a time
-    bundle = home_of[0].bundles[0]
-    index, spec = next((i, spec) for i, spec in enumerate(bundle.specs) if spec.slots)
+    index, spec = next((i, spec) for i, spec in enumerate(unit_layout(archs[0], cfg))
+                       if spec.slots)
     stream = derive_rng(21, STREAM_UNIT_SAMPLE, 0, index)
     stream.random(STEPS)
     u = unit_rows(home_of[0])[(0, spec.key)]
     assert home_of[0].sample_rngs[u].bit_generator.state == stream.bit_generator.state
     assert update_counts(batched) == update_counts(alone) == update_counts(by_unit)
-    for bundle, one in zip(bundles_of(batched), bundles_of(alone)):
-        assert learned_state(bundle) == learned_state(one)
+    assert learned_state(batched) == learned_state(alone)
     assert_params_close(batched, by_unit)
     if set(archs) & {ARCH_DIST_PS, ARCH_DIST_PRICE}:
         # shared sets updated mid-pass, so later rows were evaluated again,
@@ -339,8 +341,7 @@ def test_sets_due_together_update_in_one_call_per_wave_and_shape(arch, monkeypat
 
     assert widest >= 2  # several sets' windows filled in one step
     assert update_counts(batched) == update_counts(alone)
-    for bundle, one in zip(bundles_of(batched), bundles_of(alone)):
-        assert learned_state(bundle) == learned_state(one)
+    assert learned_state(batched) == learned_state(alone)
     # a shared set's rows after its first due unit were forwarded again
     assert bool(forwarded_again) == (arch == ARCH_DIST_PS)
 
@@ -369,15 +370,14 @@ def assert_newest_decisions_follow(homes, weights):
     """Each offer unit's latest decision in ``homes`` is what the same
     agent's parameter set in the homes ``weights`` decides on the recorded
     observation and draw."""
-    params = {(bundle.agent, key): p for bundle in bundles_of(weights)
-              for key, p in bundle.params.items()}
     for home in homes:
         store = home.store
         for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
             if not spec.slots:
                 continue
             t = store.sizes[u] - 1
-            logits, value = forward(params[(agent, spec.param_key)], newest_obs(home, u))
+            (other,) = [w for w in weights if agent in w.agents]
+            logits, value = forward(params_of(other, agent, spec.param_key), newest_obs(home, u))
             action, logp = sample(logits, FixedDraw(home.draws[u, home.cursor[u] - 1]))
             assert store.actions[u, t] == action, (agent, spec.key)
             assert np.isclose(store.logps[u, t], logp, rtol=1e-12, atol=0), (agent, spec.key)

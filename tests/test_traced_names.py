@@ -36,6 +36,9 @@ def test_a_learned_run_calls_every_span_it_goes_through():
     with tracer.installed():
         harness.run_scenario(scenario, 1)
     calls = {name: int(totals["calls"]) for name, totals in tracer.layer_totals().items()}
-    for name in ("setup.env", "setup.agent_bundle", "neural.forward", "neural.ppo_update",
+    for name in ("setup.env", "neural.forward", "neural.ppo_update",
                  "agents.route_rewards", "agents.trainer_step", "harness.run_scenario"):
         assert calls.get(name, 0) >= 1, name
+    # a run builds its homes without AgentBundle, which perfbench's set-up
+    # still times on its own
+    assert calls.get("setup.agent_bundle", 0) == 0
