@@ -25,13 +25,13 @@ act.
 A unit is a row of its home: everything of unit u that changes as it acts
 and learns is index u of the ``Home``'s fields. That is its spec, agent and
 parameter set; its sample and update streams; its rollout window, row u of
-the home's ``RolloutStore`` (see ``marketsched.rollout``), and its block of
-uniform draws with the block's cursor; its update count, the rewards routed
-to it before its first decision and its last update's stats; and, for a
-price setter, its decisions on this step's and the last step's offers
-(``Home.pending`` and ``Home.offered``). ``Home.at`` maps each (agent,
-position) to the unit that decides it and is credited for it, and
-``Home.setters`` lists the (agent, slot, unit) of each price setter.
+the home's window arrays, and its block of uniform draws with the block's
+cursor; its update count, the rewards routed to it before its first
+decision and its last update's stats; and, for a price setter, its
+decisions on this step's and the last step's offers (``Home.pending`` and
+``Home.offered``). ``Home.at`` maps each (agent, position) to the unit
+that decides it and is credited for it, and ``Home.setters`` lists the
+(agent, slot, unit) of each price setter.
 
 A pass acts for every unit with a live position (accept m when trading is
 on and its agent owns core m; every offer), one row each. The rows are the
@@ -48,8 +48,8 @@ calls: one gather of the step's ``market_image`` (see ``marketsched.obs``)
 through the rows' indices, one ``forward`` over all rows with each row's
 parameter set (whose rows of the home stack it keeps until the home's next
 update or load), one draw per unit and one vectorized inverse-CDF step
-that turns it into the unit's action, one ``RolloutStore.add`` of every
-row, padded as the pass reads it, and one decode of every live position's
+that turns it into the unit's action, one ``Home.record`` of every row,
+padded as the pass reads it, and one decode of every live position's
 digit. Each unit draws its uniforms a block of ``rollout_length`` at a time
 from its own sample stream, which gives the same numbers as one draw per
 decision.
@@ -98,7 +98,9 @@ from .neural import (
     NetParams,
     ParamStack,
     PPOHyper,
+    _span,
     forward,
+    gae,
     init_params,
     sample_rows,
 )
@@ -111,8 +113,7 @@ from .obs import (
     offer_obs_len,
     price_index,
 )
-from .ppo import ppo_update
-from .rollout import RolloutStore
+from .ppo import TrainBatch, ppo_update
 from .rng import (
     STREAM_UNIT_INIT,
     STREAM_UNIT_SAMPLE,
@@ -333,15 +334,19 @@ class Home:
     unit u at index u of each per-unit field, in row order (see the module
     docstring): ``specs``, ``agents`` and parameter ``sets``;
     ``sample_rngs`` and ``update_rngs``, the streams of (seed, stream,
-    agent, index in ``unit_layout``); the rollout ``store``, the ``draws``
-    blocks and their ``cursor``; the ``updates`` count, the ``dropped``
-    rewards and the last update's ``stats``; ``pending`` and ``offered``, by
-    unit, each price setter's decision on this step's offer and on the last
-    step's (``route_rewards`` commits the traded ones of ``offered``, then
-    moves ``pending`` there); ``at``, the unit of each (agent, position);
-    ``setters``, the (agent, slot, unit) of each price setter; and ``plan``,
-    the ``Plan`` of a pass by core ownership, whose cache keeps the plans of
-    recent passes."""
+    agent, index in ``unit_layout``); the rollout window, row u of ``obs``
+    (units, ``length``, widest obs width, of which the unit's observations
+    fill the first ``specs[u].obs_width``) and of ``actions``, ``logps``,
+    ``values`` and ``rewards`` (units, ``length``), filled to ``sizes[u]``
+    and emptied by the update that closes it; the ``draws`` blocks, of the
+    same shape, and their ``cursor``; the ``updates`` count, the
+    ``dropped`` rewards and the last update's ``stats``; ``pending`` and
+    ``offered``, by unit, each price setter's decision on this step's offer
+    and on the last step's (``route_rewards`` commits the traded ones of
+    ``offered``, then moves ``pending`` there); ``at``, the unit of each
+    (agent, position); ``setters``, the (agent, slot, unit) of each price
+    setter; and ``plan``, the ``Plan`` of a pass by core ownership, whose
+    cache keeps the plans of recent passes."""
 
     def __init__(self, layouts: dict[int, Layout], config: EnvConfig, hyper: PPOHyper, seed: int):
         """The home of agent a of layout ``layouts[a]`` (``_parameter_sets``),
@@ -352,7 +357,7 @@ class Home:
         rows = {(agent, key): row for row, (agent, key) in enumerate(
             (agent, key) for agent, (_, keys, _) in layouts.items() for key in keys)}
         self.names = [f"agent{agent}/{key}" for agent, key in rows]
-        length = hyper.rollout_length
+        self.length = length = hyper.rollout_length
         order = sorted(((agent, i, spec) for agent, (specs, _, _) in layouts.items()
                         for i, spec in enumerate(specs)), key=lambda item: _rank(item[2]))
         self.specs = [spec for _, _, spec in order]
@@ -371,25 +376,29 @@ class Home:
         self.pending: dict[int, tuple] = {}
         self.offered: dict[int, tuple] = {}
         self.last = self.stack.last_action[self.sets]
-        self.store = RolloutStore([spec.obs_width for spec in self.specs], length)
-        self.draws = np.empty((len(order), length))
-        self.cursor = np.full(len(order), length)
+        units = len(order)
+        self.obs = np.empty((units, length, max(spec.obs_width for spec in self.specs)))
+        self.actions = np.empty((units, length), dtype=np.intp)
+        self.logps, self.values, self.rewards, self.draws = (
+            np.empty((units, length)) for _ in range(4))
+        self.sizes = np.zeros(units, dtype=np.intp)
+        self.cursor = np.full(units, length)
         # the units that lead every plan, units 0, 1, ... (see _rank); the
         # digit records of the offer positions, in unit order, and by core,
         # of each agent's accept position; and each unit's observation as a
         # row of indices into the market image, a price setter's left 0,
         # since what it sees depends on the offer
-        self.prefix = [u for u, spec in enumerate(self.specs) if spec.slots]
+        prefix = [u for u, spec in enumerate(self.specs) if spec.slots]
         self.offer_digits: list[Digit] = []
-        self.accept_digits: list[dict[int, Digit]] = [{} for _ in range(config.num_cores)]
-        self.index = np.zeros((len(order), self.stack.in_width), dtype=np.intp)
+        accept_digits: list[dict[int, Digit]] = [{} for _ in range(config.num_cores)]
+        self.index = np.zeros((units, self.stack.in_width), dtype=np.intp)
         for u, (agent, spec) in enumerate(zip(self.agents, self.specs)):
             weight = 1
             for (kind, i), radix in zip(spec.positions, spec.radices):
                 if kind == "offer":
                     self.offer_digits.append((u, weight, radix, (agent, i)))
                 elif kind == "accept":
-                    self.accept_digits[i][agent] = (u, weight, radix, (agent, i))
+                    accept_digits[i][agent] = (u, weight, radix, (agent, i))
                 weight *= radix
             cells = [i for m in spec.cores for i in acceptor_index(config, agent, m)]
             if spec.slots:
@@ -397,7 +406,7 @@ class Home:
             self.index[u, :len(cells)] = cells
         # owners[m] owns core m; no owners: no accept position is live
         self.plan = lru_cache(PLANS_KEPT)(partial(
-            _plan, self.prefix, self.accept_digits, self.sets, self.last, self.index))
+            _plan, prefix, accept_digits, self.sets, self.last, self.index))
 
     def save(self, path) -> None:
         """Write every agent's learned state to one ``.npz`` (see
@@ -413,7 +422,7 @@ class Home:
         """One uniform for each unit of ``ids`` from its own sample stream:
         the next of the unit's block of ``rollout_length`` draws, a new
         block taken when it is used up."""
-        length = self.store.length
+        length = self.length
         cursor = self.cursor[ids]
         if length in cursor.tolist():
             spent = cursor == length
@@ -458,11 +467,10 @@ class Home:
         draws = self.draw(plan.ids)
         logits, values = forward(self.stack, obs, plan.sets)
         actions, logps = sample_rows(logits, draws, plan.last)
-        store = self.store
-        if max(store.sizes[plan.ids].tolist()) < store.length:
-            store.add(plan.ids, obs, actions, logps, values)
+        if max(self.sizes[plan.ids].tolist()) < self.length:
+            self.record(plan.ids, obs, actions, logps, values)
             return actions
-        due = store.sizes[plan.ids] >= store.length
+        due = self.sizes[plan.ids] >= self.length
         # each row's wave: the due rows of its set before it
         waves = np.tril((plan.sets[:, None] == plan.sets) & due, -1).sum(axis=1)
         for wave in range(waves.max() + 1):
@@ -475,23 +483,46 @@ class Home:
             updating = rows[due[rows]]
             if updating.size:
                 self.update(plan.ids[updating].tolist(), values[updating].tolist())
-            store.add(plan.ids[rows], obs[rows], actions[rows], logps[rows], values[rows])
+            self.record(plan.ids[rows], obs[rows], actions[rows], logps[rows], values[rows])
         return actions
+
+    def record(self, ids: int | np.ndarray, obs: np.ndarray, actions, logps, values,
+               rewards=0.0) -> None:
+        """Append one row to the window of each unit of ``ids``, an array of
+        distinct units whose windows are not full, the row of unit ``ids[i]``
+        being row i of the other arguments (a scalar goes to every row); or
+        one row to the window of unit ``ids``, an int. An observation
+        narrower than the home's widest fills its row from entry 0 on."""
+        t = self.sizes[ids]
+        # unit u's row t is row u * length + t of every field, rows flattened
+        at = ids * self.length + t
+        self.obs.reshape(-1, self.obs.shape[-1])[at, :obs.shape[-1]] = obs
+        for field, value in ((self.actions, actions), (self.logps, logps),
+                             (self.values, values), (self.rewards, rewards)):
+            field.put(at, value)
+        self.sizes[ids] = t + 1
 
     def update(self, rows: list[int], bootstraps: Sequence[float]) -> None:
         """Close the full windows of units ``rows``, of distinct parameter
         sets, with their ``bootstraps`` values and update those sets, one
-        ``ppo_update`` per network shape. Each unit counts the update and
-        keeps its set's stats."""
+        ``ppo_update`` per network shape, whose batch has a leading window
+        axis and, if the shape's units are a run, a view of ``obs`` for
+        observations. Each unit counts the update and keeps its set's
+        stats."""
+        hyper = self.hyper
         shapes: dict[tuple[int, int, int], list[int]] = {}
         for i, u in enumerate(rows):
             shapes.setdefault(self.stack.shapes[self.sets[u]], []).append(i)
         for group in shapes.values():
             ids = [rows[i] for i in group]
-            batch = self.store.batch(ids, [bootstraps[i] for i in group], self.hyper)
-            stats = ppo_update(self.stack, self.sets[ids].tolist(), batch, self.hyper,
+            gaes = [gae(self.rewards[u], self.values[u], bootstraps[i], hyper.discount,
+                        hyper.gae_lambda) for u, i in zip(ids, group)]
+            batch = TrainBatch(self.obs[_span(np.array(ids)), :, :self.specs[ids[0]].obs_width],
+                               self.actions[ids], self.logps[ids],
+                               np.array([a for a, _ in gaes]), np.array([r for _, r in gaes]))
+            stats = ppo_update(self.stack, self.sets[ids].tolist(), batch, hyper,
                                [self.update_rngs[u] for u in ids])
-            self.store.sizes[ids] = 0
+            self.sizes[ids] = 0
             for u, unit_stats in zip(ids, stats):
                 self.stats[u] = unit_stats
                 self.updates[u] += 1
@@ -499,9 +530,9 @@ class Home:
     def credit(self, u: int, reward: float) -> None:
         """Add ``reward`` to unit u's latest decision, the newest row of its
         window; before its first decision, to its ``dropped`` rewards."""
-        size = self.store.sizes[u]
+        size = self.sizes[u]
         if size:
-            self.store.rewards[u, size - 1] += reward
+            self.rewards[u, size - 1] += reward
         else:
             self.dropped[u] += reward
 
@@ -512,8 +543,8 @@ class Home:
         decision = self.offered.pop(u, None)
         if decision is None:
             return
-        self.store.add(u, *decision, reward)
-        if self.store.sizes[u] >= self.store.length:
+        self.record(u, *decision, reward)
+        if self.sizes[u] >= self.length:
             self.update([u], [0.0])
 
 

@@ -33,6 +33,7 @@ from .harness import (
     read_series_csv,
     run_scenario,
     run_sweep,
+    with_defaults,
 )
 from .neural import NonFiniteLossError
 from .svgchart import ChartSeries, render_line_chart
@@ -67,7 +68,7 @@ def _load_scenario(name_or_path: str, overrides: list[str], arch: str | None) ->
             raise CliError(
                 f"unknown scenario {name_or_path!r}; builtin scenarios: {known}")
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = with_defaults(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, json.JSONDecodeError) as err:
             raise CliError(f"cannot read scenario file {path}: {err}")
     if arch is not None:

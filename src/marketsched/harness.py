@@ -21,8 +21,9 @@ import json
 import multiprocessing
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -150,6 +151,29 @@ def apply_overrides(data: dict[str, Any], overrides: Iterable[str]) -> dict[str,
     return data
 
 
+def with_defaults(data: Any) -> Any:
+    """A scenario dictionary as a file gives it, with each declared field
+    that it, its ``env`` or its ``hyper`` leaves out set to its default, as
+    ``Scenario.to_dict`` writes it, so that an override can address it;
+    anything but a dictionary as it is. Nothing is checked here, so an
+    override can still make a file valid."""
+    if not isinstance(data, dict):
+        return data
+    data = {**_defaults(Scenario), **data}
+    for key, cls in (("env", EnvConfig), ("hyper", PPOHyper)):
+        if isinstance(data.get(key), dict):
+            data[key] = {**_defaults(cls), **data[key]}
+    return data
+
+
+def _defaults(cls: type) -> dict[str, Any]:
+    """The default of each field of the dataclass ``cls`` that has one, as
+    its ``to_dict`` writes it."""
+    encode = {PPOHyper: PPOHyper.to_dict, PricingMode: attrgetter("value"), tuple: list}
+    return {name: encode.get(type(f.default), lambda value: value)(f.default)
+            for name, f in cls.__dataclass_fields__.items() if f.default is not MISSING}
+
+
 # ----------------------------------------------------------------------
 # run records
 # ----------------------------------------------------------------------
@@ -271,8 +295,9 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
         raise ValueError("aggregation needs at least 1 record")
     first = records[0]
     for r in records[1:]:
-        if r.steps != first.steps or set(r.series) != set(first.series):
-            raise ValueError("records have mismatching steps or series")
+        if (r.scenario != first.scenario or r.steps != first.steps
+                or set(r.series) != set(first.series)):
+            raise ValueError("records have mismatching scenarios, steps or series")
     mean: dict[str, list[float | None]] = {}
     std: dict[str, list[float | None]] = {}
     count: dict[str, list[int]] = {}

@@ -80,8 +80,7 @@ def stacked(*batches):
 
 def newest_obs(home, u):
     """The observation of unit u's latest recorded decision."""
-    store = home.store
-    return store.obs[u, store.sizes[u] - 1, :store.width[u]]
+    return home.obs[u, home.sizes[u] - 1, :home.specs[u].obs_width]
 
 
 def unit_rows(home):

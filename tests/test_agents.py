@@ -30,7 +30,7 @@ from marketsched.agents import (
 from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import ParamStack, PPOHyper
+from marketsched.neural import ParamStack, PPOHyper, gae
 from marketsched.ppo import STATS, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import STREAM_UNIT_INIT, derive_rng
@@ -512,13 +512,13 @@ class TestUnitBookkeeping:
     def test_a_reward_before_the_first_decision_is_dropped(self):
         cfg, env = trade_fixture()
         (home,) = build_homes((ARCH_DIST, ARCH_DIST), cfg, PPOHyper(), seed=5)
-        home.store.rewards[...] = np.nan
+        home.rewards[...] = np.nan
         result = env.step(JointActions(accepts={(0, 1): 1 * cfg.num_slots + 1}))
         assert len(result.trades) == 1
         route_rewards(home, result)
         dropped = {(a, spec.key): r for a, spec, r in zip(home.agents, home.specs, home.dropped)}
         assert {at: r for at, r in dropped.items() if r} == {(1, ("offer", 0)): 8.0}
-        assert not home.store.sizes.any() and np.isnan(home.store.rewards).all()
+        assert not home.sizes.any() and np.isnan(home.rewards).all()
 
     def test_one_update_is_counted_with_its_stats(self):
         cfg = make_config()
@@ -537,26 +537,75 @@ class TestUnitBookkeeping:
         assert all(np.isfinite(stats[key]) for key in STATS)
         assert stats["minibatches"] == 2  # one epoch of 16 rows in minibatches of 8
 
-    def test_a_price_commit_that_fills_the_window_updates_at_once(self):
+    def test_a_window_is_a_row_of_the_homes_arrays(self, monkeypatch):
+        # unit u's window is row u of its home's arrays, its observations
+        # padded to the home's widest width
+        hyper = PPOHyper(rollout_length=4, minibatch_size=2, epochs=1)
+        (home,) = build_homes((ARCH_DIST,) * 2, make_config(), hyper, seed=3)
+        wide = home.at[(0, ("accept", 0))]
+        u, v = home.at[(0, ("offer", 1))], home.at[(0, ("offer", 2))]
+        assert (home.specs[wide].obs_width, home.specs[u].obs_width, v - u) == (27, 9, 1)
+        assert home.obs.shape == (10, 4, 27) and home.actions.shape == (10, 4)
+        for i in range(3):
+            home.record(wide, np.full(27, float(i)), i, -0.1, 0.0, 1.0)
+            home.record(u + i % 2, np.full(9, float(i)), i, -0.2, 0.5, 0.0)
+        assert home.sizes[[wide, u, v]].tolist() == [3, 2, 1]
+        # one row each for units v and wide in one call, as a pass writes
+        # them: v's row is padded to the home's width, reward 0.0 by default
+        home.record(np.array([v, wide]), np.array([[7.0] * 9 + [np.nan] * 18, [3.0] * 27]),
+                    np.array([5, 3]), np.array([-0.3, -0.1]), np.array([0.25, 0.0]))
+        assert home.sizes[[wide, u, v]].tolist() == [4, 2, 2]
+        assert home.rewards[wide].tolist() == [1.0, 1.0, 1.0, 0.0]
+        for _ in range(2):  # rows narrower than the home, in one call
+            home.record(np.array([u, v]), np.full((2, 9), 8.0), np.array([2, 2]),
+                        np.array([-0.4, -0.4]), np.array([0.0, 0.0]))
+        batches = []
+
+        def captured(stack, sets, batch, hyper, rngs):
+            batches.append((sets, batch, np.shares_memory(batch.obs, home.obs)))
+            return [{}] * len(sets)
+
+        monkeypatch.setattr("marketsched.agents.ppo_update", captured)
+        home.update([wide], [0.5])
+        (sets, batch, shared), = batches
+        assert sets == [home.sets[wide]] and batch.obs.shape == (1, 4, 27)
+        assert batch.actions.tolist() == [[0, 1, 2, 3]]
+        assert batch.obs[0, :, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert batch.logp_old.tolist() == [[-0.1] * 4]
+        assert home.sizes[[wide, u, v]].tolist() == [0, 4, 4] and home.updates[wide] == 1
+        # units u and v are a run: a view of their windows' first 9 columns
+        home.update([u, v], [0.0, 0.0])
+        (sets, pair, shared) = batches[-1]
+        assert sets == home.sets[[u, v]].tolist() and pair.obs.shape == (2, 4, 9) and shared
+        assert pair.obs[1, :2].tolist() == [[1.0] * 9, [7.0] * 9]
+        assert pair.actions[1, :2].tolist() == [1, 5]
+        assert pair.logp_old[1, :2].tolist() == [-0.2, -0.3]
+        assert home.sizes[[wide, u, v]].tolist() == [0, 0, 0]
+        home.sizes[[u, v]] = hyper.rollout_length  # the rows are still there
+        home.update([v, u], [0.0, 0.0])
+        (sets, swapped, shared) = batches[-1]
+        assert swapped.obs.shape == (2, 4, 9) and not shared
+        assert swapped.obs[0, :2].tolist() == [[1.0] * 9, [7.0] * 9]
+
+    def test_a_price_commit_that_fills_the_window_updates_at_once(self, monkeypatch):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)
         hyper = PPOHyper(rollout_length=4, minibatch_size=2, epochs=1)
         (home,) = build_homes((ARCH_DIST_PRICE,) * 2, cfg, hyper, seed=24)
-        store = home.store
-        bootstraps, batch = [], store.batch
+        bootstraps = []
 
-        def logged_batch(units, values, hyper):
-            bootstraps.append(list(values))
-            return batch(units, values, hyper)
+        def logged_gae(rewards, values, bootstrap, discount, lam):
+            bootstraps.append(bootstrap)
+            return gae(rewards, values, bootstrap, discount, lam)
 
-        store.batch = logged_batch
+        monkeypatch.setattr("marketsched.agents.gae", logged_gae)
         u = home.at[(0, ("price", 0))]
         steps = list(home.stack.steps)
         for size in range(hyper.rollout_length):
-            assert home.updates[u] == 0 and store.sizes[u] == size
+            assert home.updates[u] == 0 and home.sizes[u] == size
             home.offered[u] = (np.full(PRICE_OBS_LEN, 0.5), 2, -1.5, 0.25)
             home.resolve_price(u, 0.5)
             assert u not in home.offered
-        assert home.updates[u] == 1 and store.sizes[u] == 0 and bootstraps == [[0.0]]
+        assert home.updates[u] == 1 and home.sizes[u] == 0 and bootstraps == [0.0]
         assert home.stack.steps != steps  # the price set took its Adam steps
 
 
@@ -572,7 +621,7 @@ class TestTraining:
         seen_full = False
         for i in range(40):
             trainer.step()
-            assert home.store.sizes[u] <= 16
+            assert home.sizes[u] <= 16
             seen_full = seen_full or home.updates[u] > 0
         assert seen_full
         # a sample closes when the next one opens, so the window of 16
@@ -639,7 +688,7 @@ class TestTraining:
         result = env.step(JointActions())
         assert result.trades[0].buyer == 1  # our offer lost
         route_rewards(home, result)
-        assert home.store.sizes[u] == 0 and u not in home.offered and not home.pending
+        assert home.sizes[u] == 0 and u not in home.offered and not home.pending
 
 
 
@@ -663,7 +712,7 @@ class TestCheckpointing:
     """A home saves and loads the learned state of all its agents as one
     file, its rows named ``agent<A>/<key>``."""
 
-    def test_bundle_checkpoint_roundtrip(self, tmp_path):
+    def test_home_checkpoint_roundtrip(self, tmp_path):
         cfg = make_config()
         (home,) = build_homes((ARCH_DIST_PS,) * 2, cfg, PPOHyper(), seed=13)
         path = tmp_path / "home.npz"
@@ -686,7 +735,7 @@ class TestCheckpointing:
         with pytest.raises(ValueError):
             build_homes((ARCH_FULL,) * 2, cfg, PPOHyper(), seed=14)[0].load(tmp_path / "x.npz")
 
-    def test_loaded_bundle_trains_on_as_the_saved_one(self, tmp_path):
+    def test_loaded_home_trains_on_as_the_saved_one(self, tmp_path):
         # the Adam moments and step counts travel with the weights, so the
         # next update of a loaded home is the saved home's next update
         scenario = builtin_scenarios()["EXP1_TRADING"]
@@ -701,7 +750,7 @@ class TestCheckpointing:
             ppo_update(home.stack, [index], batch, scenario.hyper, [derive_rng(3, 2)])
         assert learned_state(loaded) == learned_state(saved)
 
-    def test_checkpoint_moves_between_trainer_and_standalone_bundles(self, tmp_path):
+    def test_checkpoint_moves_between_trainer_and_standalone_homes(self, tmp_path):
         # a trained home's checkpoint loads into a home no Trainer steps,
         # and back; the load goes into the rows the pass and the agents'
         # parameter sets read

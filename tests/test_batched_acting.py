@@ -63,7 +63,7 @@ def act_unit_by_unit(home, arch, env, joint):
     """The one agent of ``home``, of architecture ``arch``, acting one unit
     at a time, in ``unit_layout`` order; the units' windows are where the
     home's pass keeps them."""
-    cfg, store, rows = home.config, home.store, unit_rows(home)
+    cfg, rows = home.config, unit_rows(home)
     (a,) = set(home.agents)
     owned = {m for m in range(cfg.num_cores)
              if cfg.trading_enabled and env.cores[m].owner == a}
@@ -74,9 +74,9 @@ def act_unit_by_unit(home, arch, env, joint):
         obs = reference_obs(env, a, spec)
         logits, value = forward(params_of(home, a, spec.param_key), obs)
         action, logp = sample(logits, home.sample_rngs[u])
-        if store.sizes[u] == store.length:
+        if home.sizes[u] == home.length:
             home.update([u], [value])
-        store.add(u, obs, action, logp, value, 0.0)
+        home.record(u, obs, action, logp, value, 0.0)
         for (kind, i), digit in zip(spec.positions, mixed_radix_decode(action, spec.radices)):
             if kind == "accept" and i in owned:
                 joint.accepts[(a, i)] = digit
@@ -274,7 +274,7 @@ def pass_rows(home, env):
     """The (parameter set, due) of each row of this step's pass, in row
     order, which is unit order: each unit that acts, due if its window is
     full."""
-    return [(int(home.sets[u]), bool(home.store.sizes[u] == home.store.length))
+    return [(int(home.sets[u]), bool(home.sizes[u] == home.length))
             for u, (agent, spec) in enumerate(zip(home.agents, home.specs))
             if spec.slots or any(env.cores[m].owner == agent for m in spec.cores)]
 
@@ -371,17 +371,16 @@ def assert_newest_decisions_follow(homes, weights):
     agent's parameter set in the homes ``weights`` decides on the recorded
     observation and draw."""
     for home in homes:
-        store = home.store
         for u, (agent, spec) in enumerate(zip(home.agents, home.specs)):
             if not spec.slots:
                 continue
-            t = store.sizes[u] - 1
+            t = home.sizes[u] - 1
             (other,) = [w for w in weights if agent in w.agents]
             logits, value = forward(params_of(other, agent, spec.param_key), newest_obs(home, u))
             action, logp = sample(logits, FixedDraw(home.draws[u, home.cursor[u] - 1]))
-            assert store.actions[u, t] == action, (agent, spec.key)
-            assert np.isclose(store.logps[u, t], logp, rtol=1e-12, atol=0), (agent, spec.key)
-            assert np.isclose(store.values[u, t], value, rtol=1e-12, atol=0), (agent, spec.key)
+            assert home.actions[u, t] == action, (agent, spec.key)
+            assert np.isclose(home.logps[u, t], logp, rtol=1e-12, atol=0), (agent, spec.key)
+            assert np.isclose(home.values[u, t], value, rtol=1e-12, atol=0), (agent, spec.key)
 
 
 def test_a_pass_acts_on_weights_loaded_between_steps(tmp_path):

@@ -69,7 +69,7 @@ def test_bench_act(arch, benchmark):
     image = market_image(env)
 
     def fresh_round():
-        home.store.sizes[:] = 0
+        home.sizes[:] = 0
         return (env, JointActions(), image), {}
 
     benchmark.pedantic(home.act, setup=fresh_round, rounds=2000, warmup_rounds=50)
@@ -92,7 +92,7 @@ def test_bench_act_on_new_ownership(benchmark):
         ran.append(next(rounds))
         for core, owner in zip(env.cores, ran[-1]):
             core.owner = owner
-        home.store.sizes[:] = 0
+        home.sizes[:] = 0
         return (env, JointActions(), image), {}
 
     benchmark.pedantic(home.act, setup=new_ownership, rounds=2000, warmup_rounds=50)
@@ -118,7 +118,7 @@ def test_bench_trainer_step(benchmark):
 
     def fresh_round():
         trainer.env = copy.deepcopy(env)
-        home.store.sizes[:] = 0
+        home.sizes[:] = 0
         return (), {}
 
     benchmark.pedantic(trainer.step, setup=fresh_round, rounds=2000, warmup_rounds=50)
@@ -133,19 +133,18 @@ def test_bench_trainer_step_with_update(benchmark):
     (home,) = homes
     due, later = home.at[(0, ("offer", 0))], home.at[(0, ("offer", 1))]
     assert home.sets[due] == home.sets[later] and due < later
-    store = home.store
     # a finite window for the update to read
-    for field in (store.obs, store.logps, store.values):
+    for field in (home.obs, home.logps, home.values):
         field[due] = 0.0
-    store.actions[due], store.rewards[due] = 0, 1.0
+    home.actions[due], home.rewards[due] = 0, 1.0
 
     ran = []
 
     def fresh_round():
         ran.append(None)
         trainer.env = copy.deepcopy(env)
-        store.sizes[:] = 0
-        store.sizes[due] = store.length
+        home.sizes[:] = 0
+        home.sizes[due] = home.length
         return (), {}
 
     benchmark.pedantic(trainer.step, setup=fresh_round, rounds=300, warmup_rounds=10)
@@ -158,19 +157,18 @@ def test_bench_act_with_three_due(benchmark):
     (home,) = build_homes(scenario.arch, scenario.env, scenario.hyper, seed=1)
     due = [home.at[(0, ("offer", k))] for k in range(scenario.env.num_slots)]
     assert len(due) == 3 and len({int(home.sets[u]) for u in due}) == 1
-    store = home.store
     # finite windows for the updates to read
-    for field in (store.obs, store.logps, store.values):
+    for field in (home.obs, home.logps, home.values):
         field[due] = 0.0
-    store.actions[due], store.rewards[due] = 0, 1.0
+    home.actions[due], home.rewards[due] = 0, 1.0
     image = market_image(env)
 
     ran = []
 
     def fresh_round():
         ran.append(None)
-        store.sizes[:] = 0
-        store.sizes[due] = store.length
+        home.sizes[:] = 0
+        home.sizes[due] = home.length
         return (env, JointActions(), image), {}
 
     benchmark.pedantic(home.act, setup=fresh_round, rounds=100, warmup_rounds=5)
@@ -185,7 +183,7 @@ def test_bench_act_with_price_pass(benchmark):
     priced = []  # the offers each pass priced, read before the next round
 
     def fresh_round():
-        home.store.sizes[:] = 0
+        home.sizes[:] = 0
         priced.append(len(home.pending))
         home.pending = {}
         return (env, JointActions(), image), {}

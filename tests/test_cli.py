@@ -104,6 +104,29 @@ class TestRun:
                        "--set", "bogus.path=1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("override, field, value", [
+        ("hyper.learning_rate=0.001", ("hyper", "learning_rate"), 0.001),
+        ("env.trading_enabled=false", ("env", "trading_enabled"), False),
+        ("seeds.0=7", ("seeds", 0), 7),
+    ])
+    def test_an_override_reaches_a_field_the_file_leaves_out(self, override, field, value,
+                                                             tmp_path):
+        from marketsched.harness import builtin_scenarios
+
+        full = builtin_scenarios()["BASE_SINGLE"].to_dict()
+        data = {"name": "SPARSE", "arch": full["arch"], "total_steps": 200, "window": 100,
+                "env": {key: full["env"][key]
+                        for key in ("num_agents", "num_cores", "num_slots", "job_types")}}
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(path), "--set", override,
+                       "--out", str(out)) == EXIT_OK
+        node = json.loads((out / "manifest.json").read_text())["scenario"]
+        for part in field:
+            node = node[part]
+        assert node == value
+
     def test_scenario_file_roundtrip(self, tmp_path):
         from marketsched.harness import builtin_scenarios
 

@@ -79,6 +79,10 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([tiny_record([1.0]), tiny_record([1.0, 2.0], seed=2)])
 
+    def test_records_of_different_scenarios_rejected(self):
+        with pytest.raises(ValueError, match="mismatching scenarios"):
+            aggregate([tiny_record([1.0], name="A"), tiny_record([3.0], name="B", seed=2)])
+
     def test_seed_permutation_leaves_aggregate_unchanged(self):
         records = [tiny_record([1.0, 4.0]), tiny_record([2.0, None], seed=2),
                    tiny_record([3.0, 8.0], seed=3)]

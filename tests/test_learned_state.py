@@ -34,12 +34,12 @@ def learned_state_digest(homes) -> str:
     observations, actions, log-probabilities, values and rewards."""
     digest = hashlib.sha256()
     for home in homes:
-        stack, store = home.stack, home.store
-        for array in (stack.rows, stack.m, stack.v, stack.step_counts, store.sizes):
+        stack = home.stack
+        for array in (stack.rows, stack.m, stack.v, stack.step_counts, home.sizes):
             digest.update(array.tobytes())
-        for u, size in enumerate(store.sizes.tolist()):
-            digest.update(store.obs[u, :size, :store.width[u]].tobytes())
-            for field in (store.actions, store.logps, store.values, store.rewards):
+        for u, size in enumerate(home.sizes.tolist()):
+            digest.update(home.obs[u, :size, :home.specs[u].obs_width].tobytes())
+            for field in (home.actions, home.logps, home.values, home.rewards):
                 digest.update(field[u, :size].tobytes())
     return digest.hexdigest()
 
@@ -57,14 +57,14 @@ def test_learned_state_after_2000_steps_is_pinned(name):
 
 def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
     # A unit narrower than its home's widest pads its observations in the
-    # store. NaN padding that reached an update would raise
+    # home's ``obs``. NaN padding that reached an update would raise
     # NonFiniteLossError, or move the weights and so the digest.
     scenario = builtin_scenarios()["EXP1_TRADING"]
     env = SchedulingEnv(scenario.env, 1)
     homes = build_homes(scenario.arch, scenario.env, scenario.hyper, 1)
     (home,) = homes
-    assert len(set(home.store.width)) > 1
-    home.store.obs[...] = np.nan
+    assert len({spec.obs_width for spec in home.specs}) > 1
+    home.obs[...] = np.nan
     forwards = []
 
     def counted(*args):

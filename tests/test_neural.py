@@ -35,7 +35,6 @@ from marketsched.ppo import (
     update_work,
 )
 from marketsched.rng import derive_rng
-from marketsched.rollout import RolloutStore
 
 import reference
 from helpers import stacked
@@ -794,39 +793,6 @@ class TestStackedUpdate:
             with pytest.raises(ValueError, match="distinct networks of one shape"):
                 ppo_update(stack, sets, batch, PPOHyper(), rngs)
             assert state(stack) == before
-
-
-class TestRolloutBuffer:
-    def test_fill_and_clear(self):
-        # a unit's window is a row of its home's store, its observations
-        # padded to the store's widest width
-        store = RolloutStore([3, 2, 2], length=4)
-        assert store.obs.shape == (3, 4, 3) and store.actions.shape == (3, 4)
-        for i in range(3):
-            store.add(0, np.full(3, float(i)), i, -0.1, 0.0, 1.0)
-            store.add(1 + i % 2, np.full(2, float(i)), i, -0.2, 0.5, 0.0)
-        assert store.sizes.tolist() == [3, 2, 1]
-        # one row each for units 2 and 0 in one call, as a pass writes them:
-        # unit 2's row is padded to the store's width, reward 0.0 by default
-        store.add(np.array([2, 0]), np.array([[7.0, 7.0, np.nan], [3.0, 3.0, 3.0]]),
-                  np.array([5, 3]), np.array([-0.3, -0.1]), np.array([0.25, 0.0]))
-        assert store.sizes.tolist() == [4, 2, 2]
-        assert store.rewards[0].tolist() == [1.0, 1.0, 1.0, 0.0]
-        batch = store.batch([0], [0.5], PPOHyper())
-        assert batch.obs.shape == (1, 4, 3) and batch.actions.tolist() == [[0, 1, 2, 3]]
-        assert batch.obs[0, :, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert batch.logp_old.tolist() == [[-0.1] * 4]
-        # units 1 and 2 are a run: a view of their windows' first 2 columns
-        pair = store.batch([1, 2], [0.0, 0.0], PPOHyper())
-        assert pair.obs.shape == (2, 4, 2) and np.shares_memory(pair.obs, store.obs)
-        assert pair.obs[1, :2].tolist() == [[1.0, 1.0], [7.0, 7.0]]
-        assert pair.actions[1, :2].tolist() == [1, 5]
-        assert pair.logp_old[1, :2].tolist() == [-0.2, -0.3]
-        swapped = store.batch([2, 1], [0.0, 0.0], PPOHyper())
-        assert not np.shares_memory(swapped.obs, store.obs)
-        assert swapped.obs[0, :2].tolist() == [[1.0, 1.0], [7.0, 7.0]]
-        store.sizes[[0]] = 0  # what the update that closes the window does
-        assert store.sizes.tolist() == [0, 2, 2]
 
 
 def alpha_beta_stack(seed):
