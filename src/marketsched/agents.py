@@ -25,9 +25,9 @@ act.
 A unit is a row of its home: everything of unit u that changes as it acts
 and learns is index u of the ``Home``'s fields. That is its spec, agent and
 parameter set; its sample and update streams; its rollout window, row u of
-the home's window arrays, and its block of uniform draws with the block's
-cursor; its update count, the rewards routed to it before its first
-decision and its last update's stats; and, for a price setter, its
+the home's window arrays, whose ``draws`` row t is the uniform that sampled
+the decision of row t; its update count, the rewards routed to it before
+its first decision and its last update's stats; and, for a price setter, its
 decisions on this step's and the last step's offers (``Home.pending`` and
 ``Home.offered``). ``Home.at`` maps each (agent, position) to the unit
 that decides it and is credited for it, and ``Home.setters`` lists the
@@ -50,25 +50,28 @@ parameter set (whose rows of the home stack it keeps until the home's next
 update or load), one draw per unit and one vectorized inverse-CDF step
 that turns it into the unit's action, one ``Home.record`` of every row,
 padded as the pass reads it, and one decode of every live position's
-digit. Each unit draws its uniforms a block of ``rollout_length`` at a time
-from its own sample stream, which gives the same numbers as one draw per
-decision.
+digit. A unit takes the draws of a window from its own sample stream at
+once, ``rollout_length`` of them, as the window starts, which gives the
+same numbers as one draw per decision.
 Price setters follow in a second pass over the offers just made, since
-what they see depends on the offer's target core.
+what they see depends on the offer's target core; a price setter records
+only its traded decisions, so it draws one uniform per decision.
 
 Update-order contract: a row's wave is the number of due units (whose
 rollout windows are full) of its set among the rows before it, and the
 waves go in order, wave w updating the sets of its due units, closing
-their windows with this decision's value, then recording its rows; a row
-of wave 1 or later first acts again, on the weights the earlier waves
-left, with the draws it already took. A set's rows keep their relative
+their windows with this decision's value; a row of wave 1 or later first
+acts again, on the weights the earlier waves left, with the draw it
+already took. The pass then records every row. An update reads only its
+own units' windows, so recording after the waves writes what recording
+each wave's rows after its update would. A set's rows keep their relative
 order in every plan, all of one agent, so each set sees exactly the
 updates, in the order and on the windows, that acting one unit at a time
-in row order gives it. With no unit due, every row is of wave 0 and the
-pass records it at once. A wave's due units are of distinct sets, which
-``Home.update`` updates together, one ``ppo_update`` per network shape,
-whatever agents they belong to; updates of distinct sets touch disjoint
-rows, so their order within a wave changes no bit.
+in row order gives it. With no unit due, every row is of wave 0. A wave's
+due units are of distinct sets, which ``Home.update`` updates together,
+one ``ppo_update`` per network shape, whatever agents they belong to;
+updates of distinct sets touch disjoint rows, so their order within a wave
+changes no bit.
 
 Reward routing: after the market step, ``route_rewards`` credits each
 payout of the result to the unit that earned it, one agent of the home
@@ -337,9 +340,9 @@ class Home:
     agent, index in ``unit_layout``); the rollout window, row u of ``obs``
     (units, ``length``, widest obs width, of which the unit's observations
     fill the first ``specs[u].obs_width``) and of ``actions``, ``logps``,
-    ``values`` and ``rewards`` (units, ``length``), filled to ``sizes[u]``
-    and emptied by the update that closes it; the ``draws`` blocks, of the
-    same shape, and their ``cursor``; the ``updates`` count, the
+    ``values``, ``rewards`` and ``draws`` (units, ``length``), filled to
+    ``sizes[u]`` and emptied by the update that closes it, save ``draws``,
+    which is filled whole as the window starts; the ``updates`` count, the
     ``dropped`` rewards and the last update's ``stats``; ``pending`` and
     ``offered``, by unit, each price setter's decision on this step's offer
     and on the last step's (``route_rewards`` commits the traded ones of
@@ -382,7 +385,6 @@ class Home:
         self.logps, self.values, self.rewards, self.draws = (
             np.empty((units, length)) for _ in range(4))
         self.sizes = np.zeros(units, dtype=np.intp)
-        self.cursor = np.full(units, length)
         # the units that lead every plan, units 0, 1, ... (see _rank); the
         # digit records of the offer positions, in unit order, and by core,
         # of each agent's accept position; and each unit's observation as a
@@ -418,20 +420,6 @@ class Home:
         names; anything else is rejected as ``ParamStack.load`` says."""
         self.stack.load(path, self.names)
 
-    def draw(self, ids: np.ndarray) -> np.ndarray:
-        """One uniform for each unit of ``ids`` from its own sample stream:
-        the next of the unit's block of ``rollout_length`` draws, a new
-        block taken when it is used up."""
-        length = self.length
-        cursor = self.cursor[ids]
-        if length in cursor.tolist():
-            spent = cursor == length
-            for u in ids[spent].tolist():
-                self.draws[u] = self.sample_rngs[u].random(length)
-            cursor[spent] = 0
-        self.cursor.put(ids, cursor + 1)
-        return self.draws[ids, cursor]
-
     def act(self, env: SchedulingEnv, joint: JointActions, image: np.ndarray) -> None:
         """The pass of the module docstring over all of this home's agents.
         ``image`` is the step's ``market_image``."""
@@ -453,7 +441,8 @@ class Home:
                               for a, k, _ in priced])]
         ids = np.array([u for _, _, u in priced])
         logits, values = forward(self.stack, obs, self.sets[ids])
-        prices, logps = sample_rows(logits, self.draw(ids), self.last[ids])
+        draws = np.array([self.sample_rngs[u].random() for u in ids.tolist()])
+        prices, logps = sample_rows(logits, draws, self.last[ids])
         for (a, k, u), row, price, logp, value in zip(priced, obs, prices.tolist(),
                                                       logps.tolist(), values.tolist()):
             self.pending[u] = (row[:PRICE_OBS_LEN], price, logp, value)
@@ -461,29 +450,34 @@ class Home:
 
     def _act_rows(self, plan: Plan, obs: np.ndarray) -> np.ndarray:
         """Act for the plan's units on the rows of ``obs``: one forward over
-        all rows, one draw per unit, then the units' records. With no window
-        full, every row is recorded at once, else in the waves of the module
-        docstring."""
-        draws = self.draw(plan.ids)
+        all rows, each unit's draw for its window's next row, the waves of
+        the module docstring if a window is full, then one record of every
+        row."""
+        ids, length = plan.ids, self.length
+        sizes = self.sizes[ids]
+        t = sizes % length
+        if 0 in t.tolist():
+            # a window starting, or full and about to be updated: a new block
+            for u in ids[t == 0].tolist():
+                self.draws[u] = self.sample_rngs[u].random(length)
+        draws = self.draws[ids, t]
         logits, values = forward(self.stack, obs, plan.sets)
         actions, logps = sample_rows(logits, draws, plan.last)
-        if max(self.sizes[plan.ids].tolist()) < self.length:
-            self.record(plan.ids, obs, actions, logps, values)
-            return actions
-        due = self.sizes[plan.ids] >= self.length
-        # each row's wave: the due rows of its set before it
-        waves = np.tril((plan.sets[:, None] == plan.sets) & due, -1).sum(axis=1)
-        for wave in range(waves.max() + 1):
-            rows = np.flatnonzero(waves == wave)
-            if wave:
-                # the earlier waves moved these rows' sets: they act on the
-                # new weights, with the draws they already took
-                logits, values[rows] = forward(self.stack, obs[rows], plan.sets[rows])
-                actions[rows], logps[rows] = sample_rows(logits, draws[rows], plan.last[rows])
-            updating = rows[due[rows]]
-            if updating.size:
-                self.update(plan.ids[updating].tolist(), values[updating].tolist())
-            self.record(plan.ids[rows], obs[rows], actions[rows], logps[rows], values[rows])
+        if max(sizes.tolist()) == length:
+            due = sizes == length
+            # each row's wave: the due rows of its set before it
+            waves = np.tril((plan.sets[:, None] == plan.sets) & due, -1).sum(axis=1)
+            for wave in range(waves.max() + 1):
+                rows = np.flatnonzero(waves == wave)
+                if wave:
+                    # the earlier waves moved these rows' sets: they act on
+                    # the new weights, with the draws they already took
+                    logits, values[rows] = forward(self.stack, obs[rows], plan.sets[rows])
+                    actions[rows], logps[rows] = sample_rows(logits, draws[rows], plan.last[rows])
+                updating = rows[due[rows]]
+                if updating.size:
+                    self.update(ids[updating].tolist(), values[updating].tolist())
+        self.record(ids, obs, actions, logps, values)
         return actions
 
     def record(self, ids: int | np.ndarray, obs: np.ndarray, actions, logps, values,

@@ -227,10 +227,13 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
     monkeypatch.setattr(agents, "forward", counting_forward)
     passes = 0
     real_step = env.step
+    decisions = {}  # each price setter's priced decisions, by (agent, slot)
 
     def checked_step(joint):
         nonlocal passes
         priced = {id(home_of[a]) for a, _ in joint.prices}
+        for a, k in joint.prices:
+            decisions[a, k] = decisions.get((a, k), 0) + 1
         passes += len(layouts) + len(priced)
         calls = len(forward_calls)
         each, expected = act(alone, env), JointActions()
@@ -252,13 +255,26 @@ def test_trainer_step_matches_unit_by_unit_acting(archs, monkeypatch):
     assert updates > 0
     # a unit with an offer position drew once a step, a block of
     # rollout_length at a time: STEPS / 4 blocks, whose draws were the
-    # reference's one at a time
+    # reference's one at a time; row t of its draws is the draw of row t of
+    # its window, the last block's
     index, spec = next((i, spec) for i, spec in enumerate(unit_layout(archs[0], cfg))
                        if spec.slots)
     stream = derive_rng(21, STREAM_UNIT_SAMPLE, 0, index)
-    stream.random(STEPS)
-    u = unit_rows(home_of[0])[(0, spec.key)]
-    assert home_of[0].sample_rngs[u].bit_generator.state == stream.bit_generator.state
+    drawn = stream.random(STEPS)
+    home, u = home_of[0], unit_rows(home_of[0])[(0, spec.key)]
+    assert home.sample_rngs[u].bit_generator.state == stream.bit_generator.state
+    assert home.updates[u] and home.sizes[u]
+    assert home.draws[u, :home.sizes[u]].tobytes() == drawn[STEPS - home.sizes[u]:].tobytes()
+    # a price setter drew once per priced decision, traded or not, so its
+    # stream stands at its last decision, not at the end of a block
+    for home in batched:
+        for a, k, u in home.setters:
+            index = unit_layout(archs[a], cfg).index(home.specs[u])
+            stream = derive_rng(21, STREAM_UNIT_SAMPLE, a, index)
+            stream.random(decisions.get((a, k), 0))
+            assert home.sample_rngs[u].bit_generator.state == stream.bit_generator.state
+    if ARCH_DIST_PRICE in archs:
+        assert any(count % HYPER.rollout_length for count in decisions.values())
     assert update_counts(batched) == update_counts(alone) == update_counts(by_unit)
     assert learned_state(batched) == learned_state(alone)
     assert_params_close(batched, by_unit)
@@ -377,7 +393,7 @@ def assert_newest_decisions_follow(homes, weights):
             t = home.sizes[u] - 1
             (other,) = [w for w in weights if agent in w.agents]
             logits, value = forward(params_of(other, agent, spec.param_key), newest_obs(home, u))
-            action, logp = sample(logits, FixedDraw(home.draws[u, home.cursor[u] - 1]))
+            action, logp = sample(logits, FixedDraw(home.draws[u, t]))
             assert home.actions[u, t] == action, (agent, spec.key)
             assert np.isclose(home.logps[u, t], logp, rtol=1e-12, atol=0), (agent, spec.key)
             assert np.isclose(home.values[u, t], value, rtol=1e-12, atol=0), (agent, spec.key)

@@ -744,6 +744,26 @@ class TestStackedUpdate:
         assert threading.active_count() == threads
         assert (state(stack) == before) == (fails == "surrogate")
 
+    @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS: no update splits")
+    def test_a_split_update_repeated_in_one_process_gives_the_same_bits(self, monkeypatch):
+        # a race between the halves can pass a test that runs each update
+        # once per process: the same two-network FULL update, from the same
+        # state, 10 times in one; its 256-row windows are 16 minibatches of
+        # 64, at each of which the halves meet
+        stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=49)
+        split = split_updates(monkeypatch, TWO_THREADS)
+        batch = stacked(*(make_batch(stack.views[s], 256, seed=50 + s) for s in sets))
+        fields = (stack.rows, stack.m, stack.v, stack.step_counts)
+        saved = [field.copy() for field in fields]
+        runs = []
+        for _ in range(10):
+            for field, value in zip(fields, saved):
+                field[...] = value
+            stats = ppo_update(stack, sets, batch, PPOHyper(), [derive_rng(51, s) for s in sets])
+            runs.append(state(stack) + [np.array([list(one.values()) for one in stats]).tobytes()])
+        assert len(split) == 10
+        assert all(run == runs[0] for run in runs[1:])
+
     @staticmethod
     def blas_probe(threads, *checks):
         """The lines BLAS_PROBE prints for ``checks`` in a fresh process
