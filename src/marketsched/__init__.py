@@ -14,7 +14,6 @@ from .env import (
 from .neural import NonFiniteLossError, PPOHyper
 from .agents import (
     ARCHITECTURES,
-    AgentBundle,
     Home,
     InfeasibleArchitectureError,
     Trainer,
@@ -35,7 +34,6 @@ from .harness import (
 __all__ = [
     "AUCTIONEER",
     "ARCHITECTURES",
-    "AgentBundle",
     "AggregateRecord",
     "ChainLineageError",
     "ConfigError",

@@ -18,9 +18,7 @@ and learned state of all its agents in one ``ParamStack``, each agent's sets
 a contiguous row range of it, initialized together in one call, acts for
 all of them in one batched pass per step, whatever the architectures and
 however many rows the pass has, credits them in one walk of each step's
-result, and saves and loads them as one checkpoint. An ``AgentBundle`` is
-one agent's sets in a stack of their own, built the same way; it does not
-act.
+result, and saves and loads them as one checkpoint.
 
 A unit is a row of its home: everything of unit u that changes as it acts
 and learns is index u of the ``Home``'s fields. That is its spec, agent and
@@ -98,7 +96,6 @@ import numpy as np
 from .config import ConfigError, EnvConfig, PricingMode
 from .env import JointActions, SchedulingEnv, StepResult
 from .neural import (
-    NetParams,
     ParamStack,
     PPOHyper,
     _span,
@@ -543,19 +540,13 @@ class Home:
 
 
 class AgentBundle:
-    """One agent's parameter sets on their own, built as a home builds its
-    sets (``_initialized``), so each set has the bits of the same agent's
-    set in a home: ``param_sets``, the row of each set by key; ``stack``, a
-    stack of these sets alone; and ``params``, their views by key, in row
-    order. No run constructs one, and it does not act. ``hyper`` is not
-    read; it stays for the call of ``perfbench/measure.py``'s
-    ``time_setup``."""
+    """One agent's parameter sets in a ``stack`` of their own, built as a
+    home builds its sets (``_initialized``). No run constructs one:
+    perfbench's set-up (``time_setup``) times its construction, and passes
+    ``hyper``, which is not read."""
 
     def __init__(self, arch: str, agent: int, config: EnvConfig, hyper: PPOHyper, seed: int):
-        layout = _, self.param_sets, _ = _parameter_sets(arch, config)
-        self.stack = _initialized({agent: layout}, seed)
-        self.params: dict[str, NetParams] = {
-            key: self.stack.views[row] for key, row in self.param_sets.items()}
+        self.stack = _initialized({agent: _parameter_sets(arch, config)}, seed)
 
 
 def route_rewards(home: Home, result: StepResult) -> None:

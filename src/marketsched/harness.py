@@ -286,7 +286,8 @@ def run_scenario(scenario: Scenario, seed: int,
 
 
 def aggregate(records: list[RunRecord]) -> AggregateRecord:
-    """Pointwise mean and population standard deviation across seeds.
+    """Pointwise mean and population standard deviation across seeds, one
+    record each.
 
     Absent points are excluded pairwise: each point aggregates over the
     seeds that have it.
@@ -294,10 +295,14 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
     if not records:
         raise ValueError("aggregation needs at least 1 record")
     first = records[0]
+    seeds = {first.seed}
     for r in records[1:]:
         if (r.scenario != first.scenario or r.steps != first.steps
                 or set(r.series) != set(first.series)):
             raise ValueError("records have mismatching scenarios, steps or series")
+        if r.seed in seeds:
+            raise ValueError(f"seed {r.seed} is in more than one record")
+        seeds.add(r.seed)
     mean: dict[str, list[float | None]] = {}
     std: dict[str, list[float | None]] = {}
     count: dict[str, list[int]] = {}

@@ -24,7 +24,7 @@ class ChartSeries:
     label: str
     xs: list[int]
     ys: list[float]
-    band: list[float] | None = None  # half-width of the shaded band per point
+    band: list[float]  # half-width of the shaded band per point
 
 
 def _escape(text: str) -> str:
@@ -39,9 +39,8 @@ def render_line_chart(series: list[ChartSeries], title: str, x_label: str,
     xs_all = [x for s in series for x in s.xs]
     lo_all, hi_all = [], []
     for s in series:
-        band = s.band if s.band is not None else [0.0] * len(s.ys)
-        lo_all.extend(y - b for y, b in zip(s.ys, band))
-        hi_all.extend(y + b for y, b in zip(s.ys, band))
+        lo_all.extend(y - b for y, b in zip(s.ys, s.band))
+        hi_all.extend(y + b for y, b in zip(s.ys, s.band))
     x_min, x_max = min(xs_all), max(xs_all)
     y_min, y_max = min(lo_all), max(hi_all)
     if x_min == x_max:
@@ -100,7 +99,7 @@ def render_line_chart(series: list[ChartSeries], title: str, x_label: str,
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        if s.band is not None and any(b > 0 for b in s.band):
+        if any(b > 0 for b in s.band):
             upper = [(px(x), py(y + b)) for x, y, b in zip(s.xs, s.ys, s.band)]
             lower = [(px(x), py(y - b)) for x, y, b in zip(s.xs, s.ys, s.band)]
             points = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper + lower[::-1])

@@ -82,7 +82,7 @@ class TestFeasibilityGuard:
         ok, worst = feasibility_guard(ARCH_FULL, cfg)
         assert not ok and worst == 3_570_125
         with pytest.raises(InfeasibleArchitectureError) as err:
-            AgentBundle(ARCH_FULL, 0, cfg, PPOHyper(), seed=0)
+            build_homes((ARCH_FULL,) * 4, cfg, PPOHyper(), seed=0)
         assert "3570125" in str(err.value).replace(" ", "").replace(",", "")
 
     def test_full_allowed_at_two_by_two(self):
@@ -139,13 +139,14 @@ class TestInitialWeights:
         ("EXP2_ARCH_2X2", ARCH_DIST, 5), ("EXP2_ARCH_2X2", ARCH_DIST_PS, 5),
         ("EXP2_ARCH_2X2", ARCH_SEMI, 5), ("EXP2_ARCH_2X2", ARCH_FULL, 3),
         ("EXP2_ARCH_4X4", ARCH_DIST, 5), ("EXP3_SCARCITY_2C_COMM", ARCH_DIST_PRICE, 7)])
-    def test_a_bundle_matches_a_one_network_init(self, monkeypatch, scenario, arch, qr_count):
-        # a bundle orthogonalizes its matrices of one tensor and one shape
+    def test_a_one_agent_home_matches_a_one_network_init(self, monkeypatch, scenario, arch,
+                                                         qr_count):
+        # a home orthogonalizes its matrices of one tensor and one shape
         # with one stacked QR (every value head of one hidden width shares
         # one); each set gets the bytes of a QR of its own, and its stream
         # is left where a one-network init leaves it. A home of every agent
-        # takes as many QRs as one bundle: all its agents' matrices of one
-        # tensor and one shape join the same one
+        # takes as many QRs as a home of one: all its agents' matrices of
+        # one tensor and one shape join the same one
         config = builtin_scenarios()[scenario].env
         streams, qr_calls = {}, []
         qr = np.linalg.qr
@@ -156,16 +157,16 @@ class TestInitialWeights:
 
         monkeypatch.setattr("marketsched.agents.derive_rng", recorded)
         monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
-        for agent in range(config.num_agents):
-            qr_calls.clear()
-            bundle = AgentBundle(arch, agent, config, PPOHyper(), seed=4)
-            assert len(qr_calls) == qr_count
-            want = ParamStack(bundle.stack.shapes)
+        alone = standalone((arch,) * config.num_agents, config, PPOHyper(), seed=4)
+        # each agent's home takes the same qr_count QRs
+        assert qr_calls == qr_calls[:qr_count] * config.num_agents
+        for agent, home in enumerate(alone):
+            want = ParamStack(home.stack.shapes)
             for index, params in enumerate(want.views):
                 rng = derive_rng(4, STREAM_UNIT_INIT, agent, index)
                 reference.init_params(params, rng)
                 assert streams[STREAM_UNIT_INIT, agent, index].random() == rng.random()
-            assert bundle.stack.rows.tobytes() == want.rows.tobytes()
+            assert home.stack.rows.tobytes() == want.rows.tobytes()
         qr_calls.clear()
         (home,) = build_homes((arch,) * config.num_agents, config, PPOHyper(), seed=4)
         assert len(qr_calls) == qr_count
@@ -180,22 +181,30 @@ class TestInitialWeights:
     def test_every_set_of_a_home_is_the_agents_standalone_set(self, name, archs, home_count,
                                                              seed):
         # a home initializes all its agents' sets at once, and each set has
-        # the bits of the same agent's AgentBundle
+        # the bits of the same set in the agent's home of its own
         scenario = builtin_scenarios()[name]
         archs = archs or scenario.arch
         homes = build_homes(archs, scenario.env, scenario.hyper, seed)
+        alone = standalone(archs, scenario.env, scenario.hyper, seed)
         assert len(homes) == home_count
         for home in homes:
             names = []
             for a in sorted(set(home.agents)):
-                bundle = AgentBundle(archs[a], a, scenario.env, scenario.hyper, seed)
-                names += [f"agent{a}/{key}" for key in bundle.param_sets]
-                for key, want in bundle.params.items():
-                    for (tensor, got), (_, expected) in zip(params_of(home, a, key).tensors(),
-                                                            want.tensors()):
-                        assert got.tobytes() == expected.tobytes(), (a, key, tensor)
+                names += alone[a].names
+                for row_name, want in zip(alone[a].names, alone[a].stack.views):
+                    got = home.stack.views[home.names.index(row_name)]
+                    for (tensor, x), (_, y) in zip(got.tensors(), want.tensors()):
+                        assert x.tobytes() == y.tobytes(), (row_name, tensor)
             assert home.names == names
         assert sorted(a for home in homes for a in set(home.agents)) == list(range(len(archs)))
+        # perfbench's set-up times an AgentBundle per agent: its stack is the
+        # agent's one-agent home's, so that it times the initialization a run does
+        for a, own in enumerate(alone):
+            stack = AgentBundle(archs[a], a, scenario.env, scenario.hyper, seed).stack
+            assert stack.shapes == own.stack.shapes, a
+            for field in ("rows", "m", "v", "step_counts"):
+                got, want = getattr(stack, field), getattr(own.stack, field)
+                assert got.tobytes() == want.tobytes(), (a, field)
 
 
 class TestBuildHomes:

@@ -23,7 +23,6 @@ from marketsched.agents import (
     ARCH_DIST_PS,
     ARCH_FULL,
     ARCH_SEMI,
-    AgentBundle,
     Trainer,
     build_homes,
     route_rewards,
@@ -181,9 +180,9 @@ def test_batched_pass_matches_unit_by_unit_acting(arch, monkeypatch):
 
 def test_stack_views_write_through_and_padding_stays_masked():
     cfg = make_config()
-    bundle = AgentBundle(ARCH_DIST_PS, 0, cfg, HYPER, seed=3)
-    stack = bundle.stack
-    for index, params in enumerate(bundle.params.values()):
+    (home,) = standalone((ARCH_DIST_PS,), cfg, HYPER, seed=3)
+    stack = home.stack
+    for index, params in enumerate(stack.views):
         params.bp += 1.0
         params.bv += 2.0
         width = params.action_count

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketsched.agents import ARCH_DIST, AgentBundle
+from marketsched.agents import ARCH_DIST
 from marketsched.baseline import scripted_actions
 from marketsched.env import SchedulingEnv
 from marketsched.harness import builtin_scenarios
@@ -25,7 +25,7 @@ from marketsched.neural import forward, sample_rows
 from marketsched.obs import market_image
 from marketsched.rng import STREAM_FUZZ, derive_rng
 
-from helpers import random_actions
+from helpers import random_actions, standalone
 
 pytestmark = pytest.mark.bench
 
@@ -66,7 +66,8 @@ def test_bench_market_image(benchmark):
 
 def test_bench_forward_and_sample(benchmark):
     scenario = builtin_scenarios()["EXP2_ARCH_4X4"]
-    stack = AgentBundle(ARCH_DIST, 0, scenario.env, scenario.hyper, seed=1).stack
+    (home,) = standalone((ARCH_DIST,), scenario.env, scenario.hyper, seed=1)
+    stack = home.stack
     sets = np.arange(len(stack.rows))
     rng = derive_rng(1, 0)
     obs = rng.standard_normal((len(sets), stack.in_width))

@@ -2,11 +2,13 @@
 
 Deselected by default; run with ``python -m pytest -m bench``.
 ``test_bench_bundles`` times, in host seconds, the construction of one
-``AgentBundle`` per agent, each in a stack of its own, as perfbench's set-up
-does: for EXP2_ARCH_4X4 ``DIST``, whose seven sets per agent are four
-accept sets and three offer sets, 5 stacked QRs in all; and for
-EXP1_TRADING ``DIST_PS``, whose two shared sets differ in shape, so only
-their value heads share a QR.
+``AgentBundle`` per agent, as perfbench's set-up (``time_setup``) does. A
+bundle is only the stack of one agent's parameter sets, whose bytes
+``tests/test_agents.py`` checks against the agent's one-agent ``Home``:
+for EXP2_ARCH_4X4 ``DIST``, whose seven sets per agent are four accept sets
+and three offer sets, 5 stacked QRs in all; and for EXP1_TRADING
+``DIST_PS``, whose two shared sets differ in shape, so only their value
+heads share a QR.
 """
 
 import pytest

@@ -3,7 +3,7 @@
 Deselected by default; run with ``python -m pytest -m bench``. Each round
 updates parameter sets on the same 256-sample windows, from the same
 weights, with the sets' Adam moments and step counts reset: one set of a
-fresh agent bundle, EXP1_TRADING's ``DIST_PS`` accept set, where per-call
+fresh one-agent home, EXP1_TRADING's ``DIST_PS`` accept set, where per-call
 overhead dominates, and EXP2_ARCH_2X2's ``FULL`` set, whose 1323-action head
 makes the update arithmetic-bound; and one wave, the 12 offer sets of an
 EXP2_ARCH_4X4 ``DIST`` home, whose windows fill in the same step.
@@ -19,13 +19,13 @@ import resource
 import numpy as np
 import pytest
 
-from marketsched.agents import ARCH_DIST, ARCH_DIST_PS, ARCH_FULL, AgentBundle, build_homes
+from marketsched.agents import ARCH_DIST, ARCH_DIST_PS, ARCH_FULL, build_homes
 from marketsched.harness import Scenario, apply_overrides, builtin_scenarios, run_scenario
 from marketsched.ppo import TrainBatch, ppo_update
 from marketsched.rng import derive_rng
 
 import reference
-from helpers import stacked
+from helpers import stacked, standalone
 from reference import forward, sample
 
 pytestmark = pytest.mark.bench
@@ -42,14 +42,14 @@ def window(params, size, rng):
 
 
 def one_set(scenario_name, arch, param_key):
-    """A fresh bundle's parameter set ``param_key`` under ``arch``, a window
-    of it acting, and a function that resets the set to where it started:
-    (hyper, stack, index, window, reset)."""
+    """Parameter set ``param_key`` of a fresh one-agent home under ``arch``,
+    a window of it acting, and a function that resets the set to where it
+    started: (hyper, stack, index, window, reset)."""
     scenario = builtin_scenarios()[scenario_name]
     hyper = scenario.hyper
     assert hyper.rollout_length == 256
-    bundle = AgentBundle(arch, 0, scenario.env, hyper, seed=1)
-    stack, index = bundle.stack, bundle.param_sets[param_key]
+    (home,) = standalone((arch,), scenario.env, hyper, seed=1)
+    stack, index = home.stack, home.names.index(f"agent0/{param_key}")
     batch = window(stack.views[index], hyper.rollout_length, derive_rng(1, 0))
     start = stack.rows.copy()
 

@@ -83,6 +83,12 @@ class TestAggregate:
         with pytest.raises(ValueError, match="mismatching scenarios"):
             aggregate([tiny_record([1.0], name="A"), tiny_record([3.0], name="B", seed=2)])
 
+    def test_a_repeated_seed_is_rejected(self):
+        # two records of one seed would count it twice and narrow the std
+        with pytest.raises(ValueError, match="seed 2 is in more than one record"):
+            aggregate([tiny_record([1.0]), tiny_record([3.0], seed=2),
+                       tiny_record([3.0], seed=2)])
+
     def test_seed_permutation_leaves_aggregate_unchanged(self):
         records = [tiny_record([1.0, 4.0]), tiny_record([2.0, None], seed=2),
                    tiny_record([3.0, 8.0], seed=3)]
