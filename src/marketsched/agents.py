@@ -233,7 +233,7 @@ def unit_layout(arch: str, config: EnvConfig) -> list[UnitSpec]:
                 unit(("offer", 0), offers, 32, "offer")]
     if arch == ARCH_FULL:
         return [unit(("full", 0), accepts + offers, 64, "full")]
-    raise ValueError(f"unknown architecture {arch!r}")
+    raise ConfigError(f"unknown architecture {arch!r}")
 
 
 def feasibility_guard(arch: str, config: EnvConfig) -> tuple[bool, int]:

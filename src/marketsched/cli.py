@@ -23,7 +23,6 @@ from .agents import (
 from .baseline import fcfs_trace, scripted_env_trace
 from .config import ConfigError, EnvConfig, JobType
 from .harness import (
-    OverrideError,
     Scenario,
     aggregate,
     apply_overrides,
@@ -33,7 +32,6 @@ from .harness import (
     read_series_csv,
     run_scenario,
     run_sweep,
-    with_defaults,
 )
 from .neural import NonFiniteLossError
 from .svgchart import ChartSeries, render_line_chart
@@ -58,6 +56,10 @@ def _check_counts(args: argparse.Namespace, **lowest: int) -> None:
 
 
 def _load_scenario(name_or_path: str, overrides: list[str], arch: str | None) -> Scenario:
+    """The builtin scenario of that name, or else the scenario file at that
+    path, checked as written; then, in its ``to_dict`` form, ``arch`` for
+    every agent if given and each ``dotted.key=value`` override, checked
+    again by ``Scenario.from_dict``. Any violation is a CliError."""
     builtins = builtin_scenarios()
     if name_or_path in builtins:
         data = builtins[name_or_path].to_dict()
@@ -67,16 +69,16 @@ def _load_scenario(name_or_path: str, overrides: list[str], arch: str | None) ->
             known = ", ".join(sorted(builtins))
             raise CliError(
                 f"unknown scenario {name_or_path!r}; builtin scenarios: {known}")
-        try:
-            data = with_defaults(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as err:
+        try:  # the file may be unreadable, not UTF-8, not JSON or nested too deep
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as err:
             raise CliError(f"cannot read scenario file {path}: {err}")
-    if arch is not None:
-        data["arch"] = arch
     try:
-        data = apply_overrides(data, overrides)
-        return Scenario.from_dict(data)
-    except (OverrideError, ConfigError, ValueError, KeyError) as err:
+        data = Scenario.from_dict(data).to_dict()
+        if arch is not None:
+            data["arch"] = arch
+        return Scenario.from_dict(apply_overrides(data, overrides))
+    except ConfigError as err:
         raise CliError(f"invalid scenario: {err}")
 
 
@@ -277,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleArchitectureError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, OverrideError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (NonFiniteLossError, OSError) as err:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass
 from enum import Enum
 from functools import cached_property
-from math import isfinite
+from sys import float_info
 from typing import Any
 
 
@@ -27,8 +27,9 @@ def check_int(value: Any, name: str, low: int) -> None:
 
 
 def finite_number(value: Any, name: str) -> float:
-    """``value`` as a float; a bool, a non-number, NaN or infinity is a ConfigError."""
-    if type(value) in (int, float) and isfinite(value):
+    """``value`` as a float; a bool, a non-number, NaN, infinity or an int
+    beyond float range is a ConfigError."""
+    if type(value) in (int, float) and abs(value) <= float_info.max:
         return float(value)
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
@@ -95,8 +96,14 @@ class EnvConfig:
     guard_threshold: int = 1_000_000
 
     def __post_init__(self) -> None:
+        if not isinstance(self.job_types, (tuple, list)):
+            raise ConfigError(f"job_types must be a list of job types, got {self.job_types!r}")
         object.__setattr__(self, "job_types", tuple(self.job_types))
-        object.__setattr__(self, "pricing_mode", PricingMode(self.pricing_mode))
+        mode = self.pricing_mode
+        if not isinstance(mode, str) or mode not in PricingMode.__members__:
+            raise ConfigError(f"pricing_mode must be one of "
+                              f"{', '.join(PricingMode.__members__)}, got {mode!r}")
+        object.__setattr__(self, "pricing_mode", PricingMode(mode))
         for name in ("num_agents", "num_cores", "num_slots", "guard_threshold"):
             check_int(getattr(self, name), name, 1)
         if type(self.trading_enabled) is not bool:
@@ -143,10 +150,6 @@ class EnvConfig:
             raise ConfigError(f"env.job_types must be a list, got {data['job_types']!r}")
         for i, t in enumerate(data["job_types"]):
             check_keys(JobType, t, f"env.job_types.{i}")
-        mode = data.get("pricing_mode", cls.pricing_mode.value)
-        if not isinstance(mode, str) or mode not in PricingMode.__members__:
-            raise ConfigError(f"pricing_mode must be one of "
-                              f"{', '.join(PricingMode.__members__)}, got {mode!r}")
         return cls(
             num_agents=whole_number(data["num_agents"], "num_agents"),
             num_cores=whole_number(data["num_cores"], "num_cores"),
@@ -160,7 +163,7 @@ class EnvConfig:
                 )
                 for t in data["job_types"]
             ),
-            pricing_mode=PricingMode(mode),
+            pricing_mode=data.get("pricing_mode", cls.pricing_mode),
             trading_enabled=data.get("trading_enabled", cls.trading_enabled),
             guard_threshold=whole_number(data.get("guard_threshold", cls.guard_threshold),
                                          "guard_threshold"),

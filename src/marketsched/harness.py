@@ -21,9 +21,8 @@ import json
 import multiprocessing
 import os
 from collections import deque
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -59,6 +58,9 @@ class Scenario:
         arch = self.arch
         if isinstance(arch, str):
             arch = (arch,) * self.env.num_agents
+        for name, value in (("arch", arch), ("seeds", self.seeds)):
+            if not isinstance(value, (tuple, list)):
+                raise ConfigError(f"scenario {self.name}: {name} must be a list, got {value!r}")
         object.__setattr__(self, "arch", tuple(arch))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         # the name becomes part of every artifact's file name
@@ -98,14 +100,13 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
         check_keys(cls, data, "scenario")
-        arch = data["arch"]
         seeds = data.get("seeds", list(cls.seeds))
         if not isinstance(seeds, list):
             raise ConfigError(f"seeds must be a list, got {seeds!r}")
         return cls(
             name=data["name"],
             env=EnvConfig.from_dict(data["env"]),
-            arch=tuple(arch) if isinstance(arch, list) else str(arch),
+            arch=data["arch"],
             hyper=PPOHyper.from_dict(data.get("hyper", {})),
             total_steps=whole_number(data.get("total_steps", cls.total_steps), "total_steps"),
             window=whole_number(data.get("window", cls.window), "window"),
@@ -115,63 +116,37 @@ class Scenario:
         )
 
 
-class OverrideError(ValueError):
-    """An override key does not address a declared scenario field."""
-
-
 def apply_overrides(data: dict[str, Any], overrides: Iterable[str]) -> dict[str, Any]:
     """Apply ``dotted.key=value`` overrides to a scenario dictionary.
 
-    Keys must address existing fields; list elements are addressed by
-    index, from 0.
-    Values are parsed as JSON when possible, else taken as strings.
+    Keys must address existing fields, else ConfigError; list elements are
+    addressed by index, from 0. Values are parsed as JSON when possible,
+    else taken as strings. A scenario's ``to_dict`` holds every field, so
+    any field can be overridden; ``Scenario.from_dict`` checks the result.
     """
     for item in overrides:
         if "=" not in item:
-            raise OverrideError(f"override {item!r} is not of the form key=value")
+            raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, too many digits or too deep
             value = raw
         node: Any = data
         for part in dotted.split("."):  # one part at least, so parent and key get set
             if isinstance(node, list):
-                if not part.isdecimal() or int(part) >= len(node):
-                    raise OverrideError(f"override {dotted!r}: bad list index {part!r}")
+                if part not in map(str, range(len(node))):
+                    raise ConfigError(f"override {dotted!r}: bad list index {part!r}")
                 key = int(part)
             elif isinstance(node, dict):
                 if part not in node:
-                    raise OverrideError(f"override {dotted!r}: unknown field {part!r}")
+                    raise ConfigError(f"override {dotted!r}: unknown field {part!r}")
                 key = part
             else:
-                raise OverrideError(f"override {dotted!r}: {part!r} is not addressable")
+                raise ConfigError(f"override {dotted!r}: {part!r} is not addressable")
             parent, node = node, node[key]
         parent[key] = value
     return data
-
-
-def with_defaults(data: Any) -> Any:
-    """A scenario dictionary as a file gives it, with each declared field
-    that it, its ``env`` or its ``hyper`` leaves out set to its default, as
-    ``Scenario.to_dict`` writes it, so that an override can address it;
-    anything but a dictionary as it is. Nothing is checked here, so an
-    override can still make a file valid."""
-    if not isinstance(data, dict):
-        return data
-    data = {**_defaults(Scenario), **data}
-    for key, cls in (("env", EnvConfig), ("hyper", PPOHyper)):
-        if isinstance(data.get(key), dict):
-            data[key] = {**_defaults(cls), **data[key]}
-    return data
-
-
-def _defaults(cls: type) -> dict[str, Any]:
-    """The default of each field of the dataclass ``cls`` that has one, as
-    its ``to_dict`` writes it."""
-    encode = {PPOHyper: PPOHyper.to_dict, PricingMode: attrgetter("value"), tuple: list}
-    return {name: encode.get(type(f.default), lambda value: value)(f.default)
-            for name, f in cls.__dataclass_fields__.items() if f.default is not MISSING}
 
 
 # ----------------------------------------------------------------------

@@ -216,6 +216,13 @@ class TestBuildHomes:
         with pytest.raises(ConfigError, match=f"{count} architectures for 2 agents"):
             build_homes((ARCH_DIST_PS,) * count, env, PPOHyper(), seed=1)
 
+    def test_an_unknown_architecture_is_a_config_error(self):
+        env = builtin_scenarios()["EXP1_TRADING"].env
+        with pytest.raises(ConfigError, match="unknown architecture 'BOGUS'"):
+            build_homes(("BOGUS",) * 2, env, PPOHyper(), seed=1)
+        with pytest.raises(ConfigError, match="unknown architecture 'BOGUS'"):
+            feasibility_guard("BOGUS", env)
+
     @pytest.mark.parametrize("name, archs, layouts", [
         ("EXP2_ARCH_4X4", (ARCH_DIST,) * 4, 1),
         ("EXP2_ARCH_4X4", (ARCH_DIST, ARCH_DIST_PS) * 2, 2),

@@ -1,9 +1,13 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import contextlib
 import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketsched import cli
 from marketsched.agents import ARCH_DIST, ARCH_FULL, ARCH_SEMI, unit_layout
@@ -12,9 +16,11 @@ from marketsched.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    CliError,
     main,
 )
-from marketsched.config import EnvConfig, JobType
+from marketsched.config import ConfigError, EnvConfig, JobType
+from marketsched.harness import Scenario, apply_overrides, builtin_scenarios
 
 FAST = ["--set", "total_steps=300", "--set", "window=100",
         "--set", "record_every=100", "--set", "hyper.rollout_length=64"]
@@ -111,8 +117,6 @@ class TestRun:
     ])
     def test_an_override_reaches_a_field_the_file_leaves_out(self, override, field, value,
                                                              tmp_path):
-        from marketsched.harness import builtin_scenarios
-
         full = builtin_scenarios()["BASE_SINGLE"].to_dict()
         data = {"name": "SPARSE", "arch": full["arch"], "total_steps": 200, "window": 100,
                 "env": {key: full["env"][key]
@@ -127,9 +131,31 @@ class TestRun:
             node = node[part]
         assert node == value
 
-    def test_scenario_file_roundtrip(self, tmp_path):
-        from marketsched.harness import builtin_scenarios
+    def test_an_override_reaches_an_architecture_the_file_names_once(self, tmp_path):
+        data = builtin_scenarios()["BASE_DUO"].to_dict()
+        data["arch"] = "DIST"
+        path = tmp_path / "duo.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(path), *FAST, "--set", "total_steps=100",
+                       "--set", "arch.0=FULL", "--out", str(out)) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["scenario"]["arch"] == [
+            "FULL", "DIST"]
 
+    def test_a_file_is_checked_before_its_overrides(self, tmp_path, capsys):
+        # FAST would repair the file's horizon, but the file is checked as written
+        data = builtin_scenarios()["BASE_DUO"].to_dict()
+        data["total_steps"] = 50
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(path), *FAST, "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "total_steps" in captured.err
+
+    def test_scenario_file_roundtrip(self, tmp_path):
         data = builtin_scenarios()["BASE_SINGLE"].to_dict()
         data["total_steps"] = 200
         path = tmp_path / "custom.json"
@@ -311,8 +337,6 @@ class TestUsage:
 
     @pytest.mark.parametrize("form", ["override", "file"])
     def test_unknown_architecture_is_a_usage_error(self, form, tmp_path, capsys):
-        from marketsched.harness import builtin_scenarios
-
         if form == "override":
             argv = ["--scenario", "BASE_DUO", "--set", "arch=BOGUS"]
         else:
@@ -335,9 +359,26 @@ class TestUsage:
         'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]", "seeds=[-1]",
         "seeds=5", "env.job_types=3", "name=../o5x", "name=[1]", 'name=""',
         "env.pricing_mode=BOGUS", "env.pricing_mode=5", 'env.pricing_mode=["FIXED"]',
+        pytest.param(f"env.job_types.0.spawn_prob={10**400}",
+                     id="env.job_types.0.spawn_prob=10**400"),
+        pytest.param("total_steps=" + "[" * 100_000, id="total_steps=[ nested 100000 deep"),
     ])
     def test_env_values_are_type_checked(self, override, tmp_path, capsys):
         assert_override_is_a_usage_error(override, tmp_path, capsys)
+
+    @pytest.mark.parametrize("content", [
+        b"{", b"\xff\xfe{}", pytest.param(b'{"name": ' + b"1" * 5000 + b"}", id="5000 digits"),
+        pytest.param(b"[" * 100_000, id="nested 100000 deep"),
+    ])
+    def test_an_unreadable_scenario_file_is_a_usage_error(self, content, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        assert run_cli("run", "--scenario", str(path), "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: cannot read scenario file {path}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("where, key", [
         ((), "env_x"), (("env",), "trading_enable"),
@@ -347,8 +388,6 @@ class TestUsage:
     def test_scenario_file_fields_are_checked(self, where, key, tmp_path, capsys):
         # a key naming no field is rejected, and so is a missing one: the
         # job type's burst is deleted rather than added
-        from marketsched.harness import builtin_scenarios
-
         data = builtin_scenarios()["BASE_DUO"].to_dict()
         node = data
         for part in where:
@@ -370,6 +409,8 @@ class TestUsage:
     @pytest.mark.parametrize("override", [
         "hyper.learning_rate=abc", "hyper.epochs=1.5", "hyper.entropy_coef=null",
         "hyper.learning_rate=-1", "hyper.value_coef=-0.5",
+        *(pytest.param(f"hyper.{name}={10**400}", id=f"hyper.{name}=10**400")
+          for name in ("learning_rate", "discount")),
     ])
     def test_hyper_values_are_type_checked(self, override, tmp_path, capsys):
         assert_override_is_a_usage_error(override, tmp_path, capsys)
@@ -389,3 +430,53 @@ class TestUsage:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert argv[-2] in captured.err
+
+
+# what a one-field mutation sets a field to, besides deleting it
+BAD_VALUES = (None, True, "x", [], {}, 2.5, -1, 10**400, math.inf, math.nan)
+DELETE = object()
+
+
+def one_field_mutations(node, path=()):
+    """(path, value) of each one-field mutation of a scenario dictionary:
+    every key or element, at any depth, deleted or set to each BAD_VALUES."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        for value in (DELETE, *BAD_VALUES):
+            yield path + (key,), value
+        if isinstance(child, (dict, list)):
+            yield from one_field_mutations(child, path + (key,))
+
+
+BUILTIN_KEYS = sorted({".".join(map(str, path)) for scenario in builtin_scenarios().values()
+                       for path, _ in one_field_mutations(scenario.to_dict())})
+
+
+class TestBadScenarios:
+    """A bad scenario, builtin or file, raises ConfigError and nothing else,
+    so the CLI reports each one as a usage error."""
+
+    def test_a_mutated_builtin_builds_or_is_a_config_error(self):
+        for scenario in builtin_scenarios().values():
+            for path, value in one_field_mutations(scenario.to_dict()):
+                data = node = scenario.to_dict()
+                for key in path[:-1]:
+                    node = node[key]
+                if value is DELETE:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                with contextlib.suppress(ConfigError):
+                    Scenario.from_dict(data)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(builtin_scenarios())),
+           keys=st.lists(st.one_of(st.sampled_from(BUILTIN_KEYS), st.text()), max_size=3),
+           values=st.lists(st.one_of(st.sampled_from([json.dumps(v) for v in BAD_VALUES]),
+                                     st.text()), min_size=3, max_size=3),
+           arch=st.one_of(st.none(), st.text()))
+    def test_a_bad_override_is_a_config_error(self, name, keys, values, arch):
+        overrides = [f"{key}={value}" for key, value in zip(keys, values)]
+        with contextlib.suppress(ConfigError):
+            Scenario.from_dict(apply_overrides(builtin_scenarios()[name].to_dict(), overrides))
+        with contextlib.suppress(CliError):
+            cli._load_scenario(name, overrides, arch)

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from marketsched.config import EnvConfig, JobType
+from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import PPOHyper
 
@@ -49,7 +49,7 @@ FLOAT_FIELDS = [
                       if name not in PPOHyper.integer_fields]),
 ]
 CASES += [(config, name, bad) for config, names in FLOAT_FIELDS for name in names
-          for bad in (True, str(getattr(config, name)), math.nan)]
+          for bad in (True, str(getattr(config, name)), math.nan, 10**400)]
 CASES += [(SCENARIO.env, "trading_enabled", bad) for bad in ("no", 1, None)]
 CASES += [(SCENARIO, "seeds", (bad,)) for bad in (1.5, True, "1")]
 CASES += [(SCENARIO.env, "job_types", (vars(JOB_TYPE),)),
@@ -64,4 +64,16 @@ def test_every_int_bool_and_nested_config_field_rejects_another_type(config, fie
     kept = dataclasses.replace(config, **{field: getattr(config, field)})
     assert kept == config
     with pytest.raises(ValueError, match=field.rstrip("s")):
+        dataclasses.replace(config, **{field: bad})
+
+
+SHAPES = [(SCENARIO.env, "job_types", 5), (SCENARIO, "seeds", 5), (SCENARIO, "arch", 5),
+          (SCENARIO, "arch", None)]
+SHAPES += [(SCENARIO.env, "pricing_mode", bad) for bad in ("BOGUS", 5, ["FIXED"])]
+
+
+@pytest.mark.parametrize("config, field, bad", SHAPES,
+                         ids=[f"{type(c).__name__}.{f}={b!r}" for c, f, b in SHAPES])
+def test_a_field_of_another_shape_is_a_config_error(config, field, bad):
+    with pytest.raises(ConfigError, match=field.rstrip("s")):
         dataclasses.replace(config, **{field: bad})

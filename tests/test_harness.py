@@ -11,7 +11,6 @@ from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
 from marketsched.harness import (
     AggregateRecord,
-    OverrideError,
     RunRecord,
     Scenario,
     aggregate,
@@ -276,23 +275,27 @@ class TestOverrides:
 
     def test_unknown_field_rejected(self):
         data = builtin_scenarios()["EXP1_TRADING"].to_dict()
-        with pytest.raises(OverrideError):
+        with pytest.raises(ConfigError):
             apply_overrides(data, ["env.bogus=1"])
-        with pytest.raises(OverrideError):
+        with pytest.raises(ConfigError):
             apply_overrides(data, ["no_equals_sign"])
-        with pytest.raises(OverrideError):
+        with pytest.raises(ConfigError):
             apply_overrides(data, ["env.job_types.9.burst=2"])
 
     @pytest.mark.parametrize("override, message", [
         ("env.num_cores.x=1", "override 'env.num_cores.x': 'x' is not addressable"),
         ("env.job_types.x.burst=2", "override 'env.job_types.x.burst': bad list index 'x'"),
         ("seeds.-1=9", "override 'seeds.-1': bad list index '-1'"),
+        ("seeds.01=9", "override 'seeds.01': bad list index '01'"),
+        pytest.param(f"seeds.{'1' * 5000}=9",
+                     f"override 'seeds.{'1' * 5000}': bad list index '{'1' * 5000}'",
+                     id="seeds.<5000 digits>=9"),
         ("env.bogus.x=1", "override 'env.bogus.x': unknown field 'bogus'"),
     ])
     def test_rejection_names_the_failing_part(self, override, message):
         data = builtin_scenarios()["EXP1_TRADING"].to_dict()
         before = builtin_scenarios()["EXP1_TRADING"].to_dict()
-        with pytest.raises(OverrideError) as err:
+        with pytest.raises(ConfigError) as err:
             apply_overrides(data, [override])
         assert str(err.value) == message
         assert data == before

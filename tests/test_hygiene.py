@@ -73,7 +73,6 @@ ERRORS = {
     "ConfigError": ("num_cores must be at least 1",),
     "InfeasibleArchitectureError": ("full", 3_570_125, 100_000),
     "NonFiniteLossError": ("non-finite update of parameter set 2",),
-    "OverrideError": ("no field env.cores",),
 }
 
 DEFINED_ERRORS = sorted(
