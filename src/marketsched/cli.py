@@ -42,9 +42,7 @@ EXIT_INFEASIBLE = 3
 EXIT_RUNTIME = 4
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error of the command line; ``main`` prints it and exits 2."""
 
 
 def _check_counts(args: argparse.Namespace, **lowest: int) -> None:
@@ -273,15 +271,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code) if err.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as err:
+    except (CliError, ConfigError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.code
+        return EXIT_USAGE
     except InfeasibleArchitectureError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (NonFiniteLossError, OSError) as err:
         print(f"aborted: {err}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -63,11 +63,16 @@ class Scenario:
                 raise ConfigError(f"scenario {self.name}: {name} must be a list, got {value!r}")
         object.__setattr__(self, "arch", tuple(arch))
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        # the name becomes part of every artifact's file name
-        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
-                or any(c in self.name for c in "/\\\0")):
-            raise ConfigError("scenario name must be a non-empty string other than '.' "
-                              f"and '..', with no '/', '\\' or NUL, got {self.name!r}")
+        # the name becomes part of every artifact's file name: 200 UTF-8 bytes
+        # at most leave room under NAME_MAX, 255, for "_seed<20 digits>_trace.jsonl"
+        try:
+            size = len(self.name.encode()) if isinstance(self.name, str) else 0
+        except UnicodeEncodeError:  # a lone surrogate
+            size = 0
+        if not 0 < size <= 200 or self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigError("scenario name must be a non-empty string of at most 200 bytes "
+                              "in UTF-8 (no lone surrogate), other than '.' and '..', with no "
+                              f"'/', '\\' or NUL, got {self.name!r}")
         if len(self.arch) != self.env.num_agents:
             raise ConfigError(
                 f"scenario {self.name}: {len(self.arch)} architectures for "

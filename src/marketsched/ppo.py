@@ -32,16 +32,17 @@ numpy's BLAS is an OpenBLAS, whatever its thread count; under any other BLAS
 they run unsplit. A wide update sets OpenBLAS to one thread until it
 returns, since two halves on a many-thread BLAS would oversubscribe the
 cores, and a wide product on two OpenBLAS threads is not always bit for bit
-the one-thread one. The calling thread keeps the one minibatch loop and
-runs each phase of a minibatch on the first half while a worker thread,
-started for the update and joined before it returns, runs it on the second;
-the numpy calls that carry the cost release the interpreter lock, so the
-halves overlap on two cores. Phase one is each half's surrogate and
-finiteness check, after which the calling thread alone raises a non-finite
-minibatch's error, naming the first bad network in ``sets`` order, before
-phase two, the Adam step, moves any network. Each half works in its own
-S-slice of the one scratch, laid out before the worker starts, and every
-network's arithmetic is the one-thread loop's.
+the one-thread one. Each half runs the minibatch loop an unsplit update
+runs, on its own networks alone: the calling thread the first half, and a
+worker thread, started once and joined once before the update returns, the
+second. The numpy calls that carry the cost release the interpreter lock,
+so the halves overlap on two cores. The halves meet only at the join: each
+writes its own networks' rows, moments and step counts, its own S-slice of
+the one scratch, allocated before the worker starts, and its own columns of
+the stats' totals, and every network's arithmetic is the one-thread loop's.
+A half stops at its own first non-finite minibatch, before that minibatch's
+Adam step, while the other half runs on; after the join the first half's
+error is raised if it has one, else the second's.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import ctypes
 import threading
 from functools import cache
 from math import prod
-from queue import SimpleQueue
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -262,13 +262,16 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     its own stream ``rngs[i]``, in place, on its own entries alone; returns
     each network's aggregate stats. Advances the stack's ``writes``.
 
-    The networks share one minibatch loop, which a wide update (``SPLIT_BYTES``)
-    may split over two threads. Each network ends bit for bit where updating it
-    alone would leave it: its own permutations, advantages normalized once over
-    its own window, its own stats and its own Adam step count. A non-finite loss
-    or gradient in any network raises NonFiniteLossError naming the first such
-    network, before the offending minibatch touches any of the networks. No
-    thread outlives the call.
+    The networks share one minibatch loop, or, in a wide update
+    (``SPLIT_BYTES``), each contiguous half of them runs that loop on its own
+    thread. Each network ends bit for bit where updating it alone would leave
+    it: its own permutations, advantages normalized once over its own window,
+    its own stats and its own Adam step count. A non-finite loss or gradient
+    raises NonFiniteLossError naming the first such network of the first
+    minibatch that has one, before that minibatch's Adam step moves any network
+    of its loop. In a split update each half stops at its own first such
+    minibatch while the other runs on, and the first half's error is raised,
+    else the second's. No thread outlives the call.
     """
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
@@ -295,95 +298,69 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     minibatches = hyper.epochs * len(starts)
     totals = np.zeros((len(STATS), len(sets)))
 
-    def lay_out(lo: int, hi: int) -> tuple[Callable, Callable]:
-        """The two phases of a minibatch for networks lo, ..., hi - 1 in
-        their part of the scratch: the surrogate, given all networks' row
-        indices, which returns the NonFiniteLossError of the first network
-        whose objective or gradient is not finite, or None; and the Adam
-        step, given the number of steps taken before it."""
+    def update(lo: int, hi: int) -> None:
+        """The update of networks lo, ..., hi - 1 alone, in their part of the
+        scratch and of ``totals``; raises the NonFiniteLossError of the first
+        of them whose objective or gradient is not finite, before that
+        minibatch's Adam step."""
         part = work.networks(lo, hi)
         views = {k: minibatch_views(part, shape, k) for k in {n, count % size} if k}
         params, grads = (_unpadded(_blocks(a, shape), shape) for a in (rows[lo:hi], part.grad))
-        stats, objective = part.stats, part.stats[0]
+        stats, objective, total = part.stats, part.stats[0], totals[:, lo:hi]
         # the logit gradients are spent once the surrogate returns
         finite = part.wide[2].view(bool)[:part.grad.size].reshape(part.grad.shape)
-
-        def surrogate(indices: np.ndarray) -> NonFiniteLossError | None:
-            indices = indices[lo:hi]
-            surrogate_objective(
-                params, grads, TrainBatch(obs.take(indices, axis=0), actions.take(indices),
-                                          *[field.take(indices) for field in floats]),
-                hyper, views[indices.shape[1]], stats)
-            if (np.logical_and.reduce(np.isfinite(objective))
-                    and np.logical_and.reduce(np.isfinite(part.grad, out=finite), axis=None)):
-                return None
-            i = int(np.argmin(np.isfinite(objective) & np.isfinite(part.grad).all(1)))
-            return NonFiniteLossError(
-                f"non-finite update of parameter set {sets[lo + i]}: "
-                f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "
-                f"batch size {indices.shape[1]}")
-        return surrogate, stack._adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi],
-                                      step_counts[lo:hi], hyper.learning_rate, part.wide,
-                                      minibatches)
+        ascend = stack._adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
+                             hyper.learning_rate, part.wide, minibatches)
+        for epoch in range(hyper.epochs):
+            order = np.stack([rng.permutation(count) for rng in rngs[lo:hi]])
+            order += offsets[lo:hi]
+            for k, start in enumerate(starts, epoch * len(starts)):
+                indices = order[:, start:start + size]
+                surrogate_objective(
+                    params, grads, TrainBatch(obs.take(indices, axis=0), actions.take(indices),
+                                              *[field.take(indices) for field in floats]),
+                    hyper, views[indices.shape[1]], stats)
+                if not (np.logical_and.reduce(np.isfinite(objective))
+                        and np.logical_and.reduce(np.isfinite(part.grad, out=finite), axis=None)):
+                    i = int(np.argmin(np.isfinite(objective) & np.isfinite(part.grad).all(1)))
+                    raise NonFiniteLossError(
+                        f"non-finite update of parameter set {sets[lo + i]}: "
+                        f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "
+                        f"batch size {indices.shape[1]}")
+                np.add(total, stats, out=total)
+                ascend(k)
 
     # a wide update runs on one OpenBLAS thread, and splits two or more networks
     blas = _openblas_threads() if n * shape[2] * work.wide.itemsize >= SPLIT_BYTES else None
-    bounds = [0, len(sets) // 2, len(sets)] if blas and len(sets) > 1 else [0, len(sets)]
-    parts = [lay_out(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    inbox, outbox = SimpleQueue(), SimpleQueue()
-    worker = (threading.Thread(target=_serve, args=(inbox, outbox), name="ppo_update")
-              if len(bounds) > 2 else None)
-    owed = 0  # results of the worker's tasks not yet taken from the outbox
-
-    def run(phase: int, arg: object, wait: bool) -> None:
-        """Phase ``phase`` of every part, given ``arg``, the second part's on
-        the worker; with ``wait``, takes every result the worker owes.
-        Raises the first part's error, else the worker's first."""
-        nonlocal owed
-        if worker:
-            inbox.put((parts[1][phase], arg))
-            owed += 1
-        error = parts[0][phase](arg)
-        while wait and owed and error is None:
-            error = outbox.get()
-            owed -= 1
-        if error is not None:
-            raise error
-
+    mid = len(sets) // 2 if blas and len(sets) > 1 else len(sets)
+    errors: list[BaseException] = []
+    worker = (threading.Thread(target=_worker, args=(update, mid, len(sets), errors),
+                               name="ppo_update") if mid < len(sets) else None)
     threads = blas[0]() if blas else 0  # the caller's BLAS thread count, restored after
     try:
         if blas:
             blas[1](1)
         if worker:
             worker.start()
-        k = 0
-        for _ in range(hyper.epochs):
-            order = np.stack([rng.permutation(count) for rng in rngs])
-            order += offsets
-            for start in starts:
-                run(0, order[:, start:start + size], wait=True)
-                np.add(totals, work.stats, out=totals)
-                # the worker's next surrogate follows its step: wait only for the last
-                run(1, k, wait=k + 1 == minibatches)
-                k += 1
+        update(0, mid)
     finally:
-        if worker and worker.is_alive():
-            inbox.put(None)
+        if worker and worker.ident is not None:
             worker.join()
         if blas:
             blas[1](threads)
         stack._put(index, rows, m, v, step_counts)
         stack.writes += 1
+    if errors:
+        raise errors[0]
     return [{**{key: float(total) / minibatches for key, total in zip(STATS, column)},
              "minibatches": minibatches} for column in totals.T]
 
 
-def _serve(inbox: SimpleQueue, outbox: SimpleQueue) -> None:
-    """Call each (function, argument) taken from ``inbox``, until a None,
-    and put what it returns, or the error it raises, in ``outbox``."""
-    while (task := inbox.get()) is not None:
-        function, arg = task
-        try:
-            outbox.put(function(arg))
-        except BaseException as error:
-            outbox.put(error)  # the calling thread raises it
+def _worker(update: Callable[[int, int], None], lo: int, hi: int,
+            errors: list[BaseException]) -> None:
+    """A split update's worker thread: ``update(lo, hi)``, appending the
+    error it raises, if any, to ``errors``, for the calling thread to raise."""
+    try:
+        update(lo, hi)
+    except BaseException as error:
+        errors.append(error)

@@ -358,6 +358,7 @@ class TestUsage:
         "total_steps=300.5", "env.job_types.0.spawn_prob=false",
         'env.job_types.0.spawn_prob="0.5"', "seeds=[3,3]", "seeds=[]", "seeds=[-1]",
         "seeds=5", "env.job_types=3", "name=../o5x", "name=[1]", 'name=""',
+        'name="\\ud800x"', pytest.param("name=" + "a" * 300, id="name=a*300"),
         "env.pricing_mode=BOGUS", "env.pricing_mode=5", 'env.pricing_mode=["FIXED"]',
         pytest.param(f"env.job_types.0.spawn_prob={10**400}",
                      id="env.job_types.0.spawn_prob=10**400"),

@@ -348,6 +348,10 @@ class TestBuiltinScenarios:
             replace(scenario, total_steps=10, window=100)
         with pytest.raises(ConfigError):
             replace(scenario, arch=("DIST",))
-        for name in ("../x", "a\\b", "a\0b", "..", "", 7):
+        # a name is at most 200 UTF-8 bytes, and encodes: no lone surrogate
+        for name in ("../x", "a\\b", "a\0b", "..", "", 7, "\ud800x", "\udc80x", "é" * 101,
+                     "a" * 201):
             with pytest.raises(ConfigError, match="name"):
                 replace(scenario, name=name)
+        for name in ("é" * 100, "a" * 200):
+            assert replace(scenario, name=name).name == name

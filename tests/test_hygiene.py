@@ -69,7 +69,7 @@ def test_every_private_module_name_is_used():
 # one instance of it
 ERRORS = {
     "ChainLineageError": ("chain 3 lost its seller",),
-    "CliError": ("unknown scenario", 3),
+    "CliError": ("unknown scenario",),
     "ConfigError": ("num_cores must be at least 1",),
     "InfeasibleArchitectureError": ("full", 3_570_125, 100_000),
     "NonFiniteLossError": ("non-finite update of parameter set 2",),

@@ -460,17 +460,23 @@ def state(stack):
     return [stack.rows.tobytes(), stack.m.tobytes(), stack.v.tobytes(), stack.steps]
 
 
+def set_state(stack, s):
+    """``state`` of set ``s`` alone."""
+    return [stack.rows[s].tobytes(), stack.m[s].tobytes(), stack.v[s].tobytes(),
+            stack.steps[s]]
+
+
 def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES):
     """Count the updates that run on two threads, with ``ppo.SPLIT_BYTES``
     set to ``split_bytes`` (by default its own value): a list that gains,
     per such update, the thread count its worker sees as it starts."""
     monkeypatch.setattr(ppo, "SPLIT_BYTES", split_bytes)
-    calls, serve = [], ppo._serve
+    calls, worker = [], ppo._worker
 
-    def counted(inbox, outbox):
+    def counted(*args):
         calls.append(threading.active_count())
-        serve(inbox, outbox)
-    monkeypatch.setattr(ppo, "_serve", counted)
+        worker(*args)
+    monkeypatch.setattr(ppo, "_worker", counted)
     return calls
 
 
@@ -689,36 +695,51 @@ class TestStackedUpdate:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_set_names_itself_and_moves_no_set(self, scenario_name, arch, prefix,
                                                           field, monkeypatch):
-        stack, sets = home_sets(scenario_name, arch, prefix, seed=36)
-        last, middle = len(sets) - 1, len(sets) // 2 - 1
+        _, sets = home_sets(scenario_name, arch, prefix, seed=36)
+        last, middle, mid = len(sets) - 1, len(sets) // 2 - 1, len(sets) // 2
         threads = threading.active_count()
         for split_bytes in (ONE_THREAD, TWO_THREADS):
             split = split_updates(monkeypatch, split_bytes)
+            splits = SPLITS and split_bytes == TWO_THREADS
+            halves = [sets[:mid], sets[mid:]] if splits else [sets]
             # the last set, the 12th of 12 or the 2nd of 2, in the second half;
             # one in the middle, the 6th of 12 or the 1st of 2, in the first;
             # and both, which names the one in the middle
             for bad_sets in ([last], [middle], [middle, last]):
-                batches = [make_batch(stack.views[s], 16, seed=37 + s) for s in sets]
-                for i in bad_sets:
-                    bad = getattr(batches[i], field).copy()
+                stack, _ = home_sets(scenario_name, arch, prefix, seed=36)
+                alone, _ = home_sets(scenario_name, arch, prefix, seed=36)
+                batches = {s: make_batch(stack.views[s], 16, seed=37 + s) for s in sets}
+                for s in (sets[i] for i in bad_sets):
+                    bad = getattr(batches[s], field).copy()
                     bad.flat[3] = np.inf
-                    batches[i] = batches[i]._replace(**{field: bad})
+                    batches[s] = batches[s]._replace(**{field: bad})
                 before = state(stack)
                 named = f"parameter set {sets[bad_sets[0]]}:"
                 with pytest.raises(NonFiniteLossError, match=named):
-                    ppo_update(stack, sets, stacked(*batches), PPOHyper(),
+                    ppo_update(stack, sets, stacked(*batches.values()), PPOHyper(),
                                [derive_rng(38, s) for s in sets])
-                assert state(stack) == before
                 assert threading.active_count() == threads
+                # a half with a bad set stops at its one minibatch of 16 rows,
+                # before its Adam step; the other ends where updating it alone
+                # on one thread leaves it
+                good = [half for half in halves if not {sets[i] for i in bad_sets} & {*half}]
+                with monkeypatch.context() as patch, one_blas_thread_if_openblas():
+                    patch.setattr(ppo, "SPLIT_BYTES", ONE_THREAD)
+                    for half in good:
+                        ppo_update(alone, half, stacked(*(batches[s] for s in half)),
+                                   PPOHyper(), [derive_rng(38, s) for s in half])
+                assert state(stack) == state(alone)
+                assert (state(stack) == before) == (not good)
             # one worker beside the threads there were before
-            assert split == ([threads + 1] * 3 if SPLITS and split_bytes == TWO_THREADS else [])
+            assert split == ([threads + 1] * 3 if splits else [])
 
     @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS: no update splits")
     @pytest.mark.parametrize("fails", ["surrogate", "first step", "last step"])
-    def test_an_error_in_the_second_half_alone_is_raised_and_stops_the_worker(self, fails,
-                                                                              monkeypatch):
+    def test_an_error_in_the_second_half_alone_is_raised_after_the_first_half_ends(
+            self, fails, monkeypatch):
         # 16-row windows: 4 epochs of one minibatch each
         stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=43)
+        alone, _ = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=43)
         threads = threading.active_count()
         split = split_updates(monkeypatch)
 
@@ -736,13 +757,41 @@ class TestStackedUpdate:
             monkeypatch.setattr(ParamStack, "_adam", lambda self, *args: off_the_main_thread(
                 adam(self, *args), lambda k: k == step))
         batches = [make_batch(stack.views[s], 16, seed=44 + s) for s in sets]
-        before = state(stack)
         with pytest.raises(MemoryError, match=f"second half's {fails}"):
             ppo_update(stack, sets, stacked(*batches), PPOHyper(),
                        [derive_rng(45, s) for s in sets])
         assert split == [threads + 1]
         assert threading.active_count() == threads
-        assert (state(stack) == before) == (fails == "surrogate")
+        # the first half's set ends where updating it alone leaves it; the
+        # second's stops where its error is raised: before any Adam step, or
+        # after three
+        with one_blas_thread_if_openblas():
+            ppo_update(alone, sets[:1], stacked(batches[0]), PPOHyper(), [derive_rng(45, sets[0])])
+        (s, t), fourth = sets, fails == "last step"
+        assert set_state(stack, s) == set_state(alone, s)
+        assert set_state(stack, t)[-1] == 3 * fourth
+        assert (set_state(stack, t) == set_state(alone, t)) != fourth
+
+    @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS: no update splits")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_when_both_halves_fail_the_first_halfs_set_is_named(self, monkeypatch):
+        # 64-row windows in minibatches of 16: every row of the second set's
+        # window is non-finite, so its half stops at its first minibatch; one
+        # row of the first set's is, the last its first epoch draws, so its
+        # half stops at its fourth, after three Adam steps
+        stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=52)
+        threads = threading.active_count()
+        split = split_updates(monkeypatch, TWO_THREADS)
+        first, second = (make_batch(stack.views[s], 64, seed=53 + s) for s in sets)
+        returns = first.returns.copy()
+        returns[derive_rng(54, sets[0]).permutation(64)[-1]] = np.inf
+        batch = stacked(first._replace(returns=returns),
+                        second._replace(returns=np.full(64, np.inf)))
+        with pytest.raises(NonFiniteLossError, match=f"parameter set {sets[0]}:"):
+            ppo_update(stack, sets, batch, PPOHyper(minibatch_size=16),
+                       [derive_rng(54, s) for s in sets])
+        assert split == [threads + 1]
+        assert stack.steps == [3, 0]
 
     @pytest.mark.skipif(not SPLITS, reason="numpy's BLAS is no OpenBLAS: no update splits")
     def test_a_split_update_repeated_in_one_process_gives_the_same_bits(self, monkeypatch):
