@@ -1,17 +1,17 @@
-"""Minimal actor-critic networks, their learned state and its Adam step.
+"""Minimal actor-critic networks and their learned state.
 
 One tanh hidden layer feeds a categorical policy head and a scalar value
 head. Gradients are computed by hand (verified against finite differences in
-the test suite) and applied by the Adam step written here, so there is no
-external autodiff or optimizer dependency. Each network is one padded row of
-a ``ParamStack``, which holds exactly what a checkpoint saves: the weights
-``rows`` and Adam's moments ``m`` and ``v``, all of the same row layout, plus
-one Adam step count per row. A checkpoint is one ``.npz`` of that state: a
-format version, the parameter-set names in row order, ``rows``, ``m``, ``v``
-and the step counts, so a loaded stack continues training exactly as the
-saved one would. One stack holds the networks of every agent of a home
-(see ``marketsched.agents``), so one ``forward`` reads them all and one
-update steps them.
+the test suite) and applied by the Adam step of ``marketsched.ppo``, so
+there is no external autodiff or optimizer dependency. Each network is one
+padded row of a ``ParamStack``, which holds exactly what a checkpoint saves:
+the weights ``rows`` and Adam's moments ``m`` and ``v``, all of the same row
+layout, plus one Adam step count per row. A checkpoint is one ``.npz`` of
+that state: a format version, the parameter-set names in row order,
+``rows``, ``m``, ``v`` and the step counts, so a loaded stack continues
+training exactly as the saved one would. One stack holds the networks of
+every agent of a home (see ``marketsched.agents``), so one ``forward`` reads
+them all and one update steps them.
 Besides that state a stack keeps the rows ``forward`` last gathered, one
 copy of the whole rows taken at once, until its next update or load.
 ``init_params`` draws each network's initial weights from its own stream
@@ -21,11 +21,9 @@ stacked QR, which gives each matrix the bits of a QR of its own.
 ``marketsched.ppo`` updates the networks of a stack on their own entries alone,
 a narrower network's as a copy in its shape's own layout
 (``ParamStack._take``), which moves no bit: the padding's gradient is 0 and its
-moments stay 0, so a step of the whole row leaves it where it was. The Adam
-step is ``ParamStack._adam``, a fixed handful of whole-row operations on all
-the updated rows at once, with each row's bias corrections as a column, a block
-of rows at a time that fits in a core's cache (``ADAM_BLOCK_BYTES``): all the
-small distributed networks at once, a 1323-action head's row alone.
+moments stay 0, so a step of the whole row leaves it where it was. Its Adam
+step (``ppo._adam``) steps all the rows of a minibatch loop at once, with the
+betas and eps of ``ParamStack``, which define the ``m`` and ``v`` it saves.
 
 The arrays of an acting pass are small, so much of an operation's cost is
 its call. The reductions call the ufuncs' ``reduce`` and ``accumulate``,
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import prod, sqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -171,13 +169,6 @@ def _rows(array: np.ndarray, span: slice | np.ndarray) -> np.ndarray:
     return array[span] if isinstance(span, slice) else array.take(span, axis=0)
 
 
-# The most bytes of a row block that one Adam step runs its operations on at
-# once: a 1323-action head's two rows, stepped together, ran 12-23% slower
-# than one at a time on a 2 MB-L2 core, where 12 small rows gain from going
-# together.
-ADAM_BLOCK_BYTES = 1 << 20
-
-
 class ParamStack:
     """Several networks' learned state, exactly what a checkpoint saves.
 
@@ -190,7 +181,8 @@ class ParamStack:
     next. ``head`` holds one row of hidden weights per output, the policy's
     actions first and the value last, so one product yields logits and
     value; ``wp`` is the transpose of its first rows. ``m`` and ``v`` are
-    Adam's first and second moments of each row, in the same layout, and
+    Adam's first and second moments of each row under ``beta1``, ``beta2``
+    and ``eps`` (``marketsched.ppo._adam``), in the same layout, and
     ``step_counts[i]`` is row i's Adam step count (``steps`` as a list). The
     padding is fixed: weights 0, which add nothing to a sum, logit biases
     -inf, which give padded actions probability 0, and moments 0. ``save``
@@ -270,48 +262,6 @@ class ParamStack:
             self.step_counts[sets] = step_counts
             for whole, part in zip((self.rows, self.m, self.v), (rows, m, v)):
                 (whole.reshape(-1) if entries.ndim > 1 else whole)[entries] = part
-
-    def _adam(self, rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
-              step_counts: np.ndarray, lr: float, temp: np.ndarray,
-              steps: int) -> Callable[[int], None]:
-        """A function whose call with k takes the (k+1)-th of ``steps``
-        Adam ascent steps of ``rows`` along ``grads``, all in place and
-        every row at once, in the operation order m = b1*m + (1-b1)*g;
-        v = b2*v + ((1-b2)*g)*g; row += lr*m_hat / (sqrt(v_hat)+eps), and
-        advances ``step_counts``. Row i's bias corrections are the Python
-        floats 1 - b**t of its step count t, as a column. The rows go a
-        block of at most ``ADAM_BLOCK_BYTES`` at a time (at least one row),
-        so that a block's arrays stay in a core's cache from one operation
-        to the next. ``temp`` holds two arrays of the rows' shape (or more
-        room), which every intermediate is written into. Everything but the
-        arithmetic is laid out here, once: each block's views and every
-        step's bias corrections."""
-        counts = step_counts.tolist()
-        per_block = max(1, ADAM_BLOCK_BYTES // rows[0].nbytes)
-        blocks = []
-        for block in (slice(lo, lo + per_block) for lo in range(0, len(rows), per_block)):
-            row = rows[block]
-            first, second = (np.array([[[1.0 - beta**(t + k)] for t in counts[block]]
-                                       for k in range(1, steps + 1)])
-                             for beta in (self.beta1, self.beta2))
-            step, root = (part[:row.size].reshape(row.shape) for part in temp[:2])
-            blocks.append((row, grads[block], m[block], v[block], first, second, step, root))
-
-        def ascend(k: int) -> None:
-            np.add(step_counts, 1, out=step_counts)
-            for row, grad, m_row, v_row, first, second, step, root in blocks:
-                m_row *= self.beta1
-                m_row += np.multiply(grad, 1.0 - self.beta1, out=step)
-                v_row *= self.beta2
-                v_row += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad,
-                                     out=step)
-                np.divide(m_row, first[k], out=step)
-                step *= lr
-                np.add(np.sqrt(np.divide(v_row, second[k], out=root), out=root), self.eps,
-                       out=root)
-                step /= root
-                row += step
-        return ascend
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,

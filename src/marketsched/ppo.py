@@ -7,23 +7,22 @@ minibatch loop over (S, rows, ...) arrays: every product is a 3-D
 each network ends bit for bit where updating it alone would leave it. It
 works on each network's own entries, never on a narrower network's padding
 (``ParamStack._take``): the surrogate, the scratch, the finiteness check and
-the Adam step (``ParamStack._adam``, a fixed handful of whole-row operations
-on all S rows at once, a block of rows at a time that fits in a core's
-cache) all see rows of the shape's own layout. Every array of the loop that
-scales with the rows, the hidden width or the actions lives in one scratch
-(``UpdateWork``) allocated per update: the loop allocates no row-sized or
-(rows x actions)-sized temporary, so a large head's pages are neither freed
-nor faulted in again between minibatches. The loop does only the arithmetic;
-everything that depends only on the update, the epoch or the minibatch size
-is laid out before it. Per update: each field of the windows flattened to
-(S * T, ...) rows, the scratch's views for each minibatch size
+the Adam step (``_adam``, a fixed handful of whole-array operations on all
+the loop's rows at once) all see rows of the shape's own layout. Every array
+of the loop that scales with the rows, the hidden width or the actions lives
+in one scratch (``UpdateWork``) allocated per update: the loop allocates no
+row-sized or (rows x actions)-sized temporary, so a large head's pages are
+neither freed nor faulted in again between minibatches. The loop does only
+the arithmetic; everything that depends only on the update, the epoch or the
+minibatch size is laid out before it. Per update: each field of the windows
+flattened to (S * T, ...) rows, the scratch's views for each minibatch size
 (``minibatch_views``; at most two sizes, ``minibatch_size`` and a
-remainder), and the Adam step's row blocks and bias corrections. Per epoch:
-each network's permutation as flat row indices, of which a minibatch takes a
-slice. A minibatch's five stats are one reduction over their per-row terms,
-written into one (5, S) row that is added to the update's totals. The
-reductions call the ufuncs' ``reduce`` directly, and entries are picked by
-one flat index with ``take``: a minibatch's arrays are small, so much of an
+remainder), and the Adam step's bias corrections. Per epoch: each network's
+permutation as flat row indices, of which a minibatch takes a slice. A
+minibatch's five stats are one reduction over their per-row terms, written
+into one (5, S) row that is added to the update's totals. The reductions
+call the ufuncs' ``reduce`` directly, and entries are picked by one flat
+index with ``take``: a minibatch's arrays are small, so much of an
 operation's cost is its call.
 
 Two or more networks whose minibatch is wide (``SPLIT_BYTES``), as a
@@ -51,7 +50,7 @@ import ctypes
 import threading
 from functools import cache
 from math import prod
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +104,22 @@ def set_one_blas_thread() -> None:
     blas = _openblas_threads()
     if blas is not None:
         blas[1](1)
+
+
+def on_one_thread_if_wide(stack: ParamStack, call: Callable[..., Any], *args) -> Any:
+    """``call(*args)``, on one OpenBLAS thread, the caller's count restored
+    after, if the widest head of ``stack`` has one-row logits of
+    ``SPLIT_BYTES`` or more: on two threads, OpenBLAS's QR of a 28561-action
+    head and its product with one row differ from those on one thread."""
+    blas = _openblas_threads() if stack.widest[2] * stack.rows.itemsize >= SPLIT_BYTES else None
+    threads = blas[0]() if blas else 1
+    if threads == 1:
+        return call(*args)
+    blas[1](1)
+    try:
+        return call(*args)
+    finally:
+        blas[1](threads)
 
 
 class UpdateWork(NamedTuple):
@@ -254,6 +269,35 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
     grads.bv[...] = np.add.reduce(d_values, axis=-1, keepdims=True)
 
 
+def _adam(rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
+          step_counts: np.ndarray, lr: float, temp: np.ndarray,
+          steps: int) -> Callable[[int], None]:
+    """A function whose call with k takes the (k+1)-th of ``steps`` Adam
+    ascent steps of ``rows`` along ``grads``, under ``ParamStack``'s betas
+    and eps, all in place and every row at once, in the operation order
+    m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g; row += lr*m_hat /
+    (sqrt(v_hat)+eps), and advances ``step_counts``. Row i's bias
+    corrections are the Python floats 1 - b**t of its step count t, as a
+    column, all laid out here, once. ``temp`` holds two arrays of the rows'
+    shape (or more room), which every intermediate is written into."""
+    b1, b2, eps = ParamStack.beta1, ParamStack.beta2, ParamStack.eps
+    counts = step_counts.tolist()
+    first, second = (np.array([[[1.0 - beta**(t + k)] for t in counts]
+                               for k in range(1, steps + 1)]) for beta in (b1, b2))
+    step, root = (part[:rows.size].reshape(rows.shape) for part in temp[:2])
+
+    def ascend(k: int) -> None:
+        np.add(step_counts, 1, out=step_counts)
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(grads, 1.0 - b1, out=step), out=m)
+        np.multiply(v, b2, out=v)
+        np.add(v, np.multiply(np.multiply(grads, 1.0 - b2, out=step), grads, out=step), out=v)
+        np.multiply(np.divide(m, first[k], out=step), lr, out=step)
+        np.add(np.sqrt(np.divide(v, second[k], out=root), out=root), eps, out=root)
+        np.add(rows, np.divide(step, root, out=step), out=rows)
+    return ascend
+
+
 def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                hyper: PPOHyper, rngs: Sequence[np.random.Generator]) -> list[dict]:
     """Run the clipped-surrogate update of the networks ``sets`` of
@@ -266,12 +310,13 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     (``SPLIT_BYTES``), each contiguous half of them runs that loop on its own
     thread. Each network ends bit for bit where updating it alone would leave
     it: its own permutations, advantages normalized once over its own window,
-    its own stats and its own Adam step count. A non-finite loss or gradient
-    raises NonFiniteLossError naming the first such network of the first
-    minibatch that has one, before that minibatch's Adam step moves any network
-    of its loop. In a split update each half stops at its own first such
-    minibatch while the other runs on, and the first half's error is raised,
-    else the second's. No thread outlives the call.
+    its own stats and its own Adam step count. Each minibatch ends in one Adam
+    step (``_adam``) of all the loop's networks at once. A non-finite loss or
+    gradient raises NonFiniteLossError naming the first such network of the
+    first minibatch that has one, before that minibatch's Adam step moves any
+    network of its loop. In a split update each half stops at its own first
+    such minibatch while the other runs on, and the first half's error is
+    raised, else the second's. No thread outlives the call.
     """
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
@@ -309,8 +354,8 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
         stats, objective, total = part.stats, part.stats[0], totals[:, lo:hi]
         # the logit gradients are spent once the surrogate returns
         finite = part.wide[2].view(bool)[:part.grad.size].reshape(part.grad.shape)
-        ascend = stack._adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
-                             hyper.learning_rate, part.wide, minibatches)
+        ascend = _adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
+                       hyper.learning_rate, part.wide, minibatches)
         for epoch in range(hyper.epochs):
             order = np.stack([rng.permutation(count) for rng in rngs[lo:hi]])
             order += offsets[lo:hi]

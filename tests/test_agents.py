@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import os
 import weakref
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import ParamStack, PPOHyper, gae
-from marketsched.ppo import STATS, TrainBatch, ppo_update
+from marketsched.ppo import STATS, TrainBatch, _openblas_threads, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import STREAM_UNIT_INIT, derive_rng
 
@@ -331,6 +332,32 @@ class TestActionWiring:
             assert freed() is None
         finally:
             gc.enable()
+
+    @pytest.mark.skipif(_openblas_threads() is None or (os.cpu_count() or 1) < 2,
+                        reason="no OpenBLAS thread setter, or fewer than 2 CPUs")
+    def test_a_wide_home_gives_the_same_bits_on_one_or_two_blas_threads(self):
+        # EXP2_ARCH_4X4's SEMI accept head has 28561 actions: OpenBLAS's QR
+        # of it, and its product with one row, on two threads are not those
+        # on one, so the home initializes it and acts on one thread and then
+        # restores the caller's count
+        cfg = builtin_scenarios()["EXP2_ARCH_4X4"].env
+        query, setter = _openblas_threads()
+        threads, homes = query(), []
+        try:
+            for count in (1, 2):
+                setter(count)
+                (home,) = standalone((ARCH_SEMI,), cfg, PPOHyper(), seed=5)
+                assert home.stack.widest[2] == 28561
+                env = SchedulingEnv(cfg, seed=5)
+                for core in env.cores:
+                    core.owner = 0
+                act([home], env)
+                assert query() == count and home.sizes.tolist() == [1, 1]
+                homes.append([home.stack.rows.tobytes(), home.values[:, 0].tobytes(),
+                              home.logps[:, 0].tobytes()])
+        finally:
+            setter(threads)
+        assert homes[0] == homes[1]
 
     def test_price_units_act_only_for_made_offers(self):
         cfg = make_config(pricing_mode=PricingMode.FREE_COMMERCIAL)

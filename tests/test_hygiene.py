@@ -1,7 +1,9 @@
-"""Source hygiene. Read from the syntax trees of ``src/marketsched`` alone:
-every name a module imports is used in it, and every module-level
-``_private`` name is used somewhere in the package. A deletion that leaves
-an import or a helper behind fails here. And every exception class the
+"""Source hygiene, read from syntax trees: every name a module of
+``src/marketsched`` imports is used in it, every module-level ``_private``
+name is used somewhere in the package, and every module-level public
+UPPER_CASE constant is read somewhere in the package, ``tests/`` or
+``perfbench/``. A deletion that leaves an import, a helper or a constant
+behind fails here. And every exception class the
 package defines survives ``pickle``, as a sweep's worker pool hands errors
 back: a class whose ``__init__`` takes other arguments than its ``args``
 would otherwise fail to unpickle, and the pool waits for it forever."""
@@ -18,6 +20,19 @@ import marketsched
 
 SOURCES = sorted(Path(marketsched.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+REPO = Path(__file__).resolve().parent.parent
+
+
+def defined_names(tree):
+    """The names a module's top-level statements define: its functions,
+    classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
 
 
 def used_names(tree):
@@ -45,24 +60,25 @@ def test_every_imported_name_is_used(module):
 
 
 def test_every_private_module_name_is_used():
-    defined = {}
-    for module, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [name.id for target in targets for name in ast.walk(target)
-                         if isinstance(name, ast.Name)]
-            else:
-                continue
-            defined.update((name, module) for name in names if name.startswith("_")
-                           and not name.startswith("__"))
+    defined = {name: module for module, tree in TREES.items() for name in defined_names(tree)
+               if name.startswith("_") and not name.startswith("__")}
     used = set().union(*map(used_names, TREES.values()))
     used |= {alias.name for tree in TREES.values() for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in used) == []
+
+
+def test_every_public_constant_is_read():
+    # an import alone is no read: a constant only re-exported is stale too
+    defined = {name: module for module, tree in TREES.items() for name in defined_names(tree)
+               if name.isupper() and not name.startswith("_")}
+    readers = [*TREES.values(), *(ast.parse(path.read_text(), str(path))
+                                  for folder in ("tests", "perfbench")
+                                  for path in sorted((REPO / folder).glob("*.py")))]
+    read = set().union(*map(used_names, readers))
+    assert sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in read) == []
 
 
 # each exception class the package defines, by name, with the arguments of

@@ -409,9 +409,9 @@ class TestAdamRow:
             ref = {name: t.copy() for name, t in stack.views[i].tensors()}
             m = {name: np.zeros(t.shape) for name, t in ref.items()}
             v = {name: np.zeros(t.shape) for name, t in ref.items()}
-            ascend = stack._adam(*(a[i:i + 1] for a in (stack.rows, grads, stack.m, stack.v,
-                                                        stack.step_counts)),
-                                 lr, np.empty((2, grads[i].size)), 20)
+            ascend = ppo._adam(*(a[i:i + 1] for a in (stack.rows, grads, stack.m, stack.v,
+                                                      stack.step_counts)),
+                               lr, np.empty((2, grads[i].size)), 20)
             for step in range(1, 21):
                 for _, g in grad_views[i].tensors():
                     g[...] = rng.standard_normal(g.shape)
@@ -587,20 +587,15 @@ class TestStackedUpdate:
         assert together.steps == alone.steps
         assert all(together.steps[s] > steps for s, steps in zip(sets, warm))
 
-    @pytest.mark.parametrize("rows_per_block, split_bytes", [
-        (None, ppo.SPLIT_BYTES), (5, ppo.SPLIT_BYTES), (None, TWO_THREADS), (5, TWO_THREADS)],
-        ids=["one-block", "blocks-of-5", "one-block-two-threads", "blocks-of-5-two-threads"])
-    def test_the_offer_sets_of_a_dist_home(self, rows_per_block, split_bytes, monkeypatch):
+    @pytest.mark.parametrize("split_bytes", [ppo.SPLIT_BYTES, TWO_THREADS],
+                             ids=["one-thread", "two-threads"])
+    def test_the_offer_sets_of_a_dist_home(self, split_bytes, monkeypatch):
         # 12 sets of one shape, 3 per agent between the agents' accept sets,
         # narrower than the row: the update takes their own entries and puts
-        # them back; Adam steps them all at once, or 5, 5 and 2 at a time;
+        # them back; Adam steps all the sets of a minibatch loop at once;
         # their 5-action minibatches are narrow, so they go on one thread
         # unless made to split into sets 0-5 and 6-11
         stack, sets = home_sets("EXP2_ARCH_4X4", ARCH_DIST, "offer", seed=31)
-        own_bytes = neural._columns(stack.shapes[sets[0]], stack.widest).size * stack.rows.itemsize
-        if rows_per_block:
-            monkeypatch.setattr(neural, "ADAM_BLOCK_BYTES", rows_per_block * own_bytes)
-        assert neural.ADAM_BLOCK_BYTES // own_bytes >= (rows_per_block or 12)
         assert len(sets) == 12 and sets != list(range(sets[0], sets[0] + 12))
         assert stack.shapes[sets[0]] != max(stack.shapes)
         split = split_updates(monkeypatch, split_bytes)
@@ -636,18 +631,18 @@ class TestStackedUpdate:
         stack, sets = home_sets(scenario_name, arch, prefix, seed=46)
         assert neural._columns(stack.shapes[sets[0]], stack.widest).size == width
         works, steps = [], []
-        work_for, adam = ppo.update_work, ParamStack._adam
+        work_for, adam = ppo.update_work, ppo._adam
 
         def recorded_work(*args):
             work = work_for(*args)
             works.append(work.grad.shape)
             return work
 
-        def recorded_adam(self, rows, *args):
-            steps.append((rows.shape, rows.base is self.rows))
-            return adam(self, rows, *args)
+        def recorded_adam(rows, *args):
+            steps.append((rows.shape, rows.base is stack.rows))
+            return adam(rows, *args)
         monkeypatch.setattr(ppo, "update_work", recorded_work)
-        monkeypatch.setattr(ParamStack, "_adam", recorded_adam)
+        monkeypatch.setattr(ppo, "_adam", recorded_adam)
         split_updates(monkeypatch, ONE_THREAD)
         batches = [make_batch(stack.views[s], 16, seed=47 + s) for s in sets]
         ppo_update(stack, sets, stacked(*batches), PPOHyper(epochs=1),
@@ -753,9 +748,9 @@ class TestStackedUpdate:
             monkeypatch.setattr(ppo, "surrogate_objective",
                                 off_the_main_thread(ppo.surrogate_objective, lambda *_: True))
         else:
-            adam, step = ParamStack._adam, 0 if fails == "first step" else 3
-            monkeypatch.setattr(ParamStack, "_adam", lambda self, *args: off_the_main_thread(
-                adam(self, *args), lambda k: k == step))
+            adam, step = ppo._adam, 0 if fails == "first step" else 3
+            monkeypatch.setattr(ppo, "_adam", lambda *args: off_the_main_thread(
+                adam(*args), lambda k: k == step))
         batches = [make_batch(stack.views[s], 16, seed=44 + s) for s in sets]
         with pytest.raises(MemoryError, match=f"second half's {fails}"):
             ppo_update(stack, sets, stacked(*batches), PPOHyper(),
