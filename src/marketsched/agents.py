@@ -45,9 +45,9 @@ core ownership alone; ``Home.plan``'s cache keeps it for the
 calls: one gather of the step's ``market_image`` (see ``marketsched.obs``)
 through the rows' indices, one ``forward`` over all rows with each row's
 parameter set (whose rows of the home stack it keeps until the home's next
-update or load; on one BLAS thread if the home's heads are wide, as are
-their initialization and an update), one draw per unit and one vectorized
-inverse-CDF step that turns it into the unit's action, one ``Home.record``
+update or load; on one BLAS thread, as are the home's initialization and
+updates), one draw per unit and one vectorized inverse-CDF step that
+turns it into the unit's action, one ``Home.record``
 of every row, padded as the pass reads it, and one decode of every live
 position's digit. A unit takes the draws of a window from its own sample stream at
 once, ``rollout_length`` of them, as the window starts, which gives the
@@ -114,7 +114,7 @@ from .obs import (
     offer_obs_len,
     price_index,
 )
-from .ppo import TrainBatch, on_one_thread_if_wide, ppo_update
+from .ppo import TrainBatch, ppo_update
 from .rng import (
     STREAM_UNIT_INIT,
     STREAM_UNIT_SAMPLE,
@@ -275,12 +275,10 @@ def _initialized(layouts: dict[int, Layout], seed: int) -> ParamStack:
     order, allocated before any weight is drawn, so that no weight is
     copied. Set i of agent a draws from its own stream, (seed,
     ``STREAM_UNIT_INIT``, a, i), and all the stack's matrices of one tensor
-    and one shape share one stacked QR (``init_params``), on one BLAS thread
-    if its heads are wide (``on_one_thread_if_wide``)."""
+    and one shape share one stacked QR (``init_params``, one BLAS thread)."""
     sets = [(a, i, shape) for a, (_, _, own) in layouts.items() for i, shape in enumerate(own)]
     stack = ParamStack([shape for _, _, shape in sets])
-    on_one_thread_if_wide(stack, init_params, stack.views,
-                          [derive_rng(seed, STREAM_UNIT_INIT, a, i) for a, i, _ in sets])
+    init_params(stack.views, [derive_rng(seed, STREAM_UNIT_INIT, a, i) for a, i, _ in sets])
     return stack
 
 
@@ -440,8 +438,7 @@ class Home:
         obs = image[np.array([price_index(env.config, a, k, joint.offers[(a, k)] - 1) + pad
                               for a, k, _ in priced])]
         ids = np.array([u for _, _, u in priced])
-        logits, values = on_one_thread_if_wide(self.stack, forward, self.stack, obs,
-                                               self.sets[ids])
+        logits, values = forward(self.stack, obs, self.sets[ids])
         draws = np.array([self.sample_rngs[u].random() for u in ids.tolist()])
         prices, logps = sample_rows(logits, draws, self.last[ids])
         for (a, k, u), row, price, logp, value in zip(priced, obs, prices.tolist(),
@@ -462,7 +459,7 @@ class Home:
             for u in ids[t == 0].tolist():
                 self.draws[u] = self.sample_rngs[u].random(length)
         draws = self.draws[ids, t]
-        logits, values = on_one_thread_if_wide(self.stack, forward, self.stack, obs, plan.sets)
+        logits, values = forward(self.stack, obs, plan.sets)
         actions, logps = sample_rows(logits, draws, plan.last)
         if max(sizes.tolist()) == length:
             due = sizes == length
@@ -473,8 +470,7 @@ class Home:
                 if wave:
                     # the earlier waves moved these rows' sets: they act on
                     # the new weights, with the draws they already took
-                    logits, values[rows] = on_one_thread_if_wide(self.stack, forward, self.stack,
-                                                                 obs[rows], plan.sets[rows])
+                    logits, values[rows] = forward(self.stack, obs[rows], plan.sets[rows])
                     actions[rows], logps[rows] = sample_rows(logits, draws[rows], plan.last[rows])
                 updating = rows[due[rows]]
                 if updating.size:

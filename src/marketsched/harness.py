@@ -21,6 +21,7 @@ import json
 import multiprocessing
 import os
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -33,8 +34,7 @@ from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, Tr
 from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_int, check_keys,
                      finite_number, whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
-from .neural import PPOHyper
-from .ppo import set_one_blas_thread
+from .neural import PPOHyper, set_one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -247,21 +247,17 @@ def run_scenario(scenario: Scenario, seed: int,
     metrics = _MetricWindow(scenario.env, scenario.window)
     steps: list[int] = []
     series: dict[str, list[float | None]] = {name: [] for name in metrics.names}
-    trace_file = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    try:
+    with open(trace_path, "w", encoding="utf-8") if trace_path else nullcontext() as trace:
         for i in range(scenario.total_steps):
             result = trainer.step()
             metrics.observe(result)
-            if trace_file is not None:
-                trace_file.write(_trace_line(result) + "\n")
+            if trace:
+                trace.write(_trace_line(result) + "\n")
             step = i + 1
             if step % scenario.record_every == 0 or step == scenario.total_steps:
                 steps.append(step)
                 for name, value in metrics.snapshot(step).items():
                     series[name].append(value)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
     return RunRecord(scenario=scenario.name, seed=seed, steps=steps, series=series)
 
 

@@ -17,6 +17,9 @@ copy of the whole rows taken at once, until its next update or load.
 ``init_params`` draws each network's initial weights from its own stream
 and orthogonalizes the matrices of one tensor and one shape with one
 stacked QR, which gives each matrix the bits of a QR of its own.
+The functions that multiply (``forward``, ``init_params``'s QR and
+``marketsched.ppo.ppo_update``) run on one OpenBLAS thread and restore the
+caller's count (``on_one_blas_thread``), so a run's bits do not depend on it.
 
 ``marketsched.ppo`` updates the networks of a stack on their own entries alone,
 a narrower network's as a copy in its shape's own layout
@@ -34,11 +37,12 @@ Python-level wrapper, and entries are picked by one flat index with
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import prod, sqrt
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -50,6 +54,50 @@ CHECKPOINT_VERSION = 2
 
 class NonFiniteLossError(RuntimeError):
     """An update produced a non-finite loss or gradient and was aborted."""
+
+
+@cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """numpy's OpenBLAS's query of how many threads it runs a product on and
+    its setter of that count, or None if numpy's BLAS is no OpenBLAS that
+    exports both."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        query = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if query is not None and setter is not None:
+            query.argtypes, query.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return query, setter
+    return None
+
+
+def set_one_blas_thread() -> None:
+    """Run numpy's OpenBLAS's products on one thread from now on; nothing
+    if numpy's BLAS is no OpenBLAS that can be set."""
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[1](1)
+
+
+def on_one_blas_thread(call: Callable[..., Any], *args) -> Any:
+    """``call(*args)`` on one OpenBLAS thread, if numpy's BLAS is an OpenBLAS
+    that can be set, the caller's count restored after. A product on two
+    OpenBLAS threads is not always bit for bit the one on one (a 28561-action
+    head's QR and its product with one row are not), so every function that
+    multiplies runs through this: a run's bits do not depend on the count."""
+    blas = _openblas_threads()
+    threads = blas[0]() if blas else 1
+    if threads > 1:
+        blas[1](1)
+    try:
+        return call(*args)
+    finally:
+        if threads > 1:
+            blas[1](threads)
 
 
 @dataclass(frozen=True)
@@ -241,27 +289,27 @@ class ParamStack:
     def _take(self, sets: np.ndarray) -> list:
         """An index for ``_put``, then the networks ``sets``' rows of
         ``rows``, ``m``, ``v`` and ``step_counts``: views of a run lo, lo+1,
-        ..., else copies. A shape narrower than the row gets, of ``rows``,
-        ``m`` and ``v``, a copy of each row's own entries (``_columns``), so
-        that no update reads, steps or checks the padding: that moves no bit,
-        since the padding's gradient is 0 and its moments stay 0 (``load``
-        takes no others)."""
+        ... of the widest shape, else copies: of ``rows``, ``m`` and ``v``,
+        each row's own entries (``_columns``) through one flat index, so that
+        no update reads, steps or checks a narrower shape's padding. That
+        moves no bit, since the padding's gradient is 0 and its moments stay
+        0 (``load`` takes no others)."""
         span, shape = _span(sets), self.shapes[sets[0]]
-        if shape == self.widest:
-            return [span] + [_rows(a, span) for a in (self.rows, self.m, self.v, self.step_counts)]
+        if shape == self.widest and isinstance(span, slice):
+            return [span] + [a[span] for a in (self.rows, self.m, self.v, self.step_counts)]
         entries = sets[:, None] * self.rows.shape[1] + _columns(shape, self.widest)
         return [(sets, entries), *(a.take(entries) for a in (self.rows, self.m, self.v)),
                 self.step_counts[sets]]
 
     def _put(self, index, rows, m, v, step_counts) -> None:
-        """Write back what ``_take`` copied, a narrower shape's own entries
-        alone (a 2-D index into the flattened rows), so the padding stays as
-        it was; a run's views need nothing."""
+        """Write back what ``_take`` copied, each row's own entries alone,
+        through their flat index, so the padding stays as it was; a run's
+        views need nothing."""
         if not isinstance(index, slice):
-            sets, entries = index if isinstance(index, tuple) else (index, index)
+            sets, entries = index
             self.step_counts[sets] = step_counts
             for whole, part in zip((self.rows, self.m, self.v), (rows, m, v)):
-                (whole.reshape(-1) if entries.ndim > 1 else whole)[entries] = part
+                whole.reshape(-1)[entries] = part
 
     def save(self, path, names: list[str]) -> None:
         """Write the learned state, with ``names`` naming the rows in order,
@@ -272,9 +320,9 @@ class ParamStack:
     def load(self, path, names: list[str]) -> None:
         """Restore in place the state ``save`` wrote for rows named ``names``.
         A file of another format version, with a key missing, other names,
-        another row shape, anything but finite floats in ``rows``, ``m`` and
+        another row shape, anything but finite float64 in ``rows``, ``m`` and
         ``v`` outside the padding, a negative ``v``, padding other than the
-        stack's own, or anything but one non-negative integer step count per
+        stack's own, or anything but one non-negative int64 step count per
         row is rejected with ValueError naming the key, and leaves the stack
         untouched."""
         with np.load(path, allow_pickle=False) as data:
@@ -298,15 +346,14 @@ class ParamStack:
                 row[_columns(shape, self.widest)] = False
             for key, array, own in (("rows", rows, self.rows), ("m", m, self.m),
                                     ("v", v, self.v)):
-                if array.dtype.kind != "f" or not np.isfinite(array[~padding]).all():
-                    raise ValueError(f"checkpoint {key} must be finite floats")
+                if array.dtype != np.float64 or not np.isfinite(array[~padding]).all():
+                    raise ValueError(f"checkpoint {key} must be finite float64")
                 if not np.array_equal(array[padding], own[padding]):
                     raise ValueError(f"checkpoint {key} padding differs from the stack's")
             if (v < 0.0).any():
                 raise ValueError("checkpoint v must not be negative")
-            if (steps.shape != (len(rows),) or steps.dtype.kind not in "iu"
-                    or (steps < 0).any()):
-                raise ValueError("checkpoint steps must be one non-negative integer per row, "
+            if steps.shape != (len(rows),) or steps.dtype != np.int64 or (steps < 0).any():
+                raise ValueError("checkpoint steps must be one non-negative int64 per row, "
                                  f"got {steps.tolist()}")
             self.rows[...], self.m[...], self.v[...] = rows, m, v
             self.step_counts[...] = steps
@@ -341,15 +388,19 @@ def init_params(nets: list[NetParams], rngs: list[np.random.Generator]) -> None:
         for out, rng in zip(outs, rngs):
             groups.setdefault(out.shape, []).append((out, rng))
         for group in groups.values():
-            _orthogonal(group, gain)
+            on_one_blas_thread(_orthogonal, group, gain)
 
 
 def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
     """Policy logits and value estimates, one observation per row of ``obs``
     and ``sets`` naming each row's network: (logits, values), row by row,
     with -inf logits on the padded actions of networks narrower than the
-    stack."""
-    w1, b1, head, head_bias = stack.gather(sets)
+    stack, computed on one OpenBLAS thread."""
+    return on_one_blas_thread(_forward, *stack.gather(sets), obs)
+
+
+def _forward(w1, b1, head, head_bias, obs: np.ndarray):
+    """``forward`` of the gathered blocks of the rows' networks."""
     h = np.matmul(obs[:, None, :], w1)[:, 0]
     h += b1
     out = np.matmul(head, np.tanh(h, out=h)[:, :, None])[:, :, 0]

@@ -25,37 +25,34 @@ call the ufuncs' ``reduce`` directly, and entries are picked by one flat
 index with ``take``: a minibatch's arrays are small, so much of an
 operation's cost is its call.
 
-Two or more networks whose minibatch is wide (``SPLIT_BYTES``), as a
-1323-action head's is, are split into two contiguous halves of the S if
-numpy's BLAS is an OpenBLAS, whatever its thread count; under any other BLAS
-they run unsplit. A wide update sets OpenBLAS to one thread until it
-returns, since two halves on a many-thread BLAS would oversubscribe the
-cores, and a wide product on two OpenBLAS threads is not always bit for bit
-the one-thread one. Each half runs the minibatch loop an unsplit update
-runs, on its own networks alone: the calling thread the first half, and a
-worker thread, started once and joined once before the update returns, the
-second. The numpy calls that carry the cost release the interpreter lock,
-so the halves overlap on two cores. The halves meet only at the join: each
-writes its own networks' rows, moments and step counts, its own S-slice of
-the one scratch, allocated before the worker starts, and its own columns of
-the stats' totals, and every network's arithmetic is the one-thread loop's.
-A half stops at its own first non-finite minibatch, before that minibatch's
+Every update runs on one OpenBLAS thread (``neural.on_one_blas_thread``),
+whatever the caller's count. Two or more networks whose minibatch is wide
+(``SPLIT_BYTES``), as a 1323-action head's is, are split into two contiguous
+halves of the S if numpy's BLAS is an OpenBLAS; under any other BLAS, whose
+threads this cannot set, two halves could oversubscribe the cores, so they
+run unsplit. Each half runs the minibatch loop an unsplit update runs, on
+its own networks alone: the calling thread the first half, and a worker
+thread, started once and joined once before the update returns, the second.
+The numpy calls that carry the cost release the interpreter lock, so the
+halves overlap on two cores. The halves meet only at the join: each writes
+its own networks' rows, moments and step counts, its own S-slice of the one
+scratch, allocated before the worker starts, and its own columns of the
+stats' totals, and every network's arithmetic is the one-thread loop's. A
+half stops at its own first non-finite minibatch, before that minibatch's
 Adam step, while the other half runs on; after the join the first half's
 error is raised if it has one, else the second's.
 """
 
 from __future__ import annotations
 
-import ctypes
 import threading
-from functools import cache
 from math import prod
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .neural import (NetParams, NonFiniteLossError, ParamStack, PPOHyper, _blocks, _layout,
-                     _unpadded, log_softmax)
+                     _openblas_threads, _unpadded, log_softmax, on_one_blas_thread)
 
 
 class TrainBatch(NamedTuple):
@@ -77,49 +74,6 @@ STATS = ("objective", "value_loss", "entropy", "clip_fraction", "approx_kl")
 # 0.56x the one-thread time at 1323 actions (677 kB), 0.92x at 256 (128 kB),
 # 1.02x at 192 and 1.31x at 128; twelve 5-action networks (2.5 kB) took 1.66x.
 SPLIT_BYTES = 1 << 17
-
-
-@cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """numpy's OpenBLAS's query of how many threads it runs a product on and
-    its setter of that count, or None if numpy's BLAS is no OpenBLAS that
-    exports both."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        query = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if query is not None and setter is not None:
-            query.argtypes, query.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return query, setter
-    return None
-
-
-def set_one_blas_thread() -> None:
-    """Run numpy's OpenBLAS's products on one thread from now on; nothing
-    if numpy's BLAS is no OpenBLAS that can be set."""
-    blas = _openblas_threads()
-    if blas is not None:
-        blas[1](1)
-
-
-def on_one_thread_if_wide(stack: ParamStack, call: Callable[..., Any], *args) -> Any:
-    """``call(*args)``, on one OpenBLAS thread, the caller's count restored
-    after, if the widest head of ``stack`` has one-row logits of
-    ``SPLIT_BYTES`` or more: on two threads, OpenBLAS's QR of a 28561-action
-    head and its product with one row differ from those on one thread."""
-    blas = _openblas_threads() if stack.widest[2] * stack.rows.itemsize >= SPLIT_BYTES else None
-    threads = blas[0]() if blas else 1
-    if threads == 1:
-        return call(*args)
-    blas[1](1)
-    try:
-        return call(*args)
-    finally:
-        blas[1](threads)
 
 
 class UpdateWork(NamedTuple):
@@ -316,8 +270,14 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     first minibatch that has one, before that minibatch's Adam step moves any
     network of its loop. In a split update each half stops at its own first
     such minibatch while the other runs on, and the first half's error is
-    raised, else the second's. No thread outlives the call.
+    raised, else the second's. No thread outlives the call. The update runs
+    on one OpenBLAS thread (``neural.on_one_blas_thread``).
     """
+    return on_one_blas_thread(_ppo_update, stack, sets, batch, hyper, rngs)
+
+
+def _ppo_update(stack, sets, batch, hyper, rngs) -> list[dict]:
+    """``ppo_update`` on the caller's OpenBLAS threads."""
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
             or any(field.shape[:2] != (len(sets), count) for field in batch)):
@@ -375,24 +335,18 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                 np.add(total, stats, out=total)
                 ascend(k)
 
-    # a wide update runs on one OpenBLAS thread, and splits two or more networks
-    blas = _openblas_threads() if n * shape[2] * work.wide.itemsize >= SPLIT_BYTES else None
-    mid = len(sets) // 2 if blas and len(sets) > 1 else len(sets)
+    wide = n * shape[2] * work.wide.itemsize >= SPLIT_BYTES  # splits two or more networks
+    mid = len(sets) // 2 if wide and len(sets) > 1 and _openblas_threads() else len(sets)
     errors: list[BaseException] = []
     worker = (threading.Thread(target=_worker, args=(update, mid, len(sets), errors),
                                name="ppo_update") if mid < len(sets) else None)
-    threads = blas[0]() if blas else 0  # the caller's BLAS thread count, restored after
     try:
-        if blas:
-            blas[1](1)
         if worker:
             worker.start()
         update(0, mid)
     finally:
         if worker and worker.ident is not None:
             worker.join()
-        if blas:
-            blas[1](threads)
         stack._put(index, rows, m, v, step_counts)
         stack.writes += 1
     if errors:

@@ -31,8 +31,8 @@ from marketsched.agents import (
 from marketsched.config import ConfigError, EnvConfig, JobType, PricingMode
 from marketsched.env import AUCTIONEER, JointActions, SchedulingEnv
 from marketsched.harness import builtin_scenarios
-from marketsched.neural import ParamStack, PPOHyper, gae
-from marketsched.ppo import STATS, TrainBatch, _openblas_threads, ppo_update
+from marketsched.neural import ParamStack, PPOHyper, _openblas_threads, gae
+from marketsched.ppo import STATS, TrainBatch, ppo_update
 from marketsched.obs import PRICE_OBS_LEN
 from marketsched.rng import STREAM_UNIT_INIT, derive_rng
 

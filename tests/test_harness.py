@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketsched import harness, ppo
+from marketsched import harness, neural
 from marketsched.agents import ARCH_FULL, InfeasibleArchitectureError
 from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
@@ -114,7 +114,7 @@ def captured_steps(monkeypatch):
 def blas_threads(scenario, seed):
     """What a sweep's worker runs in place of ``run_scenario`` in the test
     below: the number of threads its OpenBLAS runs a product on."""
-    query, _ = ppo._openblas_threads()
+    query, _ = neural._openblas_threads()
     return query()
 
 
@@ -212,7 +212,7 @@ class TestRunScenario:
             parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
             assert serial == parallel
 
-    @pytest.mark.skipif(ppo._openblas_threads() is None, reason="numpy's BLAS is no OpenBLAS")
+    @pytest.mark.skipif(neural._openblas_threads() is None, reason="numpy's BLAS is no OpenBLAS")
     def test_each_sweep_worker_runs_one_blas_thread(self, monkeypatch):
         # the workers share the host's cores, whatever count the caller runs
         monkeypatch.setattr(harness, "run_scenario", blas_threads)

@@ -9,12 +9,17 @@ run, so such a change fails here.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marketsched import agents
-from marketsched.agents import Trainer, build_homes
+from marketsched import agents, neural
+from marketsched.agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCH_FULL, ARCH_SEMI,
+                                Trainer, build_homes)
 from marketsched.env import SchedulingEnv
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import forward
@@ -78,3 +83,61 @@ def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
     # one forward a step, and one more for each wave after the first
     assert len(forwards) > 2000
     assert learned_state_digest(homes) == PINNED["EXP1_TRADING"]
+
+
+# Run in a fresh process, whose BLAS thread count comes from its environment:
+# for each "scenario:architecture" argument, a 200-step run of every agent
+# under that architecture, with 64-step windows, printing its record and its
+# homes' learned-state digest; then the BLAS thread count after a forward and
+# after an init_params.
+THREADS_PROBE = """
+import sys
+from dataclasses import replace
+import numpy as np
+from marketsched import harness, neural
+from marketsched.rng import derive_rng
+from test_learned_state import learned_state_digest
+built, build_homes = [], harness.build_homes
+harness.build_homes = lambda *args: built.append(build_homes(*args)) or built[-1]
+for name, arch in (arg.split(":") for arg in sys.argv[1:]):
+    base = harness.builtin_scenarios()[name]
+    scenario = replace(base, arch=(arch,) * base.env.num_agents, total_steps=200, window=100,
+                       hyper=replace(base.hyper, rollout_length=64))
+    print(repr(harness.run_scenario(scenario, 1)), learned_state_digest(built[-1]))
+query, _ = neural._openblas_threads()
+stack = neural.ParamStack([(4, 8, 3)])
+neural.forward(stack, np.ones((1, 4)), np.zeros(1, dtype=int))
+print(f"forward:{query()}", end=" ")
+neural.init_params(stack.views, [derive_rng(1, 0)])
+print(f"init_params:{query()}")
+"""
+
+
+def threads_probes(*runs):
+    """The lines THREADS_PROBE prints for ``runs`` in two fresh processes,
+    run at once, under 1 and under 2 OpenBLAS threads."""
+    paths = [str(Path(neural.__file__).parents[1]), str(Path(__file__).parent)]
+    path = os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))
+    probes = [subprocess.Popen([sys.executable, "-c", THREADS_PROBE, *runs], text=True,
+                               stdout=subprocess.PIPE,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                                        PYTHONPATH=path))
+              for threads in (1, 2)]
+    outs = [probe.communicate(timeout=300)[0] for probe in probes]
+    assert [probe.returncode for probe in probes] == [0, 0]
+    return [out.splitlines() for out in outs]
+
+
+@pytest.mark.skipif(neural._openblas_threads() is None or (os.cpu_count() or 1) < 2,
+                    reason="no OpenBLAS thread setter, or fewer than 2 CPUs")
+def test_a_runs_bits_do_not_depend_on_the_callers_blas_thread_count():
+    # every architecture, and SEMI's 28561-action accept head on
+    # EXP2_ARCH_4X4: every product runs on one BLAS thread, and the
+    # caller's count comes back after each
+    runs = [f"{name}:{arch}" for name, arch in (
+        ("EXP1_TRADING", ARCH_DIST_PS), ("EXP2_ARCH_2X2", ARCH_FULL),
+        ("EXP2_ARCH_2X2", ARCH_SEMI), ("EXP2_ARCH_2X2", ARCH_DIST),
+        ("EXP2_ARCH_4X4", ARCH_SEMI), ("EXP3_SCARCITY_2C_COMM", ARCH_DIST_PRICE))]
+    (*one, counts), (*two, handed_back) = threads_probes(*runs)
+    assert len(one) == len(runs) and two == one
+    assert (counts, handed_back) == ("forward:1 init_params:1", "forward:2 init_params:2")

@@ -485,17 +485,17 @@ def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES):
 TWO_THREADS, ONE_THREAD = 0, float("inf")
 # an update splits only where numpy's BLAS is an OpenBLAS, which it can set
 # to one thread while it runs
-SPLITS = ppo._openblas_threads() is not None
+SPLITS = neural._openblas_threads() is not None
 
 
 @contextmanager
 def one_blas_thread_if_openblas():
     """numpy's OpenBLAS, if that is its BLAS, on one thread, then on as many
-    as before. A wide update runs on one BLAS thread whatever the caller's
+    as before. An update runs on one BLAS thread whatever the caller's
     count, and OpenBLAS's product of a 1323-wide head on two threads is not
-    always bit for bit its product on one: an update and its reference are
-    compared on one."""
-    blas = ppo._openblas_threads()
+    always bit for bit its product on one: the reference an update is
+    compared with runs on one too."""
+    blas = neural._openblas_threads()
     threads = blas[0]() if blas else 0
     if blas:
         blas[1](1)
@@ -516,7 +516,7 @@ import sys
 import threading
 from dataclasses import replace
 import numpy as np
-from marketsched import ppo
+from marketsched import neural, ppo
 from marketsched.agents import ARCH_FULL, build_homes
 from marketsched.harness import builtin_scenarios, run_scenario
 from marketsched.neural import NonFiniteLossError
@@ -524,7 +524,7 @@ from marketsched.rng import derive_rng
 base = builtin_scenarios()["EXP2_ARCH_2X2"]
 full = replace(base, arch=(ARCH_FULL,) * base.env.num_agents, total_steps=300, window=100,
                hyper=replace(base.hyper, rollout_length=64))
-threads, _ = ppo._openblas_threads()
+threads, _ = neural._openblas_threads()
 seen, surrogate = {}, ppo.surrogate_objective
 def counted(*args):
     seen.setdefault(threading.current_thread().name, threads())
@@ -916,10 +916,14 @@ class TestCheckpoint:
         ("v", entry((1, 0), -1e-6)),
         ("version", np.array([CHECKPOINT_VERSION] * 2)),
         ("version", np.array([CHECKPOINT_VERSION])),
+        # a count past int64, and a weight past float64, which loading would
+        # wrap to a negative count and round to inf
+        ("steps", np.full(2, 2**63, dtype=np.uint64)),
+        ("rows", lambda rows: entry((1, 0), np.longdouble(10) ** 400)(rows.astype(np.longdouble))),
     ], ids=["no-names", "no-rows", "fractional-steps", "negative-steps", "2d-steps",
             "zero-logit-bias-padding", "nan-weight", "weight-in-padding", "text-rows",
             "infinite-moment", "moment-in-padding", "negative-v", "two-versions",
-            "version-in-a-list"])
+            "version-in-a-list", "uint64-steps", "longdouble-rows"])
     def test_malformed_file_is_rejected_untouched(self, tmp_path, key, value):
         path = tmp_path / "params.npz"
         alpha_beta_stack(seed=21).save(path, ["alpha", "beta"])
