@@ -21,7 +21,7 @@ from .agents import (
     unit_layout,
 )
 from .baseline import fcfs_trace, scripted_env_trace
-from .config import ConfigError, EnvConfig, JobType
+from .config import ConfigError, EnvConfig, JobType, check_seed
 from .harness import (
     Scenario,
     aggregate,
@@ -93,7 +93,7 @@ def _write_manifest(out_dir: Path, scenario: Scenario, seeds: list[int],
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _check_counts(args, seed=0)
+    check_seed(args.seed, "--seed")
     scenario = _load_scenario(args.scenario, args.set, args.arch)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,6 +115,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds and args.seeds > len(scenario.seeds):
         base = max(scenario.seeds) + 1
         seeds += list(range(base, base + args.seeds - len(scenario.seeds)))
+        check_seed(seeds[-1], "the sweep's last seed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = run_sweep(scenario, seeds=seeds, workers=args.workers)
@@ -184,7 +185,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    _check_counts(args, seed=0, steps=0)
+    check_seed(args.seed, "--seed")
+    _check_counts(args, steps=0)
     scenario = _load_scenario(args.scenario, args.set, None)
     if scenario.env.trading_enabled:
         raise CliError("baseline requires a scenario with trading disabled")

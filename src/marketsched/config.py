@@ -26,6 +26,17 @@ def check_int(value: Any, name: str, low: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+# 20 digits, the most a file name leaves room for (``harness.Scenario``'s name)
+MAX_SEED = 2**64 - 1
+
+
+def check_seed(value: Any, name: str) -> None:
+    """Raise ConfigError unless ``value`` is an int, not a bool, in [0, MAX_SEED]."""
+    check_int(value, name, 0)
+    if value > MAX_SEED:
+        raise ConfigError(f"{name} must be at most {MAX_SEED}, got {value!r}")
+
+
 def finite_number(value: Any, name: str) -> float:
     """``value`` as a float; a bool, a non-number, NaN, infinity or an int
     beyond float range is a ConfigError."""

@@ -32,9 +32,9 @@ import numpy as np
 from .agents import (ARCH_DIST, ARCH_DIST_PRICE, ARCH_DIST_PS, ARCHITECTURES, Trainer,
                      build_homes)
 from .config import (ConfigError, EnvConfig, JobType, PricingMode, check_int, check_keys,
-                     finite_number, whole_number)
+                     check_seed, finite_number, whole_number)
 from .env import AUCTIONEER, SchedulingEnv, StepResult
-from .neural import PPOHyper, set_one_blas_thread
+from .neural import PPOHyper
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class Scenario:
         if self.total_steps < self.window:
             raise ConfigError(f"scenario {self.name}: need total_steps >= window")
         for seed in self.seeds:
-            check_int(seed, "each of seeds", 0)
+            check_seed(seed, "each of seeds")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"scenario {self.name}: seeds must be non-empty and distinct")
 
@@ -310,14 +310,14 @@ def aggregate(records: list[RunRecord]) -> AggregateRecord:
 def run_sweep(scenario: Scenario, seeds: Iterable[int] | None = None,
               workers: int = 1) -> list[RunRecord]:
     """Train every seed; seeds are independent, so they may run in parallel.
-    A pool's workers share the host's cores, so its initializer,
-    ``set_one_blas_thread``, runs each worker's BLAS on one thread."""
+    A worker runs every product on one BLAS thread, as a serial run does
+    (``neural.one_blas_thread``), so it gives the serial run's records."""
     seed_list = list(seeds) if seeds is not None else list(scenario.seeds)
     workers = max(1, min(workers, len(seed_list)))
     run_seed = partial(run_scenario, scenario)
     if workers == 1:
         return list(map(run_seed, seed_list))
-    with multiprocessing.get_context("fork").Pool(workers, set_one_blas_thread) as pool:
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         return pool.map(run_seed, seed_list)
 
 

@@ -17,9 +17,9 @@ copy of the whole rows taken at once, until its next update or load.
 ``init_params`` draws each network's initial weights from its own stream
 and orthogonalizes the matrices of one tensor and one shape with one
 stacked QR, which gives each matrix the bits of a QR of its own.
-The functions that multiply (``forward``, ``init_params``'s QR and
-``marketsched.ppo.ppo_update``) run on one OpenBLAS thread and restore the
-caller's count (``on_one_blas_thread``), so a run's bits do not depend on it.
+The functions that multiply (``forward``, ``init_params`` and
+``marketsched.ppo.ppo_update``) are declared ``one_blas_thread``, so a run's
+bits do not depend on the caller's OpenBLAS thread count.
 
 ``marketsched.ppo`` updates the networks of a stack on their own entries alone,
 a narrower network's as a copy in its shape's own layout
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from itertools import accumulate
 from math import prod, sqrt
 from typing import Any, Callable, Iterator
@@ -75,29 +75,28 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
     return None
 
 
-def set_one_blas_thread() -> None:
-    """Run numpy's OpenBLAS's products on one thread from now on; nothing
-    if numpy's BLAS is no OpenBLAS that can be set."""
+def one_blas_thread(function: Callable[..., Any]) -> Callable[..., Any]:
+    """``function`` on one OpenBLAS thread, the caller's count restored
+    after, or ``function`` itself if numpy's BLAS is no OpenBLAS that can be
+    set. A product on two OpenBLAS threads is not always bit for bit the one
+    on one (a 28561-action head's QR and its product with one row are not),
+    so every function that multiplies is declared with this."""
     blas = _openblas_threads()
-    if blas is not None:
-        blas[1](1)
+    if blas is None:
+        return function
+    query, setter = blas
 
-
-def on_one_blas_thread(call: Callable[..., Any], *args) -> Any:
-    """``call(*args)`` on one OpenBLAS thread, if numpy's BLAS is an OpenBLAS
-    that can be set, the caller's count restored after. A product on two
-    OpenBLAS threads is not always bit for bit the one on one (a 28561-action
-    head's QR and its product with one row are not), so every function that
-    multiplies runs through this: a run's bits do not depend on the count."""
-    blas = _openblas_threads()
-    threads = blas[0]() if blas else 1
-    if threads > 1:
-        blas[1](1)
-    try:
-        return call(*args)
-    finally:
-        if threads > 1:
-            blas[1](threads)
+    @wraps(function)
+    def pinned(*args):
+        threads = query()
+        if threads == 1:
+            return function(*args)
+        setter(1)
+        try:
+            return function(*args)
+        finally:
+            setter(threads)
+    return pinned
 
 
 @dataclass(frozen=True)
@@ -360,47 +359,38 @@ class ParamStack:
             self.writes += 1
 
 
-def _orthogonal(group: list[tuple[np.ndarray, np.random.Generator]], gain: float) -> None:
-    """Write ``gain`` times an orthogonal matrix (Saxe et al., 2014) into
-    each matrix of ``group``, (matrix, stream) pairs of one shape: all drawn
-    into one array, then one stacked QR. A column's sign fix and the gain
-    are one exact factor, +-gain."""
-    rows, cols = group[0][0].shape
-    a = np.empty((len(group), max(rows, cols), min(rows, cols)))
-    for block, (_, rng) in zip(a, group):
-        rng.standard_normal(out=block)
-    q, r = np.linalg.qr(a)
-    scales = np.sign(r.diagonal(0, -2, -1)) * gain
-    for (out, _), matrix, scale in zip(group, q, scales):
-        np.multiply(matrix, scale, out=out if rows >= cols else out.T)
-
-
+@one_blas_thread
 def init_params(nets: list[NetParams], rngs: list[np.random.Generator]) -> None:
-    """Write orthogonally scaled weights into ``nets``, for example fresh
-    ParamStack views, network i's from its own stream ``rngs[i]`` (w1,
-    policy head, value head, in that order). The matrices of one tensor and
-    one shape share one stacked QR: on a ``DIST`` agent one for the accept
-    sets' w1, one for the offer sets' w1, and so on. The small policy-head
+    """Write orthogonally scaled weights (Saxe et al., 2014) into ``nets``,
+    for example fresh ParamStack views, network i's from its own stream
+    ``rngs[i]`` (w1, policy head, value head, in that order), on one
+    OpenBLAS thread. The matrices of one tensor and one shape are drawn into
+    one array and share one stacked QR: on a ``DIST`` agent one for the
+    accept sets' w1, one for the offer sets' w1, and so on. A column's sign
+    fix and the gain are one exact factor, +-gain; the small policy-head
     gain keeps the policy near uniform."""
     for outs, gain in (([net.w1 for net in nets], sqrt(2.0)), ([net.wp for net in nets], 0.01),
                        ([net.wv[:, None] for net in nets], 1.0)):
         groups: dict[tuple[int, ...], list] = {}
         for out, rng in zip(outs, rngs):
             groups.setdefault(out.shape, []).append((out, rng))
-        for group in groups.values():
-            on_one_blas_thread(_orthogonal, group, gain)
+        for (rows, cols), group in groups.items():
+            a = np.empty((len(group), max(rows, cols), min(rows, cols)))
+            for block, (_, rng) in zip(a, group):
+                rng.standard_normal(out=block)
+            q, r = np.linalg.qr(a)
+            scales = np.sign(r.diagonal(0, -2, -1)) * gain
+            for (out, _), matrix, scale in zip(group, q, scales):
+                np.multiply(matrix, scale, out=out if rows >= cols else out.T)
 
 
+@one_blas_thread
 def forward(stack: ParamStack, obs: np.ndarray, sets: np.ndarray):
     """Policy logits and value estimates, one observation per row of ``obs``
     and ``sets`` naming each row's network: (logits, values), row by row,
     with -inf logits on the padded actions of networks narrower than the
     stack, computed on one OpenBLAS thread."""
-    return on_one_blas_thread(_forward, *stack.gather(sets), obs)
-
-
-def _forward(w1, b1, head, head_bias, obs: np.ndarray):
-    """``forward`` of the gathered blocks of the rows' networks."""
+    w1, b1, head, head_bias = stack.gather(sets)
     h = np.matmul(obs[:, None, :], w1)[:, 0]
     h += b1
     out = np.matmul(head, np.tanh(h, out=h)[:, :, None])[:, :, 0]

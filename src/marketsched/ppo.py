@@ -25,7 +25,7 @@ call the ufuncs' ``reduce`` directly, and entries are picked by one flat
 index with ``take``: a minibatch's arrays are small, so much of an
 operation's cost is its call.
 
-Every update runs on one OpenBLAS thread (``neural.on_one_blas_thread``),
+Every update runs on one OpenBLAS thread (``neural.one_blas_thread``),
 whatever the caller's count. Two or more networks whose minibatch is wide
 (``SPLIT_BYTES``), as a 1323-action head's is, are split into two contiguous
 halves of the S if numpy's BLAS is an OpenBLAS; under any other BLAS, whose
@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .neural import (NetParams, NonFiniteLossError, ParamStack, PPOHyper, _blocks, _layout,
-                     _openblas_threads, _unpadded, log_softmax, on_one_blas_thread)
+                     _openblas_threads, _unpadded, log_softmax, one_blas_thread)
 
 
 class TrainBatch(NamedTuple):
@@ -252,6 +252,7 @@ def _adam(rows: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
     return ascend
 
 
+@one_blas_thread
 def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                hyper: PPOHyper, rngs: Sequence[np.random.Generator]) -> list[dict]:
     """Run the clipped-surrogate update of the networks ``sets`` of
@@ -270,14 +271,9 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
     first minibatch that has one, before that minibatch's Adam step moves any
     network of its loop. In a split update each half stops at its own first
     such minibatch while the other runs on, and the first half's error is
-    raised, else the second's. No thread outlives the call. The update runs
-    on one OpenBLAS thread (``neural.on_one_blas_thread``).
+    raised, else the second's. No thread outlives the call. Both halves run
+    on one OpenBLAS thread (``neural.one_blas_thread``).
     """
-    return on_one_blas_thread(_ppo_update, stack, sets, batch, hyper, rngs)
-
-
-def _ppo_update(stack, sets, batch, hyper, rngs) -> list[dict]:
-    """``ppo_update`` on the caller's OpenBLAS threads."""
     shape, count = stack.shapes[sets[0]], batch.actions.shape[1]
     if (len(set(sets)) < len(sets) or any(stack.shapes[s] != shape for s in sets)
             or any(field.shape[:2] != (len(sets), count) for field in batch)):

@@ -432,6 +432,33 @@ class TestUsage:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert argv[-2] in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--scenario", "BASE_SINGLE", "--set", "name=" + "A" * 200,
+                      "--set", "total_steps=2000", "--set", "window=100", "--seed", str(10**50)],
+                     id="run --seed 10**50"),
+        pytest.param(["baseline", "--scenario", "BASE_DUO", "--seed", str(2**64)],
+                     id="baseline --seed 2**64"),
+        pytest.param(["sweep", "--scenario", "FILE", "--seeds", "2"],
+                     id="sweep --seeds 2 past 2**64 - 1"),
+    ])
+    def test_a_seed_past_2_64_is_a_usage_error_before_any_run(self, argv, tmp_path, capsys,
+                                                              monkeypatch):
+        # a seed's digits are part of every artifact's file name; FILE is a
+        # scenario whose one seed is 2**64 - 1, which --seeds 2 extends by one
+        data = builtin_scenarios()["BASE_DUO"].to_dict()
+        data["seeds"] = [2**64 - 1]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        for name in ("run_scenario", "run_sweep", "scripted_env_trace"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran"))
+        out = tmp_path / "o"
+        argv = [str(path) if arg == "FILE" else arg for arg in argv]
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be at most 18446744073709551615" in captured.err
+
 
 # what a one-field mutation sets a field to, besides deleting it
 BAD_VALUES = (None, True, "x", [], {}, 2.5, -1, 10**400, math.inf, math.nan)

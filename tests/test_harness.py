@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketsched import harness, neural
 from marketsched.agents import ARCH_FULL, InfeasibleArchitectureError
 from marketsched.config import ConfigError, EnvConfig, JobType
 from marketsched.env import AUCTIONEER, SchedulingEnv
@@ -111,13 +110,6 @@ def captured_steps(monkeypatch):
     return results
 
 
-def blas_threads(scenario, seed):
-    """What a sweep's worker runs in place of ``run_scenario`` in the test
-    below: the number of threads its OpenBLAS runs a product on."""
-    query, _ = neural._openblas_threads()
-    return query()
-
-
 class TestRunScenario:
     def single_scenario(self, **kwargs):
         base = builtin_scenarios()["BASE_SINGLE"]
@@ -211,12 +203,6 @@ class TestRunScenario:
             serial = run_sweep(scenario, seeds=[1, 2], workers=1)
             parallel = run_sweep(scenario, seeds=[1, 2], workers=2)
             assert serial == parallel
-
-    @pytest.mark.skipif(neural._openblas_threads() is None, reason="numpy's BLAS is no OpenBLAS")
-    def test_each_sweep_worker_runs_one_blas_thread(self, monkeypatch):
-        # the workers share the host's cores, whatever count the caller runs
-        monkeypatch.setattr(harness, "run_scenario", blas_threads)
-        assert run_sweep(builtin_scenarios()["BASE_DUO"], seeds=[1, 2], workers=2) == [1, 1]
 
     def test_a_worker_hands_back_an_infeasible_architecture(self):
         # each worker's error comes back to the pool pickled
@@ -355,3 +341,7 @@ class TestBuiltinScenarios:
                 replace(scenario, name=name)
         for name in ("é" * 100, "a" * 200):
             assert replace(scenario, name=name).name == name
+        # a seed has at most 20 digits, as the name's bound assumes
+        with pytest.raises(ConfigError, match="at most 18446744073709551615"):
+            replace(scenario, seeds=(2**64,))
+        assert replace(scenario, seeds=(2**64 - 1,)).seeds == (2**64 - 1,)

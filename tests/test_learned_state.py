@@ -88,22 +88,31 @@ def test_padding_of_the_rollout_store_is_never_read(monkeypatch):
 # Run in a fresh process, whose BLAS thread count comes from its environment:
 # for each "scenario:architecture" argument, a 200-step run of every agent
 # under that architecture, with 64-step windows, printing its record and its
-# homes' learned-state digest; then the BLAS thread count after a forward and
-# after an init_params.
+# homes' learned-state digest; with "sweep", the records of such runs of
+# EXP1_TRADING's seeds 1 and 2 on two workers, and whether they are the
+# serial sweep's; then the BLAS thread count after a forward and after an
+# init_params.
 THREADS_PROBE = """
 import sys
 from dataclasses import replace
 import numpy as np
 from marketsched import harness, neural
+from marketsched.agents import ARCH_DIST_PS
 from marketsched.rng import derive_rng
 from test_learned_state import learned_state_digest
 built, build_homes = [], harness.build_homes
 harness.build_homes = lambda *args: built.append(build_homes(*args)) or built[-1]
-for name, arch in (arg.split(":") for arg in sys.argv[1:]):
+def short(name, arch):
     base = harness.builtin_scenarios()[name]
-    scenario = replace(base, arch=(arch,) * base.env.num_agents, total_steps=200, window=100,
-                       hyper=replace(base.hyper, rollout_length=64))
-    print(repr(harness.run_scenario(scenario, 1)), learned_state_digest(built[-1]))
+    return replace(base, arch=(arch,) * base.env.num_agents, total_steps=200, window=100,
+                   hyper=replace(base.hyper, rollout_length=64))
+for arg in sys.argv[1:]:
+    if arg == "sweep":
+        sweep = short("EXP1_TRADING", ARCH_DIST_PS)
+        records = harness.run_sweep(sweep, seeds=[1, 2], workers=2)
+        print(repr(records), records == harness.run_sweep(sweep, seeds=[1, 2], workers=1))
+        continue
+    print(repr(harness.run_scenario(short(*arg.split(":")), 1)), learned_state_digest(built[-1]))
 query, _ = neural._openblas_threads()
 stack = neural.ParamStack([(4, 8, 3)])
 neural.forward(stack, np.ones((1, 4)), np.zeros(1, dtype=int))
@@ -131,13 +140,15 @@ def threads_probes(*runs):
 @pytest.mark.skipif(neural._openblas_threads() is None or (os.cpu_count() or 1) < 2,
                     reason="no OpenBLAS thread setter, or fewer than 2 CPUs")
 def test_a_runs_bits_do_not_depend_on_the_callers_blas_thread_count():
-    # every architecture, and SEMI's 28561-action accept head on
-    # EXP2_ARCH_4X4: every product runs on one BLAS thread, and the
+    # every architecture, SEMI's 28561-action accept head on EXP2_ARCH_4X4,
+    # and a sweep's workers: every product runs on one BLAS thread, and the
     # caller's count comes back after each
     runs = [f"{name}:{arch}" for name, arch in (
         ("EXP1_TRADING", ARCH_DIST_PS), ("EXP2_ARCH_2X2", ARCH_FULL),
         ("EXP2_ARCH_2X2", ARCH_SEMI), ("EXP2_ARCH_2X2", ARCH_DIST),
         ("EXP2_ARCH_4X4", ARCH_SEMI), ("EXP3_SCARCITY_2C_COMM", ARCH_DIST_PRICE))]
-    (*one, counts), (*two, handed_back) = threads_probes(*runs)
+    (*one, sweep, counts), (*two, swept, handed_back) = threads_probes(*runs, "sweep")
     assert len(one) == len(runs) and two == one
+    # the workers' records are the serial sweep's, under either count
+    assert sweep == swept and sweep.endswith(" True")
     assert (counts, handed_back) == ("forward:1 init_params:1", "forward:2 init_params:2")

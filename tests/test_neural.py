@@ -510,7 +510,7 @@ def one_blas_thread_if_openblas():
 # with "update", a two-network FULL update, printing the caller's BLAS thread
 # count, the thread and BLAS thread count of each half's first surrogate, then
 # the caller's count again; with "non-finite", the same of an update that
-# raises; with "record", the record of a 300-step FULL run.
+# raises.
 BLAS_PROBE = """
 import sys
 import threading
@@ -518,11 +518,11 @@ from dataclasses import replace
 import numpy as np
 from marketsched import neural, ppo
 from marketsched.agents import ARCH_FULL, build_homes
-from marketsched.harness import builtin_scenarios, run_scenario
+from marketsched.harness import builtin_scenarios
 from marketsched.neural import NonFiniteLossError
 from marketsched.rng import derive_rng
 base = builtin_scenarios()["EXP2_ARCH_2X2"]
-full = replace(base, arch=(ARCH_FULL,) * base.env.num_agents, total_steps=300, window=100,
+full = replace(base, arch=(ARCH_FULL,) * base.env.num_agents,
                hyper=replace(base.hyper, rollout_length=64))
 threads, _ = neural._openblas_threads()
 seen, surrogate = {}, ppo.surrogate_objective
@@ -531,10 +531,6 @@ def counted(*args):
     return surrogate(*args)
 ppo.surrogate_objective = counted
 for check in sys.argv[1:]:
-    if check == "record":
-        ppo.surrogate_objective = surrogate
-        print(repr(run_scenario(full, 1)))
-        continue
     (home,) = build_homes(full.arch, full.env, full.hyper, 31)
     rng = derive_rng(32, 0)
     width, rows = home.stack.shapes[0][0], (2, 64)
@@ -833,12 +829,11 @@ class TestStackedUpdate:
     def test_a_split_runs_on_one_blas_thread_and_restores_the_callers(self):
         # one process under two BLAS threads at a time: the update's worker
         # is the only thread it starts beside OpenBLAS's own
-        split, raised, record = self.blas_probe(2, "update", "non-finite", "record")
+        split, raised = self.blas_probe(2, "update", "non-finite")
         # both halves' surrogates ran on one BLAS thread, and the caller's
         # two came back after the update, and after the one that raised
         assert split == "before:2 MainThread:1 ppo_update:1 after:2"
         assert raised == "before:2 NonFiniteLossError after:2"
-        assert record == self.blas_probe(1, "record")[0]
 
     def test_repeated_sets_two_shapes_or_two_window_lengths_are_rejected(self):
         stack = two_set_stack()
