@@ -49,7 +49,9 @@ update or load; on one BLAS thread, as are the home's initialization and
 updates), one draw per unit and one vectorized inverse-CDF step that
 turns it into the unit's action, one ``Home.record``
 of every row, padded as the pass reads it, and one decode of every live
-position's digit. A unit takes the draws of a window from its own sample stream at
+position's digit. Each row's position in its unit's window is computed once
+a pass, from the plan's window starts, and serves both the draw lookup and
+the record. A unit takes the draws of a window from its own sample stream at
 once, ``rollout_length`` of them, as the window starts, which gives the
 same numbers as one draw per decision.
 Price setters follow in a second pass over the offers just made, since
@@ -81,7 +83,10 @@ and its pricing reward to that slot's price setter, committing the
 setter's decision on the offer. An offer lives one step, so a price
 setter holds each decision for one step and then drops it uncommitted. A
 reward adds to the unit's latest decision, so a payout that lands steps
-after the causing action still credits it.
+after the causing action still credits it. A window's rewards start at 0.0
+and are zeroed again by the update that closes it; a reward enters a window
+only through ``Home.credit``, a committed price too, so recording a
+decision writes no reward.
 """
 
 from __future__ import annotations
@@ -284,11 +289,14 @@ def _initialized(layouts: dict[int, Layout], seed: int) -> ParamStack:
 
 class Plan(NamedTuple):
     """The rows of a home's acting pass for one core ownership: each row's
-    unit, parameter set, last valid action and obs indices into the market
-    image; and the digit record of each owned core's accept position, in
-    core order, its unit replaced by its row."""
+    unit, where its unit's window starts in the home's window arrays with
+    their unit and window axes flattened (``ids * rollout_length``),
+    parameter set, last valid action and obs indices into the market image;
+    and the digit record of each owned core's accept position, in core
+    order, its unit replaced by its row."""
 
     ids: np.ndarray
+    starts: np.ndarray
     sets: np.ndarray
     last: np.ndarray
     index: np.ndarray
@@ -307,8 +315,9 @@ def _rank(spec: UnitSpec) -> int:
     return 0 if spec.slots else 1 if spec.cores else 2
 
 
-def _plan(prefix: list[int], accept_digits: list[dict[int, Digit]], sets: np.ndarray,
-          last: np.ndarray, index: np.ndarray, owners: tuple[int, ...]) -> Plan:
+def _plan(prefix: list[int], accept_digits: list[dict[int, Digit]], length: int,
+          sets: np.ndarray, last: np.ndarray, index: np.ndarray, owners: tuple[int, ...]
+          ) -> Plan:
     """The plan of a home's pass when core m's owner is ``owners[m]``, from
     the home's tables of the same names. Its rows are every unit with an
     offer position (``prefix``), then every accept-only unit of a core its
@@ -322,7 +331,7 @@ def _plan(prefix: list[int], accept_digits: list[dict[int, Digit]], sets: np.nda
     first = len(prefix)
     extra = sorted({u for u, _, _, _ in accepts if u >= first})
     ids = np.array(prefix + extra)
-    return Plan(ids, sets[ids], last[ids], index[ids],
+    return Plan(ids, ids * length, sets[ids], last[ids], index[ids],
                 [(u if u < first else first + extra.index(u), weight, radix, key)
                  for u, weight, radix, key in accepts])
 
@@ -340,7 +349,10 @@ class Home:
     fill the first ``specs[u].obs_width``) and of ``actions``, ``logps``,
     ``values``, ``rewards`` and ``draws`` (units, ``length``), filled to
     ``sizes[u]`` and emptied by the update that closes it, save ``draws``,
-    which is filled whole as the window starts; the ``updates`` count, the
+    which is filled whole as the window starts, and ``rewards``, which hold
+    0.0 until ``credit`` adds to them and are zeroed by that update; with
+    the unit and window axes flattened, unit u's row t is row
+    ``u * length + t``; the ``updates`` count, the
     ``dropped`` rewards and the last update's ``stats``; ``pending`` and
     ``offered``, by unit, each price setter's decision on this step's offer
     and on the last step's (``route_rewards`` commits the traded ones of
@@ -380,8 +392,8 @@ class Home:
         units = len(order)
         self.obs = np.empty((units, length, max(spec.obs_width for spec in self.specs)))
         self.actions = np.empty((units, length), dtype=np.intp)
-        self.logps, self.values, self.rewards, self.draws = (
-            np.empty((units, length)) for _ in range(4))
+        self.logps, self.values, self.draws = (np.empty((units, length)) for _ in range(3))
+        self.rewards = np.zeros((units, length))
         self.sizes = np.zeros(units, dtype=np.intp)
         # the units that lead every plan, units 0, 1, ... (see _rank); the
         # digit records of the offer positions, in unit order, and by core,
@@ -406,7 +418,7 @@ class Home:
             self.index[u, :len(cells)] = cells
         # owners[m] owns core m; no owners: no accept position is live
         self.plan = lru_cache(PLANS_KEPT)(partial(
-            _plan, prefix, accept_digits, self.sets, self.last, self.index))
+            _plan, prefix, accept_digits, length, self.sets, self.last, self.index))
 
     def save(self, path) -> None:
         """Write every agent's learned state to one ``.npz`` (see
@@ -450,15 +462,17 @@ class Home:
         """Act for the plan's units on the rows of ``obs``: one forward over
         all rows, each unit's draw for its window's next row, the waves of
         the module docstring if a window is full, then one record of every
-        row."""
+        row, at the flat window positions the draws were taken at: the
+        plan's starts plus each window's size, 0 for a full one."""
         ids, length = plan.ids, self.length
         sizes = self.sizes[ids]
         t = sizes % length
+        at = plan.starts + t
         if 0 in t.tolist():
             # a window starting, or full and about to be updated: a new block
             for u in ids[t == 0].tolist():
                 self.draws[u] = self.sample_rngs[u].random(length)
-        draws = self.draws[ids, t]
+        draws = self.draws.take(at)
         logits, values = forward(self.stack, obs, plan.sets)
         actions, logps = sample_rows(logits, draws, plan.last)
         if max(sizes.tolist()) == length:
@@ -475,24 +489,25 @@ class Home:
                 updating = rows[due[rows]]
                 if updating.size:
                     self.update(ids[updating].tolist(), values[updating].tolist())
-        self.record(ids, obs, actions, logps, values)
+        self.record(ids, at, obs, actions, logps, values)
         return actions
 
-    def record(self, ids: int | np.ndarray, obs: np.ndarray, actions, logps, values,
-               rewards=0.0) -> None:
+    def record(self, ids: int | np.ndarray, at: int | np.ndarray, obs: np.ndarray, actions,
+               logps, values) -> None:
         """Append one row to the window of each unit of ``ids``, an array of
         distinct units whose windows are not full, the row of unit ``ids[i]``
         being row i of the other arguments (a scalar goes to every row); or
-        one row to the window of unit ``ids``, an int. An observation
-        narrower than the home's widest fills its row from entry 0 on."""
-        t = self.sizes[ids]
-        # unit u's row t is row u * length + t of every field, rows flattened
-        at = ids * self.length + t
+        one row to the window of unit ``ids``, an int. ``at`` is where each
+        row goes in the window arrays with their unit and window axes
+        flattened, ``u * length + sizes[u]`` for unit u. An observation
+        narrower than the home's widest fills its row from entry 0 on. The
+        row's reward is left 0.0, as the window's rewards start, for
+        ``credit`` to add to."""
         self.obs.reshape(-1, self.obs.shape[-1])[at, :obs.shape[-1]] = obs
         for field, value in ((self.actions, actions), (self.logps, logps),
-                             (self.values, values), (self.rewards, rewards)):
+                             (self.values, values)):
             field.put(at, value)
-        self.sizes[ids] = t + 1
+        self.sizes[ids] += 1
 
     def update(self, rows: list[int], bootstraps: Sequence[float]) -> None:
         """Close the full windows of units ``rows``, of distinct parameter
@@ -500,7 +515,7 @@ class Home:
         ``ppo_update`` per network shape, whose batch has a leading window
         axis and, if the shape's units are a run, a view of ``obs`` for
         observations. Each unit counts the update and keeps its set's
-        stats."""
+        stats; its window is emptied and its rewards zeroed."""
         hyper = self.hyper
         shapes: dict[tuple[int, int, int], list[int]] = {}
         for i, u in enumerate(rows):
@@ -515,6 +530,7 @@ class Home:
             stats = ppo_update(self.stack, self.sets[ids].tolist(), batch, hyper,
                                [self.update_rngs[u] for u in ids])
             self.sizes[ids] = 0
+            self.rewards[ids] = 0.0
             for u, unit_stats in zip(ids, stats):
                 self.stats[u] = unit_stats
                 self.updates[u] += 1
@@ -530,12 +546,14 @@ class Home:
 
     def resolve_price(self, u: int, reward: float) -> None:
         """Commit price setter u's decision of the last step's offer, if it
-        holds one, with ``reward`` as its window's newest row. A window this
-        fills is updated at once, with bootstrap 0.0."""
+        holds one: ``record`` it as its window's newest row, at
+        ``u * length + sizes[u]``, then ``credit`` it ``reward``. A window
+        this fills is updated at once, with bootstrap 0.0."""
         decision = self.offered.pop(u, None)
         if decision is None:
             return
-        self.record(u, *decision, reward)
+        self.record(u, u * self.length + self.sizes[u], *decision)
+        self.credit(u, reward)
         if self.sizes[u] >= self.length:
             self.update([u], [0.0])
 

@@ -8,11 +8,14 @@ of 0, so every layout has a fixed length that depends only on the config.
 vector per step, and an observation is a row of indices into it:
 ``acceptor_index``, ``offer_index`` and ``price_index`` give each layout's
 row. Index 0 of the image holds a constant 0.0, so a row padded with zeros
-reads 0.0 there, and all rows of an acting pass are one gather.
+reads 0.0 there, and all rows of an acting pass are one gather. The image is
+built in a zeroed float buffer, each nonzero cell written once, and numpy
+reads that buffer without a copy; each step's image is a buffer of its own.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 
 import numpy as np
@@ -31,6 +34,9 @@ def offer_obs_len(num_cores: int, num_slots: int) -> int:
 
 PRICE_OBS_LEN = 4
 
+# one float 0.0, repeated into each image's zeroed buffer
+_ZERO = array("d", [0.0])
+
 
 def _starts(config: EnvConfig) -> tuple[int, int, int, int]:
     """Where each block of the image starts, after the 0.0 at index 0: the
@@ -46,23 +52,22 @@ def _starts(config: EnvConfig) -> tuple[int, int, int, int]:
 
 def market_image(env: SchedulingEnv) -> np.ndarray:
     """Every value an observation of the current state reads, laid out as
-    ``_starts`` says: zeros, with each nonzero cell written by one ``put``.
-    A core the auctioneer owns sets no owned flag."""
+    ``_starts`` says: a new zeroed float buffer, each nonzero cell written
+    into it once, read by numpy without a copy. A core the auctioneer owns
+    sets no owned flag."""
     cfg = env.config
     max_prio, max_burst = cfg.max_prio, cfg.max_burst
     m, k = cfg.num_cores, cfg.num_slots
     cores, owned, offers, states = _starts(cfg)
-    index: list[int] = []
-    values: list[float] = []
+    image = _ZERO * (states + 3 * cfg.num_agents * k)
     cell = cores
     for c, core in enumerate(env.cores):
         job = core.job
         if job is not None:
-            index += (cell, cell + 1)
-            values += (job.priority / max_prio, job.remaining_burst / max_burst)
+            image[cell] = job.priority / max_prio
+            image[cell + 1] = job.remaining_burst / max_burst
         if core.owner != AUCTIONEER:
-            index.append(owned + core.owner * m + c)
-            values.append(1.0)
+            image[owned + core.owner * m + c] = 1.0
         cell += 2
     grid = 4 * cfg.num_agents * k
     # each core's book, keyed by the offer's grid cell agent * k + slot; a
@@ -70,19 +75,19 @@ def market_image(env: SchedulingEnv) -> np.ndarray:
     for c, book in enumerate(env._offer_book):
         for g, (_, _, job, price) in book.items():
             cell = offers + grid * c + 4 * g
-            index += (cell, cell + 1, cell + 2, cell + 3)
-            values += (1.0, price / max_prio, job.remaining_burst / max_burst,
-                       job.priority / max_prio)
+            image[cell] = 1.0
+            image[cell + 1] = price / max_prio
+            image[cell + 2] = job.remaining_burst / max_burst
+            image[cell + 3] = job.priority / max_prio
     cell = states
     for agent_slots in env.slots:
         for job in agent_slots:
             if job is not None:
-                index += (cell, cell + 1, cell + 2)
-                values += (1.0, job.priority / max_prio, job.remaining_burst / max_burst)
+                image[cell] = 1.0
+                image[cell + 1] = job.priority / max_prio
+                image[cell + 2] = job.remaining_burst / max_burst
             cell += 3
-    image = np.zeros(states + 3 * cfg.num_agents * k)
-    image.put(index, values)
-    return image
+    return np.frombuffer(image)
 
 
 def _core(config: EnvConfig, agent: int, core: int) -> list[int]:

@@ -129,7 +129,8 @@ def mixed_radix_encode(digits, radices):
 def plan(home, owners):
     """The fields of ``home``'s Plan when core m's owner is ``owners[m]``,
     and the home's offer records: every unit with an offer position, then
-    every accept-only unit of an owned core, each in unit order; the (row,
+    every accept-only unit of an owned core, each in unit order; where each
+    unit's window starts in the home's flattened window arrays; the (row,
     weight, radix, key) of every owned core's accept position in core order;
     and that of every offer position in unit order."""
     offers, accepts = [], {}
@@ -145,7 +146,8 @@ def plan(home, owners):
     ids = list(dict.fromkeys(u for u, _, _, _ in offers))
     ids += sorted({u for u, _, _, _ in accepts}.difference(ids))
     index = np.array(ids)
-    return ((index, home.sets[index], home.last[index], home.index[index],
+    starts = np.array([u * home.length for u in ids])
+    return ((index, starts, home.sets[index], home.last[index], home.index[index],
              [(ids.index(u), weight, radix, key) for u, weight, radix, key in accepts]),
             [(ids.index(u), weight, radix, key) for u, weight, radix, key in offers])
 

@@ -589,19 +589,24 @@ class TestUnitBookkeeping:
         u, v = home.at[(0, ("offer", 1))], home.at[(0, ("offer", 2))]
         assert (home.specs[wide].obs_width, home.specs[u].obs_width, v - u) == (27, 9, 1)
         assert home.obs.shape == (10, 4, 27) and home.actions.shape == (10, 4)
+
+        def record(ids, *row):  # at each unit's next row, as a pass records
+            home.record(ids, ids * home.length + home.sizes[ids], *row)
+
         for i in range(3):
-            home.record(wide, np.full(27, float(i)), i, -0.1, 0.0, 1.0)
-            home.record(u + i % 2, np.full(9, float(i)), i, -0.2, 0.5, 0.0)
+            record(wide, np.full(27, float(i)), i, -0.1, 0.0)
+            home.credit(wide, 1.0)
+            record(u + i % 2, np.full(9, float(i)), i, -0.2, 0.5)
         assert home.sizes[[wide, u, v]].tolist() == [3, 2, 1]
         # one row each for units v and wide in one call, as a pass writes
-        # them: v's row is padded to the home's width, reward 0.0 by default
-        home.record(np.array([v, wide]), np.array([[7.0] * 9 + [np.nan] * 18, [3.0] * 27]),
-                    np.array([5, 3]), np.array([-0.3, -0.1]), np.array([0.25, 0.0]))
+        # them: v's row is padded to the home's width, its reward left 0.0
+        record(np.array([v, wide]), np.array([[7.0] * 9 + [np.nan] * 18, [3.0] * 27]),
+               np.array([5, 3]), np.array([-0.3, -0.1]), np.array([0.25, 0.0]))
         assert home.sizes[[wide, u, v]].tolist() == [4, 2, 2]
         assert home.rewards[wide].tolist() == [1.0, 1.0, 1.0, 0.0]
         for _ in range(2):  # rows narrower than the home, in one call
-            home.record(np.array([u, v]), np.full((2, 9), 8.0), np.array([2, 2]),
-                        np.array([-0.4, -0.4]), np.array([0.0, 0.0]))
+            record(np.array([u, v]), np.full((2, 9), 8.0), np.array([2, 2]),
+                   np.array([-0.4, -0.4]), np.array([0.0, 0.0]))
         batches = []
 
         def captured(stack, sets, batch, hyper, rngs):
@@ -650,6 +655,54 @@ class TestUnitBookkeeping:
             assert u not in home.offered
         assert home.updates[u] == 1 and home.sizes[u] == 0 and bootstraps == [0.0]
         assert home.stack.steps != steps  # the price set took its Adam steps
+
+    def test_a_closed_window_starts_again_from_zero_rewards(self):
+        # rewards enter a window only through credit: the update that closes
+        # one zeroes its rewards, so row 0 then holds the next pass's
+        # routed reward alone
+        cfg = make_config()
+        env = SchedulingEnv(cfg, seed=5)
+        hyper = PPOHyper(rollout_length=4, minibatch_size=2, epochs=1)
+        (home,) = build_homes((ARCH_DIST,) * 2, cfg, hyper, seed=5)
+        u = home.at[(0, ("offer", 0))]
+        paid = 0
+        for _ in range(400):
+            closing = home.sizes[u] == home.length and home.rewards[u].any()
+            updates = home.updates[u]
+            joint = act([home], env)
+            if closing:
+                assert home.updates[u] == updates + 1 and not home.rewards[u].any()
+            result = env.step(joint)
+            route_rewards(home, result)
+            if closing:
+                routed = [float(trade.job_priority) for trade in result.trades
+                          if (trade.buyer, trade.source_slot) == (0, 0)]
+                assert home.rewards[u].tolist() == [sum(routed), 0.0, 0.0, 0.0]
+                paid += bool(routed)
+        assert paid
+
+    def test_a_committed_price_is_credited_to_the_setters_newest_row(self):
+        scenario = builtin_scenarios()["EXP3_SCARCITY_2C_COMM"]
+        env = SchedulingEnv(scenario.env, 1)
+        homes = build_homes(scenario.arch, scenario.env,
+                            replace(scenario.hyper, rollout_length=4), 1)
+        trainer = Trainer(env, homes)
+        reopened = 0
+        for _ in range(600):
+            sizes = [home.sizes.copy() for home in homes]
+            result = trainer.step()
+            for home, before in zip(homes, sizes):
+                for trade in result.trades:
+                    u = home.at.get((trade.buyer, ("price", trade.source_slot)))
+                    if u is None or home.sizes[u] == before[u]:
+                        continue  # no setter, or no decision held on the offer
+                    if home.sizes[u]:
+                        reward = commercial_price_reward(trade.job_priority, trade.price)
+                        assert home.rewards[u, home.sizes[u] - 1] == reward != 0.0
+                        reopened += home.updates[u] > 0
+                    else:  # the commit filled the window, which its update closed
+                        assert not home.rewards[u].any()
+        assert reopened
 
 
 class TestTraining:

@@ -75,7 +75,7 @@ def act_unit_by_unit(home, arch, env, joint):
         action, logp = sample(logits, home.sample_rngs[u])
         if home.sizes[u] == home.length:
             home.update([u], [value])
-        home.record(u, obs, action, logp, value, 0.0)
+        home.record(u, u * home.length + home.sizes[u], obs, action, logp, value)
         for (kind, i), digit in zip(spec.positions, mixed_radix_decode(action, spec.radices)):
             if kind == "accept" and i in owned:
                 joint.accepts[(a, i)] = digit

@@ -140,6 +140,9 @@ def test_image_rows_match_the_reference_encoders(num_agents, num_cores, num_slot
     for _ in range(steps):
         env.step(random_actions(env, rng))
     image = market_image(env)
+    # one float64 buffer, read without a copy; index 0 is +0.0, not -0.0
+    assert image.dtype == np.float64 and image.flags.c_contiguous
+    assert image[:1].tobytes() == np.zeros(1).tobytes()
     for agent in range(num_agents):
         rows = [(acceptor_index(cfg, agent, m), encode_acceptor_obs(env, agent, m))
                 for m in range(num_cores)]
@@ -152,3 +155,8 @@ def test_image_rows_match_the_reference_encoders(num_agents, num_cores, num_slot
         for index, expected in rows:
             assert 0 <= min(index) and max(index) < len(image)
             assert image[index].tobytes() == expected.tobytes()
+    # each step's image is a buffer of its own: the next one leaves it be
+    kept = image.tobytes()
+    env.step(random_actions(env, rng))
+    following = market_image(env)
+    assert image.tobytes() == kept and not np.shares_memory(image, following)

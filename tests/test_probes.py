@@ -152,7 +152,8 @@ def home_values(learning_rate):
         logits, values = forward(home.stack, states, sets)
         actions, logps = sample_rows(logits[turns], rng.random(length), last)
         for t, s in enumerate(turns.tolist()):
-            home.record(u, states[s, :width], actions[t], logps[t], values[s])
+            home.record(u, u * length + home.sizes[u], states[s, :width], actions[t],
+                        logps[t], values[s])
             if s:
                 home.credit(u, 1.0)
         home.update([u], [float(values[0])])
