@@ -12,8 +12,12 @@ the loop's rows at once) all see rows of the shape's own layout. Every array
 of the loop that scales with the rows, the hidden width or the actions lives
 in one scratch (``UpdateWork``) allocated per update: the loop allocates no
 row-sized or (rows x actions)-sized temporary, so a large head's pages are
-neither freed nor faulted in again between minibatches. The loop does only
-the arithmetic; everything that depends only on the update, the epoch or the
+neither freed nor faulted in again between minibatches. It holds two
+(rows x actions) arrays per network: the surrogate builds its entropy term
+in place of the log-probabilities and the logit gradient in place of the
+probabilities, and writes the entropy's products into the gradient rows,
+which the minibatch writes again at its end. The loop does only the
+arithmetic; everything that depends only on the update, the epoch or the
 minibatch size is laid out before it. Per update: each field of the windows
 flattened to (S * T, ...) rows, the scratch's views for each minibatch size
 (``minibatch_views``; at most two sizes, ``minibatch_size`` and a
@@ -78,17 +82,19 @@ SPLIT_BYTES = 1 << 17
 
 class UpdateWork(NamedTuple):
     """One update's scratch, for S networks of one shape and minibatches of up
-    to ``rows`` rows: ``wide`` holds three arrays of (S, rows or hidden,
+    to ``rows`` rows: ``wide`` holds two arrays of (S, rows or hidden,
     actions) or of (S, row width), whichever is larger (the surrogate's
-    log-probabilities, probabilities and logit gradients, then the policy
-    head's gradient and one finiteness flag per gradient entry, then Adam's two
-    intermediates); ``narrow`` three of (S, rows or in-width, hidden) (hidden
-    activations, their gradient, and a temporary that ends as the first layer's
-    gradient); ``grad`` the networks' gradient rows, in the shape's own layout
-    (``neural._layout``), zero-filled; ``terms`` room for the five stats'
+    log-probabilities, which end as its entropy term, and probabilities, which
+    end as the logit gradient; then the policy head's gradient and one
+    finiteness flag per gradient entry; then Adam's two intermediates);
+    ``narrow`` three of (S, rows or in-width, hidden) (hidden activations, their
+    gradient, and a temporary that ends as the first layer's gradient);
+    ``grad`` the networks' gradient rows, in the shape's own layout
+    (``neural._layout``), which first hold the surrogate's entropy products,
+    every entry written before it is read; ``terms`` room for the five stats'
     per-row terms, (5, S, rows); and ``stats`` the five stats (``STATS``) of a
-    minibatch, (5, S). Each network's part of every field is a contiguous slice
-    (``networks``)."""
+    minibatch, (5, S). Each network's part of every field is a contiguous
+    slice (``networks``)."""
 
     wide: np.ndarray
     narrow: np.ndarray
@@ -109,31 +115,39 @@ class UpdateWork(NamedTuple):
 
 def update_work(sets: int, shape: tuple[int, int, int], rows: int) -> UpdateWork:
     """``UpdateWork`` for ``sets`` networks of ``shape``, in rows of that
-    shape's own layout, and minibatches of up to ``rows`` rows."""
+    shape's own layout, and minibatches of up to ``rows`` rows. No field is
+    filled: an update writes every entry before it reads it."""
     in_width, hidden, actions = shape
     row_width = _layout(shape)[-1][1]
     wide = sets * max(max(rows, hidden) * actions, row_width)
     narrow = sets * max(rows, in_width) * hidden
-    return UpdateWork(np.empty((3, wide)), np.empty((3, narrow)), np.zeros((sets, row_width)),
+    return UpdateWork(np.empty((2, wide)), np.empty((3, narrow)), np.empty((sets, row_width)),
                       np.empty(len(STATS) * sets * rows), np.empty((len(STATS), sets)))
 
 
 def minibatch_views(work: UpdateWork, shape: tuple[int, int, int], n: int) -> tuple:
     """The views of ``work``, scratch for S networks of ``shape``, that a
     minibatch of n rows of each reads and writes, laid out once per update
-    and minibatch size: ``lp``, ``pr`` and ``dl`` (S, n, actions); ``h``,
-    ``d_h`` and ``temp`` (S, n, hidden); ``terms`` (5, S, n); the first
-    layer's and the policy head's gradients, (S, in-width, hidden) and (S,
-    hidden, actions); and ``offsets``, where row t of network s starts in a
-    flattened (S, n, actions) array."""
+    and minibatch size: ``lp`` and ``pr`` (S, n, actions); ``h``, ``d_h`` and
+    ``temp`` (S, n, hidden); ``terms`` (5, S, n); the first layer's and the
+    policy head's gradients, (S, in-width, hidden) and (S, hidden, actions);
+    ``offsets``, where row t of network s starts in a flattened (S, n,
+    actions) array; and ``blocks``, the minibatch's rows in blocks of as many
+    as a gradient row holds products of one row's actions: for each, its
+    rows of ``pr``, of ``lp`` and of the entropy's terms, and the
+    (S, rows, actions) view of the gradient rows that takes their products."""
     in_width, hidden, actions = shape
-    count = len(work.grad)
-    return (*work.wide[:, :count * n * actions].reshape(3, count, n, actions),
-            *work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden),
-            _part(work.terms, len(STATS), count, n),
+    count, row_width = work.grad.shape
+    lp, pr = work.wide[:, :count * n * actions].reshape(2, count, n, actions)
+    terms = _part(work.terms, len(STATS), count, n)
+    block = row_width // actions
+    blocks = tuple((pr[:, lo:lo + block], lp[:, lo:lo + block],
+                    work.grad[:, :min(block, n - lo) * actions].reshape(count, -1, actions),
+                    terms[2, :, lo:lo + block]) for lo in range(0, n, block))
+    return (lp, pr, *work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden), terms,
             _part(work.narrow[2], count, in_width, hidden),
             _part(work.wide[0], count, hidden, actions),
-            np.arange(0, count * n * actions, actions).reshape(count, n))
+            np.arange(0, count * n * actions, actions).reshape(count, n), blocks)
 
 
 def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -159,7 +173,7 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
     scratch for minibatches of n rows (``minibatch_views``).
     """
     x, acts, logp_old, adv, ret = minibatch
-    lp, pr, dl, h, d_h, temp, terms, grad_w1, grad_head, offsets = views
+    lp, pr, h, d_h, temp, terms, grad_w1, grad_head, offsets, blocks = views
     n = offsets.shape[1]
     # the taken actions' entries of a (count, n, actions) array, flattened
     taken = acts + offsets
@@ -185,7 +199,11 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
     # clipped or not, and the KL estimate
     surrogate, value_sq, entropy, clipped_out, kl = terms
     np.minimum(surr_unclipped, surr_clipped, out=surrogate)
-    np.negative(np.add.reduce(np.multiply(probs, logp_all, out=dl), axis=-1), out=entropy)
+    # the entropy products go into the gradient rows, which this minibatch
+    # writes again at its end
+    for block_probs, block_logp, products, block_entropy in blocks:
+        np.negative(np.add.reduce(np.multiply(block_probs, block_logp, out=products), axis=-1),
+                    out=block_entropy)
     value_err = values - ret
     np.square(value_err, out=value_sq)
     # The unclipped branch carries gradient whenever it attains the min; a
@@ -200,13 +218,15 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
 
     # d objective / d logits
     coef = np.where(use_unclipped, surr_unclipped, 0.0) / n
-    # coef * (one_hot - probs), the one-hot added at the taken actions
-    d_logits = np.subtract(0.0, probs, out=dl)
+    # -c_e * (probs * (logp_all + entropy)) / n, in place of logp_all
+    term = np.multiply(probs, np.add(logp_all, entropy[..., None], out=lp), out=lp)
+    np.divide(np.multiply(-hyper.entropy_coef, term, out=lp), n, out=lp)
+    # coef * (one_hot - probs), the one-hot added at the taken actions, in
+    # place of probs, plus the entropy term
+    d_logits = np.subtract(0.0, probs, out=pr)
     d_logits.reshape(-1)[taken] += 1.0
     d_logits *= coef[..., None]
-    # += -c_e * (probs * (logp_all + entropy)) / n; probs and logp_all are done
-    term = np.multiply(probs, np.add(logp_all, entropy[..., None], out=lp), out=pr)
-    d_logits += np.divide(np.multiply(-hyper.entropy_coef, term, out=pr), n, out=pr)
+    d_logits += term
 
     d_values = -2.0 * hyper.value_coef * value_err / n
 
@@ -309,7 +329,7 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
         params, grads = (_unpadded(_blocks(a, shape), shape) for a in (rows[lo:hi], part.grad))
         stats, objective, total = part.stats, part.stats[0], totals[:, lo:hi]
         # the logit gradients are spent once the surrogate returns
-        finite = part.wide[2].view(bool)[:part.grad.size].reshape(part.grad.shape)
+        finite = part.wide[1].view(bool)[:part.grad.size].reshape(part.grad.shape)
         ascend = _adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
                        hyper.learning_rate, part.wide, minibatches)
         for epoch in range(hyper.epochs):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -656,7 +657,7 @@ class TestStackedUpdate:
     def test_each_sets_gradient_is_the_one_network_surrogates(self, scenario_name, arch,
                                                               prefix):
         # one stacked surrogate call writes each set's gradient into its row
-        # of the update's zero-filled scratch, in its shape's own layout:
+        # of the update's scratch, in its shape's own layout:
         # the padded row's own entries (``neural._columns``); the rest is 0
         stack, sets = home_sets(scenario_name, arch, prefix, seed=40)
         assert len(sets) == (12 if arch == ARCH_DIST else 2)
@@ -803,6 +804,54 @@ class TestStackedUpdate:
             runs.append(state(stack) + [np.array([list(one.values()) for one in stats]).tobytes()])
         assert len(split) == 10
         assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("scenario_name, arch, prefix", [
+        ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
+    def test_an_update_does_not_depend_on_its_scratchs_contents(self, scenario_name, arch,
+                                                                prefix, monkeypatch):
+        # every scratch entry, the gradient rows' included, is written
+        # before it is read: an update whose scratch starts as NaN ends
+        # where one on a fresh scratch does; 40-row windows take minibatches
+        # of 16 and a remainder of 8, and the two FULL sets split
+        work_for = ppo.update_work
+
+        def nan_filled(*args):
+            work = work_for(*args)
+            for field in work:
+                field.fill(np.nan)
+            return work
+        split = split_updates(monkeypatch)
+        runs = []
+        for scratch in (work_for, nan_filled):
+            monkeypatch.setattr(ppo, "update_work", scratch)
+            stack, sets = home_sets(scenario_name, arch, prefix, seed=52)
+            batch = stacked(*(make_batch(stack.views[s], 40, seed=53 + s) for s in sets))
+            stats = ppo_update(stack, sets, batch, PPOHyper(minibatch_size=16, epochs=2),
+                               [derive_rng(54, s) for s in sets])
+            runs.append(state(stack) + [np.array([list(one.values()) for one in stats]).tobytes()])
+        assert runs[1] == runs[0]
+        assert len(split) == (2 * SPLITS if arch == ARCH_FULL else 0)
+
+    def test_a_full_update_holds_two_wide_arrays_of_scratch(self):
+        # the largest transient of a learned run: the two FULL sets' update
+        # of 256-row windows, split where it can be, holds per set at most
+        # two (rows or hidden, actions) or row-wide arrays, the gradient row
+        # and the narrow scratch, plus 0.5 MiB for the rest
+        stack, sets = home_sets("EXP2_ARCH_2X2", ARCH_FULL, "full", seed=55)
+        hyper = PPOHyper()
+        in_width, hidden, actions = shape = stack.shapes[sets[0]]
+        n, row = hyper.minibatch_size, neural._layout(shape)[-1][1] * 8
+        wide = max(max(n, hidden) * actions * 8, row)
+        narrow = 3 * max(n, in_width) * hidden * 8
+        budget = len(sets) * (2 * wide + row + narrow) + 2**19
+        batch = stacked(*(make_batch(stack.views[s], 256, seed=56 + s) for s in sets))
+        tracemalloc.start()
+        try:
+            ppo_update(stack, sets, batch, hyper, [derive_rng(57, s) for s in sets])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, f"{peak / 2**20:.2f} MiB against {budget / 2**20:.2f} MiB"
 
     @staticmethod
     def blas_probe(threads, *checks):
