@@ -23,6 +23,8 @@ from .agents import (
 from .baseline import fcfs_trace, scripted_env_trace
 from .config import ConfigError, EnvConfig, JobType, check_seed
 from .harness import (
+    CsvSeries,
+    RunRecord,
     Scenario,
     aggregate,
     apply_overrides,
@@ -34,7 +36,7 @@ from .harness import (
     run_sweep,
 )
 from .neural import NonFiniteLossError
-from .svgchart import ChartSeries, render_line_chart
+from .svgchart import render_line_chart
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,16 +82,26 @@ def _load_scenario(name_or_path: str, overrides: list[str], arch: str | None) ->
         raise CliError(f"invalid scenario: {err}")
 
 
-def _write_manifest(out_dir: Path, scenario: Scenario, seeds: list[int],
-                    artifacts: list[str]) -> None:
+def _write_artifacts(out_dir: Path, scenario: Scenario, records: list[RunRecord],
+                     extra: list[str]) -> list[Path]:
+    """Write each record's CSV, the aggregate CSV of two records or more,
+    and ``manifest.json``, which lists these and the files named in
+    ``extra``; return the paths of the CSVs, in that order."""
+    paths = [out_dir / f"{scenario.name}_seed{record.seed}.csv" for record in records]
+    for record, path in zip(records, paths):
+        export_run_csv(record, path)
+    if len(records) >= 2:
+        paths.append(out_dir / f"{scenario.name}_aggregate.csv")
+        export_aggregate_csv(aggregate(records), paths[-1])
     manifest = {
         "scenario": scenario.to_dict(),
-        "seeds": seeds,
-        "artifacts": sorted(artifacts),
+        "seeds": [record.seed for record in records],
+        "artifacts": sorted([path.name for path in paths] + extra),
         "package_version": __version__,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return paths
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -99,10 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = out_dir / f"{scenario.name}_seed{args.seed}_trace.jsonl" if args.trace else None
     record = run_scenario(scenario, args.seed, trace_path=trace)
-    csv_path = out_dir / f"{scenario.name}_seed{args.seed}.csv"
-    export_run_csv(record, csv_path)
-    artifacts = [csv_path.name] + ([trace.name] if trace else [])
-    _write_manifest(out_dir, scenario, [args.seed], artifacts)
+    (csv_path,) = _write_artifacts(out_dir, scenario, [record], [trace.name] if trace else [])
     print(f"wrote {csv_path}")
     return EXIT_OK
 
@@ -119,16 +128,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = run_sweep(scenario, seeds=seeds, workers=args.workers)
-    artifacts = []
-    for record in records:
-        csv_path = out_dir / f"{scenario.name}_seed{record.seed}.csv"
-        export_run_csv(record, csv_path)
-        artifacts.append(csv_path.name)
-    if len(records) >= 2:
-        agg_path = out_dir / f"{scenario.name}_aggregate.csv"
-        export_aggregate_csv(aggregate(records), agg_path)
-        artifacts.append(agg_path.name)
-    _write_manifest(out_dir, scenario, seeds, artifacts)
+    artifacts = _write_artifacts(out_dir, scenario, records, [])
     print(f"wrote {len(artifacts)} artifacts to {out_dir}")
     return EXIT_OK
 
@@ -154,7 +154,7 @@ def _cmd_cardinality(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    chart_series: list[ChartSeries] = []
+    chart_series: list[CsvSeries] = []
     multi = len(args.csv) > 1
     for csv_path in args.csv:
         path = Path(csv_path)
@@ -165,12 +165,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         for name, series in table.items():
             if args.series and name not in args.series:
                 continue
-            label = f"{path.stem}:{name}" if multi else name
-            chart_series.append(ChartSeries(
-                label=label, xs=series.steps, ys=series.values, band=series.stds))
+            if multi:
+                series.name = f"{path.stem}:{name}"
+            chart_series.append(series)
     if not chart_series:
         raise CliError("no matching series to plot")
-    names = [s.label.rsplit(":", 1)[-1] for s in chart_series]
+    names = [s.name.rsplit(":", 1)[-1] for s in chart_series]
     if all(n.startswith("ntat") for n in names):
         y_label = "NTAT"
     elif all(n.startswith("price") for n in names):

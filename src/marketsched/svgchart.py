@@ -6,8 +6,6 @@ the same input always produces the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 PALETTE = ["#2ca02c", "#d62728", "#1f77b4", "#ff7f0e", "#9467bd", "#8c564b",
            "#e377c2", "#17becf"]
 
@@ -19,28 +17,20 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 55
 
 
-@dataclass
-class ChartSeries:
-    label: str
-    xs: list[int]
-    ys: list[float]
-    band: list[float]  # half-width of the shaded band per point
-
-
 def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             .replace('"', "&quot;"))
 
 
-def render_line_chart(series: list[ChartSeries], title: str, x_label: str,
-                      y_label: str) -> str:
-    if not series or all(not s.xs for s in series):
-        raise ValueError("nothing to plot")
-    xs_all = [x for s in series for x in s.xs]
+def render_line_chart(series: list, title: str, x_label: str, y_label: str) -> str:
+    """One line per series, labelled ``name``, through its ``steps`` and
+    ``values``, in a band of half-width ``stds``: the fields of a
+    ``harness.CsvSeries``, of which the list holds one or more."""
+    xs_all = [x for s in series for x in s.steps]
     lo_all, hi_all = [], []
     for s in series:
-        lo_all.extend(y - b for y, b in zip(s.ys, s.band))
-        hi_all.extend(y + b for y, b in zip(s.ys, s.band))
+        lo_all.extend(y - b for y, b in zip(s.values, s.stds))
+        hi_all.extend(y + b for y, b in zip(s.values, s.stds))
     x_min, x_max = min(xs_all), max(xs_all)
     y_min, y_max = min(lo_all), max(hi_all)
     if x_min == x_max:
@@ -99,13 +89,13 @@ def render_line_chart(series: list[ChartSeries], title: str, x_label: str,
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        if any(b > 0 for b in s.band):
-            upper = [(px(x), py(y + b)) for x, y, b in zip(s.xs, s.ys, s.band)]
-            lower = [(px(x), py(y - b)) for x, y, b in zip(s.xs, s.ys, s.band)]
+        if any(b > 0 for b in s.stds):
+            upper = [(px(x), py(y + b)) for x, y, b in zip(s.steps, s.values, s.stds)]
+            lower = [(px(x), py(y - b)) for x, y, b in zip(s.steps, s.values, s.stds)]
             points = " ".join(f"{x:.2f},{y:.2f}" for x, y in upper + lower[::-1])
             out.append(f'<polygon points="{points}" fill="{color}" '
                        f'fill-opacity="0.15" stroke="none"/>')
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
+        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.steps, s.values))
         out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                    f'stroke-width="1.8"/>')
         ly = plot_top + 16 + idx * 20
@@ -113,7 +103,7 @@ def render_line_chart(series: list[ChartSeries], title: str, x_label: str,
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="3"/>')
         out.append(f'<text x="{lx + 28}" y="{ly + 4}" font-size="12" '
-                   f'font-family="sans-serif">{_escape(s.label)}</text>')
+                   f'font-family="sans-serif">{_escape(s.name)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -479,6 +479,40 @@ class TestRewardRouting:
         assert [entry for entry in log if entry[1] == ("price", 0)] == [
             (0, ("price", 0), 2.0, decision)]
 
+    def test_every_move_credits_the_offer_unit_outside_the_chain(self):
+        # the rule today: each trade an agent buys, the auctioneer's grant
+        # and every self-trade alike, credits the buyer's offering-slot unit
+        # with the job's priority; settlement payouts sum to the terminal
+        # priority, but these credits are not part of any chain, so a job
+        # swapped back and forth pays again on every move
+        cfg = manual_config(job_types=(JobType(0, 3, 50, 0.0), JobType(1, 5, 50, 0.0)),
+                            num_agents=1, num_cores=1, num_slots=2)
+        env = SchedulingEnv(cfg, 0)
+        (home,) = build_homes((ARCH_DIST,), cfg, PPOHyper(), seed=1)
+        log = credit_log([home])
+        credited = []
+
+        def step(actions):
+            result = env.step(actions)
+            assert not result.settlements and not result.completions  # burst 50
+            route_rewards(home, result)
+            credited.append(list(log))
+            log.clear()
+            return [(t.buyer, t.seller, t.source_slot) for t in result.trades]
+
+        place_job(env, 0, 0, type_id=0)
+        assert step(JointActions(offers={(0, 0): 1})) == []
+        assert step(JointActions()) == [(0, AUCTIONEER, 0)]  # the grant
+        place_job(env, 0, 1, type_id=1)
+        assert step(JointActions(offers={(0, 1): 1})) == []
+        assert step(JointActions(accepts={(0, 0): 1 + 1})) == [(0, 0, 1)]  # self-trade
+        assert env.slots[0][0].priority == 3  # the displaced job, back on slot 0
+        assert step(JointActions(offers={(0, 0): 1})) == []
+        assert step(JointActions(accepts={(0, 0): 0 + 1})) == [(0, 0, 0)]  # and back
+        assert credited == [[], [(0, ("offer", 0), 3.0)],
+                            [], [(0, ("offer", 1), 5.0)],
+                            [], [(0, ("offer", 0), 3.0)]]
+
     def test_totality_against_step_payouts(self):
         # routed rewards over all homes = settlements to agents
         # + mediated priorities + price rewards, never the auctioneer income

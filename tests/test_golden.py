@@ -66,6 +66,33 @@ GOLDEN = {
                 "c976057502ac43a3fa870342b830dd53606df00ec02f09c1a6d256aef6564f40",
         },
     ),
+    "base_duo_sweep": (
+        ["sweep", "--scenario", "BASE_DUO", "--seeds", "2",
+         "--set", "total_steps=600", "--set", "window=200"],
+        {
+            "BASE_DUO_seed1.csv":
+                "591ccf8250fc8b963e923139f2a68255735475b5e086c0bc3cfe81fb37db2a06",
+            "BASE_DUO_seed2.csv":
+                "87fec2ccfd289af9ff7f1672333a7b801e7f8acc96120b086dd4c20f417463ef",
+            "BASE_DUO_aggregate.csv":
+                "ad490e34f91093023675a624c59ca9aaef2b746a5c318898a2d732ebdd57fb79",
+            "manifest.json":
+                "791262cd51f0a445ccd6b3f1883193e7712656c90dc05efbe43372ca3a1ccfb5",
+        },
+    ),
+}
+
+# charts of the base_duo_sweep case's CSVs: (CSVs, further plot arguments, SVG digest)
+CHARTS = {
+    "aggregate": (
+        ["BASE_DUO_aggregate.csv"], [],
+        "e97872194e00fe6a7ea258e3e5bc237fc0dad7b6f5ffac6ba0e77c03971e3929",
+    ),
+    # two CSVs: each line is labelled <file stem>:<series>
+    "two_seeds_one_series": (
+        ["BASE_DUO_seed1.csv", "BASE_DUO_seed2.csv"], ["--series", "ntat_type_1"],
+        "26424eede0c2739e880f6b8fb90210cd7b44f87cd680ef156dc73d11fa1db280",
+    ),
 }
 
 
@@ -76,3 +103,14 @@ def test_artifact_digests_are_pinned(case, tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in pinned}
     assert digests == pinned
+
+
+@pytest.mark.parametrize("case", sorted(CHARTS))
+def test_chart_digests_are_pinned(case, tmp_path):
+    argv, _ = GOLDEN["base_duo_sweep"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    csvs, more, pinned = CHARTS[case]
+    chart = tmp_path / "chart.svg"
+    assert main(["plot", *(str(tmp_path / name) for name in csvs), *more,
+                 "--out", str(chart)]) == EXIT_OK
+    assert hashlib.sha256(chart.read_bytes()).hexdigest() == pinned
