@@ -1,10 +1,11 @@
 """Learner-free baseline: scripted bidding plus an independent twin model.
 
 The scripted policy gives every slot a static home core, ``(agent *
-num_slots + slot) % num_cores``, and bids its job there every step at the
-fixed price. With trading disabled the environment then behaves like a set
-of per-core queues where the auctioneer serves the highest-priority waiting
-job first, ties broken by arrival, agent, slot.
+num_slots + slot) % num_cores``, and offers its job there every step. It
+accepts no offer and bids no price, so each job's price is its priority at
+fixed and free prices alike. With trading on or off, the environment then
+behaves like a set of per-core queues where the auctioneer serves the
+highest-priority waiting job first, ties broken by arrival, agent, slot.
 
 ``fcfs_trace`` reimplements that queue model directly, without offers,
 chains or settlement, reproducing the same spawn stream. The two completion

@@ -188,8 +188,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     check_seed(args.seed, "--seed")
     _check_counts(args, steps=0)
     scenario = _load_scenario(args.scenario, args.set, None)
-    if scenario.env.trading_enabled:
-        raise CliError("baseline requires a scenario with trading disabled")
     steps = args.steps or scenario.total_steps
     env_events = scripted_env_trace(scenario.env, args.seed, steps)
     twin_events = fcfs_trace(scenario.env, args.seed, steps)

@@ -390,9 +390,9 @@ def read_series_csv(path: str | os.PathLike) -> dict[str, CsvSeries]:
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The named experiments plus three small setups with trading off, which
-    ``baseline`` checks against the FCFS oracle and ``run`` trains like any
-    other; built once: every call returns a new dict of the same frozen
+    """The named experiments plus three small setups with trading off, each
+    of which ``baseline`` checks against the FCFS oracle and ``run`` trains;
+    built once: every call returns a new dict of the same frozen
     scenarios."""
     return dict(_BUILTIN_SCENARIOS)
 

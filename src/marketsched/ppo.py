@@ -15,7 +15,8 @@ row-sized or (rows x actions)-sized temporary, so a large head's pages are
 neither freed nor faulted in again between minibatches. It holds two
 (rows x actions) arrays per network: the surrogate builds its entropy term
 in place of the log-probabilities and the logit gradient in place of the
-probabilities, and writes the entropy's products into the gradient rows,
+probabilities, and writes the entropy's products into the gradient scratch,
+sized for a minibatch's products or the gradient rows, whichever is wider,
 which the minibatch writes again at its end. The loop does only the
 arithmetic; everything that depends only on the update, the epoch or the
 minibatch size is laid out before it. Per update: each field of the windows
@@ -89,12 +90,13 @@ class UpdateWork(NamedTuple):
     finiteness flag per gradient entry; then Adam's two intermediates);
     ``narrow`` three of (S, rows or in-width, hidden) (hidden activations, their
     gradient, and a temporary that ends as the first layer's gradient);
-    ``grad`` the networks' gradient rows, in the shape's own layout
-    (``neural._layout``), which first hold the surrogate's entropy products,
-    every entry written before it is read; ``terms`` room for the five stats'
-    per-row terms, (5, S, rows); and ``stats`` the five stats (``STATS``) of a
-    minibatch, (5, S). Each network's part of every field is a contiguous
-    slice (``networks``)."""
+    ``grad``, (S, row width or rows x actions, whichever is larger), first
+    the surrogate's entropy products, then, in its first row-width columns,
+    the networks' gradient rows, in the shape's own layout
+    (``neural._layout``), every entry written before it is read; ``terms``
+    room for the five stats' per-row terms, (5, S, rows); and ``stats`` the
+    five stats (``STATS``) of a minibatch, (5, S). Each network's part of
+    every field is a contiguous slice (``networks``)."""
 
     wide: np.ndarray
     narrow: np.ndarray
@@ -121,7 +123,8 @@ def update_work(sets: int, shape: tuple[int, int, int], rows: int) -> UpdateWork
     row_width = _layout(shape)[-1][1]
     wide = sets * max(max(rows, hidden) * actions, row_width)
     narrow = sets * max(rows, in_width) * hidden
-    return UpdateWork(np.empty((2, wide)), np.empty((3, narrow)), np.empty((sets, row_width)),
+    return UpdateWork(np.empty((2, wide)), np.empty((3, narrow)),
+                      np.empty((sets, max(row_width, rows * actions))),
                       np.empty(len(STATS) * sets * rows), np.empty((len(STATS), sets)))
 
 
@@ -132,22 +135,17 @@ def minibatch_views(work: UpdateWork, shape: tuple[int, int, int], n: int) -> tu
     ``temp`` (S, n, hidden); ``terms`` (5, S, n); the first layer's and the
     policy head's gradients, (S, in-width, hidden) and (S, hidden, actions);
     ``offsets``, where row t of network s starts in a flattened (S, n,
-    actions) array; and ``blocks``, the minibatch's rows in blocks of as many
-    as a gradient row holds products of one row's actions: for each, its
-    rows of ``pr``, of ``lp`` and of the entropy's terms, and the
-    (S, rows, actions) view of the gradient rows that takes their products."""
+    actions) array; and ``products`` (S, n, actions), the view of ``grad``
+    that takes the entropy's products."""
     in_width, hidden, actions = shape
-    count, row_width = work.grad.shape
+    count = len(work.grad)
     lp, pr = work.wide[:, :count * n * actions].reshape(2, count, n, actions)
-    terms = _part(work.terms, len(STATS), count, n)
-    block = row_width // actions
-    blocks = tuple((pr[:, lo:lo + block], lp[:, lo:lo + block],
-                    work.grad[:, :min(block, n - lo) * actions].reshape(count, -1, actions),
-                    terms[2, :, lo:lo + block]) for lo in range(0, n, block))
-    return (lp, pr, *work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden), terms,
+    return (lp, pr, *work.narrow[:, :count * n * hidden].reshape(3, count, n, hidden),
+            _part(work.terms, len(STATS), count, n),
             _part(work.narrow[2], count, in_width, hidden),
             _part(work.wide[0], count, hidden, actions),
-            np.arange(0, count * n * actions, actions).reshape(count, n), blocks)
+            np.arange(0, count * n * actions, actions).reshape(count, n),
+            work.grad[:, :n * actions].reshape(count, n, actions))
 
 
 def _part(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -173,7 +171,7 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
     scratch for minibatches of n rows (``minibatch_views``).
     """
     x, acts, logp_old, adv, ret = minibatch
-    lp, pr, h, d_h, temp, terms, grad_w1, grad_head, offsets, blocks = views
+    lp, pr, h, d_h, temp, terms, grad_w1, grad_head, offsets, products = views
     n = offsets.shape[1]
     # the taken actions' entries of a (count, n, actions) array, flattened
     taken = acts + offsets
@@ -199,11 +197,9 @@ def surrogate_objective(params: NetParams, grads: NetParams, minibatch: TrainBat
     # clipped or not, and the KL estimate
     surrogate, value_sq, entropy, clipped_out, kl = terms
     np.minimum(surr_unclipped, surr_clipped, out=surrogate)
-    # the entropy products go into the gradient rows, which this minibatch
-    # writes again at its end
-    for block_probs, block_logp, products, block_entropy in blocks:
-        np.negative(np.add.reduce(np.multiply(block_probs, block_logp, out=products), axis=-1),
-                    out=block_entropy)
+    # the entropy products go into the gradient scratch, which this
+    # minibatch writes again at its end
+    np.negative(np.add.reduce(np.multiply(probs, logp_all, out=products), axis=-1), out=entropy)
     value_err = values - ret
     np.square(value_err, out=value_sq)
     # The unclipped branch carries gradient whenever it attains the min; a
@@ -325,12 +321,13 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
         of them whose objective or gradient is not finite, before that
         minibatch's Adam step."""
         part = work.networks(lo, hi)
+        grad = part.grad[:, :rows.shape[1]]  # the gradient rows, in the shape's own layout
         views = {k: minibatch_views(part, shape, k) for k in {n, count % size} if k}
-        params, grads = (_unpadded(_blocks(a, shape), shape) for a in (rows[lo:hi], part.grad))
+        params, grads = (_unpadded(_blocks(a, shape), shape) for a in (rows[lo:hi], grad))
         stats, objective, total = part.stats, part.stats[0], totals[:, lo:hi]
         # the logit gradients are spent once the surrogate returns
-        finite = part.wide[1].view(bool)[:part.grad.size].reshape(part.grad.shape)
-        ascend = _adam(rows[lo:hi], part.grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
+        finite = part.wide[1].view(bool)[:grad.size].reshape(grad.shape)
+        ascend = _adam(rows[lo:hi], grad, m[lo:hi], v[lo:hi], step_counts[lo:hi],
                        hyper.learning_rate, part.wide, minibatches)
         for epoch in range(hyper.epochs):
             order = np.stack([rng.permutation(count) for rng in rngs[lo:hi]])
@@ -342,8 +339,8 @@ def ppo_update(stack: ParamStack, sets: Sequence[int], batch: TrainBatch,
                                               *[field.take(indices) for field in floats]),
                     hyper, views[indices.shape[1]], stats)
                 if not (np.logical_and.reduce(np.isfinite(objective))
-                        and np.logical_and.reduce(np.isfinite(part.grad, out=finite), axis=None)):
-                    i = int(np.argmin(np.isfinite(objective) & np.isfinite(part.grad).all(1)))
+                        and np.logical_and.reduce(np.isfinite(grad, out=finite), axis=None)):
+                    i = int(np.argmin(np.isfinite(objective) & np.isfinite(grad).all(1)))
                     raise NonFiniteLossError(
                         f"non-finite update of parameter set {sets[lo + i]}: "
                         f"objective={objective[i]!r}, value_loss={stats[1, i]!r}, "

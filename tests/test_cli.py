@@ -315,10 +315,14 @@ class TestBaselineCommand:
         assert (out / "BASE_TRIO_seed2_env.csv").exists()
         assert (out / "BASE_TRIO_seed2_fcfs.csv").exists()
 
-    def test_requires_no_trading(self, tmp_path):
-        code = run_cli("baseline", "--scenario", "EXP1_TRADING",
+    @pytest.mark.parametrize("scenario", ["EXP1_TRADING", "EXP4_PRICING_COMM"])
+    def test_trading_and_free_pricing_change_nothing_it_does(self, scenario, tmp_path, capsys):
+        # the scripted policy accepts no offer and bids no price, so each
+        # job's price is its priority
+        code = run_cli("baseline", "--scenario", scenario, "--steps", "400",
                        "--out", str(tmp_path))
-        assert code == EXIT_USAGE
+        assert code == EXIT_OK
+        assert "match" in capsys.readouterr().out
 
 
 class TestUsage:

@@ -6,17 +6,21 @@ UPPER_CASE constant is read somewhere in the package, ``tests/`` or
 behind fails here. And every exception class the
 package defines survives ``pickle``, as a sweep's worker pool hands errors
 back: a class whose ``__init__`` takes other arguments than its ``args``
-would otherwise fail to unpickle, and the pool waits for it forever."""
+would otherwise fail to unpickle, and the pool waits for it forever. And
+README's CLI lines work as written: each parses, and each CSV a ``plot``
+reads is one an earlier line writes."""
 
 import ast
 import importlib
 import inspect
 import pickle
+import shlex
 from pathlib import Path
 
 import pytest
 
 import marketsched
+from marketsched import cli
 
 SOURCES = sorted(Path(marketsched.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
@@ -107,3 +111,39 @@ def test_every_exception_survives_pickle(cls):
     assert type(copy) is cls
     assert str(copy) == str(error)
     assert vars(copy) == vars(error)
+
+
+def readme_commands():
+    """The arguments of each line of README's fenced blocks that runs
+    ``marketsched``, in order."""
+    commands, fenced = [], False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("marketsched "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse_and_plot_what_they_write():
+    # the CSVs a command writes go by cli._write_artifacts' names: a seed
+    # CSV per seed and, for two seeds or more, the aggregate CSV; a sweep
+    # takes its scenario's first seeds, then the seeds after their largest
+    commands = readme_commands()
+    assert any(argv[0] == "plot" for argv in commands)
+    written = set()
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if args.command == "plot":
+            assert {Path(csv) for csv in args.csv} <= written, argv
+        elif args.command in ("run", "sweep"):
+            scenario = cli._load_scenario(args.scenario, args.set, args.arch)
+            if args.command == "run":
+                seeds = [args.seed]
+            else:
+                count, last = args.seeds or len(scenario.seeds), max(scenario.seeds)
+                seeds = [*scenario.seeds, *range(last + 1, last + 1 + count)][:count]
+            out = Path(args.out)
+            written |= {out / f"{scenario.name}_seed{seed}.csv" for seed in seeds}
+            if len(seeds) >= 2:
+                written.add(out / f"{scenario.name}_aggregate.csv")

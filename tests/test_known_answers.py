@@ -1,7 +1,9 @@
 """Known answers: quantities of whole runs that follow in closed form from
-the market's rules, whatever the policy."""
+the market's rules, whatever the policy, and the NTAT a learned run must
+reach where the optimal policy's is known."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -62,3 +64,40 @@ def test_littles_law_holds_exactly_on_a_learned_run(name, arch):
     assert completed > 0
     waiting = sum(env.time - job.arrival_time + 1 for job in _jobs_in_system(env))
     assert completed + waiting == counted
+
+
+# how far the learned loop's mean NTAT on BASE_SINGLE may lie from the
+# closed form's mean, 1.4025
+LOOP_DELTA = 0.05
+BASE_SINGLE_MEAN = sum(ntat * p for ntat, p in BASE_SINGLE_NTAT.items())
+
+
+def _base_single_late_ntat(seed, **hyper):
+    """The mean NTAT of the completions of steps 15000-19999 of a learned
+    ``DIST`` run on BASE_SINGLE, whose PPO hyperparameters take ``hyper``'s
+    values over the scenario's own."""
+    scenario = builtin_scenarios()["BASE_SINGLE"]
+    env = SchedulingEnv(scenario.env, seed)
+    trainer = Trainer(env, build_homes((ARCH_DIST,) * scenario.env.num_agents, scenario.env,
+                                       replace(scenario.hyper, **hyper), seed))
+    ntats = []
+    for step in range(20_000):
+        result = trainer.step()
+        if step >= 15_000:
+            ntats += [c.normalized_turnaround for c in result.completions]
+    return sum(ntats) / len(ntats)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_learned_loop_reaches_base_single_s_optimum(seed):
+    # the unit's one decision is to offer its job or not; not offering only
+    # delays the job, so no policy's mean NTAT lies below 1.4025 and always
+    # offering reaches it: env, reward routing, advantage estimation and the
+    # update together must come within LOOP_DELTA of it in 20k steps
+    assert abs(_base_single_late_ntat(seed) - BASE_SINGLE_MEAN) <= LOOP_DELTA
+
+
+def test_a_loop_that_does_not_learn_misses_base_single_s_optimum():
+    # the control: at a learning rate of 1e-12 the policy stays its
+    # initial one, which holds jobs back, and reads above the bound
+    assert _base_single_late_ntat(1, learning_rate=1e-12) > BASE_SINGLE_MEAN + LOOP_DELTA

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from marketsched import neural, ppo
-from marketsched.agents import ARCH_DIST, ARCH_FULL, build_homes
+from marketsched.agents import ARCH_DIST, ARCH_DIST_PRICE, ARCH_FULL, ARCH_SEMI, build_homes
 from marketsched.config import ConfigError
 from marketsched.harness import builtin_scenarios
 from marketsched.neural import (
@@ -481,6 +481,18 @@ def split_updates(monkeypatch, split_bytes=ppo.SPLIT_BYTES):
     return calls
 
 
+def cases(*rows):
+    """A ``pytest.param`` of each (scenario, architecture, parameter-set
+    prefix, ...) row, named by its first three values alone."""
+    return [pytest.param(*row, id="-".join(row[:3])) for row in rows]
+
+
+# the price sets (4, 16, 9) of a DIST_PRICE home and the offer sets (15, 32,
+# 27) of a SEMI home: the entropy's products of a 64-row minibatch, 576 and
+# 1728 entries, outgrow their gradient rows of 250 and 1436
+WIDE_PRODUCTS = [("EXP4_PRICING_COMM", ARCH_DIST_PRICE, "price"),
+                 ("EXP2_ARCH_2X2", ARCH_SEMI, "offer")]
+
 # ppo.SPLIT_BYTES settings that put every update of two or more networks on
 # two threads, or every update on one
 TWO_THREADS, ONE_THREAD = 0, float("inf")
@@ -616,6 +628,17 @@ class TestStackedUpdate:
                     size=size)
             assert len(split) == splits
 
+    @pytest.mark.parametrize("scenario_name, arch, prefix", WIDE_PRODUCTS)
+    def test_sets_whose_minibatch_products_outgrow_their_gradient_row(self, scenario_name,
+                                                                      arch, prefix):
+        # 96-row windows take the default 64-row minibatches, whose products
+        # outgrow the row, and a remainder of 32
+        stack, sets = home_sets(scenario_name, arch, prefix, seed=31)
+        shape = stack.shapes[sets[0]]
+        assert len(sets) == 2 and 64 * shape[2] > neural._layout(shape)[-1][1]
+        self.assert_matches_one_at_a_time(scenario_name, arch, prefix, PPOHyper(epochs=2),
+                                          size=96, warm=(3, 0))
+
     @pytest.mark.parametrize("scenario_name, arch, prefix, width, views", [
         ("EXP2_ARCH_4X4", ARCH_DIST, "offer", 358, False),
         ("EXP2_ARCH_2X2", ARCH_FULL, "full", 90540, True)])
@@ -652,18 +675,20 @@ class TestStackedUpdate:
             "EXP2_ARCH_4X4", ARCH_DIST, "accept", PPOHyper(minibatch_size=32, epochs=3),
             size=32, warm=(0, 5, 1, 40, 2, 0, 7, 3, 0, 11, 0, 4, 9, 0, 6, 1))
 
-    @pytest.mark.parametrize("scenario_name, arch, prefix", [
-        ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
+    @pytest.mark.parametrize("scenario_name, arch, prefix, size", cases(
+        ("EXP2_ARCH_4X4", ARCH_DIST, "offer", 24), ("EXP2_ARCH_2X2", ARCH_FULL, "full", 24),
+        *((*case, 64) for case in WIDE_PRODUCTS)))
     def test_each_sets_gradient_is_the_one_network_surrogates(self, scenario_name, arch,
-                                                              prefix):
-        # one stacked surrogate call writes each set's gradient into its row
-        # of the update's scratch, in its shape's own layout:
-        # the padded row's own entries (``neural._columns``); the rest is 0
+                                                              prefix, size):
+        # one stacked surrogate call writes each set's gradient into the
+        # first entries of its row of the update's scratch, in its shape's
+        # own layout: the padded row's own entries (``neural._columns``); the
+        # rest is 0
         stack, sets = home_sets(scenario_name, arch, prefix, seed=40)
         assert len(sets) == (12 if arch == ARCH_DIST else 2)
-        hyper, shape, size = PPOHyper(), stack.shapes[sets[0]], 24
-        batches = [make_batch(stack.views[s], 40, seed=41 + s) for s in sets]
-        indices = np.stack([derive_rng(42, s).permutation(40)[:size] for s in sets])
+        hyper, shape, window = PPOHyper(), stack.shapes[sets[0]], size + 16
+        batches = [make_batch(stack.views[s], window, seed=41 + s) for s in sets]
+        indices = np.stack([derive_rng(42, s).permutation(window)[:size] for s in sets])
         work = update_work(len(sets), shape, size)
         _, rows, *_ = stack._take(np.asarray(sets))
         params, grads = (neural._unpadded(neural._blocks(a, shape), shape)
@@ -678,7 +703,7 @@ class TestStackedUpdate:
             _, want_stats = reference.surrogate_objective(stack.views[s], views[s], batches[i],
                                                           hyper, indices[i])
             assert dict(zip(STATS, work.stats[:, i].tolist())) == want_stats, s
-            assert work.grad[i].tobytes() == want[s, own].tobytes(), s
+            assert work.grad[i, :len(own)].tobytes() == want[s, own].tobytes(), s
             assert not want[s, padding].any(), s
 
     @pytest.mark.parametrize("scenario_name, arch, prefix", [
@@ -805,14 +830,18 @@ class TestStackedUpdate:
         assert len(split) == 10
         assert all(run == runs[0] for run in runs[1:])
 
-    @pytest.mark.parametrize("scenario_name, arch, prefix", [
-        ("EXP2_ARCH_4X4", ARCH_DIST, "offer"), ("EXP2_ARCH_2X2", ARCH_FULL, "full")])
+    @pytest.mark.parametrize("scenario_name, arch, prefix, size, minibatch_size", cases(
+        ("EXP2_ARCH_4X4", ARCH_DIST, "offer", 40, 16),
+        ("EXP2_ARCH_2X2", ARCH_FULL, "full", 40, 16),
+        *((*case, 96, 64) for case in WIDE_PRODUCTS)))
     def test_an_update_does_not_depend_on_its_scratchs_contents(self, scenario_name, arch,
-                                                                prefix, monkeypatch):
+                                                                prefix, size, minibatch_size,
+                                                                monkeypatch):
         # every scratch entry, the gradient rows' included, is written
         # before it is read: an update whose scratch starts as NaN ends
         # where one on a fresh scratch does; 40-row windows take minibatches
-        # of 16 and a remainder of 8, and the two FULL sets split
+        # of 16 and a remainder of 8, 96-row windows of 64 and 32, and the
+        # two FULL sets split
         work_for = ppo.update_work
 
         def nan_filled(*args):
@@ -825,8 +854,9 @@ class TestStackedUpdate:
         for scratch in (work_for, nan_filled):
             monkeypatch.setattr(ppo, "update_work", scratch)
             stack, sets = home_sets(scenario_name, arch, prefix, seed=52)
-            batch = stacked(*(make_batch(stack.views[s], 40, seed=53 + s) for s in sets))
-            stats = ppo_update(stack, sets, batch, PPOHyper(minibatch_size=16, epochs=2),
+            batch = stacked(*(make_batch(stack.views[s], size, seed=53 + s) for s in sets))
+            stats = ppo_update(stack, sets, batch,
+                               PPOHyper(minibatch_size=minibatch_size, epochs=2),
                                [derive_rng(54, s) for s in sets])
             runs.append(state(stack) + [np.array([list(one.values()) for one in stats]).tobytes()])
         assert runs[1] == runs[0]
